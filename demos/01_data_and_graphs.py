@@ -5,7 +5,7 @@ user-item adjacency and how the item complement matrix reacts to the
 co-consumption threshold.
 """
 
-import io
+import os
 import tempfile
 
 import numpy as np
@@ -33,6 +33,7 @@ with tempfile.NamedTemporaryFile("w", suffix=".txt", delete=False) as fh:
     path = fh.name
 
 data = load_interactions(path)
+os.remove(path)
 print(f"{data.num_users} users x {data.num_items} items, {len(data)} pairs")
 print("item ids:", dict(sorted(data.item_map.items(), key=lambda kv: kv[1])))
 
@@ -42,9 +43,10 @@ for fold in folds:
           f"{len(fold.test)} test")
 
 # the complement matrix counts how many users consumed both items,
-# drops the diagonal, zeroes entries below gamma, then normalizes
+# drops the diagonal, zeroes entries below gamma, then normalizes;
+# every matrix here is a plain scipy CSR matrix
 R = build_interaction_matrix(data)
-raw_counts = (R.to_scipy().T @ R.to_scipy()).toarray()
+raw_counts = (R.T @ R).toarray()
 print("\nraw co-consumption counts:")
 print(raw_counts.astype(int))
 

@@ -271,12 +271,16 @@ def cmd_train(run):
 def cmd_evaluate(run):
     from .dataset import DataError
     from .model import load_checkpoint
-    from .trainer import build_context, evaluate_model
+    from .trainer import ConfigError, build_context, evaluate_model
 
     path = run.args.checkpoint
     if not os.path.exists(path):
         raise DataError(f"checkpoint not found: {path}")
     params, seed = load_checkpoint(path)
+    if (params.dim, params.hidden) != (run.cfg.d, run.cfg.h):
+        raise ConfigError(
+            f"config d={run.cfg.d}, h={run.cfg.h} does not match the "
+            f"checkpoint's d={params.dim}, h={params.hidden}")
     data = run.load_data()
     if (params.num_users, params.num_items) != (data.num_users,
                                                 data.num_items):

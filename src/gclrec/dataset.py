@@ -52,16 +52,6 @@ class InteractionSet:
     def __len__(self):
         return len(self.pairs)
 
-    def items_by_user(self):
-        """Sorted item-index array per user, keyed by user index.
-
-        Users without pairs in this set map to an empty array.
-        """
-        by_user = {u: [] for u in range(self.num_users)}
-        for u, i in self.pairs:
-            by_user[u].append(i)
-        return {u: np.array(sorted(it), dtype=np.int64) for u, it in by_user.items()}
-
     def view(self, mask):
         """A subset sharing this set's index spaces and maps."""
         return InteractionSet(
@@ -153,36 +143,29 @@ def make_folds(data, k, seed):
     return folds
 
 
-def sample_negatives(train, user, count, rng):
-    """Draw ``count`` items the user never interacted with in ``train``.
+def sample_negatives(R, users, count, rng):
+    """Draw ``count`` items per user that the user has no entry for in the
+    binary train matrix ``R`` (canonical CSR, users x items).
 
-    Uniform over the complement of the user's train items, sampled with
-    replacement across calls.  Raises :class:`DataError` when the user has
-    interacted with every item.
+    Returns a (len(users), count) array.  Each draw is uniform over the
+    complement of the user's train items: rejected draws are redrawn, all
+    at once, until none falls on a train item.  Raises :class:`DataError`
+    when a user has interacted with every item.
     """
-    items = train.items_by_user().get(user)
-    return _sample_negatives_from(items, train.num_items, count, rng)
-
-
-def _sample_negatives_from(user_items, num_items, count, rng):
-    """Rejection-sample negatives against one user's sorted item array."""
-    if user_items is not None and len(user_items) >= num_items:
-        raise DataError(f"user has interacted with all {num_items} items; "
+    users = np.asarray(users, dtype=np.int64)
+    num_items = R.shape[1]
+    if np.any(np.diff(R.indptr)[users] >= num_items):
+        raise DataError(f"a user has interacted with all {num_items} items; "
                         "no negatives exist")
-    out = rng.integers(0, num_items, size=count)
-    if user_items is None or len(user_items) == 0:
-        return out
-    bad = _isin_sorted(out, user_items)
-    while bad.any():
-        out[bad] = rng.integers(0, num_items, size=int(bad.sum()))
-        bad = _isin_sorted(out, user_items)
+    out = rng.integers(0, num_items, size=(len(users), count))
+    flat = out.reshape(-1)
+    rows = np.repeat(users, count)
+    todo = np.arange(flat.size)
+    while todo.size:
+        held = np.asarray(R[rows[todo], flat[todo]]).ravel() != 0
+        todo = todo[held]
+        flat[todo] = rng.integers(0, num_items, size=todo.size)
     return out
-
-
-def _isin_sorted(values, sorted_arr):
-    pos = np.searchsorted(sorted_arr, values)
-    pos = np.minimum(pos, len(sorted_arr) - 1)
-    return sorted_arr[pos] == values
 
 
 def fold_manifest(folds, seed):

@@ -174,8 +174,6 @@ class SparseOperator:
     """A fixed CSR matrix usable inside the tape, transpose precomputed."""
 
     def __init__(self, mat):
-        if hasattr(mat, "to_scipy"):
-            mat = mat.to_scipy()
         self._fwd = mat.tocsr()
         self._bwd = self._fwd.T.tocsr()
         self.shape = self._fwd.shape

@@ -1,6 +1,10 @@
 """Sparse operators for the encoder: interaction matrix, bipartite
-adjacency, and the thresholded item co-occurrence (complement) matrix,
-all in CSR form with symmetric degree normalization."""
+adjacency, and the thresholded item co-occurrence (complement) matrix.
+
+Every builder returns a ``scipy.sparse.csr_matrix`` in scipy's canonical
+format (duplicates summed, no explicit zeros, column indices sorted within
+each row), so ``indptr``/``indices`` can be read directly as per-row item
+lists."""
 
 import warnings
 from dataclasses import dataclass
@@ -9,110 +13,58 @@ import numpy as np
 import scipy.sparse as sp
 
 __all__ = [
-    "SparseMatrix",
     "NormalizedGraph",
     "build_interaction_matrix",
     "build_adjacency",
     "build_complement",
     "sym_normalize",
     "build_graph",
-    "dump_coordinate",
 ]
 
 
-@dataclass
-class SparseMatrix:
-    """CSR matrix with canonical structure.
-
-    Invariants: ``row_offsets`` has rows+1 nondecreasing entries, column
-    indices are strictly increasing within each row, and no explicit zeros
-    are stored.
-    """
-
-    rows: int
-    cols: int
-    row_offsets: np.ndarray
-    col_indices: np.ndarray
-    values: np.ndarray
-
-    @classmethod
-    def from_scipy(cls, mat):
-        m = sp.csr_matrix(mat, dtype=np.float64)
-        m.sum_duplicates()
-        m.eliminate_zeros()
-        m.sort_indices()
-        out = cls(
-            rows=m.shape[0],
-            cols=m.shape[1],
-            row_offsets=m.indptr.astype(np.int64),
-            col_indices=m.indices.astype(np.int64),
-            values=m.data.astype(np.float64),
-        )
-        out.validate()
-        return out
-
-    def to_scipy(self):
-        return sp.csr_matrix(
-            (self.values, self.col_indices, self.row_offsets),
-            shape=(self.rows, self.cols),
-        )
-
-    @property
-    def nnz(self):
-        return len(self.values)
-
-    def validate(self):
-        off = self.row_offsets
-        if len(off) != self.rows + 1 or off[0] != 0 or off[-1] != self.nnz:
-            raise ValueError("row_offsets inconsistent with matrix shape")
-        if np.any(np.diff(off) < 0):
-            raise ValueError("row_offsets must be nondecreasing")
-        if self.nnz:
-            if self.col_indices.min() < 0 or self.col_indices.max() >= self.cols:
-                raise ValueError("column index out of range")
-            for r in range(self.rows):
-                cols = self.col_indices[off[r]:off[r + 1]]
-                if np.any(np.diff(cols) <= 0):
-                    raise ValueError(f"row {r}: column indices not strictly increasing")
-            if np.any(self.values == 0.0):
-                raise ValueError("explicit zeros stored")
-
-    def toarray(self):
-        return self.to_scipy().toarray()
+def _canonical(mat):
+    """``mat`` as float64 CSR in canonical format.  ``mat`` must be a
+    fresh matrix: a float64 CSR input is canonicalized in place."""
+    m = sp.csr_matrix(mat, dtype=np.float64)
+    m.sum_duplicates()
+    m.eliminate_zeros()
+    m.sort_indices()
+    return m
 
 
 @dataclass
 class NormalizedGraph:
-    """The two normalized propagation operators used by the encoder.
+    """The binary train matrix and the two normalized propagation
+    operators used by the encoder.
 
-    ``ui`` is the (m+n)x(m+n) symmetric-normalized user-item adjacency;
-    ``comp`` is the nxn normalized item complement matrix, or None when the
-    complement channel is disabled.  ``comp_empty`` flags a complement
-    matrix whose every entry was filtered out.
+    ``R`` is the m x n binary train matrix; ``ui`` is the (m+n)x(m+n)
+    symmetric-normalized user-item adjacency; ``comp`` is the nxn
+    normalized item complement matrix, or None when the complement channel
+    is disabled.  ``comp_empty`` flags a complement matrix whose every
+    entry was filtered out.
     """
 
-    ui: SparseMatrix
-    comp: SparseMatrix | None
+    R: sp.csr_matrix
+    ui: sp.csr_matrix
+    comp: sp.csr_matrix | None
     gamma: float
     comp_empty: bool = False
 
 
-def build_interaction_matrix(train):
-    """Binary m x n interaction matrix R from a train split."""
-    if len(train.pairs) == 0:
-        raise ValueError("train split has no interactions")
-    u = train.pairs[:, 0]
-    i = train.pairs[:, 1]
+def build_interaction_matrix(split):
+    """Binary m x n interaction matrix R from a split's (user, item) pairs."""
+    if len(split.pairs) == 0:
+        raise ValueError("split has no interactions")
+    u = split.pairs[:, 0]
+    i = split.pairs[:, 1]
     data = np.ones(len(u), dtype=np.float64)
-    R = sp.coo_matrix((data, (u, i)), shape=(train.num_users, train.num_items))
-    return SparseMatrix.from_scipy(R)
+    return _canonical(sp.coo_matrix((data, (u, i)),
+                                    shape=(split.num_users, split.num_items)))
 
 
 def build_adjacency(R):
     """Bipartite block adjacency [[0, R], [R^T, 0]] of size (m+n)x(m+n)."""
-    Rs = R.to_scipy()
-    A = sp.bmat([[None, Rs], [Rs.T, None]], format="csr")
-    return SparseMatrix.from_scipy(A)
+    return _canonical(sp.bmat([[None, R], [R.T, None]], format="csr"))
 
 
 def build_complement(R, gamma, apply_filter=True):
@@ -126,8 +78,7 @@ def build_complement(R, gamma, apply_filter=True):
     """
     if gamma < 0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
-    Rs = R.to_scipy()
-    C = (Rs.T @ Rs).tocsr()
+    C = (R.T @ R).tocsr()
     C.setdiag(0.0)
     C.eliminate_zeros()
     if apply_filter and gamma > 0:
@@ -136,8 +87,8 @@ def build_complement(R, gamma, apply_filter=True):
     if C.nnz == 0:
         warnings.warn("complement matrix is empty after filtering; the "
                       "complement channel will contribute nothing")
-        return SparseMatrix.from_scipy(C)
-    return sym_normalize(SparseMatrix.from_scipy(C))
+        return _canonical(C)
+    return sym_normalize(C)
 
 
 def sym_normalize(M):
@@ -146,17 +97,16 @@ def sym_normalize(M):
     Degrees are row sums.  Rows (and columns) with zero degree stay empty;
     their scale is treated as zero so isolated nodes propagate nothing.
     """
-    if M.rows != M.cols:
-        raise ValueError(f"matrix must be square, got {M.rows}x{M.cols}")
-    if M.nnz and M.values.min() < 0:
+    if M.shape[0] != M.shape[1]:
+        raise ValueError(f"matrix must be square, got {M.shape[0]}x{M.shape[1]}")
+    if M.nnz and M.data.min() < 0:
         raise ValueError("sym_normalize requires nonnegative entries")
-    Ms = M.to_scipy()
-    deg = np.asarray(Ms.sum(axis=1)).ravel()
+    deg = np.asarray(M.sum(axis=1)).ravel()
     with np.errstate(divide="ignore"):
         inv_sqrt = 1.0 / np.sqrt(deg)
     inv_sqrt[~np.isfinite(inv_sqrt)] = 0.0
     D = sp.diags(inv_sqrt)
-    return SparseMatrix.from_scipy(D @ Ms @ D)
+    return _canonical(D @ M @ D)
 
 
 def build_graph(train, gamma, complement_enabled=True, apply_filter=True):
@@ -168,14 +118,5 @@ def build_graph(train, gamma, complement_enabled=True, apply_filter=True):
     if complement_enabled:
         comp = build_complement(R, gamma, apply_filter=apply_filter)
         comp_empty = comp.nnz == 0
-    return NormalizedGraph(ui=A, comp=comp, gamma=gamma, comp_empty=comp_empty)
-
-
-def dump_coordinate(M, path):
-    """Write a matrix as text coordinates: a `rows cols nnz` header, then
-    one `row col value` line per stored entry."""
-    coo = M.to_scipy().tocoo()
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{M.rows} {M.cols} {M.nnz}\n")
-        for r, c, v in zip(coo.row, coo.col, coo.data):
-            fh.write(f"{r} {c} {float(v)!r}\n")
+    return NormalizedGraph(R=R, ui=A, comp=comp, gamma=gamma,
+                           comp_empty=comp_empty)

@@ -107,7 +107,7 @@ def kl_loss(mu, sigma2, formula="standard"):
     and is unbounded below, so it is not the default.
     """
     if np.any(sigma2.value <= 0):
-        raise ValueError("kl_loss requires sigma2 > 0 elementwise")
+        raise DiffError("kl_loss requires sigma2 > 0 elementwise")
     tape = mu.tape
     ones = tape.constant(np.ones(mu.shape))
     if formula == "standard":

@@ -61,10 +61,11 @@ def _exact_topk_row(scores, k):
 def rank_topk(z_u, z_i, train_items, k, users=None, chunk=1024):
     """Top-k item lists per user from dot-product scores.
 
-    ``train_items`` maps user index to a sorted array of train items,
-    which are removed from the candidate set.  Ties break toward the
-    lower item index, so rankings are deterministic.  Lists are shorter
-    than k only when a user has fewer than k candidate items.
+    ``train_items`` is the binary users x items train matrix in CSR form;
+    each user's stored items are removed from the candidate set.  Ties
+    break toward the lower item index, so rankings are deterministic.
+    Lists are shorter than k only when a user has fewer than k candidate
+    items.
     """
     z_u = np.asarray(z_u)
     z_i = np.asarray(z_i)
@@ -78,14 +79,10 @@ def rank_topk(z_u, z_i, train_items, k, users=None, chunk=1024):
     for lo in range(0, len(users), chunk):
         batch = users[lo:lo + chunk]
         scores = z_u[batch] @ z_i.T
-        for row, u in enumerate(batch):
-            s = scores[row]
-            held = train_items.get(int(u)) if hasattr(train_items, "get") \
-                else train_items[int(u)]
-            if held is not None and len(held):
-                s = s.copy()
-                s[held] = -np.inf
-            lists.append(_exact_topk_row(s, k))
+        held = train_items[batch]
+        scores[np.repeat(np.arange(len(batch)), np.diff(held.indptr)),
+               held.indices] = -np.inf
+        lists.extend(_exact_topk_row(s, k) for s in scores)
     return lists
 
 

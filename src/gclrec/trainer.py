@@ -8,9 +8,9 @@ import numpy as np
 
 from . import diffcore as dc
 from . import losses as ls
-from .dataset import DataError
+from .dataset import sample_negatives
 from .diffcore import DiffError, SparseOperator, Tape
-from .graphs import build_graph
+from .graphs import build_graph, build_interaction_matrix
 from .metrics import alignment_uniformity, rank_topk, topk_metrics
 from .model import NoiseSettings, encode, init_params, reconstruct
 
@@ -246,12 +246,13 @@ def adam_step(param_table, grads, state, lr=0.001, beta1=0.9, beta2=0.999,
 @dataclass
 class TrainContext:
     """Fold-level immutable training state: the graph operators and the
-    per-user train item arrays used for negative sampling and masking."""
+    binary train matrix ``R`` (canonical CSR) used for negative sampling
+    and masking."""
 
     train: object
     ui_op: SparseOperator
     comp_op: object
-    items_by_user: dict
+    R: object
     num_users: int
     num_items: int
 
@@ -265,28 +266,10 @@ def build_context(train, cfg):
         train=train,
         ui_op=SparseOperator(graph.ui),
         comp_op=comp_op,
-        items_by_user=train.items_by_user(),
+        R=graph.R,
         num_users=train.num_users,
         num_items=train.num_items,
     )
-
-
-def _sample_negatives_batch(ctx, users, count, rng):
-    """One uniform non-interacted item per (user, slot); rejection over
-    the user's sorted train items."""
-    total = len(users) * count
-    out = rng.integers(0, ctx.num_items, size=total)
-    for row in range(total):
-        items = ctx.items_by_user[int(users[row // count])]
-        if len(items) >= ctx.num_items:
-            raise DataError("a user has interacted with every item; "
-                            "no negatives exist")
-        while True:
-            pos = np.searchsorted(items, out[row])
-            if pos >= len(items) or items[pos] != out[row]:
-                break
-            out[row] = rng.integers(0, ctx.num_items)
-    return out.reshape(len(users), count)
 
 
 def _select_view(out, selector, cls, m, n):
@@ -386,7 +369,7 @@ def train_epoch(params, ctx, cfg, rng, state):
     for lo in range(0, len(order), cfg.batch_size):
         batch = pairs[order[lo:lo + cfg.batch_size]]
         users, pos = batch[:, 0], batch[:, 1]
-        neg = _sample_negatives_batch(ctx, users, cfg.neg_per_pos, rng)
+        neg = sample_negatives(ctx.R, users, cfg.neg_per_pos, rng)
         report, _, grads = _batch_loss(params, ctx, cfg, rng, users, pos, neg)
         adam_step(params.param_arrays(), grads, state, lr=cfg.learning_rate)
         sums += [report.rec, report.cl, report.recon, report.ddl,
@@ -402,19 +385,20 @@ def eval_embeddings(params, ctx, cfg):
     learned mean perturbation when eval.noise = mean."""
     tape = Tape()
     leaves = params.leaves(tape)
-    if cfg.eval_noise == "mean":
+    settings, frozen = NoiseSettings(mode="none"), None
+    if cfg.eval_noise == "mean" and cfg.noise_mode == "generative":
         settings = cfg.noise_settings()
-        if settings.mode == "generative":
-            rows = {"ui": ctx.num_users + ctx.num_items, "comp": ctx.num_items}
-            frozen = {(ch, k): np.zeros((rows[ch], cfg.d))
-                      for ch in (("ui", "comp") if ctx.comp_op is not None
-                                 else ("ui",))
-                      for k in range(1, cfg.L + 1)}
-            out = encode(tape, leaves, ctx.ui_op, ctx.comp_op, ctx.num_users,
-                         ctx.num_items, cfg.L, None, settings, frozen_eps=frozen)
-            return out.z_u.value, out.z_i.value
+        rows = {"ui": ctx.num_users + ctx.num_items, "comp": ctx.num_items}
+        frozen = {(ch, k): np.zeros((rows[ch], cfg.d))
+                  for ch in (("ui", "comp") if ctx.comp_op is not None
+                             else ("ui",))
+                  for k in range(1, cfg.L + 1)}
     out = encode(tape, leaves, ctx.ui_op, ctx.comp_op, ctx.num_users,
-                 ctx.num_items, cfg.L, None, NoiseSettings(mode="none"))
+                 ctx.num_items, cfg.L, None, settings, frozen_eps=frozen)
+    # nodes and their tape reference each other; emptying the tape frees
+    # the forward values on return instead of at the next garbage
+    # collection, which would otherwise keep them alive through ranking
+    tape.nodes.clear()
     return out.z_u.value, out.z_i.value
 
 
@@ -425,15 +409,16 @@ def evaluate_model(params, ctx, test, cfg, ks=(5, 10, 20)):
     interactions are skipped inside the aggregation and tallied.
     """
     z_u, z_i = eval_embeddings(params, ctx, cfg)
-    test_by_user = test.items_by_user()
-    users = [u for u in range(ctx.num_users) if len(ctx.items_by_user[u])]
+    T = build_interaction_matrix(test)
+    users = np.flatnonzero(np.diff(ctx.R.indptr))
+    test_sets = [T.indices[T.indptr[u]:T.indptr[u + 1]] for u in users]
     results = {}
     # lists may come back shorter than k when the catalog is small
     depth = min(max(ks), z_i.shape[0])
-    top = rank_topk(z_u, z_i, ctx.items_by_user, depth, users=users)
+    top = rank_topk(z_u, z_i, ctx.R, depth, users=users)
     for k in sorted(ks):
         trimmed = [t[:k] for t in top]
-        results[k] = topk_metrics(trimmed, [test_by_user[u] for u in users], k)
+        results[k] = topk_metrics(trimmed, test_sets, k)
     return results
 
 

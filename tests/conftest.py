@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from gclrec.dataset import InteractionSet
 
@@ -29,6 +30,16 @@ def make_interactions(num_users, num_items, pairs):
         user_map={str(u): u for u in range(num_users)},
         item_map={str(i): i for i in range(num_items)},
     )
+
+
+def train_matrix(item_lists, num_items):
+    """Binary users x items CSR whose row u stores the items item_lists[u]."""
+    counts = [len(items) for items in item_lists]
+    rows = np.repeat(np.arange(len(item_lists)), counts)
+    cols = np.concatenate([np.asarray(items, dtype=np.int64)
+                           for items in item_lists])
+    return sp.csr_matrix((np.ones(len(cols)), (rows, cols)),
+                         shape=(len(item_lists), num_items))
 
 
 def random_interactions(num_users, num_items, density, seed, min_per_user=1):

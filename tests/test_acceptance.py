@@ -20,12 +20,12 @@ import gclrec.diffcore as dc
 import gclrec.losses as ls
 from gclrec.cli import main as cli_main
 from gclrec.dataset import InteractionSet, load_interactions, make_folds
-from gclrec.graphs import SparseMatrix, build_complement, build_graph
+from gclrec.graphs import build_complement, build_graph
 from gclrec.model import NoiseSettings, encode, init_params
 from gclrec.metrics import rank_topk, topk_metrics
 from gclrec.trainer import TrainConfig, _batch_loss, build_context, fit
 
-from conftest import record_acceptance, random_interactions
+from conftest import record_acceptance, random_interactions, train_matrix
 from oracles import complement_dense, propagate_dense, ranking_metrics_dense
 
 DATASET_ENV = "GDA_REC_DATA"
@@ -182,8 +182,7 @@ def test_criterion_05_complement_matrix_oracle():
         n = int(rng.integers(1, 21))
         gamma = float(rng.integers(0, 4))
         R = (rng.random((m, n)) < 0.35).astype(np.float64)
-        got = build_complement(SparseMatrix.from_scipy(sp.csr_matrix(R)),
-                               gamma).toarray()
+        got = build_complement(sp.csr_matrix(R), gamma).toarray()
         want = complement_dense(R, gamma)
         if not np.array_equal(got != 0.0, want != 0.0):
             failures.append((trial, "support"))
@@ -212,7 +211,7 @@ def test_criterion_06_ranking_metrics_oracle():
             rest = perm[len(held):]
             test_sets.append(rest[:int(rng.integers(0, 4))].tolist())
             train_items.append(held.astype(np.int64))
-        top = rank_topk(z_u, z_i, dict(enumerate(train_items)), k)
+        top = rank_topk(z_u, z_i, train_matrix(train_items, n), k)
         got = topk_metrics(top, test_sets, k)
         scores = z_u @ z_i.T
         sums = np.zeros(3)

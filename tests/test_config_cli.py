@@ -210,6 +210,21 @@ class TestEvaluate:
                        "--out", str(tmp_path / "out"))
         assert code == 3
 
+    @pytest.mark.parametrize("override", ["d=8", "h=8"])
+    def test_dimension_mismatch_is_config_error(self, config_file, tmp_path,
+                                                capsys, override):
+        out = tmp_path / "out"
+        assert run_cli("train", "--config", str(config_file),
+                       "--out", str(out)) == 0
+        capsys.readouterr()
+        code = run_cli("evaluate", str(out / "checkpoint.npz"),
+                       "--config", str(config_file), "--set", override,
+                       "--set", "eval.noise=mean",
+                       "--out", str(tmp_path / "eval"))
+        assert code == 2
+        assert "checkpoint" in capsys.readouterr().err
+        assert not (tmp_path / "eval" / "manifest.json").exists()
+
 
 class TestCrossval:
     def test_fold_rows_and_exact_mean(self, config_file, tmp_path, capsys):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
 from gclrec.dataset import (
     DataError,
@@ -9,6 +10,7 @@ from gclrec.dataset import (
     make_folds,
     sample_negatives,
 )
+from gclrec.graphs import build_interaction_matrix
 
 from conftest import make_interactions, random_interactions
 
@@ -127,24 +129,52 @@ class TestMakeFolds:
 class TestSampleNegatives:
     def test_negatives_avoid_train_items(self):
         data = make_interactions(2, 6, [(0, 0), (0, 2), (0, 4), (1, 1)])
+        R = build_interaction_matrix(data)
         rng = np.random.default_rng(0)
-        neg = sample_negatives(data, user=0, count=200, rng=rng)
-        assert set(np.unique(neg)) <= {1, 3, 5}
+        neg = sample_negatives(R, [0, 1, 0], count=200, rng=rng)
+        assert set(np.unique(neg[[0, 2]])) <= {1, 3, 5}
+        assert 1 not in set(np.unique(neg[1]))
 
     def test_covers_the_complement(self):
         data = make_interactions(1, 8, [(0, 0), (0, 1)])
+        R = build_interaction_matrix(data)
         rng = np.random.default_rng(1)
-        neg = sample_negatives(data, user=0, count=500, rng=rng)
+        neg = sample_negatives(R, [0], count=500, rng=rng)
         assert set(np.unique(neg)) == {2, 3, 4, 5, 6, 7}
 
     def test_user_with_no_train_items(self):
         data = make_interactions(2, 4, [(0, 0)])
+        R = build_interaction_matrix(data)
         rng = np.random.default_rng(2)
-        neg = sample_negatives(data, user=1, count=100, rng=rng)
-        assert set(np.unique(neg)) <= {0, 1, 2, 3}
+        neg = sample_negatives(R, [1], count=100, rng=rng)
+        assert set(np.unique(neg)) == {0, 1, 2, 3}
 
     def test_saturated_user_raises(self):
-        data = make_interactions(1, 3, [(0, 0), (0, 1), (0, 2)])
+        data = make_interactions(2, 3, [(0, 0), (0, 1), (0, 2), (1, 0)])
+        R = build_interaction_matrix(data)
         rng = np.random.default_rng(3)
         with pytest.raises(DataError):
-            sample_negatives(data, user=0, count=1, rng=rng)
+            sample_negatives(R, [1, 0], count=1, rng=rng)
+
+    def test_shape_is_users_by_count(self):
+        data = random_interactions(5, 9, density=0.3, seed=4)
+        R = build_interaction_matrix(data)
+        rng = np.random.default_rng(4)
+        assert sample_negatives(R, [3, 0, 3, 1], 5, rng).shape == (4, 5)
+        assert sample_negatives(R, [], 2, rng).shape == (0, 2)
+
+    def test_uniform_over_non_train_items(self):
+        # user 0 holds 20 of 30 items, so most first draws are rejected;
+        # the redraws must stay uniform over the 10 items left
+        held = np.arange(0, 30, 3).tolist() + np.arange(1, 30, 3).tolist()
+        data = make_interactions(2, 30, [(0, i) for i in held] + [(1, 0)])
+        R = build_interaction_matrix(data)
+        rng = np.random.default_rng(5)
+        neg = sample_negatives(R, [0] * 500, count=20, rng=rng)
+        free = np.setdiff1d(np.arange(30), held)
+        counts = np.array([(neg == i).sum() for i in free])
+        assert counts.sum() == neg.size
+        expected = neg.size / len(free)
+        stat = float(((counts - expected) ** 2 / expected).sum())
+        # upper 0.1% point of chi-square with len(free) - 1 = 9 dof
+        assert stat < chi2.ppf(0.999, len(free) - 1)

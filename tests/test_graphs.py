@@ -3,12 +3,11 @@ import pytest
 import scipy.sparse as sp
 
 from gclrec.graphs import (
-    SparseMatrix,
+    _canonical,
     build_adjacency,
     build_complement,
     build_graph,
     build_interaction_matrix,
-    dump_coordinate,
     sym_normalize,
 )
 
@@ -20,44 +19,34 @@ def random_binary(m, n, density, rng):
     return (rng.random((m, n)) < density).astype(np.float64)
 
 
-class TestSparseMatrix:
-    def test_from_scipy_canonicalizes(self):
+def assert_canonical_csr(M):
+    assert sp.isspmatrix_csr(M) and M.dtype == np.float64
+    assert M.has_canonical_format
+    assert np.all(M.data != 0.0)
+    for r in range(M.shape[0]):
+        assert np.all(np.diff(M.indices[M.indptr[r]:M.indptr[r + 1]]) > 0)
+
+
+class TestCanonicalCsr:
+    def test_canonicalizes(self):
         # duplicate coordinates sum, explicit zeros vanish, columns sort
         coo = sp.coo_matrix(
             (np.array([1.0, 2.0, 0.0, 3.0]),
              (np.array([0, 0, 1, 0]), np.array([2, 2, 1, 0]))),
             shape=(2, 3),
         )
-        M = SparseMatrix.from_scipy(coo)
+        M = _canonical(coo)
         assert M.nnz == 2
         np.testing.assert_array_equal(M.toarray(), [[3.0, 0.0, 3.0], [0.0, 0.0, 0.0]])
-        M.validate()
+        assert_canonical_csr(M)
 
-    def test_validate_rejects_unsorted_columns(self):
-        M = SparseMatrix(
-            rows=1, cols=3,
-            row_offsets=np.array([0, 2], dtype=np.int64),
-            col_indices=np.array([2, 0], dtype=np.int64),
-            values=np.array([1.0, 1.0]),
-        )
-        with pytest.raises(ValueError, match="strictly increasing"):
-            M.validate()
-
-    def test_validate_rejects_bad_offsets(self):
-        M = SparseMatrix(
-            rows=2, cols=2,
-            row_offsets=np.array([0, 1], dtype=np.int64),
-            col_indices=np.array([0], dtype=np.int64),
-            values=np.array([1.0]),
-        )
-        with pytest.raises(ValueError, match="row_offsets"):
-            M.validate()
-
-    def test_roundtrip_scipy(self):
-        rng = np.random.default_rng(0)
-        dense = random_binary(6, 9, 0.3, rng)
-        M = SparseMatrix.from_scipy(sp.csr_matrix(dense))
-        np.testing.assert_array_equal(M.toarray(), dense)
+    def test_builders_return_canonical_csr(self, small_random):
+        R = build_interaction_matrix(small_random)
+        g = build_graph(small_random, gamma=1.0)
+        for M in (R, build_adjacency(R), build_complement(R, 1.0),
+                  sym_normalize(build_adjacency(R)), g.R, g.ui, g.comp):
+            assert_canonical_csr(M)
+        np.testing.assert_array_equal(g.R.toarray(), R.toarray())
 
 
 class TestInteractionMatrix:
@@ -99,14 +88,14 @@ class TestSymNormalize:
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(3)
         dense = random_binary(12, 12, 0.25, rng) * rng.integers(1, 5, (12, 12))
-        M = SparseMatrix.from_scipy(sp.csr_matrix(dense))
+        M = sp.csr_matrix(dense)
         np.testing.assert_allclose(
             sym_normalize(M).toarray(), sym_normalize_dense(dense), atol=1e-12
         )
 
     def test_zero_degree_rows_stay_empty(self):
         dense = np.array([[0.0, 2.0, 0.0], [2.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-        N = sym_normalize(SparseMatrix.from_scipy(sp.csr_matrix(dense)))
+        N = sym_normalize(sp.csr_matrix(dense))
         out = N.toarray()
         np.testing.assert_array_equal(out[2], 0.0)
         np.testing.assert_array_equal(out[:, 2], 0.0)
@@ -115,10 +104,10 @@ class TestSymNormalize:
     def test_rejects_negative_entries(self):
         dense = np.array([[0.0, -1.0], [-1.0, 0.0]])
         with pytest.raises(ValueError, match="nonnegative"):
-            sym_normalize(SparseMatrix.from_scipy(sp.csr_matrix(dense)))
+            sym_normalize(sp.csr_matrix(dense))
 
     def test_rejects_nonsquare(self):
-        M = SparseMatrix.from_scipy(sp.csr_matrix(np.ones((2, 3))))
+        M = sp.csr_matrix(np.ones((2, 3)))
         with pytest.raises(ValueError, match="square"):
             sym_normalize(M)
 
@@ -141,7 +130,7 @@ class TestComplement:
             if dense.sum() == 0:
                 dense[0, 0] = 1.0
             gamma = float(rng.integers(0, 4))
-            R = SparseMatrix.from_scipy(sp.csr_matrix(dense))
+            R = sp.csr_matrix(dense)
             expected = complement_dense(dense, gamma)
             with warnings.catch_warnings(record=True) as captured:
                 warnings.simplefilter("always")
@@ -159,7 +148,7 @@ class TestComplement:
             [1.0, 1.0, 0.0],
             [0.0, 0.0, 1.0],
         ])
-        R = SparseMatrix.from_scipy(sp.csr_matrix(dense))
+        R = sp.csr_matrix(dense)
         C = build_complement(R, gamma=2.0)
         arr = C.toarray()
         assert arr[0, 1] > 0 and arr[1, 0] > 0  # count 2 == gamma kept
@@ -167,7 +156,7 @@ class TestComplement:
 
     def test_diagonal_removed_before_threshold(self):
         dense = np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
-        R = SparseMatrix.from_scipy(sp.csr_matrix(dense))
+        R = sp.csr_matrix(dense)
         C = build_complement(R, gamma=0.0)
         assert np.all(np.diag(C.toarray()) == 0.0)
 
@@ -208,28 +197,12 @@ class TestBuildGraph:
     def test_components_present(self, small_random):
         g = build_graph(small_random, gamma=2.0)
         m, n = small_random.num_users, small_random.num_items
-        assert g.ui.rows == m + n
-        assert g.comp.rows == n
+        assert g.R.shape == (m, n)
+        assert g.ui.shape == (m + n, m + n)
+        assert g.comp.shape == (n, n)
         assert g.gamma == 2.0
         assert not g.comp_empty
 
     def test_complement_disabled(self, small_random):
         g = build_graph(small_random, gamma=2.0, complement_enabled=False)
         assert g.comp is None
-
-
-class TestDumpCoordinate:
-    def test_roundtrip(self, tmp_path, small_random):
-        R = build_interaction_matrix(small_random)
-        N = sym_normalize(build_adjacency(R))
-        path = tmp_path / "graph.txt"
-        dump_coordinate(N, path)
-        lines = path.read_text().strip().split("\n")
-        rows, cols, nnz = map(int, lines[0].split())
-        assert (rows, cols, nnz) == (N.rows, N.cols, N.nnz)
-        assert len(lines) == nnz + 1
-        rebuilt = np.zeros((rows, cols))
-        for line in lines[1:]:
-            r, c, v = line.split()
-            rebuilt[int(r), int(c)] = float(v)
-        np.testing.assert_array_equal(rebuilt, N.toarray())

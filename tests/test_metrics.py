@@ -8,6 +8,7 @@ from gclrec.metrics import (
     topk_metrics,
 )
 
+from conftest import train_matrix
 from oracles import ranking_metrics_dense, topk_rank_dense
 
 
@@ -17,12 +18,12 @@ def random_instance(rng, max_users=8, max_items=30):
     d = int(rng.integers(2, 6))
     z_u = rng.normal(size=(m, d))
     z_i = rng.normal(size=(n, d))
-    train, test = {}, []
+    train, test = [], []
     for u in range(m):
         items = rng.permutation(n)
         t = int(rng.integers(0, min(4, n - 2)))
         s = int(rng.integers(1, 4))
-        train[u] = np.sort(items[:t]).astype(np.int64)
+        train.append(np.sort(items[:t]).astype(np.int64))
         test.append(np.sort(items[t:t + s]).astype(np.int64))
     return z_u, z_i, train, test
 
@@ -31,26 +32,26 @@ class TestRankTopk:
     def test_masks_train_items(self):
         z_u = np.array([[1.0]])
         z_i = np.array([[3.0], [2.0], [1.0]])
-        top = rank_topk(z_u, z_i, {0: np.array([0])}, k=2)
+        top = rank_topk(z_u, z_i, train_matrix([[0]], 3), k=2)
         np.testing.assert_array_equal(top[0], [1, 2])
 
     def test_all_equal_scores_take_lowest_indices(self):
         z_u = np.array([[1.0]])
         z_i = np.ones((6, 1))
-        top = rank_topk(z_u, z_i, {0: np.array([], dtype=np.int64)}, k=3)
+        top = rank_topk(z_u, z_i, train_matrix([[]], len(z_i)), k=3)
         np.testing.assert_array_equal(top[0], [0, 1, 2])
 
     def test_tie_at_boundary_prefers_lower_index(self):
         z_u = np.array([[1.0]])
         # items 1, 3, 4 tie at the k-th position boundary
         z_i = np.array([[5.0], [2.0], [9.0], [2.0], [2.0], [0.0]])
-        top = rank_topk(z_u, z_i, {0: np.array([], dtype=np.int64)}, k=3)
+        top = rank_topk(z_u, z_i, train_matrix([[]], len(z_i)), k=3)
         np.testing.assert_array_equal(top[0], [2, 0, 1])
 
     def test_fewer_candidates_than_k(self):
         z_u = np.array([[1.0]])
         z_i = np.array([[1.0], [2.0], [3.0]])
-        top = rank_topk(z_u, z_i, {0: np.array([0, 2])}, k=3)
+        top = rank_topk(z_u, z_i, train_matrix([[0, 2]], 3), k=3)
         np.testing.assert_array_equal(top[0], [1])
 
     def test_matches_brute_force(self):
@@ -58,7 +59,7 @@ class TestRankTopk:
         for _ in range(50):
             z_u, z_i, train, _ = random_instance(rng)
             k = int(rng.integers(1, min(10, z_i.shape[0])))
-            lists = rank_topk(z_u, z_i, train, k)
+            lists = rank_topk(z_u, z_i, train_matrix(train, len(z_i)), k)
             scores = z_u @ z_i.T
             for u, top in enumerate(lists):
                 expected = topk_rank_dense(scores[u], train[u], k)
@@ -67,22 +68,25 @@ class TestRankTopk:
     def test_invariant_under_positive_rescaling(self):
         rng = np.random.default_rng(1)
         z_u, z_i, train, _ = random_instance(rng)
-        a = rank_topk(z_u, z_i, train, k=5)
-        b = rank_topk(4.0 * z_u, z_i, train, k=5)
+        R = train_matrix(train, len(z_i))
+        a = rank_topk(z_u, z_i, R, k=5)
+        b = rank_topk(4.0 * z_u, z_i, R, k=5)
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x, y)
 
     def test_user_subset_and_chunking(self):
         rng = np.random.default_rng(2)
         z_u, z_i, train, _ = random_instance(rng)
-        full = rank_topk(z_u, z_i, train, k=4, chunk=2)
-        sub = rank_topk(z_u, z_i, train, k=4, users=[1, 0], chunk=1)
+        R = train_matrix(train, len(z_i))
+        full = rank_topk(z_u, z_i, R, k=4, chunk=2)
+        sub = rank_topk(z_u, z_i, R, k=4, users=[1, 0], chunk=1)
         np.testing.assert_array_equal(sub[0], full[1])
         np.testing.assert_array_equal(sub[1], full[0])
 
     def test_k_beyond_items_rejected(self):
         with pytest.raises(ValueError, match="k="):
-            rank_topk(np.ones((1, 1)), np.ones((2, 1)), {0: None}, k=3)
+            rank_topk(np.ones((1, 1)), np.ones((2, 1)), train_matrix([[]], 2),
+                      k=3)
 
 
 class TestTopkMetrics:
@@ -116,7 +120,7 @@ class TestTopkMetrics:
         for _ in range(50):
             z_u, z_i, train, test = random_instance(rng)
             k = int(rng.integers(1, min(10, z_i.shape[0])))
-            lists = rank_topk(z_u, z_i, train, k)
+            lists = rank_topk(z_u, z_i, train_matrix(train, len(z_i)), k)
             got = topk_metrics(lists, test, k)
             scores = z_u @ z_i.T
             per_user = [ranking_metrics_dense(scores[u], train[u], test[u], k)
@@ -131,7 +135,7 @@ class TestTopkMetrics:
         z_u, z_i, train, test = random_instance(rng, max_items=25)
         prev_recall, prev_hits = -1.0, -1.0
         for k in (1, 3, 5, 10):
-            lists = rank_topk(z_u, z_i, train, k)
+            lists = rank_topk(z_u, z_i, train_matrix(train, len(z_i)), k)
             m = topk_metrics(lists, test, k)
             hits = m.precision * k
             assert m.recall >= prev_recall - 1e-12

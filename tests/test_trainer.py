@@ -1,9 +1,11 @@
+import gc
+
 import numpy as np
 import pytest
 
 import gclrec.trainer as tr
-from gclrec.dataset import make_folds
-from gclrec.diffcore import DiffError
+from gclrec.dataset import make_folds, sample_negatives
+from gclrec.diffcore import DiffError, Tape
 from gclrec.model import init_params
 from gclrec.trainer import (
     AdamState,
@@ -179,10 +181,10 @@ class TestTrainEpoch:
         ctx = build_context(fold.train, cfg)
         rng = np.random.default_rng(5)
         users = fold.train.pairs[:, 0]
-        neg = tr._sample_negatives_batch(ctx, users, 2, rng)
+        neg = sample_negatives(ctx.R, users, 2, rng)
         assert neg.shape == (len(users), 2)
         for row, u in enumerate(users):
-            held = set(ctx.items_by_user[int(u)].tolist())
+            held = set(ctx.R[int(u)].indices.tolist())
             assert not held & set(neg[row].tolist())
 
 
@@ -210,6 +212,21 @@ class TestEvaluateModel:
         # deterministic: no epsilon is drawn
         z_mean2 = tr.eval_embeddings(params, ctx, cfg_mean)[0]
         np.testing.assert_array_equal(z_mean, z_mean2)
+
+    @pytest.mark.parametrize("eval_noise", ["none", "mean"])
+    def test_forward_tape_freed_without_collection(self, eval_noise):
+        # the forward values of a full-catalog pass are large; they must
+        # not wait for the cycle collector while ranking runs
+        fold = toy_fold()
+        ctx = build_context(fold.train, tiny_config())
+        params = init_params(6, 8, 4, 4, seed=7)
+        gc.collect()
+        gc.disable()
+        try:
+            tr.eval_embeddings(params, ctx, tiny_config(eval_noise=eval_noise))
+            assert not [o for o in gc.get_objects() if isinstance(o, Tape)]
+        finally:
+            gc.enable()
 
 
 class TestFit:
