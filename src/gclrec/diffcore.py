@@ -4,8 +4,13 @@ fixed sparse operators.
 Every value on the tape is a 2-D float64 array; scalars are (1, 1)
 matrices produced by the reductions.  The primitive set is closed and
 small: enough to express the encoder, the losses, and nothing else.
-Gradients are validated against central finite differences by
-:func:`check_gradients`.
+:func:`mlp3` records a whole 3-layer perceptron as one node, so the
+generator and reconstructor keep two hidden activations and their GELU
+slopes per call instead of eight intermediate nodes.  Row and column
+slices are views of their parent's value.  :func:`backward` empties the
+tape it swept, so a step's values are freed when its last user lets go
+of them rather than at the next garbage collection.  Gradients are
+validated against central finite differences by :func:`check_gradients`.
 """
 
 import numpy as np
@@ -28,6 +33,7 @@ __all__ = [
     "sigmoid",
     "softplus",
     "gelu",
+    "mlp3",
     "rownorm",
     "gather",
     "row_slice",
@@ -127,6 +133,17 @@ def _accum(node, g, owned):
     else:
         node.grad = node.grad + g
         node._grad_owned = True
+
+
+def _owned_grad(node):
+    """The node's gradient buffer, safe to write into: zeros when it has
+    none yet, a private copy when it holds a pass-through gradient."""
+    if node.grad is None:
+        node.grad = np.zeros_like(node.value)
+    elif not node._grad_owned:
+        node.grad = node.grad.copy()
+    node._grad_owned = True
+    return node.grad
 
 
 def _op(op, parents, value, backward_fn):
@@ -288,15 +305,70 @@ def softplus(x):
     return _op("softplus", (x,), value, bw)
 
 
+def _gelu_cdf(a):
+    return 0.5 * (1.0 + erf(a * _INV_SQRT2))
+
+
+def _gelu_slope(a, cdf):
+    """Derivative of a * Phi(a): Phi(a) + a * phi(a)."""
+    return cdf + a * (_INV_SQRT2PI * np.exp(-0.5 * a * a))
+
+
 def gelu(x):
     """Exact GELU x * Phi(x) via the error function."""
-    cdf = 0.5 * (1.0 + erf(x.value * _INV_SQRT2))
+    cdf = _gelu_cdf(x.value)
 
     def bw(g):
-        pdf = _INV_SQRT2PI * np.exp(-0.5 * x.value * x.value)
-        _accum(x, g * (cdf + x.value * pdf), owned=True)
+        _accum(x, g * _gelu_slope(x.value, cdf), owned=True)
 
     return _op("gelu", (x,), x.value * cdf, bw)
+
+
+def mlp3(x, w1, b1, w2, b2, w3, b3):
+    """3-layer perceptron gelu(x w1 + b1) -> gelu(. w2 + b2) -> . w3 + b3
+    as one node; the biases are (1, n) rows.
+
+    Values and gradients equal the matmul/badd_row/gelu composition bit
+    for bit.  Only the hidden activations and their GELU slopes are kept
+    for the backward pass, which reuses the slopes instead of evaluating
+    erf and exp again.
+    """
+    weights = ((w1, b1), (w2, b2), (w3, b3))
+    width = x.shape[1]
+    for layer, (w, b) in enumerate(weights, start=1):
+        _require(w.shape[0] == width and b.shape == (1, w.shape[1]), "mlp3",
+                 f"layer {layer}: weight {w.shape} and bias {b.shape} do "
+                 f"not fit input width {width}")
+        width = w.shape[1]
+
+    def dense(h, w, b):
+        a = h @ w.value
+        a += b.value
+        return a
+
+    def gelu_layer(h, w, b):
+        a = dense(h, w, b)
+        cdf = _gelu_cdf(a)
+        return a * cdf, _gelu_slope(a, cdf)
+
+    h1, d1 = gelu_layer(x.value, w1, b1)
+    h2, d2 = gelu_layer(h1, w2, b2)
+
+    def bw(g):
+        for h, w, b, slope in ((h2, w3, b3, d2), (h1, w2, b2, d1),
+                               (x.value, w1, b1, None)):
+            if b.needs_grad:
+                _accum(b, g.sum(axis=0, keepdims=True), owned=True)
+            if w.needs_grad:
+                _accum(w, h.T @ g, owned=True)
+            if slope is not None:
+                g = g @ w.value.T
+                g *= slope
+        if x.needs_grad:
+            _accum(x, g @ w1.value.T, owned=True)
+
+    return _op("mlp3", (x, w1, b1, w2, b2, w3, b3),
+               dense(h2, w3, b3), bw)
 
 
 # ----------------------------------------------------- rows and columns
@@ -334,32 +406,27 @@ def gather(x, indices):
     return _op("gather", (x,), value, bw)
 
 
+def _slice(x, index, opname):
+    # the value is a view of the parent's; no primitive writes into a
+    # value, so sharing the buffer is safe
+    def bw(g):
+        _owned_grad(x)[index] += g
+
+    return _op(opname, (x,), x.value[index], bw)
+
+
 def row_slice(x, start, stop):
-    """Contiguous row range [start, stop)."""
+    """Contiguous row range [start, stop), as a view."""
     _require(0 <= start <= stop <= x.shape[0], "row_slice",
              f"range [{start}, {stop}) invalid for {x.shape[0]} rows")
-    value = x.value[start:stop].copy()
-
-    def bw(g):
-        gx = np.zeros_like(x.value)
-        gx[start:stop] = g
-        _accum(x, gx, owned=True)
-
-    return _op("row_slice", (x,), value, bw)
+    return _slice(x, np.s_[start:stop], "row_slice")
 
 
 def col_slice(x, start, stop):
-    """Contiguous column range [start, stop)."""
+    """Contiguous column range [start, stop), as a view."""
     _require(0 <= start <= stop <= x.shape[1], "col_slice",
              f"range [{start}, {stop}) invalid for {x.shape[1]} columns")
-    value = x.value[:, start:stop].copy()
-
-    def bw(g):
-        gx = np.zeros_like(x.value)
-        gx[:, start:stop] = g
-        _accum(x, gx, owned=True)
-
-    return _op("col_slice", (x,), value, bw)
+    return _slice(x, np.s_[:, start:stop], "col_slice")
 
 
 # ------------------------------------------------------------ reductions
@@ -426,7 +493,13 @@ def badd_col(x, c):
 
 def backward(loss):
     """Reverse sweep from a scalar loss; returns gradients for every named
-    differentiable leaf (zeros for leaves the loss does not reach)."""
+    differentiable leaf (zeros for leaves the loss does not reach).
+
+    The sweep consumes the tape: it is empty afterwards.  Nodes refer to
+    their tape, so clearing it breaks the only reference cycle and the
+    step's remaining values (constants, leaves, nodes the loss does not
+    reach) are freed as soon as the caller drops them.
+    """
     if loss.value.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
     tape = loss.tape
@@ -451,6 +524,7 @@ def backward(loss):
         if node.op == "leaf" and node.needs_grad and node.name is not None:
             table[node.name] = (node.grad if node.grad is not None
                                 else np.zeros_like(node.value))
+    tape.nodes.clear()
     return table
 
 

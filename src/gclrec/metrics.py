@@ -86,6 +86,13 @@ def rank_topk(z_u, z_i, train_items, k, users=None, chunk=1024):
     return lists
 
 
+def _flatten(rows):
+    """Row lengths, row ids and concatenated entries of a ragged list."""
+    lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    flat = np.concatenate([*rows, np.empty(0, np.int64)]).astype(np.int64)
+    return lengths, np.repeat(np.arange(len(rows)), lengths), flat
+
+
 def topk_metrics(topk_lists, test_sets, k):
     """Aggregate precision, recall, and NDCG over users.
 
@@ -95,33 +102,35 @@ def topk_metrics(topk_lists, test_sets, k):
     """
     discounts = 1.0 / np.log2(np.arange(2, k + 2))
     ideal_prefix = np.concatenate([[0.0], np.cumsum(discounts)])
-    p_sum = r_sum = n_sum = 0.0
-    evaluated = skipped = 0
-    for top, test in zip(topk_lists, test_sets):
-        test = set(int(i) for i in test)
-        if not test:
-            skipped += 1
-            continue
-        evaluated += 1
-        hits = np.fromiter((1.0 if int(i) in test else 0.0 for i in top),
-                           dtype=np.float64, count=len(top))
-        hit_count = hits.sum()
-        p_sum += hit_count / k
-        r_sum += hit_count / len(test)
-        dcg = float(hits @ discounts[:len(top)])
-        idcg = ideal_prefix[min(len(test), k)]
-        n_sum += dcg / idcg
+    users = len(topk_lists)
+    top_len, top_row, top = _flatten(topk_lists)
+    _, test_row, test = _flatten(test_sets)
+    # (row, item) pairs as single keys; duplicate test items count once
+    width = 1 + max(top.max(initial=-1), test.max(initial=-1))
+    test_keys = np.unique(test_row * width + test)
+    test_len = np.bincount(test_keys // width, minlength=users)
+    hits = np.isin(top_row * width + top, test_keys).astype(np.float64)
+    hit_count = np.bincount(top_row, hits, minlength=users)
+    # each list's DCG is its own dot product, as in a per-user loop: the
+    # order in which BLAS sums a list decides the last bit
+    starts = (np.cumsum(top_len) - top_len).tolist()
+    dcg = np.array([hits[s:s + n] @ discounts[:n]
+                    for s, n in zip(starts, top_len.tolist())])
+
+    kept = test_len > 0
+    evaluated = int(kept.sum())
+    skipped = users - evaluated
     if evaluated == 0:
         return RankingMetrics(k=k, precision=0.0, recall=0.0, ndcg=0.0,
                               users_evaluated=0, users_skipped=skipped)
-    return RankingMetrics(
-        k=k,
-        precision=float(p_sum) / evaluated,
-        recall=float(r_sum) / evaluated,
-        ndcg=float(n_sum) / evaluated,
-        users_evaluated=evaluated,
-        users_skipped=skipped,
-    )
+    hit_count, test_len, dcg = hit_count[kept], test_len[kept], dcg[kept]
+    per_user = (hit_count / k, hit_count / test_len,
+                dcg / ideal_prefix[np.minimum(test_len, k)])
+    # running sums in user order, as a per-user loop would add them
+    precision, recall, ndcg = (float(np.cumsum(v)[-1]) / evaluated
+                               for v in per_user)
+    return RankingMetrics(k=k, precision=precision, recall=recall, ndcg=ndcg,
+                          users_evaluated=evaluated, users_skipped=skipped)
 
 
 def _row_normalize(z):

@@ -130,12 +130,8 @@ def init_params(m, n, d, h, seed):
 
 def mlp_forward(x, leaves, prefix):
     """3-layer perceptron on tape nodes: GELU hidden layers, linear out."""
-    h1 = dc.gelu(dc.badd_row(dc.matmul(x, leaves[f"{prefix}.w1"]),
-                             leaves[f"{prefix}.b1"]))
-    h2 = dc.gelu(dc.badd_row(dc.matmul(h1, leaves[f"{prefix}.w2"]),
-                             leaves[f"{prefix}.b2"]))
-    return dc.badd_row(dc.matmul(h2, leaves[f"{prefix}.w3"]),
-                       leaves[f"{prefix}.b3"])
+    return dc.mlp3(x, *(leaves[f"{prefix}.{name}"]
+                        for name in ("w1", "b1", "w2", "b2", "w3", "b3")))
 
 
 @dataclass(frozen=True)
@@ -166,7 +162,8 @@ class NoiseSettings:
 @dataclass
 class NoiseBlock:
     """One layer's noise: mu, sigma^2, the epsilon draw, and the sample
-    mu + scale(sigma) * epsilon.  mu/sigma2 are None when mode none."""
+    mu + scale(sigma) * epsilon.  mu/sigma2 are tape nodes only in mode
+    generative; modes random and none leave them None."""
 
     mu: object
     sigma2: object
@@ -201,15 +198,13 @@ def generate_noise(tape, z_prev, leaves, rng, settings, frozen_eps=None):
         sigma2 = dc.exp(logvar)
         scale_node = sigma2 if settings.scale == "variance" \
             else dc.exp(dc.scale(logvar, 0.5))
+        sample = dc.add(mu, dc.mul(scale_node, tape.constant(eps)))
     else:  # random: zero mean, fixed variance, nothing to learn
-        mu = tape.constant(np.zeros((rows, d)))
-        sigma2 = tape.constant(np.full((rows, d), settings.s_fixed))
+        mu = sigma2 = None
         s = settings.s_fixed if settings.scale == "variance" \
             else np.sqrt(settings.s_fixed)
-        scale_node = tape.constant(np.full((rows, d), s))
+        sample = dc.scale(tape.constant(eps), s)
 
-    eps_node = tape.constant(eps)
-    sample = dc.add(mu, dc.mul(scale_node, eps_node))
     if settings.distribution == "uniform":
         sample = dc.gelu(sample)
     return NoiseBlock(mu=mu, sigma2=sigma2, epsilon=eps, sample=sample)

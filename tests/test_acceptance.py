@@ -177,17 +177,19 @@ def test_criterion_05_complement_matrix_oracle():
     desc = "co-consumption matrix matches dense oracle on 200 instances"
     rng = np.random.default_rng(101)
     failures = []
-    for trial in range(200):
-        m = int(rng.integers(1, 21))
-        n = int(rng.integers(1, 21))
-        gamma = float(rng.integers(0, 4))
-        R = (rng.random((m, n)) < 0.35).astype(np.float64)
-        got = build_complement(sp.csr_matrix(R), gamma).toarray()
-        want = complement_dense(R, gamma)
-        if not np.array_equal(got != 0.0, want != 0.0):
-            failures.append((trial, "support"))
-        elif np.max(np.abs(got - want)) > 1e-12:
-            failures.append((trial, "values"))
+    # some instances filter every entry out, which build_complement reports
+    with pytest.warns(UserWarning, match="complement matrix is empty"):
+        for trial in range(200):
+            m = int(rng.integers(1, 21))
+            n = int(rng.integers(1, 21))
+            gamma = float(rng.integers(0, 4))
+            R = (rng.random((m, n)) < 0.35).astype(np.float64)
+            got = build_complement(sp.csr_matrix(R), gamma).toarray()
+            want = complement_dense(R, gamma)
+            if not np.array_equal(got != 0.0, want != 0.0):
+                failures.append((trial, "support"))
+            elif np.max(np.abs(got - want)) > 1e-12:
+                failures.append((trial, "values"))
     _verdict(5, desc, not failures, f"mismatches: {failures[:5]}")
 
 
@@ -278,23 +280,27 @@ def test_criterion_08_plain_propagation_reduction():
     desc = "noise-free encoder equals direct propagation reference"
     rng = np.random.default_rng(303)
     worst = 0.0
-    for _ in range(10):
-        m = int(rng.integers(2, 9))
-        n = int(rng.integers(2, 9))
-        L = int(rng.integers(1, 5))
-        data = random_interactions(m, n, density=0.4,
-                                   seed=int(rng.integers(1 << 30)))
-        graph = build_graph(data, gamma=1.0)
-        params = init_params(m, n, 4, 4, seed=int(rng.integers(1 << 30)))
-        tape = dc.Tape()
-        out = encode(tape, params.leaves(tape), dc.SparseOperator(graph.ui),
-                     None, m, n, L, None, NoiseSettings(mode="none"))
-        a_dense = graph.ui.toarray()
-        zero_noise = [np.zeros((m + n, 4))] * L
-        want, _ = propagate_dense(a_dense, params.base_embedding,
-                                  zero_noise, L)
-        got = np.vstack([out.z_u.value, out.z_i.value])
-        worst = max(worst, float(np.max(np.abs(got - want))))
+    # the check reads only the user-item channel; some instances have an
+    # empty complement, which build_graph reports
+    with pytest.warns(UserWarning, match="complement matrix is empty"):
+        for _ in range(10):
+            m = int(rng.integers(2, 9))
+            n = int(rng.integers(2, 9))
+            L = int(rng.integers(1, 5))
+            data = random_interactions(m, n, density=0.4,
+                                       seed=int(rng.integers(1 << 30)))
+            graph = build_graph(data, gamma=1.0)
+            params = init_params(m, n, 4, 4, seed=int(rng.integers(1 << 30)))
+            tape = dc.Tape()
+            out = encode(tape, params.leaves(tape),
+                         dc.SparseOperator(graph.ui), None, m, n, L, None,
+                         NoiseSettings(mode="none"))
+            a_dense = graph.ui.toarray()
+            zero_noise = [np.zeros((m + n, 4))] * L
+            want, _ = propagate_dense(a_dense, params.base_embedding,
+                                      zero_noise, L)
+            got = np.vstack([out.z_u.value, out.z_i.value])
+            worst = max(worst, float(np.max(np.abs(got - want))))
     _verdict(8, desc, worst <= 1e-12, f"max deviation {worst}")
 
 

@@ -142,6 +142,47 @@ class TestTopkMetrics:
             assert hits >= prev_hits - 1e-12
             prev_recall, prev_hits = m.recall, hits
 
+    def test_sums_equal_a_per_user_loop(self):
+        # the vectorized aggregation must add the same numbers in the same
+        # order as a loop over users, including lists with many hits
+        def loop(lists, tests, k):
+            discounts = 1.0 / np.log2(np.arange(2, k + 2))
+            ideal = np.concatenate([[0.0], np.cumsum(discounts)])
+            p = r = n = 0.0
+            evaluated = 0
+            for top, test in zip(lists, tests):
+                test = set(test.tolist())
+                if not test:
+                    continue
+                evaluated += 1
+                hits = np.array([1.0 if i in test else 0.0 for i in top])
+                p += hits.sum() / k
+                r += hits.sum() / len(test)
+                n += float(hits @ discounts[:len(top)]) / ideal[min(len(test), k)]
+            return [v / evaluated for v in (p, r, n)], evaluated
+
+        rng = np.random.default_rng(8)
+        for k in (1, 5, 10, 20):
+            lists = [rng.permutation(40)[:int(rng.integers(0, k + 1))]
+                     for _ in range(300)]
+            tests = [rng.permutation(40)[:int(rng.integers(0, 25))]
+                     for _ in range(300)]
+            m = topk_metrics(lists, tests, k)
+            want, evaluated = loop(lists, tests, k)
+            assert [m.precision, m.recall, m.ndcg] == want
+            assert (m.users_evaluated, m.users_skipped) == (evaluated,
+                                                            300 - evaluated)
+            # one user at a time, so a last-bit change cannot hide in a sum
+            for top, test in zip(lists, tests):
+                if len(test):
+                    m = topk_metrics([top], [test], k)
+                    assert [m.precision, m.recall, m.ndcg] == \
+                        loop([top], [test], k)[0]
+
+    def test_duplicate_test_items_count_once(self):
+        m = topk_metrics([np.array([3, 1])], [np.array([1, 1, 5])], k=2)
+        assert m.recall == 0.5
+
     def test_csv_row(self):
         m = RankingMetrics(k=20, precision=0.1, recall=0.2, ndcg=0.3,
                            users_evaluated=10, users_skipped=2)

@@ -126,8 +126,9 @@ class TestGenerateNoise:
         block = generate_noise(t, z, {}, None,
                                NoiseSettings(mode="random", s_fixed=0.1),
                                frozen_eps=eps)
-        np.testing.assert_allclose(block.sample.value, 0.1 * eps)
-        np.testing.assert_array_equal(block.mu.value, 0.0)
+        np.testing.assert_array_equal(block.sample.value, 0.1 * eps)
+        # nothing is learned, so no mean or variance node is built
+        assert block.mu is None and block.sigma2 is None
 
     def test_nonfinite_generator_output_raises(self):
         self.params.generator.w3[0, 0] = np.inf

@@ -229,6 +229,24 @@ class TestEvaluateModel:
             gc.enable()
 
 
+class TestTapeRelease:
+    @pytest.mark.parametrize("noise_mode", ["generative", "random", "none"])
+    def test_step_tapes_freed_without_collection(self, noise_mode):
+        # backward empties its tape, so a step's forward values, noise
+        # draws and leaves are gone before the next step builds its own
+        fold = toy_fold()
+        cfg = tiny_config(batch_size=4, noise_mode=noise_mode)
+        ctx = build_context(fold.train, cfg)
+        params = init_params(6, 8, cfg.d, cfg.h, seed=2)
+        gc.collect()
+        gc.disable()
+        try:
+            train_epoch(params, ctx, cfg, np.random.default_rng(3), AdamState())
+            assert not [o for o in gc.get_objects() if isinstance(o, Tape)]
+        finally:
+            gc.enable()
+
+
 class TestFit:
     def test_history_rows_match_epochs(self):
         cfg = tiny_config(epochs_max=4, eval_interval=2)
