@@ -251,12 +251,21 @@ def cmd_train(run):
     fold = run.pick_fold(run.folds(data))
     print(f"training fold {fold.fold_index} "
           f"({len(fold.train)} train / {len(fold.test)} test pairs)")
-    result = fit(run.cfg, fold, progress=_progress_printer)
+    checkpoint = run.path_for("checkpoint.npz")
+    # each epoch's row is written when the epoch ends, so a run that
+    # diverges (exit 4) keeps the epochs it finished
+    with open(run.path_for("history.csv"), "w", encoding="utf-8") as fh:
+        fh.write(HISTORY_CSV_HEADER + "\n")
 
-    save_checkpoint(result.params, run.path_for("checkpoint.npz"),
+        def write_row(row):
+            fh.write(row + "\n")
+            fh.flush()
+
+        result = fit(run.cfg, fold, progress=_progress_printer,
+                     history_sink=write_row)
+
+    save_checkpoint(result.params, checkpoint,
                     seed=run.cfg.seed + fold.fold_index)
-    run.write_text("history.csv",
-                   "\n".join([HISTORY_CSV_HEADER] + result.history_rows) + "\n")
     run.write_text("metrics.csv",
                    _metrics_csv([(fold.fold_index, result.best_metrics)]))
     best = result.best_metrics[20]

@@ -13,6 +13,8 @@ of them rather than at the next garbage collection.  Gradients are
 validated against central finite differences by :func:`check_gradients`.
 """
 
+from functools import cached_property
+
 import numpy as np
 from scipy.special import erf, expit
 
@@ -36,6 +38,7 @@ __all__ = [
     "mlp3",
     "rownorm",
     "gather",
+    "scatter_rows",
     "row_slice",
     "col_slice",
     "reduce_sum",
@@ -200,6 +203,25 @@ class SparseOperator:
 
     def apply_t(self, dense):
         return self._bwd @ dense
+
+    @cached_property
+    def live_part(self):
+        """``(live, op)`` for a square operator: the sorted indices whose
+        row or column holds a stored entry, and the operator restricted
+        to those rows and columns.  Built on first use and kept.
+
+        Every entry sits in a live row and a live column, so
+        ``(self @ x)[live]`` equals ``op @ x[live]`` bit for bit (each row
+        keeps its entries in the same order) and every other row of
+        ``self @ x`` is zero.
+        """
+        _require(self.shape[0] == self.shape[1], "live_part",
+                 f"operator must be square, got {self.shape}")
+        live = np.flatnonzero(np.diff(self._fwd.indptr)
+                              + np.diff(self._bwd.indptr))
+        sub = self._fwd[live][:, live].tocsr()
+        sub.sort_indices()
+        return live, SparseOperator(sub)
 
 
 def spmm(op, x):
@@ -404,6 +426,25 @@ def gather(x, indices):
         _accum(x, gx, owned=True)
 
     return _op("gather", (x,), value, bw)
+
+
+def scatter_rows(x, indices, rows):
+    """A ``rows``-row matrix of zeros with the rows of x placed at the
+    given distinct, sorted indices; the adjoint of :func:`gather`."""
+    idx = np.asarray(indices, dtype=np.int64)
+    _require(idx.shape == (x.shape[0],), "scatter_rows",
+             f"need one index per row of {x.shape}, got {idx.shape}")
+    if len(idx) and (idx[0] < 0 or idx[-1] >= rows
+                     or np.any(idx[1:] <= idx[:-1])):
+        raise IndexError(f"scatter_rows: indices must be sorted, distinct "
+                         f"and inside {rows} rows")
+    value = np.zeros((rows, x.shape[1]))
+    value[idx] = x.value
+
+    def bw(g):
+        _accum(x, g[idx], owned=True)
+
+    return _op("scatter_rows", (x,), value, bw)
 
 
 def _slice(x, index, opname):

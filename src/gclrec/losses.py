@@ -109,15 +109,19 @@ def kl_loss(mu, sigma2, formula="standard"):
     if np.any(sigma2.value <= 0):
         raise DiffError("kl_loss requires sigma2 > 0 elementwise")
     tape = mu.tape
-    ones = tape.constant(np.ones(mu.shape))
+
+    def minus(x, c):
+        # x + (-c) rounds exactly as x - c, and a (1, d) row is all the
+        # constant the broadcast needs
+        return dc.badd_row(x, tape.constant(np.full((1, mu.shape[1]), -c)))
+
     if formula == "standard":
-        inner = dc.sub(dc.sub(dc.add(dc.square(mu), sigma2),
-                              dc.log(sigma2)), ones)
+        inner = minus(dc.sub(dc.add(dc.square(mu), sigma2),
+                             dc.log(sigma2)), 1.0)
         return dc.scale(dc.reduce_mean(inner), 0.5)
     if formula == "paper":
-        inner = dc.sub(dc.add(dc.scale(dc.log(sigma2), -0.5),
-                              dc.scale(dc.add(sigma2, mu), 0.5)),
-                       dc.scale(ones, 0.5))
+        inner = minus(dc.add(dc.scale(dc.log(sigma2), -0.5),
+                             dc.scale(dc.add(sigma2, mu), 0.5)), 0.5)
         return dc.reduce_mean(inner)
     raise ValueError(f"unknown kl formula {formula!r}")
 

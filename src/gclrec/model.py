@@ -9,6 +9,14 @@ input embeddings to a Gaussian (mu, log variance) pair, a noise sample is
 drawn by reparameterization, row-normalized, and added before the sparse
 product.  Final representations average layers 1..L; the input layer is
 excluded.
+
+After the gamma filter most items have no complement neighbour.  Such an
+item's complement row and column are empty: its noise reaches no output
+and its layers are zero.  The complement channel therefore generates
+noise and propagates only over the items with a complement neighbour
+(the operator's ``live_part``) and places exact zeros at the others.
+Epsilon is still drawn for every item, so the random stream does not
+depend on how many items are live.
 """
 
 import io
@@ -171,23 +179,30 @@ class NoiseBlock:
     sample: object
 
 
-def generate_noise(tape, z_prev, leaves, rng, settings, frozen_eps=None):
+def generate_noise(tape, z_prev, leaves, rng, settings, frozen_eps=None,
+                   rows=None):
     """Produce a :class:`NoiseBlock` for one layer from its input
     embeddings.
 
     epsilon is drawn fresh from ``rng`` per call unless ``frozen_eps``
     pins it (finite-difference checks need a fixed sample path).
+    ``rows = (height, index)`` says that ``z_prev`` holds only the rows
+    ``index`` of a ``height``-row layer: epsilon is drawn, or pinned, at
+    the full height and those rows are taken from it.
     """
-    rows, d = z_prev.shape
+    count, d = z_prev.shape
     if settings.mode == "none":
-        zero = tape.constant(np.zeros((rows, d)))
+        zero = tape.constant(np.zeros((count, d)))
         return NoiseBlock(mu=None, sigma2=None,
-                          epsilon=np.zeros((rows, d)), sample=zero)
+                          epsilon=np.zeros((count, d)), sample=zero)
 
+    height, index = (count, None) if rows is None else rows
     if frozen_eps is not None:
         eps = np.asarray(frozen_eps, dtype=np.float64)
     else:
-        eps = rng.standard_normal((rows, d))
+        eps = rng.standard_normal((height, d))
+    if index is not None:
+        eps = eps[index]
 
     if settings.mode == "generative":
         out = mlp_forward(z_prev, leaves, "gen")
@@ -245,13 +260,15 @@ def encode(tape, leaves, ui_op, comp_op, num_users, num_items, num_layers,
 
     ``frozen_eps`` maps (channel, layer) -> epsilon array for
     deterministic replay; channel is "ui" or "comp", layer counts from 1.
+    The arrays are full height (m+n rows for "ui", n for "comp"); the
+    complement noise blocks hold only the rows of the live items.
     """
     if num_layers < 1:
         raise ValueError(f"number of layers must be >= 1, got {num_layers}")
     m, n = num_users, num_items
     skip_noise = settings.mode == "none"
 
-    def run_channel(op, z0, channel):
+    def run_channel(op, z0, channel, rows=None):
         layers, blocks = [], {}
         z = z0
         for k in range(1, num_layers + 1):
@@ -260,7 +277,7 @@ def encode(tape, leaves, ui_op, comp_op, num_users, num_items, num_layers,
             else:
                 pinned = None if frozen_eps is None else frozen_eps[(channel, k)]
                 block = generate_noise(tape, z, leaves, rng, settings,
-                                       frozen_eps=pinned)
+                                       frozen_eps=pinned, rows=rows)
                 blocks[(channel, k)] = block
                 z = propagate(op, z, block)
             layers.append(z)
@@ -284,8 +301,15 @@ def encode(tape, leaves, ui_op, comp_op, num_users, num_items, num_layers,
     out.view_avg["item"] = out.z_i
 
     if comp_op is not None:
-        e_item = dc.row_slice(e_all, m, m + n)
-        comp_layers, comp_blocks = run_channel(comp_op, e_item, "comp")
+        # propagate over the live items only.  The full-height layers are
+        # placed after the loop so that the backward sweep adds each
+        # layer's gradients in the order the full-row channel did: the
+        # layer's own uses first, then the next layer's
+        live, live_op = comp_op.live_part
+        e_live = dc.gather(dc.row_slice(e_all, m, m + n), live)
+        live_layers, comp_blocks = run_channel(live_op, e_live, "comp",
+                                               rows=(n, live))
+        comp_layers = [dc.scatter_rows(z, live, n) for z in live_layers]
         out.comp_layers = comp_layers
         out.noise_blocks.update(comp_blocks)
         out.z_c = _layer_average(comp_layers)

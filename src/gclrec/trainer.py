@@ -382,18 +382,16 @@ def train_epoch(params, ctx, cfg, rng, state):
 
 def eval_embeddings(params, ctx, cfg):
     """Deterministic encoder output for scoring: noise disabled, or the
-    learned mean perturbation when eval.noise = mean."""
+    learned mean perturbation when eval.noise = mean.  Scores read only
+    the user-item channel, so the complement channel is not run."""
     tape = Tape()
     leaves = params.leaves(tape)
     settings, frozen = NoiseSettings(mode="none"), None
     if cfg.eval_noise == "mean" and cfg.noise_mode == "generative":
         settings = cfg.noise_settings()
-        rows = {"ui": ctx.num_users + ctx.num_items, "comp": ctx.num_items}
-        frozen = {(ch, k): np.zeros((rows[ch], cfg.d))
-                  for ch in (("ui", "comp") if ctx.comp_op is not None
-                             else ("ui",))
+        frozen = {("ui", k): np.zeros((ctx.num_users + ctx.num_items, cfg.d))
                   for k in range(1, cfg.L + 1)}
-    out = encode(tape, leaves, ctx.ui_op, ctx.comp_op, ctx.num_users,
+    out = encode(tape, leaves, ctx.ui_op, None, ctx.num_users,
                  ctx.num_items, cfg.L, None, settings, frozen_eps=frozen)
     # nodes and their tape reference each other; emptying the tape frees
     # the forward values on return instead of at the next garbage
@@ -436,13 +434,15 @@ class FitResult:
     geometry_rows: list
 
 
-def fit(cfg, fold, progress=None, track_geometry=False):
+def fit(cfg, fold, progress=None, track_geometry=False, history_sink=None):
     """Train on one fold with periodic evaluation and early stopping.
 
     The rng stream and initialization derive from cfg.seed + fold_index,
     so folds are independent and the whole run is reproducible.  Keeps
     the parameters of the best Recall@20 evaluation; stops after
-    `patience` evaluations without improvement.
+    `patience` evaluations without improvement.  ``history_sink``, when
+    given, receives each history row as soon as its epoch finishes, so a
+    run that fails later still leaves its finished epochs.
     """
     derived_seed = cfg.seed + fold.fold_index
     rng = np.random.default_rng(derived_seed)
@@ -475,6 +475,8 @@ def fit(cfg, fold, progress=None, track_geometry=False):
         history.append(f"{epoch},{report.rec!r},{report.cl!r},"
                        f"{report.recon!r},{report.ddl!r},{report.reg!r},"
                        f"{report.total!r},{eval_cols}")
+        if history_sink is not None:
+            history_sink(history[-1])
         if track_geometry:
             z_u, z_i = eval_embeddings(params, ctx, cfg)
             align, uniform = alignment_uniformity(

@@ -184,6 +184,37 @@ class TestTrain:
         for name in ("checkpoint.npz", "history.csv", "metrics.csv"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
+    def test_divergence_keeps_finished_epochs(self, config_file, tmp_path,
+                                              capsys, monkeypatch):
+        import gclrec.trainer as tr
+        from gclrec.dataset import load_interactions, make_folds
+        from gclrec.diffcore import DiffError
+
+        full = tmp_path / "full"
+        assert run_cli("train", "--config", str(config_file),
+                       "--out", str(full)) == 0
+        expected = (full / "history.csv").read_text().split("\n")[:2]
+
+        cfg = TrainConfig.from_strings(_parse_config_file(str(config_file)))
+        train = make_folds(load_interactions(cfg.data_path), cfg.folds,
+                           cfg.seed)[0].train
+        epoch_steps = -(-len(train) // cfg.batch_size)
+        original = tr.adam_step
+
+        def diverge_in_epoch_2(params, grads, state, **kwargs):
+            if state.t == epoch_steps:
+                raise DiffError("non-finite gradient; training diverged")
+            original(params, grads, state, **kwargs)
+
+        monkeypatch.setattr(tr, "adam_step", diverge_in_epoch_2)
+        out = tmp_path / "out"
+        assert run_cli("train", "--config", str(config_file),
+                       "--out", str(out)) == 4
+        assert "diverged" in capsys.readouterr().err
+        history = (out / "history.csv").read_text()
+        assert history == "\n".join(expected) + "\n"
+        assert expected[1].startswith("1,")
+
     def test_env_var_sets_out_dir(self, config_file, tmp_path, capsys,
                                   monkeypatch):
         out = tmp_path / "from_env"

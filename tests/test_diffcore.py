@@ -232,11 +232,54 @@ class TestSlicesAndScatter:
         np.testing.assert_allclose(grads["x"], want, rtol=1e-15)
         np.testing.assert_array_equal(grads["z"], np.ones((4, 3)))
 
+    def test_scatter_rows_places_rows_among_zeros(self):
+        t = Tape()
+        x = t.leaf(rand((2, 3), 64), name="x")
+        placed = dc.scatter_rows(x, np.array([1, 3]), 4)
+        want = np.zeros((4, 3))
+        want[[1, 3]] = x.value
+        assert np.array_equal(placed.value, want)
+        assert dc.scatter_rows(t.leaf(np.ones((0, 3))), [], 4).value.shape \
+            == (4, 3)
+
+    @pytest.mark.parametrize("idx", [[1, 1], [2, 1], [0, 4], [-1, 2]])
+    def test_scatter_rows_rejects_bad_indices(self, idx):
+        t = Tape()
+        with pytest.raises(IndexError, match="scatter_rows"):
+            dc.scatter_rows(t.leaf(np.ones((2, 3))), idx, 4)
+
     def test_backward_empties_the_tape(self):
         t = Tape()
         x = t.leaf(rand((2, 2), 63), name="x")
         backward(dc.reduce_sum(dc.square(x)))
         assert t.nodes == []
+
+
+class TestLivePart:
+    def test_restricts_to_rows_and_columns_with_entries(self):
+        dense = np.zeros((6, 6))
+        dense[1, 4] = dense[4, 1] = 0.5
+        dense[4, 5] = dense[5, 4] = 0.25
+        dense[5, 5] = 2.0
+        op = SparseOperator(sp.csr_matrix(dense))
+        live, sub = op.live_part
+        assert live.tolist() == [1, 4, 5]
+        assert np.array_equal(sub.apply(np.eye(3)), dense[np.ix_(live, live)])
+        x = rand((6, 3), 70)
+        full = op.apply(x)
+        assert np.array_equal(sub.apply(x[live]), full[live])
+        assert np.array_equal(sub.apply_t(x[live]), op.apply_t(x)[live])
+        assert not np.any(np.delete(full, live, axis=0))
+        assert op.live_part is op.live_part
+
+    def test_empty_operator(self):
+        live, sub = SparseOperator(sp.csr_matrix((4, 4))).live_part
+        assert len(live) == 0 and sub.shape == (0, 0)
+        assert sub.apply(np.zeros((0, 2))).shape == (0, 2)
+
+    def test_rejects_non_square(self):
+        with pytest.raises(ShapeError, match="live_part"):
+            SparseOperator(sp.csr_matrix((2, 3))).live_part
 
 
 class TestShapeErrors:
@@ -343,6 +386,18 @@ class TestPerPrimitiveGradcheck:
         err = fd_check(lambda t, lv: dc.reduce_sum(
             dc.square(dc.gather(lv["x"], idx))), arrays)
         assert err < TOL
+
+    def test_scatter_rows(self):
+        idx = np.array([0, 2, 5])
+        arrays = {"x": rand((3, 2), 19)}
+        weights = rand((6, 2), 20)
+
+        def build(t, lv):
+            placed = dc.scatter_rows(lv["x"], idx, 6)
+            return dc.reduce_sum(dc.square(
+                dc.mul(placed, t.constant(weights))))
+
+        assert fd_check(build, arrays) < TOL
 
     def test_row_and_col_slice(self):
         arrays = {"x": rand((5, 6), 14)}

@@ -220,6 +220,37 @@ class TestKL:
         with pytest.raises(ValueError, match="formula"):
             self.kl([[0.0]], [[1.0]], "renyi")
 
+    @staticmethod
+    def kl_with_ones(mu, s2, formula):
+        # the earlier composition, which subtracted a full-size ones constant
+        ones = mu.tape.constant(np.ones(mu.shape))
+        if formula == "standard":
+            inner = dc.sub(dc.sub(dc.add(dc.square(mu), s2), dc.log(s2)), ones)
+            return dc.scale(dc.reduce_mean(inner), 0.5)
+        inner = dc.sub(dc.add(dc.scale(dc.log(s2), -0.5),
+                              dc.scale(dc.add(s2, mu), 0.5)),
+                       dc.scale(ones, 0.5))
+        return dc.reduce_mean(inner)
+
+    @pytest.mark.parametrize("formula", ["standard", "paper"])
+    def test_no_full_size_constant_and_same_bits(self, formula):
+        rng = np.random.default_rng(11)
+        mu_v = rng.normal(size=(7, 5))
+        s2_v = np.exp(rng.normal(size=(7, 5)))
+        results = []
+        for build in (kl_loss, self.kl_with_ones):
+            t = Tape()
+            mu, s2 = node_of(mu_v, t, "mu"), node_of(s2_v, t, "s2")
+            loss = build(mu, s2, formula)
+            if build is kl_loss:
+                assert not [n for n in t.nodes if n.op == "constant"
+                            and n.shape == mu.shape]
+            results.append((loss.value, backward(loss)))
+        (value, grads), (ref_value, ref_grads) = results
+        assert np.array_equal(value, ref_value)
+        for name in ("mu", "s2"):
+            assert np.array_equal(grads[name], ref_grads[name])
+
 
 class TestMMD:
     def test_identical_sets_zero(self):

@@ -18,7 +18,7 @@ from gclrec.model import (
     save_checkpoint,
 )
 
-from conftest import random_interactions
+from conftest import make_interactions, random_interactions
 from oracles import propagate_dense, sym_normalize_dense, adjacency_dense
 
 NO_NOISE = NoiseSettings(mode="none")
@@ -171,6 +171,12 @@ class TestPropagate:
         np.testing.assert_allclose(with_zero.value, without.value, atol=1e-15)
 
 
+def normed(sample):
+    norms = np.linalg.norm(sample, axis=1, keepdims=True)
+    inv = np.where(norms > 1e-12, 1.0 / np.maximum(norms, 1e-12), 0.0)
+    return sample * inv
+
+
 def build_ops(data, gamma=1.0, complement=True):
     g = build_graph(data, gamma=gamma, complement_enabled=complement)
     comp_op = SparseOperator(g.comp) if g.comp is not None else None
@@ -208,12 +214,6 @@ class TestEncode:
         out = self.run_encode(NoiseSettings(), seed=4)
         ui_op, comp_op, g = build_ops(self.data)
         A = g.ui.toarray()
-
-        def normed(sample):
-            norms = np.linalg.norm(sample, axis=1, keepdims=True)
-            inv = np.where(norms > 1e-12, 1.0 / np.maximum(norms, 1e-12), 0.0)
-            return sample * inv
-
         noise = [normed(out.noise_blocks[("ui", k)].sample.value)
                  for k in (1, 2, 3)]
         expected_avg, _ = propagate_dense(A, self.params.base_embedding,
@@ -271,6 +271,13 @@ class TestEncode:
         out = encode(t, leaves, ui_op, SparseOperator(empty), 6, 8, 2,
                      np.random.default_rng(0), NoiseSettings())
         np.testing.assert_array_equal(out.z_c.value, 0.0)
+        assert out.noise_blocks[("comp", 1)].sample.shape == (0, 4)
+        # the generator and the gather run on zero rows in the backward
+        # sweep too, and contribute nothing
+        grads = dc.backward(dc.reduce_sum(dc.mul(
+            out.z_c, t.constant(np.ones((8, 4))))))
+        for name in ("gen.w1", "gen.b3", "base_embedding"):
+            np.testing.assert_array_equal(grads[name], 0.0)
 
     def test_zero_layers_rejected(self):
         ui_op, comp_op, _ = build_ops(self.data)
@@ -279,6 +286,106 @@ class TestEncode:
         with pytest.raises(ValueError, match="layers"):
             encode(t, leaves, ui_op, comp_op, 6, 8, 0,
                    np.random.default_rng(0), NO_NOISE)
+
+
+class TestLiveComplement:
+    """The complement channel runs only over items with a complement
+    neighbour and equals the full-row computation."""
+
+    # at gamma 2 only items 0-1 and 2-3 are co-consumed often enough, so
+    # items 4, 5 and 6 have no complement neighbour
+    DEAD = make_interactions(5, 7, [(0, 0), (0, 1), (0, 4), (1, 0), (1, 1),
+                                    (1, 5), (2, 2), (2, 3), (3, 2), (3, 3),
+                                    (3, 6), (4, 5), (4, 6)])
+    # every item shares a user with another
+    ALL_LIVE = make_interactions(5, 4, [(0, 0), (0, 1), (1, 1), (1, 2),
+                                        (2, 2), (2, 3), (3, 3), (3, 0),
+                                        (4, 0), (4, 2)])
+
+    def encode(self, data, gamma, seed, frozen=None):
+        m, n = data.num_users, data.num_items
+        ui_op, comp_op, g = build_ops(data, gamma=gamma)
+        params = init_params(m, n, 4, 4, seed=seed)
+        t = Tape()
+        leaves = params.leaves(t)
+        rng = np.random.default_rng(seed)
+        out = encode(t, leaves, ui_op, comp_op, m, n, 3, rng, NoiseSettings(),
+                     frozen_eps=frozen)
+        return out, params, g, comp_op, rng, t, leaves
+
+    def test_matches_dense_replay_with_zero_noise_at_dead_items(self):
+        out, params, g, comp_op, _, _, _ = self.encode(self.DEAD, 2.0, 21)
+        live = comp_op.live_part[0]
+        assert live.tolist() == [0, 1, 2, 3]
+        noise = []
+        for k in (1, 2, 3):
+            full = np.zeros((7, 4))
+            full[live] = normed(out.noise_blocks[("comp", k)].sample.value)
+            noise.append(full)
+        want_avg, want_layers = propagate_dense(
+            g.comp.toarray(), params.base_embedding[5:], noise, 3)
+        for k in range(3):
+            got = out.comp_layers[k].value
+            assert got.shape == (7, 4)
+            np.testing.assert_allclose(got, want_layers[k + 1], rtol=0,
+                                       atol=1e-12)
+            np.testing.assert_array_equal(got[4:], 0.0)
+        np.testing.assert_allclose(out.z_c.value, want_avg, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(out.z_c.value[4:], 0.0)
+
+    def test_noise_blocks_hold_live_rows_of_full_draws(self):
+        out, _, _, comp_op, rng, _, _ = self.encode(self.DEAD, 2.0, 22)
+        live = comp_op.live_part[0]
+        # the random stream is that of full-height draws: 3 user-item
+        # layers of 12 rows, then 3 complement layers of 7 rows
+        replay = np.random.default_rng(22)
+        for _ in range(3):
+            replay.standard_normal((12, 4))
+        for k in (1, 2, 3):
+            block = out.noise_blocks[("comp", k)]
+            for part in (block.mu, block.sigma2, block.sample):
+                assert part.shape == (len(live), 4)
+            np.testing.assert_array_equal(
+                block.epsilon, replay.standard_normal((7, 4))[live])
+        assert rng.standard_normal() == replay.standard_normal()
+
+    def test_frozen_eps_are_full_height(self):
+        eps = {(ch, k): np.random.default_rng(k).normal(size=(rows, 4))
+               for ch, rows in (("ui", 12), ("comp", 7)) for k in (1, 2, 3)}
+        out = self.encode(self.DEAD, 2.0, 23, frozen=eps)[0]
+        for k in (1, 2, 3):
+            np.testing.assert_array_equal(
+                out.noise_blocks[("comp", k)].epsilon, eps[("comp", k)][:4])
+
+    def test_all_items_live_equals_full_row_path(self):
+        # every item live: values and gradients equal, bit for bit, the
+        # earlier channel that generated noise for every row
+        eps = {(ch, k): np.random.default_rng(10 + k).normal(size=(rows, 4))
+               for ch, rows in (("ui", 9), ("comp", 4)) for k in (1, 2, 3)}
+        out, params, _, comp_op, _, t, leaves = self.encode(
+            self.ALL_LIVE, 1.0, 24, frozen=eps)
+        assert len(comp_op.live_part[0]) == 4
+        values = [z.value for z in out.comp_layers + [out.z_c]]
+        weights = np.random.default_rng(25).normal(size=(4, 4))
+        grads = dc.backward(dc.reduce_sum(dc.mul(
+            out.z_c, t.constant(weights))))
+
+        t = Tape()
+        leaves = params.leaves(t)
+        z = dc.row_slice(leaves["base_embedding"], 5, 9)
+        layers = []
+        for k in (1, 2, 3):
+            block = generate_noise(t, z, leaves, None, NoiseSettings(),
+                                   frozen_eps=eps[("comp", k)])
+            z = propagate(comp_op, z, block)
+            layers.append(z)
+        avg = dc.scale(dc.add(dc.add(layers[0], layers[1]), layers[2]),
+                       1.0 / 3)
+        for got, node in zip(values, layers + [avg]):
+            assert np.array_equal(got, node.value)
+        want = dc.backward(dc.reduce_sum(dc.mul(avg, t.constant(weights))))
+        for name, grad in want.items():
+            assert np.array_equal(grads[name], grad), name
 
 
 class TestPredictScores:

@@ -214,6 +214,34 @@ class TestEvaluateModel:
         np.testing.assert_array_equal(z_mean, z_mean2)
 
     @pytest.mark.parametrize("eval_noise", ["none", "mean"])
+    def test_complement_channel_skipped_with_same_metrics(self, monkeypatch,
+                                                          eval_noise):
+        fold = toy_fold()
+        cfg = tiny_config(eval_noise=eval_noise)
+        ctx = build_context(fold.train, cfg)
+        assert len(ctx.comp_op.live_part[0]) > 0
+        params = init_params(6, 8, 4, 4, seed=7)
+        got = evaluate_model(params, ctx, fold.test, cfg)
+
+        original, passed = tr.encode, []
+
+        def both_channels(tape, leaves, ui_op, comp_op, m, n, num_layers,
+                          rng, settings, frozen_eps=None):
+            # the earlier evaluation pass: run the complement channel too,
+            # with zero epsilon there as well in eval.noise = mean
+            passed.append(comp_op)
+            if frozen_eps is not None:
+                frozen_eps = {**frozen_eps,
+                              **{("comp", k): np.zeros((n, cfg.d))
+                                 for k in range(1, num_layers + 1)}}
+            return original(tape, leaves, ui_op, ctx.comp_op, m, n,
+                            num_layers, rng, settings, frozen_eps)
+
+        monkeypatch.setattr(tr, "encode", both_channels)
+        assert evaluate_model(params, ctx, fold.test, cfg) == got
+        assert passed == [None]
+
+    @pytest.mark.parametrize("eval_noise", ["none", "mean"])
     def test_forward_tape_freed_without_collection(self, eval_noise):
         # the forward values of a full-catalog pass are large; they must
         # not wait for the cycle collector while ranking runs
