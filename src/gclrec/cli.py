@@ -139,8 +139,12 @@ class _Run:
         return load_interactions(self.cfg.data_path)
 
     def folds(self, data):
-        from .dataset import make_folds
-        return make_folds(data, self.cfg.folds, self.cfg.seed)
+        from .dataset import DataError, make_folds
+
+        try:
+            return make_folds(data, self.cfg.folds, self.cfg.seed)
+        except ValueError as exc:
+            raise DataError(f"{self.cfg.data_path}: {exc}") from exc
 
     def pick_fold(self, folds):
         from .trainer import ConfigError
@@ -172,22 +176,18 @@ class _Run:
 
 
 def _parse_config_file(path):
-    from .dataset import DataError
+    from .dataset import DataError, text_lines
     from .trainer import ConfigError
 
     if not os.path.exists(path):
         raise DataError(f"config file not found: {path}")
     table = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(
-                    f"{path}:{lineno}: expected key = value, got {line!r}")
-            key, _, value = line.partition("=")
-            table[key.strip()] = value.strip()
+    for lineno, line in text_lines(path):
+        if "=" not in line:
+            raise ConfigError(
+                f"{path}:{lineno}: expected key = value, got {line!r}")
+        key, _, value = line.partition("=")
+        table[key.strip()] = value.strip()
     return table
 
 

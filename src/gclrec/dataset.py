@@ -15,6 +15,7 @@ __all__ = [
     "ParseError",
     "InteractionSet",
     "FoldSplit",
+    "text_lines",
     "load_interactions",
     "make_folds",
     "sample_negatives",
@@ -72,6 +73,20 @@ class FoldSplit:
     test: InteractionSet
 
 
+def text_lines(path):
+    """Yield (line number, stripped line) for each line of a UTF-8 text
+    file, skipping blank lines and lines starting with ``#``.  Raises
+    :class:`DataError` naming the file when it is not UTF-8 text."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                if line and not line.startswith("#"):
+                    yield lineno, line
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+
+
 def load_interactions(path):
     """Read an interaction log into an :class:`InteractionSet`.
 
@@ -81,29 +96,26 @@ def load_interactions(path):
     collapse to one; indices are assigned in first-appearance order.
 
     Raises :class:`ParseError` for a line with fewer than two fields and
-    :class:`DataError` when no interactions remain.
+    :class:`DataError` when the file is not UTF-8 text or no interactions
+    remain.
     """
     user_map, item_map = {}, {}
     pairs = []
     seen = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = _FIELD_SEP.split(line)
-            if len(fields) < 2:
-                raise ParseError(f"{path}: line {lineno}: expected at least "
-                                 f"2 fields, got {len(fields)}")
-            raw_u, raw_i = fields[0], fields[1]
-            if raw_u not in user_map:
-                user_map[raw_u] = len(user_map)
-            if raw_i not in item_map:
-                item_map[raw_i] = len(item_map)
-            key = (user_map[raw_u], item_map[raw_i])
-            if key not in seen:
-                seen.add(key)
-                pairs.append(key)
+    for lineno, line in text_lines(path):
+        fields = _FIELD_SEP.split(line)
+        if len(fields) < 2:
+            raise ParseError(f"{path}: line {lineno}: expected at least "
+                             f"2 fields, got {len(fields)}")
+        raw_u, raw_i = fields[0], fields[1]
+        if raw_u not in user_map:
+            user_map[raw_u] = len(user_map)
+        if raw_i not in item_map:
+            item_map[raw_i] = len(item_map)
+        key = (user_map[raw_u], item_map[raw_i])
+        if key not in seen:
+            seen.add(key)
+            pairs.append(key)
     if not pairs:
         raise DataError(f"{path}: no interactions found")
     return InteractionSet(

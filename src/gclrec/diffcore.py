@@ -30,9 +30,9 @@ __all__ = [
     "sub",
     "mul",
     "scale",
+    "mean_of",
     "exp",
     "log",
-    "sigmoid",
     "softplus",
     "gelu",
     "mlp3",
@@ -286,6 +286,14 @@ def scale(x, c):
     return _op("scale", (x,), c * x.value, bw)
 
 
+def mean_of(nodes):
+    """Elementwise mean of equally shaped nodes, summed left to right."""
+    acc = nodes[0]
+    for node in nodes[1:]:
+        acc = add(acc, node)
+    return scale(acc, 1.0 / len(nodes))
+
+
 def square(x):
     def bw(g):
         _accum(x, g * (2.0 * x.value), owned=True)
@@ -307,15 +315,6 @@ def log(x):
         _accum(x, g / x.value, owned=True)
 
     return _op("log", (x,), np.log(x.value), bw)
-
-
-def sigmoid(x):
-    value = expit(x.value)
-
-    def bw(g):
-        _accum(x, g * value * (1.0 - value), owned=True)
-
-    return _op("sigmoid", (x,), value, bw)
 
 
 def softplus(x):

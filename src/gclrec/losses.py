@@ -63,17 +63,10 @@ def infonce(view_a, view_b, tau):
     return dc.reduce_mean(dc.sub(lse, pos))
 
 
-def _mean_nodes(nodes):
-    acc = nodes[0]
-    for n in nodes[1:]:
-        acc = dc.add(acc, n)
-    return dc.scale(acc, 1.0 / len(nodes))
-
-
 def multi_pair_cl(user_views, item_views, comp_views, tau, normalize=True):
     """Mean of the per-class contrastive losses.
 
-    Each views argument is a (first-layer, layer-average) node pair;
+    Each views argument is a pair of view nodes with one row per entity;
     ``comp_views`` may be None when the complement channel is off.  With
     ``normalize`` the views are row-normalized first, making similarities
     cosines.
@@ -88,7 +81,7 @@ def multi_pair_cl(user_views, item_views, comp_views, tau, normalize=True):
         losses.append(infonce(a, b, tau))
     if not losses:
         raise ValueError("multi_pair_cl: no view pairs present")
-    return _mean_nodes(losses)
+    return dc.mean_of(losses)
 
 
 def recon_loss(predicted, actual):
@@ -188,12 +181,6 @@ class LossReport:
     ddl: float
     reg: float
     total: float
-
-    CSV_HEADER = "epoch,step,rec,cl,recon,ddl,reg,total"
-
-    def csv_row(self, epoch, step):
-        return (f"{epoch},{step},{self.rec!r},{self.cl!r},{self.recon!r},"
-                f"{self.ddl!r},{self.reg!r},{self.total!r}")
 
 
 def _component_value(node, name):

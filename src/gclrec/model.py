@@ -21,15 +21,15 @@ depend on how many items are live.
 
 import io
 import zipfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import diffcore as dc
+from .dataset import DataError
 from .diffcore import DiffError
 
 __all__ = [
-    "MLPParams",
     "ModelParams",
     "NoiseSettings",
     "NoiseBlock",
@@ -39,85 +39,57 @@ __all__ = [
     "generate_noise",
     "propagate",
     "encode",
-    "predict_scores",
     "reconstruct",
     "save_checkpoint",
     "load_checkpoint",
 ]
 
 
-@dataclass
-class MLPParams:
-    """Weights of one 3-layer perceptron (GELU hidden, linear output)."""
-
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-    w3: np.ndarray
-    b3: np.ndarray
-
-    def arrays(self, prefix):
-        return {f"{prefix}.{name}": getattr(self, name)
-                for name in ("w1", "b1", "w2", "b2", "w3", "b3")}
-
-    @classmethod
-    def from_arrays(cls, prefix, table):
-        return cls(**{name: table[f"{prefix}.{name}"]
-                      for name in ("w1", "b1", "w2", "b2", "w3", "b3")})
+# weight names of each perceptron, in the argument order of ``dc.mlp3``
+_MLP_WEIGHTS = ("w1", "b1", "w2", "b2", "w3", "b3")
 
 
-def _init_mlp(rng, dims):
-    """Xavier-uniform weights, zero biases, for consecutive layer widths."""
-    weights = []
-    for fan_in, fan_out in zip(dims, dims[1:]):
-        bound = np.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-bound, bound, (fan_in, fan_out)))
-        weights.append(np.zeros((1, fan_out)))
-    return MLPParams(*weights)
+def _param_shapes(m, n, d, h):
+    """Name -> shape of every trainable array, in table order: the
+    embedding table (user rows first, then item rows), the noise generator
+    mapping d -> h -> h -> 2d, and the reconstructor mapping d -> h -> h -> d."""
+    shapes = {"base_embedding": (m + n, d)}
+    for prefix, widths in (("gen", (d, h, h, 2 * d)), ("rec", (d, h, h, d))):
+        layers = []
+        for fan_in, fan_out in zip(widths, widths[1:]):
+            layers += [(fan_in, fan_out), (1, fan_out)]
+        shapes.update({f"{prefix}.{w}": shape
+                       for w, shape in zip(_MLP_WEIGHTS, layers)})
+    return shapes
 
 
 @dataclass
 class ModelParams:
-    """All trainable arrays: one embedding table (user rows first, then
-    item rows), the noise generator mapping d -> h -> h -> 2d, and the
-    reconstructor mapping d -> h -> h -> d."""
+    """All trainable arrays as one name -> array table in
+    :func:`_param_shapes` order."""
 
     num_users: int
     num_items: int
     dim: int
     hidden: int
-    base_embedding: np.ndarray
-    generator: MLPParams
-    reconstructor: MLPParams
+    table: dict
+
+    @property
+    def base_embedding(self):
+        return self.table["base_embedding"]
 
     def param_arrays(self):
-        """Flat name -> array table, in a fixed order."""
-        table = {"base_embedding": self.base_embedding}
-        table.update(self.generator.arrays("gen"))
-        table.update(self.reconstructor.arrays("rec"))
-        return table
+        """The name -> array table; updating its arrays updates the model."""
+        return self.table
 
     def leaves(self, tape):
         """Differentiable tape leaves for every parameter array."""
         return {name: tape.leaf(arr, name=name)
-                for name, arr in self.param_arrays().items()}
+                for name, arr in self.table.items()}
 
     def copy(self):
-        return ModelParams(
-            num_users=self.num_users,
-            num_items=self.num_items,
-            dim=self.dim,
-            hidden=self.hidden,
-            base_embedding=self.base_embedding.copy(),
-            generator=MLPParams(*(a.copy() for a in (
-                self.generator.w1, self.generator.b1, self.generator.w2,
-                self.generator.b2, self.generator.w3, self.generator.b3))),
-            reconstructor=MLPParams(*(a.copy() for a in (
-                self.reconstructor.w1, self.reconstructor.b1,
-                self.reconstructor.w2, self.reconstructor.b2,
-                self.reconstructor.w3, self.reconstructor.b3))),
-        )
+        return replace(self, table={name: arr.copy()
+                                    for name, arr in self.table.items()})
 
 
 def init_params(m, n, d, h, seed):
@@ -126,20 +98,19 @@ def init_params(m, n, d, h, seed):
     if d < 1 or h < 1:
         raise ValueError("d and h must be >= 1")
     rng = np.random.default_rng(seed)
-    bound = np.sqrt(6.0 / ((m + n) + d))
-    emb = rng.uniform(-bound, bound, (m + n, d))
-    generator = _init_mlp(rng, (d, h, h, 2 * d))
-    reconstructor = _init_mlp(rng, (d, h, h, d))
-    return ModelParams(
-        num_users=m, num_items=n, dim=d, hidden=h,
-        base_embedding=emb, generator=generator, reconstructor=reconstructor,
-    )
+    table = {}
+    for name, shape in _param_shapes(m, n, d, h).items():
+        if ".b" in name:  # biases start at zero and draw nothing
+            table[name] = np.zeros(shape)
+        else:
+            bound = np.sqrt(6.0 / (shape[0] + shape[1]))
+            table[name] = rng.uniform(-bound, bound, shape)
+    return ModelParams(num_users=m, num_items=n, dim=d, hidden=h, table=table)
 
 
 def mlp_forward(x, leaves, prefix):
     """3-layer perceptron on tape nodes: GELU hidden layers, linear out."""
-    return dc.mlp3(x, *(leaves[f"{prefix}.{name}"]
-                        for name in ("w1", "b1", "w2", "b2", "w3", "b3")))
+    return dc.mlp3(x, *(leaves[f"{prefix}.{w}"] for w in _MLP_WEIGHTS))
 
 
 @dataclass(frozen=True)
@@ -182,7 +153,7 @@ class NoiseBlock:
 def generate_noise(tape, z_prev, leaves, rng, settings, frozen_eps=None,
                    rows=None):
     """Produce a :class:`NoiseBlock` for one layer from its input
-    embeddings.
+    embeddings, in mode generative or random (mode none draws no noise).
 
     epsilon is drawn fresh from ``rng`` per call unless ``frozen_eps``
     pins it (finite-difference checks need a fixed sample path).
@@ -190,12 +161,9 @@ def generate_noise(tape, z_prev, leaves, rng, settings, frozen_eps=None,
     ``index`` of a ``height``-row layer: epsilon is drawn, or pinned, at
     the full height and those rows are taken from it.
     """
-    count, d = z_prev.shape
     if settings.mode == "none":
-        zero = tape.constant(np.zeros((count, d)))
-        return NoiseBlock(mu=None, sigma2=None,
-                          epsilon=np.zeros((count, d)), sample=zero)
-
+        raise ValueError("generate_noise: noise mode 'none' draws no noise")
+    count, d = z_prev.shape
     height, index = (count, None) if rows is None else rows
     if frozen_eps is not None:
         eps = np.asarray(frozen_eps, dtype=np.float64)
@@ -232,17 +200,9 @@ def propagate(a_norm, z_prev, noise):
     return dc.spmm(a_norm, dc.add(z_prev, dc.rownorm(noise.sample)))
 
 
-def _layer_average(layers):
-    acc = layers[0]
-    for z in layers[1:]:
-        acc = dc.add(acc, z)
-    return dc.scale(acc, 1.0 / len(layers))
-
-
 @dataclass
 class EncoderOutput:
-    """Per-layer embeddings, noise blocks, averaged representations, and
-    the two contrastive views (first layer, layer average) per class."""
+    """Per-layer embeddings, noise blocks and averaged representations."""
 
     ui_layers: list
     comp_layers: list | None
@@ -250,8 +210,19 @@ class EncoderOutput:
     z_u: object
     z_i: object
     z_c: object
-    view_first: dict = field(default_factory=dict)
-    view_avg: dict = field(default_factory=dict)
+
+    def view(self, selector, cls):
+        """Contrastive view of one entity class ("user", "item" or
+        "comp"): layer ``selector`` (counted from 1) or the layer average
+        when ``selector`` is "avg"."""
+        if selector == "avg":
+            return {"user": self.z_u, "item": self.z_i, "comp": self.z_c}[cls]
+        layer = int(selector) - 1
+        if cls == "comp":
+            return self.comp_layers[layer]
+        full, m = self.ui_layers[layer], self.z_u.shape[0]
+        return (dc.row_slice(full, 0, m) if cls == "user"
+                else dc.row_slice(full, m, full.shape[0]))
 
 
 def encode(tape, leaves, ui_op, comp_op, num_users, num_items, num_layers,
@@ -285,7 +256,7 @@ def encode(tape, leaves, ui_op, comp_op, num_users, num_items, num_layers,
 
     e_all = leaves["base_embedding"]
     ui_layers, ui_blocks = run_channel(ui_op, e_all, "ui")
-    ui_avg = _layer_average(ui_layers)
+    ui_avg = dc.mean_of(ui_layers)
 
     out = EncoderOutput(
         ui_layers=ui_layers,
@@ -295,10 +266,6 @@ def encode(tape, leaves, ui_op, comp_op, num_users, num_items, num_layers,
         z_i=dc.row_slice(ui_avg, m, m + n),
         z_c=None,
     )
-    out.view_first["user"] = dc.row_slice(ui_layers[0], 0, m)
-    out.view_first["item"] = dc.row_slice(ui_layers[0], m, m + n)
-    out.view_avg["user"] = out.z_u
-    out.view_avg["item"] = out.z_i
 
     if comp_op is not None:
         # propagate over the live items only.  The full-height layers are
@@ -312,17 +279,8 @@ def encode(tape, leaves, ui_op, comp_op, num_users, num_items, num_layers,
         comp_layers = [dc.scatter_rows(z, live, n) for z in live_layers]
         out.comp_layers = comp_layers
         out.noise_blocks.update(comp_blocks)
-        out.z_c = _layer_average(comp_layers)
-        out.view_first["comp"] = comp_layers[0]
-        out.view_avg["comp"] = out.z_c
+        out.z_c = dc.mean_of(comp_layers)
     return out
-
-
-def predict_scores(z_u, z_i, users):
-    """Dense score rows: score(u, i) = z_u[u] . z_i[i]."""
-    z_u = np.asarray(z_u)
-    z_i = np.asarray(z_i)
-    return z_u[np.asarray(users, dtype=np.int64)] @ z_i.T
 
 
 def reconstruct(noise_sample, leaves, pairs, num_users):
@@ -369,14 +327,33 @@ def save_checkpoint(params, path, seed):
 
 
 def load_checkpoint(path):
-    """Read a checkpoint back into (ModelParams, seed)."""
-    with np.load(path) as data:
-        table = {name: data[name] for name in data.files}
-    m, n, d, h, seed = (int(v) for v in table.pop("meta"))
-    params = ModelParams(
-        num_users=m, num_items=n, dim=d, hidden=h,
-        base_embedding=table["base_embedding"],
-        generator=MLPParams.from_arrays("gen", table),
-        reconstructor=MLPParams.from_arrays("rec", table),
-    )
-    return params, seed
+    """Read a checkpoint back into (ModelParams, seed).
+
+    Raises :class:`DataError` naming the file when it is not an npz
+    archive, or when its arrays are not exactly those :func:`init_params`
+    makes for the shapes recorded in its ``meta``.
+    """
+    try:
+        data = np.load(path)
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            raise ValueError("a single array, not an npz archive")
+        with data:
+            table = {name: data[name] for name in data.files}
+    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise DataError(f"{path}: not a checkpoint: {exc}") from exc
+    meta = table.pop("meta", None)
+    if meta is None or meta.shape != (5,):
+        raise DataError(f"{path}: no meta array of 5 entries")
+    m, n, d, h, seed = (int(v) for v in meta)
+    shapes = _param_shapes(m, n, d, h)
+    missing = [name for name in shapes if name not in table]
+    extra = [name for name in table if name not in shapes]
+    if missing or extra:
+        raise DataError(f"{path}: missing arrays {missing}, "
+                        f"unexpected arrays {extra}")
+    for name, shape in shapes.items():
+        if table[name].shape != shape:
+            raise DataError(f"{path}: array {name} has shape "
+                            f"{table[name].shape}, its meta gives {shape}")
+    return ModelParams(num_users=m, num_items=n, dim=d, hidden=h,
+                       table={name: table[name] for name in shapes}), seed

@@ -2,7 +2,7 @@
 loop over shuffled positives, periodic ranking evaluation, and early
 stopping on Recall@20."""
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -200,10 +200,7 @@ class TrainConfig:
                              s_fixed=self.noise_s_fixed)
 
     def copy(self):
-        cfg = TrainConfig()
-        for f in fields(self):
-            setattr(cfg, f.name, getattr(self, f.name))
-        return cfg
+        return replace(self)
 
 
 # ------------------------------------------------------------------ Adam
@@ -272,18 +269,6 @@ def build_context(train, cfg):
     )
 
 
-def _select_view(out, selector, cls, m, n):
-    """Contrastive view node for one entity class: a layer index or the
-    layer average."""
-    if selector == "avg":
-        return {"user": out.z_u, "item": out.z_i, "comp": out.z_c}[cls]
-    layer = int(selector) - 1
-    if cls == "comp":
-        return out.comp_layers[layer]
-    full = out.ui_layers[layer]
-    return dc.row_slice(full, 0, m) if cls == "user" else dc.row_slice(full, m, m + n)
-
-
 def _batch_loss(params, ctx, cfg, rng, users, pos_items, neg_items,
                 frozen_eps=None):
     """Forward pass and joint loss for one batch; returns (report, total
@@ -297,21 +282,16 @@ def _batch_loss(params, ctx, cfg, rng, users, pos_items, neg_items,
     u_idx = np.asarray(users, dtype=np.int64)
     p_idx = np.asarray(pos_items, dtype=np.int64)
     neg = np.asarray(neg_items, dtype=np.int64).reshape(len(u_idx), -1)
+    neg_flat = neg.reshape(-1)
+    # batch row of each (positive, negative) pair
+    pair_row = np.repeat(np.arange(len(u_idx)), neg.shape[1])
+    touched = np.unique(np.concatenate([u_idx, m + p_idx, m + neg_flat]))
 
     zu_b = dc.gather(out.z_u, u_idx)
     pos_scores = dc.reduce_sum(dc.mul(zu_b, dc.gather(out.z_i, p_idx)), axis=1)
-    neg_flat = neg.reshape(-1)
-    if neg.shape[1] == 1:
-        neg_scores = dc.reduce_sum(
-            dc.mul(zu_b, dc.gather(out.z_i, neg_flat)), axis=1)
-        rec = ls.bpr_loss(pos_scores, neg_scores)
-    else:
-        zu_rep = dc.gather(out.z_u, np.repeat(u_idx, neg.shape[1]))
-        pos_rep = dc.gather(pos_scores, np.repeat(
-            np.arange(len(u_idx)), neg.shape[1]))
-        neg_scores = dc.reduce_sum(
-            dc.mul(zu_rep, dc.gather(out.z_i, neg_flat)), axis=1)
-        rec = ls.bpr_loss(pos_rep, neg_scores)
+    neg_scores = dc.reduce_sum(dc.mul(dc.gather(zu_b, pair_row),
+                                      dc.gather(out.z_i, neg_flat)), axis=1)
+    rec = ls.bpr_loss(dc.gather(pos_scores, pair_row), neg_scores)
 
     cl = None
     if cfg.lambda_ > 0:
@@ -319,9 +299,8 @@ def _batch_loss(params, ctx, cfg, rng, users, pos_items, neg_items,
         ii = np.unique(p_idx)
 
         def views(cls, idx):
-            a = dc.gather(_select_view(out, cfg.cl_view_a, cls, m, n), idx)
-            b = dc.gather(_select_view(out, cfg.cl_view_b, cls, m, n), idx)
-            return a, b
+            return (dc.gather(out.view(cfg.cl_view_a, cls), idx),
+                    dc.gather(out.view(cfg.cl_view_b, cls), idx))
 
         comp_views = views("comp", ii) if ctx.comp_op is not None else None
         cl = ls.multi_pair_cl(views("user", uu), views("item", ii),
@@ -331,7 +310,7 @@ def _batch_loss(params, ctx, cfg, rng, users, pos_items, neg_items,
     if cfg.noise_mode == "generative":
         block = out.noise_blocks[("ui", 1)]
         pos_pairs = np.column_stack([u_idx, p_idx])
-        neg_pairs = np.column_stack([np.repeat(u_idx, neg.shape[1]), neg_flat])
+        neg_pairs = np.column_stack([u_idx[pair_row], neg_flat])
         all_pairs = np.vstack([pos_pairs, neg_pairs])
         targets = np.concatenate([np.ones(len(pos_pairs)),
                                   np.zeros(len(neg_pairs))])
@@ -341,7 +320,6 @@ def _batch_loss(params, ctx, cfg, rng, users, pos_items, neg_items,
         if cfg.ddl == "kl":
             ddl = ls.kl_loss(block.mu, block.sigma2, cfg.kl_formula)
         else:
-            touched = np.unique(np.concatenate([u_idx, m + p_idx, m + neg_flat]))
             gen = dc.gather(block.sample, touched)
             if cfg.noise_distribution == "uniform":
                 prior = rng.random((len(touched), cfg.d))
@@ -350,8 +328,7 @@ def _batch_loss(params, ctx, cfg, rng, users, pos_items, neg_items,
             bw = cfg.mmd_bandwidth or ls.median_bandwidth(gen.value, prior)
             ddl = ls.mmd_loss(gen, tape.constant(prior), bw)
 
-    touched_rows = np.unique(np.concatenate([u_idx, m + p_idx, m + neg_flat]))
-    reg = ls.l2_reg(dc.gather(leaves["base_embedding"], touched_rows),
+    reg = ls.l2_reg(dc.gather(leaves["base_embedding"], touched),
                     cfg.reg_coeff)
 
     report, total = ls.joint_loss(rec, cl, recon, ddl, reg, cfg.lambda_)

@@ -1,0 +1,63 @@
+"""Every exported name resolves, and so does every gclrec name and call
+the benchmark harness in ``benchmarks/`` relies on.  The harness is only
+read, so a deletion that would break it fails here first."""
+
+import dataclasses
+import importlib
+import pkgutil
+import runpy
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import gclrec
+from gclrec import dataset, model, trainer
+
+from conftest import random_interactions
+
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
+
+
+@pytest.mark.parametrize("name", sorted(
+    m.name for m in pkgutil.iter_modules(gclrec.__path__)))
+def test_exported_names_resolve(name):
+    module = importlib.import_module(f"gclrec.{name}")
+    exported = getattr(module, "__all__", ())
+    assert [attr for attr in exported if not hasattr(module, attr)] == []
+
+
+def test_benchmark_wrapped_attributes_exist():
+    # run_path compiles the file without writing a bytecode cache beside it
+    wrapped = runpy.run_path(str(BENCHMARKS / "spans.py"))["WRAPPED"]
+    missing = [f"{module.__name__}.{attr}" for module, attr, _ in wrapped
+               if not hasattr(module, attr)]
+    assert missing == []
+
+
+def test_benchmark_calls_run(tmp_path):
+    """The calls benchmarks/run.py makes, in its order, on a tiny log."""
+    data = random_interactions(12, 15, density=0.5, seed=1, min_per_user=3)
+    log = tmp_path / "log.txt"
+    log.write_text("".join(f"u{u} i{i}\n" for u, i in data.pairs.tolist()))
+    cfg = trainer.TrainConfig(seed=1, batch_size=16)
+    cfg.validate()
+    fold = dataset.make_folds(dataset.load_interactions(log),
+                              cfg.folds, cfg.seed)[0]
+    ctx = trainer.build_context(fold.train, cfg)
+    params = model.init_params(ctx.num_users, ctx.num_items, cfg.d, cfg.h,
+                               seed=cfg.seed + fold.fold_index)
+    initial = params.base_embedding.copy()
+    view = fold.train.view(np.arange(cfg.batch_size))
+    report = trainer.train_epoch(
+        params, dataclasses.replace(ctx, train=view), cfg,
+        np.random.default_rng([1, 2, 0]), trainer.AdamState())
+    assert all(np.isfinite(v) for v in dataclasses.astuple(report))
+    arrays = params.param_arrays()
+    assert all(np.all(np.isfinite(a)) for a in arrays.values())
+    assert not np.array_equal(arrays["base_embedding"], initial)
+    got = trainer.evaluate_model(params, ctx, fold.test, cfg, ks=(5, 10, 20))
+    assert sorted(got) == [5, 10, 20]
+    z_u, z_i = trainer.eval_embeddings(params, ctx, cfg)
+    assert z_u.shape == (ctx.num_users, cfg.d)
+    assert z_i.shape == (ctx.num_items, cfg.d)

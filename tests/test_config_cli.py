@@ -11,6 +11,7 @@ from gclrec.cli import (
     main,
     serialize_config,
 )
+from gclrec.model import init_params
 from gclrec.trainer import ConfigError, TrainConfig
 
 from conftest import random_interactions
@@ -107,6 +108,30 @@ class TestExitCodes:
         code = run_cli("train", "--config", str(config_file), "--fold", "9",
                        "--out", str(tmp_path / "out"))
         assert code == 2
+
+    def test_fewer_pairs_than_folds_is_data_error(self, tmp_path, capsys):
+        data = tmp_path / "tiny.txt"
+        data.write_text("u1 i1\nu2 i2\n")
+        code = run_cli("prepare", "--set", f"data.path={data}",
+                       "--set", "folds=5", "--out", str(tmp_path / "out"))
+        assert code == 3
+        assert str(data) in capsys.readouterr().err
+
+    def test_non_utf8_dataset_is_data_error(self, tmp_path, capsys):
+        data = tmp_path / "latin1.txt"
+        data.write_bytes(b"u1 i1\nu\xe9 i2\nu3 i3\n")
+        code = run_cli("prepare", "--set", f"data.path={data}",
+                       "--set", "folds=2", "--out", str(tmp_path / "out"))
+        assert code == 3
+        assert str(data) in capsys.readouterr().err
+
+    def test_non_utf8_config_is_data_error(self, tmp_path, capsys):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes(b"# r\xe9glages\nd = 8\n")
+        code = run_cli("prepare", "--config", str(cfg),
+                       "--out", str(tmp_path / "out"))
+        assert code == 3
+        assert str(cfg) in capsys.readouterr().err
 
     def test_usage_error_is_2(self, capsys):
         assert run_cli("no-such-command") == 2
@@ -255,6 +280,24 @@ class TestEvaluate:
         assert code == 2
         assert "checkpoint" in capsys.readouterr().err
         assert not (tmp_path / "eval" / "manifest.json").exists()
+
+
+    @pytest.mark.parametrize("content, named", [
+        ("text", None), ("no_embedding", "base_embedding")])
+    def test_not_a_checkpoint_is_data_error(self, config_file, tmp_path,
+                                            capsys, content, named):
+        path = tmp_path / "model.npz"
+        if content == "text":
+            path.write_text("not a checkpoint\n")
+        else:
+            table = dict(init_params(12, 15, 4, 4, seed=0).param_arrays())
+            del table["base_embedding"]
+            np.savez(path, meta=np.array([12, 15, 4, 4, 0]), **table)
+        code = run_cli("evaluate", str(path), "--config", str(config_file),
+                       "--out", str(tmp_path / "out"))
+        assert code == 3
+        err = capsys.readouterr().err
+        assert str(path) in err and (named is None or named in err)
 
 
 class TestCrossval:

@@ -4,7 +4,6 @@ import pytest
 import gclrec.diffcore as dc
 from gclrec.diffcore import DiffError, Tape, backward
 from gclrec.losses import (
-    LossReport,
     bpr_loss,
     infonce,
     joint_loss,
@@ -352,13 +351,6 @@ class TestJointLoss:
         cl = node_of([[0.0]], t)
         with pytest.raises(DiffError, match="'rec'"):
             joint_loss(rec, cl, None, None, None, 1.0)
-
-    def test_csv_row_shape(self):
-        report = LossReport(rec=1.0, cl=2.0, recon=0.5, ddl=0.25,
-                            reg=0.125, total=3.875)
-        row = report.csv_row(epoch=3, step=7)
-        assert row.split(",")[:2] == ["3", "7"]
-        assert len(row.split(",")) == len(LossReport.CSV_HEADER.split(","))
 
 
 class TestLossGradients:

@@ -3,16 +3,16 @@ import pytest
 import scipy.sparse as sp
 
 import gclrec.diffcore as dc
+from gclrec.dataset import DataError
 from gclrec.diffcore import SparseOperator, Tape
 from gclrec.graphs import build_graph
 from gclrec.model import (
-    MLPParams,
+    NoiseBlock,
     NoiseSettings,
     encode,
     generate_noise,
     init_params,
     load_checkpoint,
-    predict_scores,
     propagate,
     reconstruct,
     save_checkpoint,
@@ -25,8 +25,9 @@ NO_NOISE = NoiseSettings(mode="none")
 
 
 def zero_generator(params):
-    for arr in params.generator.arrays("gen").values():
-        arr[:] = 0.0
+    for name, arr in params.param_arrays().items():
+        if name.startswith("gen."):
+            arr[:] = 0.0
     return params
 
 
@@ -44,14 +45,14 @@ class TestInitParams:
         assert p.base_embedding.shape == (30, 8)
 
     def test_mlp_shapes_and_zero_biases(self):
-        p = init_params(3, 4, 6, 5, seed=1)
-        g = p.generator
-        assert g.w1.shape == (6, 5) and g.w2.shape == (5, 5)
-        assert g.w3.shape == (5, 12)  # outputs mu and log-variance halves
-        r = p.reconstructor
-        assert r.w3.shape == (5, 6)
-        for b in (g.b1, g.b2, g.b3, r.b1, r.b2, r.b3):
-            assert np.all(b == 0.0)
+        p = init_params(3, 4, 6, 5, seed=1).param_arrays()
+        assert p["gen.w1"].shape == (6, 5) and p["gen.w2"].shape == (5, 5)
+        # outputs mu and log-variance halves
+        assert p["gen.w3"].shape == (5, 12)
+        assert p["rec.w3"].shape == (5, 6)
+        for prefix in ("gen", "rec"):
+            for b in ("b1", "b2", "b3"):
+                assert np.all(p[f"{prefix}.{b}"] == 0.0)
 
     def test_bad_dims(self):
         with pytest.raises(ValueError):
@@ -73,12 +74,11 @@ class TestGenerateNoise:
         np.testing.assert_array_equal(block.sigma2.value, 1.0)
         np.testing.assert_array_equal(block.sample.value, block.epsilon)
 
-    def test_mode_none_zero_sample(self):
+    def test_mode_none_rejected(self):
         t = Tape()
         z = t.constant(np.ones((5, 4)))
-        block = generate_noise(t, z, {}, np.random.default_rng(0), NO_NOISE)
-        np.testing.assert_array_equal(block.sample.value, 0.0)
-        assert block.mu is None and block.sigma2 is None
+        with pytest.raises(ValueError, match="none"):
+            generate_noise(t, z, {}, np.random.default_rng(0), NO_NOISE)
 
     def test_sigma2_positive(self):
         t = Tape()
@@ -91,7 +91,7 @@ class TestGenerateNoise:
     def test_variance_vs_stddev_scaling(self):
         # push log-variance to a nonzero constant via the output bias
         zero_generator(self.params)
-        self.params.generator.b3[0, 4:] = 2.0  # log sigma^2 = 2
+        self.params.param_arrays()["gen.b3"][0, 4:] = 2.0  # log sigma^2 = 2
         eps = np.random.default_rng(5).normal(size=(6, 4))
 
         def sample(scale):
@@ -131,7 +131,7 @@ class TestGenerateNoise:
         assert block.mu is None and block.sigma2 is None
 
     def test_nonfinite_generator_output_raises(self):
-        self.params.generator.w3[0, 0] = np.inf
+        self.params.param_arrays()["gen.w3"][0, 0] = np.inf
         t = Tape()
         leaves = self.params.leaves(t)
         z = t.constant(np.ones((2, 4)))
@@ -165,7 +165,9 @@ class TestPropagate:
         A = SparseOperator(sp.csr_matrix(dense))
         t = Tape()
         z0 = t.constant(rng.normal(size=(9, 3)))
-        zero_block = generate_noise(t, z0, {}, None, NO_NOISE)
+        zeros = np.zeros((9, 3))
+        zero_block = NoiseBlock(mu=None, sigma2=None, epsilon=zeros,
+                                sample=t.constant(zeros))
         with_zero = propagate(A, z0, zero_block)
         without = propagate(A, z0, None)
         np.testing.assert_allclose(with_zero.value, without.value, atol=1e-15)
@@ -231,12 +233,14 @@ class TestEncode:
 
     def test_views_are_first_layer_and_average(self):
         out = self.run_encode(NoiseSettings(), seed=2)
-        np.testing.assert_array_equal(out.view_first["user"].value,
+        np.testing.assert_array_equal(out.view("1", "user").value,
                                       out.ui_layers[0].value[:6])
-        np.testing.assert_array_equal(out.view_avg["item"].value,
-                                      out.z_i.value)
-        np.testing.assert_array_equal(out.view_first["comp"].value,
-                                      out.comp_layers[0].value)
+        np.testing.assert_array_equal(out.view("2", "item").value,
+                                      out.ui_layers[1].value[6:])
+        assert out.view("avg", "user") is out.z_u
+        assert out.view("avg", "item") is out.z_i
+        assert out.view("3", "comp") is out.comp_layers[2]
+        assert out.view("avg", "comp") is out.z_c
 
     def test_deterministic_given_seed(self):
         a = self.run_encode(NoiseSettings(), seed=7)
@@ -256,7 +260,6 @@ class TestEncode:
     def test_complement_channel_off(self):
         out = self.run_encode(NoiseSettings(), complement=False)
         assert out.comp_layers is None and out.z_c is None
-        assert "comp" not in out.view_first
 
     def test_empty_complement_gives_zero_z_c(self):
         import warnings
@@ -388,26 +391,6 @@ class TestLiveComplement:
             assert np.array_equal(grads[name], grad), name
 
 
-class TestPredictScores:
-    def test_dot_product(self):
-        z_u = np.array([[1.0, 0.0]])
-        z_i = np.array([[0.5, 2.0], [1.0, 1.0]])
-        scores = predict_scores(z_u, z_i, [0])
-        np.testing.assert_allclose(scores, [[0.5, 1.0]])
-
-    def test_identical_vectors_give_squared_norm(self):
-        v = np.array([[1.5, -2.0, 0.5]])
-        assert predict_scores(v, v, [0])[0, 0] == pytest.approx(
-            float(np.sum(v ** 2)))
-
-    def test_row_order_follows_user_list(self):
-        z_u = np.arange(6.0).reshape(3, 2)
-        z_i = np.eye(2)
-        fwd = predict_scores(z_u, z_i, [0, 2])
-        rev = predict_scores(z_u, z_i, [2, 0])
-        np.testing.assert_array_equal(fwd, rev[::-1])
-
-
 class TestReconstruct:
     def test_identity_map_unit_vectors(self):
         t = Tape()
@@ -441,6 +424,21 @@ class TestCheckpoint:
         save_checkpoint(params, p1, seed=13)
         save_checkpoint(params, p2, seed=13)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("change, name", [("missing", "rec.b2"),
+                                              ("extra", "gen.w4"),
+                                              ("shape", "gen.w2")])
+    def test_load_rejects_arrays_init_params_does_not_make(self, tmp_path,
+                                                          change, name):
+        table = dict(init_params(4, 5, 3, 3, seed=15).param_arrays())
+        if change == "missing":
+            del table[name]
+        else:
+            table[name] = np.zeros((3, 4))
+        path = tmp_path / "model.npz"
+        np.savez(path, meta=np.array([4, 5, 3, 3, 15]), **table)
+        with pytest.raises(DataError, match=name):
+            load_checkpoint(path)
 
     def test_copy_is_independent(self):
         params = init_params(2, 2, 2, 2, seed=14)

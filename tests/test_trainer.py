@@ -3,6 +3,7 @@ import gc
 import numpy as np
 import pytest
 
+import gclrec.diffcore as dc
 import gclrec.trainer as tr
 from gclrec.dataset import make_folds, sample_negatives
 from gclrec.diffcore import DiffError, Tape
@@ -186,6 +187,76 @@ class TestTrainEpoch:
         for row, u in enumerate(users):
             held = set(ctx.R[int(u)].indices.tolist())
             assert not held & set(neg[row].tolist())
+
+
+class TestBatchLoss:
+    def test_multiple_negatives_rec_is_numpy_bpr(self):
+        # each positive is paired with each of its 3 negatives
+        fold = toy_fold()
+        cfg = tiny_config(neg_per_pos=3, noise_mode="none", lambda_=0.0)
+        ctx = build_context(fold.train, cfg)
+        params = init_params(6, 8, cfg.d, cfg.h, seed=8)
+        rng = np.random.default_rng(9)
+        users, pos = fold.train.pairs[:, 0], fold.train.pairs[:, 1]
+        neg = sample_negatives(ctx.R, users, 3, rng)
+        report, _, _ = tr._batch_loss(params, ctx, cfg, rng, users, pos, neg)
+        z_u, z_i = tr.eval_embeddings(params, ctx, cfg)
+        pos_scores = np.sum(z_u[users] * z_i[pos], axis=1)
+        neg_scores = np.sum(z_u[users][:, None, :] * z_i[neg], axis=2)
+        margins = np.repeat(pos_scores, 3) - neg_scores.reshape(-1)
+        want = np.mean(np.logaddexp(0.0, -margins))
+        assert abs(report.rec - want) < 1e-12
+
+    def test_multiple_negatives_gradient_check(self):
+        data = make_interactions(4, 5, [(0, 0), (0, 1), (0, 4), (1, 1),
+                                        (1, 2), (2, 2), (2, 3), (3, 3),
+                                        (3, 4)])
+        cfg = tiny_config(neg_per_pos=3)
+        ctx = build_context(data, cfg)
+        params = init_params(4, 5, cfg.d, cfg.h, seed=3)
+        users, pos = data.pairs[:, 0], data.pairs[:, 1]
+        neg = sample_negatives(ctx.R, users, 3, np.random.default_rng(4))
+        eps_rng = np.random.default_rng(5)
+        frozen = {(ch, k): eps_rng.standard_normal((rows, cfg.d))
+                  for ch, rows in (("ui", 9), ("comp", 5)) for k in (1, 2)}
+
+        def f(point):
+            probe = params.copy()
+            for name, arr in point.items():
+                probe.param_arrays()[name][...] = arr
+            _, total, grads = tr._batch_loss(
+                probe, ctx, cfg, np.random.default_rng(0), users, pos, neg,
+                frozen_eps=frozen)
+            return total.value[0, 0], grads
+
+        point = {k: v.copy() for k, v in params.param_arrays().items()}
+        assert dc.check_gradients(f, point, h=1e-5) < 1e-4
+
+    @pytest.mark.parametrize("overrides", [{}, {"noise_mode": "random"},
+                                           {"ddl": "mmd"}],
+                             ids=["default", "random", "mmd"])
+    def test_backward_reaches_every_differentiable_node(self, monkeypatch,
+                                                        overrides):
+        fold = toy_fold()
+        cfg = tiny_config(**overrides)
+        ctx = build_context(fold.train, cfg)
+        params = init_params(6, 8, cfg.d, cfg.h, seed=2)
+        rng = np.random.default_rng(3)
+        users, pos = fold.train.pairs[:, 0], fold.train.pairs[:, 1]
+        neg = sample_negatives(ctx.R, users, 1, rng)
+        swept, original = [], dc.backward
+
+        def spy(loss):
+            swept.extend(loss.tape.nodes)
+            return original(loss)
+
+        monkeypatch.setattr(dc, "backward", spy)
+        tr._batch_loss(params, ctx, cfg, rng, users, pos, neg)
+        assert swept
+        # the sweep retires each node it reaches; a differentiable node
+        # that keeps its backward closure was computed for nothing
+        assert [n.op for n in swept
+                if n.needs_grad and n._backward is not None] == []
 
 
 class TestEvaluateModel:
