@@ -59,4 +59,4 @@ graph = build_graph(data, gamma=2.0)
 A = graph.ui.toarray()
 print(f"\nnormalized adjacency is {A.shape[0]}x{A.shape[1]}, "
       f"symmetric: {np.allclose(A, A.T)}")
-print(f"complement channel empty: {graph.comp_empty}")
+print(f"complement channel empty: {graph.comp.nnz == 0}")

@@ -37,13 +37,12 @@ cfg.validate()
 
 fold = make_folds(data, cfg.folds, cfg.seed)[0]
 
-def progress(epoch, report, eval_log):
-    if eval_log and eval_log[-1][0] == epoch:
-        m = eval_log[-1][1]
+def on_epoch(epoch, report, metrics, row, params, ctx):
+    if metrics is not None:
         print(f"epoch {epoch:3d}  total {report.total:.4f}  "
-              f"recall@20 {m.recall:.3f}  ndcg@20 {m.ndcg:.3f}")
+              f"recall@20 {metrics.recall:.3f}  ndcg@20 {metrics.ndcg:.3f}")
 
-result = fit(cfg, fold, progress=progress)
+result = fit(cfg, fold, on_epoch=on_epoch)
 best = result.best_metrics
 print(f"\nbest epoch {result.best_epoch}")
 for k in (5, 10, 20):

@@ -37,12 +37,15 @@ cfg.folds = 3
 cfg.validate()
 fold = make_folds(data, cfg.folds, cfg.seed)[0]
 
-result = fit(cfg, fold, track_geometry=True)
 print("alignment / uniformity per epoch:")
-for row in result.geometry_rows[::3]:
-    epoch, align, uniform = row.split(",")
-    print(f"  epoch {epoch:>2}: align {float(align):.4f}  "
-          f"uniform {float(uniform):.4f}")
+
+def on_epoch(epoch, report, metrics, row, params, ctx):
+    if epoch % 3 == 1:
+        z_u, z_i = eval_embeddings(params, ctx, cfg)
+        align, uniform = alignment_uniformity(z_u, z_i, ctx.train.pairs)
+        print(f"  epoch {epoch:>2}: align {align:.4f}  uniform {uniform:.4f}")
+
+result = fit(cfg, fold, on_epoch=on_epoch)
 
 # checkpoints round-trip bit-exactly
 with tempfile.TemporaryDirectory() as tmp:

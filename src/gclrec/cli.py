@@ -197,11 +197,90 @@ def serialize_config(cfg):
     return "\n".join(lines) + "\n"
 
 
-def _progress_printer(epoch, report, eval_log):
-    if eval_log and eval_log[-1][0] == epoch:
-        m = eval_log[-1][1]
+def _print_progress(epoch, report, metrics):
+    if metrics is not None:
         print(f"  epoch {epoch}: total {report.total:.6f} "
-              f"recall@20 {m.recall:.6f} ndcg@20 {m.ndcg:.6f}")
+              f"recall@20 {metrics.recall:.6f} ndcg@20 {metrics.ndcg:.6f}")
+
+
+def _csv(rows):
+    return "\n".join(",".join(row) for row in rows) + "\n"
+
+
+def _write_table(run, stem, rows, table=None, manifest=None):
+    """Write ``rows`` (header first) to <stem>.csv and ``table`` (by
+    default the same rows), aligned, to <stem>.txt; print the table and
+    write the manifest."""
+    run.write_text(f"{stem}.csv", _csv(rows))
+    table = table or rows
+    text = _format_table(table[0], table[1:])
+    run.write_text(f"{stem}.txt", text)
+    print(text, end="")
+    run.write_manifest(manifest)
+
+
+def _fold_mean(per_fold, k):
+    """RankingMetrics at cutoff ``k`` whose every field is the arithmetic
+    mean over ``per_fold`` (best-metrics tables), summed in fold order;
+    the user counts are therefore floats."""
+    from .metrics import RankingMetrics
+
+    fields = ("precision", "recall", "ndcg", "users_evaluated",
+              "users_skipped")
+    return RankingMetrics(k, *(sum(getattr(m[k], f) for m in per_fold)
+                               / len(per_fold) for f in fields))
+
+
+def _metrics_rows(per_fold, ks=(5, 10, 20)):
+    """Header, fold rows, and one fold-mean row per cutoff when there is
+    more than one fold; ``per_fold`` holds (fold index, metrics) pairs."""
+    from .metrics import RankingMetrics
+
+    lines = [RankingMetrics.CSV_HEADER]
+    for k in ks:
+        lines += [metrics[k].csv_row(index) for index, metrics in per_fold]
+        if len(per_fold) > 1:
+            lines.append(_fold_mean([m for _, m in per_fold], k)
+                         .csv_row("mean"))
+    return [line.split(",") for line in lines]
+
+
+def _run_trials(run, trials):
+    """Train every trial in order and return each one's best metrics.
+
+    A trial is ``(label, overrides, fold)``: its config is the run's
+    config with the dotted-key ``overrides`` applied.  Every config is
+    built, and a repeated trial rejected, before the first fit, so a bad
+    value costs no training.  Each finished trial is appended to
+    trials.csv (one row per cutoff) and flushed, so a sweep that fails
+    keeps the trials it finished.
+    """
+    from .metrics import RankingMetrics
+    from .trainer import ConfigError, fit
+
+    configs = [run.cfg.copy().apply_strings(overrides)
+               for _, overrides, _ in trials]
+    seen = set()
+    for label, _, fold in trials:
+        if (label, fold.fold_index) in seen:
+            raise ConfigError(f"repeated trial: {label}")
+        seen.add((label, fold.fold_index))
+
+    results = []
+    with open(run.path_for("trials.csv"), "w", encoding="utf-8") as fh:
+        fh.write("trial," + RankingMetrics.CSV_HEADER + "\n")
+        for (label, _, fold), cfg in zip(trials, configs):
+            result = fit(cfg, fold)
+            best = result.best_metrics
+            fh.writelines(f"{label},{best[k].csv_row(fold.fold_index)}\n"
+                          for k in sorted(best))
+            fh.flush()
+            name = f"{label} fold {fold.fold_index}".strip()
+            print(f"  {name}: recall@20 {best[20].recall:.6f} "
+                  f"ndcg@20 {best[20].ndcg:.6f} "
+                  f"({result.epochs_run} epochs)")
+            results.append(best)
+    return results
 
 
 # ------------------------------------------------------------- commands
@@ -223,27 +302,7 @@ def cmd_prepare(run):
     return 0
 
 
-def _metrics_csv(per_fold_metrics, ks=(5, 10, 20)):
-    """Fold rows plus one arithmetic-mean row per cutoff."""
-    from .metrics import RankingMetrics
-
-    lines = [RankingMetrics.CSV_HEADER]
-    for k in ks:
-        for fold_index, metrics in per_fold_metrics:
-            lines.append(metrics[k].csv_row(fold_index))
-        if len(per_fold_metrics) > 1:
-            cols = list(zip(*[
-                (m[k].precision, m[k].recall, m[k].ndcg,
-                 m[k].users_evaluated, m[k].users_skipped)
-                for _, m in per_fold_metrics]))
-            means = [sum(c) / len(c) for c in cols]
-            lines.append(f"mean,{k},{means[0]!r},{means[1]!r},{means[2]!r},"
-                         f"{means[3]!r},{means[4]!r}")
-    return "\n".join(lines) + "\n"
-
-
 def cmd_train(run):
-    from .losses import LossReport
     from .model import save_checkpoint
     from .trainer import HISTORY_CSV_HEADER, fit
 
@@ -257,17 +316,17 @@ def cmd_train(run):
     with open(run.path_for("history.csv"), "w", encoding="utf-8") as fh:
         fh.write(HISTORY_CSV_HEADER + "\n")
 
-        def write_row(row):
+        def on_epoch(epoch, report, metrics, row, params, ctx):
             fh.write(row + "\n")
             fh.flush()
+            _print_progress(epoch, report, metrics)
 
-        result = fit(run.cfg, fold, progress=_progress_printer,
-                     history_sink=write_row)
+        result = fit(run.cfg, fold, on_epoch=on_epoch)
 
     save_checkpoint(result.params, checkpoint,
                     seed=run.cfg.seed + fold.fold_index)
-    run.write_text("metrics.csv",
-                   _metrics_csv([(fold.fold_index, result.best_metrics)]))
+    run.write_text("metrics.csv", _csv(
+        _metrics_rows([(fold.fold_index, result.best_metrics)])))
     best = result.best_metrics[20]
     print(f"best epoch {result.best_epoch}: recall@20 {best.recall:.6f} "
           f"ndcg@20 {best.ndcg:.6f}")
@@ -299,81 +358,45 @@ def cmd_evaluate(run):
     fold = run.pick_fold(run.folds(data))
     ctx = build_context(fold.train, run.cfg)
     metrics = evaluate_model(params, ctx, fold.test, run.cfg)
-    csv_text = _metrics_csv([(fold.fold_index, metrics)])
-    run.write_text("metrics.csv", csv_text)
-    header, *rows = [line.split(",") for line in csv_text.strip().split("\n")]
-    print(_format_table(header, rows), end="")
+    rows = _metrics_rows([(fold.fold_index, metrics)])
+    run.write_text("metrics.csv", _csv(rows))
+    print(_format_table(rows[0], rows[1:]), end="")
     run.write_manifest({"fold": fold.fold_index, "checkpoint": path,
                         "checkpoint_seed": seed})
     return 0
 
 
-def _run_all_folds(cfg, folds, label=""):
-    from .trainer import fit
-
-    per_fold = []
-    for fold in folds:
-        result = fit(cfg, fold)
-        per_fold.append((fold.fold_index, result.best_metrics))
-        m = result.best_metrics[20]
-        print(f"  {label}fold {fold.fold_index}: "
-              f"recall@20 {m.recall:.6f} ndcg@20 {m.ndcg:.6f} "
-              f"({result.epochs_run} epochs)")
-    return per_fold
-
-
 def cmd_crossval(run):
-    data = run.load_data()
-    folds = run.folds(data)
+    folds = run.folds(run.load_data())
     print(f"cross-validation over {len(folds)} folds")
-    per_fold = _run_all_folds(run.cfg, folds)
-    csv_text = _metrics_csv(per_fold)
-    run.write_text("crossval.csv", csv_text)
-    header, *rows = [line.split(",") for line in csv_text.strip().split("\n")]
-    table = _format_table(header, rows)
-    run.write_text("crossval.txt", table)
-    print(table, end="")
-    run.write_manifest()
+    results = _run_trials(run, [("", {}, fold) for fold in folds])
+    per_fold = [(fold.fold_index, m) for fold, m in zip(folds, results)]
+    _write_table(run, "crossval", _metrics_rows(per_fold))
     return 0
 
 
 def cmd_ablate(run):
     from .trainer import ConfigError
 
-    for name in run.args.variants:
+    variants = run.args.variants
+    for name in variants:
         if name not in ABLATION_VARIANTS:
             raise ConfigError(
                 f"unknown ablation variant: {name} "
                 f"(choose from {', '.join(ABLATION_VARIANTS)})")
-    data = run.load_data()
-    folds = run.folds(data)
-    ks = (5, 10, 20)
-    columns = {}
-    for name in run.args.variants:
-        cfg = run.cfg.copy()
-        cfg.apply_strings(ABLATION_VARIANTS[name])
-        print(f"variant {name}")
-        per_fold = _run_all_folds(cfg, folds, label=f"{name} ")
-        means = {}
-        for k in ks:
-            vals = [(m[k].precision, m[k].recall, m[k].ndcg)
-                    for _, m in per_fold]
-            means[k] = [sum(c) / len(c) for c in zip(*vals)]
-        columns[name] = means
-
-    header = ["metric"] + list(run.args.variants)
-    rows = []
-    for k in ks:
-        for i, metric in enumerate(("precision", "recall", "ndcg")):
+    folds = run.folds(run.load_data())
+    results = _run_trials(run, [(name, ABLATION_VARIANTS[name], fold)
+                                for name in variants for fold in folds])
+    per_variant = [results[i:i + len(folds)]
+                   for i in range(0, len(results), len(folds))]
+    rows = [["metric", *variants]]
+    for k in (5, 10, 20):
+        for metric in ("precision", "recall", "ndcg"):
             rows.append([f"{metric}@{k}"] +
-                        [repr(columns[name][k][i])
-                         for name in run.args.variants])
-    csv_text = "\n".join(",".join(r) for r in [header] + rows) + "\n"
-    run.write_text("ablation.csv", csv_text)
-    table = _format_table(header, rows)
-    run.write_text("ablation.txt", table)
-    print(table, end="")
-    run.write_manifest({"variants": list(run.args.variants)})
+                        [repr(getattr(_fold_mean(per_fold, k), metric))
+                         for per_fold in per_variant])
+    _write_table(run, "ablation", rows,
+                 manifest={"variants": list(variants)})
     return 0
 
 
@@ -383,86 +406,60 @@ def cmd_diagnose(run):
     mode = run.args.mode
     if mode != "gamma" and run.args.values:
         raise ConfigError(f"diagnose {mode} takes no sweep values")
-    if mode == "layers":
-        return _diagnose_layers(run)
-    if mode == "trajectory":
-        return _diagnose_trajectory(run)
-    return _diagnose_gamma(run)
+    fold = run.pick_fold(run.folds(run.load_data()))
+    return {"layers": _diagnose_layers, "trajectory": _diagnose_trajectory,
+            "gamma": _diagnose_gamma}[mode](run, fold)
 
 
-def _diagnose_layers(run):
+def _diagnose_layers(run, fold):
     """NDCG@20 for every (view_a, view_b) pairing of contrastive views."""
-    from .trainer import fit
-
-    data = run.load_data()
-    fold = run.pick_fold(run.folds(data))
     selectors = [str(i) for i in range(1, run.cfg.L + 1)] + ["avg"]
-    grid = {}
-    for va, vb in product(selectors, selectors):
-        cfg = run.cfg.copy()
-        cfg.cl_view_a, cfg.cl_view_b = va, vb
-        cfg.validate()
-        result = fit(cfg, fold)
-        grid[(va, vb)] = result.best_metrics[20].ndcg
-        print(f"  views ({va}, {vb}): ndcg@20 {grid[(va, vb)]:.6f}")
-
-    lines = ["view_a,view_b,ndcg20"]
-    lines += [f"{va},{vb},{grid[(va, vb)]!r}"
-              for va, vb in product(selectors, selectors)]
-    run.write_text("layer_grid.csv", "\n".join(lines) + "\n")
-    header = ["view_a\\view_b"] + selectors
-    rows = [[va] + [f"{grid[(va, vb)]:.6f}" for vb in selectors]
-            for va in selectors]
-    table = _format_table(header, rows)
-    run.write_text("layer_grid.txt", table)
-    print(table, end="")
-    run.write_manifest({"mode": "layers", "fold": fold.fold_index})
+    pairs = list(product(selectors, selectors))
+    results = _run_trials(run, [
+        (f"{va}/{vb}", {"cl.view_a": va, "cl.view_b": vb}, fold)
+        for va, vb in pairs])
+    ndcg = {pair: m[20].ndcg for pair, m in zip(pairs, results)}
+    rows = [["view_a", "view_b", "ndcg20"]]
+    rows += [[va, vb, repr(ndcg[va, vb])] for va, vb in pairs]
+    table = [["view_a\\view_b", *selectors]]
+    table += [[va] + [f"{ndcg[va, vb]:.6f}" for vb in selectors]
+              for va in selectors]
+    _write_table(run, "layer_grid", rows, table=table,
+                 manifest={"mode": "layers", "fold": fold.fold_index})
     return 0
 
 
-def _diagnose_trajectory(run):
+def _diagnose_trajectory(run, fold):
     """Alignment/uniformity of the embedding space per training epoch."""
-    from .metrics import DIAG_CSV_HEADER
-    from .trainer import fit
+    from .metrics import DIAG_CSV_HEADER, alignment_uniformity
+    from .trainer import eval_embeddings, fit
 
-    data = run.load_data()
-    fold = run.pick_fold(run.folds(data))
-    result = fit(run.cfg, fold, progress=_progress_printer,
-                 track_geometry=True)
-    run.write_text("trajectory.csv",
-                   "\n".join([DIAG_CSV_HEADER] + result.geometry_rows) + "\n")
-    print(f"{len(result.geometry_rows)} epochs tracked")
+    rows = [DIAG_CSV_HEADER]
+
+    def on_epoch(epoch, report, metrics, row, params, ctx):
+        z_u, z_i = eval_embeddings(params, ctx, run.cfg)
+        align, uniform = alignment_uniformity(z_u, z_i, ctx.train.pairs)
+        rows.append(f"{epoch},{align!r},{uniform!r}")
+        _print_progress(epoch, report, metrics)
+
+    fit(run.cfg, fold, on_epoch=on_epoch)
+    run.write_text("trajectory.csv", "\n".join(rows) + "\n")
+    print(f"{len(rows) - 1} epochs tracked")
     run.write_manifest({"mode": "trajectory", "fold": fold.fold_index})
     return 0
 
 
-def _diagnose_gamma(run):
+def _diagnose_gamma(run, fold):
     """Top-20 metrics as the complement filter threshold varies."""
-    from .trainer import fit
-
-    values = [float(v) for v in run.args.values] or list(DEFAULT_GAMMA_SWEEP)
-    data = run.load_data()
-    fold = run.pick_fold(run.folds(data))
-    rows = []
-    for gamma in values:
-        cfg = run.cfg.copy()
-        cfg.gamma = gamma
-        cfg.validate()
-        result = fit(cfg, fold)
-        m = result.best_metrics[20]
-        rows.append([repr(gamma), repr(m.precision), repr(m.recall),
-                     repr(m.ndcg)])
-        print(f"  gamma {gamma}: recall@20 {m.recall:.6f} "
-              f"ndcg@20 {m.ndcg:.6f}")
-
-    header = ["gamma", "precision20", "recall20", "ndcg20"]
-    csv_text = "\n".join(",".join(r) for r in [header] + rows) + "\n"
-    run.write_text("gamma_sweep.csv", csv_text)
-    table = _format_table(header, rows)
-    run.write_text("gamma_sweep.txt", table)
-    print(table, end="")
-    run.write_manifest({"mode": "gamma", "fold": fold.fold_index,
-                        "values": values})
+    values = run.args.values or list(DEFAULT_GAMMA_SWEEP)
+    results = _run_trials(run, [(f"gamma={g!r}", {"gamma": repr(g)}, fold)
+                                for g in values])
+    rows = [["gamma", "precision20", "recall20", "ndcg20"]]
+    rows += [[repr(g), repr(m[20].precision), repr(m[20].recall),
+              repr(m[20].ndcg)] for g, m in zip(values, results)]
+    _write_table(run, "gamma_sweep", rows,
+                 manifest={"mode": "gamma", "fold": fold.fold_index,
+                           "values": values})
     return 0
 
 

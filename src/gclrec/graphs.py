@@ -40,15 +40,12 @@ class NormalizedGraph:
     ``R`` is the m x n binary train matrix; ``ui`` is the (m+n)x(m+n)
     symmetric-normalized user-item adjacency; ``comp`` is the nxn
     normalized item complement matrix, or None when the complement channel
-    is disabled.  ``comp_empty`` flags a complement matrix whose every
-    entry was filtered out.
+    is disabled.
     """
 
     R: sp.csr_matrix
     ui: sp.csr_matrix
     comp: sp.csr_matrix | None
-    gamma: float
-    comp_empty: bool = False
 
 
 def build_interaction_matrix(split):
@@ -114,9 +111,6 @@ def build_graph(train, gamma, complement_enabled=True, apply_filter=True):
     R = build_interaction_matrix(train)
     A = sym_normalize(build_adjacency(R))
     comp = None
-    comp_empty = False
     if complement_enabled:
         comp = build_complement(R, gamma, apply_filter=apply_filter)
-        comp_empty = comp.nnz == 0
-    return NormalizedGraph(R=R, ui=A, comp=comp, gamma=gamma,
-                           comp_empty=comp_empty)
+    return NormalizedGraph(R=R, ui=A, comp=comp)

@@ -145,17 +145,15 @@ def _log_mean_exp_neg2sq(points):
     return float(np.log(np.mean(np.exp(-2.0 * d * d))))
 
 
-def alignment_uniformity(z_u, z_i, pairs, formula="pairwise"):
+def alignment_uniformity(z_u, z_i, pairs):
     """Embedding-geometry diagnostics on normalized representations.
 
     align: mean squared distance between the normalized embeddings of
     positive (user, item) pairs; lower is tighter.
 
-    uniform: `pairwise` (default) is log E e^(-2|x-y|^2) over distinct
-    user pairs and over distinct positive-item pairs, averaged; more
-    negative is more uniform.  `paper` evaluates the single-sample form
-    log E e^(-2|z|^2)/2 per class and sums, which is constantly -2 on
-    normalized embeddings and kept only for comparison.
+    uniform: log E e^(-2|x-y|^2) over distinct user pairs and over
+    distinct positive-item pairs, averaged; more negative is more
+    uniform.
     """
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     if len(pairs) == 0:
@@ -167,14 +165,6 @@ def alignment_uniformity(z_u, z_i, pairs, formula="pairwise"):
 
     users = zu[np.unique(pairs[:, 0])]
     items = zi[np.unique(pairs[:, 1])]
-    if formula == "pairwise":
-        uniform = 0.5 * (_log_mean_exp_neg2sq(users)
-                         + _log_mean_exp_neg2sq(items))
-    elif formula == "paper":
-        uniform = (
-            float(np.log(np.mean(np.exp(-2.0 * np.sum(users ** 2, axis=1))))) / 2.0
-            + float(np.log(np.mean(np.exp(-2.0 * np.sum(items ** 2, axis=1))))) / 2.0
-        )
-    else:
-        raise ValueError(f"unknown uniformity formula {formula!r}")
+    uniform = 0.5 * (_log_mean_exp_neg2sq(users)
+                     + _log_mean_exp_neg2sq(items))
     return align, uniform

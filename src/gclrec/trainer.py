@@ -11,7 +11,7 @@ from . import losses as ls
 from .dataset import sample_negatives
 from .diffcore import DiffError, SparseOperator, Tape
 from .graphs import build_graph, build_interaction_matrix
-from .metrics import alignment_uniformity, rank_topk, topk_metrics
+from .metrics import rank_topk, topk_metrics
 from .model import NoiseSettings, encode, init_params, reconstruct
 
 __all__ = [
@@ -77,7 +77,6 @@ class TrainConfig:
     cl_view_b: str = "1"
     cl_normalize: bool = True
     eval_noise: str = "none"
-    diag_uniformity: str = "pairwise"
 
     # dotted config key -> (field name, parser)
     KEYS = {
@@ -110,7 +109,6 @@ class TrainConfig:
         "cl.view_b": ("cl_view_b", str),
         "cl.normalize": ("cl_normalize", _parse_bool),
         "eval.noise": ("eval_noise", str),
-        "diag.uniformity": ("diag_uniformity", str),
     }
 
     @classmethod
@@ -175,8 +173,6 @@ class TrainConfig:
              f"unknown kl.formula: {self.kl_formula}"),
             (self.eval_noise in ("none", "mean"),
              f"unknown eval.noise: {self.eval_noise}"),
-            (self.diag_uniformity in ("pairwise", "paper"),
-             f"unknown diag.uniformity: {self.diag_uniformity}"),
         ]
         for ok, message in checks:
             if not ok:
@@ -408,18 +404,22 @@ class FitResult:
     best_metrics: dict
     best_epoch: int
     epochs_run: int
-    geometry_rows: list
 
 
-def fit(cfg, fold, progress=None, track_geometry=False, history_sink=None):
+def fit(cfg, fold, on_epoch=None):
     """Train on one fold with periodic evaluation and early stopping.
 
     The rng stream and initialization derive from cfg.seed + fold_index,
     so folds are independent and the whole run is reproducible.  Keeps
     the parameters of the best Recall@20 evaluation; stops after
-    `patience` evaluations without improvement.  ``history_sink``, when
-    given, receives each history row as soon as its epoch finishes, so a
-    run that fails later still leaves its finished epochs.
+    `patience` evaluations without improvement.
+
+    ``on_epoch(epoch, report, metrics, row, params, ctx)``, when given,
+    runs as each epoch ends: ``report`` is the epoch's mean LossReport,
+    ``metrics`` its Recall/NDCG@20 RankingMetrics (None when the epoch
+    was not evaluated), ``row`` its history row, and ``params``/``ctx``
+    the live parameters and training context.  A hook that writes as it
+    goes leaves a record of the finished epochs when a later one fails.
     """
     derived_seed = cfg.seed + fold.fold_index
     rng = np.random.default_rng(derived_seed)
@@ -427,7 +427,7 @@ def fit(cfg, fold, progress=None, track_geometry=False, history_sink=None):
     params = init_params(ctx.num_users, ctx.num_items, cfg.d, cfg.h,
                          seed=derived_seed)
     state = AdamState()
-    history, eval_log, geometry = [], [], []
+    history, eval_log = [], []
     best = None
     best_params = params.copy()
     best_epoch = 0
@@ -437,7 +437,7 @@ def fit(cfg, fold, progress=None, track_geometry=False, history_sink=None):
     for epoch in range(1, cfg.epochs_max + 1):
         report = train_epoch(params, ctx, cfg, rng, state)
         epochs_run = epoch
-        eval_cols = ","
+        eval_cols, metrics = ",", None
         if epoch % cfg.eval_interval == 0 or epoch == cfg.epochs_max:
             metrics = evaluate_model(params, ctx, fold.test, cfg, ks=(20,))[20]
             eval_log.append((epoch, metrics))
@@ -452,15 +452,8 @@ def fit(cfg, fold, progress=None, track_geometry=False, history_sink=None):
         history.append(f"{epoch},{report.rec!r},{report.cl!r},"
                        f"{report.recon!r},{report.ddl!r},{report.reg!r},"
                        f"{report.total!r},{eval_cols}")
-        if history_sink is not None:
-            history_sink(history[-1])
-        if track_geometry:
-            z_u, z_i = eval_embeddings(params, ctx, cfg)
-            align, uniform = alignment_uniformity(
-                z_u, z_i, ctx.train.pairs, formula=cfg.diag_uniformity)
-            geometry.append(f"{epoch},{align!r},{uniform!r}")
-        if progress is not None:
-            progress(epoch, report, eval_log)
+        if on_epoch is not None:
+            on_epoch(epoch, report, metrics, history[-1], params, ctx)
         if stale >= cfg.patience:
             break
 
@@ -472,5 +465,4 @@ def fit(cfg, fold, progress=None, track_geometry=False, history_sink=None):
         best_metrics=best_metrics,
         best_epoch=best_epoch,
         epochs_run=epochs_run,
-        geometry_rows=geometry,
     )

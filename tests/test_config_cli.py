@@ -380,6 +380,74 @@ class TestDiagnose:
         assert code == 2
 
 
+class TestTrialRunner:
+    def test_commands_run_the_same_trial(self, config_file, tmp_path,
+                                         capsys):
+        def rows(command, name, *argv):
+            out = tmp_path / command
+            assert run_cli(*argv, "--config", str(config_file),
+                           "--out", str(out)) == 0
+            text = (out / name).read_text().strip().split("\n")
+            return [line.split(",") for line in text[1:]]
+
+        crossval = rows("crossval", "crossval.csv", "crossval")
+        ablation = rows("ablate", "ablation.csv", "ablate", "full")
+        gamma = rows("gamma", "gamma_sweep.csv", "diagnose", "gamma", "1")
+        grid = rows("layers", "layer_grid.csv", "diagnose", "layers")
+
+        by_key = {(r[0], r[1]): r[2:5] for r in crossval}
+        for metric, value in ablation:
+            name, k = metric.split("@")
+            column = ("precision", "recall", "ndcg").index(name)
+            assert value == by_key[("mean", k)][column]
+        assert gamma == [["1.0"] + by_key[("0", "20")]]
+        assert [r[2] for r in grid if r[:2] == ["avg", "1"]] == [
+            by_key[("0", "20")][2]]
+
+
+    def test_failed_sweep_keeps_finished_trials(self, config_file, tmp_path,
+                                                capsys, monkeypatch):
+        import gclrec.trainer as tr
+        from gclrec.diffcore import DiffError
+
+        full = tmp_path / "full"
+        assert run_cli("crossval", "--config", str(config_file),
+                       "--out", str(full)) == 0
+        expected = (full / "trials.csv").read_text().split("\n")
+
+        original, calls = tr.fit, []
+
+        def diverge_in_trial_3(cfg, fold, on_epoch=None):
+            calls.append(fold.fold_index)
+            if len(calls) == 3:
+                raise DiffError("non-finite gradient; training diverged")
+            return original(cfg, fold, on_epoch=on_epoch)
+
+        monkeypatch.setattr(tr, "fit", diverge_in_trial_3)
+        out = tmp_path / "out"
+        assert run_cli("crossval", "--config", str(config_file),
+                       "--out", str(out)) == 4
+        kept = expected[:1 + 2 * 3]  # header + 2 trials x 3 cutoffs
+        assert (out / "trials.csv").read_text() == "\n".join(kept) + "\n"
+        assert [row.split(",")[1] for row in kept[1:]] == ["0"] * 3 + ["1"] * 3
+
+    @pytest.mark.parametrize("argv, message", [
+        (("diagnose", "gamma", "1", "-1"), "gamma must be >= 0"),
+        (("ablate", "full", "full"), "repeated trial: full"),
+    ], ids=["negative-gamma", "repeated-variant"])
+    def test_bad_trial_rejected_before_training(self, config_file, tmp_path,
+                                                capsys, monkeypatch, argv,
+                                                message):
+        import gclrec.trainer as tr
+
+        calls = []
+        monkeypatch.setattr(tr, "fit", lambda *a, **kw: calls.append(a))
+        assert run_cli(*argv, "--config", str(config_file),
+                       "--out", str(tmp_path / "out")) == 2
+        assert message in capsys.readouterr().err
+        assert calls == []
+
+
 class TestFormatTable:
     def test_alignment(self):
         text = _format_table(["a", "bb"], [["1", "2"], ["333", "4"]])

@@ -198,25 +198,17 @@ class TestAlignmentUniformity:
         align, _ = alignment_uniformity(z, z.copy(), pairs)
         assert align == pytest.approx(0.0, abs=1e-12)
 
-    def test_paper_formula_constant_minus_two(self):
-        rng = np.random.default_rng(6)
-        z_u = rng.normal(size=(5, 4))
-        z_i = rng.normal(size=(6, 4))
-        pairs = [(u, u) for u in range(5)]
-        _, uniform = alignment_uniformity(z_u, z_i, pairs, formula="paper")
-        assert uniform == pytest.approx(-2.0, abs=1e-9)
-
     def test_pairwise_identical_embeddings_give_zero(self):
         z = np.tile(np.array([[1.0, 0.0]]), (4, 1))
         pairs = [(i, i) for i in range(4)]
-        _, uniform = alignment_uniformity(z, z, pairs, formula="pairwise")
+        _, uniform = alignment_uniformity(z, z, pairs)
         assert uniform == pytest.approx(0.0, abs=1e-12)
 
     def test_pairwise_spread_is_negative(self):
         # antipodal points are maximally spread on the circle
         z = np.array([[1.0, 0.0], [-1.0, 0.0]])
         pairs = [(0, 0), (1, 1)]
-        _, uniform = alignment_uniformity(z, z, pairs, formula="pairwise")
+        _, uniform = alignment_uniformity(z, z, pairs)
         assert uniform < -1.0
 
     def test_pairwise_orders_spread_configurations(self):
@@ -231,8 +223,3 @@ class TestAlignmentUniformity:
     def test_empty_pairs_rejected(self):
         with pytest.raises(ValueError):
             alignment_uniformity(np.ones((2, 2)), np.ones((2, 2)), [])
-
-    def test_unknown_formula(self):
-        with pytest.raises(ValueError, match="formula"):
-            alignment_uniformity(np.ones((2, 2)), np.ones((2, 2)), [(0, 0)],
-                                 formula="cosine")

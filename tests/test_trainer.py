@@ -7,6 +7,7 @@ import gclrec.diffcore as dc
 import gclrec.trainer as tr
 from gclrec.dataset import make_folds, sample_negatives
 from gclrec.diffcore import DiffError, Tape
+from gclrec.metrics import alignment_uniformity
 from gclrec.model import init_params
 from gclrec.trainer import (
     AdamState,
@@ -383,12 +384,22 @@ class TestFit:
         assert r0.history_rows != r1.history_rows
 
     def test_geometry_tracking(self):
-        cfg = tiny_config(epochs_max=3)
-        result = fit(cfg, toy_fold(), track_geometry=True)
-        assert len(result.geometry_rows) == 3
-        epoch, align, uniform = result.geometry_rows[0].split(",")
-        assert epoch == "1"
-        float(align), float(uniform)
+        # on_epoch sees each epoch's row, its eval metrics when evaluated,
+        # and the live parameters a geometry hook reads
+        cfg = tiny_config(epochs_max=3, eval_interval=2)
+        seen = []
+
+        def on_epoch(epoch, report, metrics, row, params, ctx):
+            z_u, z_i = tr.eval_embeddings(params, ctx, cfg)
+            align, uniform = alignment_uniformity(z_u, z_i, ctx.train.pairs)
+            assert np.isfinite([report.total, align, uniform]).all()
+            seen.append((epoch, metrics, row))
+
+        result = fit(cfg, toy_fold(), on_epoch=on_epoch)
+        assert [e for e, _, _ in seen] == [1, 2, 3]
+        assert [r for _, _, r in seen] == result.history_rows
+        assert [(e, m) for e, m, _ in seen if m is not None] == \
+            result.eval_log
 
 
 class TestAblationConfigurations:
