@@ -44,20 +44,16 @@ params = init_params(5, 6, cfg.d, cfg.h, seed=3)
 
 users, pos = pairs[:, 0].copy(), pairs[:, 1].copy()
 neg = ((pos + 1) % 6).reshape(-1, 1)
-# freeze the reparameterization draw so every evaluation sees the same
-# epsilon; otherwise finite differences compare different samples
-eps_rng = np.random.default_rng(9)
-frozen = {(ch, k): eps_rng.standard_normal((r, cfg.d))
-          for ch, r in (("ui", 11), ("comp", 6))
-          for k in range(1, cfg.L + 1)}
 
+# a fresh rng per evaluation draws the same epsilon every time; otherwise
+# finite differences compare different samples
 def joint(point):
     probe = params.copy()
     table = probe.param_arrays()
     for name, arr in point.items():
         table[name][...] = arr
     _, total, grads = _batch_loss(probe, ctx, cfg, np.random.default_rng(0),
-                                  users, pos, neg, frozen_eps=frozen)
+                                  users, pos, neg)
     return total.value[0, 0], grads
 
 point = {k: v.copy() for k, v in params.param_arrays().items()}

@@ -245,15 +245,34 @@ def _metrics_rows(per_fold, ks=(5, 10, 20)):
     return [line.split(",") for line in lines]
 
 
-def _run_trials(run, trials):
+def _fit_logged(run, fold, name, header, row_of):
+    """``fit`` with one CSV row per epoch, ``row_of(epoch, row, params,
+    ctx)``, written to ``name`` and flushed as the epoch ends, so a run
+    that fails (exit 4) keeps the epochs it finished."""
+    from .trainer import fit
+
+    with open(run.path_for(name), "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+
+        def on_epoch(epoch, report, metrics, row, params, ctx):
+            fh.write(row_of(epoch, row, params, ctx) + "\n")
+            fh.flush()
+            _print_progress(epoch, report, metrics)
+
+        return fit(run.cfg, fold, on_epoch=on_epoch)
+
+
+def _run_trials(run, trials, manifest=None):
     """Train every trial in order and return each one's best metrics.
 
     A trial is ``(label, overrides, fold)``: its config is the run's
     config with the dotted-key ``overrides`` applied.  Every config is
     built, and a repeated trial rejected, before the first fit, so a bad
-    value costs no training.  Each finished trial is appended to
-    trials.csv (one row per cutoff) and flushed, so a sweep that fails
-    keeps the trials it finished.
+    value costs no training.  The manifest, with the command's
+    ``manifest`` fields, is written before the first fit, and each
+    finished trial is appended to trials.csv (one row per cutoff) and
+    flushed, so a sweep that fails keeps the trials it finished and the
+    settings they ran with.
     """
     from .metrics import RankingMetrics
     from .trainer import ConfigError, fit
@@ -269,6 +288,7 @@ def _run_trials(run, trials):
     results = []
     with open(run.path_for("trials.csv"), "w", encoding="utf-8") as fh:
         fh.write("trial," + RankingMetrics.CSV_HEADER + "\n")
+        run.write_manifest(manifest)
         for (label, _, fold), cfg in zip(trials, configs):
             result = fit(cfg, fold)
             best = result.best_metrics
@@ -304,24 +324,15 @@ def cmd_prepare(run):
 
 def cmd_train(run):
     from .model import save_checkpoint
-    from .trainer import HISTORY_CSV_HEADER, fit
+    from .trainer import HISTORY_CSV_HEADER
 
     data = run.load_data()
     fold = run.pick_fold(run.folds(data))
     print(f"training fold {fold.fold_index} "
           f"({len(fold.train)} train / {len(fold.test)} test pairs)")
     checkpoint = run.path_for("checkpoint.npz")
-    # each epoch's row is written when the epoch ends, so a run that
-    # diverges (exit 4) keeps the epochs it finished
-    with open(run.path_for("history.csv"), "w", encoding="utf-8") as fh:
-        fh.write(HISTORY_CSV_HEADER + "\n")
-
-        def on_epoch(epoch, report, metrics, row, params, ctx):
-            fh.write(row + "\n")
-            fh.flush()
-            _print_progress(epoch, report, metrics)
-
-        result = fit(run.cfg, fold, on_epoch=on_epoch)
+    result = _fit_logged(run, fold, "history.csv", HISTORY_CSV_HEADER,
+                         lambda epoch, row, params, ctx: row)
 
     save_checkpoint(result.params, checkpoint,
                     seed=run.cfg.seed + fold.fold_index)
@@ -385,8 +396,10 @@ def cmd_ablate(run):
                 f"unknown ablation variant: {name} "
                 f"(choose from {', '.join(ABLATION_VARIANTS)})")
     folds = run.folds(run.load_data())
+    manifest = {"variants": list(variants)}
     results = _run_trials(run, [(name, ABLATION_VARIANTS[name], fold)
-                                for name in variants for fold in folds])
+                                for name in variants for fold in folds],
+                          manifest)
     per_variant = [results[i:i + len(folds)]
                    for i in range(0, len(results), len(folds))]
     rows = [["metric", *variants]]
@@ -395,8 +408,7 @@ def cmd_ablate(run):
             rows.append([f"{metric}@{k}"] +
                         [repr(getattr(_fold_mean(per_fold, k), metric))
                          for per_fold in per_variant])
-    _write_table(run, "ablation", rows,
-                 manifest={"variants": list(variants)})
+    _write_table(run, "ablation", rows, manifest=manifest)
     return 0
 
 
@@ -415,36 +427,33 @@ def _diagnose_layers(run, fold):
     """NDCG@20 for every (view_a, view_b) pairing of contrastive views."""
     selectors = [str(i) for i in range(1, run.cfg.L + 1)] + ["avg"]
     pairs = list(product(selectors, selectors))
+    manifest = {"mode": "layers", "fold": fold.fold_index}
     results = _run_trials(run, [
         (f"{va}/{vb}", {"cl.view_a": va, "cl.view_b": vb}, fold)
-        for va, vb in pairs])
+        for va, vb in pairs], manifest)
     ndcg = {pair: m[20].ndcg for pair, m in zip(pairs, results)}
     rows = [["view_a", "view_b", "ndcg20"]]
     rows += [[va, vb, repr(ndcg[va, vb])] for va, vb in pairs]
     table = [["view_a\\view_b", *selectors]]
     table += [[va] + [f"{ndcg[va, vb]:.6f}" for vb in selectors]
               for va in selectors]
-    _write_table(run, "layer_grid", rows, table=table,
-                 manifest={"mode": "layers", "fold": fold.fold_index})
+    _write_table(run, "layer_grid", rows, table=table, manifest=manifest)
     return 0
 
 
 def _diagnose_trajectory(run, fold):
     """Alignment/uniformity of the embedding space per training epoch."""
     from .metrics import DIAG_CSV_HEADER, alignment_uniformity
-    from .trainer import eval_embeddings, fit
+    from .trainer import eval_embeddings
 
-    rows = [DIAG_CSV_HEADER]
-
-    def on_epoch(epoch, report, metrics, row, params, ctx):
+    def trajectory_row(epoch, row, params, ctx):
         z_u, z_i = eval_embeddings(params, ctx, run.cfg)
         align, uniform = alignment_uniformity(z_u, z_i, ctx.train.pairs)
-        rows.append(f"{epoch},{align!r},{uniform!r}")
-        _print_progress(epoch, report, metrics)
+        return f"{epoch},{align!r},{uniform!r}"
 
-    fit(run.cfg, fold, on_epoch=on_epoch)
-    run.write_text("trajectory.csv", "\n".join(rows) + "\n")
-    print(f"{len(rows) - 1} epochs tracked")
+    result = _fit_logged(run, fold, "trajectory.csv", DIAG_CSV_HEADER,
+                         trajectory_row)
+    print(f"{result.epochs_run} epochs tracked")
     run.write_manifest({"mode": "trajectory", "fold": fold.fold_index})
     return 0
 
@@ -452,14 +461,13 @@ def _diagnose_trajectory(run, fold):
 def _diagnose_gamma(run, fold):
     """Top-20 metrics as the complement filter threshold varies."""
     values = run.args.values or list(DEFAULT_GAMMA_SWEEP)
+    manifest = {"mode": "gamma", "fold": fold.fold_index, "values": values}
     results = _run_trials(run, [(f"gamma={g!r}", {"gamma": repr(g)}, fold)
-                                for g in values])
+                                for g in values], manifest)
     rows = [["gamma", "precision20", "recall20", "ndcg20"]]
     rows += [[repr(g), repr(m[20].precision), repr(m[20].recall),
               repr(m[20].ndcg)] for g, m in zip(values, results)]
-    _write_table(run, "gamma_sweep", rows,
-                 manifest={"mode": "gamma", "fold": fold.fold_index,
-                           "values": values})
+    _write_table(run, "gamma_sweep", rows, manifest=manifest)
     return 0
 
 

@@ -1,19 +1,19 @@
 """Minimal reverse-mode differentiation over dense float64 matrices and
-fixed sparse operators.
+fixed scipy CSR matrices.
 
 Every value on the tape is a 2-D float64 array; scalars are (1, 1)
 matrices produced by the reductions.  The primitive set is closed and
 small: enough to express the encoder, the losses, and nothing else.
 :func:`mlp3` records a whole 3-layer perceptron as one node, so the
 generator and reconstructor keep two hidden activations and their GELU
-slopes per call instead of eight intermediate nodes.  Row and column
+slopes per call instead of eight intermediate nodes.  :func:`spmm`
+takes a scipy CSR matrix as it is and multiplies by its transpose view in
+the backward pass.  Row and column
 slices are views of their parent's value.  :func:`backward` empties the
 tape it swept, so a step's values are freed when its last user lets go
 of them rather than at the next garbage collection.  Gradients are
 validated against central finite differences by :func:`check_gradients`.
 """
-
-from functools import cached_property
 
 import numpy as np
 from scipy.special import erf, expit
@@ -21,7 +21,6 @@ from scipy.special import erf, expit
 __all__ = [
     "Tape",
     "Node",
-    "SparseOperator",
     "ShapeError",
     "DiffError",
     "matmul",
@@ -190,49 +189,17 @@ def matmul(a, b, trans_b=False):
     return _op("matmul", (a, b), value, bw)
 
 
-class SparseOperator:
-    """A fixed CSR matrix usable inside the tape, transpose precomputed."""
-
-    def __init__(self, mat):
-        self._fwd = mat.tocsr()
-        self._bwd = self._fwd.T.tocsr()
-        self.shape = self._fwd.shape
-
-    def apply(self, dense):
-        return self._fwd @ dense
-
-    def apply_t(self, dense):
-        return self._bwd @ dense
-
-    @cached_property
-    def live_part(self):
-        """``(live, op)`` for a square operator: the sorted indices whose
-        row or column holds a stored entry, and the operator restricted
-        to those rows and columns.  Built on first use and kept.
-
-        Every entry sits in a live row and a live column, so
-        ``(self @ x)[live]`` equals ``op @ x[live]`` bit for bit (each row
-        keeps its entries in the same order) and every other row of
-        ``self @ x`` is zero.
-        """
-        _require(self.shape[0] == self.shape[1], "live_part",
-                 f"operator must be square, got {self.shape}")
-        live = np.flatnonzero(np.diff(self._fwd.indptr)
-                              + np.diff(self._bwd.indptr))
-        sub = self._fwd[live][:, live].tocsr()
-        sub.sort_indices()
-        return live, SparseOperator(sub)
-
-
 def spmm(op, x):
-    """Sparse-dense product op @ x; the sparse factor is constant."""
+    """Sparse-dense product op @ x with a constant scipy CSR matrix.  The
+    backward pass multiplies by ``op.T``, a CSC view of the same arrays;
+    ``op`` itself would do only for a bit-symmetric matrix."""
     _require(op.shape[1] == x.shape[0], "spmm",
              f"shapes {op.shape} x {x.shape} incompatible")
-    value = op.apply(x.value)
+    value = op @ x.value
 
     def bw(g):
         if x.needs_grad:
-            _accum(x, op.apply_t(g), owned=True)
+            _accum(x, op.T @ g, owned=True)
 
     return _op("spmm", (x,), value, bw)
 

@@ -10,13 +10,15 @@ drawn by reparameterization, row-normalized, and added before the sparse
 product.  Final representations average layers 1..L; the input layer is
 excluded.
 
+Epsilon is drawn in :func:`encode` and nowhere else: one full-height
+standard normal draw per (channel, layer), user-item layers first.
+
 After the gamma filter most items have no complement neighbour.  Such an
 item's complement row and column are empty: its noise reaches no output
 and its layers are zero.  The complement channel therefore generates
-noise and propagates only over the items with a complement neighbour
-(the operator's ``live_part``) and places exact zeros at the others.
-Epsilon is still drawn for every item, so the random stream does not
-depend on how many items are live.
+noise and propagates only over the items with a complement neighbour,
+taking their rows of each epsilon draw, and places exact zeros at the
+others.  The random stream does not depend on how many items are live.
 """
 
 import io
@@ -140,37 +142,24 @@ class NoiseSettings:
 
 @dataclass
 class NoiseBlock:
-    """One layer's noise: mu, sigma^2, the epsilon draw, and the sample
-    mu + scale(sigma) * epsilon.  mu/sigma2 are tape nodes only in mode
-    generative; modes random and none leave them None."""
+    """One layer's noise: mu, sigma^2 and the sample mu + scale(sigma) *
+    epsilon.  mu/sigma2 are tape nodes only in mode generative, and
+    sigma2 only when epsilon was drawn; otherwise they are None."""
 
     mu: object
     sigma2: object
-    epsilon: np.ndarray
     sample: object
 
 
-def generate_noise(tape, z_prev, leaves, rng, settings, frozen_eps=None,
-                   rows=None):
+def generate_noise(tape, z_prev, leaves, eps, settings):
     """Produce a :class:`NoiseBlock` for one layer from its input
-    embeddings, in mode generative or random (mode none draws no noise).
-
-    epsilon is drawn fresh from ``rng`` per call unless ``frozen_eps``
-    pins it (finite-difference checks need a fixed sample path).
-    ``rows = (height, index)`` says that ``z_prev`` holds only the rows
-    ``index`` of a ``height``-row layer: epsilon is drawn, or pinned, at
-    the full height and those rows are taken from it.
+    embeddings and its epsilon draw ``eps`` (an array shaped like
+    ``z_prev``), in mode generative or random (mode none draws no noise).
+    In mode generative ``eps`` None takes the noise mean mu.
     """
     if settings.mode == "none":
         raise ValueError("generate_noise: noise mode 'none' draws no noise")
-    count, d = z_prev.shape
-    height, index = (count, None) if rows is None else rows
-    if frozen_eps is not None:
-        eps = np.asarray(frozen_eps, dtype=np.float64)
-    else:
-        eps = rng.standard_normal((height, d))
-    if index is not None:
-        eps = eps[index]
+    d = z_prev.shape[1]
 
     if settings.mode == "generative":
         out = mlp_forward(z_prev, leaves, "gen")
@@ -178,10 +167,12 @@ def generate_noise(tape, z_prev, leaves, rng, settings, frozen_eps=None,
             raise DiffError("noise generator produced non-finite values")
         mu = dc.col_slice(out, 0, d)
         logvar = dc.col_slice(out, d, 2 * d)
-        sigma2 = dc.exp(logvar)
-        scale_node = sigma2 if settings.scale == "variance" \
-            else dc.exp(dc.scale(logvar, 0.5))
-        sample = dc.add(mu, dc.mul(scale_node, tape.constant(eps)))
+        sample, sigma2 = mu, None
+        if eps is not None:
+            sigma2 = dc.exp(logvar)
+            scale_node = sigma2 if settings.scale == "variance" \
+                else dc.exp(dc.scale(logvar, 0.5))
+            sample = dc.add(mu, dc.mul(scale_node, tape.constant(eps)))
     else:  # random: zero mean, fixed variance, nothing to learn
         mu = sigma2 = None
         s = settings.s_fixed if settings.scale == "variance" \
@@ -190,7 +181,7 @@ def generate_noise(tape, z_prev, leaves, rng, settings, frozen_eps=None,
 
     if settings.distribution == "uniform":
         sample = dc.gelu(sample)
-    return NoiseBlock(mu=mu, sigma2=sigma2, epsilon=eps, sample=sample)
+    return NoiseBlock(mu=mu, sigma2=sigma2, sample=sample)
 
 
 def propagate(a_norm, z_prev, noise):
@@ -226,36 +217,35 @@ class EncoderOutput:
 
 
 def encode(tape, leaves, ui_op, comp_op, num_users, num_items, num_layers,
-           rng, settings, frozen_eps=None):
-    """Run both channels and average layers 1..L.
+           rng, settings):
+    """Run both channels over the CSR matrices ``ui_op`` and ``comp_op``
+    (None skips the complement channel) and average layers 1..L.
 
-    ``frozen_eps`` maps (channel, layer) -> epsilon array for
-    deterministic replay; channel is "ui" or "comp", layer counts from 1.
-    The arrays are full height (m+n rows for "ui", n for "comp"); the
-    complement noise blocks hold only the rows of the live items.
+    Each (channel, layer) draws its epsilon from ``rng`` at full height,
+    m+n rows for "ui" and n for "comp", user-item layers first; the
+    complement noise blocks hold only the rows of the live items.  ``rng``
+    None draws nothing and takes the noise mean (mode generative only).
     """
     if num_layers < 1:
         raise ValueError(f"number of layers must be >= 1, got {num_layers}")
     m, n = num_users, num_items
-    skip_noise = settings.mode == "none"
+    e_all = leaves["base_embedding"]
+    d = e_all.shape[1]
 
-    def run_channel(op, z0, channel, rows=None):
+    def run_channel(op, z, channel, height, rows=slice(None)):
         layers, blocks = [], {}
-        z = z0
         for k in range(1, num_layers + 1):
-            if skip_noise:
-                z = propagate(op, z, None)
-            else:
-                pinned = None if frozen_eps is None else frozen_eps[(channel, k)]
-                block = generate_noise(tape, z, leaves, rng, settings,
-                                       frozen_eps=pinned, rows=rows)
+            block = None
+            if settings.mode != "none":
+                eps = None if rng is None \
+                    else rng.standard_normal((height, d))[rows]
+                block = generate_noise(tape, z, leaves, eps, settings)
                 blocks[(channel, k)] = block
-                z = propagate(op, z, block)
+            z = propagate(op, z, block)
             layers.append(z)
         return layers, blocks
 
-    e_all = leaves["base_embedding"]
-    ui_layers, ui_blocks = run_channel(ui_op, e_all, "ui")
+    ui_layers, ui_blocks = run_channel(ui_op, e_all, "ui", m + n)
     ui_avg = dc.mean_of(ui_layers)
 
     out = EncoderOutput(
@@ -268,14 +258,17 @@ def encode(tape, leaves, ui_op, comp_op, num_users, num_items, num_layers,
     )
 
     if comp_op is not None:
-        # propagate over the live items only.  The full-height layers are
-        # placed after the loop so that the backward sweep adds each
-        # layer's gradients in the order the full-row channel did: the
-        # layer's own uses first, then the next layer's
-        live, live_op = comp_op.live_part
+        # propagate over the live items only: every entry sits in a live
+        # row and column, so the restricted product equals the live rows
+        # of the full one bit for bit.  The full-height layers are placed
+        # after the loop so that the backward sweep adds each layer's
+        # gradients in the order the full-row channel did: the layer's
+        # own uses first, then the next layer's
+        live = np.flatnonzero(np.diff(comp_op.indptr)
+                              + np.bincount(comp_op.indices, minlength=n))
         e_live = dc.gather(dc.row_slice(e_all, m, m + n), live)
-        live_layers, comp_blocks = run_channel(live_op, e_live, "comp",
-                                               rows=(n, live))
+        live_layers, comp_blocks = run_channel(
+            comp_op[live][:, live], e_live, "comp", n, live)
         comp_layers = [dc.scatter_rows(z, live, n) for z in live_layers]
         out.comp_layers = comp_layers
         out.noise_blocks.update(comp_blocks)

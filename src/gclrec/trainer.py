@@ -9,7 +9,7 @@ import numpy as np
 from . import diffcore as dc
 from . import losses as ls
 from .dataset import sample_negatives
-from .diffcore import DiffError, SparseOperator, Tape
+from .diffcore import DiffError, Tape
 from .graphs import build_graph, build_interaction_matrix
 from .metrics import rank_topk, topk_metrics
 from .model import NoiseSettings, encode, init_params, reconstruct
@@ -238,12 +238,13 @@ def adam_step(param_table, grads, state, lr=0.001, beta1=0.9, beta2=0.999,
 
 @dataclass
 class TrainContext:
-    """Fold-level immutable training state: the graph operators and the
-    binary train matrix ``R`` (canonical CSR) used for negative sampling
-    and masking."""
+    """Fold-level immutable training state: the normalized graph matrices
+    the encoder propagates over (``comp_op`` None when the complement
+    channel is off) and the binary train matrix ``R`` used for negative
+    sampling and masking, all canonical CSR."""
 
     train: object
-    ui_op: SparseOperator
+    ui_op: object
     comp_op: object
     R: object
     num_users: int
@@ -254,26 +255,24 @@ def build_context(train, cfg):
     graph = build_graph(train, gamma=cfg.gamma,
                         complement_enabled=cfg.complement_enabled,
                         apply_filter=cfg.filter_enabled)
-    comp_op = SparseOperator(graph.comp) if graph.comp is not None else None
     return TrainContext(
         train=train,
-        ui_op=SparseOperator(graph.ui),
-        comp_op=comp_op,
+        ui_op=graph.ui,
+        comp_op=graph.comp,
         R=graph.R,
         num_users=train.num_users,
         num_items=train.num_items,
     )
 
 
-def _batch_loss(params, ctx, cfg, rng, users, pos_items, neg_items,
-                frozen_eps=None):
+def _batch_loss(params, ctx, cfg, rng, users, pos_items, neg_items):
     """Forward pass and joint loss for one batch; returns (report, total
     node, gradient table)."""
     m, n = ctx.num_users, ctx.num_items
     tape = Tape()
     leaves = params.leaves(tape)
     out = encode(tape, leaves, ctx.ui_op, ctx.comp_op, m, n, cfg.L, rng,
-                 cfg.noise_settings(), frozen_eps=frozen_eps)
+                 cfg.noise_settings())
 
     u_idx = np.asarray(users, dtype=np.int64)
     p_idx = np.asarray(pos_items, dtype=np.int64)
@@ -359,13 +358,11 @@ def eval_embeddings(params, ctx, cfg):
     the user-item channel, so the complement channel is not run."""
     tape = Tape()
     leaves = params.leaves(tape)
-    settings, frozen = NoiseSettings(mode="none"), None
+    settings = NoiseSettings(mode="none")
     if cfg.eval_noise == "mean" and cfg.noise_mode == "generative":
         settings = cfg.noise_settings()
-        frozen = {("ui", k): np.zeros((ctx.num_users + ctx.num_items, cfg.d))
-                  for k in range(1, cfg.L + 1)}
     out = encode(tape, leaves, ctx.ui_op, None, ctx.num_users,
-                 ctx.num_items, cfg.L, None, settings, frozen_eps=frozen)
+                 ctx.num_items, cfg.L, None, settings)
     # nodes and their tape reference each other; emptying the tape frees
     # the forward values on return instead of at the next garbage
     # collection, which would otherwise keep them alive through ranking

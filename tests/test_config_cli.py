@@ -363,6 +363,27 @@ class TestDiagnose:
         assert lines[0] == "epoch,align,uniform"
         assert len(lines) == 1 + 3
 
+    def test_failed_trajectory_keeps_finished_epochs(self, config_file,
+                                                     tmp_path, capsys,
+                                                     monkeypatch):
+        import gclrec.trainer as tr
+        from gclrec.diffcore import DiffError
+
+        full = tmp_path / "full"
+        assert run_cli("diagnose", "trajectory", "--config", str(config_file),
+                       "--out", str(full)) == 0
+        expected = (full / "trajectory.csv").read_text().split("\n")
+
+        def diverge(*args, **kwargs):  # first called at epoch 2
+            raise DiffError("non-finite gradient; training diverged")
+
+        monkeypatch.setattr(tr, "evaluate_model", diverge)
+        out = tmp_path / "out"
+        assert run_cli("diagnose", "trajectory", "--config", str(config_file),
+                       "--out", str(out)) == 4
+        assert (out / "trajectory.csv").read_text() == \
+            "\n".join(expected[:2]) + "\n"
+
     def test_gamma_sweep_values(self, config_file, tmp_path, capsys):
         out = tmp_path / "out"
         assert run_cli("diagnose", "gamma", "1", "2",
@@ -430,6 +451,12 @@ class TestTrialRunner:
         kept = expected[:1 + 2 * 3]  # header + 2 trials x 3 cutoffs
         assert (out / "trials.csv").read_text() == "\n".join(kept) + "\n"
         assert [row.split(",")[1] for row in kept[1:]] == ["0"] * 3 + ["1"] * 3
+        # the manifest written before the first trial records what the
+        # kept rows were trained with
+        got, want = (json.loads((d / "manifest.json").read_text())
+                     for d in (out, full))
+        for key in ("config", "overrides", "dataset"):
+            assert got[key] == want[key]
 
     @pytest.mark.parametrize("argv, message", [
         (("diagnose", "gamma", "1", "-1"), "gamma must be >= 0"),

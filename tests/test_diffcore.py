@@ -6,11 +6,13 @@ import gclrec.diffcore as dc
 from gclrec.diffcore import (
     DiffError,
     ShapeError,
-    SparseOperator,
     Tape,
     backward,
     check_gradients,
 )
+from gclrec.graphs import build_complement, build_interaction_matrix
+
+from conftest import random_interactions
 
 TOL = 1e-4
 
@@ -37,7 +39,7 @@ def rand(shape, seed, loc=0.0, scl=1.0):
 class TestPrimitiveForward:
     def test_spmm_identity(self):
         t = Tape()
-        S = SparseOperator(sp.eye(2, format="csr"))
+        S = sp.eye(2, format="csr")
         M = t.leaf(np.array([[1.0, 2.0], [3.0, 4.0]]), name="M")
         out = dc.spmm(S, M)
         np.testing.assert_array_equal(out.value, M.value)
@@ -247,31 +249,20 @@ class TestSlicesAndScatter:
         assert t.nodes == []
 
 
-class TestLivePart:
-    def test_restricts_to_rows_and_columns_with_entries(self):
-        dense = np.zeros((6, 6))
-        dense[1, 4] = dense[4, 1] = 0.5
-        dense[4, 5] = dense[5, 4] = 0.25
-        dense[5, 5] = 2.0
-        op = SparseOperator(sp.csr_matrix(dense))
-        live, sub = op.live_part
-        assert live.tolist() == [1, 4, 5]
-        assert np.array_equal(sub.apply(np.eye(3)), dense[np.ix_(live, live)])
-        x = rand((6, 3), 70)
-        full = op.apply(x)
-        assert np.array_equal(sub.apply(x[live]), full[live])
-        assert np.array_equal(sub.apply_t(x[live]), op.apply_t(x)[live])
-        assert not np.any(np.delete(full, live, axis=0))
-        assert op.live_part is op.live_part
-
-    def test_empty_operator(self):
-        live, sub = SparseOperator(sp.csr_matrix((4, 4))).live_part
-        assert len(live) == 0 and sub.shape == (0, 0)
-        assert sub.apply(np.zeros((0, 2))).shape == (0, 2)
-
-    def test_rejects_non_square(self):
-        with pytest.raises(ShapeError, match="live_part"):
-            SparseOperator(sp.csr_matrix((2, 3))).live_part
+class TestSpmmBackward:
+    def test_backward_multiplies_by_the_exact_transpose(self):
+        # degree scaling rounds (d_a * c) * d_b and (d_b * c) * d_a
+        # differently, so a complement matrix is symmetric only up to the
+        # last bit; a backward that reused the matrix itself would pass the
+        # finite-difference checks yet change training bits
+        R = build_interaction_matrix(random_interactions(12, 10, 0.4, seed=0))
+        A = build_complement(R, gamma=1.0)
+        assert (A != A.T).nnz > 0
+        t = Tape()
+        x = t.leaf(rand((10, 3), 71), name="x")
+        g = rand((10, 3), 72)
+        grads = backward(dc.reduce_sum(dc.mul(dc.spmm(A, x), t.constant(g))))
+        assert np.array_equal(grads["x"], A.T.tocsr() @ g)
 
 
 class TestShapeErrors:
@@ -293,7 +284,7 @@ class TestShapeErrors:
 
     def test_spmm_mismatch(self):
         t = Tape()
-        S = SparseOperator(sp.eye(3, format="csr"))
+        S = sp.eye(3, format="csr")
         with pytest.raises(ShapeError, match="spmm"):
             dc.spmm(S, t.leaf(np.ones((2, 2))))
 
@@ -324,7 +315,7 @@ class TestPerPrimitiveGradcheck:
         assert err < TOL
 
     def test_spmm(self):
-        S = SparseOperator(sp.random(5, 4, density=0.5, random_state=0, format="csr"))
+        S = sp.random(5, 4, density=0.5, random_state=0, format="csr")
         arrays = {"x": rand((4, 3), 4)}
         err = fd_check(lambda t, lv: dc.reduce_sum(
             dc.square(dc.spmm(S, lv["x"]))), arrays)

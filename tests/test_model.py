@@ -4,7 +4,7 @@ import scipy.sparse as sp
 
 import gclrec.diffcore as dc
 from gclrec.dataset import DataError
-from gclrec.diffcore import SparseOperator, Tape
+from gclrec.diffcore import Tape
 from gclrec.graphs import build_graph
 from gclrec.model import (
     NoiseBlock,
@@ -68,23 +68,24 @@ class TestGenerateNoise:
         t = Tape()
         leaves = self.params.leaves(t)
         z = t.constant(np.random.default_rng(1).normal(size=(6, 4)))
-        block = generate_noise(t, z, leaves, np.random.default_rng(2),
-                               NoiseSettings())
+        eps = np.random.default_rng(2).standard_normal((6, 4))
+        block = generate_noise(t, z, leaves, eps, NoiseSettings())
         np.testing.assert_array_equal(block.mu.value, 0.0)
         np.testing.assert_array_equal(block.sigma2.value, 1.0)
-        np.testing.assert_array_equal(block.sample.value, block.epsilon)
+        np.testing.assert_array_equal(block.sample.value, eps)
 
     def test_mode_none_rejected(self):
         t = Tape()
         z = t.constant(np.ones((5, 4)))
         with pytest.raises(ValueError, match="none"):
-            generate_noise(t, z, {}, np.random.default_rng(0), NO_NOISE)
+            generate_noise(t, z, {}, np.zeros((5, 4)), NO_NOISE)
 
     def test_sigma2_positive(self):
         t = Tape()
         leaves = self.params.leaves(t)
         z = t.constant(np.random.default_rng(3).normal(size=(6, 4)) * 10)
-        block = generate_noise(t, z, leaves, np.random.default_rng(4),
+        block = generate_noise(t, z, leaves,
+                               np.random.default_rng(4).normal(size=(6, 4)),
                                NoiseSettings())
         assert np.all(block.sigma2.value > 0)
 
@@ -98,8 +99,8 @@ class TestGenerateNoise:
             t = Tape()
             leaves = self.params.leaves(t)
             z = t.constant(np.zeros((6, 4)))
-            block = generate_noise(t, z, leaves, None,
-                                   NoiseSettings(scale=scale), frozen_eps=eps)
+            block = generate_noise(t, z, leaves, eps,
+                                   NoiseSettings(scale=scale))
             return block.sample.value
 
         np.testing.assert_allclose(sample("variance"), np.exp(2.0) * eps)
@@ -112,9 +113,8 @@ class TestGenerateNoise:
         t = Tape()
         leaves = self.params.leaves(t)
         z = t.constant(np.zeros((6, 4)))
-        block = generate_noise(t, z, leaves, None,
-                               NoiseSettings(distribution="uniform"),
-                               frozen_eps=eps)
+        block = generate_noise(t, z, leaves, eps,
+                               NoiseSettings(distribution="uniform"))
         gaussian = eps  # zero generator: mu=0, sigma2=1
         expected = 0.5 * gaussian * (1.0 + erf(gaussian / np.sqrt(2.0)))
         np.testing.assert_allclose(block.sample.value, expected, atol=1e-14)
@@ -123,12 +123,18 @@ class TestGenerateNoise:
         eps = np.random.default_rng(7).normal(size=(6, 4))
         t = Tape()
         z = t.constant(np.zeros((6, 4)))
-        block = generate_noise(t, z, {}, None,
-                               NoiseSettings(mode="random", s_fixed=0.1),
-                               frozen_eps=eps)
+        block = generate_noise(t, z, {}, eps,
+                               NoiseSettings(mode="random", s_fixed=0.1))
         np.testing.assert_array_equal(block.sample.value, 0.1 * eps)
         # nothing is learned, so no mean or variance node is built
         assert block.mu is None and block.sigma2 is None
+
+    def test_no_draw_takes_the_mean(self):
+        t = Tape()
+        leaves = self.params.leaves(t)
+        z = t.constant(np.random.default_rng(8).normal(size=(6, 4)))
+        block = generate_noise(t, z, leaves, None, NoiseSettings())
+        assert block.sample is block.mu and block.sigma2 is None
 
     def test_nonfinite_generator_output_raises(self):
         self.params.param_arrays()["gen.w3"][0, 0] = np.inf
@@ -136,8 +142,7 @@ class TestGenerateNoise:
         leaves = self.params.leaves(t)
         z = t.constant(np.ones((2, 4)))
         with pytest.raises(dc.DiffError, match="non-finite"):
-            generate_noise(t, z, leaves, np.random.default_rng(0),
-                           NoiseSettings())
+            generate_noise(t, z, leaves, np.zeros((2, 4)), NoiseSettings())
 
     def test_bad_settings_rejected(self):
         with pytest.raises(ValueError):
@@ -152,7 +157,7 @@ class TestPropagate:
     def test_single_edge_swaps_embeddings(self):
         # one user, one item, one edge: the normalized adjacency is the
         # antidiagonal, so layer 1 exchanges the two embeddings
-        A = SparseOperator(sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]])))
+        A = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
         t = Tape()
         z0 = t.constant(np.array([[1.0, 2.0], [3.0, 4.0]]))
         z1 = propagate(A, z0, None)
@@ -162,11 +167,11 @@ class TestPropagate:
         rng = np.random.default_rng(8)
         dense = sym_normalize_dense(
             adjacency_dense((rng.random((4, 5)) < 0.5).astype(float)))
-        A = SparseOperator(sp.csr_matrix(dense))
+        A = sp.csr_matrix(dense)
         t = Tape()
         z0 = t.constant(rng.normal(size=(9, 3)))
         zeros = np.zeros((9, 3))
-        zero_block = NoiseBlock(mu=None, sigma2=None, epsilon=zeros,
+        zero_block = NoiseBlock(mu=None, sigma2=None,
                                 sample=t.constant(zeros))
         with_zero = propagate(A, z0, zero_block)
         without = propagate(A, z0, None)
@@ -181,8 +186,7 @@ def normed(sample):
 
 def build_ops(data, gamma=1.0, complement=True):
     g = build_graph(data, gamma=gamma, complement_enabled=complement)
-    comp_op = SparseOperator(g.comp) if g.comp is not None else None
-    return SparseOperator(g.ui), comp_op, g
+    return g.ui, g.comp, g
 
 
 class TestEncode:
@@ -268,10 +272,10 @@ class TestEncode:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             empty = build_complement(R, gamma=1e9)
-        ui_op = SparseOperator(build_graph(self.data, 1.0).ui)
+        ui_op = build_graph(self.data, 1.0).ui
         t = Tape()
         leaves = self.params.leaves(t)
-        out = encode(t, leaves, ui_op, SparseOperator(empty), 6, 8, 2,
+        out = encode(t, leaves, ui_op, empty, 6, 8, 2,
                      np.random.default_rng(0), NoiseSettings())
         np.testing.assert_array_equal(out.z_c.value, 0.0)
         assert out.noise_blocks[("comp", 1)].sample.shape == (0, 4)
@@ -305,20 +309,20 @@ class TestLiveComplement:
                                         (2, 2), (2, 3), (3, 3), (3, 0),
                                         (4, 0), (4, 2)])
 
-    def encode(self, data, gamma, seed, frozen=None):
+    def encode(self, data, gamma, seed):
         m, n = data.num_users, data.num_items
         ui_op, comp_op, g = build_ops(data, gamma=gamma)
         params = init_params(m, n, 4, 4, seed=seed)
         t = Tape()
         leaves = params.leaves(t)
         rng = np.random.default_rng(seed)
-        out = encode(t, leaves, ui_op, comp_op, m, n, 3, rng, NoiseSettings(),
-                     frozen_eps=frozen)
-        return out, params, g, comp_op, rng, t, leaves
+        out = encode(t, leaves, ui_op, comp_op, m, n, 3, rng, NoiseSettings())
+        # items whose complement row or column holds an entry
+        live = np.flatnonzero(comp_op.getnnz(axis=0) + comp_op.getnnz(axis=1))
+        return out, params, g, live, rng, t, leaves
 
     def test_matches_dense_replay_with_zero_noise_at_dead_items(self):
-        out, params, g, comp_op, _, _, _ = self.encode(self.DEAD, 2.0, 21)
-        live = comp_op.live_part[0]
+        out, params, g, live, _, _, _ = self.encode(self.DEAD, 2.0, 21)
         assert live.tolist() == [0, 1, 2, 3]
         noise = []
         for k in (1, 2, 3):
@@ -337,8 +341,7 @@ class TestLiveComplement:
         np.testing.assert_array_equal(out.z_c.value[4:], 0.0)
 
     def test_noise_blocks_hold_live_rows_of_full_draws(self):
-        out, _, _, comp_op, rng, _, _ = self.encode(self.DEAD, 2.0, 22)
-        live = comp_op.live_part[0]
+        out, _, _, live, rng, _, _ = self.encode(self.DEAD, 2.0, 22)
         # the random stream is that of full-height draws: 3 user-item
         # layers of 12 rows, then 3 complement layers of 7 rows
         replay = np.random.default_rng(22)
@@ -348,26 +351,17 @@ class TestLiveComplement:
             block = out.noise_blocks[("comp", k)]
             for part in (block.mu, block.sigma2, block.sample):
                 assert part.shape == (len(live), 4)
-            np.testing.assert_array_equal(
-                block.epsilon, replay.standard_normal((7, 4))[live])
+            eps = replay.standard_normal((7, 4))[live]
+            assert np.array_equal(block.sample.value,
+                                  block.mu.value + block.sigma2.value * eps)
         assert rng.standard_normal() == replay.standard_normal()
-
-    def test_frozen_eps_are_full_height(self):
-        eps = {(ch, k): np.random.default_rng(k).normal(size=(rows, 4))
-               for ch, rows in (("ui", 12), ("comp", 7)) for k in (1, 2, 3)}
-        out = self.encode(self.DEAD, 2.0, 23, frozen=eps)[0]
-        for k in (1, 2, 3):
-            np.testing.assert_array_equal(
-                out.noise_blocks[("comp", k)].epsilon, eps[("comp", k)][:4])
 
     def test_all_items_live_equals_full_row_path(self):
         # every item live: values and gradients equal, bit for bit, the
         # earlier channel that generated noise for every row
-        eps = {(ch, k): np.random.default_rng(10 + k).normal(size=(rows, 4))
-               for ch, rows in (("ui", 9), ("comp", 4)) for k in (1, 2, 3)}
-        out, params, _, comp_op, _, t, leaves = self.encode(
-            self.ALL_LIVE, 1.0, 24, frozen=eps)
-        assert len(comp_op.live_part[0]) == 4
+        out, params, g, live, _, t, leaves = self.encode(
+            self.ALL_LIVE, 1.0, 24)
+        assert len(live) == 4
         values = [z.value for z in out.comp_layers + [out.z_c]]
         weights = np.random.default_rng(25).normal(size=(4, 4))
         grads = dc.backward(dc.reduce_sum(dc.mul(
@@ -377,10 +371,15 @@ class TestLiveComplement:
         leaves = params.leaves(t)
         z = dc.row_slice(leaves["base_embedding"], 5, 9)
         layers = []
+        # replay the stream: 3 user-item draws of 9 rows come first
+        replay = np.random.default_rng(24)
+        for _ in range(3):
+            replay.standard_normal((9, 4))
         for k in (1, 2, 3):
-            block = generate_noise(t, z, leaves, None, NoiseSettings(),
-                                   frozen_eps=eps[("comp", k)])
-            z = propagate(comp_op, z, block)
+            block = generate_noise(t, z, leaves,
+                                   replay.standard_normal((4, 4)),
+                                   NoiseSettings())
+            z = propagate(g.comp, z, block)
             layers.append(z)
         avg = dc.scale(dc.add(dc.add(layers[0], layers[1]), layers[2]),
                        1.0 / 3)

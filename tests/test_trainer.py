@@ -155,9 +155,9 @@ class TestTrainEpoch:
         seen = []
         original = tr._batch_loss
 
-        def spy(params, ctx, cfg, rng, users, pos, neg, frozen_eps=None):
+        def spy(params, ctx, cfg, rng, users, pos, neg):
             seen.extend(zip(users.tolist(), pos.tolist()))
-            return original(params, ctx, cfg, rng, users, pos, neg, frozen_eps)
+            return original(params, ctx, cfg, rng, users, pos, neg)
 
         monkeypatch.setattr(tr, "_batch_loss", spy)
         train_epoch(params, ctx, cfg, np.random.default_rng(3), AdamState())
@@ -217,17 +217,14 @@ class TestBatchLoss:
         params = init_params(4, 5, cfg.d, cfg.h, seed=3)
         users, pos = data.pairs[:, 0], data.pairs[:, 1]
         neg = sample_negatives(ctx.R, users, 3, np.random.default_rng(4))
-        eps_rng = np.random.default_rng(5)
-        frozen = {(ch, k): eps_rng.standard_normal((rows, cfg.d))
-                  for ch, rows in (("ui", 9), ("comp", 5)) for k in (1, 2)}
 
         def f(point):
+            # a fresh rng per evaluation keeps the epsilon draws fixed
             probe = params.copy()
             for name, arr in point.items():
                 probe.param_arrays()[name][...] = arr
             _, total, grads = tr._batch_loss(
-                probe, ctx, cfg, np.random.default_rng(0), users, pos, neg,
-                frozen_eps=frozen)
+                probe, ctx, cfg, np.random.default_rng(0), users, pos, neg)
             return total.value[0, 0], grads
 
         point = {k: v.copy() for k, v in params.param_arrays().items()}
@@ -291,23 +288,19 @@ class TestEvaluateModel:
         fold = toy_fold()
         cfg = tiny_config(eval_noise=eval_noise)
         ctx = build_context(fold.train, cfg)
-        assert len(ctx.comp_op.live_part[0]) > 0
+        assert ctx.comp_op.nnz > 0
         params = init_params(6, 8, 4, 4, seed=7)
         got = evaluate_model(params, ctx, fold.test, cfg)
 
         original, passed = tr.encode, []
 
         def both_channels(tape, leaves, ui_op, comp_op, m, n, num_layers,
-                          rng, settings, frozen_eps=None):
+                          rng, settings):
             # the earlier evaluation pass: run the complement channel too,
-            # with zero epsilon there as well in eval.noise = mean
+            # with the noise mean there as well in eval.noise = mean
             passed.append(comp_op)
-            if frozen_eps is not None:
-                frozen_eps = {**frozen_eps,
-                              **{("comp", k): np.zeros((n, cfg.d))
-                                 for k in range(1, num_layers + 1)}}
             return original(tape, leaves, ui_op, ctx.comp_op, m, n,
-                            num_layers, rng, settings, frozen_eps)
+                            num_layers, rng, settings)
 
         monkeypatch.setattr(tr, "encode", both_channels)
         assert evaluate_model(params, ctx, fold.test, cfg) == got
