@@ -63,22 +63,19 @@ def infonce(view_a, view_b, tau):
     return dc.reduce_mean(dc.sub(lse, pos))
 
 
-def multi_pair_cl(user_views, item_views, comp_views, tau, normalize=True):
+def multi_pair_cl(user_views, item_views, comp_views, tau):
     """Mean of the per-class contrastive losses.
 
     Each views argument is a pair of view nodes with one row per entity;
-    ``comp_views`` may be None when the complement channel is off.  With
-    ``normalize`` the views are row-normalized first, making similarities
-    cosines.
+    ``comp_views`` may be None when the complement channel is off.  The
+    views are row-normalized first, so the similarities are cosines.
     """
     losses = []
     for views in (user_views, item_views, comp_views):
         if views is None:
             continue
         a, b = views
-        if normalize:
-            a, b = dc.rownorm(a), dc.rownorm(b)
-        losses.append(infonce(a, b, tau))
+        losses.append(infonce(dc.rownorm(a), dc.rownorm(b), tau))
     if not losses:
         raise ValueError("multi_pair_cl: no view pairs present")
     return dc.mean_of(losses)

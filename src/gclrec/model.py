@@ -115,21 +115,25 @@ def mlp_forward(x, leaves, prefix):
     return dc.mlp3(x, *(leaves[f"{prefix}.{w}"] for w in _MLP_WEIGHTS))
 
 
+# variance of mode random's zero-mean noise, the fixed magnitude of the
+# w/-rand ablation
+_RANDOM_VARIANCE = 0.1
+
+
 @dataclass(frozen=True)
 class NoiseSettings:
     """How noise samples are produced.
 
-    mode: generative (learned mu/sigma), random (fixed-scale, zero-mean),
-    or none.  distribution gaussian keeps the raw reparameterized sample;
-    uniform passes it through GELU and pairs with a uniform prior.  scale
-    selects whether epsilon is multiplied by the variance or by the
-    standard deviation.  s_fixed is the variance used by mode random.
+    mode: generative (learned mu/sigma), random (zero mean, fixed
+    variance 0.1), or none.  distribution gaussian keeps the raw
+    reparameterized sample; uniform passes it through GELU and pairs with
+    a uniform prior.  scale selects whether epsilon is multiplied by the
+    variance or by the standard deviation.
     """
 
     mode: str = "generative"
     distribution: str = "gaussian"
     scale: str = "variance"
-    s_fixed: float = 0.1
 
     def __post_init__(self):
         if self.mode not in ("generative", "random", "none"):
@@ -143,8 +147,8 @@ class NoiseSettings:
 @dataclass
 class NoiseBlock:
     """One layer's noise: mu, sigma^2 and the sample mu + scale(sigma) *
-    epsilon.  mu/sigma2 are tape nodes only in mode generative, and
-    sigma2 only when epsilon was drawn; otherwise they are None."""
+    epsilon.  mu/sigma2 are tape nodes in mode generative and None in
+    mode random."""
 
     mu: object
     sigma2: object
@@ -155,7 +159,6 @@ def generate_noise(tape, z_prev, leaves, eps, settings):
     """Produce a :class:`NoiseBlock` for one layer from its input
     embeddings and its epsilon draw ``eps`` (an array shaped like
     ``z_prev``), in mode generative or random (mode none draws no noise).
-    In mode generative ``eps`` None takes the noise mean mu.
     """
     if settings.mode == "none":
         raise ValueError("generate_noise: noise mode 'none' draws no noise")
@@ -167,16 +170,14 @@ def generate_noise(tape, z_prev, leaves, eps, settings):
             raise DiffError("noise generator produced non-finite values")
         mu = dc.col_slice(out, 0, d)
         logvar = dc.col_slice(out, d, 2 * d)
-        sample, sigma2 = mu, None
-        if eps is not None:
-            sigma2 = dc.exp(logvar)
-            scale_node = sigma2 if settings.scale == "variance" \
-                else dc.exp(dc.scale(logvar, 0.5))
-            sample = dc.add(mu, dc.mul(scale_node, tape.constant(eps)))
+        sigma2 = dc.exp(logvar)
+        scale_node = sigma2 if settings.scale == "variance" \
+            else dc.exp(dc.scale(logvar, 0.5))
+        sample = dc.add(mu, dc.mul(scale_node, tape.constant(eps)))
     else:  # random: zero mean, fixed variance, nothing to learn
         mu = sigma2 = None
-        s = settings.s_fixed if settings.scale == "variance" \
-            else np.sqrt(settings.s_fixed)
+        s = _RANDOM_VARIANCE if settings.scale == "variance" \
+            else np.sqrt(_RANDOM_VARIANCE)
         sample = dc.scale(tape.constant(eps), s)
 
     if settings.distribution == "uniform":
@@ -224,7 +225,7 @@ def encode(tape, leaves, ui_op, comp_op, num_users, num_items, num_layers,
     Each (channel, layer) draws its epsilon from ``rng`` at full height,
     m+n rows for "ui" and n for "comp", user-item layers first; the
     complement noise blocks hold only the rows of the live items.  ``rng``
-    None draws nothing and takes the noise mean (mode generative only).
+    may be None in mode none, which draws nothing.
     """
     if num_layers < 1:
         raise ValueError(f"number of layers must be >= 1, got {num_layers}")
@@ -237,8 +238,7 @@ def encode(tape, leaves, ui_op, comp_op, num_users, num_items, num_layers,
         for k in range(1, num_layers + 1):
             block = None
             if settings.mode != "none":
-                eps = None if rng is None \
-                    else rng.standard_normal((height, d))[rows]
+                eps = rng.standard_normal((height, d))[rows]
                 block = generate_noise(tape, z, leaves, eps, settings)
                 blocks[(channel, k)] = block
             z = propagate(op, z, block)
@@ -281,15 +281,13 @@ def reconstruct(noise_sample, leaves, pairs, num_users):
 
     ``noise_sample`` is the ui-channel noise node whose rows [0, m) are
     users and [m, m+n) are items; for each (u, i) pair the prediction is
-    dot(f(N_u), f(N_i)).  ``leaves`` None applies the identity map instead
-    of the reconstructor MLP.
+    dot(f(N_u), f(N_i)), with f the reconstructor MLP read from ``leaves``.
     """
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     n_u = dc.gather(noise_sample, pairs[:, 0])
     n_i = dc.gather(noise_sample, num_users + pairs[:, 1])
-    if leaves is not None:
-        n_u = mlp_forward(n_u, leaves, "rec")
-        n_i = mlp_forward(n_i, leaves, "rec")
+    n_u = mlp_forward(n_u, leaves, "rec")
+    n_i = mlp_forward(n_i, leaves, "rec")
     return dc.reduce_sum(dc.mul(n_u, n_i), axis=1)
 
 

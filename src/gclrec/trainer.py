@@ -62,12 +62,10 @@ class TrainConfig:
     eval_interval: int = 5
     seed: int = 42
     folds: int = 5
-    neg_per_pos: int = 1
     data_path: str = ""
     noise_mode: str = "generative"
     noise_distribution: str = "gaussian"
     noise_scale: str = "variance"
-    noise_s_fixed: float = 0.1
     ddl: str = "kl"
     kl_formula: str = "standard"
     mmd_bandwidth: float = 0.0
@@ -75,8 +73,6 @@ class TrainConfig:
     filter_enabled: bool = True
     cl_view_a: str = "avg"
     cl_view_b: str = "1"
-    cl_normalize: bool = True
-    eval_noise: str = "none"
 
     # dotted config key -> (field name, parser)
     KEYS = {
@@ -94,12 +90,10 @@ class TrainConfig:
         "eval_interval": ("eval_interval", int),
         "seed": ("seed", int),
         "folds": ("folds", int),
-        "neg_per_pos": ("neg_per_pos", int),
         "data.path": ("data_path", str),
         "noise.mode": ("noise_mode", str),
         "noise.distribution": ("noise_distribution", str),
         "noise.scale": ("noise_scale", str),
-        "noise.s_fixed": ("noise_s_fixed", float),
         "ddl": ("ddl", str),
         "kl.formula": ("kl_formula", str),
         "mmd.bandwidth": ("mmd_bandwidth", float),
@@ -107,8 +101,6 @@ class TrainConfig:
         "filter.enabled": ("filter_enabled", _parse_bool),
         "cl.view_a": ("cl_view_a", str),
         "cl.view_b": ("cl_view_b", str),
-        "cl.normalize": ("cl_normalize", _parse_bool),
-        "eval.noise": ("eval_noise", str),
     }
 
     @classmethod
@@ -159,8 +151,6 @@ class TrainConfig:
             (self.patience >= 1, "patience must be >= 1"),
             (self.eval_interval >= 1, "eval_interval must be >= 1"),
             (self.folds >= 2, "folds must be >= 2"),
-            (self.neg_per_pos >= 1, "neg_per_pos must be >= 1"),
-            (self.noise_s_fixed > 0, "noise.s_fixed must be positive"),
             (self.mmd_bandwidth >= 0, "mmd.bandwidth must be >= 0"),
             (self.noise_mode in ("generative", "random", "none"),
              f"unknown noise.mode: {self.noise_mode}"),
@@ -171,8 +161,6 @@ class TrainConfig:
             (self.ddl in ("kl", "mmd"), f"unknown ddl: {self.ddl}"),
             (self.kl_formula in ("standard", "paper"),
              f"unknown kl.formula: {self.kl_formula}"),
-            (self.eval_noise in ("none", "mean"),
-             f"unknown eval.noise: {self.eval_noise}"),
         ]
         for ok, message in checks:
             if not ok:
@@ -192,8 +180,7 @@ class TrainConfig:
     def noise_settings(self):
         return NoiseSettings(mode=self.noise_mode,
                              distribution=self.noise_distribution,
-                             scale=self.noise_scale,
-                             s_fixed=self.noise_s_fixed)
+                             scale=self.noise_scale)
 
     def copy(self):
         return replace(self)
@@ -213,13 +200,17 @@ class AdamState:
 
 def adam_step(param_table, grads, state, lr=0.001, beta1=0.9, beta2=0.999,
               eps=1e-8):
-    """Bias-corrected Adam update, in place on the parameter arrays."""
+    """Bias-corrected Adam update, in place on the parameter arrays.
+
+    All or nothing: a non-finite gradient anywhere raises DiffError before
+    any parameter, moment or the step count changes."""
+    for name in param_table:
+        if not np.all(np.isfinite(grads[name])):
+            raise DiffError(f"non-finite gradient for {name!r}; training diverged")
     state.t += 1
     t = state.t
     for name, p in param_table.items():
         g = grads[name]
-        if not np.all(np.isfinite(g)):
-            raise DiffError(f"non-finite gradient for {name!r}; training diverged")
         if name not in state.m:
             state.m[name] = np.zeros_like(p)
             state.v[name] = np.zeros_like(p)
@@ -266,8 +257,8 @@ def build_context(train, cfg):
 
 
 def _batch_loss(params, ctx, cfg, rng, users, pos_items, neg_items):
-    """Forward pass and joint loss for one batch; returns (report, total
-    node, gradient table)."""
+    """Forward pass and joint loss for one batch, one sampled negative per
+    positive; returns (report, total node, gradient table)."""
     m, n = ctx.num_users, ctx.num_items
     tape = Tape()
     leaves = params.leaves(tape)
@@ -276,17 +267,13 @@ def _batch_loss(params, ctx, cfg, rng, users, pos_items, neg_items):
 
     u_idx = np.asarray(users, dtype=np.int64)
     p_idx = np.asarray(pos_items, dtype=np.int64)
-    neg = np.asarray(neg_items, dtype=np.int64).reshape(len(u_idx), -1)
-    neg_flat = neg.reshape(-1)
-    # batch row of each (positive, negative) pair
-    pair_row = np.repeat(np.arange(len(u_idx)), neg.shape[1])
-    touched = np.unique(np.concatenate([u_idx, m + p_idx, m + neg_flat]))
+    n_idx = np.asarray(neg_items, dtype=np.int64).reshape(len(u_idx))
+    touched = np.unique(np.concatenate([u_idx, m + p_idx, m + n_idx]))
 
     zu_b = dc.gather(out.z_u, u_idx)
     pos_scores = dc.reduce_sum(dc.mul(zu_b, dc.gather(out.z_i, p_idx)), axis=1)
-    neg_scores = dc.reduce_sum(dc.mul(dc.gather(zu_b, pair_row),
-                                      dc.gather(out.z_i, neg_flat)), axis=1)
-    rec = ls.bpr_loss(dc.gather(pos_scores, pair_row), neg_scores)
+    neg_scores = dc.reduce_sum(dc.mul(zu_b, dc.gather(out.z_i, n_idx)), axis=1)
+    rec = ls.bpr_loss(pos_scores, neg_scores)
 
     cl = None
     if cfg.lambda_ > 0:
@@ -299,13 +286,13 @@ def _batch_loss(params, ctx, cfg, rng, users, pos_items, neg_items):
 
         comp_views = views("comp", ii) if ctx.comp_op is not None else None
         cl = ls.multi_pair_cl(views("user", uu), views("item", ii),
-                              comp_views, cfg.tau, normalize=cfg.cl_normalize)
+                              comp_views, cfg.tau)
 
     recon = ddl = None
     if cfg.noise_mode == "generative":
         block = out.noise_blocks[("ui", 1)]
         pos_pairs = np.column_stack([u_idx, p_idx])
-        neg_pairs = np.column_stack([u_idx[pair_row], neg_flat])
+        neg_pairs = np.column_stack([u_idx, n_idx])
         all_pairs = np.vstack([pos_pairs, neg_pairs])
         targets = np.concatenate([np.ones(len(pos_pairs)),
                                   np.zeros(len(neg_pairs))])
@@ -341,7 +328,7 @@ def train_epoch(params, ctx, cfg, rng, state):
     for lo in range(0, len(order), cfg.batch_size):
         batch = pairs[order[lo:lo + cfg.batch_size]]
         users, pos = batch[:, 0], batch[:, 1]
-        neg = sample_negatives(ctx.R, users, cfg.neg_per_pos, rng)
+        neg = sample_negatives(ctx.R, users, 1, rng)
         report, _, grads = _batch_loss(params, ctx, cfg, rng, users, pos, neg)
         adam_step(params.param_arrays(), grads, state, lr=cfg.learning_rate)
         sums += [report.rec, report.cl, report.recon, report.ddl,
@@ -353,16 +340,12 @@ def train_epoch(params, ctx, cfg, rng, state):
 
 
 def eval_embeddings(params, ctx, cfg):
-    """Deterministic encoder output for scoring: noise disabled, or the
-    learned mean perturbation when eval.noise = mean.  Scores read only
-    the user-item channel, so the complement channel is not run."""
+    """Deterministic encoder output for scoring: the encoder runs with
+    noise off and draws nothing.  Scores read only the user-item channel,
+    so the complement channel is not run."""
     tape = Tape()
-    leaves = params.leaves(tape)
-    settings = NoiseSettings(mode="none")
-    if cfg.eval_noise == "mean" and cfg.noise_mode == "generative":
-        settings = cfg.noise_settings()
-    out = encode(tape, leaves, ctx.ui_op, None, ctx.num_users,
-                 ctx.num_items, cfg.L, None, settings)
+    out = encode(tape, params.leaves(tape), ctx.ui_op, None, ctx.num_users,
+                 ctx.num_items, cfg.L, None, NoiseSettings(mode="none"))
     # nodes and their tape reference each other; emptying the tape frees
     # the forward values on return instead of at the next garbage
     # collection, which would otherwise keep them alive through ranking

@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -69,6 +70,16 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match=":2"):
             _parse_config_file(str(path))
 
+    def test_shipped_config_is_the_defaults(self):
+        # the shipped file documents the published settings, which are the
+        # defaults; every key it sets must still be in the schema
+        path = Path(__file__).resolve().parents[1] / "configs" / "ciaodvd.cfg"
+        table = _parse_config_file(str(path))
+        shipped = TrainConfig.from_strings(table).to_strings()
+        defaults = TrainConfig().to_strings()
+        del table["data.path"]
+        assert {k: shipped[k] for k in table} == {k: defaults[k] for k in table}
+
     def test_missing_file_is_data_error(self, tmp_path, capsys):
         code = run_cli("prepare", "--config", str(tmp_path / "absent.cfg"),
                        "--out", str(tmp_path / "out"))
@@ -82,6 +93,16 @@ class TestExitCodes:
                        "--out", str(tmp_path / "out"))
         assert code == 2
         assert "nois.mode" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("pair", ["neg_per_pos=3", "noise.s_fixed=0.2",
+                                      "cl.normalize=false",
+                                      "eval.noise=mean"])
+    def test_retired_key_is_unknown(self, config_file, tmp_path, capsys, pair):
+        code = run_cli("train", "--config", str(config_file), "--set", pair,
+                       "--out", str(tmp_path / "out"))
+        assert code == 2
+        key = pair.partition("=")[0]
+        assert f"unknown config key: {key}" in capsys.readouterr().err
 
     def test_bad_set_syntax(self, config_file, tmp_path, capsys):
         code = run_cli("train", "--config", str(config_file),
@@ -275,7 +296,6 @@ class TestEvaluate:
         capsys.readouterr()
         code = run_cli("evaluate", str(out / "checkpoint.npz"),
                        "--config", str(config_file), "--set", override,
-                       "--set", "eval.noise=mean",
                        "--out", str(tmp_path / "eval"))
         assert code == 2
         assert "checkpoint" in capsys.readouterr().err

@@ -152,11 +152,12 @@ class TestMultiPairCL:
     def test_normalization_flag(self):
         t = Tape()
         u = self.make_views(t, 9)
-        normalized = scalar(multi_pair_cl(u, None, None, 0.2, normalize=True))
+        # the views are row-normalized: cosines, not raw dot products
+        normalized = scalar(multi_pair_cl(u, None, None, 0.2))
         a, b = u
         expected = infonce_dense(a.value, b.value, 0.2)
         assert normalized == pytest.approx(expected, abs=1e-10)
-        raw = scalar(multi_pair_cl(u, None, None, 0.2, normalize=False))
+        raw = scalar(infonce(a, b, 0.2))
         assert raw != pytest.approx(normalized, abs=1e-6)
 
     def test_no_views_rejected(self):

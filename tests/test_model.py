@@ -13,6 +13,7 @@ from gclrec.model import (
     generate_noise,
     init_params,
     load_checkpoint,
+    mlp_forward,
     propagate,
     reconstruct,
     save_checkpoint,
@@ -123,18 +124,10 @@ class TestGenerateNoise:
         eps = np.random.default_rng(7).normal(size=(6, 4))
         t = Tape()
         z = t.constant(np.zeros((6, 4)))
-        block = generate_noise(t, z, {}, eps,
-                               NoiseSettings(mode="random", s_fixed=0.1))
+        block = generate_noise(t, z, {}, eps, NoiseSettings(mode="random"))
         np.testing.assert_array_equal(block.sample.value, 0.1 * eps)
         # nothing is learned, so no mean or variance node is built
         assert block.mu is None and block.sigma2 is None
-
-    def test_no_draw_takes_the_mean(self):
-        t = Tape()
-        leaves = self.params.leaves(t)
-        z = t.constant(np.random.default_rng(8).normal(size=(6, 4)))
-        block = generate_noise(t, z, leaves, None, NoiseSettings())
-        assert block.sample is block.mu and block.sigma2 is None
 
     def test_nonfinite_generator_output_raises(self):
         self.params.param_arrays()["gen.w3"][0, 0] = np.inf
@@ -392,10 +385,19 @@ class TestLiveComplement:
 
 class TestReconstruct:
     def test_identity_map_unit_vectors(self):
+        # pair (u, i) reads noise row u and noise row m + i, each through
+        # the reconstructor on its own
+        params = init_params(2, 3, 3, 3, seed=10)
+        rows = np.random.default_rng(10).normal(size=(5, 3))
+        pairs = [(1, 2), (0, 1), (1, 0)]
         t = Tape()
-        noise = t.constant(np.array([[1.0, 0.0], [1.0, 0.0]]))
-        out = reconstruct(noise, None, [(0, 0)], num_users=1)
-        assert out.value[0, 0] == pytest.approx(1.0)
+        leaves = params.leaves(t)
+        out = reconstruct(t.constant(rows), leaves, pairs, num_users=2)
+        for k, (u, i) in enumerate(pairs):
+            f_u = mlp_forward(t.constant(rows[[u]]), leaves, "rec").value
+            f_i = mlp_forward(t.constant(rows[[2 + i]]), leaves, "rec").value
+            assert out.value[k, 0] == pytest.approx(np.dot(f_u[0], f_i[0]),
+                                                    rel=1e-12)
 
     def test_zero_noise_constant_prediction(self):
         params = init_params(2, 2, 3, 3, seed=11)
