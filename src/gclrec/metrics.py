@@ -35,30 +35,7 @@ class RankingMetrics:
                 f"{self.ndcg!r},{self.users_evaluated},{self.users_skipped}")
 
 
-def _exact_topk_row(scores, k):
-    """Indices of the k largest finite scores, ties toward lower index.
-
-    The row must already have excluded items set to -inf.
-    """
-    n = len(scores)
-    candidates = int(np.isfinite(scores).sum())
-    kk = min(k, candidates)
-    if kk == 0:
-        return np.empty(0, dtype=np.int64)
-    if kk < n:
-        part = np.argpartition(-scores, kk - 1)[:kk]
-        boundary = scores[part].min()
-    else:
-        boundary = scores.min()
-    above = np.flatnonzero(scores > boundary)
-    need = kk - len(above)
-    at = np.flatnonzero(scores == boundary)[:need]  # ascending index order
-    chosen = np.concatenate([above, at])
-    order = np.lexsort((chosen, -scores[chosen]))
-    return chosen[order].astype(np.int64)
-
-
-def rank_topk(z_u, z_i, train_items, k, users=None, chunk=1024):
+def rank_topk(z_u, z_i, train_items, k, users=None, chunk=128):
     """Top-k item lists per user from dot-product scores.
 
     ``train_items`` is the binary users x items train matrix in CSR form;
@@ -66,23 +43,78 @@ def rank_topk(z_u, z_i, train_items, k, users=None, chunk=1024):
     break toward the lower item index, so rankings are deterministic.
     Lists are shorter than k only when a user has fewer than k candidate
     items.
+
+    Scores are the float64 dot products of finite embeddings, and must
+    not overflow.  Each chunk of users is scored over the whole catalog
+    in float32; only the items whose float32 score lies within a proven
+    rounding bound of their row's float32 k-th score are scored again in
+    float64 and ordered, so the lists are those of a float64 ranking of
+    the whole catalog.
     """
-    z_u = np.asarray(z_u)
-    z_i = np.asarray(z_i)
-    n = z_i.shape[0]
-    if k > n:
-        raise ValueError(f"k={k} exceeds the number of items ({n})")
+    z_u = np.asarray(z_u, dtype=np.float64)
+    z_i = np.asarray(z_i, dtype=np.float64)
+    n, d = z_i.shape
+    if not 1 <= k <= n:
+        raise ValueError(f"k={k} is not between 1 and the number of items "
+                         f"({n})")
+    if not (np.isfinite(z_u).all() and np.isfinite(z_i).all()):
+        raise ValueError("rank_topk needs finite embeddings")
     if users is None:
         users = np.arange(z_u.shape[0])
     users = np.asarray(users, dtype=np.int64)
+    # The bound.  Scaling by a power of two is exact: each user row
+    # x = 2^-a u gets its largest entry into [0.5, 1), and every item
+    # row y = 2^-b i shares one b, which keeps each row's ranking and
+    # keeps float32 clear of overflow.  Let c = 2^-(a+b), y_max the
+    # largest scaled item norm and gamma_n = n u / (1 - n u) for unit
+    # roundoff u.
+    # - The float32 score f rounds each x_k and y_k once in the cast, and
+    #   a dot product in any summation order adds gamma_d, so
+    #   |f - x.y| <= gamma32_{d+2} |x| y_max.
+    # - The float64 re-score s of u.i has |c s - x.y| <= gamma64_d |x|
+    #   y_max, which is at most u32 |x| y_max while d < 2^28.
+    # So |f - c s| <= E = gamma32_{d+3} |x| y_max; gamma32_{d+4} leaves
+    # room for the rounding of the computed norms and of the floor below
+    # (float64, far under u32 relative).  Underflow adds at most
+    # half a subnormal step per rounding: d 2^-147 in float32 (entries
+    # below 1) and c d 2^-1074 in float64.
+    # Containment: if item j is in the float64 top k, then f_j >= v - 2E
+    # for the row's float32 k-th score v.  Otherwise each of the k items
+    # a with f_a >= v has c s_a >= f_a - E >= v - E > f_j + E >= c s_j,
+    # so k items beat j outright.  Ties in s only enlarge the set.
+    x = z_u[users]
+    a = np.frexp(np.abs(x).max(axis=1, initial=0.0))[1]
+    b = np.frexp(np.abs(z_i).max(initial=0.0))[1]
+    x, y = np.ldexp(x, -a[:, None]), np.ldexp(z_i, -b)
+    gamma = (d + 4) * 2.0 ** -24 / (1 - (d + 4) * 2.0 ** -24)
+    with np.errstate(over="ignore"):  # an infinite bound keeps every item
+        radius = 2 * (gamma * np.linalg.norm(x, axis=1)
+                      * np.linalg.norm(y, axis=1).max(initial=0.0)
+                      + d * 2.0 ** -147 + np.ldexp(d * 2.0 ** -1074, -(a + b)))
+    x, y = x.astype(np.float32), y.astype(np.float32)
+    lowest = np.finfo(np.float32).min
     lists = []
     for lo in range(0, len(users), chunk):
         batch = users[lo:lo + chunk]
-        scores = z_u[batch] @ z_i.T
+        scores = x[lo:lo + chunk] @ y.T
         held = train_items[batch]
         scores[np.repeat(np.arange(len(batch)), np.diff(held.indptr)),
                held.indices] = -np.inf
-        lists.extend(_exact_topk_row(s, k) for s in scores)
+        kth = np.partition(scores, n - k, axis=1)[:, n - k]
+        # the floor is taken in float64 and rounded down to float32; a row
+        # with fewer than k finite scores keeps all of them
+        floor = np.maximum(kth - radius[lo:lo + chunk], lowest)
+        floor32 = floor.astype(np.float32)
+        np.nextafter(floor32, lowest, out=floor32, where=floor32 > floor)
+        rows, items = np.divmod(np.flatnonzero(scores >= floor32[:, None]), n)
+        exact = np.einsum("ij,ij->i", z_u[batch[rows]], z_i[items])
+        order = np.lexsort((items, -exact, rows))
+        rows, items = rows[order], items[order]
+        counts = np.bincount(rows, minlength=len(batch))
+        rank = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts,
+                                                counts)
+        lengths = np.minimum(counts, k)
+        lists.extend(np.split(items[rank < k], np.cumsum(lengths)[:-1]))
     return lists
 
 

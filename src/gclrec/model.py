@@ -321,8 +321,9 @@ def load_checkpoint(path):
     """Read a checkpoint back into (ModelParams, seed).
 
     Raises :class:`DataError` naming the file when it is not an npz
-    archive, or when its arrays are not exactly those :func:`init_params`
-    makes for the shapes recorded in its ``meta``.
+    archive, when its arrays are not exactly those :func:`init_params`
+    makes for the shapes recorded in its ``meta``, or when one is not
+    finite float64.
     """
     try:
         data = np.load(path)
@@ -346,5 +347,10 @@ def load_checkpoint(path):
         if table[name].shape != shape:
             raise DataError(f"{path}: array {name} has shape "
                             f"{table[name].shape}, its meta gives {shape}")
+        if table[name].dtype != np.float64:
+            raise DataError(f"{path}: array {name} is {table[name].dtype}, "
+                            "not float64")
+        if not np.isfinite(table[name]).all():
+            raise DataError(f"{path}: array {name} has non-finite values")
     return ModelParams(num_users=m, num_items=n, dim=d, hidden=h,
                        table={name: table[name] for name in shapes}), seed

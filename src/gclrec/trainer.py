@@ -342,26 +342,37 @@ def train_epoch(params, ctx, cfg, rng, state):
 def eval_embeddings(params, ctx, cfg):
     """Deterministic encoder output for scoring: the encoder runs with
     noise off and draws nothing.  Scores read only the user-item channel,
-    so the complement channel is not run."""
+    so the complement channel is not run.  Raises :class:`DiffError` when
+    an embedding is not finite."""
     tape = Tape()
-    out = encode(tape, params.leaves(tape), ctx.ui_op, None, ctx.num_users,
-                 ctx.num_items, cfg.L, None, NoiseSettings(mode="none"))
+    # an overflow shows as a non-finite embedding, reported below
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = encode(tape, params.leaves(tape), ctx.ui_op, None,
+                     ctx.num_users, ctx.num_items, cfg.L, None,
+                     NoiseSettings(mode="none"))
     # nodes and their tape reference each other; emptying the tape frees
     # the forward values on return instead of at the next garbage
     # collection, which would otherwise keep them alive through ranking
     tape.nodes.clear()
-    return out.z_u.value, out.z_i.value
+    z_u, z_i = out.z_u.value, out.z_i.value
+    if not (np.isfinite(z_u).all() and np.isfinite(z_i).all()):
+        raise DiffError("non-finite embeddings for evaluation")
+    return z_u, z_i
 
 
 def evaluate_model(params, ctx, test, cfg, ks=(5, 10, 20)):
     """Ranking metrics on a held-out split at each cutoff.
 
-    Users without train interactions are excluded; users without test
-    interactions are skipped inside the aggregation and tallied.
+    Only users with both train and test interactions are ranked; users
+    with train but no test interactions are tallied as skipped, and users
+    without train interactions are excluded.
     """
     z_u, z_i = eval_embeddings(params, ctx, cfg)
     T = build_interaction_matrix(test)
-    users = np.flatnonzero(np.diff(ctx.R.indptr))
+    has_train = np.diff(ctx.R.indptr) > 0
+    has_test = np.diff(T.indptr) > 0
+    users = np.flatnonzero(has_train & has_test)
+    skipped = int(np.count_nonzero(has_train & ~has_test))
     test_sets = [T.indices[T.indptr[u]:T.indptr[u + 1]] for u in users]
     results = {}
     # lists may come back shorter than k when the catalog is small
@@ -369,7 +380,8 @@ def evaluate_model(params, ctx, test, cfg, ks=(5, 10, 20)):
     top = rank_topk(z_u, z_i, ctx.R, depth, users=users)
     for k in sorted(ks):
         trimmed = [t[:k] for t in top]
-        results[k] = topk_metrics(trimmed, test_sets, k)
+        results[k] = replace(topk_metrics(trimmed, test_sets, k),
+                             users_skipped=skipped)
     return results
 
 

@@ -61,3 +61,27 @@ def test_benchmark_calls_run(tmp_path):
     z_u, z_i = trainer.eval_embeddings(params, ctx, cfg)
     assert z_u.shape == (ctx.num_users, cfg.d)
     assert z_i.shape == (ctx.num_items, cfg.d)
+
+
+def test_evaluate_model_calls_the_ranking_names_in_trainer(monkeypatch):
+    """benchmarks/run.py --inject wrong-ranking and the span wrappers
+    replace trainer.rank_topk and trainer.topk_metrics, so evaluate_model
+    must look both up there at call time."""
+    data = random_interactions(12, 15, density=0.5, seed=2, min_per_user=3)
+    cfg = trainer.TrainConfig(seed=1, d=4, h=4, L=2)
+    cfg.validate()
+    fold = dataset.make_folds(data, cfg.folds, cfg.seed)[0]
+    ctx = trainer.build_context(fold.train, cfg)
+    params = model.init_params(ctx.num_users, ctx.num_items, cfg.d, cfg.h,
+                               seed=1)
+    want = trainer.evaluate_model(params, ctx, fold.test, cfg, ks=(5, 10))
+    calls = []
+    for name in ("rank_topk", "topk_metrics"):
+        def wrapped(*args, _name=name, _original=getattr(trainer, name),
+                    **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(trainer, name, wrapped)
+    assert trainer.evaluate_model(params, ctx, fold.test, cfg,
+                                  ks=(5, 10)) == want
+    assert calls == ["rank_topk", "topk_metrics", "topk_metrics"]

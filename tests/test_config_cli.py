@@ -320,6 +320,38 @@ class TestEvaluate:
         assert str(path) in err and (named is None or named in err)
 
 
+    @pytest.mark.parametrize("name, bad", [
+        ("base_embedding", "nan"), ("gen.b1", "inf"), ("gen.w1", "float32")])
+    def test_non_finite_or_non_float64_array_is_data_error(
+            self, config_file, tmp_path, capsys, name, bad):
+        table = dict(init_params(12, 15, 4, 4, seed=0).param_arrays())
+        if bad == "float32":
+            table[name] = table[name].astype(np.float32)
+        else:
+            table[name][0, ...] = float(bad)
+        path = tmp_path / "model.npz"
+        np.savez(path, meta=np.array([12, 15, 4, 4, 0]), **table)
+        code = run_cli("evaluate", str(path), "--config", str(config_file),
+                       "--out", str(tmp_path / "out"))
+        assert code == 3
+        err = capsys.readouterr().err
+        assert str(path) in err and name in err
+        assert not (tmp_path / "out" / "metrics.csv").exists()
+
+    def test_non_finite_embeddings_are_numeric_error(self, config_file,
+                                                     tmp_path, capsys):
+        # finite parameters whose propagated embeddings overflow
+        table = dict(init_params(12, 15, 4, 4, seed=0).param_arrays())
+        table["base_embedding"][:] = np.finfo(np.float64).max
+        path = tmp_path / "model.npz"
+        np.savez(path, meta=np.array([12, 15, 4, 4, 0]), **table)
+        code = run_cli("evaluate", str(path), "--config", str(config_file),
+                       "--out", str(tmp_path / "out"))
+        assert code == 4
+        assert "non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "metrics.csv").exists()
+
+
 class TestCrossval:
     def test_fold_rows_and_exact_mean(self, config_file, tmp_path, capsys):
         out = tmp_path / "out"

@@ -88,6 +88,91 @@ class TestRankTopk:
             rank_topk(np.ones((1, 1)), np.ones((2, 1)), train_matrix([[]], 2),
                       k=3)
 
+    def test_non_finite_embeddings_rejected(self):
+        z_i = np.ones((3, 2))
+        z_i[1, 0] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            rank_topk(np.ones((1, 2)), z_i, train_matrix([[]], 3), k=2)
+
+
+def near_tie_instance(rng, users=20, ties=40, others=200, d=6):
+    """Users whose top-10 boundary falls inside a cluster of item scores
+    spread over ~6e-7 around 3: the gaps lie far above float64 rounding
+    but inside float32 rounding, which splits the cluster into a few
+    float32 levels that disagree with the float64 order, so the float32
+    k-th score alone would drop some of the float64 top 10."""
+    z_u = 0.1 * rng.normal(size=(users, d))
+    z_u[:, 0] += 3.0
+    z_u[:, 1] += 1.0
+    tie_items = np.zeros((ties, d))
+    tie_items[:, 0] = 1.0 + 1e-7 * rng.random(ties)
+    tie_items[:, 1] = 3e-7 * rng.random(ties)
+    z_i = np.vstack([0.3 * rng.normal(size=(others, d)), tie_items])
+    z_i = z_i[rng.permutation(len(z_i))]
+    train = [np.sort(rng.choice(len(z_i), int(rng.integers(0, 8)),
+                                replace=False)) for _ in range(users)]
+    return z_u, z_i, train
+
+
+def assert_matches_oracle(z_u, z_i, train, k, chunk):
+    lists = rank_topk(z_u, z_i, train_matrix(train, len(z_i)), k,
+                      chunk=chunk)
+    scores = z_u @ z_i.T
+    assert len(lists) == len(z_u)
+    for u, top in enumerate(lists):
+        assert top.dtype == np.int64
+        assert top.tolist() == topk_rank_dense(scores[u], train[u], k)
+    return lists
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 128])
+class TestTwoPrecisionRanker:
+    """rank_topk scores in float32 and re-scores candidates in float64;
+    every case must equal the float64 oracle."""
+
+    def test_near_ties_inside_float32_rounding(self, chunk):
+        rng = np.random.default_rng(10)
+        z_u, z_i, train = near_tie_instance(rng)
+        lists = assert_matches_oracle(z_u, z_i, train, 10, chunk)
+        cluster = (z_u @ z_i.T)[:, np.all(z_i[:, 2:] == 0.0, axis=1)]
+        assert np.diff(np.sort(cluster, axis=1)).min() > 100 * np.spacing(4.0)
+        # a float32-only ranking cannot separate the cluster
+        scores32 = z_u.astype(np.float32) @ z_i.astype(np.float32).T
+        for u, items in enumerate(train):
+            scores32[u, items] = -np.inf
+        order32 = np.argsort(-scores32, axis=1, kind="stable")[:, :10]
+        assert any(top.tolist() != row.tolist()
+                   for top, row in zip(lists, order32))
+
+    @pytest.mark.parametrize("scale_u, scale_i", [(1e150, 1e150),
+                                                  (1e-150, 1e-150),
+                                                  (1e150, 1e-150)])
+    def test_extreme_scales(self, chunk, scale_u, scale_i):
+        rng = np.random.default_rng(11)
+        z_u, z_i, train = near_tie_instance(rng)
+        assert_matches_oracle(scale_u * z_u, scale_i * z_i, train, 10, chunk)
+        z_u, z_i, train, _ = random_instance(rng, max_users=30, max_items=60)
+        assert_matches_oracle(scale_u * z_u, scale_i * z_i, train, 4, chunk)
+
+    def test_zero_user_row_takes_lowest_indices(self, chunk):
+        rng = np.random.default_rng(12)
+        z_u, z_i, train = near_tie_instance(rng, users=9)
+        z_u[4] = 0.0
+        train[4] = np.array([0, 2])
+        lists = assert_matches_oracle(z_u, z_i, train, 10, chunk)
+        assert lists[4].tolist() == [1] + list(range(3, 12))
+
+    def test_rows_with_fewer_than_k_candidates(self, chunk):
+        rng = np.random.default_rng(13)
+        n = 12
+        z_u, z_i = rng.normal(size=(10, 3)), rng.normal(size=(n, 3))
+        # 12, 10, 8, ... items held: none to 12 candidates
+        train = [np.sort(rng.choice(n, n - 2 * (u % 7), replace=False))
+                 for u in range(10)]
+        lists = assert_matches_oracle(z_u, z_i, train, 5, chunk)
+        assert [len(top) for top in lists] == \
+            [min(5, 2 * (u % 7)) for u in range(10)]
+
 
 class TestTopkMetrics:
     def test_worked_example(self):

@@ -7,9 +7,10 @@ import pytest
 import gclrec.diffcore as dc
 import gclrec.trainer as tr
 from gclrec.cli import ABLATION_VARIANTS
-from gclrec.dataset import make_folds, sample_negatives
+from gclrec.dataset import FoldSplit, make_folds, sample_negatives
 from gclrec.diffcore import DiffError, Tape
-from gclrec.metrics import alignment_uniformity
+from gclrec.graphs import build_interaction_matrix
+from gclrec.metrics import alignment_uniformity, rank_topk, topk_metrics
 from gclrec.model import init_params
 from gclrec.trainer import (
     AdamState,
@@ -283,6 +284,42 @@ class TestEvaluateModel:
         monkeypatch.setattr(tr, "encode", both_channels)
         assert evaluate_model(params, ctx, fold.test, cfg) == got
         assert passed == [None]
+
+    def test_ranks_only_users_with_test_items(self, monkeypatch):
+        # users 0-3 have train and test items, 4-5 train items only and
+        # 6-7 test items only
+        data = random_interactions(8, 12, density=0.4, seed=3,
+                                   min_per_user=3)
+        first = np.r_[True, data.pairs[1:, 0] != data.pairs[:-1, 0]]
+        user = data.pairs[:, 0]
+        train = data.pairs[~first & (user < 6)]
+        test = data.pairs[first & ((user < 4) | (user >= 6))]
+        fold = FoldSplit(0, make_interactions(8, 12, train),
+                         make_interactions(8, 12, test))
+        cfg = tiny_config()
+        ctx = build_context(fold.train, cfg)
+        params = init_params(8, 12, cfg.d, cfg.h, seed=4)
+
+        # reference: rank everyone with train items, then aggregate
+        z_u, z_i = tr.eval_embeddings(params, ctx, cfg)
+        T = build_interaction_matrix(fold.test)
+        users = np.flatnonzero(np.diff(ctx.R.indptr))
+        top = rank_topk(z_u, z_i, ctx.R, 5, users=users)
+        tests = [T.indices[T.indptr[u]:T.indptr[u + 1]] for u in users]
+        want = {k: topk_metrics([t[:k] for t in top], tests, k)
+                for k in (3, 5)}
+        assert [(m.users_evaluated, m.users_skipped)
+                for m in want.values()] == [(4, 2), (4, 2)]
+
+        ranked, original = [], tr.rank_topk
+
+        def recording(z_u, z_i, train_items, k, users=None):
+            ranked.append(users.tolist())
+            return original(z_u, z_i, train_items, k, users=users)
+
+        monkeypatch.setattr(tr, "rank_topk", recording)
+        assert evaluate_model(params, ctx, fold.test, cfg, ks=(3, 5)) == want
+        assert ranked == [[0, 1, 2, 3]]
 
     def test_forward_tape_freed_without_collection(self):
         # the forward values of a full-catalog pass are large; they must
