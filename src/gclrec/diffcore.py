@@ -294,12 +294,26 @@ def softplus(x):
 
 
 def _gelu_cdf(a):
-    return 0.5 * (1.0 + erf(a * _INV_SQRT2))
+    """Phi(a) = 0.5 * (1 + erf(a / sqrt 2)), in one new array."""
+    cdf = a * _INV_SQRT2
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
+    return cdf
 
 
 def _gelu_slope(a, cdf):
-    """Derivative of a * Phi(a): Phi(a) + a * phi(a)."""
-    return cdf + a * (_INV_SQRT2PI * np.exp(-0.5 * a * a))
+    """Derivative of a * Phi(a): Phi(a) + a * phi(a), in one new array.
+    The operations are those of ``cdf + a * (c * exp(-0.5 * a * a))`` in
+    that order; each swaps only the operands of one product or sum, which
+    rounds the same."""
+    slope = a * -0.5
+    slope *= a
+    np.exp(slope, out=slope)
+    slope *= _INV_SQRT2PI
+    slope *= a
+    slope += cdf
+    return slope
 
 
 def gelu(x):
@@ -337,7 +351,9 @@ def mlp3(x, w1, b1, w2, b2, w3, b3):
     def gelu_layer(h, w, b):
         a = dense(h, w, b)
         cdf = _gelu_cdf(a)
-        return a * cdf, _gelu_slope(a, cdf)
+        slope = _gelu_slope(a, cdf)
+        a *= cdf
+        return a, slope
 
     h1, d1 = gelu_layer(x.value, w1, b1)
     h2, d2 = gelu_layer(h1, w2, b2)
@@ -385,10 +401,16 @@ def gather(x, indices):
     if len(idx) and (idx.min() < 0 or idx.max() >= x.shape[0]):
         raise IndexError(f"gather: index out of range for {x.shape[0]} rows")
     value = x.value[idx]
+    # strictly increasing indices name each row at most once, so the
+    # backward pass can assign instead of accumulating
+    distinct = bool(np.all(idx[1:] > idx[:-1]))
 
     def bw(g):
         gx = np.zeros_like(x.value)
-        np.add.at(gx, idx, g)
+        if distinct:
+            gx[idx] = g
+        else:
+            np.add.at(gx, idx, g)
         _accum(x, gx, owned=True)
 
     return _op("gather", (x,), value, bw)

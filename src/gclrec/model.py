@@ -10,15 +10,32 @@ drawn by reparameterization, row-normalized, and added before the sparse
 product.  Final representations average layers 1..L; the input layer is
 excluded.
 
+The encoder computes only what its caller reads, the demand: the
+user-item rows whose final representations are read, the complement
+views read, and whether the first user-item block's sigma^2 is read.  A
+training step reads the rows of its batch.  Layer L then computes only
+those rows, and layer k < L only those rows and the neighbours layer
+k+1 reads, so a layer k >= 2 runs its generator and its product over
+that neighbourhood only.  The layer-1 generator runs over every row,
+because the KL term averages over all of its rows.  Without a demand
+(evaluation) every row is computed and nothing is gathered.
+
 Epsilon is drawn in :func:`encode` and nowhere else: one full-height
-standard normal draw per (channel, layer), user-item layers first.
+standard normal draw per (channel, layer), user-item layers first, also
+for a layer or a channel nothing reads.  A noise block takes the rows of
+its draw that its generator reads, so the random stream depends neither
+on the demand nor on how many items are live.
 
 After the gamma filter most items have no complement neighbour.  Such an
 item's complement row and column are empty: its noise reaches no output
 and its layers are zero.  The complement channel therefore generates
-noise and propagates only over the items with a complement neighbour,
-taking their rows of each epsilon draw, and places exact zeros at the
-others.  The random stream does not depend on how many items are live.
+noise and propagates only over the items with a complement neighbour
+and places exact zeros at the others.
+
+Values and most gradients equal those of the full-height computation bit
+for bit, because each gathered row is summed in the same order; only
+the generator weight gradients may differ in the last bits, where BLAS
+blocks a sum over fewer rows differently.
 """
 
 import io
@@ -148,41 +165,48 @@ class NoiseSettings:
 class NoiseBlock:
     """One layer's noise: mu, sigma^2 and the sample mu + scale(sigma) *
     epsilon.  mu/sigma2 are tape nodes in mode generative and None in
-    mode random."""
+    mode random; with scale stddev, sigma2 is None unless it was asked
+    for."""
 
     mu: object
     sigma2: object
     sample: object
 
 
-def generate_noise(tape, z_prev, leaves, eps, settings):
+def generate_noise(tape, z_prev, leaves, eps, settings, sigma2=True):
     """Produce a :class:`NoiseBlock` for one layer from its input
     embeddings and its epsilon draw ``eps`` (an array shaped like
     ``z_prev``), in mode generative or random (mode none draws no noise).
+
+    Only the generator reads ``z_prev``; mode random may pass None.  With
+    scale stddev, ``sigma2`` False leaves sigma^2 unbuilt; with scale
+    variance it is the noise scale and always built.
     """
     if settings.mode == "none":
         raise ValueError("generate_noise: noise mode 'none' draws no noise")
-    d = z_prev.shape[1]
 
     if settings.mode == "generative":
+        d = z_prev.shape[1]
         out = mlp_forward(z_prev, leaves, "gen")
         if not np.all(np.isfinite(out.value)):
             raise DiffError("noise generator produced non-finite values")
         mu = dc.col_slice(out, 0, d)
         logvar = dc.col_slice(out, d, 2 * d)
-        sigma2 = dc.exp(logvar)
-        scale_node = sigma2 if settings.scale == "variance" \
-            else dc.exp(dc.scale(logvar, 0.5))
+        if settings.scale == "variance":
+            var = scale_node = dc.exp(logvar)
+        else:
+            var = dc.exp(logvar) if sigma2 else None
+            scale_node = dc.exp(dc.scale(logvar, 0.5))
         sample = dc.add(mu, dc.mul(scale_node, tape.constant(eps)))
     else:  # random: zero mean, fixed variance, nothing to learn
-        mu = sigma2 = None
+        mu = var = None
         s = _RANDOM_VARIANCE if settings.scale == "variance" \
             else np.sqrt(_RANDOM_VARIANCE)
         sample = dc.scale(tape.constant(eps), s)
 
     if settings.distribution == "uniform":
         sample = dc.gelu(sample)
-    return NoiseBlock(mu=mu, sigma2=sigma2, sample=sample)
+    return NoiseBlock(mu=mu, sigma2=var, sample=sample)
 
 
 def propagate(a_norm, z_prev, noise):
@@ -194,7 +218,11 @@ def propagate(a_norm, z_prev, noise):
 
 @dataclass
 class EncoderOutput:
-    """Per-layer embeddings, noise blocks and averaged representations."""
+    """Per-layer embeddings, noise blocks and averaged representations.
+
+    ``users`` and ``items`` are the sorted ids whose rows the user and
+    item views hold, in that order, or None when the views hold every
+    row; complement views always hold every item."""
 
     ui_layers: list
     comp_layers: list | None
@@ -202,6 +230,8 @@ class EncoderOutput:
     z_u: object
     z_i: object
     z_c: object
+    users: object = None
+    items: object = None
 
     def view(self, selector, cls):
         """Contrastive view of one entity class ("user", "item" or
@@ -216,16 +246,70 @@ class EncoderOutput:
         return (dc.row_slice(full, 0, m) if cls == "user"
                 else dc.row_slice(full, m, full.shape[0]))
 
+    def locate(self, cls, ids):
+        """Row positions of the given ids in the views of class ``cls``;
+        every id must be among the rows those views hold."""
+        held = {"user": self.users, "item": self.items}.get(cls)
+        return ids if held is None else np.searchsorted(held, ids)
+
+
+def _positions(sub, sup):
+    """Positions of the sorted ids ``sub`` among the sorted ids ``sup``
+    that hold them, or None when they are all of them."""
+    return None if len(sub) == len(sup) else np.searchsorted(sup, sub)
+
+
+def _walk_back(op, rows, num_layers):
+    """What each layer must compute for the final representations of
+    ``rows`` (sorted; None for every row), as one (op_k, in_k, take_k,
+    keep_k) tuple per layer k = 1..L.
+
+    Layer L outputs out_L = rows.  Layer k reads the rows in_k of layer
+    k-1, the columns of op[out_k], so layer k-1 outputs out_{k-1} = rows
+    | in_k.  op_k is op[out_k] restricted to the columns in_k, take_k the
+    positions of in_k among out_{k-1}, keep_k those of ``rows`` among
+    out_k.  in_k are also the rows of the layer's epsilon draw its noise
+    block holds.  Layer 1 reads every row (in_1 None), because its noise
+    block is read in full.  None marks an identity gather.
+    """
+    if rows is None:
+        return [(op, None, None, None)] * num_layers
+    plan, out = [], rows
+    for k in range(num_layers, 1, -1):
+        sub = op[out]
+        need = np.zeros(op.shape[1], dtype=bool)
+        need[sub.indices] = True
+        reads = np.flatnonzero(need)
+        need[rows] = True
+        below = np.flatnonzero(need)
+        plan.append((sub[:, reads], reads, _positions(reads, below),
+                     _positions(rows, out)))
+        out = below
+    plan.append((op[out], None, None, _positions(rows, out)))
+    return plan[::-1]
+
 
 def encode(tape, leaves, ui_op, comp_op, num_users, num_items, num_layers,
-           rng, settings):
+           rng, settings, rows=None, comp_views=("avg",), sigma2=True):
     """Run both channels over the CSR matrices ``ui_op`` and ``comp_op``
     (None skips the complement channel) and average layers 1..L.
 
+    The demand says what the caller reads of the output; the defaults
+    read all of it.  ``rows`` are the sorted, distinct user-item rows
+    (users 0..m-1, items m..m+n-1) whose layers and averages are read:
+    the user and item views then hold those rows only (see
+    :meth:`EncoderOutput.locate`), and each layer computes only what they
+    need (see :func:`_walk_back`).  ``comp_views`` are the complement view
+    selectors read: "avg" needs every layer and the average, layer
+    selectors need the layers up to the highest, none skips the channel.
+    ``sigma2`` False leaves sigma^2 unbuilt wherever it does not scale the
+    noise; True builds it for the first user-item block.
+
     Each (channel, layer) draws its epsilon from ``rng`` at full height,
-    m+n rows for "ui" and n for "comp", user-item layers first; the
-    complement noise blocks hold only the rows of the live items.  ``rng``
-    may be None in mode none, which draws nothing.
+    m+n rows for "ui" and n for "comp", user-item layers first, whether
+    or not it is computed; a block holds the rows of the draw its
+    generator reads.  ``rng`` may be None in mode none, which draws
+    nothing.
     """
     if num_layers < 1:
         raise ValueError(f"number of layers must be >= 1, got {num_layers}")
@@ -233,46 +317,78 @@ def encode(tape, leaves, ui_op, comp_op, num_users, num_items, num_layers,
     e_all = leaves["base_embedding"]
     d = e_all.shape[1]
 
-    def run_channel(op, z, channel, height, rows=slice(None)):
+    def draw(height):
+        return rng.standard_normal((height, d))
+
+    def taken(z, take):
+        return z if take is None else dc.gather(z, take)
+
+    def run_channel(channel, plan, z, height):
+        # the generator and the propagation gather the rows they read
+        # each for itself, so that the backward sweep adds a row's
+        # gradients in the order the full-height encoder does
         layers, blocks = [], {}
-        for k in range(1, num_layers + 1):
+        for k, (op, reads, take, _) in enumerate(plan, start=1):
             block = None
             if settings.mode != "none":
-                eps = rng.standard_normal((height, d))[rows]
-                block = generate_noise(tape, z, leaves, eps, settings)
+                eps = draw(height)
+                if reads is not None:
+                    eps = eps[reads]
+                source = (taken(z, take) if settings.mode == "generative"
+                          else None)
+                block = generate_noise(
+                    tape, source, leaves, eps, settings,
+                    sigma2=sigma2 and (channel, k) == ("ui", 1))
                 blocks[(channel, k)] = block
-            z = propagate(op, z, block)
+            z = propagate(op, taken(z, take), block)
             layers.append(z)
         return layers, blocks
 
-    ui_layers, ui_blocks = run_channel(ui_op, e_all, "ui", m + n)
+    ui_plan = _walk_back(ui_op, rows, num_layers)
+    ui_full, ui_blocks = run_channel("ui", ui_plan, e_all, m + n)
+    # the read rows of each layer are gathered after the loop, for the
+    # same reason
+    ui_layers = [taken(z, keep) for z, (*_, keep) in zip(ui_full, ui_plan)]
     ui_avg = dc.mean_of(ui_layers)
+    held = m if rows is None else int(np.searchsorted(rows, m))
 
     out = EncoderOutput(
         ui_layers=ui_layers,
         comp_layers=None,
         noise_blocks=ui_blocks,
-        z_u=dc.row_slice(ui_avg, 0, m),
-        z_i=dc.row_slice(ui_avg, m, m + n),
+        z_u=dc.row_slice(ui_avg, 0, held),
+        z_i=dc.row_slice(ui_avg, held, ui_avg.shape[0]),
         z_c=None,
+        users=None if rows is None else rows[:held],
+        items=None if rows is None else rows[held:] - m,
     )
 
     if comp_op is not None:
-        # propagate over the live items only: every entry sits in a live
-        # row and column, so the restricted product equals the live rows
-        # of the full one bit for bit.  The full-height layers are placed
-        # after the loop so that the backward sweep adds each layer's
-        # gradients in the order the full-row channel did: the layer's
-        # own uses first, then the next layer's
-        live = np.flatnonzero(np.diff(comp_op.indptr)
-                              + np.bincount(comp_op.indices, minlength=n))
-        e_live = dc.gather(dc.row_slice(e_all, m, m + n), live)
-        live_layers, comp_blocks = run_channel(
-            comp_op[live][:, live], e_live, "comp", n, live)
-        comp_layers = [dc.scatter_rows(z, live, n) for z in live_layers]
-        out.comp_layers = comp_layers
-        out.noise_blocks.update(comp_blocks)
-        out.z_c = dc.mean_of(comp_layers)
+        average = "avg" in comp_views
+        top = num_layers if average else max(map(int, comp_views), default=0)
+        out.comp_layers = []
+        if top:
+            # propagate over the live items only: every entry sits in a
+            # live row and column, so the restricted product equals the
+            # live rows of the full one bit for bit.  The full-height
+            # layers are placed after the loop so that the backward sweep
+            # adds each layer's gradients in the order the full-row
+            # channel did: the layer's own uses first, then the next
+            # layer's
+            live = np.flatnonzero(np.diff(comp_op.indptr)
+                                  + np.bincount(comp_op.indices, minlength=n))
+            e_live = dc.gather(dc.row_slice(e_all, m, m + n), live)
+            # every layer reads the live rows of its draw
+            plan = [(comp_op[live][:, live], live, None, None)] * top
+            live_layers, comp_blocks = run_channel("comp", plan, e_live, n)
+            out.comp_layers = [dc.scatter_rows(z, live, n)
+                               for z in live_layers]
+            out.noise_blocks.update(comp_blocks)
+            if average:
+                out.z_c = dc.mean_of(out.comp_layers)
+        if settings.mode != "none":
+            for _ in range(top, num_layers):
+                draw(n)  # an unread layer keeps its place in the stream
     return out
 
 

@@ -260,19 +260,24 @@ def _batch_loss(params, ctx, cfg, rng, users, pos_items, neg_items):
     """Forward pass and joint loss for one batch, one sampled negative per
     positive; returns (report, total node, gradient table)."""
     m, n = ctx.num_users, ctx.num_items
-    tape = Tape()
-    leaves = params.leaves(tape)
-    out = encode(tape, leaves, ctx.ui_op, ctx.comp_op, m, n, cfg.L, rng,
-                 cfg.noise_settings())
-
     u_idx = np.asarray(users, dtype=np.int64)
     p_idx = np.asarray(pos_items, dtype=np.int64)
     n_idx = np.asarray(neg_items, dtype=np.int64).reshape(len(u_idx))
+    # the rows whose representations the loss reads
     touched = np.unique(np.concatenate([u_idx, m + p_idx, m + n_idx]))
+    views_read = (cfg.cl_view_a, cfg.cl_view_b) if cfg.lambda_ > 0 else ()
 
-    zu_b = dc.gather(out.z_u, u_idx)
-    pos_scores = dc.reduce_sum(dc.mul(zu_b, dc.gather(out.z_i, p_idx)), axis=1)
-    neg_scores = dc.reduce_sum(dc.mul(zu_b, dc.gather(out.z_i, n_idx)), axis=1)
+    tape = Tape()
+    leaves = params.leaves(tape)
+    out = encode(tape, leaves, ctx.ui_op, ctx.comp_op, m, n, cfg.L, rng,
+                 cfg.noise_settings(), rows=touched, comp_views=views_read,
+                 sigma2=cfg.ddl == "kl")
+
+    zu_b = dc.gather(out.z_u, out.locate("user", u_idx))
+    pos_scores = dc.reduce_sum(dc.mul(
+        zu_b, dc.gather(out.z_i, out.locate("item", p_idx))), axis=1)
+    neg_scores = dc.reduce_sum(dc.mul(
+        zu_b, dc.gather(out.z_i, out.locate("item", n_idx))), axis=1)
     rec = ls.bpr_loss(pos_scores, neg_scores)
 
     cl = None
@@ -280,9 +285,10 @@ def _batch_loss(params, ctx, cfg, rng, users, pos_items, neg_items):
         uu = np.unique(u_idx)
         ii = np.unique(p_idx)
 
-        def views(cls, idx):
-            return (dc.gather(out.view(cfg.cl_view_a, cls), idx),
-                    dc.gather(out.view(cfg.cl_view_b, cls), idx))
+        def views(cls, ids):
+            idx = out.locate(cls, ids)
+            return tuple(dc.gather(out.view(sel, cls), idx)
+                         for sel in views_read)
 
         comp_views = views("comp", ii) if ctx.comp_op is not None else None
         cl = ls.multi_pair_cl(views("user", uu), views("item", ii),

@@ -226,6 +226,22 @@ class TestSlicesAndScatter:
         np.testing.assert_allclose(grads["x"], want, rtol=1e-15)
         np.testing.assert_array_equal(grads["z"], np.ones((4, 3)))
 
+    @pytest.mark.parametrize("idx", [[0, 2, 3, 5], [5, 2, 0], [0, 2, 2, 4],
+                                     [3, 1, 3, 0, 1], [4], []],
+                             ids=["increasing", "decreasing", "repeat",
+                                  "unsorted-repeats", "single", "empty"])
+    def test_gather_backward_equals_add_at(self, idx):
+        # strictly increasing indices assign their rows' gradients, any
+        # other index array accumulates them; both give np.add.at's result
+        t = Tape()
+        x = t.leaf(rand((6, 3), 65), name="x")
+        g = rand((len(idx), 3), 66)
+        grads = backward(dc.reduce_sum(dc.mul(dc.gather(x, idx),
+                                              t.constant(g))))
+        want = np.zeros((6, 3))
+        np.add.at(want, np.asarray(idx, dtype=np.int64), g)
+        assert np.array_equal(grads["x"], want)
+
     def test_scatter_rows_places_rows_among_zeros(self):
         t = Tape()
         x = t.leaf(rand((2, 3), 64), name="x")

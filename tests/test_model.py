@@ -279,6 +279,37 @@ class TestEncode:
         for name in ("gen.w1", "gen.b3", "base_embedding"):
             np.testing.assert_array_equal(grads[name], 0.0)
 
+    @pytest.mark.parametrize("views, built", [((), 0), (("1",), 1),
+                                              (("2", "1"), 2),
+                                              (("avg", "1"), 3)])
+    def test_complement_builds_the_layers_its_views_read(self, views, built):
+        ui_op, comp_op, _ = build_ops(self.data)
+        outs, next_draws = [], []
+        for comp_views in (("avg",), views):
+            t = Tape()
+            rng = np.random.default_rng(5)
+            outs.append(encode(t, self.params.leaves(t), ui_op, comp_op, 6,
+                               8, 3, rng, NoiseSettings(),
+                               comp_views=comp_views))
+            next_draws.append(rng.standard_normal(4))
+        full, out = outs
+        assert len(out.comp_layers) == built
+        assert (out.z_c is None) == ("avg" not in views)
+        for got, want in zip(out.comp_layers, full.comp_layers):
+            assert np.array_equal(got.value, want.value)
+        # the unbuilt layers still drew their epsilon
+        assert np.array_equal(*next_draws)
+
+    @pytest.mark.parametrize("sigma2", [True, False])
+    def test_stddev_scale_builds_sigma2_only_where_read(self, sigma2):
+        ui_op, comp_op, _ = build_ops(self.data)
+        t = Tape()
+        out = encode(t, self.params.leaves(t), ui_op, comp_op, 6, 8, 3,
+                     np.random.default_rng(6), NoiseSettings(scale="stddev"),
+                     sigma2=sigma2)
+        assert [key for key, block in out.noise_blocks.items()
+                if block.sigma2 is not None] == ([("ui", 1)] if sigma2 else [])
+
     def test_zero_layers_rejected(self):
         ui_op, comp_op, _ = build_ops(self.data)
         t = Tape()

@@ -11,7 +11,8 @@ from gclrec.dataset import FoldSplit, make_folds, sample_negatives
 from gclrec.diffcore import DiffError, Tape
 from gclrec.graphs import build_interaction_matrix
 from gclrec.metrics import alignment_uniformity, rank_topk, topk_metrics
-from gclrec.model import init_params
+import gclrec.model as model
+from gclrec.model import encode, init_params
 from gclrec.trainer import (
     AdamState,
     ConfigError,
@@ -220,13 +221,14 @@ class TestBatchLoss:
         want = np.mean(np.logaddexp(0.0, neg_scores - pos_scores))
         assert abs(report.rec - want) < 1e-12
 
-    # three configurations still leave dead nodes and are not listed:
-    # lambda = 0, noise.scale = stddev and views (1, 2)
     @pytest.mark.parametrize(
         "overrides",
-        list(ABLATION_VARIANTS.values()) + [{"ddl": "mmd"},
-                                            {"kl.formula": "paper"}],
-        ids=list(ABLATION_VARIANTS) + ["mmd", "paper-kl"])
+        list(ABLATION_VARIANTS.values()) + [
+            {"ddl": "mmd"}, {"kl.formula": "paper"}, {"lambda": "0"},
+            {"noise.scale": "stddev"}, {"cl.view_a": "1", "cl.view_b": "2"},
+            {"L": "3", "cl.view_a": "1", "cl.view_b": "2"}],
+        ids=list(ABLATION_VARIANTS) + ["mmd", "paper-kl", "lambda-0",
+                                       "stddev", "views-1-2", "views-1-2-L3"])
     def test_backward_reaches_every_differentiable_node(self, monkeypatch,
                                                         overrides):
         fold = toy_fold()
@@ -249,6 +251,74 @@ class TestBatchLoss:
         # that keeps its backward closure was computed for nothing
         assert [n.op for n in swept
                 if n.needs_grad and n._backward is not None] == []
+
+
+class TestDemand:
+    """A step computes only the rows its loss reads, with the same loss
+    and gradients as the full-height encoder."""
+
+    # the path u0 - i0 - u1 - i1 - ... - u6 - i6: user k sits at path
+    # position 2k, item k at 2k + 1
+    PATH = make_interactions(7, 7, [(k, k) for k in range(7)]
+                             + [(k + 1, k) for k in range(6)])
+    # positives (u0, i0), (u1, i1) and negatives i1, i2 read the path
+    # positions 0-3 and 5
+    USERS, POS, NEG = np.array([0, 1]), np.array([0, 1]), np.array([1, 2])
+
+    def step(self, params, cfg):
+        ctx = build_context(self.PATH, cfg)
+        return tr._batch_loss(params, ctx, cfg, np.random.default_rng(1),
+                              self.USERS, self.POS, self.NEG)
+
+    def test_generator_runs_on_the_neighbourhood_only(self, monkeypatch):
+        seen, original = [], model.generate_noise
+
+        def spy(tape, z_prev, leaves, eps, settings, **kwargs):
+            seen.append((z_prev.shape[0], eps.shape[0]))
+            return original(tape, z_prev, leaves, eps, settings, **kwargs)
+
+        monkeypatch.setattr(model, "generate_noise", spy)
+        self.step(init_params(7, 7, 4, 4, seed=5), tiny_config(L=3))
+        # layer 1 reads all 14 rows; layer 2 the 8 positions within two
+        # hops of the read ones (0-7); layer 3 those within one hop
+        # (0-4, 6); then the 7 live items of the complement path
+        assert seen == [(14, 14), (8, 8), (6, 6), (7, 7), (7, 7), (7, 7)]
+
+    def test_same_loss_and_gradients_as_every_row(self, monkeypatch):
+        cfg = tiny_config(L=3)
+        params = init_params(7, 7, 4, 4, seed=5)
+        report, _, grads = self.step(params, cfg)
+
+        def every_row(*args, **kwargs):
+            return encode(*args, **{**kwargs, "rows": None})
+
+        monkeypatch.setattr(tr, "encode", every_row)
+        want_report, _, want = self.step(params, cfg)
+        assert report == want_report
+        for name, grad in want.items():
+            assert np.any(grad != 0.0), name
+            if name.startswith("gen."):
+                # the weight products sum over fewer (zero) rows
+                err = np.max(np.abs(grads[name] - grad)) / np.max(np.abs(grad))
+                assert err <= 1e-12, name
+            else:
+                assert np.array_equal(grads[name], grad), name
+
+    def test_gradient_check(self):
+        cfg = tiny_config(L=3)
+        probe = init_params(7, 7, 4, 4, seed=6)
+        ctx = build_context(self.PATH, cfg)
+
+        def f(point):
+            for name, arr in point.items():
+                probe.param_arrays()[name][...] = arr
+            _, total, grads = tr._batch_loss(
+                probe, ctx, cfg, np.random.default_rng(0), self.USERS,
+                self.POS, self.NEG)
+            return total.value[0, 0], grads
+
+        point = {k: v.copy() for k, v in probe.param_arrays().items()}
+        assert dc.check_gradients(f, point, h=1e-5) <= 1e-4
 
 
 class TestEvaluateModel:
