@@ -95,9 +95,10 @@ def load_interactions(path):
     lines starting with ``#`` are skipped.  Duplicate (user, item) pairs
     collapse to one; indices are assigned in first-appearance order.
 
-    Raises :class:`ParseError` for a line with fewer than two fields and
-    :class:`DataError` when the file is not UTF-8 text or no interactions
-    remain.
+    Raises :class:`ParseError` for a line with fewer than two fields or
+    an empty user or item field (a leading separator would otherwise
+    shift the columns), and :class:`DataError` when the file is not UTF-8
+    text or no interactions remain.
     """
     user_map, item_map = {}, {}
     pairs = []
@@ -108,6 +109,9 @@ def load_interactions(path):
             raise ParseError(f"{path}: line {lineno}: expected at least "
                              f"2 fields, got {len(fields)}")
         raw_u, raw_i = fields[0], fields[1]
+        if not (raw_u and raw_i):
+            raise ParseError(f"{path}: line {lineno}: empty "
+                             f"{'user' if not raw_u else 'item'} field")
         if raw_u not in user_map:
             user_map[raw_u] = len(user_map)
         if raw_i not in item_map:

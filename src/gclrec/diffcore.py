@@ -37,7 +37,6 @@ __all__ = [
     "mlp3",
     "rownorm",
     "gather",
-    "scatter_rows",
     "row_slice",
     "col_slice",
     "reduce_sum",
@@ -414,25 +413,6 @@ def gather(x, indices):
         _accum(x, gx, owned=True)
 
     return _op("gather", (x,), value, bw)
-
-
-def scatter_rows(x, indices, rows):
-    """A ``rows``-row matrix of zeros with the rows of x placed at the
-    given distinct, sorted indices; the adjoint of :func:`gather`."""
-    idx = np.asarray(indices, dtype=np.int64)
-    _require(idx.shape == (x.shape[0],), "scatter_rows",
-             f"need one index per row of {x.shape}, got {idx.shape}")
-    if len(idx) and (idx[0] < 0 or idx[-1] >= rows
-                     or np.any(idx[1:] <= idx[:-1])):
-        raise IndexError(f"scatter_rows: indices must be sorted, distinct "
-                         f"and inside {rows} rows")
-    value = np.zeros((rows, x.shape[1]))
-    value[idx] = x.value
-
-    def bw(g):
-        _accum(x, g[idx], owned=True)
-
-    return _op("scatter_rows", (x,), value, bw)
 
 
 def _slice(x, index, opname):

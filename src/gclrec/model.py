@@ -16,26 +16,28 @@ views read, and whether the first user-item block's sigma^2 is read.  A
 training step reads the rows of its batch.  Layer L then computes only
 those rows, and layer k < L only those rows and the neighbours layer
 k+1 reads, so a layer k >= 2 runs its generator and its product over
-that neighbourhood only.  The layer-1 generator runs over every row,
-because the KL term averages over all of its rows.  Without a demand
-(evaluation) every row is computed and nothing is gathered.
+that neighbourhood only.  The complement channel walks back the same
+way from the demanded items, or from every item.  Only the user-item
+layer-1 generator runs over every row, because the KL term averages
+over all of its rows.  Without a demand (evaluation) every user-item
+row is computed.
 
 Epsilon is drawn in :func:`encode` and nowhere else: one full-height
 standard normal draw per (channel, layer), user-item layers first, also
 for a layer or a channel nothing reads.  A noise block takes the rows of
-its draw that its generator reads, so the random stream depends neither
-on the demand nor on how many items are live.
+its draw that its generator reads, so the random stream does not depend
+on the demand.
 
-After the gamma filter most items have no complement neighbour.  Such an
-item's complement row and column are empty: its noise reaches no output
-and its layers are zero.  The complement channel therefore generates
-noise and propagates only over the items with a complement neighbour
-and places exact zeros at the others.
+After the gamma filter most items have no complement neighbour: no
+complement layer reads such an item, so its generator never runs, and
+its own rows come out of the sparse product as exact zeros.
 
 Values and most gradients equal those of the full-height computation bit
 for bit, because each gathered row is summed in the same order; only
 the generator weight gradients may differ in the last bits, where BLAS
-blocks a sum over fewer rows differently.
+blocks a sum over fewer rows differently.  A generator block of a single
+row is the exception: numpy multiplies one row through a matrix-vector
+routine, whose values may differ in the last bits too.
 """
 
 import io
@@ -187,17 +189,25 @@ def generate_noise(tape, z_prev, leaves, eps, settings, sigma2=True):
 
     if settings.mode == "generative":
         d = z_prev.shape[1]
-        out = mlp_forward(z_prev, leaves, "gen")
-        if not np.all(np.isfinite(out.value)):
-            raise DiffError("noise generator produced non-finite values")
-        mu = dc.col_slice(out, 0, d)
-        logvar = dc.col_slice(out, d, 2 * d)
-        if settings.scale == "variance":
-            var = scale_node = dc.exp(logvar)
-        else:
-            var = dc.exp(logvar) if sigma2 else None
-            scale_node = dc.exp(dc.scale(logvar, 0.5))
-        sample = dc.add(mu, dc.mul(scale_node, tape.constant(eps)))
+        # an overflow is reported below, naming where it happened
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = mlp_forward(z_prev, leaves, "gen")
+            mu = dc.col_slice(out, 0, d)
+            logvar = dc.col_slice(out, d, 2 * d)
+            if settings.scale == "variance":
+                var = scale_node = dc.exp(logvar)
+            else:
+                var = dc.exp(logvar) if sigma2 else None
+                scale_node = dc.exp(dc.scale(logvar, 0.5))
+            sample = dc.add(mu, dc.mul(scale_node, tape.constant(eps)))
+        # with scale stddev a built sigma^2 reaches the loss on its own
+        read = (sample,) if var is None or var is scale_node else (sample, var)
+        if not all(np.isfinite(node.value).all() for node in read):
+            part = next((f"generator output {name}" for name, node
+                         in (("mu", mu), ("log-variance", logvar))
+                         if not np.isfinite(node.value).all()),
+                        "sigma^2 = exp(log-variance)")
+            raise DiffError(f"non-finite noise: {part} is not finite")
     else:  # random: zero mean, fixed variance, nothing to learn
         mu = var = None
         s = _RANDOM_VARIANCE if settings.scale == "variance" \
@@ -221,8 +231,8 @@ class EncoderOutput:
     """Per-layer embeddings, noise blocks and averaged representations.
 
     ``users`` and ``items`` are the sorted ids whose rows the user and
-    item views hold, in that order, or None when the views hold every
-    row; complement views always hold every item."""
+    the item and complement views hold, in that order, or None when the
+    views hold every row."""
 
     ui_layers: list
     comp_layers: list | None
@@ -249,7 +259,7 @@ class EncoderOutput:
     def locate(self, cls, ids):
         """Row positions of the given ids in the views of class ``cls``;
         every id must be among the rows those views hold."""
-        held = {"user": self.users, "item": self.items}.get(cls)
+        held = self.users if cls == "user" else self.items
         return ids if held is None else np.searchsorted(held, ids)
 
 
@@ -259,33 +269,37 @@ def _positions(sub, sup):
     return None if len(sub) == len(sup) else np.searchsorted(sup, sub)
 
 
-def _walk_back(op, rows, num_layers):
+def _walk_back(op, rows, num_layers, full_first=True):
     """What each layer must compute for the final representations of
     ``rows`` (sorted; None for every row), as one (op_k, in_k, take_k,
     keep_k) tuple per layer k = 1..L.
 
     Layer L outputs out_L = rows.  Layer k reads the rows in_k of layer
     k-1, the columns of op[out_k], so layer k-1 outputs out_{k-1} = rows
-    | in_k.  op_k is op[out_k] restricted to the columns in_k, take_k the
-    positions of in_k among out_{k-1}, keep_k those of ``rows`` among
-    out_k.  in_k are also the rows of the layer's epsilon draw its noise
-    block holds.  Layer 1 reads every row (in_1 None), because its noise
-    block is read in full.  None marks an identity gather.
+    | in_k, and the input layer 0 holds every row.  op_k is op[out_k]
+    restricted to the columns in_k, take_k the positions of in_k among
+    out_{k-1}, keep_k those of ``rows`` among out_k.  in_k are also the
+    rows of the layer's epsilon draw its noise block holds.  None marks
+    an identity gather; ``full_first`` makes in_1 None, for a layer-1
+    noise block that is read in full.
     """
     if rows is None:
-        return [(op, None, None, None)] * num_layers
+        if full_first:
+            return [(op, None, None, None)] * num_layers
+        rows = np.arange(op.shape[0])
     plan, out = [], rows
-    for k in range(num_layers, 1, -1):
+    for k in range(num_layers, 1 if full_first else 0, -1):
         sub = op[out]
         need = np.zeros(op.shape[1], dtype=bool)
         need[sub.indices] = True
         reads = np.flatnonzero(need)
         need[rows] = True
-        below = np.flatnonzero(need)
+        below = np.flatnonzero(need) if k > 1 else np.arange(op.shape[1])
         plan.append((sub[:, reads], reads, _positions(reads, below),
                      _positions(rows, out)))
         out = below
-    plan.append((op[out], None, None, _positions(rows, out)))
+    if full_first:
+        plan.append((op[out], None, None, _positions(rows, out)))
     return plan[::-1]
 
 
@@ -297,11 +311,12 @@ def encode(tape, leaves, ui_op, comp_op, num_users, num_items, num_layers,
     The demand says what the caller reads of the output; the defaults
     read all of it.  ``rows`` are the sorted, distinct user-item rows
     (users 0..m-1, items m..m+n-1) whose layers and averages are read:
-    the user and item views then hold those rows only (see
-    :meth:`EncoderOutput.locate`), and each layer computes only what they
-    need (see :func:`_walk_back`).  ``comp_views`` are the complement view
-    selectors read: "avg" needs every layer and the average, layer
-    selectors need the layers up to the highest, none skips the channel.
+    the user, item and complement views then hold those rows only (see
+    :meth:`EncoderOutput.locate`), and each layer of either channel
+    computes only what they need (see :func:`_walk_back`).
+    ``comp_views`` are the complement view selectors read: "avg" needs
+    every layer and the average, layer selectors need the layers up to
+    the highest, none skips the channel.
     ``sigma2`` False leaves sigma^2 unbuilt wherever it does not scale the
     noise; True builds it for the first user-item block.
 
@@ -316,6 +331,7 @@ def encode(tape, leaves, ui_op, comp_op, num_users, num_items, num_layers,
     m, n = num_users, num_items
     e_all = leaves["base_embedding"]
     d = e_all.shape[1]
+    blocks = {}  # (channel, layer) -> NoiseBlock, of both channels
 
     def draw(height):
         return rng.standard_normal((height, d))
@@ -324,16 +340,15 @@ def encode(tape, leaves, ui_op, comp_op, num_users, num_items, num_layers,
         return z if take is None else dc.gather(z, take)
 
     def run_channel(channel, plan, z, height):
-        # the generator and the propagation gather the rows they read
-        # each for itself, so that the backward sweep adds a row's
-        # gradients in the order the full-height encoder does
-        layers, blocks = [], {}
+        # the generator and the propagation gather their rows each for
+        # itself, and the rows read of each layer are gathered after the
+        # loop: the backward sweep then adds a row's gradients in the
+        # order the full-height encoder does
+        layers = []
         for k, (op, reads, take, _) in enumerate(plan, start=1):
             block = None
             if settings.mode != "none":
-                eps = draw(height)
-                if reads is not None:
-                    eps = eps[reads]
+                eps = draw(height) if reads is None else draw(height)[reads]
                 source = (taken(z, take) if settings.mode == "generative"
                           else None)
                 block = generate_noise(
@@ -342,20 +357,17 @@ def encode(tape, leaves, ui_op, comp_op, num_users, num_items, num_layers,
                 blocks[(channel, k)] = block
             z = propagate(op, taken(z, take), block)
             layers.append(z)
-        return layers, blocks
+        return [taken(z, keep) for z, (*_, keep) in zip(layers, plan)]
 
-    ui_plan = _walk_back(ui_op, rows, num_layers)
-    ui_full, ui_blocks = run_channel("ui", ui_plan, e_all, m + n)
-    # the read rows of each layer are gathered after the loop, for the
-    # same reason
-    ui_layers = [taken(z, keep) for z, (*_, keep) in zip(ui_full, ui_plan)]
+    ui_layers = run_channel(
+        "ui", _walk_back(ui_op, rows, num_layers), e_all, m + n)
     ui_avg = dc.mean_of(ui_layers)
     held = m if rows is None else int(np.searchsorted(rows, m))
 
     out = EncoderOutput(
         ui_layers=ui_layers,
         comp_layers=None,
-        noise_blocks=ui_blocks,
+        noise_blocks=blocks,
         z_u=dc.row_slice(ui_avg, 0, held),
         z_i=dc.row_slice(ui_avg, held, ui_avg.shape[0]),
         z_c=None,
@@ -368,22 +380,9 @@ def encode(tape, leaves, ui_op, comp_op, num_users, num_items, num_layers,
         top = num_layers if average else max(map(int, comp_views), default=0)
         out.comp_layers = []
         if top:
-            # propagate over the live items only: every entry sits in a
-            # live row and column, so the restricted product equals the
-            # live rows of the full one bit for bit.  The full-height
-            # layers are placed after the loop so that the backward sweep
-            # adds each layer's gradients in the order the full-row
-            # channel did: the layer's own uses first, then the next
-            # layer's
-            live = np.flatnonzero(np.diff(comp_op.indptr)
-                                  + np.bincount(comp_op.indices, minlength=n))
-            e_live = dc.gather(dc.row_slice(e_all, m, m + n), live)
-            # every layer reads the live rows of its draw
-            plan = [(comp_op[live][:, live], live, None, None)] * top
-            live_layers, comp_blocks = run_channel("comp", plan, e_live, n)
-            out.comp_layers = [dc.scatter_rows(z, live, n)
-                               for z in live_layers]
-            out.noise_blocks.update(comp_blocks)
+            plan = _walk_back(comp_op, out.items, top, full_first=False)
+            out.comp_layers = run_channel(
+                "comp", plan, dc.row_slice(e_all, m, m + n), n)
             if average:
                 out.z_c = dc.mean_of(out.comp_layers)
         if settings.mode != "none":

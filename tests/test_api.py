@@ -1,7 +1,9 @@
-"""Every exported name resolves, and so does every gclrec name and call
-the benchmark harness in ``benchmarks/`` relies on.  The harness is only
+"""Every exported name resolves, every differentiation primitive has a
+caller in the package, and every gclrec name and call the benchmark
+harness in ``benchmarks/`` relies on resolves.  The harness is only
 read, so a deletion that would break it fails here first."""
 
+import ast
 import dataclasses
 import importlib
 import pkgutil
@@ -12,7 +14,7 @@ import numpy as np
 import pytest
 
 import gclrec
-from gclrec import dataset, model, trainer
+from gclrec import dataset, diffcore, model, trainer
 
 from conftest import random_interactions
 
@@ -25,6 +27,42 @@ def test_exported_names_resolve(name):
     module = importlib.import_module(f"gclrec.{name}")
     exported = getattr(module, "__all__", ())
     assert [attr for attr in exported if not hasattr(module, attr)] == []
+
+
+# the tape machinery and the gradient checker, which serve the
+# primitives and their tests rather than being primitives themselves
+DIFFCORE_TOOLING = {"Tape", "Node", "ShapeError", "DiffError",
+                    "check_gradients"}
+
+
+def test_every_primitive_is_called_from_the_package():
+    """A primitive that only tests call is dead code: each one exported
+    by diffcore is called as ``<alias>.name(...)`` on the diffcore module,
+    or by a name imported from it, in another gclrec module."""
+    called = set()
+    for path in Path(gclrec.__file__).parent.glob("*.py"):
+        if path.name == "diffcore.py":
+            continue
+        tree = ast.parse(path.read_text())
+        aliases, names = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    if node.module is None and alias.name == "diffcore":
+                        aliases.add(alias.asname or alias.name)
+                    elif node.module == "diffcore":
+                        names.add(alias.asname or alias.name)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if (isinstance(func, ast.Attribute)
+                    and isinstance(func.value, ast.Name)
+                    and func.value.id in aliases):
+                called.add(func.attr)
+            elif isinstance(func, ast.Name) and func.id in names:
+                called.add(func.id)
+    assert sorted(set(diffcore.__all__) - DIFFCORE_TOOLING - called) == []
 
 
 def test_benchmark_wrapped_attributes_exist():

@@ -57,6 +57,14 @@ class TestLoadInteractions:
         with pytest.raises(ParseError, match="line 2"):
             load_interactions(p)
 
+    @pytest.mark.parametrize("line, field", [(",u1,i1", "user"),
+                                             ("u1,", "item")])
+    def test_empty_field_raises_with_line_number(self, tmp_path, line,
+                                                 field):
+        p = write_log(tmp_path, f"u i\n{line}\n")
+        with pytest.raises(ParseError, match=f"line 2: empty {field}"):
+            load_interactions(p)
+
     def test_empty_file_raises(self, tmp_path):
         p = write_log(tmp_path, "# nothing here\n")
         with pytest.raises(DataError):

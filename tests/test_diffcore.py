@@ -242,22 +242,6 @@ class TestSlicesAndScatter:
         np.add.at(want, np.asarray(idx, dtype=np.int64), g)
         assert np.array_equal(grads["x"], want)
 
-    def test_scatter_rows_places_rows_among_zeros(self):
-        t = Tape()
-        x = t.leaf(rand((2, 3), 64), name="x")
-        placed = dc.scatter_rows(x, np.array([1, 3]), 4)
-        want = np.zeros((4, 3))
-        want[[1, 3]] = x.value
-        assert np.array_equal(placed.value, want)
-        assert dc.scatter_rows(t.leaf(np.ones((0, 3))), [], 4).value.shape \
-            == (4, 3)
-
-    @pytest.mark.parametrize("idx", [[1, 1], [2, 1], [0, 4], [-1, 2]])
-    def test_scatter_rows_rejects_bad_indices(self, idx):
-        t = Tape()
-        with pytest.raises(IndexError, match="scatter_rows"):
-            dc.scatter_rows(t.leaf(np.ones((2, 3))), idx, 4)
-
     def test_backward_empties_the_tape(self):
         t = Tape()
         x = t.leaf(rand((2, 2), 63), name="x")
@@ -380,18 +364,6 @@ class TestPerPrimitiveGradcheck:
         err = fd_check(lambda t, lv: dc.reduce_sum(
             dc.square(dc.gather(lv["x"], idx))), arrays)
         assert err < TOL
-
-    def test_scatter_rows(self):
-        idx = np.array([0, 2, 5])
-        arrays = {"x": rand((3, 2), 19)}
-        weights = rand((6, 2), 20)
-
-        def build(t, lv):
-            placed = dc.scatter_rows(lv["x"], idx, 6)
-            return dc.reduce_sum(dc.square(
-                dc.mul(placed, t.constant(weights))))
-
-        assert fd_check(build, arrays) < TOL
 
     def test_row_and_col_slice(self):
         arrays = {"x": rand((5, 6), 14)}

@@ -414,6 +414,79 @@ class TestLiveComplement:
             assert np.array_equal(grads[name], grad), name
 
 
+class TestDemandedComplement:
+    """With a demand the complement channel computes only the rows its
+    walk back from the demanded items reaches, and the rows it hands
+    out equal those of the run without a demand."""
+
+    DATA = TestLiveComplement.DEAD
+    M, N = 5, 7
+    # user 0, the live items 0 and 1 and the dead items 4 and 5.  The
+    # complement edges are 0-1 and 2-3, so every layer reads items 0 and
+    # 1 only.  Each block holds two rows: numpy multiplies a single row
+    # through a matrix-vector routine that may round differently
+    USERS, ITEMS = np.array([0]), np.array([0, 1, 4, 5])
+    READS = {1: [0, 1], 2: [0, 1], 3: [0, 1]}
+
+    def step(self, rows, seed=31):
+        """Encode and back-propagate a weighted sum of every view the
+        demand reads; returns the blocks' and views' values and the
+        gradients."""
+        ui_op, comp_op, _ = build_ops(self.DATA, gamma=2.0)
+        params = init_params(self.M, self.N, 4, 4, seed=seed)
+        t = Tape()
+        out = encode(t, params.leaves(t), ui_op, comp_op, self.M, self.N,
+                     3, np.random.default_rng(seed), NoiseSettings(),
+                     rows=rows, comp_views=("1", "avg"))
+        blocks = {k: (b.mu.value, b.sigma2.value, b.sample.value)
+                  for k, b in out.noise_blocks.items() if k[0] == "comp"}
+        weights = np.random.default_rng(seed + 1)
+        views, terms = {}, []
+        for cls, ids in (("user", self.USERS), ("item", self.ITEMS),
+                         ("comp", self.ITEMS)):
+            for sel in ("1", "avg"):
+                view = dc.gather(out.view(sel, cls), out.locate(cls, ids))
+                views[cls, sel] = view.value
+                terms.append(dc.reduce_sum(dc.mul(view, t.constant(
+                    weights.normal(size=view.shape)))))
+        grads = dc.backward(dc.mean_of(terms))
+        return blocks, views, grads
+
+    def demand(self):
+        return np.concatenate([self.USERS, self.M + self.ITEMS])
+
+    def test_blocks_hold_the_walks_rows_of_full_draws(self):
+        blocks, _, _ = self.step(self.demand())
+        # the stream is that of full-height draws: 3 user-item layers of
+        # 12 rows, then 3 complement layers of 7 rows
+        replay = np.random.default_rng(31)
+        for _ in range(3):
+            replay.standard_normal((12, 4))
+        assert sorted(blocks) == [("comp", 1), ("comp", 2), ("comp", 3)]
+        for k in (1, 2, 3):
+            mu, sigma2, sample = blocks["comp", k]
+            eps = replay.standard_normal((7, 4))[self.READS[k]]
+            assert sample.shape == (len(self.READS[k]), 4)
+            assert np.array_equal(sample, mu + sigma2 * eps)
+
+    def test_views_and_gradients_equal_the_run_without_demand(self):
+        blocks, views, grads = self.step(self.demand())
+        want_blocks, want_views, want = self.step(None)
+        # without a demand every block holds the live items 0-3
+        for k, reads in self.READS.items():
+            for got, full in zip(blocks["comp", k], want_blocks["comp", k]):
+                assert np.array_equal(got, full[reads])
+        for key, value in want_views.items():
+            assert np.array_equal(views[key], value), key
+        for name, grad in want.items():
+            if name.startswith("gen."):
+                # the weight products sum over fewer (zero) rows
+                err = np.max(np.abs(grads[name] - grad)) / np.max(np.abs(grad))
+                assert err <= 1e-12, name
+            else:
+                assert np.array_equal(grads[name], grad), name
+
+
 class TestReconstruct:
     def test_identity_map_unit_vectors(self):
         # pair (u, i) reads noise row u and noise row m + i, each through

@@ -161,6 +161,19 @@ class TestTrainEpoch:
             last = train_epoch(params, ctx, cfg, rng, state)
         assert last.total < first.total
 
+    def test_variance_overflow_raises_where_it_happens(self):
+        # exp(800) overflows; the step stops there with a DiffError that
+        # names sigma^2, and numpy warns of nothing on the way (the suite
+        # fails on any warning from the package)
+        fold = toy_fold()
+        cfg = tiny_config()
+        ctx = build_context(fold.train, cfg)
+        params = init_params(6, 8, cfg.d, cfg.h, seed=1)
+        params.param_arrays()["gen.b3"][0, cfg.d:] = 800.0
+        with pytest.raises(DiffError, match=r"sigma\^2 = exp\(log-variance"):
+            train_epoch(params, ctx, cfg, np.random.default_rng(0),
+                        AdamState())
+
     def test_every_positive_touched_once(self, monkeypatch):
         fold = toy_fold()
         cfg = tiny_config(batch_size=4)
@@ -281,8 +294,11 @@ class TestDemand:
         self.step(init_params(7, 7, 4, 4, seed=5), tiny_config(L=3))
         # layer 1 reads all 14 rows; layer 2 the 8 positions within two
         # hops of the read ones (0-7); layer 3 those within one hop
-        # (0-4, 6); then the 7 live items of the complement path
-        assert seen == [(14, 14), (8, 8), (6, 6), (7, 7), (7, 7), (7, 7)]
+        # (0-4, 6).  The complement channel is the path i0 - ... - i6 and
+        # walks back from the read items 0-2: its layer 3 reads items
+        # 0-3, layer 2 items 0-4 and layer 1, which no KL term reads in
+        # full, items 0-5
+        assert seen == [(14, 14), (8, 8), (6, 6), (6, 6), (5, 5), (4, 4)]
 
     def test_same_loss_and_gradients_as_every_row(self, monkeypatch):
         cfg = tiny_config(L=3)
