@@ -4,12 +4,18 @@ fixed scipy CSR matrices.
 Every value on the tape is a 2-D float64 array; scalars are (1, 1)
 matrices produced by the reductions.  The primitive set is closed and
 small: enough to express the encoder, the losses, and nothing else.
-:func:`mlp3` records a whole 3-layer perceptron as one node, so the
-generator and reconstructor keep two hidden activations and their GELU
-slopes per call instead of eight intermediate nodes.  :func:`spmm`
-takes a scipy CSR matrix as it is and multiplies by its transpose view in
-the backward pass.  Row and column
-slices are views of their parent's value.  :func:`backward` empties the
+Four fused nodes stand for the compositions a training step runs most,
+each with the composition's values and gradients bit for bit and only
+the buffers its backward pass reads: :func:`mlp3` is a whole 3-layer
+perceptron, so the generator and reconstructor keep two hidden
+activations and their GELU slopes per call instead of eight
+intermediate nodes; :func:`reparam` is the reparameterized noise
+sample, :func:`add_rownorm` its row-normalized injection into a layer's
+input, and :func:`infonce` the contrastive loss of one view pair,
+which keeps one B x B matrix instead of four.  :func:`spmm` takes a
+scipy CSR matrix as it is and multiplies by its transpose view in the
+backward pass.  Row and column slices are views of their parent's
+value.  :func:`backward` empties the
 tape it swept, so a step's values are freed when its last user lets go
 of them rather than at the next garbage collection.  Gradients are
 validated against central finite differences by :func:`check_gradients`.
@@ -36,6 +42,9 @@ __all__ = [
     "gelu",
     "mlp3",
     "rownorm",
+    "add_rownorm",
+    "reparam",
+    "infonce",
     "gather",
     "row_slice",
     "col_slice",
@@ -377,20 +386,28 @@ def mlp3(x, w1, b1, w2, b2, w3, b3):
 # ----------------------------------------------------- rows and columns
 
 
+def _inv_norms(x):
+    """(m, 1) inverse row norms of x, zero where a norm is <= 1e-12."""
+    norms = np.sqrt(np.sum(x * x, axis=1, keepdims=True))
+    return np.where(norms > ROWNORM_EPS, 1.0 / np.maximum(norms, ROWNORM_EPS), 0.0)
+
+
+def _rownorm_grad(g, x, inv):
+    # d(x/|x|) = g/|x| - x (g.x)/|x|^3; inv is zero on guarded rows so
+    # both terms vanish there.
+    dot = np.sum(g * x, axis=1, keepdims=True)
+    return g * inv - x * (dot * inv ** 3)
+
+
 def rownorm(x):
     """Row-wise L2 normalization; rows with norm <= 1e-12 map to zero
     rows and receive zero gradient."""
-    norms = np.sqrt(np.sum(x.value * x.value, axis=1, keepdims=True))
-    inv = np.where(norms > ROWNORM_EPS, 1.0 / np.maximum(norms, ROWNORM_EPS), 0.0)
-    value = x.value * inv
+    inv = _inv_norms(x.value)
 
     def bw(g):
-        # d(x/|x|) = g/|x| - x (g.x)/|x|^3; inv is zero on guarded rows so
-        # both terms vanish there.
-        dot = np.sum(g * x.value, axis=1, keepdims=True)
-        _accum(x, g * inv - x.value * (dot * inv ** 3), owned=True)
+        _accum(x, _rownorm_grad(g, x.value, inv), owned=True)
 
-    return _op("rownorm", (x,), value, bw)
+    return _op("rownorm", (x,), x.value * inv, bw)
 
 
 def gather(x, indices):
@@ -495,6 +512,115 @@ def badd_col(x, c):
             _accum(c, g.sum(axis=1, keepdims=True), owned=True)
 
     return _op("badd_col", (x, c), x.value + c.value, bw)
+
+
+# ----------------------------------------------------------------- fused
+#
+# Each fused node runs the operations of the composition it replaces, in
+# that composition's order, so values and gradients equal it bit for
+# bit; it keeps only what its backward pass reads.
+
+
+def add_rownorm(z, x):
+    """z + rownorm(x), the noise injection of one encoder layer, as one
+    node.  Only the (m, 1) column of inverse norms is kept."""
+    _require(z.shape == x.shape, "add_rownorm",
+             f"shapes {z.shape} and {x.shape} differ")
+    inv = _inv_norms(x.value)
+    value = x.value * inv
+    value += z.value
+
+    def bw(g):
+        if z.needs_grad:
+            _accum(z, g, owned=False)
+        if x.needs_grad:
+            _accum(x, _rownorm_grad(g, x.value, inv), owned=True)
+
+    return _op("add_rownorm", (z, x), value, bw)
+
+
+def reparam(out, eps, stddev=False):
+    """Reparameterized sample mu + s * eps from a generator output
+    ``out`` = [mu | log-variance] of shape (m, 2d) and a constant (m, d)
+    epsilon array, as one node.  s is exp(log-variance), or
+    exp(0.5 * log-variance) when ``stddev`` is set.
+
+    Replaces two col_slice, exp (and scale), mul and add nodes.  s and
+    epsilon are kept; the backward pass writes one (m, 2d) gradient.
+    """
+    eps = _as_matrix(eps)
+    m, width = out.shape
+    d = width // 2
+    _require(width == 2 * d and eps.shape == (m, d), "reparam",
+             f"output {out.shape} needs an epsilon of ({m}, {d}) and an "
+             f"even width, got {eps.shape}")
+    if stddev:
+        s = 0.5 * out.value[:, d:]
+        np.exp(s, out=s)
+    else:
+        s = np.exp(out.value[:, d:])
+    value = s * eps
+    value += out.value[:, :d]
+
+    def bw(g):
+        gout = np.empty_like(out.value)
+        # the composition adds each half into zeros; adding 0.0 rounds
+        # the same, turning -0.0 into 0.0
+        np.add(g, 0.0, out=gout[:, :d])
+        glv = gout[:, d:]
+        np.multiply(g, eps, out=glv)
+        glv *= s
+        if stddev:
+            glv *= 0.5
+        glv += 0.0
+        _accum(out, gout, owned=True)
+
+    return _op("reparam", (out,), value, bw)
+
+
+def infonce(a, b, tau):
+    """Mean contrastive loss with in-batch negatives as one node: row x
+    of ``a`` is positive with row x of ``b`` against every other row of
+    ``b``, over dot products scaled by 1/tau, with a max-shifted
+    log-sum-exp.
+
+    The forward pass runs one GEMM, scales, shifts and exponentiates it
+    in place and keeps only that exp matrix and its row sums.  The
+    backward pass turns the exp matrix into the logits' gradient in
+    place and runs two GEMMs.
+    """
+    _require(a.shape == b.shape, "infonce",
+             f"view shapes {a.shape} and {b.shape} differ")
+    inv_tau = 1.0 / tau
+    count = a.shape[0]
+    e = a.value @ b.value.T
+    e *= inv_tau
+    shift = e.max(axis=1, keepdims=True)
+    e += -shift
+    np.exp(e, out=e)
+    sums = e.sum(axis=1, keepdims=True)
+    lse = np.log(sums)
+    lse += shift
+    pos = (a.value * b.value).sum(axis=1, keepdims=True)
+    value = np.array([[(lse - inv_tau * pos).sum()]]) / count
+
+    def bw(g):
+        g = g / count
+        g_pos = inv_tau * -g
+        if a.needs_grad:
+            _accum(a, b.value * g_pos, owned=True)
+        if b.needs_grad:
+            _accum(b, a.value * g_pos, owned=True)
+        # the gradient of the scaled logits, in the exp matrix's buffer
+        g_logits = e
+        g_logits *= g / sums
+        g_logits *= inv_tau
+        if a.needs_grad:
+            _accum(a, g_logits @ b.value, owned=True)
+        if b.needs_grad:
+            _accum(b, g_logits.T @ a.value, owned=True)
+
+    return _op("infonce", (a, b), value, bw)
 
 
 # -------------------------------------------------------------- backward

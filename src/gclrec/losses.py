@@ -44,23 +44,15 @@ def infonce(view_a, view_b, tau):
 
     Row x of view_a is positive with row x of view_b and contrasted
     against every other row of view_b; similarities are raw dot products
-    scaled by 1/tau.  The log-sum-exp is max-shifted for stability.
+    scaled by 1/tau.  The log-sum-exp is max-shifted for stability.  The
+    loss is one tape node, :func:`diffcore.infonce`.
     """
     if view_a.shape != view_b.shape:
         raise dc.ShapeError(
             f"infonce: view shapes {view_a.shape} and {view_b.shape} differ")
     if tau <= 0:
         raise ValueError(f"temperature must be positive, got {tau}")
-    tape = view_a.tape
-    inv_tau = 1.0 / tau
-    sims = dc.scale(dc.matmul(view_a, view_b, trans_b=True), inv_tau)
-    pos = dc.scale(dc.reduce_sum(dc.mul(view_a, view_b), axis=1), inv_tau)
-    # the shift is a detached constant; the gradient of lse is exact anyway
-    shift = sims.value.max(axis=1, keepdims=True)
-    shifted = dc.badd_col(sims, tape.constant(-shift))
-    lse = dc.add(dc.log(dc.reduce_sum(dc.exp(shifted), axis=1)),
-                 tape.constant(shift))
-    return dc.reduce_mean(dc.sub(lse, pos))
+    return dc.infonce(view_a, view_b, tau)
 
 
 def multi_pair_cl(user_views, item_views, comp_views, tau):

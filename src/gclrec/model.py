@@ -10,6 +10,15 @@ drawn by reparameterization, row-normalized, and added before the sparse
 product.  Final representations average layers 1..L; the input layer is
 excluded.
 
+A noise block builds its sample from the generator output as one
+:func:`diffcore.reparam` node, and each layer adds it, row-normalized,
+as one :func:`diffcore.add_rownorm` node.  The one exception is the
+first user-item block when the KL term reads its sigma^2: it keeps
+separate mu, sigma^2 and sample nodes, because the gradient of sigma^2
+sums the KL term's and the sample's contributions before the exp
+backward, and a fused node would add them after it, rounding
+differently.
+
 The encoder computes only what its caller reads, the demand: the
 user-item rows whose final representations are read, the complement
 views read, and whether the first user-item block's sigma^2 is read.  A
@@ -165,14 +174,19 @@ class NoiseSettings:
 
 @dataclass
 class NoiseBlock:
-    """One layer's noise: mu, sigma^2 and the sample mu + scale(sigma) *
-    epsilon.  mu/sigma2 are tape nodes in mode generative and None in
-    mode random; with scale stddev, sigma2 is None unless it was asked
-    for."""
+    """One layer's noise: the sample mu + scale(sigma) * epsilon, with
+    mu and sigma^2 as tape nodes where sigma^2 is read.
+
+    ``gen_out`` is the generator output node [mu | log-variance] in mode
+    generative, None in mode random.  A block whose sigma^2 is not read
+    builds its sample as one :func:`diffcore.reparam` node and keeps mu
+    and sigma2 None; the values they would hold are the halves of
+    ``gen_out`` and the exp of its second half."""
 
     mu: object
     sigma2: object
     sample: object
+    gen_out: object = None
 
 
 def generate_noise(tape, z_prev, leaves, eps, settings, sigma2=True):
@@ -180,50 +194,55 @@ def generate_noise(tape, z_prev, leaves, eps, settings, sigma2=True):
     embeddings and its epsilon draw ``eps`` (an array shaped like
     ``z_prev``), in mode generative or random (mode none draws no noise).
 
-    Only the generator reads ``z_prev``; mode random may pass None.  With
-    scale stddev, ``sigma2`` False leaves sigma^2 unbuilt; with scale
-    variance it is the noise scale and always built.
+    Only the generator reads ``z_prev``; mode random may pass None.
+    ``sigma2`` says whether sigma^2 is read beyond scaling the noise: True
+    builds mu, sigma^2 and the sample from separate nodes, so that the
+    gradient of sigma^2 sums every use before the exp backward as it
+    always has; False builds the sample as one fused node.
     """
     if settings.mode == "none":
         raise ValueError("generate_noise: noise mode 'none' draws no noise")
 
     if settings.mode == "generative":
         d = z_prev.shape[1]
+        stddev = settings.scale == "stddev"
         # an overflow is reported below, naming where it happened
         with np.errstate(over="ignore", invalid="ignore"):
             out = mlp_forward(z_prev, leaves, "gen")
-            mu = dc.col_slice(out, 0, d)
-            logvar = dc.col_slice(out, d, 2 * d)
-            if settings.scale == "variance":
-                var = scale_node = dc.exp(logvar)
+            if sigma2:
+                mu = dc.col_slice(out, 0, d)
+                logvar = dc.col_slice(out, d, 2 * d)
+                var = dc.exp(logvar)
+                scale_node = dc.exp(dc.scale(logvar, 0.5)) if stddev else var
+                sample = dc.add(mu, dc.mul(scale_node, tape.constant(eps)))
             else:
-                var = dc.exp(logvar) if sigma2 else None
-                scale_node = dc.exp(dc.scale(logvar, 0.5))
-            sample = dc.add(mu, dc.mul(scale_node, tape.constant(eps)))
+                mu = var = None
+                sample = dc.reparam(out, eps, stddev=stddev)
         # with scale stddev a built sigma^2 reaches the loss on its own
-        read = (sample,) if var is None or var is scale_node else (sample, var)
+        read = (sample, var) if sigma2 and stddev else (sample,)
         if not all(np.isfinite(node.value).all() for node in read):
-            part = next((f"generator output {name}" for name, node
-                         in (("mu", mu), ("log-variance", logvar))
-                         if not np.isfinite(node.value).all()),
+            halves = (("mu", out.value[:, :d]),
+                      ("log-variance", out.value[:, d:]))
+            part = next((f"generator output {name}" for name, half in halves
+                         if not np.isfinite(half).all()),
                         "sigma^2 = exp(log-variance)")
             raise DiffError(f"non-finite noise: {part} is not finite")
     else:  # random: zero mean, fixed variance, nothing to learn
-        mu = var = None
+        mu = var = out = None
         s = _RANDOM_VARIANCE if settings.scale == "variance" \
             else np.sqrt(_RANDOM_VARIANCE)
         sample = dc.scale(tape.constant(eps), s)
 
     if settings.distribution == "uniform":
         sample = dc.gelu(sample)
-    return NoiseBlock(mu=mu, sigma2=var, sample=sample)
+    return NoiseBlock(mu=mu, sigma2=var, sample=sample, gen_out=out)
 
 
 def propagate(a_norm, z_prev, noise):
     """One layer: a_norm @ (z_prev + row-normalized noise sample)."""
     if noise is None:
         return dc.spmm(a_norm, z_prev)
-    return dc.spmm(a_norm, dc.add(z_prev, dc.rownorm(noise.sample)))
+    return dc.spmm(a_norm, dc.add_rownorm(z_prev, noise.sample))
 
 
 @dataclass
@@ -317,8 +336,9 @@ def encode(tape, leaves, ui_op, comp_op, num_users, num_items, num_layers,
     ``comp_views`` are the complement view selectors read: "avg" needs
     every layer and the average, layer selectors need the layers up to
     the highest, none skips the channel.
-    ``sigma2`` False leaves sigma^2 unbuilt wherever it does not scale the
-    noise; True builds it for the first user-item block.
+    ``sigma2`` True reads sigma^2 of the first user-item block, which then
+    keeps its mu and sigma^2 nodes; every other block is fused (see
+    :class:`NoiseBlock`).
 
     Each (channel, layer) draws its epsilon from ``rng`` at full height,
     m+n rows for "ui" and n for "comp", user-item layers first, whether

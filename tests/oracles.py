@@ -1,10 +1,15 @@
-"""Brute-force dense reference implementations the tests compare against.
+"""Brute-force dense reference implementations the tests compare against,
+and the compositions of tape primitives each fused primitive replaces.
 
 Everything here favors clarity over speed and works on small instances
-only; the library must agree with these to tight tolerances.
+only; the library must agree with the dense references to tight
+tolerances, and the fused primitives with their compositions bit for
+bit.
 """
 
 import numpy as np
+
+import gclrec.diffcore as dc
 
 
 def sym_normalize_dense(M):
@@ -91,3 +96,36 @@ def mmd_dense(x, y, bandwidth):
     yy = sum(k(y[i], y[j]) for i in range(ny) for j in range(ny)) / ny ** 2
     xy = sum(k(x[i], y[j]) for i in range(nx) for j in range(ny)) / (nx * ny)
     return xx + yy - 2.0 * xy
+
+
+# ------------------------------------------- compositions of the fused nodes
+
+
+def infonce_composite(view_a, view_b, tau):
+    """:func:`diffcore.infonce` from primitives: the max-shifted
+    log-sum-exp of the scaled similarities minus the positive pair's."""
+    tape = view_a.tape
+    inv_tau = 1.0 / tau
+    sims = dc.scale(dc.matmul(view_a, view_b, trans_b=True), inv_tau)
+    pos = dc.scale(dc.reduce_sum(dc.mul(view_a, view_b), axis=1), inv_tau)
+    # the shift is a detached constant; the gradient of lse is exact anyway
+    shift = sims.value.max(axis=1, keepdims=True)
+    shifted = dc.badd_col(sims, tape.constant(-shift))
+    lse = dc.add(dc.log(dc.reduce_sum(dc.exp(shifted), axis=1)),
+                 tape.constant(shift))
+    return dc.reduce_mean(dc.sub(lse, pos))
+
+
+def add_rownorm_composite(z, x):
+    """:func:`diffcore.add_rownorm` from primitives."""
+    return dc.add(z, dc.rownorm(x))
+
+
+def reparam_composite(out, eps, stddev=False):
+    """:func:`diffcore.reparam` from primitives: mu + s * eps with mu and
+    the log-variance the column halves of ``out``."""
+    d = out.shape[1] // 2
+    mu = dc.col_slice(out, 0, d)
+    logvar = dc.col_slice(out, d, 2 * d)
+    s = dc.exp(dc.scale(logvar, 0.5)) if stddev else dc.exp(logvar)
+    return dc.add(mu, dc.mul(s, out.tape.constant(eps)))

@@ -1,13 +1,17 @@
 """Every exported name resolves, every differentiation primitive has a
-caller in the package, and every gclrec name and call the benchmark
-harness in ``benchmarks/`` relies on resolves.  The harness is only
+caller in the package, importing the package leaves the process alone,
+and every gclrec name and call the benchmark harness in ``benchmarks/``
+relies on resolves.  The harness is only
 read, so a deletion that would break it fails here first."""
 
 import ast
 import dataclasses
 import importlib
+import os
 import pkgutil
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +22,8 @@ from gclrec import dataset, diffcore, model, trainer
 
 from conftest import random_interactions
 
-BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
+ROOT = Path(__file__).resolve().parents[1]
+BENCHMARKS = ROOT / "benchmarks"
 
 
 @pytest.mark.parametrize("name", sorted(
@@ -63,6 +68,56 @@ def test_every_primitive_is_called_from_the_package():
             elif isinstance(func, ast.Name) and func.id in names:
                 called.add(func.id)
     assert sorted(set(diffcore.__all__) - DIFFCORE_TOOLING - called) == []
+
+
+# records the mallopt calls made through ctypes, then imports every
+# gclrec module and, after a check, trains one epoch
+ALLOCATOR_PROBE = """
+import ctypes, importlib, pkgutil, sys
+calls = []
+real_cdll = ctypes.CDLL
+
+class Recording:
+    def __init__(self, lib):
+        self.lib = lib
+    def __getattr__(self, name):
+        fn = getattr(self.lib, name)
+        if name != "mallopt":
+            return fn
+        def mallopt(*args):
+            calls.append(args)
+            return fn(*args)
+        return mallopt
+
+ctypes.CDLL = lambda *args, **kwargs: Recording(real_cdll(*args, **kwargs))
+import gclrec
+for module in pkgutil.iter_modules(gclrec.__path__):
+    importlib.import_module("gclrec." + module.name)
+assert calls == [], f"import called mallopt: {calls}"
+
+import numpy as np
+from conftest import random_interactions
+from gclrec import trainer, model
+cfg = trainer.TrainConfig(d=4, h=4, L=2, gamma=1.0, batch_size=16)
+ctx = trainer.build_context(random_interactions(8, 9, density=0.4, seed=1), cfg)
+params = model.init_params(8, 9, 4, 4, seed=1)
+for _ in range(2):
+    trainer.train_epoch(params, ctx, cfg, np.random.default_rng(1),
+                        trainer.AdamState())
+assert calls == [(-3, 1 << 30), (-1, 2 ** 31 - 1)], calls
+"""
+
+
+def test_only_training_sets_the_allocator():
+    """Importing gclrec calls no mallopt; the first train_epoch sets the
+    allocator policy, once.  A fresh process, because another test may
+    already have trained in this one."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(ROOT / "src"), str(ROOT / "tests"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", ALLOCATOR_PROBE], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
 
 
 def test_benchmark_wrapped_attributes_exist():

@@ -104,6 +104,23 @@ class TestExitCodes:
         key = pair.partition("=")[0]
         assert f"unknown config key: {key}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("key", [
+        key for key, (_, parse) in TrainConfig.KEYS.items() if parse is float])
+    def test_non_finite_float_names_its_key(self, config_file, tmp_path,
+                                            capsys, key, value):
+        code = run_cli("train", "--config", str(config_file),
+                       "--set", f"{key}={value}",
+                       "--out", str(tmp_path / "out"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{key} must be finite" in err
+        assert "Warning" not in err
+        cfg = TrainConfig()
+        setattr(cfg, TrainConfig.KEYS[key][0], float(value))
+        with pytest.raises(ConfigError, match=f"{key} must be finite"):
+            cfg.validate()
+
     def test_bad_set_syntax(self, config_file, tmp_path, capsys):
         code = run_cli("train", "--config", str(config_file),
                        "--set", "noise.mode", "--out", str(tmp_path / "out"))

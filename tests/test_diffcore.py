@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -13,6 +15,7 @@ from gclrec.diffcore import (
 from gclrec.graphs import build_complement, build_interaction_matrix
 
 from conftest import random_interactions
+from oracles import add_rownorm_composite, infonce_composite, reparam_composite
 
 TOL = 1e-4
 
@@ -194,6 +197,120 @@ class TestMlp3:
             dc.mlp3(*lv)
 
 
+# each fused primitive and the composition it replaces
+FUSED = {"infonce": (dc.infonce, infonce_composite),
+         "add_rownorm": (dc.add_rownorm, add_rownorm_composite),
+         "reparam": (dc.reparam, reparam_composite)}
+
+
+def with_zero_row(x, row=1):
+    x = x.copy()
+    x[row] = 0.0
+    return x
+
+
+# (primitive, case) -> (leaf arrays, build(primitive, leaves))
+FUSED_CASES = {
+    ("infonce", "plain"): (
+        {"a": rand((5, 4), 70), "b": rand((5, 4), 71)},
+        lambda f, lv: f(lv["a"], lv["b"], 0.2)),
+    ("infonce", "one row"): (
+        {"a": rand((1, 4), 72), "b": rand((1, 4), 73)},
+        lambda f, lv: f(lv["a"], lv["b"], 0.2)),
+    ("infonce", "fan-out"): (
+        {"a": rand((5, 4), 74)}, lambda f, lv: f(lv["a"], lv["a"], 0.2)),
+    # a view row zeroed by rownorm's guard, as multi_pair_cl passes it
+    ("infonce", "guarded row"): (
+        {"a": with_zero_row(rand((5, 4), 75)), "b": rand((5, 4), 76)},
+        lambda f, lv: f(dc.rownorm(lv["a"]), dc.rownorm(lv["b"]), 0.2)),
+    # the views also reach the loss on their own, after the term
+    ("infonce", "shared views"): (
+        {"a": rand((5, 4), 77), "b": rand((5, 4), 78)},
+        lambda f, lv: dc.add(f(lv["a"], lv["b"], 0.2),
+                             dc.reduce_sum(dc.mul(lv["a"], lv["b"])))),
+    ("infonce", "tau 1e-3"): (
+        {"a": rand((6, 4), 79), "b": rand((6, 4), 80)},
+        lambda f, lv: f(lv["a"], lv["b"], 1e-3)),
+    ("add_rownorm", "plain"): (
+        {"z": rand((5, 4), 81), "x": rand((5, 4), 82)},
+        lambda f, lv: f(lv["z"], lv["x"])),
+    ("add_rownorm", "one row"): (
+        {"z": rand((1, 4), 83), "x": rand((1, 4), 84)},
+        lambda f, lv: f(lv["z"], lv["x"])),
+    ("add_rownorm", "guarded row"): (
+        {"z": rand((5, 4), 85), "x": with_zero_row(rand((5, 4), 86))},
+        lambda f, lv: f(lv["z"], lv["x"])),
+    ("add_rownorm", "fan-out"): (
+        {"x": rand((5, 4), 87)}, lambda f, lv: f(lv["x"], lv["x"])),
+    ("reparam", "variance"): (
+        {"out": rand((5, 6), 90, scl=0.5)},
+        lambda f, lv: f(lv["out"], rand((5, 3), 91))),
+    ("reparam", "stddev"): (
+        {"out": rand((5, 6), 92, scl=0.5)},
+        lambda f, lv: f(lv["out"], rand((5, 3), 93), stddev=True)),
+    ("reparam", "one row"): (
+        {"out": rand((1, 6), 94, scl=0.5)},
+        lambda f, lv: f(lv["out"], rand((1, 3), 95))),
+    ("reparam", "one row stddev"): (
+        {"out": rand((1, 6), 96, scl=0.5)},
+        lambda f, lv: f(lv["out"], rand((1, 3), 97), stddev=True)),
+}
+
+
+def assert_same_bits(got, want):
+    """Equal values, and equal signs of their zeros."""
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+class TestFusedNodes:
+    """Each fused primitive gives the value and every gradient of the
+    composition it replaces (tests/oracles.py) bit for bit, and records
+    one node."""
+
+    @pytest.mark.parametrize("case", FUSED_CASES, ids="-".join)
+    def test_equals_composition_bit_for_bit(self, case):
+        # the output is weighted, so the upstream gradient is not 1; a
+        # weight array of more than two entries starts with +0.0 and -0.0
+        arrays, build = FUSED_CASES[case]
+        runs = []
+        for fn in FUSED[case[0]]:
+            t = Tape()
+            lv = {k: t.leaf(v, name=k) for k, v in arrays.items()}
+            out = build(fn, lv)
+            weights = rand(out.shape, 99)
+            if weights.size > 2:
+                weights.flat[:2] = (0.0, -0.0)
+            loss = dc.reduce_sum(dc.mul(out, t.constant(weights)))
+            runs.append((out.value.copy(), backward(loss)))
+        (value, grads), (want_value, want) = runs
+        assert_same_bits(value, want_value)
+        assert sorted(grads) == sorted(arrays)
+        for name in arrays:
+            assert_same_bits(grads[name], want[name])
+
+    def test_tau_1e3_raises_no_warning(self):
+        arrays, build = FUSED_CASES["infonce", "tau 1e-3"]
+        t = Tape()
+        lv = {k: t.leaf(v, name=k) for k, v in arrays.items()}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loss = build(dc.infonce, lv)
+            grads = backward(loss)
+        assert np.isfinite(loss.value).all()
+        assert all(np.isfinite(g).all() for g in grads.values())
+
+    @pytest.mark.parametrize("fn, arity, op", [
+        (lambda a, b: dc.infonce(a, b, 0.2), 2, "infonce"),
+        (dc.add_rownorm, 2, "add_rownorm"),
+        (lambda a: dc.reparam(a, np.ones((4, 2))), 1, "reparam")])
+    def test_one_node_on_the_tape(self, fn, arity, op):
+        t = Tape()
+        fn(*(t.leaf(rand((4, 4), 98 + k)) for k in range(arity)))
+        assert [n.op for n in t.nodes] == ["leaf"] * arity + [op]
+
+
 class TestSlicesAndScatter:
     def test_slices_are_views(self):
         t = Tape()
@@ -287,6 +404,18 @@ class TestShapeErrors:
         S = sp.eye(3, format="csr")
         with pytest.raises(ShapeError, match="spmm"):
             dc.spmm(S, t.leaf(np.ones((2, 2))))
+
+    def test_fused_shapes_checked(self):
+        t = Tape()
+        a, b = t.leaf(np.ones((2, 4))), t.leaf(np.ones((3, 4)))
+        with pytest.raises(ShapeError, match="infonce"):
+            dc.infonce(a, b, 0.2)
+        with pytest.raises(ShapeError, match="add_rownorm"):
+            dc.add_rownorm(a, b)
+        with pytest.raises(ShapeError, match="reparam"):
+            dc.reparam(a, np.ones((2, 3)))
+        with pytest.raises(ShapeError, match="reparam"):
+            dc.reparam(t.leaf(np.ones((2, 5))), np.ones((2, 2)))
 
     def test_mixed_tapes_rejected(self):
         t1, t2 = Tape(), Tape()
@@ -396,6 +525,30 @@ class TestPerPrimitiveGradcheck:
             return dc.reduce_sum(dc.square(z))
 
         assert fd_check(build, arrays) < TOL
+
+
+    def test_infonce(self):
+        arrays = {"a": rand((4, 3), 19), "b": rand((4, 3), 20)}
+        err = fd_check(lambda t, lv: dc.scale(
+            dc.infonce(lv["a"], lv["b"], 0.5), 1.7), arrays)
+        assert err < TOL
+
+    def test_add_rownorm(self):
+        arrays = {"z": rand((4, 3), 21),
+                  "x": rand((4, 3), 22) + np.array([[2.0, 0, 0]])}
+        weights = rand((4, 3), 23)
+        err = fd_check(lambda t, lv: dc.reduce_sum(dc.mul(
+            dc.add_rownorm(lv["z"], lv["x"]), t.constant(weights))), arrays)
+        assert err < TOL
+
+    @pytest.mark.parametrize("stddev", [False, True])
+    def test_reparam(self, stddev):
+        arrays = {"out": rand((4, 6), 24, scl=0.5)}
+        eps, weights = rand((4, 3), 25), rand((4, 3), 26)
+        err = fd_check(lambda t, lv: dc.reduce_sum(dc.mul(
+            dc.reparam(lv["out"], eps, stddev=stddev),
+            t.constant(weights))), arrays)
+        assert err < TOL
 
 
 class TestCheckGradients:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import gclrec.diffcore as dc
+import gclrec.losses as losses
 from gclrec.diffcore import DiffError, Tape, backward
 from gclrec.losses import (
     bpr_loss,
@@ -15,7 +16,7 @@ from gclrec.losses import (
     recon_loss,
 )
 
-from oracles import infonce_dense, mmd_dense
+from oracles import infonce_composite, infonce_dense, mmd_dense
 from test_diffcore import fd_check
 
 TOL = 1e-9
@@ -163,6 +164,32 @@ class TestMultiPairCL:
     def test_no_views_rejected(self):
         with pytest.raises(ValueError):
             multi_pair_cl(None, None, None, 0.2)
+
+    def test_one_fused_node_per_term_and_the_composites_bits(self,
+                                                             monkeypatch):
+        # the three view pairs of a training step: the user pair shares a
+        # view and a complement view has a zero row
+        rng = np.random.default_rng(10)
+        arrays = {k: rng.normal(size=(5, 3)) for k in ("u", "i1", "i2", "c1")}
+        arrays["c2"] = arrays["c1"].copy()
+        arrays["c2"][2] = 0.0
+
+        def run():
+            t = Tape()
+            lv = {k: node_of(v, t, name=k) for k, v in arrays.items()}
+            loss = dc.scale(multi_pair_cl(
+                (lv["u"], lv["u"]), (lv["i1"], lv["i2"]),
+                (lv["c1"], lv["c2"]), 0.2), 0.3)
+            ops = [n.op for n in t.nodes]
+            return loss.value.copy(), backward(loss), ops
+
+        value, grads, ops = run()
+        monkeypatch.setattr(losses, "infonce", infonce_composite)
+        want_value, want, _ = run()
+        assert ops.count("infonce") == 3
+        assert np.array_equal(value, want_value)
+        for name in arrays:
+            assert np.array_equal(grads[name], want[name]), name
 
 
 class TestReconLoss:

@@ -177,6 +177,14 @@ def normed(sample):
     return sample * inv
 
 
+def mean_and_variance(block):
+    """mu and sigma^2 of a generative noise block, as the halves of its
+    generator output; a fused block builds no nodes for them."""
+    out = block.gen_out.value
+    d = out.shape[1] // 2
+    return out[:, :d], np.exp(out[:, d:])
+
+
 def build_ops(data, gamma=1.0, complement=True):
     g = build_graph(data, gamma=gamma, complement_enabled=complement)
     return g.ui, g.comp, g
@@ -373,11 +381,14 @@ class TestLiveComplement:
             replay.standard_normal((12, 4))
         for k in (1, 2, 3):
             block = out.noise_blocks[("comp", k)]
-            for part in (block.mu, block.sigma2, block.sample):
+            # sigma^2 of a complement block is not read: its sample is
+            # one fused node
+            assert block.mu is None and block.sigma2 is None
+            mu, sigma2 = mean_and_variance(block)
+            for part in (mu, sigma2, block.sample.value):
                 assert part.shape == (len(live), 4)
             eps = replay.standard_normal((7, 4))[live]
-            assert np.array_equal(block.sample.value,
-                                  block.mu.value + block.sigma2.value * eps)
+            assert np.array_equal(block.sample.value, mu + sigma2 * eps)
         assert rng.standard_normal() == replay.standard_normal()
 
     def test_all_items_live_equals_full_row_path(self):
@@ -438,7 +449,7 @@ class TestDemandedComplement:
         out = encode(t, params.leaves(t), ui_op, comp_op, self.M, self.N,
                      3, np.random.default_rng(seed), NoiseSettings(),
                      rows=rows, comp_views=("1", "avg"))
-        blocks = {k: (b.mu.value, b.sigma2.value, b.sample.value)
+        blocks = {k: (*mean_and_variance(b), b.sample.value)
                   for k, b in out.noise_blocks.items() if k[0] == "comp"}
         weights = np.random.default_rng(seed + 1)
         views, terms = {}, []

@@ -1,5 +1,6 @@
 import gc
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -438,6 +439,49 @@ class TestTapeRelease:
             assert not [o for o in gc.get_objects() if isinstance(o, Tape)]
         finally:
             gc.enable()
+
+
+class TestAllocatorPolicy:
+    """train_epoch keeps the memory a step frees in the process: glibc's
+    mmap threshold goes to 1 GiB and heap trimming is turned off, once
+    per process."""
+
+    def fake_libc(self, monkeypatch, libc):
+        monkeypatch.setattr(tr, "_heap_kept", False)
+        monkeypatch.setattr(tr.ctypes, "CDLL", lambda name: libc)
+
+    def epoch(self):
+        data = make_interactions(3, 4, [(0, 0), (0, 1), (1, 1), (1, 2),
+                                        (2, 2), (2, 3), (0, 3), (1, 0)])
+        cfg = tiny_config()
+        params = init_params(3, 4, cfg.d, cfg.h, seed=1)
+        return train_epoch(params, build_context(data, cfg), cfg,
+                           np.random.default_rng(1), AdamState())
+
+    def test_set_once_from_the_first_epoch(self, monkeypatch):
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+        self.fake_libc(monkeypatch, SimpleNamespace(mallopt=mallopt))
+        assert calls == []
+        self.epoch()
+        self.epoch()
+        assert calls == [(-3, 1 << 30), (-1, 2 ** 31 - 1)]
+
+    def test_no_mallopt_is_a_no_op(self, monkeypatch):
+        self.fake_libc(monkeypatch, object())
+        want = self.epoch()
+        assert tr._heap_kept
+
+        def no_libc(name):
+            raise OSError("no C library")
+
+        monkeypatch.setattr(tr, "_heap_kept", False)
+        monkeypatch.setattr(tr.ctypes, "CDLL", no_libc)
+        assert self.epoch() == want
 
 
 class TestFit:
