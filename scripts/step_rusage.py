@@ -8,8 +8,11 @@ seeded CiaoDVD-scale log, default config, one BLAS thread): step j is
 ``trainer.train_epoch`` over the j-th fixed batch with the rng stream
 (seed, 2, j).  Around each step it reads getrusage(RUSAGE_SELF) and
 prints one JSON line: user and system CPU seconds, minor and major page
-faults, the peak RSS so far and the RSS the process holds after the
-step.  A last line holds the medians over the steps after the first.
+faults, the peak RSS so far, the RSS the process holds after the step,
+and the live heap when the step's backward sweep starts, where its peak
+sits (glibc ``mallinfo2``: bytes in use in the arenas plus mmapped
+blocks; None without it).  A last line holds the medians over the steps
+after the first.
 Nothing here is timed by the benchmark; the script reads the log
 generator in ``benchmarks/workload.py`` only to train on the same data.
 """
@@ -33,9 +36,11 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "benchmarks"))
 
+import ctypes  # noqa: E402
+
 import numpy as np  # noqa: E402
 import workload  # noqa: E402
-from gclrec import dataset, model, trainer  # noqa: E402
+from gclrec import dataset, diffcore, model, trainer  # noqa: E402
 
 PAGE_MB = os.sysconf("SC_PAGE_SIZE") / 2 ** 20
 
@@ -47,6 +52,34 @@ def rss_mb():
             return int(fh.read().split()[1]) * PAGE_MB
     except OSError:
         return None
+
+
+class _Mallinfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks",
+        "fsmblks", "uordblks", "fordblks", "keepcost")]
+
+
+def _mallinfo2():
+    try:
+        fn = ctypes.CDLL(None).mallinfo2
+    except (AttributeError, OSError, TypeError):
+        return None
+    fn.restype = _Mallinfo2
+    fn.argtypes = ()
+    return fn
+
+
+MALLINFO2 = _mallinfo2()
+
+
+def heap_mb():
+    """Live heap now: bytes in use in glibc's arenas plus its mmapped
+    blocks, or None where the C library has no mallinfo2."""
+    if MALLINFO2 is None:
+        return None
+    info = MALLINFO2()
+    return (info.uordblks + info.hblkhd) / 2 ** 20
 
 
 def main(argv=None):
@@ -71,8 +104,20 @@ def main(argv=None):
         -1, cfg.batch_size)
     state = trainer.AdamState()
 
+    # the live heap as each backward sweep starts; trainer calls the
+    # module's backward, so wrapping the module attribute catches it
+    at_backward = []
+    sweep = diffcore.backward
+
+    def backward(loss):
+        at_backward.append(heap_mb())
+        return sweep(loss)
+
+    diffcore.backward = backward
+
     rows = []
     for j in range(args.steps):
+        at_backward.clear()
         view = fold.train.view(batches[j % len(batches)])
         before = resource.getrusage(resource.RUSAGE_SELF)
         trainer.train_epoch(params, dataclasses.replace(ctx, train=view),
@@ -85,13 +130,15 @@ def main(argv=None):
                "minor_faults": after.ru_minflt - before.ru_minflt,
                "major_faults": after.ru_majflt - before.ru_majflt,
                "peak_rss_mb": after.ru_maxrss / 1024,
-               "rss_after_mb": rss_mb()}
+               "rss_after_mb": rss_mb(),
+               "heap_at_backward_mb": at_backward[0] if at_backward else None}
         rows.append(row)
         print(json.dumps(row), flush=True)
     warm = rows[1:] or rows
     print(json.dumps({"median_after_step_0": {
         key: statistics.median(r[key] for r in warm)
-        for key in ("user_s", "system_s", "minor_faults", "rss_after_mb")
+        for key in ("user_s", "system_s", "minor_faults", "rss_after_mb",
+                    "heap_at_backward_mb")
         if all(r[key] is not None for r in warm)}}))
     return 0
 

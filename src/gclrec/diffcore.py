@@ -4,18 +4,24 @@ fixed scipy CSR matrices.
 Every value on the tape is a 2-D float64 array; scalars are (1, 1)
 matrices produced by the reductions.  The primitive set is closed and
 small: enough to express the encoder, the losses, and nothing else.
-Four fused nodes stand for the compositions a training step runs most,
+Six fused nodes stand for the compositions a training step runs most,
 each with the composition's values and gradients bit for bit and only
 the buffers its backward pass reads: :func:`mlp3` is a whole 3-layer
 perceptron, so the generator and reconstructor keep two hidden
 activations and their GELU slopes per call instead of eight
 intermediate nodes; :func:`reparam` is the reparameterized noise
-sample, :func:`add_rownorm` its row-normalized injection into a layer's
-input, and :func:`infonce` the contrastive loss of one view pair,
-which keeps one B x B matrix instead of four.  :func:`spmm` takes a
-scipy CSR matrix as it is and multiplies by its transpose view in the
-backward pass.  Row and column slices are views of their parent's
-value.  :func:`backward` empties the
+sample from a generator output, and :func:`mul_add` the same sample
+from separate mean and scale nodes; :func:`inject_spmm` is one encoder
+layer, the row-normalized noise added to the layer input and
+propagated, without keeping the noisy input; :func:`kl_normal` is the
+KL term, which keeps nothing of its own; and :func:`infonce` is the
+contrastive loss of one view pair, which keeps one B x B matrix
+instead of four.  :func:`spmm` takes a scipy CSR matrix as it is and
+multiplies by its transpose view in the backward pass.  Row and column
+slices are views of their parent's value, and :func:`gather` can lend
+one gather's value to a second gather of the same rows.  A node whose
+value no backward pass reads may drop it (value None) once it is
+built.  :func:`backward` empties the
 tape it swept, so a step's values are freed when its last user lets go
 of them rather than at the next garbage collection.  Gradients are
 validated against central finite differences by :func:`check_gradients`.
@@ -37,13 +43,14 @@ __all__ = [
     "scale",
     "mean_of",
     "exp",
-    "log",
     "softplus",
     "gelu",
     "mlp3",
     "rownorm",
-    "add_rownorm",
+    "inject_spmm",
     "reparam",
+    "mul_add",
+    "kl_normal",
     "infonce",
     "gather",
     "row_slice",
@@ -285,13 +292,6 @@ def exp(x):
     return _op("exp", (x,), value, bw)
 
 
-def log(x):
-    def bw(g):
-        _accum(x, g / x.value, owned=True)
-
-    return _op("log", (x,), np.log(x.value), bw)
-
-
 def softplus(x):
     value = np.logaddexp(0.0, x.value)
 
@@ -410,13 +410,25 @@ def rownorm(x):
     return _op("rownorm", (x,), x.value * inv, bw)
 
 
-def gather(x, indices):
-    """Select rows by an integer index array (repeats allowed)."""
+def gather(x, indices, share=None):
+    """Select rows by an integer index array (repeats allowed).
+
+    ``share``, an earlier gather of the same rows of ``x``, lends its
+    value array: the new node holds no copy of its own, and it stays a
+    node of its own, so its gradient reaches ``x`` in its own turn.
+    """
     idx = np.asarray(indices, dtype=np.int64)
     _require(idx.ndim == 1, "gather", f"index array must be 1-D, got {idx.shape}")
     if len(idx) and (idx.min() < 0 or idx.max() >= x.shape[0]):
         raise IndexError(f"gather: index out of range for {x.shape[0]} rows")
-    value = x.value[idx]
+    if share is None:
+        value = x.value[idx]
+    else:
+        _require(share.op == "gather" and share.parents == (x,)
+                 and share.shape == (len(idx), x.shape[1]), "gather",
+                 f"a {share.op} node of shape {share.shape} is no gather "
+                 f"of {len(idx)} rows of this parent")
+        value = share.value
     # strictly increasing indices name each row at most once, so the
     # backward pass can assign instead of accumulating
     distinct = bool(np.all(idx[1:] > idx[:-1]))
@@ -521,22 +533,28 @@ def badd_col(x, c):
 # bit; it keeps only what its backward pass reads.
 
 
-def add_rownorm(z, x):
-    """z + rownorm(x), the noise injection of one encoder layer, as one
-    node.  Only the (m, 1) column of inverse norms is kept."""
-    _require(z.shape == x.shape, "add_rownorm",
+def inject_spmm(op, z, x):
+    """op @ (z + rownorm(x)) with a constant scipy CSR matrix ``op``, one
+    noisy encoder layer, as one node.  Only the (m, 1) column of inverse
+    norms is kept; the noisy input z + rownorm(x) is freed once the
+    product is taken."""
+    _require(z.shape == x.shape, "inject_spmm",
              f"shapes {z.shape} and {x.shape} differ")
+    _require(op.shape[1] == z.shape[0], "inject_spmm",
+             f"shapes {op.shape} x {z.shape} incompatible")
     inv = _inv_norms(x.value)
-    value = x.value * inv
-    value += z.value
+    noisy = x.value * inv
+    noisy += z.value
+    value = op @ noisy
 
     def bw(g):
+        g = op.T @ g
         if z.needs_grad:
             _accum(z, g, owned=False)
         if x.needs_grad:
             _accum(x, _rownorm_grad(g, x.value, inv), owned=True)
 
-    return _op("add_rownorm", (z, x), value, bw)
+    return _op("inject_spmm", (z, x), value, bw)
 
 
 def reparam(out, eps, stddev=False):
@@ -546,7 +564,8 @@ def reparam(out, eps, stddev=False):
     exp(0.5 * log-variance) when ``stddev`` is set.
 
     Replaces two col_slice, exp (and scale), mul and add nodes.  s and
-    epsilon are kept; the backward pass writes one (m, 2d) gradient.
+    epsilon are kept; the backward pass writes one (m, 2d) gradient and
+    reads nothing of ``out``, whose value the caller may then drop.
     """
     eps = _as_matrix(eps)
     m, width = out.shape
@@ -563,7 +582,7 @@ def reparam(out, eps, stddev=False):
     value += out.value[:, :d]
 
     def bw(g):
-        gout = np.empty_like(out.value)
+        gout = np.empty((m, width))
         # the composition adds each half into zeros; adding 0.0 rounds
         # the same, turning -0.0 into 0.0
         np.add(g, 0.0, out=gout[:, :d])
@@ -576,6 +595,79 @@ def reparam(out, eps, stddev=False):
         _accum(out, gout, owned=True)
 
     return _op("reparam", (out,), value, bw)
+
+
+def mul_add(mu, s, eps):
+    """mu + s * eps with a constant array ``eps``, as one node: the
+    reparameterized sample from separate mean and scale nodes.  Only
+    epsilon is kept."""
+    eps = _as_matrix(eps)
+    _require(mu.shape == s.shape == eps.shape, "mul_add",
+             f"shapes {mu.shape}, {s.shape} and {eps.shape} differ")
+    value = s.value * eps
+    value += mu.value
+
+    def bw(g):
+        if mu.needs_grad:
+            _accum(mu, g, owned=False)
+        if s.needs_grad:
+            _accum(s, g * eps, owned=True)
+
+    return _op("mul_add", (mu, s), value, bw)
+
+
+def kl_normal(mu, sigma2, paper=False):
+    """Mean over every entry of the KL divergence of N(mu, sigma2) from
+    the unit Gaussian, as one (1, 1) node; sigma2 must be positive.
+
+    The standard form is 0.5 * mean(mu^2 + sigma2 - log sigma2 - 1); the
+    paper's printed form, with ``paper`` set, is
+    mean(-0.5 * log sigma2 + 0.5 * (sigma2 + mu) - 0.5).  The node keeps
+    nothing: its backward pass reads the values of mu and sigma2 and
+    adds each gradient piece in the composition's order.
+    """
+    _require(mu.shape == sigma2.shape, "kl_normal",
+             f"shapes {mu.shape} and {sigma2.shape} differ")
+    count = mu.value.size
+    if paper:
+        inner = np.log(sigma2.value)
+        inner *= -0.5
+        half = sigma2.value + mu.value
+        half *= 0.5
+        inner += half
+        inner += -0.5
+        value = np.array([[inner.sum()]]) / count
+    else:
+        inner = mu.value * mu.value
+        inner += sigma2.value
+        inner -= np.log(sigma2.value)
+        inner += -1.0
+        value = 0.5 * (np.array([[inner.sum()]]) / count)
+
+    def bw(g):
+        if paper:
+            c = float(g[0, 0]) / count
+            # the composition hands one buffer to both, unowned
+            half = np.full(mu.shape, 0.5 * c)
+            if sigma2.needs_grad:
+                _accum(sigma2, half, owned=False)
+            if mu.needs_grad:
+                _accum(mu, half, owned=False)
+            if sigma2.needs_grad:
+                _accum(sigma2, (-0.5 * c) / sigma2.value, owned=True)
+        else:
+            c = (0.5 * float(g[0, 0])) / count
+            if sigma2.needs_grad:
+                _accum(sigma2, (-c) / sigma2.value, owned=True)
+                # sigma2 owns its gradient now, so the constant is added
+                # in place as the composition's full array of c would be
+                _accum(sigma2, c, owned=False)
+            if mu.needs_grad:
+                gmu = 2.0 * mu.value
+                gmu *= c
+                _accum(mu, gmu, owned=True)
+
+    return _op("kl_normal", (mu, sigma2), value, bw)
 
 
 def infonce(a, b, tau):

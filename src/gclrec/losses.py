@@ -87,25 +87,14 @@ def kl_loss(mu, sigma2, formula="standard"):
     paper:    ln(1/sigma) + (sigma^2 + mu)/2 - 1/2 per element, the
     printed form this code base also supports; it drops the square on mu
     and is unbounded below, so it is not the default.
+
+    Either is one tape node, :func:`diffcore.kl_normal`.
     """
     if np.any(sigma2.value <= 0):
         raise DiffError("kl_loss requires sigma2 > 0 elementwise")
-    tape = mu.tape
-
-    def minus(x, c):
-        # x + (-c) rounds exactly as x - c, and a (1, d) row is all the
-        # constant the broadcast needs
-        return dc.badd_row(x, tape.constant(np.full((1, mu.shape[1]), -c)))
-
-    if formula == "standard":
-        inner = minus(dc.sub(dc.add(dc.square(mu), sigma2),
-                             dc.log(sigma2)), 1.0)
-        return dc.scale(dc.reduce_mean(inner), 0.5)
-    if formula == "paper":
-        inner = minus(dc.add(dc.scale(dc.log(sigma2), -0.5),
-                             dc.scale(dc.add(sigma2, mu), 0.5)), 0.5)
-        return dc.reduce_mean(inner)
-    raise ValueError(f"unknown kl formula {formula!r}")
+    if formula not in ("standard", "paper"):
+        raise ValueError(f"unknown kl formula {formula!r}")
+    return dc.kl_normal(mu, sigma2, paper=formula == "paper")
 
 
 def median_bandwidth(x_values, y_values):

@@ -11,12 +11,15 @@ product.  Final representations average layers 1..L; the input layer is
 excluded.
 
 A noise block builds its sample from the generator output as one
-:func:`diffcore.reparam` node, and each layer adds it, row-normalized,
-as one :func:`diffcore.add_rownorm` node.  The one exception is the
-first user-item block when the KL term reads its sigma^2: it keeps
-separate mu, sigma^2 and sample nodes, because the gradient of sigma^2
-sums the KL term's and the sample's contributions before the exp
-backward, and a fused node would add them after it, rounding
+:func:`diffcore.reparam` node and then drops the generator output,
+which no backward pass reads; each layer adds the sample,
+row-normalized, to its input and propagates the sum as one
+:func:`diffcore.inject_spmm` node, which keeps no noisy input.  The
+one exception is the first user-item block when the KL term reads its
+sigma^2: it keeps its mu and sigma^2 nodes and builds the sample from
+them as one :func:`diffcore.mul_add` node, because the gradient of
+sigma^2 sums the KL term's and the sample's contributions before the
+exp backward, and a fused node would add them after it, rounding
 differently.
 
 The encoder computes only what its caller reads, the demand: the
@@ -177,16 +180,13 @@ class NoiseBlock:
     """One layer's noise: the sample mu + scale(sigma) * epsilon, with
     mu and sigma^2 as tape nodes where sigma^2 is read.
 
-    ``gen_out`` is the generator output node [mu | log-variance] in mode
-    generative, None in mode random.  A block whose sigma^2 is not read
-    builds its sample as one :func:`diffcore.reparam` node and keeps mu
-    and sigma2 None; the values they would hold are the halves of
-    ``gen_out`` and the exp of its second half."""
+    A block whose sigma^2 is not read builds its sample as one
+    :func:`diffcore.reparam` node from the generator output and keeps
+    mu and sigma2 None."""
 
     mu: object
     sigma2: object
     sample: object
-    gen_out: object = None
 
 
 def generate_noise(tape, z_prev, leaves, eps, settings, sigma2=True):
@@ -196,9 +196,10 @@ def generate_noise(tape, z_prev, leaves, eps, settings, sigma2=True):
 
     Only the generator reads ``z_prev``; mode random may pass None.
     ``sigma2`` says whether sigma^2 is read beyond scaling the noise: True
-    builds mu, sigma^2 and the sample from separate nodes, so that the
-    gradient of sigma^2 sums every use before the exp backward as it
-    always has; False builds the sample as one fused node.
+    builds mu and sigma^2 as nodes of their own, so that the gradient of
+    sigma^2 sums every use before the exp backward as it always has;
+    False builds the sample from the generator output as one fused node
+    and then drops the generator output's value.
     """
     if settings.mode == "none":
         raise ValueError("generate_noise: noise mode 'none' draws no noise")
@@ -214,7 +215,7 @@ def generate_noise(tape, z_prev, leaves, eps, settings, sigma2=True):
                 logvar = dc.col_slice(out, d, 2 * d)
                 var = dc.exp(logvar)
                 scale_node = dc.exp(dc.scale(logvar, 0.5)) if stddev else var
-                sample = dc.add(mu, dc.mul(scale_node, tape.constant(eps)))
+                sample = dc.mul_add(mu, scale_node, eps)
             else:
                 mu = var = None
                 sample = dc.reparam(out, eps, stddev=stddev)
@@ -227,22 +228,25 @@ def generate_noise(tape, z_prev, leaves, eps, settings, sigma2=True):
                          if not np.isfinite(half).all()),
                         "sigma^2 = exp(log-variance)")
             raise DiffError(f"non-finite noise: {part} is not finite")
+        if not sigma2:
+            # the fused sample's backward reads s and epsilon, not this
+            out.value = None
     else:  # random: zero mean, fixed variance, nothing to learn
-        mu = var = out = None
+        mu = var = None
         s = _RANDOM_VARIANCE if settings.scale == "variance" \
             else np.sqrt(_RANDOM_VARIANCE)
         sample = dc.scale(tape.constant(eps), s)
 
     if settings.distribution == "uniform":
         sample = dc.gelu(sample)
-    return NoiseBlock(mu=mu, sigma2=var, sample=sample, gen_out=out)
+    return NoiseBlock(mu=mu, sigma2=var, sample=sample)
 
 
 def propagate(a_norm, z_prev, noise):
     """One layer: a_norm @ (z_prev + row-normalized noise sample)."""
     if noise is None:
         return dc.spmm(a_norm, z_prev)
-    return dc.spmm(a_norm, dc.add_rownorm(z_prev, noise.sample))
+    return dc.inject_spmm(a_norm, z_prev, noise.sample)
 
 
 @dataclass
@@ -338,7 +342,7 @@ def encode(tape, leaves, ui_op, comp_op, num_users, num_items, num_layers,
     the highest, none skips the channel.
     ``sigma2`` True reads sigma^2 of the first user-item block, which then
     keeps its mu and sigma^2 nodes; every other block is fused (see
-    :class:`NoiseBlock`).
+    :func:`generate_noise`).
 
     Each (channel, layer) draws its epsilon from ``rng`` at full height,
     m+n rows for "ui" and n for "comp", user-item layers first, whether
@@ -356,26 +360,26 @@ def encode(tape, leaves, ui_op, comp_op, num_users, num_items, num_layers,
     def draw(height):
         return rng.standard_normal((height, d))
 
-    def taken(z, take):
-        return z if take is None else dc.gather(z, take)
+    def taken(z, take, share=None):
+        return z if take is None else dc.gather(z, take, share=share)
 
     def run_channel(channel, plan, z, height):
-        # the generator and the propagation gather their rows each for
-        # itself, and the rows read of each layer are gathered after the
-        # loop: the backward sweep then adds a row's gradients in the
-        # order the full-height encoder does
+        # the generator and the propagation gather their rows each as a
+        # node of its own, sharing one value, and the rows read of each
+        # layer are gathered after the loop: the backward sweep then adds
+        # a row's gradients in the order the full-height encoder does
         layers = []
         for k, (op, reads, take, _) in enumerate(plan, start=1):
-            block = None
+            block = source = None
             if settings.mode != "none":
                 eps = draw(height) if reads is None else draw(height)[reads]
-                source = (taken(z, take) if settings.mode == "generative"
-                          else None)
+                if settings.mode == "generative":
+                    source = taken(z, take)
                 block = generate_noise(
                     tape, source, leaves, eps, settings,
                     sigma2=sigma2 and (channel, k) == ("ui", 1))
                 blocks[(channel, k)] = block
-            z = propagate(op, taken(z, take), block)
+            z = propagate(op, taken(z, take, share=source), block)
             layers.append(z)
         return [taken(z, keep) for z, (*_, keep) in zip(layers, plan)]
 

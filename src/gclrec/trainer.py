@@ -209,25 +209,40 @@ def adam_step(param_table, grads, state, lr=0.001, beta1=0.9, beta2=0.999,
     """Bias-corrected Adam update, in place on the parameter arrays.
 
     All or nothing: a non-finite gradient anywhere raises DiffError before
-    any parameter, moment or the step count changes."""
+    any parameter, moment or the step count changes.  Every temporary is
+    written into one of two scratch buffers sized for the largest
+    parameter."""
     for name in param_table:
         if not np.all(np.isfinite(grads[name])):
             raise DiffError(f"non-finite gradient for {name!r}; training diverged")
     state.t += 1
     t = state.t
+    size = max((p.size for p in param_table.values()), default=0)
+    scratch_a, scratch_b = np.empty(size), np.empty(size)
     for name, p in param_table.items():
         g = grads[name]
         if name not in state.m:
             state.m[name] = np.zeros_like(p)
             state.v[name] = np.zeros_like(p)
         m, v = state.m[name], state.v[name]
+        a = scratch_a[:p.size].reshape(p.shape)
+        b = scratch_b[:p.size].reshape(p.shape)
+        # m = beta1 m + (1 - beta1) g and v = beta2 v + (1 - beta2) g g
         m *= beta1
-        m += (1.0 - beta1) * g
+        np.multiply(1.0 - beta1, g, out=a)
+        m += a
         v *= beta2
-        v += (1.0 - beta2) * g * g
-        m_hat = m / (1.0 - beta1 ** t)
-        v_hat = v / (1.0 - beta2 ** t)
-        p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        np.multiply(1.0 - beta2, g, out=a)
+        a *= g
+        v += a
+        # p -= lr m_hat / (sqrt(v_hat) + eps)
+        np.divide(m, 1.0 - beta1 ** t, out=b)
+        np.multiply(lr, b, out=b)
+        np.divide(v, 1.0 - beta2 ** t, out=a)
+        np.sqrt(a, out=a)
+        a += eps
+        b /= a
+        p -= b
 
 
 # ------------------------------------------------------------- context
@@ -279,54 +294,58 @@ def _batch_loss(params, ctx, cfg, rng, users, pos_items, neg_items):
                  cfg.noise_settings(), rows=touched, comp_views=views_read,
                  sigma2=cfg.ddl == "kl")
 
-    zu_b = dc.gather(out.z_u, out.locate("user", u_idx))
-    pos_scores = dc.reduce_sum(dc.mul(
-        zu_b, dc.gather(out.z_i, out.locate("item", p_idx))), axis=1)
-    neg_scores = dc.reduce_sum(dc.mul(
-        zu_b, dc.gather(out.z_i, out.locate("item", n_idx))), axis=1)
-    rec = ls.bpr_loss(pos_scores, neg_scores)
+    # a term or gradient that overflows is reported, naming where, by
+    # joint_loss, kl_loss or adam_step, with no numpy warning before it
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        zu_b = dc.gather(out.z_u, out.locate("user", u_idx))
+        pos_scores = dc.reduce_sum(dc.mul(
+            zu_b, dc.gather(out.z_i, out.locate("item", p_idx))), axis=1)
+        neg_scores = dc.reduce_sum(dc.mul(
+            zu_b, dc.gather(out.z_i, out.locate("item", n_idx))), axis=1)
+        rec = ls.bpr_loss(pos_scores, neg_scores)
 
-    cl = None
-    if cfg.lambda_ > 0:
-        uu = np.unique(u_idx)
-        ii = np.unique(p_idx)
+        cl = None
+        if cfg.lambda_ > 0:
+            uu = np.unique(u_idx)
+            ii = np.unique(p_idx)
 
-        def views(cls, ids):
-            idx = out.locate(cls, ids)
-            return tuple(dc.gather(out.view(sel, cls), idx)
-                         for sel in views_read)
+            def views(cls, ids):
+                idx = out.locate(cls, ids)
+                return tuple(dc.gather(out.view(sel, cls), idx)
+                             for sel in views_read)
 
-        comp_views = views("comp", ii) if ctx.comp_op is not None else None
-        cl = ls.multi_pair_cl(views("user", uu), views("item", ii),
-                              comp_views, cfg.tau)
+            comp_views = (views("comp", ii) if ctx.comp_op is not None
+                          else None)
+            cl = ls.multi_pair_cl(views("user", uu), views("item", ii),
+                                  comp_views, cfg.tau)
 
-    recon = ddl = None
-    if cfg.noise_mode == "generative":
-        block = out.noise_blocks[("ui", 1)]
-        pos_pairs = np.column_stack([u_idx, p_idx])
-        neg_pairs = np.column_stack([u_idx, n_idx])
-        all_pairs = np.vstack([pos_pairs, neg_pairs])
-        targets = np.concatenate([np.ones(len(pos_pairs)),
-                                  np.zeros(len(neg_pairs))])
-        predicted = reconstruct(block.sample, leaves, all_pairs, m)
-        recon = ls.recon_loss(predicted, targets)
+        recon = ddl = None
+        if cfg.noise_mode == "generative":
+            block = out.noise_blocks[("ui", 1)]
+            pos_pairs = np.column_stack([u_idx, p_idx])
+            neg_pairs = np.column_stack([u_idx, n_idx])
+            all_pairs = np.vstack([pos_pairs, neg_pairs])
+            targets = np.concatenate([np.ones(len(pos_pairs)),
+                                      np.zeros(len(neg_pairs))])
+            predicted = reconstruct(block.sample, leaves, all_pairs, m)
+            recon = ls.recon_loss(predicted, targets)
 
-        if cfg.ddl == "kl":
-            ddl = ls.kl_loss(block.mu, block.sigma2, cfg.kl_formula)
-        else:
-            gen = dc.gather(block.sample, touched)
-            if cfg.noise_distribution == "uniform":
-                prior = rng.random((len(touched), cfg.d))
+            if cfg.ddl == "kl":
+                ddl = ls.kl_loss(block.mu, block.sigma2, cfg.kl_formula)
             else:
-                prior = rng.standard_normal((len(touched), cfg.d))
-            bw = cfg.mmd_bandwidth or ls.median_bandwidth(gen.value, prior)
-            ddl = ls.mmd_loss(gen, tape.constant(prior), bw)
+                gen = dc.gather(block.sample, touched)
+                if cfg.noise_distribution == "uniform":
+                    prior = rng.random((len(touched), cfg.d))
+                else:
+                    prior = rng.standard_normal((len(touched), cfg.d))
+                bw = cfg.mmd_bandwidth or ls.median_bandwidth(gen.value, prior)
+                ddl = ls.mmd_loss(gen, tape.constant(prior), bw)
 
-    reg = ls.l2_reg(dc.gather(leaves["base_embedding"], touched),
-                    cfg.reg_coeff)
+        reg = ls.l2_reg(dc.gather(leaves["base_embedding"], touched),
+                        cfg.reg_coeff)
 
-    report, total = ls.joint_loss(rec, cl, recon, ddl, reg, cfg.lambda_)
-    grads = dc.backward(total)
+        report, total = ls.joint_loss(rec, cl, recon, ddl, reg, cfg.lambda_)
+        grads = dc.backward(total)
     return report, total, grads
 
 

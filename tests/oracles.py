@@ -101,6 +101,15 @@ def mmd_dense(x, y, bandwidth):
 # ------------------------------------------- compositions of the fused nodes
 
 
+def log(x):
+    """Natural log as a tape node.  Only the compositions below take a
+    log on the tape; the fused nodes take theirs inside."""
+    def bw(g):
+        dc._accum(x, g / x.value, owned=True)
+
+    return dc._op("log", (x,), np.log(x.value), bw)
+
+
 def infonce_composite(view_a, view_b, tau):
     """:func:`diffcore.infonce` from primitives: the max-shifted
     log-sum-exp of the scaled similarities minus the positive pair's."""
@@ -111,14 +120,19 @@ def infonce_composite(view_a, view_b, tau):
     # the shift is a detached constant; the gradient of lse is exact anyway
     shift = sims.value.max(axis=1, keepdims=True)
     shifted = dc.badd_col(sims, tape.constant(-shift))
-    lse = dc.add(dc.log(dc.reduce_sum(dc.exp(shifted), axis=1)),
+    lse = dc.add(log(dc.reduce_sum(dc.exp(shifted), axis=1)),
                  tape.constant(shift))
     return dc.reduce_mean(dc.sub(lse, pos))
 
 
 def add_rownorm_composite(z, x):
-    """:func:`diffcore.add_rownorm` from primitives."""
+    """z + rownorm(x), the noise injection of one encoder layer."""
     return dc.add(z, dc.rownorm(x))
+
+
+def inject_spmm_composite(op, z, x):
+    """:func:`diffcore.inject_spmm` from primitives."""
+    return dc.spmm(op, add_rownorm_composite(z, x))
 
 
 def reparam_composite(out, eps, stddev=False):
@@ -128,4 +142,29 @@ def reparam_composite(out, eps, stddev=False):
     mu = dc.col_slice(out, 0, d)
     logvar = dc.col_slice(out, d, 2 * d)
     s = dc.exp(dc.scale(logvar, 0.5)) if stddev else dc.exp(logvar)
-    return dc.add(mu, dc.mul(s, out.tape.constant(eps)))
+    return mul_add_composite(mu, s, eps)
+
+
+def mul_add_composite(mu, s, eps):
+    """:func:`diffcore.mul_add` from primitives."""
+    return dc.add(mu, dc.mul(s, mu.tape.constant(eps)))
+
+
+def kl_normal_composite(mu, sigma2, paper=False):
+    """:func:`diffcore.kl_normal` from primitives, the standard form
+    0.5 * mean(mu^2 + sigma2 - log sigma2 - 1) or the paper's
+    mean(-0.5 log sigma2 + 0.5 (sigma2 + mu) - 0.5)."""
+    tape = mu.tape
+
+    def minus(x, c):
+        # x + (-c) rounds exactly as x - c, and a (1, d) row is all the
+        # constant the broadcast needs
+        return dc.badd_row(x, tape.constant(np.full((1, mu.shape[1]), -c)))
+
+    if paper:
+        inner = minus(dc.add(dc.scale(log(sigma2), -0.5),
+                             dc.scale(dc.add(sigma2, mu), 0.5)), 0.5)
+        return dc.reduce_mean(inner)
+    inner = minus(dc.sub(dc.add(dc.square(mu), sigma2),
+                         log(sigma2)), 1.0)
+    return dc.scale(dc.reduce_mean(inner), 0.5)

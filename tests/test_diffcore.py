@@ -15,7 +15,14 @@ from gclrec.diffcore import (
 from gclrec.graphs import build_complement, build_interaction_matrix
 
 from conftest import random_interactions
-from oracles import add_rownorm_composite, infonce_composite, reparam_composite
+from oracles import (
+    infonce_composite,
+    inject_spmm_composite,
+    kl_normal_composite,
+    log,
+    mul_add_composite,
+    reparam_composite,
+)
 
 TOL = 1e-4
 
@@ -197,10 +204,30 @@ class TestMlp3:
             dc.mlp3(*lv)
 
 
+def ui1_block(sample_fn, kl_fn, out, eps, weights, stddev, paper):
+    """The first user-item noise block under KL: mu and sigma^2 slices of
+    a generator output, the sample built from them, and the KL term, so
+    that both terms fan out into mu and sigma^2."""
+    d = out.shape[1] // 2
+    mu = dc.col_slice(out, 0, d)
+    logvar = dc.col_slice(out, d, 2 * d)
+    var = dc.exp(logvar)
+    s = dc.exp(dc.scale(logvar, 0.5)) if stddev else var
+    sample = sample_fn(mu, s, eps)
+    term = dc.reduce_sum(dc.mul(sample, out.tape.constant(weights)))
+    return dc.add(term, kl_fn(mu, var, paper=paper))
+
+
 # each fused primitive and the composition it replaces
 FUSED = {"infonce": (dc.infonce, infonce_composite),
-         "add_rownorm": (dc.add_rownorm, add_rownorm_composite),
-         "reparam": (dc.reparam, reparam_composite)}
+         "inject_spmm": (dc.inject_spmm, inject_spmm_composite),
+         "reparam": (dc.reparam, reparam_composite),
+         "mul_add": (dc.mul_add, mul_add_composite),
+         "kl_normal": (dc.kl_normal, kl_normal_composite),
+         "ui1 block": (
+             lambda *a, **k: ui1_block(dc.mul_add, dc.kl_normal, *a, **k),
+             lambda *a, **k: ui1_block(mul_add_composite,
+                                       kl_normal_composite, *a, **k))}
 
 
 def with_zero_row(x, row=1):
@@ -208,6 +235,22 @@ def with_zero_row(x, row=1):
     x[row] = 0.0
     return x
 
+
+def zero_signed(x):
+    """x with its first two entries +0.0 and -0.0."""
+    x = x.copy()
+    x.flat[:2] = (0.0, -0.0)
+    return x
+
+
+def shared_upstream(f, mu, s, eps):
+    uses = dc.exp(mu), dc.exp(mu)
+    return dc.add(dc.add(f(mu, s, eps), uses[0]), uses[1])
+
+
+# rectangular, as an operator restricted to a demand is
+OP = sp.csr_matrix(np.where(rand((4, 5), 88) > 0, rand((4, 5), 89), 0.0))
+OP_ONE_COLUMN = sp.csr_matrix(rand((3, 1), 100))
 
 # (primitive, case) -> (leaf arrays, build(primitive, leaves))
 FUSED_CASES = {
@@ -231,17 +274,22 @@ FUSED_CASES = {
     ("infonce", "tau 1e-3"): (
         {"a": rand((6, 4), 79), "b": rand((6, 4), 80)},
         lambda f, lv: f(lv["a"], lv["b"], 1e-3)),
-    ("add_rownorm", "plain"): (
+    ("inject_spmm", "plain"): (
         {"z": rand((5, 4), 81), "x": rand((5, 4), 82)},
-        lambda f, lv: f(lv["z"], lv["x"])),
-    ("add_rownorm", "one row"): (
+        lambda f, lv: f(OP, lv["z"], lv["x"])),
+    ("inject_spmm", "one row"): (
         {"z": rand((1, 4), 83), "x": rand((1, 4), 84)},
-        lambda f, lv: f(lv["z"], lv["x"])),
-    ("add_rownorm", "guarded row"): (
+        lambda f, lv: f(OP_ONE_COLUMN, lv["z"], lv["x"])),
+    ("inject_spmm", "guarded row"): (
         {"z": rand((5, 4), 85), "x": with_zero_row(rand((5, 4), 86))},
-        lambda f, lv: f(lv["z"], lv["x"])),
-    ("add_rownorm", "fan-out"): (
-        {"x": rand((5, 4), 87)}, lambda f, lv: f(lv["x"], lv["x"])),
+        lambda f, lv: f(OP, lv["z"], lv["x"])),
+    ("inject_spmm", "fan-out"): (
+        {"x": rand((5, 4), 87)}, lambda f, lv: f(OP, lv["x"], lv["x"])),
+    # x already holds a gradient when the node adds z's piece, then x's
+    ("inject_spmm", "fan-out after a later use"): (
+        {"x": rand((5, 4), 123)},
+        lambda f, lv: dc.add(f(OP, lv["x"], lv["x"]),
+                             dc.spmm(OP, dc.exp(lv["x"])))),
     ("reparam", "variance"): (
         {"out": rand((5, 6), 90, scl=0.5)},
         lambda f, lv: f(lv["out"], rand((5, 3), 91))),
@@ -254,7 +302,58 @@ FUSED_CASES = {
     ("reparam", "one row stddev"): (
         {"out": rand((1, 6), 96, scl=0.5)},
         lambda f, lv: f(lv["out"], rand((1, 3), 97), stddev=True)),
+    ("mul_add", "plain"): (
+        {"mu": rand((5, 3), 101), "s": rand((5, 3), 102)},
+        lambda f, lv: f(lv["mu"], lv["s"], rand((5, 3), 103))),
+    ("mul_add", "fan-out"): (
+        {"x": rand((5, 3), 104)},
+        lambda f, lv: f(lv["x"], lv["x"], rand((5, 3), 105))),
+    ("mul_add", "fan-out after a later use"): (
+        {"x": rand((5, 3), 109)},
+        lambda f, lv: dc.add(f(lv["x"], lv["x"], rand((5, 3), 105)),
+                             dc.exp(lv["x"]))),
+    # the upstream gradient is one buffer shared with two earlier uses
+    # of mu, which read it after mu has taken its piece
+    ("mul_add", "shared upstream"): (
+        {"mu": rand((5, 3), 126), "s": rand((5, 3), 127)},
+        lambda f, lv: shared_upstream(f, lv["mu"], lv["s"],
+                                      rand((5, 3), 128))),
+    # epsilon holds zeros of both signs
+    ("mul_add", "signed zeros"): (
+        {"mu": rand((1, 3), 106), "s": rand((1, 3), 107)},
+        lambda f, lv: f(lv["mu"], dc.exp(lv["s"]),
+                        zero_signed(rand((1, 3), 108)))),
+    # at these draws, adding each formula's terms in another order moves
+    # the mean's last bit
+    ("kl_normal", "standard"): (
+        {"mu": rand((5, 3), 124), "ls": rand((5, 3), 125)},
+        lambda f, lv: f(lv["mu"], dc.exp(lv["ls"]))),
+    ("kl_normal", "paper"): (
+        {"mu": rand((5, 3), 114), "ls": rand((5, 3), 115)},
+        lambda f, lv: f(lv["mu"], dc.exp(lv["ls"]), paper=True)),
+    ("kl_normal", "one entry"): (
+        {"mu": rand((1, 1), 110), "ls": rand((1, 1), 111)},
+        lambda f, lv: f(lv["mu"], dc.exp(lv["ls"]))),
+    # mu and sigma^2 one node: each piece adds into the same gradient
+    ("kl_normal", "fan-out"): (
+        {"ls": rand((5, 3), 116)},
+        lambda f, lv: f(*[dc.exp(lv["ls"])] * 2)),
+    ("kl_normal", "fan-out paper"): (
+        {"ls": rand((5, 3), 117)},
+        lambda f, lv: f(*[dc.exp(lv["ls"])] * 2, paper=True)),
+    # mu reaches the loss on its own, before the term
+    ("kl_normal", "shared mu"): (
+        {"mu": rand((5, 3), 118), "ls": rand((5, 3), 119)},
+        lambda f, lv: dc.add(dc.reduce_sum(dc.square(lv["mu"])),
+                             f(lv["mu"], dc.exp(lv["ls"])))),
 }
+for _scale in ("variance", "stddev"):
+    for _formula in ("standard", "paper"):
+        FUSED_CASES["ui1 block", f"{_scale} {_formula}"] = (
+            {"out": rand((5, 6), 120, scl=0.5)},
+            lambda f, lv, s=_scale, k=_formula: f(
+                lv["out"], rand((5, 3), 121), zero_signed(rand((5, 3), 122)),
+                stddev=s == "stddev", paper=k == "paper"))
 
 
 def assert_same_bits(got, want):
@@ -303,11 +402,14 @@ class TestFusedNodes:
 
     @pytest.mark.parametrize("fn, arity, op", [
         (lambda a, b: dc.infonce(a, b, 0.2), 2, "infonce"),
-        (dc.add_rownorm, 2, "add_rownorm"),
-        (lambda a: dc.reparam(a, np.ones((4, 2))), 1, "reparam")])
+        (lambda a, b: dc.inject_spmm(OP[:, :4], a, b), 2, "inject_spmm"),
+        (lambda a: dc.reparam(a, np.ones((4, 2))), 1, "reparam"),
+        (lambda a, b: dc.mul_add(a, b, np.ones((4, 4))), 2, "mul_add"),
+        (dc.kl_normal, 2, "kl_normal")])
     def test_one_node_on_the_tape(self, fn, arity, op):
         t = Tape()
-        fn(*(t.leaf(rand((4, 4), 98 + k)) for k in range(arity)))
+        # positive inputs, which kl_normal's sigma^2 needs
+        fn(*(t.leaf(np.exp(rand((4, 4), 98 + k))) for k in range(arity)))
         assert [n.op for n in t.nodes] == ["leaf"] * arity + [op]
 
 
@@ -410,8 +512,14 @@ class TestShapeErrors:
         a, b = t.leaf(np.ones((2, 4))), t.leaf(np.ones((3, 4)))
         with pytest.raises(ShapeError, match="infonce"):
             dc.infonce(a, b, 0.2)
-        with pytest.raises(ShapeError, match="add_rownorm"):
-            dc.add_rownorm(a, b)
+        with pytest.raises(ShapeError, match="inject_spmm"):
+            dc.inject_spmm(sp.identity(2, format="csr"), a, b)
+        with pytest.raises(ShapeError, match="inject_spmm"):
+            dc.inject_spmm(sp.identity(3, format="csr"), a, a)
+        with pytest.raises(ShapeError, match="mul_add"):
+            dc.mul_add(a, a, np.ones((3, 4)))
+        with pytest.raises(ShapeError, match="kl_normal"):
+            dc.kl_normal(a, b)
         with pytest.raises(ShapeError, match="reparam"):
             dc.reparam(a, np.ones((2, 3)))
         with pytest.raises(ShapeError, match="reparam"):
@@ -463,7 +571,7 @@ class TestPerPrimitiveGradcheck:
     def test_exp_log(self):
         arrays = {"x": np.abs(rand((2, 4), 7)) + 0.5}
         err = fd_check(lambda t, lv: dc.reduce_sum(
-            dc.log(dc.exp(dc.log(lv["x"])))), arrays)
+            log(dc.exp(log(lv["x"])))), arrays)
         assert err < TOL
 
     def test_softplus(self):
@@ -533,12 +641,27 @@ class TestPerPrimitiveGradcheck:
             dc.infonce(lv["a"], lv["b"], 0.5), 1.7), arrays)
         assert err < TOL
 
-    def test_add_rownorm(self):
-        arrays = {"z": rand((4, 3), 21),
-                  "x": rand((4, 3), 22) + np.array([[2.0, 0, 0]])}
+    def test_inject_spmm(self):
+        arrays = {"z": rand((5, 3), 21),
+                  "x": rand((5, 3), 22) + np.array([[2.0, 0, 0]])}
         weights = rand((4, 3), 23)
         err = fd_check(lambda t, lv: dc.reduce_sum(dc.mul(
-            dc.add_rownorm(lv["z"], lv["x"]), t.constant(weights))), arrays)
+            dc.inject_spmm(OP, lv["z"], lv["x"]), t.constant(weights))),
+            arrays)
+        assert err < TOL
+
+    def test_mul_add(self):
+        arrays = {"mu": rand((4, 3), 27), "s": rand((4, 3), 28)}
+        eps, weights = rand((4, 3), 29), rand((4, 3), 30)
+        err = fd_check(lambda t, lv: dc.reduce_sum(dc.mul(
+            dc.mul_add(lv["mu"], lv["s"], eps), t.constant(weights))), arrays)
+        assert err < TOL
+
+    @pytest.mark.parametrize("paper", [False, True])
+    def test_kl_normal(self, paper):
+        arrays = {"mu": rand((4, 3), 31), "ls": rand((4, 3), 32, scl=0.5)}
+        err = fd_check(lambda t, lv: dc.scale(dc.kl_normal(
+            lv["mu"], dc.exp(lv["ls"]), paper=paper), 1.7), arrays)
         assert err < TOL
 
     @pytest.mark.parametrize("stddev", [False, True])

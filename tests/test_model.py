@@ -177,10 +177,29 @@ def normed(sample):
     return sample * inv
 
 
-def mean_and_variance(block):
-    """mu and sigma^2 of a generative noise block, as the halves of its
-    generator output; a fused block builds no nodes for them."""
-    out = block.gen_out.value
+@pytest.fixture
+def generator_outputs(monkeypatch):
+    """Sample node -> the generator output [mu | log-variance] of every
+    fused noise block built while the fixture is active.  A fused block
+    drops that output once its sample is built, so it is caught on the
+    way into :func:`diffcore.reparam`."""
+    outputs, original = {}, dc.reparam
+
+    def spy(out, eps, **kwargs):
+        sample = original(out, eps, **kwargs)
+        outputs[sample] = out.value
+        return sample
+
+    monkeypatch.setattr(dc, "reparam", spy)
+    yield outputs
+    # the nodes refer to their tapes, which later tests expect freed
+    outputs.clear()
+
+
+def mean_and_variance(block, outputs):
+    """mu and sigma^2 of a fused generative noise block, as the halves of
+    its generator output caught by ``generator_outputs``."""
+    out = outputs[block.sample]
     d = out.shape[1] // 2
     return out[:, :d], np.exp(out[:, d:])
 
@@ -372,7 +391,8 @@ class TestLiveComplement:
         np.testing.assert_allclose(out.z_c.value, want_avg, rtol=0, atol=1e-12)
         np.testing.assert_array_equal(out.z_c.value[4:], 0.0)
 
-    def test_noise_blocks_hold_live_rows_of_full_draws(self):
+    def test_noise_blocks_hold_live_rows_of_full_draws(self,
+                                                       generator_outputs):
         out, _, _, live, rng, _, _ = self.encode(self.DEAD, 2.0, 22)
         # the random stream is that of full-height draws: 3 user-item
         # layers of 12 rows, then 3 complement layers of 7 rows
@@ -384,7 +404,7 @@ class TestLiveComplement:
             # sigma^2 of a complement block is not read: its sample is
             # one fused node
             assert block.mu is None and block.sigma2 is None
-            mu, sigma2 = mean_and_variance(block)
+            mu, sigma2 = mean_and_variance(block, generator_outputs)
             for part in (mu, sigma2, block.sample.value):
                 assert part.shape == (len(live), 4)
             eps = replay.standard_normal((7, 4))[live]
@@ -439,7 +459,7 @@ class TestDemandedComplement:
     USERS, ITEMS = np.array([0]), np.array([0, 1, 4, 5])
     READS = {1: [0, 1], 2: [0, 1], 3: [0, 1]}
 
-    def step(self, rows, seed=31):
+    def step(self, rows, outputs, seed=31):
         """Encode and back-propagate a weighted sum of every view the
         demand reads; returns the blocks' and views' values and the
         gradients."""
@@ -449,7 +469,7 @@ class TestDemandedComplement:
         out = encode(t, params.leaves(t), ui_op, comp_op, self.M, self.N,
                      3, np.random.default_rng(seed), NoiseSettings(),
                      rows=rows, comp_views=("1", "avg"))
-        blocks = {k: (*mean_and_variance(b), b.sample.value)
+        blocks = {k: (*mean_and_variance(b, outputs), b.sample.value)
                   for k, b in out.noise_blocks.items() if k[0] == "comp"}
         weights = np.random.default_rng(seed + 1)
         views, terms = {}, []
@@ -466,8 +486,9 @@ class TestDemandedComplement:
     def demand(self):
         return np.concatenate([self.USERS, self.M + self.ITEMS])
 
-    def test_blocks_hold_the_walks_rows_of_full_draws(self):
-        blocks, _, _ = self.step(self.demand())
+    def test_blocks_hold_the_walks_rows_of_full_draws(self,
+                                                      generator_outputs):
+        blocks, _, _ = self.step(self.demand(), generator_outputs)
         # the stream is that of full-height draws: 3 user-item layers of
         # 12 rows, then 3 complement layers of 7 rows
         replay = np.random.default_rng(31)
@@ -480,9 +501,10 @@ class TestDemandedComplement:
             assert sample.shape == (len(self.READS[k]), 4)
             assert np.array_equal(sample, mu + sigma2 * eps)
 
-    def test_views_and_gradients_equal_the_run_without_demand(self):
-        blocks, views, grads = self.step(self.demand())
-        want_blocks, want_views, want = self.step(None)
+    def test_views_and_gradients_equal_the_run_without_demand(
+            self, generator_outputs):
+        blocks, views, grads = self.step(self.demand(), generator_outputs)
+        want_blocks, want_views, want = self.step(None, generator_outputs)
         # without a demand every block holds the live items 0-3
         for k, reads in self.READS.items():
             for got, full in zip(blocks["comp", k], want_blocks["comp", k]):

@@ -1,4 +1,5 @@
 import gc
+import warnings
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -175,6 +176,31 @@ class TestTrainEpoch:
             train_epoch(params, ctx, cfg, np.random.default_rng(0),
                         AdamState())
 
+    @pytest.mark.parametrize("name, entries, value, message", [
+        # the reconstruction overflows to nan in the forward pass
+        ("rec.w3", np.s_[:], 1e160, "loss component 'recon' is not finite"),
+        # sigma^2 = exp(-740) is positive and the KL term finite, but its
+        # gradient -c / sigma^2 overflows in the backward pass
+        ("gen.b3", np.s_[0, 4:], -740.0,
+         "non-finite gradient for 'base_embedding'")],
+        ids=["recon", "gradient"])
+    def test_numeric_failure_raises_without_a_warning(self, name, entries,
+                                                      value, message):
+        fold = toy_fold()
+        cfg = tiny_config()
+        ctx = build_context(fold.train, cfg)
+        params = init_params(6, 8, cfg.d, cfg.h, seed=1)
+        before = params.copy()
+        params.param_arrays()[name][entries] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DiffError, match=message):
+                train_epoch(params, ctx, cfg, np.random.default_rng(0),
+                            AdamState())
+        for key, arr in params.param_arrays().items():
+            if key != name:
+                assert np.array_equal(arr, before.param_arrays()[key]), key
+
     def test_every_positive_touched_once(self, monkeypatch):
         fold = toy_fold()
         cfg = tiny_config(batch_size=4)
@@ -265,6 +291,65 @@ class TestBatchLoss:
         # that keeps its backward closure was computed for nothing
         assert [n.op for n in swept
                 if n.needs_grad and n._backward is not None] == []
+
+
+class TestTapeComposition:
+    """A default step's forward tape holds only values its backward
+    pass reads."""
+
+    def tape(self, monkeypatch):
+        fold = toy_fold()
+        cfg = tiny_config()
+        ctx = build_context(fold.train, cfg)
+        params = init_params(6, 8, cfg.d, cfg.h, seed=2)
+        rng = np.random.default_rng(3)
+        # three pairs touch fewer rows than the user-item channel holds
+        users, pos = fold.train.pairs[:3, 0], fold.train.pairs[:3, 1]
+        neg = sample_negatives(ctx.R, users, 1, rng)
+        seen, original = [], dc.backward
+
+        def spy(loss):
+            # what the sweep starts from, before it retires any value
+            seen.extend((n, n.value) for n in loss.tape.nodes)
+            return original(loss)
+
+        monkeypatch.setattr(dc, "backward", spy)
+        tr._batch_loss(params, ctx, cfg, rng, users, pos, neg)
+        return seen, ctx.num_users + ctx.num_items
+
+    def test_no_full_height_elementwise_or_injection_nodes(self, monkeypatch):
+        seen, height = self.tape(monkeypatch)
+        ops = {n.op for n, _ in seen}
+        assert {"kl_normal", "mul_add", "reparam", "inject_spmm"} <= ops
+        assert "add_rownorm" not in ops
+        full = [n.op for n, value in seen
+                if value is not None and value.shape[0] == height]
+        assert full
+        assert not set(full) & {"mul", "square", "log", "sub", "badd_row"}
+
+    def test_fused_blocks_drop_their_generator_output(self, monkeypatch):
+        seen, _ = self.tape(monkeypatch)
+        values = dict(seen)
+        fused = [n.parents[0] for n, _ in seen if n.op == "reparam"]
+        # user-item layer 2 and complement layers 1 and 2
+        assert len(fused) == 3
+        assert all(out.op == "mlp3" and values[out] is None for out in fused)
+
+    def test_a_layers_two_gathers_share_one_value(self, monkeypatch):
+        seen, _ = self.tape(monkeypatch)
+        values = dict(seen)
+        generator_inputs = [n.parents[0] for n, _ in seen if n.op == "mlp3"
+                            and n.parents[1].name == "gen.w1"]
+        layer_inputs = [n.parents[0] for n, _ in seen
+                        if n.op == "inject_spmm"]
+        pairs = [(g, z) for g, z in zip(generator_inputs, layer_inputs)
+                 if z.op == "gather"]
+        # every layer but the first user-item one reads a gathered input
+        assert len(pairs) == 3
+        for gen_in, layer_in in pairs:
+            assert gen_in is not layer_in and gen_in.op == "gather"
+            assert gen_in.parents == layer_in.parents
+            assert np.shares_memory(values[gen_in], values[layer_in])
 
 
 class TestDemand:
