@@ -1,20 +1,24 @@
 #!/usr/bin/env python3
-"""Per-step CPU time, page faults and memory of train-gen optimizer steps.
+"""Per-operation CPU time, page faults and memory of a benchmark workload.
 
     python3 scripts/step_rusage.py --seed 1 --steps 8
+    python3 scripts/step_rusage.py --workload eval-full --seed 1 --steps 5
 
-Runs the steps of the benchmark's train-gen workload (fold 0 of the
-seeded CiaoDVD-scale log, default config, one BLAS thread): step j is
-``trainer.train_epoch`` over the j-th fixed batch with the rng stream
-(seed, 2, j).  Around each step it reads getrusage(RUSAGE_SELF) and
-prints one JSON line: user and system CPU seconds, minor and major page
-faults, the peak RSS so far, the RSS the process holds after the step,
-and the live heap when the step's backward sweep starts, where its peak
-sits (glibc ``mallinfo2``: bytes in use in the arenas plus mmapped
-blocks; None without it).  A last line holds the medians over the steps
-after the first.
+Runs the operations of one of the benchmark's workloads on fold 0 of the
+seeded CiaoDVD-scale log with the default config and one BLAS thread.
+For train-gen, operation j is ``trainer.train_epoch`` over the j-th
+fixed batch with the rng stream (seed, 2, j); for eval-full it is one
+``trainer.evaluate_model`` at k = 5, 10, 20 with the initial parameters.
+Around each operation it reads getrusage(RUSAGE_SELF) and prints one
+JSON line: user and system CPU seconds, minor and major page faults,
+the peak RSS so far and the RSS the process holds after the operation.
+A train step adds the live heap when its backward sweep starts, where
+its peak sits (glibc ``mallinfo2``: bytes in use in the arenas plus
+mmapped blocks; None without it).  An evaluation adds the CPU seconds
+spent in ``eval_embeddings``, ``rank_topk`` and ``topk_metrics``.  A
+last line holds the medians over the operations after the first.
 Nothing here is timed by the benchmark; the script reads the log
-generator in ``benchmarks/workload.py`` only to train on the same data.
+generator in ``benchmarks/workload.py`` only to run on the same data.
 """
 
 import os
@@ -30,6 +34,7 @@ import resource  # noqa: E402
 import statistics  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
+import time  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -82,24 +87,18 @@ def heap_mb():
     return (info.uordblks + info.hblkhd) / 2 ** 20
 
 
-def main(argv=None):
-    p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--steps", type=int, default=8)
-    args = p.parse_args(argv)
+def usage(before, after):
+    """The getrusage and RSS fields of one operation's JSON line."""
+    return {"user_s": after.ru_utime - before.ru_utime,
+            "system_s": after.ru_stime - before.ru_stime,
+            "minor_faults": after.ru_minflt - before.ru_minflt,
+            "major_faults": after.ru_majflt - before.ru_majflt,
+            "peak_rss_mb": after.ru_maxrss / 1024,
+            "rss_after_mb": rss_mb()}
 
-    size = workload.SIZES["full"]
-    with tempfile.TemporaryDirectory() as tmp:
-        log = Path(tmp) / "log.txt"
-        workload.write_log(workload.generate_pairs(size, args.seed), log)
-        data = dataset.load_interactions(log)
-    cfg = trainer.TrainConfig(seed=args.seed, batch_size=size.batch_size)
-    cfg.validate()
-    fold = dataset.make_folds(data, cfg.folds, cfg.seed)[0]
-    ctx = trainer.build_context(fold.train, cfg)
-    params = model.init_params(ctx.num_users, ctx.num_items, cfg.d, cfg.h,
-                               seed=cfg.seed + fold.fold_index)
-    order = np.random.default_rng([args.seed, 1]).permutation(len(fold.train))
+
+def train_steps(fold, ctx, params, cfg, seed, steps):
+    order = np.random.default_rng([seed, 1]).permutation(len(fold.train))
     batches = order[:len(order) // cfg.batch_size * cfg.batch_size].reshape(
         -1, cfg.batch_size)
     state = trainer.AdamState()
@@ -115,31 +114,82 @@ def main(argv=None):
 
     diffcore.backward = backward
 
-    rows = []
-    for j in range(args.steps):
+    for j in range(steps):
         at_backward.clear()
         view = fold.train.view(batches[j % len(batches)])
         before = resource.getrusage(resource.RUSAGE_SELF)
         trainer.train_epoch(params, dataclasses.replace(ctx, train=view),
-                            cfg, np.random.default_rng([args.seed, 2, j]),
-                            state)
+                            cfg, np.random.default_rng([seed, 2, j]), state)
         after = resource.getrusage(resource.RUSAGE_SELF)
-        row = {"step": j,
-               "user_s": after.ru_utime - before.ru_utime,
-               "system_s": after.ru_stime - before.ru_stime,
-               "minor_faults": after.ru_minflt - before.ru_minflt,
-               "major_faults": after.ru_majflt - before.ru_majflt,
-               "peak_rss_mb": after.ru_maxrss / 1024,
-               "rss_after_mb": rss_mb(),
+        yield {"step": j, **usage(before, after),
                "heap_at_backward_mb": at_backward[0] if at_backward else None}
+
+
+EVAL_STAGES = ("eval_embeddings", "rank_topk", "topk_metrics")
+
+
+def evaluations(fold, ctx, params, cfg, count):
+    # evaluate_model looks its stages up in the trainer module, so
+    # wrapping the module attributes times each call
+    spent = dict.fromkeys(EVAL_STAGES, 0.0)
+
+    def timed(name, fn):
+        def call(*args, **kwargs):
+            start = time.process_time()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                spent[name] += time.process_time() - start
+        return call
+
+    for name in EVAL_STAGES:
+        setattr(trainer, name, timed(name, getattr(trainer, name)))
+
+    for j in range(count):
+        spent.update(dict.fromkeys(EVAL_STAGES, 0.0))
+        before = resource.getrusage(resource.RUSAGE_SELF)
+        trainer.evaluate_model(params, ctx, fold.test, cfg, ks=(5, 10, 20))
+        after = resource.getrusage(resource.RUSAGE_SELF)
+        yield {"evaluation": j, **usage(before, after),
+               **{f"{name}_s": spent[name] for name in EVAL_STAGES}}
+
+
+def main(argv=None):
+    p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    p.add_argument("--workload", choices=("train-gen", "eval-full"),
+                   default="train-gen")
+    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--steps", type=int, default=8,
+                   help="operations to run")
+    args = p.parse_args(argv)
+
+    size = workload.SIZES["full"]
+    with tempfile.TemporaryDirectory() as tmp:
+        log = Path(tmp) / "log.txt"
+        workload.write_log(workload.generate_pairs(size, args.seed), log)
+        data = dataset.load_interactions(log)
+    cfg = trainer.TrainConfig(seed=args.seed, batch_size=size.batch_size)
+    cfg.validate()
+    fold = dataset.make_folds(data, cfg.folds, cfg.seed)[0]
+    ctx = trainer.build_context(fold.train, cfg)
+    params = model.init_params(ctx.num_users, ctx.num_items, cfg.d, cfg.h,
+                               seed=cfg.seed + fold.fold_index)
+    if args.workload == "train-gen":
+        ops = train_steps(fold, ctx, params, cfg, args.seed, args.steps)
+    else:
+        ops = evaluations(fold, ctx, params, cfg, args.steps)
+
+    rows = []
+    for row in ops:
         rows.append(row)
         print(json.dumps(row), flush=True)
     warm = rows[1:] or rows
-    print(json.dumps({"median_after_step_0": {
+    keys = [key for key in rows[0] if key not in ("step", "evaluation",
+                                                  "major_faults",
+                                                  "peak_rss_mb")]
+    print(json.dumps({"median_after_op_0": {
         key: statistics.median(r[key] for r in warm)
-        for key in ("user_s", "system_s", "minor_faults", "rss_after_mb",
-                    "heap_at_backward_mb")
-        if all(r[key] is not None for r in warm)}}))
+        for key in keys if all(r[key] is not None for r in warm)}}))
     return 0
 
 

@@ -35,7 +35,7 @@ class RankingMetrics:
                 f"{self.ndcg!r},{self.users_evaluated},{self.users_skipped}")
 
 
-def rank_topk(z_u, z_i, train_items, k, users=None, chunk=128):
+def rank_topk(z_u, z_i, train_items, k, users=None, chunk=256):
     """Top-k item lists per user from dot-product scores.
 
     ``train_items`` is the binary users x items train matrix in CSR form;
@@ -46,10 +46,11 @@ def rank_topk(z_u, z_i, train_items, k, users=None, chunk=128):
 
     Scores are the float64 dot products of finite embeddings, and must
     not overflow.  Each chunk of users is scored over the whole catalog
-    in float32; only the items whose float32 score lies within a proven
-    rounding bound of their row's float32 k-th score are scored again in
-    float64 and ordered, so the lists are those of a float64 ranking of
-    the whole catalog.
+    in float32.  A screen over block maxima of those scores finds the
+    items whose float32 score lies within a proven rounding bound of a
+    lower bound on their row's float32 k-th score; only these are scored
+    again in float64 and ordered, so the lists are those of a float64
+    ranking of the whole catalog.
     """
     z_u = np.asarray(z_u, dtype=np.float64)
     z_i = np.asarray(z_i, dtype=np.float64)
@@ -62,6 +63,14 @@ def rank_topk(z_u, z_i, train_items, k, users=None, chunk=128):
     if users is None:
         users = np.arange(z_u.shape[0])
     users = np.asarray(users, dtype=np.int64)
+    members = max(1, min(16, n // (8 * k)))
+    w = -(-n // members)
+    # the lists' storage and the score buffer, which every chunk reuses,
+    # are allocated before any temporary: an array the lists keep, placed
+    # past freed temporaries in the heap, would hold their pages resident
+    # where an evaluation's next, larger arrays cannot reuse them
+    top, lengths = np.empty((len(users), k), np.int64), np.empty_like(users)
+    buffer = np.empty((min(chunk, len(users)), members * w), np.float32)
     # The bound.  Scaling by a power of two is exact: each user row
     # x = 2^-a u gets its largest entry into [0.5, 1), and every item
     # row y = 2^-b i shares one b, which keeps each row's ranking and
@@ -82,6 +91,16 @@ def rank_topk(z_u, z_i, train_items, k, users=None, chunk=128):
     # for the row's float32 k-th score v.  Otherwise each of the k items
     # a with f_a >= v has c s_a >= f_a - E >= v - E > f_j + E >= c s_j,
     # so k items beat j outright.  Ties in s only enlarge the set.
+    # The screen.  Item j sits in block j mod w as its member j // w, for
+    # B = max(1, min(16, n // 8k)) members per block and w = ceil(n / B)
+    # >= k blocks (w >= 8k when B > 1); the columns past n score -inf.
+    # Let t be the row's k-th largest block maximum.  The k blocks whose
+    # maxima are >= t are disjoint, so they hold k distinct items with
+    # f >= t, and t <= v.  The floor t - 2E <= v - 2E therefore keeps
+    # every item of the float64 top k, and an item with f >= t - 2E lies
+    # in a block whose maximum is >= t - 2E, so reading the members of
+    # those blocks alone finds them all.  A row with fewer than k finite
+    # block maxima has t = -inf and keeps every finite score.
     x = z_u[users]
     a = np.frexp(np.abs(x).max(axis=1, initial=0.0))[1]
     b = np.frexp(np.abs(z_i).max(initial=0.0))[1]
@@ -91,31 +110,38 @@ def rank_topk(z_u, z_i, train_items, k, users=None, chunk=128):
         radius = 2 * (gamma * np.linalg.norm(x, axis=1)
                       * np.linalg.norm(y, axis=1).max(initial=0.0)
                       + d * 2.0 ** -147 + np.ldexp(d * 2.0 ** -1074, -(a + b)))
-    x, y = x.astype(np.float32), y.astype(np.float32)
+    x = x.astype(np.float32)
+    y = np.vstack([y, np.zeros((members * w - n, d))]).astype(np.float32)
     lowest = np.finfo(np.float32).min
-    lists = []
     for lo in range(0, len(users), chunk):
         batch = users[lo:lo + chunk]
-        scores = x[lo:lo + chunk] @ y.T
+        scores = np.matmul(x[lo:lo + chunk], y.T, out=buffer[:len(batch)])
+        scores[:, n:] = -np.inf
         held = train_items[batch]
         scores[np.repeat(np.arange(len(batch)), np.diff(held.indptr)),
                held.indices] = -np.inf
-        kth = np.partition(scores, n - k, axis=1)[:, n - k]
+        blocks = scores.reshape(len(batch), members, w)
+        peak = blocks.max(axis=1)
+        kth = np.partition(peak, w - k, axis=1)[:, w - k]
         # the floor is taken in float64 and rounded down to float32; a row
-        # with fewer than k finite scores keeps all of them
+        # with fewer than k finite block maxima keeps every finite score
         floor = np.maximum(kth - radius[lo:lo + chunk], lowest)
         floor32 = floor.astype(np.float32)
         np.nextafter(floor32, lowest, out=floor32, where=floor32 > floor)
-        rows, items = np.divmod(np.flatnonzero(scores >= floor32[:, None]), n)
+        rows, cols = np.nonzero(peak >= floor32[:, None])
+        picked, member = np.nonzero(blocks[rows, :, cols]
+                                    >= floor32[rows, None])
+        rows, items = rows[picked], cols[picked] + member * w
         exact = np.einsum("ij,ij->i", z_u[batch[rows]], z_i[items])
         order = np.lexsort((items, -exact, rows))
         rows, items = rows[order], items[order]
         counts = np.bincount(rows, minlength=len(batch))
         rank = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts,
                                                 counts)
-        lengths = np.minimum(counts, k)
-        lists.extend(np.split(items[rank < k], np.cumsum(lengths)[:-1]))
-    return lists
+        keep = rank < k
+        top[lo + rows[keep], rank[keep]] = items[keep]
+        lengths[lo:lo + chunk] = np.minimum(counts, k)
+    return [row[:m] for row, m in zip(top, lengths.tolist())]
 
 
 def _flatten(rows):
@@ -130,12 +156,17 @@ def topk_metrics(topk_lists, test_sets, k):
 
     ``test_sets`` aligns with ``topk_lists``; users with empty test sets
     are skipped and tallied.  DCG uses binary relevance with 1/log2(rank+1)
-    discounts and the ideal DCG truncates at min(|test|, k).
+    discounts and the ideal DCG truncates at min(|test|, k).  A list
+    longer than k raises ValueError.
     """
     discounts = 1.0 / np.log2(np.arange(2, k + 2))
     ideal_prefix = np.concatenate([[0.0], np.cumsum(discounts)])
     users = len(topk_lists)
     top_len, top_row, top = _flatten(topk_lists)
+    if np.any(top_len > k):
+        u = int(np.argmax(top_len > k))
+        raise ValueError(f"top-k list {u} has {top_len[u]} items, more "
+                         f"than k={k}")
     _, test_row, test = _flatten(test_sets)
     # (row, item) pairs as single keys; duplicate test items count once
     width = 1 + max(top.max(initial=-1), test.max(initial=-1))
@@ -143,11 +174,16 @@ def topk_metrics(topk_lists, test_sets, k):
     test_len = np.bincount(test_keys // width, minlength=users)
     hits = np.isin(top_row * width + top, test_keys).astype(np.float64)
     hit_count = np.bincount(top_row, hits, minlength=users)
-    # each list's DCG is its own dot product, as in a per-user loop: the
-    # order in which BLAS sums a list decides the last bit
-    starts = (np.cumsum(top_len) - top_len).tolist()
-    dcg = np.array([hits[s:s + n] @ discounts[:n]
-                    for s, n in zip(starts, top_len.tolist())])
+    # a list with at most one hit has DCG 0 or its hit's discount in any
+    # summation order; a list with more is its own dot product, as in a
+    # per-user loop, since the order in which BLAS sums it decides the
+    # last bit
+    starts = np.cumsum(top_len) - top_len
+    position = np.arange(len(top)) - np.repeat(starts, top_len)
+    dcg = np.bincount(top_row, hits * discounts[position], minlength=users)
+    for u in np.flatnonzero(hit_count > 1).tolist():
+        s, n = starts[u], top_len[u]
+        dcg[u] = hits[s:s + n] @ discounts[:n]
 
     kept = test_len > 0
     evaluated = int(kept.sum())

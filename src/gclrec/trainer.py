@@ -208,15 +208,31 @@ def adam_step(param_table, grads, state, lr=0.001, beta1=0.9, beta2=0.999,
               eps=1e-8):
     """Bias-corrected Adam update, in place on the parameter arrays.
 
-    All or nothing: a non-finite gradient anywhere raises DiffError before
-    any parameter, moment or the step count changes.  Every temporary is
-    written into one of two scratch buffers sized for the largest
-    parameter."""
+    All or nothing: a non-finite gradient anywhere, or a second moment
+    that would overflow, raises DiffError before any parameter, moment or
+    the step count changes.  Every temporary is written into one of two
+    scratch buffers sized for the largest parameter."""
+    t = state.t + 1
+
+    def v_hat(v, g):  # the update's operations, in its order
+        return (beta2 * v + (1.0 - beta2) * g * g) / (1.0 - beta2 ** t)
+
     for name in param_table:
-        if not np.all(np.isfinite(grads[name])):
+        g = grads[name]
+        g_max = np.abs(g).max(initial=0.0)
+        if not np.isfinite(g_max):
             raise DiffError(f"non-finite gradient for {name!r}; training diverged")
-    state.t += 1
-    t = state.t
+        v = state.v.get(name, 0.0)
+        # each operation rounds monotonically, so the largest |g| and the
+        # largest v bound every entry; only a bound that overflows needs
+        # the entries themselves
+        with np.errstate(over="ignore"):
+            if not (np.isfinite(v_hat(np.max(v), g_max))
+                    or np.isfinite(v_hat(v, g)).all()):
+                raise DiffError(f"Adam's second moment for {name!r} "
+                                f"overflows at |gradient| {g_max:.3g}; "
+                                f"training diverged")
+    state.t = t
     size = max((p.size for p in param_table.values()), default=0)
     scratch_a, scratch_b = np.empty(size), np.empty(size)
     for name, p in param_table.items():

@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -277,6 +278,17 @@ class TestTrain:
         history = (out / "history.csv").read_text()
         assert history == "\n".join(expected) + "\n"
         assert expected[1].startswith("1,")
+
+    def test_overflowing_adam_moment_is_numeric_error(self, config_file,
+                                                      tmp_path, capsys):
+        # a finite but huge gradient exits 4 at Adam, with no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli("train", "--config", str(config_file),
+                           "--set", "lambda=1e300",
+                           "--out", str(tmp_path / "out"))
+        assert code == 4
+        assert "second moment for 'base_embedding'" in capsys.readouterr().err
 
     def test_env_var_sets_out_dir(self, config_file, tmp_path, capsys,
                                   monkeypatch):

@@ -12,9 +12,9 @@ from conftest import train_matrix
 from oracles import ranking_metrics_dense, topk_rank_dense
 
 
-def random_instance(rng, max_users=8, max_items=30):
+def random_instance(rng, max_users=8, max_items=30, min_items=5):
     m = int(rng.integers(2, max_users))
-    n = int(rng.integers(5, max_items))
+    n = int(rng.integers(min_items, max_items))
     d = int(rng.integers(2, 6))
     z_u = rng.normal(size=(m, d))
     z_i = rng.normal(size=(n, d))
@@ -125,14 +125,22 @@ def assert_matches_oracle(z_u, z_i, train, k, chunk):
     return lists
 
 
+def screen_members(n, k):
+    """Members per block of rank_topk's block-maximum screen."""
+    return max(1, min(16, n // (8 * k)))
+
+
 @pytest.mark.parametrize("chunk", [1, 7, 128])
 class TestTwoPrecisionRanker:
     """rank_topk scores in float32 and re-scores candidates in float64;
-    every case must equal the float64 oracle."""
+    every case must equal the float64 oracle.  ``grow`` scales each
+    catalog."""
+
+    grow = 1
 
     def test_near_ties_inside_float32_rounding(self, chunk):
         rng = np.random.default_rng(10)
-        z_u, z_i, train = near_tie_instance(rng)
+        z_u, z_i, train = near_tie_instance(rng, others=200 * self.grow)
         lists = assert_matches_oracle(z_u, z_i, train, 10, chunk)
         cluster = (z_u @ z_i.T)[:, np.all(z_i[:, 2:] == 0.0, axis=1)]
         assert np.diff(np.sort(cluster, axis=1)).min() > 100 * np.spacing(4.0)
@@ -149,14 +157,17 @@ class TestTwoPrecisionRanker:
                                                   (1e150, 1e-150)])
     def test_extreme_scales(self, chunk, scale_u, scale_i):
         rng = np.random.default_rng(11)
-        z_u, z_i, train = near_tie_instance(rng)
+        z_u, z_i, train = near_tie_instance(rng, others=200 * self.grow)
         assert_matches_oracle(scale_u * z_u, scale_i * z_i, train, 10, chunk)
-        z_u, z_i, train, _ = random_instance(rng, max_users=30, max_items=60)
+        z_u, z_i, train, _ = random_instance(rng, max_users=30,
+                                             min_items=5 * self.grow,
+                                             max_items=60 * self.grow)
         assert_matches_oracle(scale_u * z_u, scale_i * z_i, train, 4, chunk)
 
     def test_zero_user_row_takes_lowest_indices(self, chunk):
         rng = np.random.default_rng(12)
-        z_u, z_i, train = near_tie_instance(rng, users=9)
+        z_u, z_i, train = near_tie_instance(rng, users=9,
+                                            others=200 * self.grow)
         z_u[4] = 0.0
         train[4] = np.array([0, 2])
         lists = assert_matches_oracle(z_u, z_i, train, 10, chunk)
@@ -164,14 +175,110 @@ class TestTwoPrecisionRanker:
 
     def test_rows_with_fewer_than_k_candidates(self, chunk):
         rng = np.random.default_rng(13)
-        n = 12
+        n = 12 * self.grow
         z_u, z_i = rng.normal(size=(10, 3)), rng.normal(size=(n, 3))
-        # 12, 10, 8, ... items held: none to 12 candidates
+        # all but 0, 2, 4, ..., 12 items held: none to 12 candidates
         train = [np.sort(rng.choice(n, n - 2 * (u % 7), replace=False))
                  for u in range(10)]
         lists = assert_matches_oracle(z_u, z_i, train, 5, chunk)
         assert [len(top) for top in lists] == \
             [min(5, 2 * (u % 7)) for u in range(10)]
+
+
+class TestTwoPrecisionRankerScreened(TestTwoPrecisionRanker):
+    """The same cases on catalogs 16 times larger, where the screen puts
+    several items in each block (2 to 16 members)."""
+
+    grow = 16
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 256])
+class TestBlockScreen:
+    """Catalogs where rank_topk's screen has several members per block;
+    every case must equal the float64 oracle."""
+
+    def test_short_blocks(self, chunk):
+        # n = 16 w - 11: blocks 14..24 lack a 16th member, and the best
+        # items sit in the last member row and in the short blocks
+        rng = np.random.default_rng(20)
+        k, n = 3, 389
+        w = -(-n // screen_members(n, k))
+        assert (screen_members(n, k), w) == (16, 25)
+        z_u, z_i = rng.normal(size=(40, 4)), rng.normal(size=(n, 4))
+        best = [n - 1, n - 2, 15 * w, 14, 24, 24 + 14 * w]
+        z_i[best] *= 6.0
+        train = [np.sort(rng.choice(n, int(rng.integers(0, 4)),
+                                    replace=False)) for _ in range(40)]
+        lists = assert_matches_oracle(z_u, z_i, train, k, chunk)
+        assert set(best) == set(np.concatenate(lists).tolist()) & set(best)
+
+    def test_several_top_items_in_one_block(self, chunk):
+        rng = np.random.default_rng(21)
+        k, n = 5, 640
+        w = n // screen_members(n, k)
+        z_u = rng.normal(size=(12, 4))
+        z_u[:, 0] = 2.0 + rng.random(12)
+        z_i = rng.normal(size=(n, 4))
+        block = 3 + w * np.array([0, 1, 2, 5, 15])
+        z_i[block, 0] = 8.0 + rng.random(len(block))
+        train = [np.array([], np.int64)] * 6 + [np.sort(
+            rng.choice(block, int(rng.integers(1, 4)), replace=False))
+            for _ in range(6)]
+        lists = assert_matches_oracle(z_u, z_i, train, k, chunk)
+        for top in lists[:6]:
+            assert sorted(top.tolist()) == block.tolist()
+
+    def test_fewer_than_k_finite_block_maxima(self, chunk):
+        # user u keeps only u % 5 blocks of 16 items, or three items of
+        # two blocks; every other item is held out as a train item
+        rng = np.random.default_rng(22)
+        k, n = 5, 640
+        w = n // screen_members(n, k)
+        z_u, z_i = rng.normal(size=(11, 3)), rng.normal(size=(n, 3))
+        train, sizes = [], []
+        for u in range(11):
+            kept = (rng.choice(w, u % 5, replace=False)[:, None]
+                    + w * np.arange(16)).ravel()
+            if u == 10:
+                kept = np.array([2, 2 + w, 9])
+            train.append(np.setdiff1d(np.arange(n), kept))
+            sizes.append(min(k, len(kept)))
+        lists = assert_matches_oracle(z_u, z_i, train, k, chunk)
+        assert [len(top) for top in lists] == sizes
+
+    def test_exact_ties_across_blocks(self, chunk):
+        rng = np.random.default_rng(23)
+        k, n = 10, 640
+        assert screen_members(n, k) == 8
+        z_u = rng.normal(size=(15, 4))
+        z_u[:, 0] = 1.0 + rng.random(15)
+        z_i = 0.3 * rng.normal(size=(n, 4))
+        tied = np.sort(rng.choice(n, 30, replace=False))
+        z_i[tied] = [6.0, 0.0, 0.0, 0.0]
+        train = [np.sort(rng.choice(tied, int(rng.integers(0, 12)),
+                                    replace=False)) for _ in range(15)]
+        lists = assert_matches_oracle(z_u, z_i, train, k, chunk)
+        for top, held in zip(lists, train):
+            assert top.tolist() == np.setdiff1d(tied, held)[:k].tolist()
+
+    def test_k_is_one(self, chunk):
+        rng = np.random.default_rng(24)
+        z_u, z_i, train = near_tie_instance(rng, others=400)
+        assert screen_members(len(z_i), 1) == 16
+        assert_matches_oracle(z_u, z_i, train, 1, chunk)
+        z_u, z_i, train, _ = random_instance(rng, max_users=30,
+                                             min_items=200, max_items=400)
+        assert_matches_oracle(z_u, z_i, train, 1, chunk)
+
+    @pytest.mark.parametrize("n, members", [(111, 1), (112, 2)])
+    def test_catalog_at_the_first_split(self, chunk, n, members):
+        rng = np.random.default_rng(25)
+        k = 7
+        assert screen_members(n, k) == members
+        z_u, z_i = rng.normal(size=(30, 3)), rng.normal(size=(n, 3))
+        train = [np.sort(rng.choice(n, int(rng.integers(0, n - 3)),
+                                    replace=False)) for _ in range(30)]
+        assert_matches_oracle(z_u, z_i, train, k, chunk)
 
 
 class TestTopkMetrics:
@@ -252,6 +359,13 @@ class TestTopkMetrics:
                      for _ in range(300)]
             tests = [rng.permutation(40)[:int(rng.integers(0, 25))]
                      for _ in range(300)]
+            if k == 20:
+                # long lists with no hit, one hit and several hits, so
+                # both ways of summing a DCG are checked
+                long_hits = {len(np.intersect1d(top, test))
+                             for top, test in zip(lists, tests)
+                             if len(top) >= 16 and len(test)}
+                assert {0, 1} <= long_hits and max(long_hits) >= 2
             m = topk_metrics(lists, tests, k)
             want, evaluated = loop(lists, tests, k)
             assert [m.precision, m.recall, m.ndcg] == want
@@ -263,6 +377,11 @@ class TestTopkMetrics:
                     m = topk_metrics([top], [test], k)
                     assert [m.precision, m.recall, m.ndcg] == \
                         loop([top], [test], k)[0]
+
+    def test_list_longer_than_k_rejected(self):
+        with pytest.raises(ValueError, match="list 1 has 5 items.*k=2"):
+            topk_metrics([np.arange(2), np.arange(5)],
+                         [np.array([3]), np.array([3])], k=2)
 
     def test_duplicate_test_items_count_once(self):
         m = topk_metrics([np.array([3, 1])], [np.array([1, 1, 5])], k=2)

@@ -135,6 +135,36 @@ class TestAdam:
             for k in want:
                 np.testing.assert_array_equal(got[k], want[k])
 
+    @pytest.mark.parametrize("g, steps", [(1e160, 1), (2e154, 0)])
+    def test_overflowing_second_moment_changes_nothing(self, g, steps):
+        # 1e160: (1 - beta2) g g overflows; 2e154 at t = 1: the moment is
+        # finite but its bias-corrected value is not
+        table = {"a": np.array([[1.0, 1.0]]), "b": np.array([[2.0, 2.0]])}
+        state = AdamState()
+        for _ in range(steps):
+            adam_step(table, {"a": np.array([[0.3, 0.1]]),
+                              "b": np.array([[0.4, 0.2]])}, state)
+        tables = (table, state.m, state.v)
+        before = [{k: v.copy() for k, v in d.items()} for d in tables]
+        with pytest.raises(DiffError, match="second moment for 'b'"):
+            adam_step(table, {"a": np.array([[0.5, 0.5]]),
+                              "b": np.array([[1.0, -g]])}, state)
+        assert state.t == steps
+        for want, got in zip(before, tables):
+            assert want.keys() == got.keys()
+            for k in want:
+                np.testing.assert_array_equal(got[k], want[k])
+
+    def test_moment_bound_overflow_alone_does_not_raise(self):
+        # the largest v and the largest |g| sit in different entries:
+        # their bound overflows, while neither entry does
+        p = np.array([[1.0, 1.0]])
+        state = AdamState(m={"p": np.zeros((1, 2))},
+                          v={"p": np.array([[1.7e308, 0.0]])}, t=10_000)
+        adam_step({"p": p}, {"p": np.array([[0.0, 1e155]])}, state)
+        assert state.t == 10_001
+        assert np.isfinite(state.v["p"]).all() and p[0, 1] < 1.0
+
     def test_converges_on_quadratic(self):
         p = np.array([[5.0]])
         state = AdamState()
