@@ -15,8 +15,11 @@ the peak RSS so far and the RSS the process holds after the operation.
 A train step adds the live heap when its backward sweep starts, where
 its peak sits (glibc ``mallinfo2``: bytes in use in the arenas plus
 mmapped blocks; None without it).  An evaluation adds the CPU seconds
-spent in ``eval_embeddings``, ``rank_topk`` and ``topk_metrics``.  A
-last line holds the medians over the operations after the first.
+spent in ``eval_embeddings``, ``rank_topk`` and ``topk_metrics`` and,
+for each of these stages, the RSS before its first call and the peak RSS
+(``ru_maxrss``) after its last, which show the stage that sets the
+peak.  A last line holds the medians over the operations after the
+first.
 Nothing here is timed by the benchmark; the script reads the log
 generator in ``benchmarks/workload.py`` only to run on the same data.
 """
@@ -130,16 +133,21 @@ EVAL_STAGES = ("eval_embeddings", "rank_topk", "topk_metrics")
 
 def evaluations(fold, ctx, params, cfg, count):
     # evaluate_model looks its stages up in the trainer module, so
-    # wrapping the module attributes times each call
+    # wrapping the module attributes times each call; a stage's memory is
+    # the RSS before its first call and the peak RSS after its last
     spent = dict.fromkeys(EVAL_STAGES, 0.0)
+    memory = {}
 
     def timed(name, fn):
         def call(*args, **kwargs):
+            memory.setdefault(f"{name}_rss_before_mb", rss_mb())
             start = time.process_time()
             try:
                 return fn(*args, **kwargs)
             finally:
                 spent[name] += time.process_time() - start
+                memory[f"{name}_maxrss_mb"] = resource.getrusage(
+                    resource.RUSAGE_SELF).ru_maxrss / 1024
         return call
 
     for name in EVAL_STAGES:
@@ -147,11 +155,14 @@ def evaluations(fold, ctx, params, cfg, count):
 
     for j in range(count):
         spent.update(dict.fromkeys(EVAL_STAGES, 0.0))
+        memory.clear()
         before = resource.getrusage(resource.RUSAGE_SELF)
         trainer.evaluate_model(params, ctx, fold.test, cfg, ks=(5, 10, 20))
         after = resource.getrusage(resource.RUSAGE_SELF)
         yield {"evaluation": j, **usage(before, after),
-               **{f"{name}_s": spent[name] for name in EVAL_STAGES}}
+               **{f"{name}_s": spent[name] for name in EVAL_STAGES},
+               **{key: memory[key] for name in EVAL_STAGES
+                  for key in (f"{name}_rss_before_mb", f"{name}_maxrss_mb")}}
 
 
 def main(argv=None):

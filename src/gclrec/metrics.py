@@ -16,6 +16,9 @@ __all__ = [
 
 DIAG_CSV_HEADER = "epoch,align,uniform"
 
+# catalog rows rank_topk scales and casts at a time
+_ROWS = 256
+
 
 @dataclass
 class RankingMetrics:
@@ -101,17 +104,27 @@ def rank_topk(z_u, z_i, train_items, k, users=None, chunk=256):
     # in a block whose maximum is >= t - 2E, so reading the members of
     # those blocks alone finds them all.  A row with fewer than k finite
     # block maxima has t = -inf and keeps every finite score.
+    # The scaled catalog is made a block of rows at a time, straight into
+    # the padded float32 array the screen reads: no float64 copy of z_i
+    # is held whole.  Row norms do not depend on the other rows, so the
+    # largest one is the same over blocks as over the whole array.
     x = z_u[users]
     a = np.frexp(np.abs(x).max(axis=1, initial=0.0))[1]
-    b = np.frexp(np.abs(z_i).max(initial=0.0))[1]
-    x, y = np.ldexp(x, -a[:, None]), np.ldexp(z_i, -b)
+    b = np.frexp(max(z_i.max(initial=0.0), -z_i.min(initial=0.0)))[1]
+    np.ldexp(x, -a[:, None], out=x)
+    y = np.empty((members * w, d), np.float32)
+    y[n:] = 0.0
+    y_max = 0.0
+    for lo in range(0, n, _ROWS):
+        hi = min(lo + _ROWS, n)
+        scaled = np.ldexp(z_i[lo:hi], -b)
+        y_max = max(y_max, np.linalg.norm(scaled, axis=1).max())
+        y[lo:hi] = scaled
     gamma = (d + 4) * 2.0 ** -24 / (1 - (d + 4) * 2.0 ** -24)
     with np.errstate(over="ignore"):  # an infinite bound keeps every item
-        radius = 2 * (gamma * np.linalg.norm(x, axis=1)
-                      * np.linalg.norm(y, axis=1).max(initial=0.0)
+        radius = 2 * (gamma * np.linalg.norm(x, axis=1) * y_max
                       + d * 2.0 ** -147 + np.ldexp(d * 2.0 ** -1074, -(a + b)))
     x = x.astype(np.float32)
-    y = np.vstack([y, np.zeros((members * w - n, d))]).astype(np.float32)
     lowest = np.finfo(np.float32).min
     for lo in range(0, len(users), chunk):
         batch = users[lo:lo + chunk]
@@ -168,11 +181,19 @@ def topk_metrics(topk_lists, test_sets, k):
         raise ValueError(f"top-k list {u} has {top_len[u]} items, more "
                          f"than k={k}")
     _, test_row, test = _flatten(test_sets)
-    # (row, item) pairs as single keys; duplicate test items count once
+    # (row, item) pairs as single keys; duplicate test items count once.
+    # Test sets read from a canonical CSR give keys already strictly
+    # increasing, which need no sort.
     width = 1 + max(top.max(initial=-1), test.max(initial=-1))
-    test_keys = np.unique(test_row * width + test)
+    test_keys = test_row * width + test
+    if not (test_keys[1:] > test_keys[:-1]).all():
+        test_keys = np.unique(test_keys)
     test_len = np.bincount(test_keys // width, minlength=users)
-    hits = np.isin(top_row * width + top, test_keys).astype(np.float64)
+    top_keys = top_row * width + top
+    found = np.searchsorted(test_keys, top_keys)
+    inside = found < len(test_keys)
+    hits = np.zeros(len(top_keys))
+    hits[inside] = test_keys[found[inside]] == top_keys[inside]
     hit_count = np.bincount(top_row, hits, minlength=users)
     # a list with at most one hit has DCG 0 or its hit's discount in any
     # summation order; a list with more is its own dot product, as in a

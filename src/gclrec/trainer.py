@@ -424,24 +424,30 @@ def train_epoch(params, ctx, cfg, rng, state):
 
 
 def eval_embeddings(params, ctx, cfg):
-    """Deterministic encoder output for scoring: the encoder runs with
-    noise off and draws nothing.  Scores read only the user-item channel,
-    so the complement channel is not run.  Raises :class:`DiffError` when
-    an embedding is not finite."""
-    tape = Tape()
+    """Deterministic encoder output for scoring: the user-item channel
+    with noise off, the mean of layers 1..L, bit for bit what
+    :func:`encode` gives in mode none.  Scores read only the user-item
+    channel, so the complement channel is not run.  Raises
+    :class:`DiffError` when an embedding is not finite.
+
+    No backward pass follows, so the layers run without a tape: layer
+    k = ``ui_op`` @ layer k-1 is added into a running sum as soon as it
+    is made, in ``dc.mean_of``'s order, ((z1 + z2) + z3) (1/L).  At most
+    three (m+n) x d arrays are alive at once: the sum, the layer read and
+    the layer made.  In-place ``+=`` and ``*=`` round as the tape's adds
+    and scale do.  Returns the user and item row views of the mean."""
     # an overflow shows as a non-finite embedding, reported below
     with np.errstate(over="ignore", invalid="ignore"):
-        out = encode(tape, params.leaves(tape), ctx.ui_op, None,
-                     ctx.num_users, ctx.num_items, cfg.L, None,
-                     NoiseSettings(mode="none"))
-    # nodes and their tape reference each other; emptying the tape frees
-    # the forward values on return instead of at the next garbage
-    # collection, which would otherwise keep them alive through ranking
-    tape.nodes.clear()
-    z_u, z_i = out.z_u.value, out.z_i.value
-    if not (np.isfinite(z_u).all() and np.isfinite(z_i).all()):
+        # the sum starts as layer 1 itself, which layer 2 reads before the
+        # first += writes over it
+        z = total = ctx.ui_op @ params.base_embedding
+        for _ in range(1, cfg.L):
+            z = ctx.ui_op @ z
+            total += z
+        total *= 1.0 / cfg.L
+    if not np.isfinite(total).all():
         raise DiffError("non-finite embeddings for evaluation")
-    return z_u, z_i
+    return total[:ctx.num_users], total[ctx.num_users:]
 
 
 def evaluate_model(params, ctx, test, cfg, ks=(5, 10, 20)):
@@ -457,14 +463,16 @@ def evaluate_model(params, ctx, test, cfg, ks=(5, 10, 20)):
     has_test = np.diff(T.indptr) > 0
     users = np.flatnonzero(has_train & has_test)
     skipped = int(np.count_nonzero(has_train & ~has_test))
-    test_sets = [T.indices[T.indptr[u]:T.indptr[u + 1]] for u in users]
+    bounds = T.indptr.tolist()
+    test_sets = [T.indices[bounds[u]:bounds[u + 1]] for u in users.tolist()]
     results = {}
     # lists may come back shorter than k when the catalog is small
     depth = min(max(ks), z_i.shape[0])
     top = rank_topk(z_u, z_i, ctx.R, depth, users=users)
     for k in sorted(ks):
-        trimmed = [t[:k] for t in top]
-        results[k] = replace(topk_metrics(trimmed, test_sets, k),
+        # no list is longer than depth, so only a smaller k trims
+        lists = top if k >= depth else [t[:k] for t in top]
+        results[k] = replace(topk_metrics(lists, test_sets, k),
                              users_skipped=skipped)
     return results
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -40,6 +42,19 @@ def train_matrix(item_lists, num_items):
                            for items in item_lists])
     return sp.csr_matrix((np.ones(len(cols)), (rows, cols)),
                          shape=(len(item_lists), num_items))
+
+
+def traced_peak(fn, *args, **kwargs):
+    """fn's result and the most bytes it held at once above what was
+    allocated when it was called, numpy's arrays included."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        result = fn(*args, **kwargs)
+        return result, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
 
 
 def random_interactions(num_users, num_items, density, seed, min_per_user=1):

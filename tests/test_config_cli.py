@@ -374,8 +374,10 @@ class TestEvaluate:
         table["base_embedding"][:] = np.finfo(np.float64).max
         path = tmp_path / "model.npz"
         np.savez(path, meta=np.array([12, 15, 4, 4, 0]), **table)
-        code = run_cli("evaluate", str(path), "--config", str(config_file),
-                       "--out", str(tmp_path / "out"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning comes first
+            code = run_cli("evaluate", str(path), "--config",
+                           str(config_file), "--out", str(tmp_path / "out"))
         assert code == 4
         assert "non-finite" in capsys.readouterr().err
         assert not (tmp_path / "out" / "metrics.csv").exists()

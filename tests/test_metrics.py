@@ -8,7 +8,7 @@ from gclrec.metrics import (
     topk_metrics,
 )
 
-from conftest import train_matrix
+from conftest import traced_peak, train_matrix
 from oracles import ranking_metrics_dense, topk_rank_dense
 
 
@@ -93,6 +93,19 @@ class TestRankTopk:
         z_i[1, 0] = np.nan
         with pytest.raises(ValueError, match="finite"):
             rank_topk(np.ones((1, 2)), z_i, train_matrix([[]], 3), k=2)
+
+    def test_no_float64_copy_of_the_catalog(self):
+        # the float32 catalog the screen reads is half of z_i; a float64
+        # copy of z_i would take the peak past it
+        rng = np.random.default_rng(4)
+        z_u, z_i = rng.normal(size=(3, 64)), rng.normal(size=(8000, 64))
+        train = train_matrix([[0, 5], [], [7]], len(z_i))
+        lists, peak = traced_peak(rank_topk, z_u, z_i, train, k=20)
+        assert peak <= 0.75 * z_i.nbytes
+        scores = z_u @ z_i.T
+        for u, top in enumerate(lists):
+            assert top.tolist() == topk_rank_dense(scores[u], train[u].indices,
+                                                   20)
 
 
 def near_tie_instance(rng, users=20, ties=40, others=200, d=6):

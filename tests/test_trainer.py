@@ -26,7 +26,7 @@ from gclrec.trainer import (
     train_epoch,
 )
 
-from conftest import make_interactions, random_interactions
+from conftest import make_interactions, random_interactions, traced_peak
 
 
 def tiny_config(**overrides):
@@ -472,20 +472,49 @@ class TestEvaluateModel:
         ctx = build_context(fold.train, cfg)
         assert ctx.comp_op.nnz > 0
         params = init_params(6, 8, 4, 4, seed=7)
+        passed = []
+        monkeypatch.setattr(tr, "encode", lambda *args: passed.append(args))
         got = evaluate_model(params, ctx, fold.test, cfg)
+        assert passed == []  # no encoder pass, so no complement channel
 
-        original, passed = tr.encode, []
-
-        def both_channels(tape, leaves, ui_op, comp_op, m, n, num_layers,
-                          rng, settings):
-            # the earlier evaluation pass: run the complement channel too
-            passed.append(comp_op)
-            return original(tape, leaves, ui_op, ctx.comp_op, m, n,
-                            num_layers, rng, settings)
-
-        monkeypatch.setattr(tr, "encode", both_channels)
+        # the earlier evaluation pass: both channels on a tape
+        tape = Tape()
+        out = encode(tape, params.leaves(tape), ctx.ui_op, ctx.comp_op, 6, 8,
+                     cfg.L, None, model.NoiseSettings(mode="none"))
+        monkeypatch.setattr(tr, "eval_embeddings",
+                            lambda *_: (out.z_u.value, out.z_i.value))
         assert evaluate_model(params, ctx, fold.test, cfg) == got
-        assert passed == [None]
+
+    @pytest.mark.parametrize("L", [1, 2, 3, 4])
+    def test_embeddings_are_the_encoder_without_noise(self, L):
+        # the taped encoder is the reference; user 9 has no train items
+        data = random_interactions(40, 30, density=0.2, seed=5,
+                                   min_per_user=2)
+        train = data.pairs[data.pairs[:, 0] != 9]
+        cfg = tiny_config(L=L)
+        ctx = build_context(make_interactions(40, 30, train), cfg)
+        params = init_params(40, 30, cfg.d, cfg.h, seed=L)
+        z_u, z_i = tr.eval_embeddings(params, ctx, cfg)
+        tape = Tape()
+        out = encode(tape, params.leaves(tape), ctx.ui_op, None, 40, 30, L,
+                     None, model.NoiseSettings(mode="none"))
+        assert not ctx.R[9].nnz
+        for got, want in ((z_u, out.z_u.value), (z_i, out.z_i.value)):
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_embedding_pass_holds_three_arrays(self):
+        # the sum, the layer read and the layer made; a taped pass holds
+        # every layer, sum and scale until it returns
+        data = random_interactions(2000, 1500, density=0.004, seed=2,
+                                   min_per_user=2)
+        cfg = tiny_config(d=16, L=3)
+        ctx = build_context(data, cfg)
+        params = init_params(2000, 1500, cfg.d, cfg.h, seed=3)
+        layer = (2000 + 1500) * cfg.d * 8
+        (z_u, z_i), peak = traced_peak(tr.eval_embeddings, params, ctx, cfg)
+        assert z_u.base is z_i.base
+        assert peak <= 3.5 * layer
 
     def test_ranks_only_users_with_test_items(self, monkeypatch):
         # users 0-3 have train and test items, 4-5 train items only and
