@@ -12,9 +12,12 @@ fixed batch with the rng stream (seed, 2, j); for eval-full it is one
 Around each operation it reads getrusage(RUSAGE_SELF) and prints one
 JSON line: user and system CPU seconds, minor and major page faults,
 the peak RSS so far and the RSS the process holds after the operation.
-A train step adds the live heap when its backward sweep starts, where
-its peak sits (glibc ``mallinfo2``: bytes in use in the arenas plus
-mmapped blocks; None without it).  An evaluation adds the CPU seconds
+A train step adds the live heap (glibc ``mallinfo2``: bytes in use in
+the arenas plus mmapped blocks; None without it) when its backward
+sweep starts, and its highest value over the step, sampled as each tape
+node is built and after each node's backward pass, with the node it
+was sampled at: its op, its phase and its place in that phase (a
+sweep's first node is backward #0).  An evaluation adds the CPU seconds
 spent in ``eval_embeddings``, ``rank_topk`` and ``topk_metrics`` and,
 for each of these stages, the RSS before its first call and the peak RSS
 (``ru_maxrss``) after its last, which show the stage that sets the
@@ -32,6 +35,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 
 import argparse  # noqa: E402
 import dataclasses  # noqa: E402
+import itertools  # noqa: E402
 import json  # noqa: E402
 import resource  # noqa: E402
 import statistics  # noqa: E402
@@ -109,23 +113,49 @@ def train_steps(fold, ctx, params, cfg, seed, steps):
     # the live heap as each backward sweep starts; trainer calls the
     # module's backward, so wrapping the module attribute catches it
     at_backward = []
+    peak = {}
     sweep = diffcore.backward
+    build = diffcore.Node.__init__
+
+    def sample(phase, index, op):
+        heap = heap_mb()
+        if heap is not None and heap > peak.get("heap_peak_mb", -1.0):
+            peak.update(heap_peak_mb=heap,
+                        heap_peak_at=f"{phase} #{index} {op}")
+
+    def init(node, tape, *args, **kwargs):
+        build(node, tape, *args, **kwargs)
+        sample("forward", len(tape.nodes) - 1, node.op)
+
+    def traced(fn, op, order):
+        def call(g):
+            fn(g)
+            sample("backward", next(order), op)
+        return call
 
     def backward(loss):
         at_backward.append(heap_mb())
+        order = itertools.count()
+        for node in loss.tape.nodes:
+            if node._backward is not None:
+                node._backward = traced(node._backward, node.op, order)
         return sweep(loss)
 
+    diffcore.Node.__init__ = init
     diffcore.backward = backward
 
     for j in range(steps):
         at_backward.clear()
+        peak.clear()
         view = fold.train.view(batches[j % len(batches)])
         before = resource.getrusage(resource.RUSAGE_SELF)
         trainer.train_epoch(params, dataclasses.replace(ctx, train=view),
                             cfg, np.random.default_rng([seed, 2, j]), state)
         after = resource.getrusage(resource.RUSAGE_SELF)
         yield {"step": j, **usage(before, after),
-               "heap_at_backward_mb": at_backward[0] if at_backward else None}
+               "heap_at_backward_mb": at_backward[0] if at_backward else None,
+               "heap_peak_mb": peak.get("heap_peak_mb"),
+               "heap_peak_at": peak.get("heap_peak_at")}
 
 
 EVAL_STAGES = ("eval_embeddings", "rank_topk", "topk_metrics")
@@ -200,7 +230,8 @@ def main(argv=None):
                                                   "peak_rss_mb")]
     print(json.dumps({"median_after_op_0": {
         key: statistics.median(r[key] for r in warm)
-        for key in keys if all(r[key] is not None for r in warm)}}))
+        for key in keys if all(isinstance(r[key], (int, float))
+                               for r in warm)}}))
     return 0
 
 

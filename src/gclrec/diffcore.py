@@ -21,10 +21,13 @@ multiplies by its transpose view in the backward pass.  Row and column
 slices are views of their parent's value, and :func:`gather` can lend
 one gather's value to a second gather of the same rows.  A node whose
 value no backward pass reads may drop it (value None) once it is
-built.  :func:`backward` empties the
-tape it swept, so a step's values are freed when its last user lets go
-of them rather than at the next garbage collection.  Gradients are
-validated against central finite differences by :func:`check_gradients`.
+built.  A node records its shape when it is built, so the backward
+passes that read only a parent's shape, those of :func:`gather`, the
+slices and the reductions, work on a dropped value.  :func:`backward`
+empties the tape it swept, so a step's values are freed when its last
+user lets go of them rather than at the next garbage collection.
+Gradients are validated against central finite differences by
+:func:`check_gradients`.
 """
 
 import numpy as np
@@ -87,13 +90,15 @@ def _as_matrix(value):
 class Node:
     """One value in the recorded computation, with its gradient slot."""
 
-    __slots__ = ("tape", "value", "grad", "op", "parents", "needs_grad",
-                 "name", "_backward", "_grad_owned")
+    __slots__ = ("tape", "value", "shape", "grad", "op", "parents",
+                 "needs_grad", "name", "_backward", "_grad_owned")
 
     def __init__(self, tape, value, op, parents, needs_grad,
                  backward_fn=None, name=None):
         self.tape = tape
         self.value = value
+        # kept apart from the value, which a node may drop once built
+        self.shape = value.shape
         self.grad = None
         self.op = op
         self.parents = parents
@@ -103,12 +108,8 @@ class Node:
         self._grad_owned = False
         tape.nodes.append(self)
 
-    @property
-    def shape(self):
-        return self.value.shape
-
     def __repr__(self):
-        return f"Node(op={self.op!r}, shape={self.value.shape})"
+        return f"Node(op={self.op!r}, shape={self.shape})"
 
 
 class Tape:
@@ -156,7 +157,7 @@ def _owned_grad(node):
     """The node's gradient buffer, safe to write into: zeros when it has
     none yet, a private copy when it holds a pass-through gradient."""
     if node.grad is None:
-        node.grad = np.zeros_like(node.value)
+        node.grad = np.zeros(node.shape)
     elif not node._grad_owned:
         node.grad = node.grad.copy()
     node._grad_owned = True
@@ -434,7 +435,7 @@ def gather(x, indices, share=None):
     distinct = bool(np.all(idx[1:] > idx[:-1]))
 
     def bw(g):
-        gx = np.zeros_like(x.value)
+        gx = np.zeros(x.shape)
         if distinct:
             gx[idx] = g
         else:
@@ -750,7 +751,7 @@ def backward(loss):
     for node in tape.nodes:
         if node.op == "leaf" and node.needs_grad and node.name is not None:
             table[node.name] = (node.grad if node.grad is not None
-                                else np.zeros_like(node.value))
+                                else np.zeros(node.shape))
     tape.nodes.clear()
     return table
 

@@ -20,7 +20,15 @@ sigma^2: it keeps its mu and sigma^2 nodes and builds the sample from
 them as one :func:`diffcore.mul_add` node, because the gradient of
 sigma^2 sums the KL term's and the sample's contributions before the
 exp backward, and a fused node would add them after it, rounding
-differently.
+differently.  That block copies mu into an array of its own and drops
+the generator output and its log-variance view, of which only the
+shapes are read afterwards.
+
+A training step keeps of each propagated layer only the rows it reads:
+once a layer's rows are gathered, for the next layer and for the kept
+rows, the layer drops its value.  A layer that the next layer's
+generator reads whole, with no gather between them, keeps it, because
+the generator's backward pass reads its input.
 
 The encoder computes only what its caller reads, the demand: the
 user-item rows whose final representations are read, the complement
@@ -197,9 +205,10 @@ def generate_noise(tape, z_prev, leaves, eps, settings, sigma2=True):
     Only the generator reads ``z_prev``; mode random may pass None.
     ``sigma2`` says whether sigma^2 is read beyond scaling the noise: True
     builds mu and sigma^2 as nodes of their own, so that the gradient of
-    sigma^2 sums every use before the exp backward as it always has;
-    False builds the sample from the generator output as one fused node
-    and then drops the generator output's value.
+    sigma^2 sums every use before the exp backward as it always has, and
+    gives mu a buffer of its own; False builds the sample from the
+    generator output as one fused node.  Either way the generator
+    output's value is dropped once the sample is built.
     """
     if settings.mode == "none":
         raise ValueError("generate_noise: noise mode 'none' draws no noise")
@@ -228,9 +237,13 @@ def generate_noise(tape, z_prev, leaves, eps, settings, sigma2=True):
                          if not np.isfinite(half).all()),
                         "sigma^2 = exp(log-variance)")
             raise DiffError(f"non-finite noise: {part} is not finite")
-        if not sigma2:
-            # the fused sample's backward reads s and epsilon, not this
-            out.value = None
+        if sigma2:
+            # mu gets a buffer of its own, so the 2d-wide output can go
+            mu.value = mu.value.copy()
+            logvar.value = None
+        # no backward pass reads the output's value: the fused sample's
+        # reads s and epsilon, the slices' only its shape
+        out.value = None
     else:  # random: zero mean, fixed variance, nothing to learn
         mu = var = None
         s = _RANDOM_VARIANCE if settings.scale == "variance" \
@@ -368,20 +381,28 @@ def encode(tape, leaves, ui_op, comp_op, num_users, num_items, num_layers,
         # node of its own, sharing one value, and the rows read of each
         # layer are gathered after the loop: the backward sweep then adds
         # a row's gradients in the order the full-height encoder does
-        layers = []
+        layers, generator_inputs = [], set()
         for k, (op, reads, take, _) in enumerate(plan, start=1):
             block = source = None
             if settings.mode != "none":
                 eps = draw(height) if reads is None else draw(height)[reads]
                 if settings.mode == "generative":
                     source = taken(z, take)
+                    generator_inputs.add(source)
                 block = generate_noise(
                     tape, source, leaves, eps, settings,
                     sigma2=sigma2 and (channel, k) == ("ui", 1))
                 blocks[(channel, k)] = block
             z = propagate(op, taken(z, take, share=source), block)
             layers.append(z)
-        return [taken(z, keep) for z, (*_, keep) in zip(layers, plan)]
+        kept = [taken(z, keep) for z, (*_, keep) in zip(layers, plan)]
+        for z, out in zip(layers, kept):
+            # once its rows are copied out, a layer is read again only by
+            # a generator that takes it whole: mlp3's backward reads its
+            # input
+            if out is not z and z not in generator_inputs:
+                z.value = None
+        return kept
 
     ui_layers = run_channel(
         "ui", _walk_back(ui_op, rows, num_layers), e_all, m + n)

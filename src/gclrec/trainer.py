@@ -295,7 +295,16 @@ def build_context(train, cfg):
 
 def _batch_loss(params, ctx, cfg, rng, users, pos_items, neg_items):
     """Forward pass and joint loss for one batch, one sampled negative per
-    positive; returns (report, total node, gradient table)."""
+    positive; returns (report, total node, gradient table).
+
+    The contrastive term is built last.  The backward sweep runs in
+    reverse creation order, so it frees the InfoNCE exp matrices (one
+    B x B array per view pair) before the reconstruction, KL or MMD and
+    L2 terms allocate their gradients.  No node is read by both the
+    contrastive term and one of those terms, so every node receives its
+    gradients in the same order as with the contrastive term built right
+    after BPR, which still comes before it.
+    """
     m, n = ctx.num_users, ctx.num_items
     u_idx = np.asarray(users, dtype=np.int64)
     p_idx = np.asarray(pos_items, dtype=np.int64)
@@ -319,21 +328,6 @@ def _batch_loss(params, ctx, cfg, rng, users, pos_items, neg_items):
         neg_scores = dc.reduce_sum(dc.mul(
             zu_b, dc.gather(out.z_i, out.locate("item", n_idx))), axis=1)
         rec = ls.bpr_loss(pos_scores, neg_scores)
-
-        cl = None
-        if cfg.lambda_ > 0:
-            uu = np.unique(u_idx)
-            ii = np.unique(p_idx)
-
-            def views(cls, ids):
-                idx = out.locate(cls, ids)
-                return tuple(dc.gather(out.view(sel, cls), idx)
-                             for sel in views_read)
-
-            comp_views = (views("comp", ii) if ctx.comp_op is not None
-                          else None)
-            cl = ls.multi_pair_cl(views("user", uu), views("item", ii),
-                                  comp_views, cfg.tau)
 
         recon = ddl = None
         if cfg.noise_mode == "generative":
@@ -359,6 +353,22 @@ def _batch_loss(params, ctx, cfg, rng, users, pos_items, neg_items):
 
         reg = ls.l2_reg(dc.gather(leaves["base_embedding"], touched),
                         cfg.reg_coeff)
+
+        # built last, so the sweep frees its exp matrices first
+        cl = None
+        if cfg.lambda_ > 0:
+            uu = np.unique(u_idx)
+            ii = np.unique(p_idx)
+
+            def views(cls, ids):
+                idx = out.locate(cls, ids)
+                return tuple(dc.gather(out.view(sel, cls), idx)
+                             for sel in views_read)
+
+            comp_views = (views("comp", ii) if ctx.comp_op is not None
+                          else None)
+            cl = ls.multi_pair_cl(views("user", uu), views("item", ii),
+                                  comp_views, cfg.tau)
 
         report, total = ls.joint_loss(rec, cl, recon, ddl, reg, cfg.lambda_)
         grads = dc.backward(total)

@@ -468,6 +468,41 @@ class TestSlicesAndScatter:
         assert t.nodes == []
 
 
+class TestDroppedValues:
+    """A node may drop its value once built; what reads only its shape
+    still works."""
+
+    def test_repr_and_shape_of_a_dropped_value(self):
+        t = Tape()
+        node = dc.square(t.leaf(rand((3, 2), 70)))
+        node.value = None
+        assert node.shape == (3, 2)
+        assert repr(node) == "Node(op='square', shape=(3, 2))"
+
+    @pytest.mark.parametrize("piece", ["gather", "row", "col", "sum",
+                                       "mean", "sum0", "mean1"])
+    def test_backward_reads_only_the_parents_shape(self, piece):
+        def run(drop):
+            t = Tape()
+            x = t.leaf(rand((5, 3), 71), name="x")
+            y = dc.square(x)
+            part = {"gather": lambda: dc.gather(y, np.array([4, 1, 1])),
+                    "row": lambda: dc.row_slice(y, 1, 4),
+                    "col": lambda: dc.col_slice(y, 0, 2),
+                    "sum": lambda: dc.reduce_sum(y),
+                    "mean": lambda: dc.reduce_mean(y),
+                    "sum0": lambda: dc.reduce_sum(y, axis=0),
+                    "mean1": lambda: dc.reduce_mean(y, axis=1)}[piece]()
+            loss = dc.reduce_sum(dc.mul(part, t.constant(
+                rand(part.shape, 72))))
+            if drop:
+                # square's backward reads x, the piece's reads y's shape
+                y.value = None
+            return backward(loss)["x"]
+
+        assert np.array_equal(run(drop=True), run(drop=False))
+
+
 class TestSpmmBackward:
     def test_backward_multiplies_by_the_exact_transpose(self):
         # degree scaling rounds (d_a * c) * d_b and (d_b * c) * d_a

@@ -336,19 +336,29 @@ class TestTapeComposition:
         # three pairs touch fewer rows than the user-item channel holds
         users, pos = fold.train.pairs[:3, 0], fold.train.pairs[:3, 1]
         neg = sample_negatives(ctx.R, users, 1, rng)
-        seen, original = [], dc.backward
+        seen, swept, original = [], [], dc.backward
+
+        def record(node, fn):
+            def call(g):
+                swept.append(node)
+                fn(g)
+            return call
 
         def spy(loss):
-            # what the sweep starts from, before it retires any value
+            # what the sweep starts from, before it retires any value,
+            # and the order it runs the nodes' backward passes in
             seen.extend((n, n.value) for n in loss.tape.nodes)
+            for n in loss.tape.nodes:
+                if n._backward is not None:
+                    n._backward = record(n, n._backward)
             return original(loss)
 
         monkeypatch.setattr(dc, "backward", spy)
         tr._batch_loss(params, ctx, cfg, rng, users, pos, neg)
-        return seen, ctx.num_users + ctx.num_items
+        return seen, ctx.num_users + ctx.num_items, swept
 
     def test_no_full_height_elementwise_or_injection_nodes(self, monkeypatch):
-        seen, height = self.tape(monkeypatch)
+        seen, height, _ = self.tape(monkeypatch)
         ops = {n.op for n, _ in seen}
         assert {"kl_normal", "mul_add", "reparam", "inject_spmm"} <= ops
         assert "add_rownorm" not in ops
@@ -358,15 +368,53 @@ class TestTapeComposition:
         assert not set(full) & {"mul", "square", "log", "sub", "badd_row"}
 
     def test_fused_blocks_drop_their_generator_output(self, monkeypatch):
-        seen, _ = self.tape(monkeypatch)
+        seen, _, _ = self.tape(monkeypatch)
         values = dict(seen)
         fused = [n.parents[0] for n, _ in seen if n.op == "reparam"]
         # user-item layer 2 and complement layers 1 and 2
         assert len(fused) == 3
         assert all(out.op == "mlp3" and values[out] is None for out in fused)
 
+    def test_demand_step_drops_the_layers_it_gathered_from(self,
+                                                           monkeypatch):
+        seen, _, _ = self.tape(monkeypatch)
+        values = dict(seen)
+        layers = [n for n, _ in seen if n.op == "inject_spmm"]
+        sources = {n.parents[0] for n, _ in seen if n.op == "gather"}
+        gathered = [z for z in layers if z in sources]
+        # layer 1 of each channel is copied out, to layer 2's gathers and
+        # its kept rows, and dropped; layer 2 computes only the rows read
+        # and is itself the output
+        assert len(layers) == 4 and len(gathered) == 2
+        assert all(values[z] is None for z in gathered)
+        assert all(values[z] is not None for z in layers
+                   if z not in sources)
+
+    def test_first_blocks_mu_owns_its_data(self, monkeypatch):
+        seen, height, _ = self.tape(monkeypatch)
+        values = dict(seen)
+        (kl,) = [n for n, _ in seen if n.op == "kl_normal"]
+        mu, sigma2 = kl.parents
+        out = mu.parents[0]
+        logvar = sigma2.parents[0]
+        assert (mu.op, out.op, logvar.op) == ("col_slice", "mlp3",
+                                              "col_slice")
+        assert values[mu].flags.owndata and values[mu].shape == (height, 4)
+        # the 2d-wide generator output and its log-variance view are gone
+        assert values[out] is None and values[logvar] is None
+
+    def test_contrastive_term_is_swept_first(self, monkeypatch):
+        _, _, swept = self.tape(monkeypatch)
+        order = {node: k for k, node in enumerate(swept)}
+        contrastive = [k for node, k in order.items()
+                       if node.op == "infonce"]
+        reconstructor = [k for node, k in order.items() if node.op == "mlp3"
+                         and node.parents[1].name == "rec.w1"]
+        assert len(contrastive) == 3 and len(reconstructor) == 2
+        assert max(contrastive) < min(reconstructor)
+
     def test_a_layers_two_gathers_share_one_value(self, monkeypatch):
-        seen, _ = self.tape(monkeypatch)
+        seen, _, _ = self.tape(monkeypatch)
         values = dict(seen)
         generator_inputs = [n.parents[0] for n, _ in seen if n.op == "mlp3"
                             and n.parents[1].name == "gen.w1"]
@@ -447,6 +495,53 @@ class TestDemand:
             _, total, grads = tr._batch_loss(
                 probe, ctx, cfg, np.random.default_rng(0), self.USERS,
                 self.POS, self.NEG)
+            return total.value[0, 0], grads
+
+        point = {k: v.copy() for k, v in probe.param_arrays().items()}
+        assert dc.check_gradients(f, point, h=1e-5) <= 1e-4
+
+
+class TestLayerReadWhole:
+    """A layer whose next layer reads every row it holds is read whole by
+    that layer's generator, whose backward pass needs its value."""
+
+    # every user-item pair but (u0, i2): the rows any batch touches read
+    # every row, so layers 2 and 3 take all of the layer below
+    DENSE = make_interactions(3, 3, [(u, i) for u in range(3)
+                                     for i in range(3) if (u, i) != (0, 2)])
+    USERS, POS, NEG = np.array([0, 1]), np.array([0, 1]), np.array([2, 2])
+
+    def step(self, params, cfg):
+        ctx = build_context(self.DENSE, cfg)
+        return tr._batch_loss(params, ctx, cfg, np.random.default_rng(0),
+                              self.USERS, self.POS, self.NEG)
+
+    def test_keeps_its_value(self, monkeypatch):
+        seen, original = [], dc.backward
+
+        def spy(loss):
+            seen.extend((n, n.value) for n in loss.tape.nodes)
+            return original(loss)
+
+        monkeypatch.setattr(dc, "backward", spy)
+        self.step(init_params(3, 3, 4, 4, seed=5), tiny_config(L=3))
+        values = dict(seen)
+        read_whole = [n.parents[0] for n in values if n.op == "mlp3"
+                      and n.parents[1].name == "gen.w1"
+                      and n.parents[0].op == "inject_spmm"]
+        # layers 1 and 2 of both channels; the user-item ones are also
+        # copied out to their kept rows
+        assert len(read_whole) == 4
+        assert all(values[z] is not None for z in read_whole)
+
+    def test_gradient_check(self):
+        cfg = tiny_config(L=3)
+        probe = init_params(3, 3, 4, 4, seed=6)
+
+        def f(point):
+            for name, arr in point.items():
+                probe.param_arrays()[name][...] = arr
+            _, total, grads = self.step(probe, cfg)
             return total.value[0, 0], grads
 
         point = {k: v.copy() for k, v in probe.param_arrays().items()}
