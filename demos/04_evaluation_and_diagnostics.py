@@ -60,7 +60,7 @@ ctx = build_context(fold.train, cfg)
 z_u, z_i = eval_embeddings(result.params, ctx, cfg)
 top = rank_topk(z_u, z_i, ctx.R, k=5, users=[0])
 print(f"user 0 trains on {ctx.R[0].indices.tolist()}, "
-      f"top-5 recommendations: {top[0]}")
+      f"top-5 recommendations: {top[0].tolist()}")
 
 metrics = evaluate_model(result.params, ctx, fold.test, cfg)
 m = metrics[20]

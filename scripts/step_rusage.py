@@ -3,9 +3,12 @@
 
     python3 scripts/step_rusage.py --seed 1 --steps 8
     python3 scripts/step_rusage.py --workload eval-full --seed 1 --steps 5
+    python3 scripts/step_rusage.py --set ddl=mmd \
+        --set noise.distribution=uniform --steps 3
 
 Runs the operations of one of the benchmark's workloads on fold 0 of the
-seeded CiaoDVD-scale log with the default config and one BLAS thread.
+seeded CiaoDVD-scale log with one BLAS thread and the default config,
+changed by each ``--set KEY=VALUE`` as ``gclrec train --set`` changes it.
 For train-gen, operation j is ``trainer.train_epoch`` over the j-th
 fixed batch with the rng stream (seed, 2, j); for eval-full it is one
 ``trainer.evaluate_model`` at k = 5, 10, 20 with the initial parameters.
@@ -202,15 +205,27 @@ def main(argv=None):
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--steps", type=int, default=8,
                    help="operations to run")
+    p.add_argument("--set", dest="overrides", action="append", default=[],
+                   metavar="KEY=VALUE",
+                   help="override a config key (repeatable)")
     args = p.parse_args(argv)
+    table = {}
+    for pair in args.overrides:
+        key, sep, value = pair.partition("=")
+        if not sep:
+            p.error(f"--set expects KEY=VALUE, got {pair!r}")
+        table[key.strip()] = value.strip()
 
     size = workload.SIZES["full"]
+    cfg = trainer.TrainConfig(seed=args.seed, batch_size=size.batch_size)
+    try:
+        cfg.apply_strings(table)
+    except trainer.ConfigError as exc:
+        p.error(str(exc))
     with tempfile.TemporaryDirectory() as tmp:
         log = Path(tmp) / "log.txt"
         workload.write_log(workload.generate_pairs(size, args.seed), log)
         data = dataset.load_interactions(log)
-    cfg = trainer.TrainConfig(seed=args.seed, batch_size=size.batch_size)
-    cfg.validate()
     fold = dataset.make_folds(data, cfg.folds, cfg.seed)[0]
     ctx = trainer.build_context(fold.train, cfg)
     params = model.init_params(ctx.num_users, ctx.num_items, cfg.d, cfg.h,

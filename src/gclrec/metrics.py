@@ -18,6 +18,8 @@ DIAG_CSV_HEADER = "epoch,align,uniform"
 
 # catalog rows rank_topk scales and casts at a time
 _ROWS = 256
+# users rank_topk scores over the whole catalog at a time
+_CHUNK = 256
 
 
 @dataclass
@@ -38,21 +40,22 @@ class RankingMetrics:
                 f"{self.ndcg!r},{self.users_evaluated},{self.users_skipped}")
 
 
-def rank_topk(z_u, z_i, train_items, k, users=None, chunk=256):
-    """Top-k item lists per user from dot-product scores.
+def rank_topk(z_u, z_i, train_items, k, users=None):
+    """Top-k items per user from dot-product scores, as a users x k int64
+    array whose row j ranks ``users[j]`` (all users by default).
 
     ``train_items`` is the binary users x items train matrix in CSR form;
     each user's stored items are removed from the candidate set.  Ties
     break toward the lower item index, so rankings are deterministic.
-    Lists are shorter than k only when a user has fewer than k candidate
-    items.
+    A row ends in -1 padding only when its user has fewer than k
+    candidate items.
 
     Scores are the float64 dot products of finite embeddings, and must
     not overflow.  Each chunk of users is scored over the whole catalog
     in float32.  A screen over block maxima of those scores finds the
     items whose float32 score lies within a proven rounding bound of a
     lower bound on their row's float32 k-th score; only these are scored
-    again in float64 and ordered, so the lists are those of a float64
+    again in float64 and ordered, so the rows are those of a float64
     ranking of the whole catalog.
     """
     z_u = np.asarray(z_u, dtype=np.float64)
@@ -68,12 +71,12 @@ def rank_topk(z_u, z_i, train_items, k, users=None, chunk=256):
     users = np.asarray(users, dtype=np.int64)
     members = max(1, min(16, n // (8 * k)))
     w = -(-n // members)
-    # the lists' storage and the score buffer, which every chunk reuses,
-    # are allocated before any temporary: an array the lists keep, placed
+    # the ranking and the score buffer, which every chunk reuses, are
+    # allocated before any temporary: an array the caller keeps, placed
     # past freed temporaries in the heap, would hold their pages resident
     # where an evaluation's next, larger arrays cannot reuse them
-    top, lengths = np.empty((len(users), k), np.int64), np.empty_like(users)
-    buffer = np.empty((min(chunk, len(users)), members * w), np.float32)
+    top = np.full((len(users), k), -1, np.int64)
+    buffer = np.empty((min(_CHUNK, len(users)), members * w), np.float32)
     # The bound.  Scaling by a power of two is exact: each user row
     # x = 2^-a u gets its largest entry into [0.5, 1), and every item
     # row y = 2^-b i shares one b, which keeps each row's ranking and
@@ -126,9 +129,9 @@ def rank_topk(z_u, z_i, train_items, k, users=None, chunk=256):
                       + d * 2.0 ** -147 + np.ldexp(d * 2.0 ** -1074, -(a + b)))
     x = x.astype(np.float32)
     lowest = np.finfo(np.float32).min
-    for lo in range(0, len(users), chunk):
-        batch = users[lo:lo + chunk]
-        scores = np.matmul(x[lo:lo + chunk], y.T, out=buffer[:len(batch)])
+    for lo in range(0, len(users), _CHUNK):
+        batch = users[lo:lo + _CHUNK]
+        scores = np.matmul(x[lo:lo + _CHUNK], y.T, out=buffer[:len(batch)])
         scores[:, n:] = -np.inf
         held = train_items[batch]
         scores[np.repeat(np.arange(len(batch)), np.diff(held.indptr)),
@@ -138,7 +141,7 @@ def rank_topk(z_u, z_i, train_items, k, users=None, chunk=256):
         kth = np.partition(peak, w - k, axis=1)[:, w - k]
         # the floor is taken in float64 and rounded down to float32; a row
         # with fewer than k finite block maxima keeps every finite score
-        floor = np.maximum(kth - radius[lo:lo + chunk], lowest)
+        floor = np.maximum(kth - radius[lo:lo + _CHUNK], lowest)
         floor32 = floor.astype(np.float32)
         np.nextafter(floor32, lowest, out=floor32, where=floor32 > floor)
         rows, cols = np.nonzero(peak >= floor32[:, None])
@@ -153,58 +156,50 @@ def rank_topk(z_u, z_i, train_items, k, users=None, chunk=256):
                                                 counts)
         keep = rank < k
         top[lo + rows[keep], rank[keep]] = items[keep]
-        lengths[lo:lo + chunk] = np.minimum(counts, k)
-    return [row[:m] for row, m in zip(top, lengths.tolist())]
+    return top
 
 
-def _flatten(rows):
-    """Row lengths, row ids and concatenated entries of a ragged list."""
-    lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
-    flat = np.concatenate([*rows, np.empty(0, np.int64)]).astype(np.int64)
-    return lengths, np.repeat(np.arange(len(rows)), lengths), flat
-
-
-def topk_metrics(topk_lists, test_sets, k):
+def topk_metrics(top, test, k):
     """Aggregate precision, recall, and NDCG over users.
 
-    ``test_sets`` aligns with ``topk_lists``; users with empty test sets
-    are skipped and tallied.  DCG uses binary relevance with 1/log2(rank+1)
-    discounts and the ideal DCG truncates at min(|test|, k).  A list
-    longer than k raises ValueError.
+    ``top`` is a users x width int64 array of ranked items, width <= k,
+    as :func:`rank_topk` returns it: -1 pads a row and counts as no item.
+    ``test`` is a users x items CSR matrix whose row u stores user u's
+    test items; a duplicate counts once.  Users with no test items are
+    skipped and tallied.  DCG uses binary relevance with 1/log2(rank+1)
+    discounts and the ideal DCG truncates at min(|test|, k).  A wider
+    ``top``, or one whose row count is not ``test``'s, raises ValueError.
     """
+    users, width = top.shape
+    if width > k:
+        raise ValueError(f"top-k array has {width} columns, more than k={k}")
+    if test.shape[0] != users:
+        raise ValueError(f"test has {test.shape[0]} rows, top-k has {users}")
+    if not test.has_canonical_format:
+        test = test.copy()
+        test.sum_duplicates()
     discounts = 1.0 / np.log2(np.arange(2, k + 2))
     ideal_prefix = np.concatenate([[0.0], np.cumsum(discounts)])
-    users = len(topk_lists)
-    top_len, top_row, top = _flatten(topk_lists)
-    if np.any(top_len > k):
-        u = int(np.argmax(top_len > k))
-        raise ValueError(f"top-k list {u} has {top_len[u]} items, more "
-                         f"than k={k}")
-    _, test_row, test = _flatten(test_sets)
-    # (row, item) pairs as single keys; duplicate test items count once.
-    # Test sets read from a canonical CSR give keys already strictly
-    # increasing, which need no sort.
-    width = 1 + max(top.max(initial=-1), test.max(initial=-1))
-    test_keys = test_row * width + test
-    if not (test_keys[1:] > test_keys[:-1]).all():
-        test_keys = np.unique(test_keys)
-    test_len = np.bincount(test_keys // width, minlength=users)
-    top_keys = top_row * width + top
-    found = np.searchsorted(test_keys, top_keys)
-    inside = found < len(test_keys)
-    hits = np.zeros(len(top_keys))
-    hits[inside] = test_keys[found[inside]] == top_keys[inside]
-    hit_count = np.bincount(top_row, hits, minlength=users)
-    # a list with at most one hit has DCG 0 or its hit's discount in any
-    # summation order; a list with more is its own dot product, as in a
-    # per-user loop, since the order in which BLAS sums it decides the
-    # last bit
-    starts = np.cumsum(top_len) - top_len
-    position = np.arange(len(top)) - np.repeat(starts, top_len)
-    dcg = np.bincount(top_row, hits * discounts[position], minlength=users)
-    for u in np.flatnonzero(hit_count > 1).tolist():
-        s, n = starts[u], top_len[u]
-        dcg[u] = hits[s:s + n] @ discounts[:n]
+    test_len = np.diff(test.indptr)
+    # (row, item) pairs as single keys, increasing in a canonical CSR; the
+    # last key, past every other, keeps each search inside the array
+    span = max(test.shape[1], 1 + top.max(initial=0))
+    test_keys = np.append(np.repeat(np.arange(users) * span, test_len)
+                          + test.indices, users * span)
+    top_keys = np.arange(users)[:, None] * span + top
+    ranked = top >= 0
+    found = test_keys[np.searchsorted(test_keys, top_keys)] == top_keys
+    hits = (found & ranked).astype(np.float64)
+    hit_count = hits.sum(axis=1)
+    # a row with at most one hit has DCG 0 or its hit's discount in any
+    # summation order; a row with more is the dot product of its n items,
+    # as in a per-user loop, since the order in which BLAS sums it
+    # decides the last bit
+    dcg = hits @ discounts[:width]
+    multi = np.flatnonzero(hit_count > 1)
+    lengths = np.count_nonzero(ranked[multi], axis=1)
+    for u, n in zip(multi.tolist(), lengths.tolist()):
+        dcg[u] = hits[u, :n] @ discounts[:n]
 
     kept = test_len > 0
     evaluated = int(kept.sum())

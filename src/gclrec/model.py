@@ -39,8 +39,8 @@ k+1 reads, so a layer k >= 2 runs its generator and its product over
 that neighbourhood only.  The complement channel walks back the same
 way from the demanded items, or from every item.  Only the user-item
 layer-1 generator runs over every row, because the KL term averages
-over all of its rows.  Without a demand (evaluation) every user-item
-row is computed.
+over all of its rows.  ``rows=None`` computes every user-item row, the
+full-height reference that tests compare a demanded run against.
 
 Epsilon is drawn in :func:`encode` and nowhere else: one full-height
 standard normal draw per (channel, layer), user-item layers first, also
@@ -223,7 +223,11 @@ def generate_noise(tape, z_prev, leaves, eps, settings, sigma2=True):
                 mu = dc.col_slice(out, 0, d)
                 logvar = dc.col_slice(out, d, 2 * d)
                 var = dc.exp(logvar)
-                scale_node = dc.exp(dc.scale(logvar, 0.5)) if stddev else var
+                scale_node = var
+                if stddev:
+                    half = dc.scale(logvar, 0.5)
+                    scale_node = dc.exp(half)
+                    half.value = None  # exp's backward reads its output
                 sample = dc.mul_add(mu, scale_node, eps)
             else:
                 mu = var = None

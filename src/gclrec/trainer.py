@@ -473,18 +473,12 @@ def evaluate_model(params, ctx, test, cfg, ks=(5, 10, 20)):
     has_test = np.diff(T.indptr) > 0
     users = np.flatnonzero(has_train & has_test)
     skipped = int(np.count_nonzero(has_train & ~has_test))
-    bounds = T.indptr.tolist()
-    test_sets = [T.indices[bounds[u]:bounds[u + 1]] for u in users.tolist()]
-    results = {}
-    # lists may come back shorter than k when the catalog is small
+    test_items = T[users]
+    # a catalog smaller than a cutoff ranks every item it has
     depth = min(max(ks), z_i.shape[0])
     top = rank_topk(z_u, z_i, ctx.R, depth, users=users)
-    for k in sorted(ks):
-        # no list is longer than depth, so only a smaller k trims
-        lists = top if k >= depth else [t[:k] for t in top]
-        results[k] = replace(topk_metrics(lists, test_sets, k),
-                             users_skipped=skipped)
-    return results
+    return {k: replace(topk_metrics(top[:, :k], test_items, k),
+                       users_skipped=skipped) for k in sorted(ks)}
 
 
 # ---------------------------------------------------------------- fit

@@ -44,6 +44,14 @@ def train_matrix(item_lists, num_items):
                          shape=(len(item_lists), num_items))
 
 
+def padded(item_lists, width):
+    """int64 array whose row u holds item_lists[u] followed by -1s."""
+    out = np.full((len(item_lists), width), -1, np.int64)
+    for row, items in zip(out, item_lists):
+        row[:len(items)] = items
+    return out
+
+
 def traced_peak(fn, *args, **kwargs):
     """fn's result and the most bytes it held at once above what was
     allocated when it was called, numpy's arrays included."""

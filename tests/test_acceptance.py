@@ -210,7 +210,7 @@ def test_criterion_06_ranking_metrics_oracle():
             test_sets.append(rest[:int(rng.integers(0, 4))].tolist())
             train_items.append(held.astype(np.int64))
         top = rank_topk(z_u, z_i, train_matrix(train_items, n), k)
-        got = topk_metrics(top, test_sets, k)
+        got = topk_metrics(top, train_matrix(test_sets, n), k)
         scores = z_u @ z_i.T
         sums = np.zeros(3)
         evaluated = 0
@@ -224,7 +224,7 @@ def test_criterion_06_ranking_metrics_oracle():
         for field, value in zip(("precision", "recall", "ndcg"), want):
             if abs(getattr(got, field) - value) > 1e-12:
                 failures.append((trial, field))
-    worked = topk_metrics([[0, 1, 2]], [[1]], k=3)
+    worked = topk_metrics(np.array([[0, 1, 2]]), train_matrix([[1]], 3), k=3)
     if round(worked.ndcg, 4) != 0.6309:
         failures.append(("worked-example", worked.ndcg))
     _verdict(6, desc, not failures, f"mismatches: {failures[:5]}")

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from gclrec import metrics
 from gclrec.metrics import (
     RankingMetrics,
     alignment_uniformity,
@@ -8,7 +10,7 @@ from gclrec.metrics import (
     topk_metrics,
 )
 
-from conftest import traced_peak, train_matrix
+from conftest import padded, traced_peak, train_matrix
 from oracles import ranking_metrics_dense, topk_rank_dense
 
 
@@ -52,18 +54,18 @@ class TestRankTopk:
         z_u = np.array([[1.0]])
         z_i = np.array([[1.0], [2.0], [3.0]])
         top = rank_topk(z_u, z_i, train_matrix([[0, 2]], 3), k=3)
-        np.testing.assert_array_equal(top[0], [1])
+        np.testing.assert_array_equal(top, [[1, -1, -1]])
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             z_u, z_i, train, _ = random_instance(rng)
             k = int(rng.integers(1, min(10, z_i.shape[0])))
-            lists = rank_topk(z_u, z_i, train_matrix(train, len(z_i)), k)
+            top = rank_topk(z_u, z_i, train_matrix(train, len(z_i)), k)
             scores = z_u @ z_i.T
-            for u, top in enumerate(lists):
-                expected = topk_rank_dense(scores[u], train[u], k)
-                np.testing.assert_array_equal(top, expected)
+            expected = [topk_rank_dense(scores[u], train[u], k)
+                        for u in range(len(z_u))]
+            np.testing.assert_array_equal(top, padded(expected, k))
 
     def test_invariant_under_positive_rescaling(self):
         rng = np.random.default_rng(1)
@@ -71,15 +73,16 @@ class TestRankTopk:
         R = train_matrix(train, len(z_i))
         a = rank_topk(z_u, z_i, R, k=5)
         b = rank_topk(4.0 * z_u, z_i, R, k=5)
-        for x, y in zip(a, b):
-            np.testing.assert_array_equal(x, y)
+        np.testing.assert_array_equal(a, b)
 
-    def test_user_subset_and_chunking(self):
+    def test_user_subset_and_chunking(self, monkeypatch):
         rng = np.random.default_rng(2)
         z_u, z_i, train, _ = random_instance(rng)
         R = train_matrix(train, len(z_i))
-        full = rank_topk(z_u, z_i, R, k=4, chunk=2)
-        sub = rank_topk(z_u, z_i, R, k=4, users=[1, 0], chunk=1)
+        monkeypatch.setattr(metrics, "_CHUNK", 2)
+        full = rank_topk(z_u, z_i, R, k=4)
+        monkeypatch.setattr(metrics, "_CHUNK", 1)
+        sub = rank_topk(z_u, z_i, R, k=4, users=[1, 0])
         np.testing.assert_array_equal(sub[0], full[1])
         np.testing.assert_array_equal(sub[1], full[0])
 
@@ -100,11 +103,11 @@ class TestRankTopk:
         rng = np.random.default_rng(4)
         z_u, z_i = rng.normal(size=(3, 64)), rng.normal(size=(8000, 64))
         train = train_matrix([[0, 5], [], [7]], len(z_i))
-        lists, peak = traced_peak(rank_topk, z_u, z_i, train, k=20)
+        top, peak = traced_peak(rank_topk, z_u, z_i, train, k=20)
         assert peak <= 0.75 * z_i.nbytes
         scores = z_u @ z_i.T
-        for u, top in enumerate(lists):
-            assert top.tolist() == topk_rank_dense(scores[u], train[u].indices,
+        for u, row in enumerate(top):
+            assert row.tolist() == topk_rank_dense(scores[u], train[u].indices,
                                                    20)
 
 
@@ -127,15 +130,20 @@ def near_tie_instance(rng, users=20, ties=40, others=200, d=6):
     return z_u, z_i, train
 
 
-def assert_matches_oracle(z_u, z_i, train, k, chunk):
-    lists = rank_topk(z_u, z_i, train_matrix(train, len(z_i)), k,
-                      chunk=chunk)
+def assert_matches_oracle(z_u, z_i, train, k):
+    top = rank_topk(z_u, z_i, train_matrix(train, len(z_i)), k)
     scores = z_u @ z_i.T
-    assert len(lists) == len(z_u)
-    for u, top in enumerate(lists):
-        assert top.dtype == np.int64
-        assert top.tolist() == topk_rank_dense(scores[u], train[u], k)
-    return lists
+    assert top.dtype == np.int64
+    expected = [topk_rank_dense(scores[u], train[u], k)
+                for u in range(len(z_u))]
+    assert top.tolist() == padded(expected, k).tolist()
+    return top
+
+
+@pytest.fixture
+def chunked(chunk, monkeypatch):
+    """rank_topk scores ``chunk`` users at a time."""
+    monkeypatch.setattr(metrics, "_CHUNK", chunk)
 
 
 def screen_members(n, k):
@@ -144,6 +152,7 @@ def screen_members(n, k):
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 128])
+@pytest.mark.usefixtures("chunked")
 class TestTwoPrecisionRanker:
     """rank_topk scores in float32 and re-scores candidates in float64;
     every case must equal the float64 oracle.  ``grow`` scales each
@@ -151,10 +160,10 @@ class TestTwoPrecisionRanker:
 
     grow = 1
 
-    def test_near_ties_inside_float32_rounding(self, chunk):
+    def test_near_ties_inside_float32_rounding(self):
         rng = np.random.default_rng(10)
         z_u, z_i, train = near_tie_instance(rng, others=200 * self.grow)
-        lists = assert_matches_oracle(z_u, z_i, train, 10, chunk)
+        lists = assert_matches_oracle(z_u, z_i, train, 10)
         cluster = (z_u @ z_i.T)[:, np.all(z_i[:, 2:] == 0.0, axis=1)]
         assert np.diff(np.sort(cluster, axis=1)).min() > 100 * np.spacing(4.0)
         # a float32-only ranking cannot separate the cluster
@@ -168,33 +177,33 @@ class TestTwoPrecisionRanker:
     @pytest.mark.parametrize("scale_u, scale_i", [(1e150, 1e150),
                                                   (1e-150, 1e-150),
                                                   (1e150, 1e-150)])
-    def test_extreme_scales(self, chunk, scale_u, scale_i):
+    def test_extreme_scales(self, scale_u, scale_i):
         rng = np.random.default_rng(11)
         z_u, z_i, train = near_tie_instance(rng, others=200 * self.grow)
-        assert_matches_oracle(scale_u * z_u, scale_i * z_i, train, 10, chunk)
+        assert_matches_oracle(scale_u * z_u, scale_i * z_i, train, 10)
         z_u, z_i, train, _ = random_instance(rng, max_users=30,
                                              min_items=5 * self.grow,
                                              max_items=60 * self.grow)
-        assert_matches_oracle(scale_u * z_u, scale_i * z_i, train, 4, chunk)
+        assert_matches_oracle(scale_u * z_u, scale_i * z_i, train, 4)
 
-    def test_zero_user_row_takes_lowest_indices(self, chunk):
+    def test_zero_user_row_takes_lowest_indices(self):
         rng = np.random.default_rng(12)
         z_u, z_i, train = near_tie_instance(rng, users=9,
                                             others=200 * self.grow)
         z_u[4] = 0.0
         train[4] = np.array([0, 2])
-        lists = assert_matches_oracle(z_u, z_i, train, 10, chunk)
+        lists = assert_matches_oracle(z_u, z_i, train, 10)
         assert lists[4].tolist() == [1] + list(range(3, 12))
 
-    def test_rows_with_fewer_than_k_candidates(self, chunk):
+    def test_rows_with_fewer_than_k_candidates(self):
         rng = np.random.default_rng(13)
         n = 12 * self.grow
         z_u, z_i = rng.normal(size=(10, 3)), rng.normal(size=(n, 3))
         # all but 0, 2, 4, ..., 12 items held: none to 12 candidates
         train = [np.sort(rng.choice(n, n - 2 * (u % 7), replace=False))
                  for u in range(10)]
-        lists = assert_matches_oracle(z_u, z_i, train, 5, chunk)
-        assert [len(top) for top in lists] == \
+        lists = assert_matches_oracle(z_u, z_i, train, 5)
+        assert np.count_nonzero(lists >= 0, axis=1).tolist() == \
             [min(5, 2 * (u % 7)) for u in range(10)]
 
 
@@ -206,11 +215,12 @@ class TestTwoPrecisionRankerScreened(TestTwoPrecisionRanker):
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 256])
+@pytest.mark.usefixtures("chunked")
 class TestBlockScreen:
     """Catalogs where rank_topk's screen has several members per block;
     every case must equal the float64 oracle."""
 
-    def test_short_blocks(self, chunk):
+    def test_short_blocks(self):
         # n = 16 w - 11: blocks 14..24 lack a 16th member, and the best
         # items sit in the last member row and in the short blocks
         rng = np.random.default_rng(20)
@@ -222,10 +232,10 @@ class TestBlockScreen:
         z_i[best] *= 6.0
         train = [np.sort(rng.choice(n, int(rng.integers(0, 4)),
                                     replace=False)) for _ in range(40)]
-        lists = assert_matches_oracle(z_u, z_i, train, k, chunk)
-        assert set(best) == set(np.concatenate(lists).tolist()) & set(best)
+        lists = assert_matches_oracle(z_u, z_i, train, k)
+        assert set(best) == set(lists.ravel().tolist()) & set(best)
 
-    def test_several_top_items_in_one_block(self, chunk):
+    def test_several_top_items_in_one_block(self):
         rng = np.random.default_rng(21)
         k, n = 5, 640
         w = n // screen_members(n, k)
@@ -237,11 +247,11 @@ class TestBlockScreen:
         train = [np.array([], np.int64)] * 6 + [np.sort(
             rng.choice(block, int(rng.integers(1, 4)), replace=False))
             for _ in range(6)]
-        lists = assert_matches_oracle(z_u, z_i, train, k, chunk)
+        lists = assert_matches_oracle(z_u, z_i, train, k)
         for top in lists[:6]:
             assert sorted(top.tolist()) == block.tolist()
 
-    def test_fewer_than_k_finite_block_maxima(self, chunk):
+    def test_fewer_than_k_finite_block_maxima(self):
         # user u keeps only u % 5 blocks of 16 items, or three items of
         # two blocks; every other item is held out as a train item
         rng = np.random.default_rng(22)
@@ -256,10 +266,10 @@ class TestBlockScreen:
                 kept = np.array([2, 2 + w, 9])
             train.append(np.setdiff1d(np.arange(n), kept))
             sizes.append(min(k, len(kept)))
-        lists = assert_matches_oracle(z_u, z_i, train, k, chunk)
-        assert [len(top) for top in lists] == sizes
+        lists = assert_matches_oracle(z_u, z_i, train, k)
+        assert np.count_nonzero(lists >= 0, axis=1).tolist() == sizes
 
-    def test_exact_ties_across_blocks(self, chunk):
+    def test_exact_ties_across_blocks(self):
         rng = np.random.default_rng(23)
         k, n = 10, 640
         assert screen_members(n, k) == 8
@@ -270,52 +280,51 @@ class TestBlockScreen:
         z_i[tied] = [6.0, 0.0, 0.0, 0.0]
         train = [np.sort(rng.choice(tied, int(rng.integers(0, 12)),
                                     replace=False)) for _ in range(15)]
-        lists = assert_matches_oracle(z_u, z_i, train, k, chunk)
+        lists = assert_matches_oracle(z_u, z_i, train, k)
         for top, held in zip(lists, train):
             assert top.tolist() == np.setdiff1d(tied, held)[:k].tolist()
 
-    def test_k_is_one(self, chunk):
+    def test_k_is_one(self):
         rng = np.random.default_rng(24)
         z_u, z_i, train = near_tie_instance(rng, others=400)
         assert screen_members(len(z_i), 1) == 16
-        assert_matches_oracle(z_u, z_i, train, 1, chunk)
+        assert_matches_oracle(z_u, z_i, train, 1)
         z_u, z_i, train, _ = random_instance(rng, max_users=30,
                                              min_items=200, max_items=400)
-        assert_matches_oracle(z_u, z_i, train, 1, chunk)
+        assert_matches_oracle(z_u, z_i, train, 1)
 
     @pytest.mark.parametrize("n, members", [(111, 1), (112, 2)])
-    def test_catalog_at_the_first_split(self, chunk, n, members):
+    def test_catalog_at_the_first_split(self, n, members):
         rng = np.random.default_rng(25)
         k = 7
         assert screen_members(n, k) == members
         z_u, z_i = rng.normal(size=(30, 3)), rng.normal(size=(n, 3))
         train = [np.sort(rng.choice(n, int(rng.integers(0, n - 3)),
                                     replace=False)) for _ in range(30)]
-        assert_matches_oracle(z_u, z_i, train, k, chunk)
+        assert_matches_oracle(z_u, z_i, train, k)
 
 
 class TestTopkMetrics:
     def test_worked_example(self):
         # test set {i2}, ranking [i1, i2, i3], k=3
-        m = topk_metrics([np.array([1, 2, 3])], [np.array([2])], k=3)
+        m = topk_metrics(np.array([[1, 2, 3]]), train_matrix([[2]], 4), k=3)
         assert m.precision == pytest.approx(1.0 / 3.0)
         assert m.recall == pytest.approx(1.0)
         assert m.ndcg == pytest.approx(1.0 / np.log2(3.0), abs=1e-9)
         assert round(m.ndcg, 4) == 0.6309
 
     def test_perfect_ranking(self):
-        m = topk_metrics([np.array([4, 7])], [np.array([4, 7])], k=2)
+        m = topk_metrics(np.array([[4, 7]]), train_matrix([[4, 7]], 8), k=2)
         assert m.ndcg == pytest.approx(1.0)
         assert m.precision == 1.0 and m.recall == 1.0
 
     def test_no_hits_all_zero(self):
-        m = topk_metrics([np.array([1, 2])], [np.array([5])], k=2)
+        m = topk_metrics(np.array([[1, 2]]), train_matrix([[5]], 6), k=2)
         assert (m.precision, m.recall, m.ndcg) == (0.0, 0.0, 0.0)
 
     def test_empty_test_sets_skipped_and_tallied(self):
-        lists = [np.array([1]), np.array([2])]
-        tests = [np.array([], dtype=np.int64), np.array([2])]
-        m = topk_metrics(lists, tests, k=1)
+        m = topk_metrics(np.array([[1], [2]]), train_matrix([[], [2]], 3),
+                         k=1)
         assert m.users_evaluated == 1
         assert m.users_skipped == 1
         assert m.recall == 1.0
@@ -325,8 +334,8 @@ class TestTopkMetrics:
         for _ in range(50):
             z_u, z_i, train, test = random_instance(rng)
             k = int(rng.integers(1, min(10, z_i.shape[0])))
-            lists = rank_topk(z_u, z_i, train_matrix(train, len(z_i)), k)
-            got = topk_metrics(lists, test, k)
+            top = rank_topk(z_u, z_i, train_matrix(train, len(z_i)), k)
+            got = topk_metrics(top, train_matrix(test, len(z_i)), k)
             scores = z_u @ z_i.T
             per_user = [ranking_metrics_dense(scores[u], train[u], test[u], k)
                         for u in range(len(test)) if len(test[u])]
@@ -340,8 +349,8 @@ class TestTopkMetrics:
         z_u, z_i, train, test = random_instance(rng, max_items=25)
         prev_recall, prev_hits = -1.0, -1.0
         for k in (1, 3, 5, 10):
-            lists = rank_topk(z_u, z_i, train_matrix(train, len(z_i)), k)
-            m = topk_metrics(lists, test, k)
+            top = rank_topk(z_u, z_i, train_matrix(train, len(z_i)), k)
+            m = topk_metrics(top, train_matrix(test, len(z_i)), k)
             hits = m.precision * k
             assert m.recall >= prev_recall - 1e-12
             assert hits >= prev_hits - 1e-12
@@ -379,7 +388,7 @@ class TestTopkMetrics:
                              for top, test in zip(lists, tests)
                              if len(top) >= 16 and len(test)}
                 assert {0, 1} <= long_hits and max(long_hits) >= 2
-            m = topk_metrics(lists, tests, k)
+            m = topk_metrics(padded(lists, k), train_matrix(tests, 40), k)
             want, evaluated = loop(lists, tests, k)
             assert [m.precision, m.recall, m.ndcg] == want
             assert (m.users_evaluated, m.users_skipped) == (evaluated,
@@ -387,18 +396,56 @@ class TestTopkMetrics:
             # one user at a time, so a last-bit change cannot hide in a sum
             for top, test in zip(lists, tests):
                 if len(test):
-                    m = topk_metrics([top], [test], k)
+                    m = topk_metrics(padded([top], k),
+                                     train_matrix([test], 40), k)
                     assert [m.precision, m.recall, m.ndcg] == \
                         loop([top], [test], k)[0]
 
     def test_list_longer_than_k_rejected(self):
-        with pytest.raises(ValueError, match="list 1 has 5 items.*k=2"):
-            topk_metrics([np.arange(2), np.arange(5)],
-                         [np.array([3]), np.array([3])], k=2)
+        with pytest.raises(ValueError, match="5 columns.*k=2"):
+            topk_metrics(padded([np.arange(2), np.arange(5)], 5),
+                         train_matrix([[3], [3]], 5), k=2)
+
+    def test_row_count_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="3 rows.*has 2"):
+            topk_metrics(np.array([[0], [1]]), train_matrix([[0], [1], [2]], 3),
+                         k=1)
 
     def test_duplicate_test_items_count_once(self):
-        m = topk_metrics([np.array([3, 1])], [np.array([1, 1, 5])], k=2)
+        m = topk_metrics(np.array([[3, 1]]), train_matrix([[1, 1, 5]], 6),
+                         k=2)
         assert m.recall == 0.5
+
+    def test_non_canonical_test_matrix(self):
+        # duplicate and unsorted entries give the canonical copy's metrics
+        # and leave the caller's matrix as it was
+        rng = np.random.default_rng(9)
+        top = padded([rng.permutation(30)[:int(rng.integers(0, 6))]
+                      for _ in range(40)], 5)
+        rows = [rng.choice(30, int(rng.integers(0, 8))) for _ in range(40)]
+        indptr = np.cumsum([0] + [len(r) for r in rows])
+        test = sp.csr_matrix((np.ones(indptr[-1]), np.concatenate(rows),
+                              indptr), shape=(40, 30))
+        indices = test.indices.copy()
+        assert not test.has_canonical_format
+        canonical = test.copy()
+        canonical.sum_duplicates()
+        assert canonical.nnz < test.nnz
+        assert topk_metrics(top, test, 5) == topk_metrics(top, canonical, 5)
+        np.testing.assert_array_equal(test.indices, indices)
+
+    def test_padding_counts_as_no_item(self):
+        # row 1's padding has the key of row 0's last item, 4; it must not
+        # count as a hit, and a padded row scores as its items alone
+        test = train_matrix([[4], [2]], 5)
+        m = topk_metrics(np.array([[4, -1], [-1, -1]]), test, k=2)
+        assert (m.precision, m.recall, m.ndcg) == (0.25, 0.5, 0.5)
+        rng = np.random.default_rng(10)
+        for _ in range(20):
+            items = rng.permutation(12)[:int(rng.integers(1, 6))]
+            test = train_matrix([rng.permutation(12)[:3]], 12)
+            m = topk_metrics(padded([items], 6), test, k=6)
+            assert m == topk_metrics(items[None, :], test, k=6)
 
     def test_csv_row(self):
         m = RankingMetrics(k=20, precision=0.1, recall=0.2, ndcg=0.3,

@@ -327,9 +327,9 @@ class TestTapeComposition:
     """A default step's forward tape holds only values its backward
     pass reads."""
 
-    def tape(self, monkeypatch):
+    def tape(self, monkeypatch, overrides=None):
         fold = toy_fold()
-        cfg = tiny_config()
+        cfg = tiny_config().apply_strings(overrides or {})
         ctx = build_context(fold.train, cfg)
         params = init_params(6, 8, cfg.d, cfg.h, seed=2)
         rng = np.random.default_rng(3)
@@ -402,6 +402,16 @@ class TestTapeComposition:
         assert values[mu].flags.owndata and values[mu].shape == (height, 4)
         # the 2d-wide generator output and its log-variance view are gone
         assert values[out] is None and values[logvar] is None
+
+    def test_stddev_block_drops_its_halved_log_variance(self, monkeypatch):
+        seen, height, _ = self.tape(monkeypatch, {"noise.scale": "stddev"})
+        full = [(n.op, [p.op for p in n.parents]) for n, value in seen
+                if value is not None and value.shape[0] == height]
+        # the base embedding, mu, sigma^2, sigma and the sample; no
+        # backward pass reads the halved log-variance under sigma's exp
+        assert full == [("leaf", []), ("col_slice", ["mlp3"]),
+                        ("exp", ["col_slice"]), ("exp", ["scale"]),
+                        ("mul_add", ["col_slice", "exp"])]
 
     def test_contrastive_term_is_swept_first(self, monkeypatch):
         _, _, swept = self.tape(monkeypatch)
@@ -631,9 +641,7 @@ class TestEvaluateModel:
         T = build_interaction_matrix(fold.test)
         users = np.flatnonzero(np.diff(ctx.R.indptr))
         top = rank_topk(z_u, z_i, ctx.R, 5, users=users)
-        tests = [T.indices[T.indptr[u]:T.indptr[u + 1]] for u in users]
-        want = {k: topk_metrics([t[:k] for t in top], tests, k)
-                for k in (3, 5)}
+        want = {k: topk_metrics(top[:, :k], T[users], k) for k in (3, 5)}
         assert [(m.users_evaluated, m.users_skipped)
                 for m in want.values()] == [(4, 2), (4, 2)]
 
