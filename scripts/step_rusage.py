@@ -3,6 +3,7 @@
 
     python3 scripts/step_rusage.py --seed 1 --steps 8
     python3 scripts/step_rusage.py --workload eval-full --seed 1 --steps 5
+    python3 scripts/step_rusage.py --workload setup --seed 1 --steps 11
     python3 scripts/step_rusage.py --set ddl=mmd \
         --set noise.distribution=uniform --steps 3
 
@@ -11,7 +12,9 @@ seeded CiaoDVD-scale log with one BLAS thread and the default config,
 changed by each ``--set KEY=VALUE`` as ``gclrec train --set`` changes it.
 For train-gen, operation j is ``trainer.train_epoch`` over the j-th
 fixed batch with the rng stream (seed, 2, j); for eval-full it is one
-``trainer.evaluate_model`` at k = 5, 10, 20 with the initial parameters.
+``trainer.evaluate_model`` at k = 5, 10, 20 with the initial parameters;
+for setup it is one set-up from the log file, as the benchmark's
+setup_s times it, with each stage called here in turn.
 Around each operation it reads getrusage(RUSAGE_SELF) and prints one
 JSON line: user and system CPU seconds, minor and major page faults,
 the peak RSS so far and the RSS the process holds after the operation.
@@ -24,8 +27,12 @@ sweep's first node is backward #0).  An evaluation adds the CPU seconds
 spent in ``eval_embeddings``, ``rank_topk`` and ``topk_metrics`` and,
 for each of these stages, the RSS before its first call and the peak RSS
 (``ru_maxrss``) after its last, which show the stage that sets the
-peak.  A last line holds the medians over the operations after the
-first.
+peak.  A set-up adds, for each of its stages (``load_interactions``,
+``make_folds``, ``build_interaction_matrix``, ``adjacency``: the block
+adjacency and its normalization, ``build_complement`` and
+``init_params``), the CPU seconds it took and the RSS before and after
+it; a set-up wraps nothing.  A last line holds the medians over the
+operations after the first.
 Nothing here is timed by the benchmark; the script reads the log
 generator in ``benchmarks/workload.py`` only to run on the same data.
 """
@@ -55,7 +62,7 @@ import ctypes  # noqa: E402
 
 import numpy as np  # noqa: E402
 import workload  # noqa: E402
-from gclrec import dataset, diffcore, model, trainer  # noqa: E402
+from gclrec import dataset, diffcore, graphs, model, trainer  # noqa: E402
 
 PAGE_MB = os.sysconf("SC_PAGE_SIZE") / 2 ** 20
 
@@ -198,9 +205,55 @@ def evaluations(fold, ctx, params, cfg, count):
                   for key in (f"{name}_rss_before_mb", f"{name}_maxrss_mb")}}
 
 
+def setups(log, cfg, count):
+    for j in range(count):
+        row = {"setup": j}
+
+        def stage(name, fn, *args, **kwargs):
+            row[f"{name}_rss_before_mb"] = rss_mb()
+            start = time.process_time()
+            out = fn(*args, **kwargs)
+            row[f"{name}_s"] = time.process_time() - start
+            row[f"{name}_rss_after_mb"] = rss_mb()
+            return out
+
+        before = resource.getrusage(resource.RUSAGE_SELF)
+        data = stage("load_interactions", dataset.load_interactions, log)
+        fold = stage("make_folds", dataset.make_folds, data, cfg.folds,
+                     cfg.seed)[0]
+        R = stage("build_interaction_matrix", graphs.build_interaction_matrix,
+                  fold.train)
+        stage("adjacency", lambda: graphs.sym_normalize(
+            graphs.build_adjacency(R)))
+        if cfg.complement_enabled:
+            stage("build_complement", graphs.build_complement, R, cfg.gamma,
+                  apply_filter=cfg.filter_enabled)
+        stage("init_params", model.init_params, data.num_users,
+              data.num_items, cfg.d, cfg.h, seed=cfg.seed + fold.fold_index)
+        after = resource.getrusage(resource.RUSAGE_SELF)
+        yield {**row, **usage(before, after)}
+
+
+def report(ops):
+    """Print each operation's JSON line, then the medians after the
+    first."""
+    rows = []
+    for row in ops:
+        rows.append(row)
+        print(json.dumps(row), flush=True)
+    warm = rows[1:] or rows
+    keys = [key for key in rows[0] if key not in ("step", "evaluation",
+                                                  "setup", "major_faults",
+                                                  "peak_rss_mb")]
+    print(json.dumps({"median_after_op_0": {
+        key: statistics.median(r[key] for r in warm)
+        for key in keys if all(isinstance(r[key], (int, float))
+                               for r in warm)}}))
+
+
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    p.add_argument("--workload", choices=("train-gen", "eval-full"),
+    p.add_argument("--workload", choices=("train-gen", "eval-full", "setup"),
                    default="train-gen")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--steps", type=int, default=8,
@@ -225,28 +278,18 @@ def main(argv=None):
     with tempfile.TemporaryDirectory() as tmp:
         log = Path(tmp) / "log.txt"
         workload.write_log(workload.generate_pairs(size, args.seed), log)
+        if args.workload == "setup":
+            report(setups(log, cfg, args.steps))
+            return 0
         data = dataset.load_interactions(log)
     fold = dataset.make_folds(data, cfg.folds, cfg.seed)[0]
     ctx = trainer.build_context(fold.train, cfg)
     params = model.init_params(ctx.num_users, ctx.num_items, cfg.d, cfg.h,
                                seed=cfg.seed + fold.fold_index)
     if args.workload == "train-gen":
-        ops = train_steps(fold, ctx, params, cfg, args.seed, args.steps)
+        report(train_steps(fold, ctx, params, cfg, args.seed, args.steps))
     else:
-        ops = evaluations(fold, ctx, params, cfg, args.steps)
-
-    rows = []
-    for row in ops:
-        rows.append(row)
-        print(json.dumps(row), flush=True)
-    warm = rows[1:] or rows
-    keys = [key for key in rows[0] if key not in ("step", "evaluation",
-                                                  "major_faults",
-                                                  "peak_rss_mb")]
-    print(json.dumps({"median_after_op_0": {
-        key: statistics.median(r[key] for r in warm)
-        for key in keys if all(isinstance(r[key], (int, float))
-                               for r in warm)}}))
+        report(evaluations(fold, ctx, params, cfg, args.steps))
     return 0
 
 

@@ -6,6 +6,7 @@ ignored -- every logged interaction counts as positive implicit feedback.
 """
 
 import re
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,6 +88,24 @@ def text_lines(path):
         raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
 
+def _slow_fields(path, lineno, raw):
+    """The user and item fields of ``raw`` split on ``_FIELD_SEP``, or
+    None for a blank or ``#`` line; raises :class:`ParseError` for a
+    malformed line."""
+    line = raw.strip()
+    if not line or line.startswith("#"):
+        return None
+    fields = _FIELD_SEP.split(line)
+    if len(fields) < 2:
+        raise ParseError(f"{path}: line {lineno}: expected at least "
+                         f"2 fields, got {len(fields)}")
+    raw_u, raw_i = fields[0], fields[1]
+    if not (raw_u and raw_i):
+        raise ParseError(f"{path}: line {lineno}: empty "
+                         f"{'user' if not raw_u else 'item'} field")
+    return fields
+
+
 def load_interactions(path):
     """Read an interaction log into an :class:`InteractionSet`.
 
@@ -95,37 +114,47 @@ def load_interactions(path):
     lines starting with ``#`` are skipped.  Duplicate (user, item) pairs
     collapse to one; indices are assigned in first-appearance order.
 
+    The file is read one line at a time and no per-line token list is
+    kept.  A line that starts with its first field and has a second is
+    split with ``str.split`` after turning commas into spaces (``\\s``
+    and ``str.isspace`` match the same characters); any other line goes
+    through ``_FIELD_SEP``, which skips it or raises the
+    :class:`ParseError` below.  Duplicates are dropped by one
+    ``np.unique`` over the keys ``user * num_items + item``, which needs
+    ``num_users * num_items < 2**63``; the first occurrence of each key
+    is kept, in file order.
+
     Raises :class:`ParseError` for a line with fewer than two fields or
     an empty user or item field (a leading separator would otherwise
     shift the columns), and :class:`DataError` when the file is not UTF-8
     text or no interactions remain.
     """
     user_map, item_map = {}, {}
-    pairs = []
-    seen = set()
-    for lineno, line in text_lines(path):
-        fields = _FIELD_SEP.split(line)
-        if len(fields) < 2:
-            raise ParseError(f"{path}: line {lineno}: expected at least "
-                             f"2 fields, got {len(fields)}")
-        raw_u, raw_i = fields[0], fields[1]
-        if not (raw_u and raw_i):
-            raise ParseError(f"{path}: line {lineno}: empty "
-                             f"{'user' if not raw_u else 'item'} field")
-        if raw_u not in user_map:
-            user_map[raw_u] = len(user_map)
-        if raw_i not in item_map:
-            item_map[raw_i] = len(item_map)
-        key = (user_map[raw_u], item_map[raw_i])
-        if key not in seen:
-            seen.add(key)
-            pairs.append(key)
-    if not pairs:
+    users, items = array("q"), array("q")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                fields = raw.replace(",", " ").split(None, 2)
+                if len(fields) < 2 or not raw.startswith(fields[0]):
+                    fields = _slow_fields(path, lineno, raw)
+                    if fields is None:
+                        continue
+                elif fields[0][0] == "#":
+                    continue
+                users.append(user_map.setdefault(fields[0], len(user_map)))
+                items.append(item_map.setdefault(fields[1], len(item_map)))
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    if not users:
         raise DataError(f"{path}: no interactions found")
+    u = np.frombuffer(users, dtype=np.int64)
+    i = np.frombuffer(items, dtype=np.int64)
+    _, first = np.unique(u * len(item_map) + i, return_index=True)
+    first.sort()
     return InteractionSet(
         num_users=len(user_map),
         num_items=len(item_map),
-        pairs=np.array(pairs, dtype=np.int64),
+        pairs=np.column_stack([u[first], i[first]]),
         user_map=user_map,
         item_map=item_map,
     )

@@ -72,15 +72,21 @@ def build_complement(R, gamma, apply_filter=True):
     degree normalization.  If every entry is filtered out the result is an
     empty matrix and a warning is emitted; the channel then propagates
     nothing.
+
+    The gamma filter runs before the diagonal is removed.  Each step only
+    deletes entries, and whether it deletes one depends on that entry
+    alone, so the order leaves the same entries with the same counts;
+    the diagonal step then touches the few entries the filter keeps
+    instead of all of R^T R.
     """
     if gamma < 0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
     C = (R.T @ R).tocsr()
-    C.setdiag(0.0)
-    C.eliminate_zeros()
     if apply_filter and gamma > 0:
         C.data[C.data < gamma] = 0.0
         C.eliminate_zeros()
+    C.setdiag(0.0)
+    C.eliminate_zeros()
     if C.nnz == 0:
         warnings.warn("complement matrix is empty after filtering; the "
                       "complement channel will contribute nothing")

@@ -1,15 +1,21 @@
 """Brute-force dense reference implementations the tests compare against,
-and the compositions of tape primitives each fused primitive replaces.
+the compositions of tape primitives each fused primitive replaces, and
+the plain forms of the log loader and the complement build.
 
 Everything here favors clarity over speed and works on small instances
 only; the library must agree with the dense references to tight
-tolerances, and the fused primitives with their compositions bit for
-bit.
+tolerances, and the fused primitives and the set-up code with their
+plain forms bit for bit.
 """
+
+import re
+import warnings
 
 import numpy as np
 
 import gclrec.diffcore as dc
+from gclrec.dataset import DataError, InteractionSet, ParseError, text_lines
+from gclrec.graphs import _canonical, sym_normalize
 
 
 def sym_normalize_dense(M):
@@ -28,6 +34,59 @@ def complement_dense(R, gamma, apply_filter=True):
     if apply_filter:
         C = np.where(C < gamma, 0.0, C)
     return sym_normalize_dense(C)
+
+
+def complement_reference(R, gamma, apply_filter=True):
+    """:func:`graphs.build_complement` in its diagonal-first order: drop
+    the diagonal of R^T R, then filter at ``gamma``, then normalize."""
+    C = (R.T @ R).tocsr()
+    C.setdiag(0.0)
+    C.eliminate_zeros()
+    if apply_filter and gamma > 0:
+        C.data[C.data < gamma] = 0.0
+        C.eliminate_zeros()
+    if C.nnz == 0:
+        warnings.warn("complement matrix is empty after filtering; the "
+                      "complement channel will contribute nothing")
+        return _canonical(C)
+    return sym_normalize(C)
+
+
+_FIELD_SEP = re.compile(r"[,\s]+")
+
+
+def load_interactions_reference(path):
+    """:func:`dataset.load_interactions` as a regex split of each stripped
+    line, with tuple keys in a set for deduplication."""
+    user_map, item_map = {}, {}
+    pairs = []
+    seen = set()
+    for lineno, line in text_lines(path):
+        fields = _FIELD_SEP.split(line)
+        if len(fields) < 2:
+            raise ParseError(f"{path}: line {lineno}: expected at least "
+                             f"2 fields, got {len(fields)}")
+        raw_u, raw_i = fields[0], fields[1]
+        if not (raw_u and raw_i):
+            raise ParseError(f"{path}: line {lineno}: empty "
+                             f"{'user' if not raw_u else 'item'} field")
+        if raw_u not in user_map:
+            user_map[raw_u] = len(user_map)
+        if raw_i not in item_map:
+            item_map[raw_i] = len(item_map)
+        key = (user_map[raw_u], item_map[raw_i])
+        if key not in seen:
+            seen.add(key)
+            pairs.append(key)
+    if not pairs:
+        raise DataError(f"{path}: no interactions found")
+    return InteractionSet(
+        num_users=len(user_map),
+        num_items=len(item_map),
+        pairs=np.array(pairs, dtype=np.int64),
+        user_map=user_map,
+        item_map=item_map,
+    )
 
 
 def adjacency_dense(R):

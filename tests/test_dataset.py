@@ -13,6 +13,7 @@ from gclrec.dataset import (
 from gclrec.graphs import build_interaction_matrix
 
 from conftest import make_interactions, random_interactions
+from oracles import load_interactions_reference
 
 
 def write_log(tmp_path, text, name="log.txt"):
@@ -186,3 +187,119 @@ class TestSampleNegatives:
         stat = float(((counts - expected) ** 2 / expected).sum())
         # upper 0.1% point of chi-square with len(free) - 1 = 9 dof
         assert stat < chi2.ppf(0.999, len(free) - 1)
+
+
+# every character ``\s`` matches, the same set as ``str.isspace``; line
+# feed and carriage return end a line, so only the others go inside one
+SPACES = [c for c in map(chr, range(0x3001)) if c.isspace()]
+INLINE_SPACES = [c for c in SPACES if c not in "\n\r"]
+LINE_ENDS = ["\n", "\r\n", "\r"]
+
+
+def random_log_lines(rng, lines):
+    """Lines of a log, each with its line end, mixing commas, every
+    whitespace character, the three line ends, comments, blank lines,
+    duplicate pairs and extra columns."""
+    def pick(seq):
+        return seq[int(rng.integers(len(seq)))]
+
+    def sep():
+        parts = [pick([",", "\t", pick(INLINE_SPACES)])
+                 for _ in range(int(rng.integers(1, 4)))]
+        return "".join(parts)
+
+    def blank():
+        return "".join(pick(INLINE_SPACES)
+                       for _ in range(int(rng.integers(0, 3))))
+
+    users = [f"u{k}" for k in range(8)] + ["ü", "u#1", "9"]
+    items = [f"i{k}" for k in range(10)] + ["#i", "ī", "7"]
+    out = []
+    for _ in range(lines):
+        kind = rng.random()
+        if kind < 0.08:
+            out.append(blank())
+        elif kind < 0.15:
+            out.append(blank() + "#" + pick(users) + sep() + pick(items))
+        else:
+            fields = [pick(users), pick(items)]
+            fields += [str(int(rng.integers(100)))
+                       for _ in range(int(rng.integers(0, 4)))]
+            line = sep().join(fields)
+            if rng.random() < 0.3:
+                line = blank() + line
+            if rng.random() < 0.3:
+                line += pick([sep(), blank()])
+            out.append(line)
+        out[-1] += pick(LINE_ENDS)
+    return out
+
+
+def assert_same_set(got, want):
+    np.testing.assert_array_equal(got.pairs, want.pairs)
+    assert got.pairs.dtype == want.pairs.dtype
+    assert (got.num_users, got.num_items) == (want.num_users,
+                                              want.num_items)
+    assert list(got.user_map.items()) == list(want.user_map.items())
+    assert list(got.item_map.items()) == list(want.item_map.items())
+
+
+def raised(fn, path):
+    with pytest.raises(DataError) as info:
+        fn(path)
+    return type(info.value), str(info.value)
+
+
+class TestLoaderMatchesReference:
+    """The streaming loader against the regex-per-line reference."""
+
+    def test_random_logs(self, tmp_path):
+        rng = np.random.default_rng(19)
+        p = tmp_path / "log.txt"
+        for _ in range(60):
+            lines = random_log_lines(rng, int(rng.integers(1, 120)))
+            p.write_bytes("".join(lines).encode("utf-8"))
+            try:
+                want = load_interactions_reference(p)
+            except DataError:
+                assert raised(load_interactions, p) == raised(
+                    load_interactions_reference, p)
+                continue
+            assert_same_set(load_interactions(p), want)
+
+    def test_every_space_separates_fields(self, tmp_path):
+        p = tmp_path / "log.txt"
+        text = "".join(f"u{k}{c}i{k}{c}5\n" for k, c in
+                       enumerate(INLINE_SPACES))
+        p.write_bytes(text.encode("utf-8"))
+        data = load_interactions(p)
+        assert len(data) == len(INLINE_SPACES) == 27
+        assert_same_set(data, load_interactions_reference(p))
+
+    def test_ciaodvd_layout(self, tmp_path):
+        # userID,movieID,genreID,reviewID,rating,date
+        rng = np.random.default_rng(23)
+        rows = [f"{rng.integers(1, 60)},{rng.integers(1, 90)},"
+                f"{rng.integers(1, 18)},{k},{rng.integers(1, 6)},"
+                f"2011-0{rng.integers(1, 10)}-1{rng.integers(0, 10)}"
+                for k in range(1, 2000)]
+        p = tmp_path / "ratings.txt"
+        p.write_bytes(("\r\n".join(rows) + "\r\n").encode("utf-8"))
+        data = load_interactions(p)
+        assert len(data) < len(rows)  # the log repeats some pairs
+        assert_same_set(data, load_interactions_reference(p))
+
+    @pytest.mark.parametrize("bad", [",u i", "u,", ",", "lonely", " ,u i",
+                                     "\t,", "u ,", "u　, ",
+                                     "\x85lonely\x1c"])
+    @pytest.mark.parametrize("end", LINE_ENDS, ids=["lf", "crlf", "cr"])
+    def test_malformed_lines_raise_alike(self, tmp_path, bad, end):
+        rng = np.random.default_rng(len(bad))
+        lines = random_log_lines(rng, 30)
+        at = int(rng.integers(len(lines) + 1))
+        text = "".join(lines[:at]) + bad + end + "".join(lines[at:])
+        p = tmp_path / "log.txt"
+        p.write_bytes(text.encode("utf-8"))
+        got = raised(load_interactions, p)
+        assert got[0] is ParseError
+        assert got == raised(load_interactions_reference, p)

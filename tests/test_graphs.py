@@ -1,7 +1,12 @@
+import runpy
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from gclrec.dataset import InteractionSet, make_folds
 from gclrec.graphs import (
     _canonical,
     build_adjacency,
@@ -12,7 +17,12 @@ from gclrec.graphs import (
 )
 
 from conftest import make_interactions, random_interactions
-from oracles import adjacency_dense, complement_dense, sym_normalize_dense
+from oracles import (
+    adjacency_dense,
+    complement_dense,
+    complement_reference,
+    sym_normalize_dense,
+)
 
 
 def random_binary(m, n, density, rng):
@@ -191,6 +201,61 @@ class TestComplement:
         R = build_interaction_matrix(toy_interactions)
         with pytest.raises(ValueError):
             build_complement(R, gamma=-1.0)
+
+
+def benchmark_matrix(seed):
+    """Fold 0's train matrix of the benchmark's full-size log."""
+    gen = runpy.run_path(str(Path(__file__).resolve().parents[1]
+                             / "benchmarks" / "workload.py"))
+    size = gen["SIZES"]["full"]
+    pairs = gen["generate_pairs"](size, seed)
+    data = InteractionSet(size.users, size.items, pairs, {}, {})
+    return build_interaction_matrix(make_folds(data, 5, seed)[0].train)
+
+
+def assert_same_csr(got, want):
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype
+        np.testing.assert_array_equal(a, b)
+    assert got.shape == want.shape
+
+
+class TestComplementOrder:
+    """Filtering before dropping the diagonal keeps every bit of the
+    diagonal-first build."""
+
+    GAMMAS = (0, 1, 2, 3, 5)
+
+    def check(self, R):
+        for gamma in self.GAMMAS:
+            for apply_filter in (True, False):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    want = complement_reference(R, gamma, apply_filter)
+                    got = build_complement(R, gamma, apply_filter)
+                assert_same_csr(got, want)
+
+    def test_random_matrices(self):
+        rng = np.random.default_rng(29)
+        for _ in range(30):
+            m, n = (int(v) for v in rng.integers(2, 40, size=2))
+            dense = random_binary(m, n, float(rng.uniform(0.05, 0.7)), rng)
+            self.check(sp.csr_matrix(dense))
+
+    def test_benchmark_size_matrix(self):
+        R = benchmark_matrix(1)
+        assert R.shape == (17615, 16121)
+        self.check(R)
+        assert build_complement(R, 3).nnz == 3530
+
+    def test_empty_result_still_warns(self):
+        R = sp.csr_matrix(np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]]))
+        with pytest.warns(UserWarning, match="empty after filtering"):
+            C = build_complement(R, 2)
+        assert C.nnz == 0
+        with pytest.warns(UserWarning, match="empty after filtering"):
+            assert_same_csr(C, complement_reference(R, 2))
 
 
 class TestBuildGraph:
