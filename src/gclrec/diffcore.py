@@ -4,19 +4,20 @@ fixed scipy CSR matrices.
 Every value on the tape is a 2-D float64 array; scalars are (1, 1)
 matrices produced by the reductions.  The primitive set is closed and
 small: enough to express the encoder, the losses, and nothing else.
-Six fused nodes stand for the compositions a training step runs most,
-each with the composition's values and gradients bit for bit and only
-the buffers its backward pass reads: :func:`mlp3` is a whole 3-layer
+Four fused nodes stand for compositions a training step runs, each
+with the composition's values and gradients bit for bit and only the
+buffers its backward pass reads: :func:`mlp3` is a whole 3-layer
 perceptron, so the generator and reconstructor keep two hidden
 activations and their GELU slopes per call instead of eight
-intermediate nodes; :func:`reparam` is the reparameterized noise
-sample from a generator output, and :func:`mul_add` the same sample
-from separate mean and scale nodes; :func:`inject_spmm` is one encoder
-layer, the row-normalized noise added to the layer input and
-propagated, without keeping the noisy input; :func:`kl_normal` is the
-KL term, which keeps nothing of its own; and :func:`infonce` is the
-contrastive loss of one view pair, which keeps one B x B matrix
-instead of four.  :func:`spmm` takes a scipy CSR matrix as it is and
+intermediate nodes; :func:`inject_spmm` is one encoder layer, the
+row-normalized noise added to the layer input and propagated, without
+keeping the noisy input; :func:`kl_normal` is the KL term, which keeps
+nothing of its own; and :func:`infonce` is the contrastive loss of one
+view pair, which keeps one B x B matrix instead of four.  A composition
+is fused only where it must keep more or compute more than the fused
+node: one whose generic nodes can drop every value no backward pass
+reads once it is built, as the reparameterized noise sample's can,
+stays generic.  :func:`spmm` takes a scipy CSR matrix as it is and
 multiplies by its transpose view in the backward pass.  Row and column
 slices are views of their parent's value, and :func:`gather` can lend
 one gather's value to a second gather of the same rows.  A node whose
@@ -51,8 +52,6 @@ __all__ = [
     "mlp3",
     "rownorm",
     "inject_spmm",
-    "reparam",
-    "mul_add",
     "kl_normal",
     "infonce",
     "gather",
@@ -556,65 +555,6 @@ def inject_spmm(op, z, x):
             _accum(x, _rownorm_grad(g, x.value, inv), owned=True)
 
     return _op("inject_spmm", (z, x), value, bw)
-
-
-def reparam(out, eps, stddev=False):
-    """Reparameterized sample mu + s * eps from a generator output
-    ``out`` = [mu | log-variance] of shape (m, 2d) and a constant (m, d)
-    epsilon array, as one node.  s is exp(log-variance), or
-    exp(0.5 * log-variance) when ``stddev`` is set.
-
-    Replaces two col_slice, exp (and scale), mul and add nodes.  s and
-    epsilon are kept; the backward pass writes one (m, 2d) gradient and
-    reads nothing of ``out``, whose value the caller may then drop.
-    """
-    eps = _as_matrix(eps)
-    m, width = out.shape
-    d = width // 2
-    _require(width == 2 * d and eps.shape == (m, d), "reparam",
-             f"output {out.shape} needs an epsilon of ({m}, {d}) and an "
-             f"even width, got {eps.shape}")
-    if stddev:
-        s = 0.5 * out.value[:, d:]
-        np.exp(s, out=s)
-    else:
-        s = np.exp(out.value[:, d:])
-    value = s * eps
-    value += out.value[:, :d]
-
-    def bw(g):
-        gout = np.empty((m, width))
-        # the composition adds each half into zeros; adding 0.0 rounds
-        # the same, turning -0.0 into 0.0
-        np.add(g, 0.0, out=gout[:, :d])
-        glv = gout[:, d:]
-        np.multiply(g, eps, out=glv)
-        glv *= s
-        if stddev:
-            glv *= 0.5
-        glv += 0.0
-        _accum(out, gout, owned=True)
-
-    return _op("reparam", (out,), value, bw)
-
-
-def mul_add(mu, s, eps):
-    """mu + s * eps with a constant array ``eps``, as one node: the
-    reparameterized sample from separate mean and scale nodes.  Only
-    epsilon is kept."""
-    eps = _as_matrix(eps)
-    _require(mu.shape == s.shape == eps.shape, "mul_add",
-             f"shapes {mu.shape}, {s.shape} and {eps.shape} differ")
-    value = s.value * eps
-    value += mu.value
-
-    def bw(g):
-        if mu.needs_grad:
-            _accum(mu, g, owned=False)
-        if s.needs_grad:
-            _accum(s, g * eps, owned=True)
-
-    return _op("mul_add", (mu, s), value, bw)
 
 
 def kl_normal(mu, sigma2, paper=False):

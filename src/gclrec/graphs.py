@@ -73,20 +73,29 @@ def build_complement(R, gamma, apply_filter=True):
     empty matrix and a warning is emitted; the channel then propagates
     nothing.
 
-    The gamma filter runs before the diagonal is removed.  Each step only
+    R is binary, so no count of an item exceeds its number of users: the
+    filter deletes every entry of an item bought by fewer than ``gamma``
+    users, and those columns of R are dropped before the product.  The
+    filter then runs before the diagonal is removed.  Each step only
     deletes entries, and whether it deletes one depends on that entry
-    alone, so the order leaves the same entries with the same counts;
-    the diagonal step then touches the few entries the filter keeps
-    instead of all of R^T R.
+    alone, so the order leaves the same entries with the same counts.
     """
     if gamma < 0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
-    C = (R.T @ R).tocsr()
+    n = R.shape[1]
+    kept = None
     if apply_filter and gamma > 0:
+        kept = np.flatnonzero(np.asarray(R.sum(axis=0)).ravel() >= gamma)
+        R = R[:, kept]
+    C = (R.T @ R).tocsr()
+    if kept is not None:
         C.data[C.data < gamma] = 0.0
         C.eliminate_zeros()
     C.setdiag(0.0)
     C.eliminate_zeros()
+    if kept is not None:  # back to item ids
+        C = C.tocoo()
+        C = sp.csr_matrix((C.data, (kept[C.row], kept[C.col])), shape=(n, n))
     if C.nnz == 0:
         warnings.warn("complement matrix is empty after filtering; the "
                       "complement channel will contribute nothing")
@@ -99,6 +108,8 @@ def sym_normalize(M):
 
     Degrees are row sums.  Rows (and columns) with zero degree stay empty;
     their scale is treated as zero so isolated nodes propagate nothing.
+    Each stored entry is scaled as inv[a] * M[a][b] * inv[b], the order
+    the product D M D with D = diag(inv) applies.
     """
     if M.shape[0] != M.shape[1]:
         raise ValueError(f"matrix must be square, got {M.shape[0]}x{M.shape[1]}")
@@ -108,8 +119,10 @@ def sym_normalize(M):
     with np.errstate(divide="ignore"):
         inv_sqrt = 1.0 / np.sqrt(deg)
     inv_sqrt[~np.isfinite(inv_sqrt)] = 0.0
-    D = sp.diags(inv_sqrt)
-    return _canonical(D @ M @ D)
+    out = sp.csr_matrix(M, dtype=np.float64, copy=True)
+    out.data *= np.repeat(inv_sqrt, np.diff(out.indptr))
+    out.data *= inv_sqrt[out.indices]
+    return _canonical(out)
 
 
 def build_graph(train, gamma, complement_enabled=True, apply_filter=True):

@@ -102,18 +102,26 @@ def median_bandwidth(x_values, y_values):
     parameter-free RBF bandwidth.  Detached from the tape."""
     pooled = np.vstack([np.asarray(x_values), np.asarray(y_values)])
     dists = pdist(pooled)
-    med = float(np.median(dists)) if len(dists) else 0.0
+    # dists is ours: the median may partition it in place
+    med = float(np.median(dists, overwrite_input=True)) if len(dists) else 0.0
     return med if med > 0 else 1.0
 
 
 def _pairwise_sq_dists(a, b, sq_a, sq_b):
     # ||x - y||^2 = |x|^2 + |y|^2 - 2 x.y; the (1, B) row of squared norms
-    # comes from a 1x1-times-transpose product, keeping gradients intact
+    # comes from a 1x1-times-transpose product, keeping gradients intact.
+    # No backward pass reads a B x B value here, so each is dropped once
+    # the node that reads it is built.
     tape = a.tape
     one = tape.constant(np.ones((1, 1)))
-    cross = dc.scale(dc.matmul(a, b, trans_b=True), -2.0)
+    dots = dc.matmul(a, b, trans_b=True)
+    cross = dc.scale(dots, -2.0)
+    dots.value = None
     with_rows = dc.badd_col(cross, sq_a)
-    return dc.badd_row(with_rows, dc.matmul(one, sq_b, trans_b=True))
+    cross.value = None
+    dists = dc.badd_row(with_rows, dc.matmul(one, sq_b, trans_b=True))
+    with_rows.value = None
+    return dists
 
 
 def mmd_loss(gen_samples, prior_samples, bandwidth):
@@ -133,8 +141,13 @@ def mmd_loss(gen_samples, prior_samples, bandwidth):
     sq_y = dc.reduce_sum(dc.square(y), axis=1)
 
     def kernel_mean(a, b, sq_a, sq_b):
-        return dc.reduce_mean(dc.exp(dc.scale(
-            _pairwise_sq_dists(a, b, sq_a, sq_b), coeff)))
+        # of the kernel's B x B values, only exp's is read backward
+        dists = _pairwise_sq_dists(a, b, sq_a, sq_b)
+        scaled = dc.scale(dists, coeff)
+        dists.value = None
+        kernel = dc.exp(scaled)
+        scaled.value = None
+        return dc.reduce_mean(kernel)
 
     k_xx = kernel_mean(x, x, sq_x, sq_x)
     k_yy = kernel_mean(y, y, sq_y, sq_y)

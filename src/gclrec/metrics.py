@@ -225,8 +225,13 @@ def _row_normalize(z):
 def _log_mean_exp_neg2sq(points):
     if len(points) < 2:
         return 0.0
+    # exp(-2 d^2) with one pdist-sized temporary, rounded as (-2 d) d
     d = pdist(points)
-    return float(np.log(np.mean(np.exp(-2.0 * d * d))))
+    t = np.multiply(d, -2.0)
+    t *= d
+    del d
+    np.exp(t, out=t)
+    return float(np.log(np.mean(t)))
 
 
 def alignment_uniformity(z_u, z_i, pairs):

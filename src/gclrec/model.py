@@ -10,19 +10,16 @@ drawn by reparameterization, row-normalized, and added before the sparse
 product.  Final representations average layers 1..L; the input layer is
 excluded.
 
-A noise block builds its sample from the generator output as one
-:func:`diffcore.reparam` node and then drops the generator output,
-which no backward pass reads; each layer adds the sample,
-row-normalized, to its input and propagates the sum as one
-:func:`diffcore.inject_spmm` node, which keeps no noisy input.  The
-one exception is the first user-item block when the KL term reads its
-sigma^2: it keeps its mu and sigma^2 nodes and builds the sample from
-them as one :func:`diffcore.mul_add` node, because the gradient of
-sigma^2 sums the KL term's and the sample's contributions before the
-exp backward, and a fused node would add them after it, rounding
-differently.  That block copies mu into an array of its own and drops
-the generator output and its log-variance view, of which only the
-shapes are read afterwards.
+A noise block builds its sample from the generator output [mu |
+log-variance] out of generic nodes, mu + s * epsilon with s =
+exp(log-variance) (or exp(0.5 * log-variance)), and then drops every
+value no backward pass reads: the product s * epsilon, the log-variance
+view and the generator output, and mu unless its sigma^2 is read.  Each
+layer adds the sample, row-normalized, to its input and propagates the
+sum as one :func:`diffcore.inject_spmm` node, which keeps no noisy
+input.  The first user-item block, when the KL term reads its sigma^2,
+keeps its mu and sigma^2 nodes for that term; it copies mu into an
+array of its own, so that the 2d-wide generator output can go.
 
 A training step keeps of each propagated layer only the rows it reads:
 once a layer's rows are gathered, for the next layer and for the kept
@@ -186,11 +183,7 @@ class NoiseSettings:
 @dataclass
 class NoiseBlock:
     """One layer's noise: the sample mu + scale(sigma) * epsilon, with
-    mu and sigma^2 as tape nodes where sigma^2 is read.
-
-    A block whose sigma^2 is not read builds its sample as one
-    :func:`diffcore.reparam` node from the generator output and keeps
-    mu and sigma2 None."""
+    mu and sigma^2 as tape nodes where sigma^2 is read, None elsewhere."""
 
     mu: object
     sigma2: object
@@ -203,12 +196,10 @@ def generate_noise(tape, z_prev, leaves, eps, settings, sigma2=True):
     ``z_prev``), in mode generative or random (mode none draws no noise).
 
     Only the generator reads ``z_prev``; mode random may pass None.
-    ``sigma2`` says whether sigma^2 is read beyond scaling the noise: True
-    builds mu and sigma^2 as nodes of their own, so that the gradient of
-    sigma^2 sums every use before the exp backward as it always has, and
-    gives mu a buffer of its own; False builds the sample from the
-    generator output as one fused node.  Either way the generator
-    output's value is dropped once the sample is built.
+    ``sigma2`` says whether sigma^2 is read beyond scaling the noise:
+    True keeps mu, with a buffer of its own, and sigma^2 as the block's
+    nodes.  The sample is mu + s * epsilon on generic nodes either way;
+    the gradient of sigma^2 then sums every use before the exp backward.
     """
     if settings.mode == "none":
         raise ValueError("generate_noise: noise mode 'none' draws no noise")
@@ -219,19 +210,16 @@ def generate_noise(tape, z_prev, leaves, eps, settings, sigma2=True):
         # an overflow is reported below, naming where it happened
         with np.errstate(over="ignore", invalid="ignore"):
             out = mlp_forward(z_prev, leaves, "gen")
-            if sigma2:
-                mu = dc.col_slice(out, 0, d)
-                logvar = dc.col_slice(out, d, 2 * d)
-                var = dc.exp(logvar)
-                scale_node = var
-                if stddev:
-                    half = dc.scale(logvar, 0.5)
-                    scale_node = dc.exp(half)
-                    half.value = None  # exp's backward reads its output
-                sample = dc.mul_add(mu, scale_node, eps)
-            else:
-                mu = var = None
-                sample = dc.reparam(out, eps, stddev=stddev)
+            mu = dc.col_slice(out, 0, d)
+            logvar = dc.col_slice(out, d, 2 * d)
+            # sigma^2 is built where it is read or scales epsilon
+            var = s = dc.exp(logvar) if sigma2 or not stddev else None
+            if stddev:
+                half = dc.scale(logvar, 0.5)
+                s = dc.exp(half)
+                half.value = None  # exp's backward reads its output
+            spread = dc.mul(s, tape.constant(eps))
+            sample = dc.add(mu, spread)
         # with scale stddev a built sigma^2 reaches the loss on its own
         read = (sample, var) if sigma2 and stddev else (sample,)
         if not all(np.isfinite(node.value).all() for node in read):
@@ -244,10 +232,12 @@ def generate_noise(tape, z_prev, leaves, eps, settings, sigma2=True):
         if sigma2:
             # mu gets a buffer of its own, so the 2d-wide output can go
             mu.value = mu.value.copy()
-            logvar.value = None
-        # no backward pass reads the output's value: the fused sample's
-        # reads s and epsilon, the slices' only its shape
-        out.value = None
+        else:
+            mu.value = None
+            mu = var = None
+        # no backward pass reads these: mul's reads s and epsilon, add's
+        # and the slices' only shapes
+        spread.value = logvar.value = out.value = None
     else:  # random: zero mean, fixed variance, nothing to learn
         mu = var = None
         s = _RANDOM_VARIANCE if settings.scale == "variance" \
@@ -358,8 +348,7 @@ def encode(tape, leaves, ui_op, comp_op, num_users, num_items, num_layers,
     every layer and the average, layer selectors need the layers up to
     the highest, none skips the channel.
     ``sigma2`` True reads sigma^2 of the first user-item block, which then
-    keeps its mu and sigma^2 nodes; every other block is fused (see
-    :func:`generate_noise`).
+    keeps its mu and sigma^2 nodes (see :func:`generate_noise`).
 
     Each (channel, layer) draws its epsilon from ``rng`` at full height,
     m+n rows for "ui" and n for "comp", user-item layers first, whether

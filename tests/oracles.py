@@ -1,6 +1,7 @@
 """Brute-force dense reference implementations the tests compare against,
 the compositions of tape primitives each fused primitive replaces, and
-the plain forms of the log loader and the complement build.
+the plain forms of the log loader, the complement build and the
+symmetric normalization.
 
 Everything here favors clarity over speed and works on small instances
 only; the library must agree with the dense references to tight
@@ -12,10 +13,11 @@ import re
 import warnings
 
 import numpy as np
+import scipy.sparse as sp
 
 import gclrec.diffcore as dc
 from gclrec.dataset import DataError, InteractionSet, ParseError, text_lines
-from gclrec.graphs import _canonical, sym_normalize
+from gclrec.graphs import _canonical
 
 
 def sym_normalize_dense(M):
@@ -36,9 +38,21 @@ def complement_dense(R, gamma, apply_filter=True):
     return sym_normalize_dense(C)
 
 
+def sym_normalize_reference(M):
+    """:func:`graphs.sym_normalize` as the product D M D of sparse
+    matrices, D = diag(1 / sqrt(row sums)) with zero-degree scales zero."""
+    deg = np.asarray(M.sum(axis=1)).ravel()
+    with np.errstate(divide="ignore"):
+        inv_sqrt = 1.0 / np.sqrt(deg)
+    inv_sqrt[~np.isfinite(inv_sqrt)] = 0.0
+    D = sp.diags(inv_sqrt)
+    return _canonical(D @ M @ D)
+
+
 def complement_reference(R, gamma, apply_filter=True):
-    """:func:`graphs.build_complement` in its diagonal-first order: drop
-    the diagonal of R^T R, then filter at ``gamma``, then normalize."""
+    """:func:`graphs.build_complement` in its plain order: drop the
+    diagonal of the whole R^T R, then filter at ``gamma``, then normalize
+    as D M D."""
     C = (R.T @ R).tocsr()
     C.setdiag(0.0)
     C.eliminate_zeros()
@@ -49,7 +63,7 @@ def complement_reference(R, gamma, apply_filter=True):
         warnings.warn("complement matrix is empty after filtering; the "
                       "complement channel will contribute nothing")
         return _canonical(C)
-    return sym_normalize(C)
+    return sym_normalize_reference(C)
 
 
 _FIELD_SEP = re.compile(r"[,\s]+")
@@ -194,18 +208,10 @@ def inject_spmm_composite(op, z, x):
     return dc.spmm(op, add_rownorm_composite(z, x))
 
 
-def reparam_composite(out, eps, stddev=False):
-    """:func:`diffcore.reparam` from primitives: mu + s * eps with mu and
-    the log-variance the column halves of ``out``."""
-    d = out.shape[1] // 2
-    mu = dc.col_slice(out, 0, d)
-    logvar = dc.col_slice(out, d, 2 * d)
-    s = dc.exp(dc.scale(logvar, 0.5)) if stddev else dc.exp(logvar)
-    return mul_add_composite(mu, s, eps)
-
-
-def mul_add_composite(mu, s, eps):
-    """:func:`diffcore.mul_add` from primitives."""
+def sample_composite(mu, s, eps):
+    """The reparameterized noise sample mu + s * eps with a constant
+    array ``eps``, on the nodes :func:`model.generate_noise` builds it
+    from."""
     return dc.add(mu, dc.mul(s, mu.tape.constant(eps)))
 
 

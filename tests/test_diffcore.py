@@ -20,8 +20,7 @@ from oracles import (
     inject_spmm_composite,
     kl_normal_composite,
     log,
-    mul_add_composite,
-    reparam_composite,
+    sample_composite,
 )
 
 TOL = 1e-4
@@ -204,16 +203,17 @@ class TestMlp3:
             dc.mlp3(*lv)
 
 
-def ui1_block(sample_fn, kl_fn, out, eps, weights, stddev, paper):
+def ui1_block(kl_fn, out, eps, weights, stddev, paper):
     """The first user-item noise block under KL: mu and sigma^2 slices of
-    a generator output, the sample built from them, and the KL term, so
-    that both terms fan out into mu and sigma^2."""
+    a generator output, the sample built from them as
+    :func:`model.generate_noise` builds it, and the KL term, so that both
+    terms fan out into mu and sigma^2."""
     d = out.shape[1] // 2
     mu = dc.col_slice(out, 0, d)
     logvar = dc.col_slice(out, d, 2 * d)
     var = dc.exp(logvar)
     s = dc.exp(dc.scale(logvar, 0.5)) if stddev else var
-    sample = sample_fn(mu, s, eps)
+    sample = sample_composite(mu, s, eps)
     term = dc.reduce_sum(dc.mul(sample, out.tape.constant(weights)))
     return dc.add(term, kl_fn(mu, var, paper=paper))
 
@@ -221,13 +221,10 @@ def ui1_block(sample_fn, kl_fn, out, eps, weights, stddev, paper):
 # each fused primitive and the composition it replaces
 FUSED = {"infonce": (dc.infonce, infonce_composite),
          "inject_spmm": (dc.inject_spmm, inject_spmm_composite),
-         "reparam": (dc.reparam, reparam_composite),
-         "mul_add": (dc.mul_add, mul_add_composite),
          "kl_normal": (dc.kl_normal, kl_normal_composite),
          "ui1 block": (
-             lambda *a, **k: ui1_block(dc.mul_add, dc.kl_normal, *a, **k),
-             lambda *a, **k: ui1_block(mul_add_composite,
-                                       kl_normal_composite, *a, **k))}
+             lambda *a, **k: ui1_block(dc.kl_normal, *a, **k),
+             lambda *a, **k: ui1_block(kl_normal_composite, *a, **k))}
 
 
 def with_zero_row(x, row=1):
@@ -241,11 +238,6 @@ def zero_signed(x):
     x = x.copy()
     x.flat[:2] = (0.0, -0.0)
     return x
-
-
-def shared_upstream(f, mu, s, eps):
-    uses = dc.exp(mu), dc.exp(mu)
-    return dc.add(dc.add(f(mu, s, eps), uses[0]), uses[1])
 
 
 # rectangular, as an operator restricted to a demand is
@@ -290,39 +282,6 @@ FUSED_CASES = {
         {"x": rand((5, 4), 123)},
         lambda f, lv: dc.add(f(OP, lv["x"], lv["x"]),
                              dc.spmm(OP, dc.exp(lv["x"])))),
-    ("reparam", "variance"): (
-        {"out": rand((5, 6), 90, scl=0.5)},
-        lambda f, lv: f(lv["out"], rand((5, 3), 91))),
-    ("reparam", "stddev"): (
-        {"out": rand((5, 6), 92, scl=0.5)},
-        lambda f, lv: f(lv["out"], rand((5, 3), 93), stddev=True)),
-    ("reparam", "one row"): (
-        {"out": rand((1, 6), 94, scl=0.5)},
-        lambda f, lv: f(lv["out"], rand((1, 3), 95))),
-    ("reparam", "one row stddev"): (
-        {"out": rand((1, 6), 96, scl=0.5)},
-        lambda f, lv: f(lv["out"], rand((1, 3), 97), stddev=True)),
-    ("mul_add", "plain"): (
-        {"mu": rand((5, 3), 101), "s": rand((5, 3), 102)},
-        lambda f, lv: f(lv["mu"], lv["s"], rand((5, 3), 103))),
-    ("mul_add", "fan-out"): (
-        {"x": rand((5, 3), 104)},
-        lambda f, lv: f(lv["x"], lv["x"], rand((5, 3), 105))),
-    ("mul_add", "fan-out after a later use"): (
-        {"x": rand((5, 3), 109)},
-        lambda f, lv: dc.add(f(lv["x"], lv["x"], rand((5, 3), 105)),
-                             dc.exp(lv["x"]))),
-    # the upstream gradient is one buffer shared with two earlier uses
-    # of mu, which read it after mu has taken its piece
-    ("mul_add", "shared upstream"): (
-        {"mu": rand((5, 3), 126), "s": rand((5, 3), 127)},
-        lambda f, lv: shared_upstream(f, lv["mu"], lv["s"],
-                                      rand((5, 3), 128))),
-    # epsilon holds zeros of both signs
-    ("mul_add", "signed zeros"): (
-        {"mu": rand((1, 3), 106), "s": rand((1, 3), 107)},
-        lambda f, lv: f(lv["mu"], dc.exp(lv["s"]),
-                        zero_signed(rand((1, 3), 108)))),
     # at these draws, adding each formula's terms in another order moves
     # the mean's last bit
     ("kl_normal", "standard"): (
@@ -403,8 +362,6 @@ class TestFusedNodes:
     @pytest.mark.parametrize("fn, arity, op", [
         (lambda a, b: dc.infonce(a, b, 0.2), 2, "infonce"),
         (lambda a, b: dc.inject_spmm(OP[:, :4], a, b), 2, "inject_spmm"),
-        (lambda a: dc.reparam(a, np.ones((4, 2))), 1, "reparam"),
-        (lambda a, b: dc.mul_add(a, b, np.ones((4, 4))), 2, "mul_add"),
         (dc.kl_normal, 2, "kl_normal")])
     def test_one_node_on_the_tape(self, fn, arity, op):
         t = Tape()
@@ -551,14 +508,8 @@ class TestShapeErrors:
             dc.inject_spmm(sp.identity(2, format="csr"), a, b)
         with pytest.raises(ShapeError, match="inject_spmm"):
             dc.inject_spmm(sp.identity(3, format="csr"), a, a)
-        with pytest.raises(ShapeError, match="mul_add"):
-            dc.mul_add(a, a, np.ones((3, 4)))
         with pytest.raises(ShapeError, match="kl_normal"):
             dc.kl_normal(a, b)
-        with pytest.raises(ShapeError, match="reparam"):
-            dc.reparam(a, np.ones((2, 3)))
-        with pytest.raises(ShapeError, match="reparam"):
-            dc.reparam(t.leaf(np.ones((2, 5))), np.ones((2, 2)))
 
     def test_mixed_tapes_rejected(self):
         t1, t2 = Tape(), Tape()
@@ -685,27 +636,11 @@ class TestPerPrimitiveGradcheck:
             arrays)
         assert err < TOL
 
-    def test_mul_add(self):
-        arrays = {"mu": rand((4, 3), 27), "s": rand((4, 3), 28)}
-        eps, weights = rand((4, 3), 29), rand((4, 3), 30)
-        err = fd_check(lambda t, lv: dc.reduce_sum(dc.mul(
-            dc.mul_add(lv["mu"], lv["s"], eps), t.constant(weights))), arrays)
-        assert err < TOL
-
     @pytest.mark.parametrize("paper", [False, True])
     def test_kl_normal(self, paper):
         arrays = {"mu": rand((4, 3), 31), "ls": rand((4, 3), 32, scl=0.5)}
         err = fd_check(lambda t, lv: dc.scale(dc.kl_normal(
             lv["mu"], dc.exp(lv["ls"]), paper=paper), 1.7), arrays)
-        assert err < TOL
-
-    @pytest.mark.parametrize("stddev", [False, True])
-    def test_reparam(self, stddev):
-        arrays = {"out": rand((4, 6), 24, scl=0.5)}
-        eps, weights = rand((4, 3), 25), rand((4, 3), 26)
-        err = fd_check(lambda t, lv: dc.reduce_sum(dc.mul(
-            dc.reparam(lv["out"], eps, stddev=stddev),
-            t.constant(weights))), arrays)
         assert err < TOL
 
 
@@ -732,22 +667,25 @@ class TestCheckGradients:
         assert err < 1e-5
 
     def test_reparameterized_sample_path(self):
-        # sample = mu + sigma2 * eps with eps frozen: grads flow through
-        # mu and through sigma2 = exp(logvar)
+        # sample = mu + s * eps with eps frozen: grads flow through mu and
+        # through s = exp(logvar), or exp(0.5 * logvar) for scale stddev
         eps = rand((3, 2), 20)
 
-        def f(point):
+        def f(point, stddev):
             t = Tape()
             mu = t.leaf(point["mu"], name="mu")
             logvar = t.leaf(point["logvar"], name="logvar")
-            e = t.constant(eps)
-            sample = dc.add(mu, dc.mul(dc.exp(logvar), e))
+            if stddev:
+                logvar = dc.scale(logvar, 0.5)
+            sample = dc.add(mu, dc.mul(dc.exp(logvar), t.constant(eps)))
             loss = dc.reduce_mean(dc.square(sample))
             return float(loss.value[0, 0]), backward(loss)
 
-        err = check_gradients(f, {"mu": rand((3, 2), 21),
-                                  "logvar": rand((3, 2), 22, scl=0.3)})
-        assert err < TOL
+        for stddev in (False, True):
+            err = check_gradients(lambda p: f(p, stddev),
+                                  {"mu": rand((3, 2), 21),
+                                   "logvar": rand((3, 2), 22, scl=0.3)})
+            assert err < TOL, f"stddev={stddev}"
 
     def test_nonfinite_value_raises(self):
         def f(point):

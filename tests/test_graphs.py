@@ -22,6 +22,7 @@ from oracles import (
     complement_dense,
     complement_reference,
     sym_normalize_dense,
+    sym_normalize_reference,
 )
 
 
@@ -102,6 +103,16 @@ class TestSymNormalize:
         np.testing.assert_allclose(
             sym_normalize(M).toarray(), sym_normalize_dense(dense), atol=1e-12
         )
+
+    def test_same_bits_as_the_sparse_product(self):
+        rng = np.random.default_rng(4)
+        weighted = random_binary(30, 30, 0.2, rng) * rng.integers(1, 7, (30, 30))
+        weighted[5] = 0.0  # a zero-degree row
+        for M in (sp.csr_matrix(weighted),
+                  build_adjacency(benchmark_matrix(1))):
+            before = M.data.copy()
+            assert_same_csr(sym_normalize(M), sym_normalize_reference(M))
+            np.testing.assert_array_equal(M.data, before)
 
     def test_zero_degree_rows_stay_empty(self):
         dense = np.array([[0.0, 2.0, 0.0], [2.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
@@ -225,7 +236,7 @@ class TestComplementOrder:
     """Filtering before dropping the diagonal keeps every bit of the
     diagonal-first build."""
 
-    GAMMAS = (0, 1, 2, 3, 5)
+    GAMMAS = (0, 1, 2, 2.5, 3, 5)
 
     def check(self, R):
         for gamma in self.GAMMAS:
@@ -248,6 +259,14 @@ class TestComplementOrder:
         assert R.shape == (17615, 16121)
         self.check(R)
         assert build_complement(R, 3).nnz == 3530
+
+    def test_items_with_exactly_gamma_users(self):
+        # items 0 and 1 share their 3 users and item 2 has 2 of them, so
+        # at gamma 2 and 3 an item has exactly gamma users
+        R = sp.csr_matrix(np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 1.0],
+                                    [1.0, 1.0, 0.0], [0.0, 0.0, 0.0]]))
+        self.check(R)
+        assert build_complement(R, 3).nnz == 2
 
     def test_empty_result_still_warns(self):
         R = sp.csr_matrix(np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]]))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.spatial.distance import pdist
 
 from gclrec import metrics
 from gclrec.metrics import (
@@ -487,3 +488,23 @@ class TestAlignmentUniformity:
     def test_empty_pairs_rejected(self):
         with pytest.raises(ValueError):
             alignment_uniformity(np.ones((2, 2)), np.ones((2, 2)), [])
+
+    @staticmethod
+    def seeded_points():
+        points = np.random.default_rng(11).normal(size=(300, 6))
+        points[7] = points[3]  # a duplicate row: one distance is 0
+        return points
+
+    def test_uniformity_term_keeps_the_plain_expressions_bits(self):
+        points = self.seeded_points()
+        d = pdist(points)
+        want = float(np.log(np.mean(np.exp(-2.0 * d * d))))
+        assert repr(metrics._log_mean_exp_neg2sq(points)) == repr(want)
+
+    def test_uniformity_term_holds_one_temporary(self):
+        points = self.seeded_points()
+        size = pdist(points).nbytes
+        _, peak = traced_peak(metrics._log_mean_exp_neg2sq, points)
+        # the distances and one array for exp(-2 d^2); the plain
+        # expression holds three at once
+        assert peak < 2.5 * size

@@ -179,27 +179,32 @@ def normed(sample):
 
 @pytest.fixture
 def generator_outputs(monkeypatch):
-    """Sample node -> the generator output [mu | log-variance] of every
-    fused noise block built while the fixture is active.  A fused block
-    drops that output once its sample is built, so it is caught on the
-    way into :func:`diffcore.reparam`."""
-    outputs, original = {}, dc.reparam
+    """Generator output node -> its value [mu | log-variance], for every
+    generator run while the fixture is active.  A noise block drops that
+    value once its sample is built, so it is caught as :func:`diffcore.mlp3`
+    returns it."""
+    outputs, original = {}, dc.mlp3
 
-    def spy(out, eps, **kwargs):
-        sample = original(out, eps, **kwargs)
-        outputs[sample] = out.value
-        return sample
+    def spy(x, w1, *rest):
+        out = original(x, w1, *rest)
+        if w1.name == "gen.w1":
+            outputs[out] = out.value
+        return out
 
-    monkeypatch.setattr(dc, "reparam", spy)
+    monkeypatch.setattr(dc, "mlp3", spy)
     yield outputs
     # the nodes refer to their tapes, which later tests expect freed
     outputs.clear()
 
 
 def mean_and_variance(block, outputs):
-    """mu and sigma^2 of a fused generative noise block, as the halves of
-    its generator output caught by ``generator_outputs``."""
-    out = outputs[block.sample]
+    """mu and sigma^2 of a generative noise block whose sigma^2 is not
+    read, as the halves of its generator output caught by
+    ``generator_outputs``: the sample's first parents lead back to it."""
+    node = block.sample
+    while node not in outputs:
+        node = node.parents[0]
+    out = outputs[node]
     d = out.shape[1] // 2
     return out[:, :d], np.exp(out[:, d:])
 
@@ -401,8 +406,8 @@ class TestLiveComplement:
             replay.standard_normal((12, 4))
         for k in (1, 2, 3):
             block = out.noise_blocks[("comp", k)]
-            # sigma^2 of a complement block is not read: its sample is
-            # one fused node
+            # sigma^2 of a complement block is not read, so the block
+            # keeps neither mu nor sigma^2
             assert block.mu is None and block.sigma2 is None
             mu, sigma2 = mean_and_variance(block, generator_outputs)
             for part in (mu, sigma2, block.sample.value):

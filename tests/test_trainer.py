@@ -360,20 +360,29 @@ class TestTapeComposition:
     def test_no_full_height_elementwise_or_injection_nodes(self, monkeypatch):
         seen, height, _ = self.tape(monkeypatch)
         ops = {n.op for n, _ in seen}
-        assert {"kl_normal", "mul_add", "reparam", "inject_spmm"} <= ops
+        assert {"kl_normal", "inject_spmm"} <= ops
         assert "add_rownorm" not in ops
         full = [n.op for n, value in seen
                 if value is not None and value.shape[0] == height]
         assert full
         assert not set(full) & {"mul", "square", "log", "sub", "badd_row"}
 
-    def test_fused_blocks_drop_their_generator_output(self, monkeypatch):
+    def test_noise_blocks_keep_only_what_backward_reads(self, monkeypatch):
         seen, _, _ = self.tape(monkeypatch)
         values = dict(seen)
-        fused = [n.parents[0] for n, _ in seen if n.op == "reparam"]
-        # user-item layer 2 and complement layers 1 and 2
-        assert len(fused) == 3
-        assert all(out.op == "mlp3" and values[out] is None for out in fused)
+        outputs = [n for n, _ in seen if n.op == "mlp3"
+                   and n.parents[1].name == "gen.w1"]
+        samples = [n for n, _ in seen if n.op == "add"
+                   and [p.op for p in n.parents] == ["col_slice", "mul"]]
+        # user-item layers 1 and 2 and complement layers 1 and 2
+        assert len(outputs) == len(samples) == 4
+        assert all(values[out] is None for out in outputs)
+        assert all(values[sample.parents[1]] is None for sample in samples)
+        # only the block whose sigma^2 the KL term reads keeps mu
+        (kl,) = [n for n, _ in seen if n.op == "kl_normal"]
+        kept = [sample.parents[0] for sample in samples
+                if values[sample.parents[0]] is not None]
+        assert kept == [kl.parents[0]]
 
     def test_demand_step_drops_the_layers_it_gathered_from(self,
                                                            monkeypatch):
@@ -407,11 +416,26 @@ class TestTapeComposition:
         seen, height, _ = self.tape(monkeypatch, {"noise.scale": "stddev"})
         full = [(n.op, [p.op for p in n.parents]) for n, value in seen
                 if value is not None and value.shape[0] == height]
-        # the base embedding, mu, sigma^2, sigma and the sample; no
-        # backward pass reads the halved log-variance under sigma's exp
+        # the base embedding, mu, sigma^2, sigma, epsilon and the sample;
+        # no backward pass reads the halved log-variance under sigma's
+        # exp, nor sigma * epsilon
         assert full == [("leaf", []), ("col_slice", ["mlp3"]),
                         ("exp", ["col_slice"]), ("exp", ["scale"]),
-                        ("mul_add", ["col_slice", "exp"])]
+                        ("constant", []), ("add", ["col_slice", "mul"])]
+
+    def test_mmd_keeps_only_each_kernels_exp(self, monkeypatch):
+        seen, _, _ = self.tape(monkeypatch, {"ddl": "mmd"})
+        kernels = [n for n, _ in seen if n.op == "exp"
+                   and n.parents[0].op == "scale"
+                   and n.parents[0].parents[0].op == "badd_row"]
+        # the x-x, y-y and x-y kernels, each over the touched rows
+        assert len(kernels) == 3
+        (shape,) = {n.shape for n in kernels}
+        square = [(n.op, value is not None) for n, value in seen
+                  if n.shape == shape and n.op != "leaf"]
+        # per kernel a matmul, a scale, badd_col, badd_row, a scale and exp
+        assert len(square) == 18
+        assert [op for op, held in square if held] == ["exp"] * 3
 
     def test_contrastive_term_is_swept_first(self, monkeypatch):
         _, _, swept = self.tape(monkeypatch)
