@@ -339,9 +339,14 @@ def mlp3(x, w1, b1, w2, b2, w3, b3):
     as one node; the biases are (1, n) rows.
 
     Values and gradients equal the matmul/badd_row/gelu composition bit
-    for bit.  Only the hidden activations and their GELU slopes are kept
-    for the backward pass, which reuses the slopes instead of evaluating
-    erf and exp again.
+    for bit on inputs of two or more rows.  numpy multiplies a single row
+    through a matrix-vector routine, which rounds differently from the
+    same row inside a larger block, so the products of a one-row input
+    and of its gradient run on a two-row stack and keep its first row:
+    a row's values and input gradient do not depend on how many rows
+    share its block.  Only the hidden activations and their GELU slopes
+    are kept for the backward pass, which reuses the slopes instead of
+    evaluating erf and exp again.
     """
     weights = ((w1, b1), (w2, b2), (w3, b3))
     width = x.shape[1]
@@ -351,8 +356,13 @@ def mlp3(x, w1, b1, w2, b2, w3, b3):
                  f"not fit input width {width}")
         width = w.shape[1]
 
+    def rows_times(h, w):
+        if h.shape[0] != 1:
+            return h @ w
+        return (np.concatenate((h, h)) @ w)[:1]
+
     def dense(h, w, b):
-        a = h @ w.value
+        a = rows_times(h, w.value)
         a += b.value
         return a
 
@@ -374,10 +384,10 @@ def mlp3(x, w1, b1, w2, b2, w3, b3):
             if w.needs_grad:
                 _accum(w, h.T @ g, owned=True)
             if slope is not None:
-                g = g @ w.value.T
+                g = rows_times(g, w.value.T)
                 g *= slope
         if x.needs_grad:
-            _accum(x, g @ w1.value.T, owned=True)
+            _accum(x, rows_times(g, w1.value.T), owned=True)
 
     return _op("mlp3", (x, w1, b1, w2, b2, w3, b3),
                dense(h2, w3, b3), bw)

@@ -9,7 +9,6 @@ the joint objective flow through one backward sweep.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import pdist
 
 from . import diffcore as dc
 from .diffcore import DiffError
@@ -100,6 +99,10 @@ def kl_loss(mu, sigma2, formula="standard"):
 def median_bandwidth(x_values, y_values):
     """Median pairwise distance over the pooled samples; the standard
     parameter-free RBF bandwidth.  Detached from the tape."""
+    # imported here: scipy.spatial costs every process that imports this
+    # module about 10 MB, and only the MMD term reads it
+    from scipy.spatial.distance import pdist
+
     pooled = np.vstack([np.asarray(x_values), np.asarray(y_values)])
     dists = pdist(pooled)
     # dists is ours: the median may partition it in place

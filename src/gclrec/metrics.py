@@ -4,7 +4,6 @@ alignment/uniformity diagnostics of the embedding geometry."""
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import pdist
 
 __all__ = [
     "RankingMetrics",
@@ -19,7 +18,7 @@ DIAG_CSV_HEADER = "epoch,align,uniform"
 # catalog rows rank_topk scales and casts at a time
 _ROWS = 256
 # users rank_topk scores over the whole catalog at a time
-_CHUNK = 256
+_CHUNK = 128
 
 
 @dataclass
@@ -71,12 +70,16 @@ def rank_topk(z_u, z_i, train_items, k, users=None):
     users = np.asarray(users, dtype=np.int64)
     members = max(1, min(16, n // (8 * k)))
     w = -(-n // members)
+    width = members * w
     # the ranking and the score buffer, which every chunk reuses, are
     # allocated before any temporary: an array the caller keeps, placed
     # past freed temporaries in the heap, would hold their pages resident
-    # where an evaluation's next, larger arrays cannot reuse them
+    # where an evaluation's next, larger arrays cannot reuse them.  The
+    # buffer holds _CHUNK users' rows over the padded catalog, row after
+    # row, so a (user, item) score sits at the flat place
+    # user * width + item, which the masking and the block reads use.
     top = np.full((len(users), k), -1, np.int64)
-    buffer = np.empty((min(_CHUNK, len(users)), members * w), np.float32)
+    buffer = np.empty((min(_CHUNK, len(users)), width), np.float32)
     # The bound.  Scaling by a power of two is exact: each user row
     # x = 2^-a u gets its largest entry into [0.5, 1), and every item
     # row y = 2^-b i shares one b, which keeps each row's ranking and
@@ -109,20 +112,22 @@ def rank_topk(z_u, z_i, train_items, k, users=None):
     # block maxima has t = -inf and keeps every finite score.
     # The scaled catalog is made a block of rows at a time, straight into
     # the padded float32 array the screen reads: no float64 copy of z_i
-    # is held whole.  Row norms do not depend on the other rows, so the
-    # largest one is the same over blocks as over the whole array.
+    # is held whole.  It is stored transposed, d x width, so a chunk's
+    # scores are a plain product of two row-major arrays.  Row norms do
+    # not depend on the other rows, so the largest one is the same over
+    # blocks as over the whole array.
     x = z_u[users]
     a = np.frexp(np.abs(x).max(axis=1, initial=0.0))[1]
     b = np.frexp(max(z_i.max(initial=0.0), -z_i.min(initial=0.0)))[1]
     np.ldexp(x, -a[:, None], out=x)
-    y = np.empty((members * w, d), np.float32)
-    y[n:] = 0.0
+    y = np.empty((d, width), np.float32)
+    y[:, n:] = 0.0
     y_max = 0.0
     for lo in range(0, n, _ROWS):
         hi = min(lo + _ROWS, n)
         scaled = np.ldexp(z_i[lo:hi], -b)
         y_max = max(y_max, np.linalg.norm(scaled, axis=1).max())
-        y[lo:hi] = scaled
+        y[:, lo:hi] = scaled.T
     gamma = (d + 4) * 2.0 ** -24 / (1 - (d + 4) * 2.0 ** -24)
     with np.errstate(over="ignore"):  # an infinite bound keeps every item
         radius = 2 * (gamma * np.linalg.norm(x, axis=1) * y_max
@@ -131,13 +136,16 @@ def rank_topk(z_u, z_i, train_items, k, users=None):
     lowest = np.finfo(np.float32).min
     for lo in range(0, len(users), _CHUNK):
         batch = users[lo:lo + _CHUNK]
-        scores = np.matmul(x[lo:lo + _CHUNK], y.T, out=buffer[:len(batch)])
+        scores = np.matmul(x[lo:lo + _CHUNK], y, out=buffer[:len(batch)])
         scores[:, n:] = -np.inf
-        held = train_items[batch]
-        scores[np.repeat(np.arange(len(batch)), np.diff(held.indptr)),
-               held.indices] = -np.inf
-        blocks = scores.reshape(len(batch), members, w)
-        peak = blocks.max(axis=1)
+        # each held item's place in train_items.indices, row after row
+        starts = train_items.indptr[batch]
+        held = train_items.indptr[batch + 1] - starts
+        at = (np.repeat(starts - (np.cumsum(held) - held), held)
+              + np.arange(held.sum()))
+        np.put(scores, np.repeat(np.arange(len(batch)) * width, held)
+               + train_items.indices[at], -np.inf)
+        peak = scores.reshape(len(batch), members, w).max(axis=1)
         kth = np.partition(peak, w - k, axis=1)[:, w - k]
         # the floor is taken in float64 and rounded down to float32; a row
         # with fewer than k finite block maxima keeps every finite score
@@ -145,7 +153,9 @@ def rank_topk(z_u, z_i, train_items, k, users=None):
         floor32 = floor.astype(np.float32)
         np.nextafter(floor32, lowest, out=floor32, where=floor32 > floor)
         rows, cols = np.nonzero(peak >= floor32[:, None])
-        picked, member = np.nonzero(blocks[rows, :, cols]
+        # the flat places of each kept block's members
+        places = (rows * width + cols)[:, None] + w * np.arange(members)
+        picked, member = np.nonzero(np.take(scores, places)
                                     >= floor32[rows, None])
         rows, items = rows[picked], cols[picked] + member * w
         exact = np.einsum("ij,ij->i", z_u[batch[rows]], z_i[items])
@@ -223,6 +233,10 @@ def _row_normalize(z):
 
 
 def _log_mean_exp_neg2sq(points):
+    # imported here: scipy.spatial costs every process that imports this
+    # module about 10 MB, and only the diagnostics read it
+    from scipy.spatial.distance import pdist
+
     if len(points) < 2:
         return 0.0
     # exp(-2 d^2) with one pdist-sized temporary, rounded as (-2 d) d

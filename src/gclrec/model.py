@@ -52,9 +52,7 @@ its own rows come out of the sparse product as exact zeros.
 Values and most gradients equal those of the full-height computation bit
 for bit, because each gathered row is summed in the same order; only
 the generator weight gradients may differ in the last bits, where BLAS
-blocks a sum over fewer rows differently.  A generator block of a single
-row is the exception: numpy multiplies one row through a matrix-vector
-routine, whose values may differ in the last bits too.
+blocks a sum over fewer rows differently.
 """
 
 import io

@@ -383,17 +383,22 @@ _heap_kept = False
 
 
 def _keep_freed_memory():
-    """Keep the memory a train step frees in the process, once per
-    process; a no-op where the C library has no ``mallopt``.
+    """Keep the memory a train step or an evaluation frees in the
+    process, once per process; a no-op where the C library has no
+    ``mallopt``.
 
     By default glibc serves a block above its dynamic mmap threshold
     (at most 32 MB) from a fresh mapping and trims the heap top on free,
     so a step's largest arrays (the generator output alone is 34.5 MB
-    at CiaoDVD scale) are faulted in again at every step.  A 1 GiB mmap
-    threshold and no trimming keep them on the heap for reuse, at the
-    cost of holding a step's peak between steps.  Both are set: setting
-    the trim threshold alone also stops the mmap threshold's growth
-    where it stands, 128 kB in a fresh process.
+    at CiaoDVD scale) are faulted in again at every step.  The threshold
+    also rises to the size of each such block freed, so whether a later,
+    smaller array comes from the heap or from a mapping depends on what
+    ran before it, and an evaluation's arrays are faulted in again at
+    every evaluation.  A 1 GiB mmap threshold and no trimming keep them
+    on the heap for reuse, at the cost of holding the peak between
+    operations.  Both are set: setting the trim threshold alone also
+    stops the mmap threshold's growth where it stands, 128 kB in a fresh
+    process.
     """
     # the allocator is process state, so the flag is too
     global _heap_kept
@@ -440,24 +445,44 @@ def eval_embeddings(params, ctx, cfg):
     channel, so the complement channel is not run.  Raises
     :class:`DiffError` when an embedding is not finite.
 
-    No backward pass follows, so the layers run without a tape: layer
-    k = ``ui_op`` @ layer k-1 is added into a running sum as soon as it
-    is made, in ``dc.mean_of``'s order, ((z1 + z2) + z3) (1/L).  At most
-    three (m+n) x d arrays are alive at once: the sum, the layer read and
-    the layer made.  In-place ``+=`` and ``*=`` round as the tape's adds
-    and scale do.  Returns the user and item row views of the mean."""
+    No backward pass follows, so the layers run without a tape, and each
+    layer is added into a running sum in ``dc.mean_of``'s order,
+    ((z1 + z2) + z3) (1/L).  The sum starts as layer 1 itself.  The graph
+    is bipartite: a layer's user rows read only the previous layer's item
+    rows, and its item rows only its user rows.  So every later layer is
+    made as two halves, ``ui_op[:m, m:]`` @ the previous item half and
+    ``ui_op[m:, :m]`` @ the previous user half, and a half is dropped as
+    soon as the half it feeds is made.  The smaller half is made first,
+    while the whole previous layer is alive, so at most two (m+n) x d
+    arrays and the smaller half are alive at once: the sum, the layer
+    read and the first half made.  Slicing keeps each row's entries in
+    order, so the halves are the rows of ``ui_op`` @ the layer bit for
+    bit, and in-place ``+=`` and ``*=`` round as the tape's adds and
+    scale do.  Returns the user and item row views of the mean."""
+    m, n = ctx.num_users, ctx.num_items
     # an overflow shows as a non-finite embedding, reported below
     with np.errstate(over="ignore", invalid="ignore"):
-        # the sum starts as layer 1 itself, which layer 2 reads before the
-        # first += writes over it
-        z = total = ctx.ui_op @ params.base_embedding
-        for _ in range(1, cfg.L):
-            z = ctx.ui_op @ z
-            total += z
+        total = ctx.ui_op @ params.base_embedding
+        if cfg.L > 1:
+            rows = (np.s_[:m], np.s_[m:])
+            # blocks[s] makes half s from the other half of the layer before
+            blocks = (ctx.ui_op[:m, m:], ctx.ui_op[m:, :m])
+            # layer 1's halves are the sum's rows, read before the first +=
+            layer = [total[rows[0]], total[rows[1]]]
+            for _ in range(1, cfg.L):
+                made = [None, None]
+                for side in (0, 1) if m <= n else (1, 0):
+                    made[side] = blocks[side] @ layer[1 - side]
+                    layer[1 - side] = None
+                for side in (0, 1):
+                    total[rows[side]] += made[side]
+                layer = made
+            # the last layer goes before the finiteness check's mask comes
+            del blocks, layer, made
         total *= 1.0 / cfg.L
     if not np.isfinite(total).all():
         raise DiffError("non-finite embeddings for evaluation")
-    return total[:ctx.num_users], total[ctx.num_users:]
+    return total[:m], total[m:]
 
 
 def evaluate_model(params, ctx, test, cfg, ks=(5, 10, 20)):
@@ -465,8 +490,11 @@ def evaluate_model(params, ctx, test, cfg, ks=(5, 10, 20)):
 
     Only users with both train and test interactions are ranked; users
     with train but no test interactions are tallied as skipped, and users
-    without train interactions are excluded.
+    without train interactions are excluded.  The first call in a process
+    applies :func:`_keep_freed_memory`, so that a standalone evaluation
+    reuses the memory of the one before.
     """
+    _keep_freed_memory()
     z_u, z_i = eval_embeddings(params, ctx, cfg)
     T = build_interaction_matrix(test)
     has_train = np.diff(ctx.R.indptr) > 0

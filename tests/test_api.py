@@ -71,7 +71,8 @@ def test_every_primitive_is_called_from_the_package():
 
 
 # records the mallopt calls made through ctypes, then imports every
-# gclrec module and, after a check, trains one epoch
+# gclrec module and, after a check, builds a tiny training context; the
+# caller appends the operation that sets the policy
 ALLOCATOR_PROBE = """
 import ctypes, importlib, pkgutil, sys
 calls = []
@@ -99,25 +100,66 @@ import numpy as np
 from conftest import random_interactions
 from gclrec import trainer, model
 cfg = trainer.TrainConfig(d=4, h=4, L=2, gamma=1.0, batch_size=16)
-ctx = trainer.build_context(random_interactions(8, 9, density=0.4, seed=1), cfg)
+data = random_interactions(8, 9, density=0.4, seed=1)
+ctx = trainer.build_context(data, cfg)
 params = model.init_params(8, 9, 4, 4, seed=1)
-for _ in range(2):
-    trainer.train_epoch(params, ctx, cfg, np.random.default_rng(1),
-                        trainer.AdamState())
+assert calls == [], calls
+"""
+ALLOCATOR_SET = """
 assert calls == [(-3, 1 << 30), (-1, 2 ** 31 - 1)], calls
 """
+
+
+def run_probe(source):
+    """Run ``source`` in a fresh Python with src/ and tests/ importable;
+    fails the test with its stderr when it fails."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(ROOT / "src"), str(ROOT / "tests"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", source], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
 
 
 def test_only_training_sets_the_allocator():
     """Importing gclrec calls no mallopt; the first train_epoch sets the
     allocator policy, once.  A fresh process, because another test may
     already have trained in this one."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
-        str(ROOT / "src"), str(ROOT / "tests"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", ALLOCATOR_PROBE], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr[-2000:]
+    run_probe(ALLOCATOR_PROBE + """
+for _ in range(2):
+    trainer.train_epoch(params, ctx, cfg, np.random.default_rng(1),
+                        trainer.AdamState())
+""" + ALLOCATOR_SET)
+
+
+def test_first_evaluation_sets_the_allocator():
+    """A standalone evaluation, with no training before it, sets the
+    allocator policy once too."""
+    run_probe(ALLOCATOR_PROBE + """
+for _ in range(2):
+    trainer.evaluate_model(params, ctx, data, cfg, ks=(2,))
+""" + ALLOCATOR_SET)
+
+
+def test_scipy_spatial_is_imported_on_first_use():
+    """Importing the modules a training or evaluation run imports leaves
+    scipy.spatial, about 10 MB of resident memory, unloaded; the two
+    functions that use it load it and return their recorded values."""
+    run_probe("""
+import sys
+import numpy as np
+import gclrec.cli, gclrec.trainer
+from gclrec import losses, metrics
+assert "scipy.spatial" not in sys.modules
+rng = np.random.default_rng(5)
+x, y = rng.normal(size=(40, 6)), rng.normal(size=(30, 6))
+assert losses.median_bandwidth(x, y).hex() == "0x1.96ac9070052b1p+1"
+z_u, z_i = rng.normal(size=(12, 6)), rng.normal(size=(15, 6))
+pairs = np.column_stack([rng.integers(0, 12, 25), rng.integers(0, 15, 25)])
+align, uniform = metrics.alignment_uniformity(z_u, z_i, pairs)
+assert (align.hex(), uniform.hex()) == ("0x1.00fe4226233e2p+1",
+                                        "-0x1.5165dc1413bfcp+1")
+""")
 
 
 def test_benchmark_wrapped_attributes_exist():

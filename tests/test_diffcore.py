@@ -189,6 +189,28 @@ class TestMlp3:
 
         assert fd_check(build, mlp_arrays(41)) < TOL
 
+    def test_one_row_rounds_as_inside_a_block(self):
+        # numpy multiplies a lone row through a matrix-vector routine,
+        # which rounds differently from a row of a larger block
+        shapes = ((7, 32), (32, 32), (1, 32), (32, 32), (1, 32), (32, 16),
+                  (1, 16))
+        arrays = {name: rand(shape, 60 + i)
+                  for i, (name, shape) in enumerate(zip(MLP_NAMES, shapes))}
+        weights = rand((7, 16), 70)
+
+        def run(rows):
+            t = Tape()
+            lv = [t.leaf(arrays[name][:rows] if name == "x" else arrays[name],
+                         name=name) for name in MLP_NAMES]
+            out = dc.mlp3(*lv)
+            loss = dc.reduce_sum(dc.mul(out, t.constant(weights[:rows])))
+            return out.value, backward(loss)["x"]
+
+        block_value, block_grad = run(7)
+        row_value, row_grad = run(1)
+        assert np.array_equal(row_value, block_value[:1])
+        assert np.array_equal(row_grad, block_grad[:1])
+
     def test_one_node_on_the_tape(self):
         t = Tape()
         lv = [t.leaf(a) for a in mlp_arrays(42).values()]

@@ -143,7 +143,9 @@ def assert_matches_oracle(z_u, z_i, train, k):
 
 @pytest.fixture
 def chunked(chunk, monkeypatch):
-    """rank_topk scores ``chunk`` users at a time."""
+    """rank_topk scores ``chunk`` users at a time.  Chunks of 7 leave a
+    partial last chunk in the fixed-size cases below; 128 is the
+    default."""
     monkeypatch.setattr(metrics, "_CHUNK", chunk)
 
 
@@ -215,7 +217,7 @@ class TestTwoPrecisionRankerScreened(TestTwoPrecisionRanker):
     grow = 16
 
 
-@pytest.mark.parametrize("chunk", [1, 7, 256])
+@pytest.mark.parametrize("chunk", [1, 7, 128, 256])
 @pytest.mark.usefixtures("chunked")
 class TestBlockScreen:
     """Catalogs where rank_topk's screen has several members per block;

@@ -457,12 +457,11 @@ class TestDemandedComplement:
 
     DATA = TestLiveComplement.DEAD
     M, N = 5, 7
-    # user 0, the live items 0 and 1 and the dead items 4 and 5.  The
-    # complement edges are 0-1 and 2-3, so every layer reads items 0 and
-    # 1 only.  Each block holds two rows: numpy multiplies a single row
-    # through a matrix-vector routine that may round differently
-    USERS, ITEMS = np.array([0]), np.array([0, 1, 4, 5])
-    READS = {1: [0, 1], 2: [0, 1], 3: [0, 1]}
+    # user 0, the live item 1 and the dead items 4 and 5.  The complement
+    # edges are 0-1 and 2-3, so layer 3 reads item 0 alone, a one-row
+    # generator block, and layers 1 and 2 read items 0 and 1
+    USERS, ITEMS = np.array([0]), np.array([1, 4, 5])
+    READS = {1: [0, 1], 2: [0, 1], 3: [0]}
 
     def step(self, rows, outputs, seed=31):
         """Encode and back-propagate a weighted sum of every view the

@@ -645,6 +645,28 @@ class TestEvaluateModel:
         assert z_u.base is z_i.base
         assert peak <= 3.5 * layer
 
+    @pytest.mark.parametrize("L", [2, 3, 4])
+    def test_embedding_pass_propagates_in_halves(self, L):
+        # from layer 3 on, a layer is made as its user and item halves,
+        # each dropped once the half it feeds is made: the sum, one layer,
+        # the smaller half (0.43 layer here) and the operator's two
+        # blocks (under 0.1 layer), against 3 layers for whole layers.
+        # Layer 2 reads layer 1 from the sum, so the sum, layer 2 and the
+        # blocks are alive: less than the 2 1/8 layers of whole layers,
+        # whose peak also holds the finiteness check's mask
+        data = random_interactions(2000, 1500, density=0.002, seed=2,
+                                   min_per_user=2)
+        cfg = tiny_config(d=64, L=L)
+        ctx = build_context(data, cfg)
+        op = ctx.ui_op
+        layer = (2000 + 1500) * cfg.d * 8
+        assert op.data.nbytes + op.indices.nbytes + op.indptr.nbytes \
+            < 0.1 * layer
+        params = init_params(2000, 1500, cfg.d, cfg.h, seed=3)
+        (z_u, z_i), peak = traced_peak(tr.eval_embeddings, params, ctx, cfg)
+        assert z_u.base is z_i.base
+        assert peak <= (2.75 if L > 2 else 2.12) * layer
+
     def test_ranks_only_users_with_test_items(self, monkeypatch):
         # users 0-3 have train and test items, 4-5 train items only and
         # 6-7 test items only
