@@ -567,56 +567,33 @@ def inject_spmm(op, z, x):
     return _op("inject_spmm", (z, x), value, bw)
 
 
-def kl_normal(mu, sigma2, paper=False):
+def kl_normal(mu, sigma2):
     """Mean over every entry of the KL divergence of N(mu, sigma2) from
-    the unit Gaussian, as one (1, 1) node; sigma2 must be positive.
-
-    The standard form is 0.5 * mean(mu^2 + sigma2 - log sigma2 - 1); the
-    paper's printed form, with ``paper`` set, is
-    mean(-0.5 * log sigma2 + 0.5 * (sigma2 + mu) - 0.5).  The node keeps
-    nothing: its backward pass reads the values of mu and sigma2 and
-    adds each gradient piece in the composition's order.
+    the unit Gaussian, 0.5 * mean(mu^2 + sigma2 - log sigma2 - 1), as one
+    (1, 1) node; sigma2 must be positive.  The node keeps nothing: its
+    backward pass reads the values of mu and sigma2 and adds each
+    gradient piece in the composition's order.
     """
     _require(mu.shape == sigma2.shape, "kl_normal",
              f"shapes {mu.shape} and {sigma2.shape} differ")
     count = mu.value.size
-    if paper:
-        inner = np.log(sigma2.value)
-        inner *= -0.5
-        half = sigma2.value + mu.value
-        half *= 0.5
-        inner += half
-        inner += -0.5
-        value = np.array([[inner.sum()]]) / count
-    else:
-        inner = mu.value * mu.value
-        inner += sigma2.value
-        inner -= np.log(sigma2.value)
-        inner += -1.0
-        value = 0.5 * (np.array([[inner.sum()]]) / count)
+    inner = mu.value * mu.value
+    inner += sigma2.value
+    inner -= np.log(sigma2.value)
+    inner += -1.0
+    value = 0.5 * (np.array([[inner.sum()]]) / count)
 
     def bw(g):
-        if paper:
-            c = float(g[0, 0]) / count
-            # the composition hands one buffer to both, unowned
-            half = np.full(mu.shape, 0.5 * c)
-            if sigma2.needs_grad:
-                _accum(sigma2, half, owned=False)
-            if mu.needs_grad:
-                _accum(mu, half, owned=False)
-            if sigma2.needs_grad:
-                _accum(sigma2, (-0.5 * c) / sigma2.value, owned=True)
-        else:
-            c = (0.5 * float(g[0, 0])) / count
-            if sigma2.needs_grad:
-                _accum(sigma2, (-c) / sigma2.value, owned=True)
-                # sigma2 owns its gradient now, so the constant is added
-                # in place as the composition's full array of c would be
-                _accum(sigma2, c, owned=False)
-            if mu.needs_grad:
-                gmu = 2.0 * mu.value
-                gmu *= c
-                _accum(mu, gmu, owned=True)
+        c = (0.5 * float(g[0, 0])) / count
+        if sigma2.needs_grad:
+            _accum(sigma2, (-c) / sigma2.value, owned=True)
+            # sigma2 owns its gradient now, so the constant is added
+            # in place as the composition's full array of c would be
+            _accum(sigma2, c, owned=False)
+        if mu.needs_grad:
+            gmu = 2.0 * mu.value
+            gmu *= c
+            _accum(mu, gmu, owned=True)
 
     return _op("kl_normal", (mu, sigma2), value, bw)
 

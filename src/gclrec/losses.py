@@ -79,21 +79,14 @@ def recon_loss(predicted, actual):
     return dc.reduce_mean(dc.square(dc.sub(predicted, tape.constant(target))))
 
 
-def kl_loss(mu, sigma2, formula="standard"):
-    """Mean divergence of N(mu, sigma^2) from the unit Gaussian.
-
-    standard: (mu^2 + sigma^2 - ln sigma^2 - 1) / 2 per element.
-    paper:    ln(1/sigma) + (sigma^2 + mu)/2 - 1/2 per element, the
-    printed form this code base also supports; it drops the square on mu
-    and is unbounded below, so it is not the default.
-
-    Either is one tape node, :func:`diffcore.kl_normal`.
+def kl_loss(mu, sigma2):
+    """Mean divergence of N(mu, sigma^2) from the unit Gaussian,
+    (mu^2 + sigma^2 - ln sigma^2 - 1) / 2 per element, as one tape node,
+    :func:`diffcore.kl_normal`.
     """
     if np.any(sigma2.value <= 0):
         raise DiffError("kl_loss requires sigma2 > 0 elementwise")
-    if formula not in ("standard", "paper"):
-        raise ValueError(f"unknown kl formula {formula!r}")
-    return dc.kl_normal(mu, sigma2, paper=formula == "paper")
+    return dc.kl_normal(mu, sigma2)
 
 
 def median_bandwidth(x_values, y_values):

@@ -11,15 +11,15 @@ product.  Final representations average layers 1..L; the input layer is
 excluded.
 
 A noise block builds its sample from the generator output [mu |
-log-variance] out of generic nodes, mu + s * epsilon with s =
-exp(log-variance) (or exp(0.5 * log-variance)), and then drops every
-value no backward pass reads: the product s * epsilon, the log-variance
-view and the generator output, and mu unless its sigma^2 is read.  Each
-layer adds the sample, row-normalized, to its input and propagates the
-sum as one :func:`diffcore.inject_spmm` node, which keeps no noisy
-input.  The first user-item block, when the KL term reads its sigma^2,
-keeps its mu and sigma^2 nodes for that term; it copies mu into an
-array of its own, so that the 2d-wide generator output can go.
+log-variance] out of generic nodes, mu + sigma^2 * epsilon with sigma^2 =
+exp(log-variance), and then drops every value no backward pass reads:
+the product sigma^2 * epsilon, the log-variance view and the generator
+output, and mu unless its sigma^2 is read.  Each layer adds the sample,
+row-normalized, to its input and propagates the sum as one
+:func:`diffcore.inject_spmm` node, which keeps no noisy input.  The
+first user-item block, when the KL term reads its sigma^2, keeps its mu
+and sigma^2 nodes for that term; it copies mu into an array of its own,
+so that the 2d-wide generator output can go.
 
 A training step keeps of each propagated layer only the rows it reads:
 once a layer's rows are gathered, for the next layer and for the kept
@@ -149,8 +149,8 @@ def mlp_forward(x, leaves, prefix):
     return dc.mlp3(x, *(leaves[f"{prefix}.{w}"] for w in _MLP_WEIGHTS))
 
 
-# variance of mode random's zero-mean noise, the fixed magnitude of the
-# w/-rand ablation
+# sigma^2 of mode random's zero-mean sample sigma^2 * epsilon, the fixed
+# magnitude of the w/-rand ablation; the sample's variance is its square
 _RANDOM_VARIANCE = 0.1
 
 
@@ -158,30 +158,27 @@ _RANDOM_VARIANCE = 0.1
 class NoiseSettings:
     """How noise samples are produced.
 
-    mode: generative (learned mu/sigma), random (zero mean, fixed
-    variance 0.1), or none.  distribution gaussian keeps the raw
+    Every sample is mu + sigma^2 * epsilon, so its spread is sigma^2.
+    mode: generative (mu and sigma^2 learned per row), random (mu = 0,
+    sigma^2 = 0.1), or none.  distribution gaussian keeps the raw
     reparameterized sample; uniform passes it through GELU and pairs with
-    a uniform prior.  scale selects whether epsilon is multiplied by the
-    variance or by the standard deviation.
+    a uniform prior.
     """
 
     mode: str = "generative"
     distribution: str = "gaussian"
-    scale: str = "variance"
 
     def __post_init__(self):
         if self.mode not in ("generative", "random", "none"):
             raise ValueError(f"unknown noise mode {self.mode!r}")
         if self.distribution not in ("gaussian", "uniform"):
             raise ValueError(f"unknown noise distribution {self.distribution!r}")
-        if self.scale not in ("variance", "stddev"):
-            raise ValueError(f"unknown noise scale {self.scale!r}")
 
 
 @dataclass
 class NoiseBlock:
-    """One layer's noise: the sample mu + scale(sigma) * epsilon, with
-    mu and sigma^2 as tape nodes where sigma^2 is read, None elsewhere."""
+    """One layer's noise: the sample mu + sigma^2 * epsilon, with mu and
+    sigma^2 as tape nodes where sigma^2 is read, None elsewhere."""
 
     mu: object
     sigma2: object
@@ -196,31 +193,24 @@ def generate_noise(tape, z_prev, leaves, eps, settings, sigma2=True):
     Only the generator reads ``z_prev``; mode random may pass None.
     ``sigma2`` says whether sigma^2 is read beyond scaling the noise:
     True keeps mu, with a buffer of its own, and sigma^2 as the block's
-    nodes.  The sample is mu + s * epsilon on generic nodes either way;
-    the gradient of sigma^2 then sums every use before the exp backward.
+    nodes.  The sample is mu + sigma^2 * epsilon on generic nodes either
+    way; the gradient of sigma^2 then sums every use before the exp
+    backward.
     """
     if settings.mode == "none":
         raise ValueError("generate_noise: noise mode 'none' draws no noise")
 
     if settings.mode == "generative":
         d = z_prev.shape[1]
-        stddev = settings.scale == "stddev"
         # an overflow is reported below, naming where it happened
         with np.errstate(over="ignore", invalid="ignore"):
             out = mlp_forward(z_prev, leaves, "gen")
             mu = dc.col_slice(out, 0, d)
             logvar = dc.col_slice(out, d, 2 * d)
-            # sigma^2 is built where it is read or scales epsilon
-            var = s = dc.exp(logvar) if sigma2 or not stddev else None
-            if stddev:
-                half = dc.scale(logvar, 0.5)
-                s = dc.exp(half)
-                half.value = None  # exp's backward reads its output
-            spread = dc.mul(s, tape.constant(eps))
+            var = dc.exp(logvar)
+            spread = dc.mul(var, tape.constant(eps))
             sample = dc.add(mu, spread)
-        # with scale stddev a built sigma^2 reaches the loss on its own
-        read = (sample, var) if sigma2 and stddev else (sample,)
-        if not all(np.isfinite(node.value).all() for node in read):
+        if not np.isfinite(sample.value).all():
             halves = (("mu", out.value[:, :d]),
                       ("log-variance", out.value[:, d:]))
             part = next((f"generator output {name}" for name, half in halves
@@ -233,14 +223,12 @@ def generate_noise(tape, z_prev, leaves, eps, settings, sigma2=True):
         else:
             mu.value = None
             mu = var = None
-        # no backward pass reads these: mul's reads s and epsilon, add's
-        # and the slices' only shapes
+        # no backward pass reads these: mul's reads sigma^2 and epsilon,
+        # add's and the slices' only shapes
         spread.value = logvar.value = out.value = None
-    else:  # random: zero mean, fixed variance, nothing to learn
+    else:  # random: zero mean, fixed sigma^2, nothing to learn
         mu = var = None
-        s = _RANDOM_VARIANCE if settings.scale == "variance" \
-            else np.sqrt(_RANDOM_VARIANCE)
-        sample = dc.scale(tape.constant(eps), s)
+        sample = dc.scale(tape.constant(eps), _RANDOM_VARIANCE)
 
     if settings.distribution == "uniform":
         sample = dc.gelu(sample)

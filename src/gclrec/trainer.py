@@ -46,9 +46,10 @@ def _parse_bool(text):
     raise ValueError(f"expected true or false, got {text!r}")
 
 
-@dataclass
+@dataclass(slots=True)
 class TrainConfig:
-    """Every tunable of a run, addressable by dotted config keys."""
+    """Every tunable of a run, addressable by dotted config keys.  Its
+    slots make assigning a field it does not have an error."""
 
     d: int = 64
     h: int = 64
@@ -67,9 +68,7 @@ class TrainConfig:
     data_path: str = ""
     noise_mode: str = "generative"
     noise_distribution: str = "gaussian"
-    noise_scale: str = "variance"
     ddl: str = "kl"
-    kl_formula: str = "standard"
     mmd_bandwidth: float = 0.0
     complement_enabled: bool = True
     filter_enabled: bool = True
@@ -95,9 +94,7 @@ class TrainConfig:
         "data.path": ("data_path", str),
         "noise.mode": ("noise_mode", str),
         "noise.distribution": ("noise_distribution", str),
-        "noise.scale": ("noise_scale", str),
         "ddl": ("ddl", str),
-        "kl.formula": ("kl_formula", str),
         "mmd.bandwidth": ("mmd_bandwidth", float),
         "complement.enabled": ("complement_enabled", _parse_bool),
         "filter.enabled": ("filter_enabled", _parse_bool),
@@ -162,11 +159,7 @@ class TrainConfig:
              f"unknown noise.mode: {self.noise_mode}"),
             (self.noise_distribution in ("gaussian", "uniform"),
              f"unknown noise.distribution: {self.noise_distribution}"),
-            (self.noise_scale in ("variance", "stddev"),
-             f"unknown noise.scale: {self.noise_scale}"),
             (self.ddl in ("kl", "mmd"), f"unknown ddl: {self.ddl}"),
-            (self.kl_formula in ("standard", "paper"),
-             f"unknown kl.formula: {self.kl_formula}"),
         ]
         for ok, message in checks:
             if not ok:
@@ -185,8 +178,7 @@ class TrainConfig:
 
     def noise_settings(self):
         return NoiseSettings(mode=self.noise_mode,
-                             distribution=self.noise_distribution,
-                             scale=self.noise_scale)
+                             distribution=self.noise_distribution)
 
     def copy(self):
         return replace(self)
@@ -341,7 +333,7 @@ def _batch_loss(params, ctx, cfg, rng, users, pos_items, neg_items):
             recon = ls.recon_loss(predicted, targets)
 
             if cfg.ddl == "kl":
-                ddl = ls.kl_loss(block.mu, block.sigma2, cfg.kl_formula)
+                ddl = ls.kl_loss(block.mu, block.sigma2)
             else:
                 gen = dc.gather(block.sample, touched)
                 if cfg.noise_distribution == "uniform":

@@ -208,17 +208,16 @@ def inject_spmm_composite(op, z, x):
     return dc.spmm(op, add_rownorm_composite(z, x))
 
 
-def sample_composite(mu, s, eps):
-    """The reparameterized noise sample mu + s * eps with a constant
+def sample_composite(mu, sigma2, eps):
+    """The reparameterized noise sample mu + sigma2 * eps with a constant
     array ``eps``, on the nodes :func:`model.generate_noise` builds it
     from."""
-    return dc.add(mu, dc.mul(s, mu.tape.constant(eps)))
+    return dc.add(mu, dc.mul(sigma2, mu.tape.constant(eps)))
 
 
-def kl_normal_composite(mu, sigma2, paper=False):
-    """:func:`diffcore.kl_normal` from primitives, the standard form
-    0.5 * mean(mu^2 + sigma2 - log sigma2 - 1) or the paper's
-    mean(-0.5 log sigma2 + 0.5 (sigma2 + mu) - 0.5)."""
+def kl_normal_composite(mu, sigma2):
+    """:func:`diffcore.kl_normal` from primitives,
+    0.5 * mean(mu^2 + sigma2 - log sigma2 - 1)."""
     tape = mu.tape
 
     def minus(x, c):
@@ -226,10 +225,6 @@ def kl_normal_composite(mu, sigma2, paper=False):
         # constant the broadcast needs
         return dc.badd_row(x, tape.constant(np.full((1, mu.shape[1]), -c)))
 
-    if paper:
-        inner = minus(dc.add(dc.scale(log(sigma2), -0.5),
-                             dc.scale(dc.add(sigma2, mu), 0.5)), 0.5)
-        return dc.reduce_mean(inner)
     inner = minus(dc.sub(dc.add(dc.square(mu), sigma2),
                          log(sigma2)), 1.0)
     return dc.scale(dc.reduce_mean(inner), 0.5)

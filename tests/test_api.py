@@ -121,7 +121,7 @@ def run_probe(source):
     assert proc.returncode == 0, proc.stderr[-2000:]
 
 
-def test_only_training_sets_the_allocator():
+def test_first_training_epoch_sets_the_allocator():
     """Importing gclrec calls no mallopt; the first train_epoch sets the
     allocator policy, once.  A fresh process, because another test may
     already have trained in this one."""

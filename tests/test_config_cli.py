@@ -97,12 +97,24 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("pair", ["neg_per_pos=3", "noise.s_fixed=0.2",
                                       "cl.normalize=false",
-                                      "eval.noise=mean"])
+                                      "eval.noise=mean", "noise.scale=stddev",
+                                      "kl.formula=paper"])
     def test_retired_key_is_unknown(self, config_file, tmp_path, capsys, pair):
         code = run_cli("train", "--config", str(config_file), "--set", pair,
                        "--out", str(tmp_path / "out"))
         assert code == 2
         key = pair.partition("=")[0]
+        assert f"unknown config key: {key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["noise.scale = variance",
+                                      "kl.formula = standard"])
+    def test_retired_key_in_config_file_is_unknown(self, config_file,
+                                                   tmp_path, capsys, line):
+        config_file.write_text(config_file.read_text() + line + "\n")
+        code = run_cli("train", "--config", str(config_file),
+                       "--out", str(tmp_path / "out"))
+        assert code == 2
+        key = line.partition(" =")[0]
         assert f"unknown config key: {key}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])

@@ -225,7 +225,7 @@ class TestMlp3:
             dc.mlp3(*lv)
 
 
-def ui1_block(kl_fn, out, eps, weights, stddev, paper):
+def ui1_block(kl_fn, out, eps, weights):
     """The first user-item noise block under KL: mu and sigma^2 slices of
     a generator output, the sample built from them as
     :func:`model.generate_noise` builds it, and the KL term, so that both
@@ -234,10 +234,9 @@ def ui1_block(kl_fn, out, eps, weights, stddev, paper):
     mu = dc.col_slice(out, 0, d)
     logvar = dc.col_slice(out, d, 2 * d)
     var = dc.exp(logvar)
-    s = dc.exp(dc.scale(logvar, 0.5)) if stddev else var
-    sample = sample_composite(mu, s, eps)
+    sample = sample_composite(mu, var, eps)
     term = dc.reduce_sum(dc.mul(sample, out.tape.constant(weights)))
-    return dc.add(term, kl_fn(mu, var, paper=paper))
+    return dc.add(term, kl_fn(mu, var))
 
 
 # each fused primitive and the composition it replaces
@@ -245,8 +244,8 @@ FUSED = {"infonce": (dc.infonce, infonce_composite),
          "inject_spmm": (dc.inject_spmm, inject_spmm_composite),
          "kl_normal": (dc.kl_normal, kl_normal_composite),
          "ui1 block": (
-             lambda *a, **k: ui1_block(dc.kl_normal, *a, **k),
-             lambda *a, **k: ui1_block(kl_normal_composite, *a, **k))}
+             lambda *a: ui1_block(dc.kl_normal, *a),
+             lambda *a: ui1_block(kl_normal_composite, *a))}
 
 
 def with_zero_row(x, row=1):
@@ -304,14 +303,11 @@ FUSED_CASES = {
         {"x": rand((5, 4), 123)},
         lambda f, lv: dc.add(f(OP, lv["x"], lv["x"]),
                              dc.spmm(OP, dc.exp(lv["x"])))),
-    # at these draws, adding each formula's terms in another order moves
-    # the mean's last bit
+    # at these draws, adding the terms in another order moves the mean's
+    # last bit
     ("kl_normal", "standard"): (
         {"mu": rand((5, 3), 124), "ls": rand((5, 3), 125)},
         lambda f, lv: f(lv["mu"], dc.exp(lv["ls"]))),
-    ("kl_normal", "paper"): (
-        {"mu": rand((5, 3), 114), "ls": rand((5, 3), 115)},
-        lambda f, lv: f(lv["mu"], dc.exp(lv["ls"]), paper=True)),
     ("kl_normal", "one entry"): (
         {"mu": rand((1, 1), 110), "ls": rand((1, 1), 111)},
         lambda f, lv: f(lv["mu"], dc.exp(lv["ls"]))),
@@ -319,22 +315,16 @@ FUSED_CASES = {
     ("kl_normal", "fan-out"): (
         {"ls": rand((5, 3), 116)},
         lambda f, lv: f(*[dc.exp(lv["ls"])] * 2)),
-    ("kl_normal", "fan-out paper"): (
-        {"ls": rand((5, 3), 117)},
-        lambda f, lv: f(*[dc.exp(lv["ls"])] * 2, paper=True)),
     # mu reaches the loss on its own, before the term
     ("kl_normal", "shared mu"): (
         {"mu": rand((5, 3), 118), "ls": rand((5, 3), 119)},
         lambda f, lv: dc.add(dc.reduce_sum(dc.square(lv["mu"])),
                              f(lv["mu"], dc.exp(lv["ls"])))),
+    ("ui1 block", "variance standard"): (
+        {"out": rand((5, 6), 120, scl=0.5)},
+        lambda f, lv: f(lv["out"], rand((5, 3), 121),
+                        zero_signed(rand((5, 3), 122)))),
 }
-for _scale in ("variance", "stddev"):
-    for _formula in ("standard", "paper"):
-        FUSED_CASES["ui1 block", f"{_scale} {_formula}"] = (
-            {"out": rand((5, 6), 120, scl=0.5)},
-            lambda f, lv, s=_scale, k=_formula: f(
-                lv["out"], rand((5, 3), 121), zero_signed(rand((5, 3), 122)),
-                stddev=s == "stddev", paper=k == "paper"))
 
 
 def assert_same_bits(got, want):
@@ -658,11 +648,10 @@ class TestPerPrimitiveGradcheck:
             arrays)
         assert err < TOL
 
-    @pytest.mark.parametrize("paper", [False, True])
-    def test_kl_normal(self, paper):
+    def test_kl_normal(self):
         arrays = {"mu": rand((4, 3), 31), "ls": rand((4, 3), 32, scl=0.5)}
         err = fd_check(lambda t, lv: dc.scale(dc.kl_normal(
-            lv["mu"], dc.exp(lv["ls"]), paper=paper), 1.7), arrays)
+            lv["mu"], dc.exp(lv["ls"])), 1.7), arrays)
         assert err < TOL
 
 
@@ -689,25 +678,21 @@ class TestCheckGradients:
         assert err < 1e-5
 
     def test_reparameterized_sample_path(self):
-        # sample = mu + s * eps with eps frozen: grads flow through mu and
-        # through s = exp(logvar), or exp(0.5 * logvar) for scale stddev
+        # sample = mu + sigma^2 * eps with eps frozen: grads flow through
+        # mu and through sigma^2 = exp(logvar)
         eps = rand((3, 2), 20)
 
-        def f(point, stddev):
+        def f(point):
             t = Tape()
             mu = t.leaf(point["mu"], name="mu")
             logvar = t.leaf(point["logvar"], name="logvar")
-            if stddev:
-                logvar = dc.scale(logvar, 0.5)
             sample = dc.add(mu, dc.mul(dc.exp(logvar), t.constant(eps)))
             loss = dc.reduce_mean(dc.square(sample))
             return float(loss.value[0, 0]), backward(loss)
 
-        for stddev in (False, True):
-            err = check_gradients(lambda p: f(p, stddev),
-                                  {"mu": rand((3, 2), 21),
-                                   "logvar": rand((3, 2), 22, scl=0.3)})
-            assert err < TOL, f"stddev={stddev}"
+        err = check_gradients(f, {"mu": rand((3, 2), 21),
+                                  "logvar": rand((3, 2), 22, scl=0.3)})
+        assert err < TOL
 
     def test_nonfinite_value_raises(self):
         def f(point):

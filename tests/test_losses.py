@@ -211,56 +211,41 @@ class TestReconLoss:
 
 
 class TestKL:
-    def kl(self, mu, s2, formula):
+    def kl(self, mu, s2):
         t = Tape()
-        return scalar(kl_loss(node_of(mu, t), node_of(s2, t), formula))
+        return scalar(kl_loss(node_of(mu, t), node_of(s2, t)))
 
     def test_prior_match_is_zero_both(self):
-        for formula in ("standard", "paper"):
-            assert self.kl([[0.0]], [[1.0]], formula) == pytest.approx(
-                0.0, abs=TOL)
+        assert self.kl([[0.0]], [[1.0]]) == pytest.approx(0.0, abs=TOL)
 
     def test_mu_one_coincides(self):
-        for formula in ("standard", "paper"):
-            assert self.kl([[1.0]], [[1.0]], formula) == pytest.approx(
-                0.5, abs=TOL)
+        assert self.kl([[1.0]], [[1.0]]) == pytest.approx(0.5, abs=TOL)
 
     def test_mu_two_distinguishes_formulas(self):
-        assert self.kl([[2.0]], [[1.0]], "standard") == pytest.approx(2.0, abs=TOL)
-        assert self.kl([[2.0]], [[1.0]], "paper") == pytest.approx(1.0, abs=TOL)
+        assert self.kl([[2.0]], [[1.0]]) == pytest.approx(2.0, abs=TOL)
 
     def test_standard_nonnegative_with_unique_zero(self):
         rng = np.random.default_rng(3)
         mu = rng.normal(size=(4, 3))
         s2 = np.exp(rng.normal(size=(4, 3)))
-        assert self.kl(mu, s2, "standard") > 0.0
-        assert self.kl(np.zeros((4, 3)), np.ones((4, 3)), "standard") == \
+        assert self.kl(mu, s2) > 0.0
+        assert self.kl(np.zeros((4, 3)), np.ones((4, 3))) == \
             pytest.approx(0.0, abs=TOL)
 
     def test_nonpositive_sigma_rejected(self):
         # sigma2 = exp(logvar) underflows to 0 when training diverges, so
         # this is a numeric failure (exit 4), not a bad argument
         with pytest.raises(DiffError, match="sigma2"):
-            self.kl([[0.0]], [[0.0]], "standard")
-
-    def test_unknown_formula(self):
-        with pytest.raises(ValueError, match="formula"):
-            self.kl([[0.0]], [[1.0]], "renyi")
+            self.kl([[0.0]], [[0.0]])
 
     @staticmethod
-    def kl_with_ones(mu, s2, formula):
+    def kl_with_ones(mu, s2):
         # the earlier composition, which subtracted a full-size ones constant
         ones = mu.tape.constant(np.ones(mu.shape))
-        if formula == "standard":
-            inner = dc.sub(dc.sub(dc.add(dc.square(mu), s2), log(s2)), ones)
-            return dc.scale(dc.reduce_mean(inner), 0.5)
-        inner = dc.sub(dc.add(dc.scale(log(s2), -0.5),
-                              dc.scale(dc.add(s2, mu), 0.5)),
-                       dc.scale(ones, 0.5))
-        return dc.reduce_mean(inner)
+        inner = dc.sub(dc.sub(dc.add(dc.square(mu), s2), log(s2)), ones)
+        return dc.scale(dc.reduce_mean(inner), 0.5)
 
-    @pytest.mark.parametrize("formula", ["standard", "paper"])
-    def test_no_full_size_constant_and_same_bits(self, formula):
+    def test_no_full_size_constant_and_same_bits(self):
         rng = np.random.default_rng(11)
         mu_v = rng.normal(size=(7, 5))
         s2_v = np.exp(rng.normal(size=(7, 5)))
@@ -268,7 +253,7 @@ class TestKL:
         for build in (kl_loss, self.kl_with_ones):
             t = Tape()
             mu, s2 = node_of(mu_v, t, "mu"), node_of(s2_v, t, "s2")
-            loss = build(mu, s2, formula)
+            loss = build(mu, s2)
             if build is kl_loss:
                 assert not [n for n in t.nodes if n.op == "constant"
                             and n.shape == mu.shape]
@@ -427,14 +412,13 @@ class TestLossGradients:
 
     def test_kl_both_formulas(self):
         rng = np.random.default_rng(15)
-        for formula in ("standard", "paper"):
-            arrays = {"mu": rng.normal(size=(5, 2)),
-                      "logvar": rng.normal(size=(5, 2)) * 0.5}
+        arrays = {"mu": rng.normal(size=(5, 2)),
+                  "logvar": rng.normal(size=(5, 2)) * 0.5}
 
-            def build(t, lv, _f=formula):
-                return kl_loss(lv["mu"], dc.exp(lv["logvar"]), _f)
+        def build(t, lv):
+            return kl_loss(lv["mu"], dc.exp(lv["logvar"]))
 
-            assert fd_check(build, arrays) < 1e-4
+        assert fd_check(build, arrays) < 1e-4
 
     def test_mmd_fixed_bandwidth(self):
         rng = np.random.default_rng(16)

@@ -217,7 +217,7 @@ class TestTwoPrecisionRankerScreened(TestTwoPrecisionRanker):
     grow = 16
 
 
-@pytest.mark.parametrize("chunk", [1, 7, 128, 256])
+@pytest.mark.parametrize("chunk", [1, 7, 128])
 @pytest.mark.usefixtures("chunked")
 class TestBlockScreen:
     """Catalogs where rank_topk's screen has several members per block;

@@ -96,16 +96,11 @@ class TestGenerateNoise:
         self.params.param_arrays()["gen.b3"][0, 4:] = 2.0  # log sigma^2 = 2
         eps = np.random.default_rng(5).normal(size=(6, 4))
 
-        def sample(scale):
-            t = Tape()
-            leaves = self.params.leaves(t)
-            z = t.constant(np.zeros((6, 4)))
-            block = generate_noise(t, z, leaves, eps,
-                                   NoiseSettings(scale=scale))
-            return block.sample.value
-
-        np.testing.assert_allclose(sample("variance"), np.exp(2.0) * eps)
-        np.testing.assert_allclose(sample("stddev"), np.exp(1.0) * eps)
+        t = Tape()
+        leaves = self.params.leaves(t)
+        z = t.constant(np.zeros((6, 4)))
+        block = generate_noise(t, z, leaves, eps, NoiseSettings())
+        np.testing.assert_allclose(block.sample.value, np.exp(2.0) * eps)
 
     def test_uniform_distribution_applies_gelu(self):
         from scipy.special import erf
@@ -142,8 +137,6 @@ class TestGenerateNoise:
             NoiseSettings(mode="gaussian")
         with pytest.raises(ValueError):
             NoiseSettings(distribution="laplace")
-        with pytest.raises(ValueError):
-            NoiseSettings(scale="log")
 
 
 class TestPropagate:
@@ -333,12 +326,11 @@ class TestEncode:
         assert np.array_equal(*next_draws)
 
     @pytest.mark.parametrize("sigma2", [True, False])
-    def test_stddev_scale_builds_sigma2_only_where_read(self, sigma2):
+    def test_keeps_sigma2_only_where_read(self, sigma2):
         ui_op, comp_op, _ = build_ops(self.data)
         t = Tape()
         out = encode(t, self.params.leaves(t), ui_op, comp_op, 6, 8, 3,
-                     np.random.default_rng(6), NoiseSettings(scale="stddev"),
-                     sigma2=sigma2)
+                     np.random.default_rng(6), NoiseSettings(), sigma2=sigma2)
         assert [key for key, block in out.noise_blocks.items()
                 if block.sigma2 is not None] == ([("ui", 1)] if sigma2 else [])
 
