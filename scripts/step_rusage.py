@@ -38,8 +38,10 @@ peak.  A set-up adds, for each of its stages (``load_interactions``,
 ``make_folds``, ``build_interaction_matrix``, ``adjacency``: the block
 adjacency and its normalization, ``build_complement`` and
 ``init_params``), the CPU seconds it took and the RSS before and after
-it; a set-up wraps nothing.  A last line holds the medians over the
-operations after the first.
+it; a set-up wraps nothing.  The train-step and evaluation generators
+put back what they wrap when they finish or are closed, so a second run
+in one process wraps the originals again.  A last line holds the
+medians over the operations after the first.
 Nothing here is timed by the benchmark; the script reads the log
 generator in ``benchmarks/workload.py`` only to run on the same data.
 """
@@ -160,19 +162,24 @@ def train_steps(fold, ctx, params, cfg, seed, steps):
 
     diffcore.Node.__init__ = init
     diffcore.backward = backward
-
-    for j in range(steps):
-        at_backward.clear()
-        peak.clear()
-        view = fold.train.view(batches[j % len(batches)])
-        before = resource.getrusage(resource.RUSAGE_SELF)
-        trainer.train_epoch(params, dataclasses.replace(ctx, train=view),
-                            cfg, np.random.default_rng([seed, 2, j]), state)
-        after = resource.getrusage(resource.RUSAGE_SELF)
-        yield {"step": j, **usage(before, after),
-               "heap_at_backward_mb": at_backward[0] if at_backward else None,
-               "heap_peak_mb": peak.get("heap_peak_mb"),
-               "heap_peak_at": peak.get("heap_peak_at")}
+    try:
+        for j in range(steps):
+            at_backward.clear()
+            peak.clear()
+            view = fold.train.view(batches[j % len(batches)])
+            before = resource.getrusage(resource.RUSAGE_SELF)
+            trainer.train_epoch(params, dataclasses.replace(ctx, train=view),
+                                cfg, np.random.default_rng([seed, 2, j]),
+                                state)
+            after = resource.getrusage(resource.RUSAGE_SELF)
+            yield {"step": j, **usage(before, after),
+                   "heap_at_backward_mb": (at_backward[0] if at_backward
+                                           else None),
+                   "heap_peak_mb": peak.get("heap_peak_mb"),
+                   "heap_peak_at": peak.get("heap_peak_at")}
+    finally:
+        diffcore.Node.__init__ = build
+        diffcore.backward = sweep
 
 
 EVAL_STAGES = ("eval_embeddings", "rank_topk", "topk_metrics")
@@ -212,19 +219,23 @@ def evaluations(fold, ctx, params, cfg, count):
                 spent[name] += time.process_time() - start
         return call
 
-    for name in EVAL_STAGES:
-        setattr(trainer, name, timed(name, getattr(trainer, name)))
-
-    for j in range(count):
-        spent.update(dict.fromkeys(EVAL_STAGES, 0.0))
-        memory.clear()
-        before = resource.getrusage(resource.RUSAGE_SELF)
-        trainer.evaluate_model(params, ctx, fold.test, cfg, ks=(5, 10, 20))
-        after = resource.getrusage(resource.RUSAGE_SELF)
-        yield {"evaluation": j, **usage(before, after),
-               **{f"{name}_s": spent[name] for name in EVAL_STAGES},
-               **{f"{name}_{key}": memory.get(f"{name}_{key}")
-                  for name in EVAL_STAGES for key in EVAL_MEMORY}}
+    originals = {name: getattr(trainer, name) for name in EVAL_STAGES}
+    for name, fn in originals.items():
+        setattr(trainer, name, timed(name, fn))
+    try:
+        for j in range(count):
+            spent.update(dict.fromkeys(EVAL_STAGES, 0.0))
+            memory.clear()
+            before = resource.getrusage(resource.RUSAGE_SELF)
+            trainer.evaluate_model(params, ctx, fold.test, cfg, ks=(5, 10, 20))
+            after = resource.getrusage(resource.RUSAGE_SELF)
+            yield {"evaluation": j, **usage(before, after),
+                   **{f"{name}_s": spent[name] for name in EVAL_STAGES},
+                   **{f"{name}_{key}": memory.get(f"{name}_{key}")
+                      for name in EVAL_STAGES for key in EVAL_MEMORY}}
+    finally:
+        for name, fn in originals.items():
+            setattr(trainer, name, fn)
 
 
 def setups(log, cfg, count):

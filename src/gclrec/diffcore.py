@@ -9,11 +9,13 @@ with the composition's values and gradients bit for bit and only the
 buffers its backward pass reads: :func:`mlp3` is a whole 3-layer
 perceptron, so the generator and reconstructor keep two hidden
 activations and their GELU slopes per call instead of eight
-intermediate nodes; :func:`inject_spmm` is one encoder layer, the
-row-normalized noise added to the layer input and propagated, without
-keeping the noisy input; :func:`kl_normal` is the KL term, which keeps
-nothing of its own; and :func:`infonce` is the contrastive loss of one
-view pair, which keeps one B x B matrix instead of four.  A composition
+intermediate nodes, and runs its forward pass in row tiles;
+:func:`inject_spmm` is one encoder layer, the row-normalized noise added
+to the layer input and propagated, without keeping the noisy input;
+:func:`kl_normal` is the KL term, which keeps nothing of its own; and
+:func:`infonce` is the contrastive loss of one view pair, which keeps no
+B x B matrix where the composition keeps four: its backward pass
+recomputes the one it reads.  A composition
 is fused only where it must keep more or compute more than the fused
 node: one whose generic nodes can drop every value no backward pass
 reads once it is built, as the reparameterized noise sample's can,
@@ -67,6 +69,8 @@ __all__ = [
 ]
 
 ROWNORM_EPS = 1e-12
+# rows per tile of mlp3's forward pass
+MLP_TILE_ROWS = 512
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
@@ -310,12 +314,12 @@ def _gelu_cdf(a):
     return cdf
 
 
-def _gelu_slope(a, cdf):
-    """Derivative of a * Phi(a): Phi(a) + a * phi(a), in one new array.
-    The operations are those of ``cdf + a * (c * exp(-0.5 * a * a))`` in
-    that order; each swaps only the operands of one product or sum, which
-    rounds the same."""
-    slope = a * -0.5
+def _gelu_slope(a, cdf, out=None):
+    """Derivative of a * Phi(a): Phi(a) + a * phi(a), in one new array or
+    in ``out``.  The operations are those of ``cdf + a * (c * exp(-0.5 *
+    a * a))`` in that order; each swaps only the operands of one product
+    or sum, which rounds the same."""
+    slope = np.multiply(a, -0.5, out=out)
     slope *= a
     np.exp(slope, out=slope)
     slope *= _INV_SQRT2PI
@@ -334,6 +338,16 @@ def gelu(x):
     return _op("gelu", (x,), x.value * cdf, bw)
 
 
+def _row_tiles(rows):
+    """Row slices of MLP_TILE_ROWS rows that cover ``rows`` rows in
+    order.  A last slice shorter than half a tile joins the slice before
+    it, so a slice has one row only when ``rows`` is 1."""
+    starts = list(range(0, rows, MLP_TILE_ROWS))
+    if len(starts) > 1 and rows - starts[-1] < MLP_TILE_ROWS // 2:
+        starts.pop()
+    return [np.s_[lo:hi] for lo, hi in zip(starts, starts[1:] + [rows])]
+
+
 def mlp3(x, w1, b1, w2, b2, w3, b3):
     """3-layer perceptron gelu(x w1 + b1) -> gelu(. w2 + b2) -> . w3 + b3
     as one node; the biases are (1, n) rows.
@@ -347,6 +361,18 @@ def mlp3(x, w1, b1, w2, b2, w3, b3):
     share its block.  Only the hidden activations and their GELU slopes
     are kept for the backward pass, which reuses the slopes instead of
     evaluating erf and exp again.
+
+    The forward pass runs in row tiles of :data:`MLP_TILE_ROWS` rows
+    (see :func:`_row_tiles`), each written straight into the full
+    hidden, slope and output arrays, so only a tile's temporaries, which
+    stay in cache, are alive beside them.  Of several tiles none is
+    shorter than half a tile: a block of a few rows may take a BLAS path
+    that rounds differently, and tiles of hundreds of rows round as the
+    whole block does.  The backward pass runs on the whole block: its
+    weight and bias gradients are sums over every row, which tiles would
+    split, and its products with a transposed weight, which OpenBLAS
+    rounds differently in blocks of up to about 18 rows, measured no
+    faster in tiles.
     """
     weights = ((w1, b1), (w2, b2), (w3, b3))
     width = x.shape[1]
@@ -356,25 +382,34 @@ def mlp3(x, w1, b1, w2, b2, w3, b3):
                  f"not fit input width {width}")
         width = w.shape[1]
 
-    def rows_times(h, w):
+    def rows_times(h, w, out=None):
+        """h @ w, a one-row h through a two-row stack; into ``out`` when
+        given."""
         if h.shape[0] != 1:
-            return h @ w
-        return (np.concatenate((h, h)) @ w)[:1]
+            return np.matmul(h, w, out=out)
+        product = (np.concatenate((h, h)) @ w)[:1]
+        if out is None:
+            return product
+        out[...] = product
+        return out
 
-    def dense(h, w, b):
-        a = rows_times(h, w.value)
-        a += b.value
-        return a
+    def dense(h, w, b, out):
+        rows_times(h, w.value, out)
+        out += b.value
+        return out
 
-    def gelu_layer(h, w, b):
-        a = dense(h, w, b)
-        cdf = _gelu_cdf(a)
-        slope = _gelu_slope(a, cdf)
-        a *= cdf
-        return a, slope
-
-    h1, d1 = gelu_layer(x.value, w1, b1)
-    h2, d2 = gelu_layer(h1, w2, b2)
+    height = x.shape[0]
+    h1, d1 = np.empty((height, w1.shape[1])), np.empty((height, w1.shape[1]))
+    h2, d2 = np.empty((height, w2.shape[1])), np.empty((height, w2.shape[1]))
+    value = np.empty((height, w3.shape[1]))
+    for rows in _row_tiles(height):
+        for h_in, w, b, h, slope in ((x.value, w1, b1, h1, d1),
+                                     (h1, w2, b2, h2, d2)):
+            a = dense(h_in[rows], w, b, h[rows])
+            cdf = _gelu_cdf(a)
+            _gelu_slope(a, cdf, out=slope[rows])
+            a *= cdf
+        dense(h2[rows], w3, b3, value[rows])
 
     def bw(g):
         for h, w, b, slope in ((h2, w3, b3, d2), (h1, w2, b2, d1),
@@ -389,8 +424,7 @@ def mlp3(x, w1, b1, w2, b2, w3, b3):
         if x.needs_grad:
             _accum(x, rows_times(g, w1.value.T), owned=True)
 
-    return _op("mlp3", (x, w1, b1, w2, b2, w3, b3),
-               dense(h2, w3, b3), bw)
+    return _op("mlp3", (x, w1, b1, w2, b2, w3, b3), value, bw)
 
 
 # ----------------------------------------------------- rows and columns
@@ -605,20 +639,31 @@ def infonce(a, b, tau):
     log-sum-exp.
 
     The forward pass runs one GEMM, scales, shifts and exponentiates it
-    in place and keeps only that exp matrix and its row sums.  The
-    backward pass turns the exp matrix into the logits' gradient in
-    place and runs two GEMMs.
+    in place, and keeps only the row shifts and the row sums of that exp
+    matrix: no B x B array.  The backward pass recomputes the exp matrix
+    with the forward's operations in the forward's order, so it has the
+    forward's bits, turns it into the logits' gradient in place and runs
+    two GEMMs.
     """
     _require(a.shape == b.shape, "infonce",
              f"view shapes {a.shape} and {b.shape} differ")
     inv_tau = 1.0 / tau
     count = a.shape[0]
-    e = a.value @ b.value.T
-    e *= inv_tau
+
+    def scaled_logits():
+        logits = a.value @ b.value.T
+        logits *= inv_tau
+        return logits
+
+    def exp_shifted(logits):
+        logits += neg_shift
+        return np.exp(logits, out=logits)
+
+    e = scaled_logits()
     shift = e.max(axis=1, keepdims=True)
-    e += -shift
-    np.exp(e, out=e)
-    sums = e.sum(axis=1, keepdims=True)
+    neg_shift = -shift
+    sums = exp_shifted(e).sum(axis=1, keepdims=True)
+    del e
     lse = np.log(sums)
     lse += shift
     pos = (a.value * b.value).sum(axis=1, keepdims=True)
@@ -631,8 +676,9 @@ def infonce(a, b, tau):
             _accum(a, b.value * g_pos, owned=True)
         if b.needs_grad:
             _accum(b, a.value * g_pos, owned=True)
-        # the gradient of the scaled logits, in the exp matrix's buffer
-        g_logits = e
+        # the gradient of the scaled logits, in the recomputed exp
+        # matrix's buffer
+        g_logits = exp_shifted(scaled_logits())
         g_logits *= g / sums
         g_logits *= inv_tau
         if a.needs_grad:

@@ -21,6 +21,15 @@ first user-item block, when the KL term reads its sigma^2, keeps its mu
 and sigma^2 nodes for that term; it copies mu into an array of its own,
 so that the 2d-wide generator output can go.
 
+A training step builds the two terms that read the first user-item
+block, the reconstruction term and the KL term, through :func:`encode`'s
+``ui1_terms``: right after layer 1's product, before any layer-2 node.
+The backward sweep runs in reverse creation order, so it allocates their
+full-height gradients only as it reaches layer 1.  The bits do not
+change: the nodes these terms share with the encoder, the block's mu,
+sigma^2 and sample, are still read by them after the encoder's own
+readers, so each receives its gradient pieces in the same order.
+
 A training step keeps of each propagated layer only the rows it reads:
 once a layer's rows are gathered, for the next layer and for the kept
 rows, the layer drops its value.  A layer that the next layer's
@@ -320,7 +329,8 @@ def _walk_back(op, rows, num_layers, full_first=True):
 
 
 def encode(tape, leaves, ui_op, comp_op, num_users, num_items, num_layers,
-           rng, settings, rows=None, comp_views=("avg",), sigma2=True):
+           rng, settings, rows=None, comp_views=("avg",), sigma2=True,
+           ui1_terms=None):
     """Run both channels over the CSR matrices ``ui_op`` and ``comp_op``
     (None skips the complement channel) and average layers 1..L.
 
@@ -335,6 +345,9 @@ def encode(tape, leaves, ui_op, comp_op, num_users, num_items, num_layers,
     the highest, none skips the channel.
     ``sigma2`` True reads sigma^2 of the first user-item block, which then
     keeps its mu and sigma^2 nodes (see :func:`generate_noise`).
+    ``ui1_terms``, when given, builds the terms that read that block: it
+    is called with the block right after layer 1's product, before any
+    layer-2 node.
 
     Each (channel, layer) draws its epsilon from ``rng`` at full height,
     m+n rows for "ui" and n for "comp", user-item layers first, whether
@@ -373,6 +386,8 @@ def encode(tape, leaves, ui_op, comp_op, num_users, num_items, num_layers,
                     sigma2=sigma2 and (channel, k) == ("ui", 1))
                 blocks[(channel, k)] = block
             z = propagate(op, taken(z, take, share=source), block)
+            if (channel, k) == ("ui", 1) and ui1_terms is not None:
+                ui1_terms(block)
             layers.append(z)
         kept = [taken(z, keep) for z, (*_, keep) in zip(layers, plan)]
         for z, out in zip(layers, kept):

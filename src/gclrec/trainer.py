@@ -289,13 +289,22 @@ def _batch_loss(params, ctx, cfg, rng, users, pos_items, neg_items):
     """Forward pass and joint loss for one batch, one sampled negative per
     positive; returns (report, total node, gradient table).
 
-    The contrastive term is built last.  The backward sweep runs in
-    reverse creation order, so it frees the InfoNCE exp matrices (one
-    B x B array per view pair) before the reconstruction, KL or MMD and
-    L2 terms allocate their gradients.  No node is read by both the
-    contrastive term and one of those terms, so every node receives its
-    gradients in the same order as with the contrastive term built right
-    after BPR, which still comes before it.
+    The backward sweep runs in reverse creation order, so where a term
+    is built sets when the sweep allocates its gradients.  The
+    contrastive term is built last, so the sweep meets it, and the B x B
+    exp matrices its InfoNCE nodes recompute, while few gradients are
+    alive.  The reconstruction and KL terms are built inside
+    :func:`encode`, right after layer 1's product and before any layer-2
+    node, so the full-height gradients they allocate appear only as the
+    sweep reaches layer 1.
+
+    The bits do not change.  A node receives its gradient pieces in the
+    reverse creation order of its readers, and each node these terms
+    share keeps that order: mu and sigma^2 are read by the noise sample
+    before the KL term, the sample by layer 1's product, then the
+    reconstruction's gathers, then the MMD gather.  The MMD term and its
+    prior draw stay after the encoder, so the random stream does not
+    move.
     """
     m, n = ctx.num_users, ctx.num_items
     u_idx = np.asarray(users, dtype=np.int64)
@@ -304,16 +313,34 @@ def _batch_loss(params, ctx, cfg, rng, users, pos_items, neg_items):
     # the rows whose representations the loss reads
     touched = np.unique(np.concatenate([u_idx, m + p_idx, m + n_idx]))
     views_read = (cfg.cl_view_a, cfg.cl_view_b) if cfg.lambda_ > 0 else ()
-
-    tape = Tape()
-    leaves = params.leaves(tape)
-    out = encode(tape, leaves, ctx.ui_op, ctx.comp_op, m, n, cfg.L, rng,
-                 cfg.noise_settings(), rows=touched, comp_views=views_read,
-                 sigma2=cfg.ddl == "kl")
+    generative = cfg.noise_mode == "generative"
 
     # a term or gradient that overflows is reported, naming where, by
     # joint_loss, kl_loss or adam_step, with no numpy warning before it
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    def quiet():
+        return np.errstate(over="ignore", invalid="ignore", divide="ignore")
+
+    tape = Tape()
+    leaves = params.leaves(tape)
+    # the terms built beside layer 1
+    terms = dict.fromkeys(("recon", "ddl"))
+
+    def ui1_terms(block):
+        pairs = np.vstack([np.column_stack([u_idx, p_idx]),
+                           np.column_stack([u_idx, n_idx])])
+        targets = np.concatenate([np.ones(len(u_idx)), np.zeros(len(u_idx))])
+        with quiet():
+            terms["recon"] = ls.recon_loss(
+                reconstruct(block.sample, leaves, pairs, m), targets)
+            if cfg.ddl == "kl":
+                terms["ddl"] = ls.kl_loss(block.mu, block.sigma2)
+
+    out = encode(tape, leaves, ctx.ui_op, ctx.comp_op, m, n, cfg.L, rng,
+                 cfg.noise_settings(), rows=touched, comp_views=views_read,
+                 sigma2=cfg.ddl == "kl",
+                 ui1_terms=ui1_terms if generative else None)
+
+    with quiet():
         zu_b = dc.gather(out.z_u, out.locate("user", u_idx))
         pos_scores = dc.reduce_sum(dc.mul(
             zu_b, dc.gather(out.z_i, out.locate("item", p_idx))), axis=1)
@@ -321,32 +348,20 @@ def _batch_loss(params, ctx, cfg, rng, users, pos_items, neg_items):
             zu_b, dc.gather(out.z_i, out.locate("item", n_idx))), axis=1)
         rec = ls.bpr_loss(pos_scores, neg_scores)
 
-        recon = ddl = None
-        if cfg.noise_mode == "generative":
+        if generative and cfg.ddl == "mmd":
             block = out.noise_blocks[("ui", 1)]
-            pos_pairs = np.column_stack([u_idx, p_idx])
-            neg_pairs = np.column_stack([u_idx, n_idx])
-            all_pairs = np.vstack([pos_pairs, neg_pairs])
-            targets = np.concatenate([np.ones(len(pos_pairs)),
-                                      np.zeros(len(neg_pairs))])
-            predicted = reconstruct(block.sample, leaves, all_pairs, m)
-            recon = ls.recon_loss(predicted, targets)
-
-            if cfg.ddl == "kl":
-                ddl = ls.kl_loss(block.mu, block.sigma2)
+            gen = dc.gather(block.sample, touched)
+            if cfg.noise_distribution == "uniform":
+                prior = rng.random((len(touched), cfg.d))
             else:
-                gen = dc.gather(block.sample, touched)
-                if cfg.noise_distribution == "uniform":
-                    prior = rng.random((len(touched), cfg.d))
-                else:
-                    prior = rng.standard_normal((len(touched), cfg.d))
-                bw = cfg.mmd_bandwidth or ls.median_bandwidth(gen.value, prior)
-                ddl = ls.mmd_loss(gen, tape.constant(prior), bw)
+                prior = rng.standard_normal((len(touched), cfg.d))
+            bw = cfg.mmd_bandwidth or ls.median_bandwidth(gen.value, prior)
+            terms["ddl"] = ls.mmd_loss(gen, tape.constant(prior), bw)
 
         reg = ls.l2_reg(dc.gather(leaves["base_embedding"], touched),
                         cfg.reg_coeff)
 
-        # built last, so the sweep frees its exp matrices first
+        # built last, so the sweep meets it first
         cl = None
         if cfg.lambda_ > 0:
             uu = np.unique(u_idx)
@@ -362,7 +377,8 @@ def _batch_loss(params, ctx, cfg, rng, users, pos_items, neg_items):
             cl = ls.multi_pair_cl(views("user", uu), views("item", ii),
                                   comp_views, cfg.tau)
 
-        report, total = ls.joint_loss(rec, cl, recon, ddl, reg, cfg.lambda_)
+        report, total = ls.joint_loss(rec, cl, terms["recon"], terms["ddl"],
+                                      reg, cfg.lambda_)
         grads = dc.backward(total)
     return report, total, grads
 

@@ -211,6 +211,49 @@ class TestMlp3:
         assert np.array_equal(row_value, block_value[:1])
         assert np.array_equal(row_grad, block_grad[:1])
 
+    T = dc.MLP_TILE_ROWS
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, T - 1, T, T + 1, T + 2,
+                                      T + T // 2, 2 * T + 1, 3 * T - 1])
+    def test_tiles_round_as_one_block(self, monkeypatch, rows):
+        shapes = ((rows, 8), (8, 16), (1, 16), (16, 16), (1, 16), (16, 6),
+                  (1, 6))
+        arrays = {name: rand(shape, 80 + i)
+                  for i, (name, shape) in enumerate(zip(MLP_NAMES, shapes))}
+        weights = rand((rows, 6), 90)
+
+        def run():
+            t = Tape()
+            lv = [t.leaf(arrays[name], name=name) for name in MLP_NAMES]
+            out = dc.mlp3(*lv)
+            value = out.value.copy()
+            loss = dc.reduce_sum(dc.mul(out, t.constant(weights)))
+            return value, backward(loss)
+
+        tiled_value, tiled = run()
+        monkeypatch.setattr(dc, "MLP_TILE_ROWS", 4 * self.T)
+        block_value, block = run()
+        assert np.array_equal(tiled_value, block_value)
+        assert set(tiled) == set(MLP_NAMES)
+        for name in MLP_NAMES:
+            assert np.array_equal(tiled[name], block[name]), name
+
+    @pytest.mark.parametrize("rows", [0, 1, 2, T - 1, T, T + 1,
+                                      T + T // 2 - 1, T + T // 2, 2 * T + 1,
+                                      5 * T + 3])
+    def test_row_tiles(self, rows):
+        tiles = dc._row_tiles(rows)
+        # every row once, in order
+        every = np.arange(rows)
+        assert np.array_equal(
+            np.concatenate([every[t] for t in tiles] + [every[:0]]), every)
+        heights = [t.stop - t.start for t in tiles]
+        assert all(h <= self.T * 3 // 2 for h in heights)
+        # one row only when the input has one, and a short last tile
+        # joins the one before it
+        assert all(h > 1 for h in heights) or rows == 1
+        assert all(h >= self.T // 2 for h in heights) or len(heights) == 1
+
     def test_one_node_on_the_tape(self):
         t = Tape()
         lv = [t.leaf(a) for a in mlp_arrays(42).values()]
@@ -320,7 +363,7 @@ FUSED_CASES = {
         {"mu": rand((5, 3), 118), "ls": rand((5, 3), 119)},
         lambda f, lv: dc.add(dc.reduce_sum(dc.square(lv["mu"])),
                              f(lv["mu"], dc.exp(lv["ls"])))),
-    ("ui1 block", "variance standard"): (
+    ("ui1 block", "sigma2 sample"): (
         {"out": rand((5, 6), 120, scl=0.5)},
         lambda f, lv: f(lv["out"], rand((5, 3), 121),
                         zero_signed(rand((5, 3), 122)))),
@@ -370,6 +413,22 @@ class TestFusedNodes:
             grads = backward(loss)
         assert np.isfinite(loss.value).all()
         assert all(np.isfinite(g).all() for g in grads.values())
+
+    def test_infonce_keeps_no_square_array(self):
+        # the backward pass recomputes the B x B exp matrix; the node's
+        # closure, and the closures it calls, hold nothing that size
+        t = Tape()
+        a, b = t.leaf(rand((7, 3), 95)), t.leaf(rand((7, 3), 96))
+        node = dc.infonce(a, b, 0.2)
+        held, todo = [], [node._backward]
+        while todo:
+            for cell in todo.pop().__closure__ or ():
+                item = cell.cell_contents
+                if callable(item) and hasattr(item, "__closure__"):
+                    todo.append(item)
+                elif isinstance(item, np.ndarray):
+                    held.append(item.shape)
+        assert held and all(shape[0] * shape[1] <= 7 for shape in held)
 
     @pytest.mark.parametrize("fn, arity, op", [
         (lambda a, b: dc.infonce(a, b, 0.2), 2, "infonce"),

@@ -215,13 +215,13 @@ class TestKL:
         t = Tape()
         return scalar(kl_loss(node_of(mu, t), node_of(s2, t)))
 
-    def test_prior_match_is_zero_both(self):
+    def test_prior_match_is_zero(self):
         assert self.kl([[0.0]], [[1.0]]) == pytest.approx(0.0, abs=TOL)
 
     def test_mu_one_coincides(self):
         assert self.kl([[1.0]], [[1.0]]) == pytest.approx(0.5, abs=TOL)
 
-    def test_mu_two_distinguishes_formulas(self):
+    def test_mu_two_is_half_its_square(self):
         assert self.kl([[2.0]], [[1.0]]) == pytest.approx(2.0, abs=TOL)
 
     def test_standard_nonnegative_with_unique_zero(self):
@@ -410,7 +410,7 @@ class TestLossGradients:
 
         assert fd_check(build, arrays) < 1e-4
 
-    def test_kl_both_formulas(self):
+    def test_kl_standard_form(self):
         rng = np.random.default_rng(15)
         arrays = {"mu": rng.normal(size=(5, 2)),
                   "logvar": rng.normal(size=(5, 2)) * 0.5}

@@ -90,7 +90,7 @@ class TestGenerateNoise:
                                NoiseSettings())
         assert np.all(block.sigma2.value > 0)
 
-    def test_variance_vs_stddev_scaling(self):
+    def test_sample_scales_epsilon_by_sigma2(self):
         # push log-variance to a nonzero constant via the output bias
         zero_generator(self.params)
         self.params.param_arrays()["gen.b3"][0, 4:] = 2.0  # log sigma^2 = 2

@@ -295,6 +295,33 @@ class TestBatchLoss:
         want = np.mean(np.logaddexp(0.0, neg_scores - pos_scores))
         assert abs(report.rec - want) < 1e-12
 
+    def test_mmd_prior_is_drawn_after_the_encoder(self, monkeypatch):
+        # one full-height epsilon per (channel, layer), user-item layers
+        # first, then the MMD term's prior over the touched rows
+        fold = toy_fold()
+        cfg = tiny_config(ddl="mmd")
+        ctx = build_context(fold.train, cfg)
+        params = init_params(6, 8, cfg.d, cfg.h, seed=2)
+        users, pos = fold.train.pairs[:, 0], fold.train.pairs[:, 1]
+        neg = sample_negatives(ctx.R, users, 1, np.random.default_rng(4))
+        priors, original = [], tr.ls.mmd_loss
+
+        def spy(gen, prior, bandwidth):
+            priors.append(prior.value.copy())
+            return original(gen, prior, bandwidth)
+
+        monkeypatch.setattr(tr.ls, "mmd_loss", spy)
+        rng = np.random.default_rng(3)
+        tr._batch_loss(params, ctx, cfg, rng, users, pos, neg)
+        replay = np.random.default_rng(3)
+        for height in [6 + 8] * cfg.L + [8] * cfg.L:
+            replay.standard_normal((height, cfg.d))
+        touched = np.unique(np.concatenate([users, 6 + pos, 6 + neg.ravel()]))
+        assert np.array_equal(priors[0], replay.standard_normal(
+            (len(touched), cfg.d)))
+        assert np.array_equal(rng.standard_normal(8),
+                              replay.standard_normal(8))
+
     @pytest.mark.parametrize(
         "overrides",
         list(ABLATION_VARIANTS.values()) + [
@@ -439,6 +466,22 @@ class TestTapeComposition:
                          and node.parents[1].name == "rec.w1"]
         assert len(contrastive) == 3 and len(reconstructor) == 2
         assert max(contrastive) < min(reconstructor)
+
+    def test_layer1_terms_are_built_beside_layer_1(self, monkeypatch):
+        # so the sweep allocates their full-height gradients only as it
+        # reaches layer 1
+        seen, _, _ = self.tape(monkeypatch)
+        order = {n: k for k, (n, _) in enumerate(seen)}
+        layer1 = next(n for n in order if n.op == "inject_spmm")
+        sample = layer1.parents[1]
+        (kl,) = [n for n in order if n.op == "kl_normal"]
+        gathers = [n for n in order if n.op == "gather"
+                   and n.parents == (sample,)]
+        layer2 = min(order[n] for n in order if layer1 in n.parents)
+        assert kl.parents[0] is sample.parents[0]  # the block's mu
+        assert len(gathers) == 2
+        assert all(order[layer1] < order[n] < layer2
+                   for n in [kl] + gathers)
 
     def test_a_layers_two_gathers_share_one_value(self, monkeypatch):
         seen, _, _ = self.tape(monkeypatch)
