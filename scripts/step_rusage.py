@@ -7,69 +7,69 @@
     python3 scripts/step_rusage.py --set ddl=mmd \
         --set noise.distribution=uniform --steps 3
 
-Runs the operations of one of the benchmark's workloads on fold 0 of the
-seeded CiaoDVD-scale log with one BLAS thread and the default config,
-changed by each ``--set KEY=VALUE`` as ``gclrec train --set`` changes it.
-For train-gen, operation j is ``trainer.train_epoch`` over the j-th
-fixed batch with the rng stream (seed, 2, j); for eval-full it is one
-``trainer.evaluate_model`` at k = 5, 10, 20 with the initial parameters;
-for setup it is one set-up from the log file, as the benchmark's
-setup_s times it, with each stage called here in turn.
+Runs the operations of one of the benchmark's workloads with the code
+of ``benchmarks/run.py``, imported (which pins one BLAS thread): its
+config for the workload, changed by each ``--set KEY=VALUE`` as
+``gclrec train --set`` changes it, its set-up of fold 0 of the seeded
+CiaoDVD-scale log, and its operations.  For train-gen, operation j is
+``Training.op(j)``: ``trainer.train_epoch`` over the j-th fixed batch
+with the rng stream (seed, 2, j); for eval-full it is
+``Evaluation.op(j)``: one ``trainer.evaluate_model`` at k = 5, 10, 20
+with the initial parameters; for setup it is one set-up from the log
+file, as the benchmark's setup_s times it, with each stage called here
+in turn.
 Around each operation it reads getrusage(RUSAGE_SELF) and prints one
 JSON line: user and system CPU seconds, minor and major page faults,
 the peak RSS so far and the RSS the process holds after the operation.
-A train step adds the live heap (glibc ``mallinfo2``: bytes in use in
-the arenas plus mmapped blocks; None without it) when its backward
-sweep starts, and its highest value over the step, sampled as each tape
-node is built and after each node's backward pass, with the node it
-was sampled at: its op, its phase and its place in that phase (a
-sweep's first node is backward #0).  An evaluation adds the CPU seconds
-spent in ``eval_embeddings``, ``rank_topk`` and ``topk_metrics`` and,
-for each of these stages, the RSS and the live heap before its first
-call, and its highest live heap with the function it was sampled at.
-The live heap is sampled as the stage is called and as each Python
-function called inside it returns, so an array freed before any such
-return is missed.  A profile hook samples it, which adds about 0.09 s
-to the 0.55 s of CPU an evaluation takes (seed-1 log, 2-core x86-64
-VM), most of it to ``rank_topk``.  Neither ``ru_maxrss``, which keeps
-the first evaluation's peak, nor the RSS, which holds the kept heap's
-peak between evaluations, shows which stage sets a later evaluation's
-peak.  A set-up adds, for each of its stages (``load_interactions``,
-``make_folds``, ``build_interaction_matrix``, ``adjacency``: the block
-adjacency and its normalization, ``build_complement`` and
-``init_params``), the CPU seconds it took and the RSS before and after
-it; a set-up wraps nothing.  The train-step and evaluation generators
-put back what they wrap when they finish or are closed, so a second run
-in one process wraps the originals again.  A last line holds the
-medians over the operations after the first.
-Nothing here is timed by the benchmark; the script reads the log
-generator in ``benchmarks/workload.py`` only to run on the same data.
+A train step or an evaluation runs under one profile hook (see
+:class:`Sampler`), set only while it runs, which reads the live heap
+(glibc ``mallinfo2``: bytes in use in the arenas plus mmapped blocks;
+None without it) as each Python function returns and keeps the highest
+reading with where it was taken: the phase, the function that returned
+and its caller, as in ``backward: _accum from infonce.<locals>.bw``.
+An array allocated and freed between two returns is missed.  A train
+step's phases are ``forward``, ``backward`` from the call of
+``diffcore.backward`` and ``after backward`` from its return; it adds
+the live heap as its backward sweep starts and its highest value over
+the step.  Both include the 16.5 MB copy of the initial embeddings
+that ``Training`` keeps for its final check, as the benchmark's
+process does.  An evaluation's phases are its stages
+``eval_embeddings``, ``rank_topk`` and ``topk_metrics``; it adds the
+CPU seconds spent in each and, for each, the RSS and the live heap
+before its first call and its highest live heap.  The hook adds about
+0.01 s to the 0.35-0.44 s of CPU an evaluation takes and 0.02-0.04 s
+to the 1.0 s a train step takes: the median difference over 12
+operations, each run with the sampler off and on back to back in one
+process, in each of two runs (seed-1 log, 2-core x86-64 VM).  Neither
+``ru_maxrss``, which keeps the first evaluation's peak, nor the RSS,
+which holds the kept heap's peak between evaluations, shows which stage
+sets a later evaluation's peak.  The hook cannot run beside a C-level
+profiler such as cProfile, so under one a train step or an evaluation
+raises RuntimeError.  A set-up adds, for each of its stages
+(``load_interactions``, ``make_folds``, ``build_interaction_matrix``,
+``adjacency``: the block adjacency and its normalization,
+``build_complement`` and ``init_params``), the CPU seconds it took and
+the RSS before and after it; it runs without the hook, which would bill
+its calls on every line the log parser reads to the stage times.  A
+last line holds the medians over the operations after the first.
+Nothing here is timed by the benchmark.
 """
 
+import argparse
+import ctypes
+import functools
+import json
 import os
+import resource
+import statistics
+import sys
+import tempfile
+import time
+from pathlib import Path
 
-for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-             "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
-    os.environ[_var] = "1"
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
 
-import argparse  # noqa: E402
-import dataclasses  # noqa: E402
-import itertools  # noqa: E402
-import json  # noqa: E402
-import resource  # noqa: E402
-import statistics  # noqa: E402
-import sys  # noqa: E402
-import tempfile  # noqa: E402
-import time  # noqa: E402
-from pathlib import Path  # noqa: E402
-
-ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
-sys.path.insert(0, str(ROOT / "benchmarks"))
-
-import ctypes  # noqa: E402
-
-import numpy as np  # noqa: E402
+import run  # noqa: E402  (pins the BLAS threads before numpy loads)
 import workload  # noqa: E402
 from gclrec import dataset, diffcore, graphs, model, trainer  # noqa: E402
 
@@ -123,63 +123,75 @@ def usage(before, after):
             "rss_after_mb": rss_mb()}
 
 
-def train_steps(fold, ctx, params, cfg, seed, steps):
-    order = np.random.default_rng([seed, 1]).permutation(len(fold.train))
-    batches = order[:len(order) // cfg.batch_size * cfg.batch_size].reshape(
-        -1, cfg.batch_size)
-    state = trainer.AdamState()
+class Sampler:
+    """The live heap at every Python function return while one operation
+    runs, under one profile hook, split into phases.
 
-    # the live heap as each backward sweep starts; trainer calls the
-    # module's backward, so wrapping the module attribute catches it
-    at_backward = []
-    peak = {}
-    sweep = diffcore.backward
-    build = diffcore.Node.__init__
+    The operation starts in phase ``start``.  The call of a function in
+    ``stages`` (name -> function, matched by its code object) starts the
+    phase of that name and its return the phase ``after <name>``.  After
+    :meth:`run`: ``before[name]`` holds the RSS and live heap at the
+    stage's first call, ``seconds[name]`` the CPU seconds between its
+    calls and returns, and ``peak[phase]`` the phase's highest live heap
+    with where it was read.
+    """
 
-    def sample(phase, index, op):
-        heap = heap_mb()
-        if heap is not None and heap > peak.get("heap_peak_mb", -1.0):
-            peak.update(heap_peak_mb=heap,
-                        heap_peak_at=f"{phase} #{index} {op}")
+    def __init__(self, stages, start):
+        self.stages = {fn.__code__: name for name, fn in stages.items()}
+        self.start = start
 
-    def init(node, tape, *args, **kwargs):
-        build(node, tape, *args, **kwargs)
-        sample("forward", len(tape.nodes) - 1, node.op)
+    def run(self, op):
+        """Call ``op()`` under the hook; the previous profiler is put
+        back however it ends."""
+        self.phase = self.start
+        self.seconds = dict.fromkeys(self.stages.values(), 0.0)
+        self.before, self.peak = {}, {}
+        previous = sys.getprofile()
+        if previous is not None and not callable(previous):
+            raise RuntimeError("a C-level profiler such as cProfile is "
+                               "active, which the hook would displace")
+        sys.setprofile(self.hook)
+        try:
+            return op()
+        finally:
+            sys.setprofile(previous)
 
-    def traced(fn, op, order):
-        def call(g):
-            fn(g)
-            sample("backward", next(order), op)
-        return call
+    def hook(self, frame, event, arg):
+        if event == "call":
+            name = self.stages.get(frame.f_code)
+            if name is not None:
+                self.before.setdefault(name, (rss_mb(), heap_mb()))
+                self.phase, self.entered = name, time.process_time()
+        elif event == "return":
+            heap = heap_mb()
+            if heap is not None and heap > self.peak.get(self.phase,
+                                                          (-1.0,))[0]:
+                self.peak[self.phase] = (
+                    heap, f"{self.phase}: {frame.f_code.co_qualname} from "
+                          f"{frame.f_back.f_code.co_qualname}")
+            name = self.stages.get(frame.f_code)
+            if name is not None:
+                self.seconds[name] += time.process_time() - self.entered
+                self.phase = f"after {name}"
 
-    def backward(loss):
-        at_backward.append(heap_mb())
-        order = itertools.count()
-        for node in loss.tape.nodes:
-            if node._backward is not None:
-                node._backward = traced(node._backward, node.op, order)
-        return sweep(loss)
 
-    diffcore.Node.__init__ = init
-    diffcore.backward = backward
-    try:
-        for j in range(steps):
-            at_backward.clear()
-            peak.clear()
-            view = fold.train.view(batches[j % len(batches)])
-            before = resource.getrusage(resource.RUSAGE_SELF)
-            trainer.train_epoch(params, dataclasses.replace(ctx, train=view),
-                                cfg, np.random.default_rng([seed, 2, j]),
-                                state)
-            after = resource.getrusage(resource.RUSAGE_SELF)
-            yield {"step": j, **usage(before, after),
-                   "heap_at_backward_mb": (at_backward[0] if at_backward
-                                           else None),
-                   "heap_peak_mb": peak.get("heap_peak_mb"),
-                   "heap_peak_at": peak.get("heap_peak_at")}
-    finally:
-        diffcore.Node.__init__ = build
-        diffcore.backward = sweep
+def sampled(runner, count, sampler):
+    """(j, the getrusage fields) of each of a benchmark runner's
+    operations 0 .. count-1, each run under ``sampler``."""
+    for j in range(count):
+        before = resource.getrusage(resource.RUSAGE_SELF)
+        sampler.run(functools.partial(runner.op, j))
+        yield j, usage(before, resource.getrusage(resource.RUSAGE_SELF))
+
+
+def train_steps(runner, count):
+    sampler = Sampler({"backward": diffcore.backward}, "forward")
+    for j, row in sampled(runner, count, sampler):
+        heap, at = max(sampler.peak.values(), default=(None, None))
+        yield {"step": j, **row,
+               "heap_at_backward_mb": sampler.before.get(
+                   "backward", (None, None))[1],
+               "heap_peak_mb": heap, "heap_peak_at": at}
 
 
 EVAL_STAGES = ("eval_embeddings", "rank_topk", "topk_metrics")
@@ -187,55 +199,19 @@ EVAL_MEMORY = ("rss_before_mb", "heap_before_mb", "heap_peak_mb",
                "heap_peak_at")
 
 
-def evaluations(fold, ctx, params, cfg, count):
-    # evaluate_model looks its stages up in the trainer module, so
-    # wrapping the module attributes times each call, and a profile hook
-    # samples the live heap inside it
-    spent = dict.fromkeys(EVAL_STAGES, 0.0)
-    memory = {}
-
-    def timed(name, fn):
-        def sample(where):
-            heap = heap_mb()
-            if heap is not None and heap > memory.get(f"{name}_heap_peak_mb",
-                                                      -1.0):
-                memory[f"{name}_heap_peak_mb"] = heap
-                memory[f"{name}_heap_peak_at"] = where
-
-        def hook(frame, event, arg):
-            if event == "return":
-                sample(frame.f_code.co_name)
-
-        def call(*args, **kwargs):
-            memory.setdefault(f"{name}_rss_before_mb", rss_mb())
-            memory.setdefault(f"{name}_heap_before_mb", heap_mb())
-            sample("call")
-            start = time.process_time()
-            sys.setprofile(hook)
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                sys.setprofile(None)
-                spent[name] += time.process_time() - start
-        return call
-
-    originals = {name: getattr(trainer, name) for name in EVAL_STAGES}
-    for name, fn in originals.items():
-        setattr(trainer, name, timed(name, fn))
-    try:
-        for j in range(count):
-            spent.update(dict.fromkeys(EVAL_STAGES, 0.0))
-            memory.clear()
-            before = resource.getrusage(resource.RUSAGE_SELF)
-            trainer.evaluate_model(params, ctx, fold.test, cfg, ks=(5, 10, 20))
-            after = resource.getrusage(resource.RUSAGE_SELF)
-            yield {"evaluation": j, **usage(before, after),
-                   **{f"{name}_s": spent[name] for name in EVAL_STAGES},
-                   **{f"{name}_{key}": memory.get(f"{name}_{key}")
-                      for name in EVAL_STAGES for key in EVAL_MEMORY}}
-    finally:
-        for name, fn in originals.items():
-            setattr(trainer, name, fn)
+def evaluations(runner, count):
+    sampler = Sampler({name: getattr(trainer, name) for name in EVAL_STAGES},
+                      "evaluate_model")
+    for j, row in sampled(runner, count, sampler):
+        row = {"evaluation": j, **row}
+        for name in EVAL_STAGES:
+            row[f"{name}_s"] = sampler.seconds[name]
+        for name in EVAL_STAGES:
+            memory = (*sampler.before.get(name, (None, None)),
+                      *sampler.peak.get(name, (None, None)))
+            row.update((f"{name}_{key}", value)
+                       for key, value in zip(EVAL_MEMORY, memory))
+        yield row
 
 
 def setups(log, cfg, count):
@@ -303,7 +279,7 @@ def main(argv=None):
         table[key.strip()] = value.strip()
 
     size = workload.SIZES["full"]
-    cfg = trainer.TrainConfig(seed=args.seed, batch_size=size.batch_size)
+    cfg = run.make_config(args.workload, size, args.seed)
     try:
         cfg.apply_strings(table)
     except trainer.ConfigError as exc:
@@ -314,15 +290,13 @@ def main(argv=None):
         if args.workload == "setup":
             report(setups(log, cfg, args.steps))
             return 0
-        data = dataset.load_interactions(log)
-    fold = dataset.make_folds(data, cfg.folds, cfg.seed)[0]
-    ctx = trainer.build_context(fold.train, cfg)
-    params = model.init_params(ctx.num_users, ctx.num_items, cfg.d, cfg.h,
-                               seed=cfg.seed + fold.fold_index)
+        fold, ctx, params = run.setup(log, cfg)
     if args.workload == "train-gen":
-        report(train_steps(fold, ctx, params, cfg, args.seed, args.steps))
+        report(train_steps(run.Training(fold, ctx, params, cfg, args.seed, 0),
+                           args.steps))
     else:
-        report(evaluations(fold, ctx, params, cfg, args.steps))
+        report(evaluations(run.Evaluation(fold, ctx, params, cfg, args.seed,
+                                          size), args.steps))
     return 0
 
 

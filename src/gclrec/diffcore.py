@@ -356,11 +356,16 @@ def mlp3(x, w1, b1, w2, b2, w3, b3):
     for bit on inputs of two or more rows.  numpy multiplies a single row
     through a matrix-vector routine, which rounds differently from the
     same row inside a larger block, so the products of a one-row input
-    and of its gradient run on a two-row stack and keep its first row:
-    a row's values and input gradient do not depend on how many rows
-    share its block.  Only the hidden activations and their GELU slopes
-    are kept for the backward pass, which reuses the slopes instead of
-    evaluating erf and exp again.
+    and of its gradient run on a two-row stack and keep its first row.
+    That only moves a one-row input and its gradient from the
+    matrix-vector routine onto the two-row path.  The forward product
+    ``h @ w`` gives a row the same bits in a block of any height of two
+    or more; the backward pass's ``g @ w.T`` does not: OpenBLAS 0.3.31
+    rounds it differently in blocks of about 2 to 18 rows than in a
+    larger block, so a row's input gradient can differ in its last bits
+    with the number of rows that share its block.  Only the hidden
+    activations and their GELU slopes are kept for the backward pass,
+    which reuses the slopes instead of evaluating erf and exp again.
 
     The forward pass runs in row tiles of :data:`MLP_TILE_ROWS` rows
     (see :func:`_row_tiles`), each written straight into the full

@@ -69,7 +69,6 @@ class TrainConfig:
     noise_mode: str = "generative"
     noise_distribution: str = "gaussian"
     ddl: str = "kl"
-    mmd_bandwidth: float = 0.0
     complement_enabled: bool = True
     filter_enabled: bool = True
     cl_view_a: str = "avg"
@@ -95,7 +94,6 @@ class TrainConfig:
         "noise.mode": ("noise_mode", str),
         "noise.distribution": ("noise_distribution", str),
         "ddl": ("ddl", str),
-        "mmd.bandwidth": ("mmd_bandwidth", float),
         "complement.enabled": ("complement_enabled", _parse_bool),
         "filter.enabled": ("filter_enabled", _parse_bool),
         "cl.view_a": ("cl_view_a", str),
@@ -154,7 +152,6 @@ class TrainConfig:
             (self.patience >= 1, "patience must be >= 1"),
             (self.eval_interval >= 1, "eval_interval must be >= 1"),
             (self.folds >= 2, "folds must be >= 2"),
-            (self.mmd_bandwidth >= 0, "mmd.bandwidth must be >= 0"),
             (self.noise_mode in ("generative", "random", "none"),
              f"unknown noise.mode: {self.noise_mode}"),
             (self.noise_distribution in ("gaussian", "uniform"),
@@ -196,8 +193,11 @@ class AdamState:
     t: int = 0
 
 
-def adam_step(param_table, grads, state, lr=0.001, beta1=0.9, beta2=0.999,
-              eps=1e-8):
+# Adam's moment decay rates and denominator floor
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+
+def adam_step(param_table, grads, state, lr=0.001):
     """Bias-corrected Adam update, in place on the parameter arrays.
 
     All or nothing: a non-finite gradient anywhere, or a second moment
@@ -207,7 +207,7 @@ def adam_step(param_table, grads, state, lr=0.001, beta1=0.9, beta2=0.999,
     t = state.t + 1
 
     def v_hat(v, g):  # the update's operations, in its order
-        return (beta2 * v + (1.0 - beta2) * g * g) / (1.0 - beta2 ** t)
+        return (BETA2 * v + (1.0 - BETA2) * g * g) / (1.0 - BETA2 ** t)
 
     for name in param_table:
         g = grads[name]
@@ -235,20 +235,20 @@ def adam_step(param_table, grads, state, lr=0.001, beta1=0.9, beta2=0.999,
         m, v = state.m[name], state.v[name]
         a = scratch_a[:p.size].reshape(p.shape)
         b = scratch_b[:p.size].reshape(p.shape)
-        # m = beta1 m + (1 - beta1) g and v = beta2 v + (1 - beta2) g g
-        m *= beta1
-        np.multiply(1.0 - beta1, g, out=a)
+        # m = BETA1 m + (1 - BETA1) g and v = BETA2 v + (1 - BETA2) g g
+        m *= BETA1
+        np.multiply(1.0 - BETA1, g, out=a)
         m += a
-        v *= beta2
-        np.multiply(1.0 - beta2, g, out=a)
+        v *= BETA2
+        np.multiply(1.0 - BETA2, g, out=a)
         a *= g
         v += a
-        # p -= lr m_hat / (sqrt(v_hat) + eps)
-        np.divide(m, 1.0 - beta1 ** t, out=b)
+        # p -= lr m_hat / (sqrt(v_hat) + EPS)
+        np.divide(m, 1.0 - BETA1 ** t, out=b)
         np.multiply(lr, b, out=b)
-        np.divide(v, 1.0 - beta2 ** t, out=a)
+        np.divide(v, 1.0 - BETA2 ** t, out=a)
         np.sqrt(a, out=a)
-        a += eps
+        a += EPS
         b /= a
         p -= b
 
@@ -355,8 +355,8 @@ def _batch_loss(params, ctx, cfg, rng, users, pos_items, neg_items):
                 prior = rng.random((len(touched), cfg.d))
             else:
                 prior = rng.standard_normal((len(touched), cfg.d))
-            bw = cfg.mmd_bandwidth or ls.median_bandwidth(gen.value, prior)
-            terms["ddl"] = ls.mmd_loss(gen, tape.constant(prior), bw)
+            terms["ddl"] = ls.mmd_loss(gen, tape.constant(prior),
+                                       ls.median_bandwidth(gen.value, prior))
 
         reg = ls.l2_reg(dc.gather(leaves["base_embedding"], touched),
                         cfg.reg_coeff)

@@ -10,6 +10,7 @@ fetch it.  Everything else runs on synthetic instances.
 import os
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -134,9 +135,6 @@ def _gradcheck_instance(ddl):
     cfg = TrainConfig()
     cfg.d, cfg.h, cfg.L, cfg.gamma, cfg.batch_size = 4, 4, 2, 1.0, 64
     cfg.ddl = ddl
-    # the adaptive bandwidth heuristic is treated as a constant, so a
-    # fixed value keeps finite differences comparable
-    cfg.mmd_bandwidth = 1.3
     cfg.validate()
     ctx = build_context(data, cfg)
     params = init_params(5, 6, cfg.d, cfg.h, seed=3)
@@ -155,7 +153,10 @@ def _gradcheck_instance(ddl):
         return total.value[0, 0], grads
 
     point = {k: v.copy() for k, v in params.param_arrays().items()}
-    return dc.check_gradients(f, point, h=1e-5)
+    # the adaptive bandwidth heuristic is treated as a constant, so a
+    # fixed value keeps finite differences comparable
+    with mock.patch.object(ls, "median_bandwidth", return_value=1.3):
+        return dc.check_gradients(f, point, h=1e-5)
 
 
 def test_criterion_04_joint_loss_gradient_oracle():

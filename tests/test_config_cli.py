@@ -98,7 +98,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("pair", ["neg_per_pos=3", "noise.s_fixed=0.2",
                                       "cl.normalize=false",
                                       "eval.noise=mean", "noise.scale=stddev",
-                                      "kl.formula=paper"])
+                                      "kl.formula=paper", "mmd.bandwidth=1.3"])
     def test_retired_key_is_unknown(self, config_file, tmp_path, capsys, pair):
         code = run_cli("train", "--config", str(config_file), "--set", pair,
                        "--out", str(tmp_path / "out"))
@@ -107,7 +107,8 @@ class TestExitCodes:
         assert f"unknown config key: {key}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("line", ["noise.scale = variance",
-                                      "kl.formula = standard"])
+                                      "kl.formula = standard",
+                                      "mmd.bandwidth = 0.0"])
     def test_retired_key_in_config_file_is_unknown(self, config_file,
                                                    tmp_path, capsys, line):
         config_file.write_text(config_file.read_text() + line + "\n")
