@@ -30,11 +30,12 @@ and its caller, as in ``backward: _accum from infonce.<locals>.bw``.
 An array allocated and freed between two returns is missed.  A train
 step's phases are ``forward``, ``backward`` from the call of
 ``diffcore.backward`` and ``after backward`` from its return; it adds
-the live heap as its backward sweep starts and its highest value over
-the step.  Both include the 16.5 MB copy of the initial embeddings
-that ``Training`` keeps for its final check, as the benchmark's
-process does.  An evaluation's phases are its stages
-``eval_embeddings``, ``rank_topk`` and ``topk_metrics``; it adds the
+the live heap as its backward sweep starts, its highest value over the
+step and the highest values in the forward and the backward phase.  Both
+include the 16.5 MB copy of the initial embeddings that ``Training``
+keeps for its final check, as the benchmark's process does.  An
+evaluation's phases are its stages ``eval_embeddings``, ``rank_topk``
+and ``topk_metrics``; it adds the
 CPU seconds spent in each and, for each, the RSS and the live heap
 before its first call and its highest live heap.  The hook adds about
 0.01 s to the 0.35-0.44 s of CPU an evaluation takes and 0.02-0.04 s
@@ -188,10 +189,14 @@ def train_steps(runner, count):
     sampler = Sampler({"backward": diffcore.backward}, "forward")
     for j, row in sampled(runner, count, sampler):
         heap, at = max(sampler.peak.values(), default=(None, None))
-        yield {"step": j, **row,
+        row = {"step": j, **row,
                "heap_at_backward_mb": sampler.before.get(
                    "backward", (None, None))[1],
                "heap_peak_mb": heap, "heap_peak_at": at}
+        for phase in ("forward", "backward"):
+            peak = sampler.peak.get(phase, (None, None))
+            row[f"heap_{phase}_peak_mb"], row[f"heap_{phase}_peak_at"] = peak
+        yield row
 
 
 EVAL_STAGES = ("eval_embeddings", "rank_topk", "topk_metrics")

@@ -22,15 +22,41 @@ reads once it is built, as the reparameterized noise sample's can,
 stays generic.  :func:`spmm` takes a scipy CSR matrix as it is and
 multiplies by its transpose view in the backward pass.  Row and column
 slices are views of their parent's value, and :func:`gather` can lend
-one gather's value to a second gather of the same rows.  A node whose
-value no backward pass reads may drop it (value None) once it is
-built.  A node records its shape when it is built, so the backward
-passes that read only a parent's shape, those of :func:`gather`, the
-slices and the reductions, work on a dropped value.  :func:`backward`
-empties the tape it swept, so a step's values are freed when its last
-user lets go of them rather than at the next garbage collection.
-Gradients are validated against central finite differences by
-:func:`check_gradients`.
+one gather's value to a second gather of the same rows.
+
+What a node keeps: its value, its shape, and what its backward closure
+holds (``exp`` its output, ``gelu`` its cdf, ``rownorm`` and
+``inject_spmm`` their inverse norms, ``mlp3`` its hidden activations and
+slopes, ``infonce`` its row shifts and sums).  Each primitive declares
+which values its backward pass reads: ``Node.reads`` names the parents
+whose values it reads, and ``Node.reads_own`` says whether it reads its
+own, as ``exp`` does; a product reads an operand's value only where the
+other operand needs a gradient.  :func:`release` drops the value (value
+None) of each node it is given that no declaration of a node recorded so
+far names, apart from leaves and constants; the caller gives only nodes
+whose values no later forward node reads.  A node records its shape when
+it is built, so the backward passes that read only a parent's shape,
+those of :func:`gather`, the slices and the reductions, work on a
+dropped value.  A dropped ``add`` or ``mul`` value that a backward pass
+reads is computed again from its parents' values with the forward
+operation (:func:`_value`), which :func:`inject_spmm` does for a noise
+sample its caller dropped.
+
+:func:`gather`'s backward pass adds its rows' gradient into the
+parent's own gradient buffer in place (a first gradient is a zero array
+with the rows placed), with no full-height array of zeros beside it;
+repeated indices are summed from zero first, in index order, as
+``np.add.at`` sums them.  Its bits equal the zeros-and-add form's, save
+one sign: where the parent's gradient already holds -0.0 in a row no
+index names, adding that row's zero gave +0.0 and the scatter keeps
+-0.0.  A zero's sign reaches neither a parameter nor Adam's moments:
+the first moment starts at +0.0, +0.0 + -0.0 is +0.0, and the second
+adds g * g.
+
+:func:`backward` empties the tape it swept, so a step's values are freed
+when its last user lets go of them rather than at the next garbage
+collection.  Gradients are validated against central finite differences
+by :func:`check_gradients`.
 """
 
 import numpy as np
@@ -64,12 +90,13 @@ __all__ = [
     "square",
     "badd_row",
     "badd_col",
+    "release",
     "backward",
     "check_gradients",
 ]
 
 ROWNORM_EPS = 1e-12
-# rows per tile of mlp3's forward pass
+# rows per tile of mlp3's forward pass and of the rownorm gradient
 MLP_TILE_ROWS = 512
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
@@ -94,10 +121,11 @@ class Node:
     """One value in the recorded computation, with its gradient slot."""
 
     __slots__ = ("tape", "value", "shape", "grad", "op", "parents",
-                 "needs_grad", "name", "_backward", "_grad_owned")
+                 "needs_grad", "name", "reads", "reads_own", "_backward",
+                 "_grad_owned")
 
     def __init__(self, tape, value, op, parents, needs_grad,
-                 backward_fn=None, name=None):
+                 backward_fn=None, name=None, reads=(), reads_own=False):
         self.tape = tape
         self.value = value
         # kept apart from the value, which a node may drop once built
@@ -107,6 +135,10 @@ class Node:
         self.parents = parents
         self.needs_grad = needs_grad
         self.name = name
+        # the parents whose values the backward pass reads, and whether
+        # it reads the node's own
+        self.reads = reads
+        self.reads_own = reads_own
         self._backward = backward_fn
         self._grad_owned = False
         tape.nodes.append(self)
@@ -167,11 +199,23 @@ def _owned_grad(node):
     return node.grad
 
 
-def _op(op, parents, value, backward_fn):
+def _op(op, parents, value, backward_fn, reads=(), reads_own=False):
+    """A new node.  ``reads`` and ``reads_own`` declare the values its
+    backward pass reads: those of the parents in ``reads``, and its own
+    when ``reads_own`` is set.  A node without a backward pass reads
+    none."""
     tape = _tape_of(*parents)
     needs = any(p.needs_grad for p in parents)
-    return Node(tape, value, op, tuple(parents), needs,
-                backward_fn if needs else None)
+    if not needs:
+        backward_fn, reads, reads_own = None, (), False
+    return Node(tape, value, op, tuple(parents), needs, backward_fn,
+                reads=tuple(reads), reads_own=reads_own)
+
+
+def _crossed(a, b):
+    """The values a product of ``a`` and ``b`` reads backward: each
+    operand's where the other needs a gradient."""
+    return tuple(p for p, q in ((a, b), (b, a)) if q.needs_grad)
 
 
 def _require(cond, op, detail):
@@ -205,7 +249,7 @@ def matmul(a, b, trans_b=False):
             if b.needs_grad:
                 _accum(b, a.value.T @ g, owned=True)
 
-    return _op("matmul", (a, b), value, bw)
+    return _op("matmul", (a, b), value, bw, reads=_crossed(a, b))
 
 
 def spmm(op, x):
@@ -259,7 +303,7 @@ def mul(a, b):
         if b.needs_grad:
             _accum(b, g * a.value, owned=True)
 
-    return _op("mul", (a, b), a.value * b.value, bw)
+    return _op("mul", (a, b), a.value * b.value, bw, reads=_crossed(a, b))
 
 
 def scale(x, c):
@@ -284,7 +328,7 @@ def square(x):
     def bw(g):
         _accum(x, g * (2.0 * x.value), owned=True)
 
-    return _op("square", (x,), x.value * x.value, bw)
+    return _op("square", (x,), x.value * x.value, bw, reads=(x,))
 
 
 def exp(x):
@@ -293,7 +337,7 @@ def exp(x):
     def bw(g):
         _accum(x, g * value, owned=True)
 
-    return _op("exp", (x,), value, bw)
+    return _op("exp", (x,), value, bw, reads_own=True)
 
 
 def softplus(x):
@@ -302,7 +346,7 @@ def softplus(x):
     def bw(g):
         _accum(x, g * expit(x.value), owned=True)
 
-    return _op("softplus", (x,), value, bw)
+    return _op("softplus", (x,), value, bw, reads=(x,))
 
 
 def _gelu_cdf(a):
@@ -335,7 +379,7 @@ def gelu(x):
     def bw(g):
         _accum(x, g * _gelu_slope(x.value, cdf), owned=True)
 
-    return _op("gelu", (x,), x.value * cdf, bw)
+    return _op("gelu", (x,), x.value * cdf, bw, reads=(x,))
 
 
 def _row_tiles(rows):
@@ -429,7 +473,10 @@ def mlp3(x, w1, b1, w2, b2, w3, b3):
         if x.needs_grad:
             _accum(x, rows_times(g, w1.value.T), owned=True)
 
-    return _op("mlp3", (x, w1, b1, w2, b2, w3, b3), value, bw)
+    # the weights every product with a transposed weight reads, and the
+    # input that w1's gradient reads
+    reads = (w2, w3) + (w1,) * x.needs_grad + (x,) * w1.needs_grad
+    return _op("mlp3", (x, w1, b1, w2, b2, w3, b3), value, bw, reads=reads)
 
 
 # ----------------------------------------------------- rows and columns
@@ -442,10 +489,16 @@ def _inv_norms(x):
 
 
 def _rownorm_grad(g, x, inv):
-    # d(x/|x|) = g/|x| - x (g.x)/|x|^3; inv is zero on guarded rows so
-    # both terms vanish there.
-    dot = np.sum(g * x, axis=1, keepdims=True)
-    return g * inv - x * (dot * inv ** 3)
+    """d(x/|x|) = g/|x| - x (g.x)/|x|^3; inv is zero on guarded rows so
+    both terms vanish there.  Every operation is row-local, so it runs
+    in the row tiles of :func:`_row_tiles` with the whole block's bits,
+    and only a tile's temporaries are alive beside the result."""
+    out = np.empty(g.shape)
+    for rows in _row_tiles(g.shape[0]):
+        g_t, x_t, inv_t = g[rows], x[rows], inv[rows]
+        dot = np.sum(g_t * x_t, axis=1, keepdims=True)
+        np.subtract(g_t * inv_t, x_t * (dot * inv_t ** 3), out=out[rows])
+    return out
 
 
 def rownorm(x):
@@ -456,7 +509,19 @@ def rownorm(x):
     def bw(g):
         _accum(x, _rownorm_grad(g, x.value, inv), owned=True)
 
-    return _op("rownorm", (x,), x.value * inv, bw)
+    return _op("rownorm", (x,), x.value * inv, bw, reads=(x,))
+
+
+def _value(node):
+    """The node's value; a dropped ``add`` or ``mul`` value is computed
+    again from its parents' with the forward pass's operation, so it has
+    the same bits."""
+    if node.value is not None:
+        return node.value
+    forward = {"add": np.add, "mul": np.multiply}.get(node.op)
+    if forward is None:
+        raise ValueError(f"the value of a {node.op} node was dropped")
+    return forward(*(_value(p) for p in node.parents))
 
 
 def gather(x, indices, share=None):
@@ -478,17 +543,25 @@ def gather(x, indices, share=None):
                  f"a {share.op} node of shape {share.shape} is no gather "
                  f"of {len(idx)} rows of this parent")
         value = share.value
-    # strictly increasing indices name each row at most once, so the
-    # backward pass can assign instead of accumulating
+    # strictly increasing indices name each row at most once, so their
+    # gradient rows need no summing
     distinct = bool(np.all(idx[1:] > idx[:-1]))
 
     def bw(g):
-        gx = np.zeros(x.shape)
-        if distinct:
-            gx[idx] = g
+        rows = idx
+        if not distinct:
+            # each row's pieces summed from zero in index order, as
+            # np.add.at sums them
+            rows, where = np.unique(idx, return_inverse=True)
+            summed = np.zeros((len(rows), g.shape[1]))
+            np.add.at(summed, where, g)
+            g = summed
+        first = x.grad is None
+        gx = _owned_grad(x)
+        if first:
+            gx[rows] = g
         else:
-            np.add.at(gx, idx, g)
-        _accum(x, gx, owned=True)
+            gx[rows] += g
 
     return _op("gather", (x,), value, bw)
 
@@ -601,9 +674,10 @@ def inject_spmm(op, z, x):
         if z.needs_grad:
             _accum(z, g, owned=False)
         if x.needs_grad:
-            _accum(x, _rownorm_grad(g, x.value, inv), owned=True)
+            _accum(x, _rownorm_grad(g, _value(x), inv), owned=True)
 
-    return _op("inject_spmm", (z, x), value, bw)
+    return _op("inject_spmm", (z, x), value, bw,
+               reads=(x,) if x.needs_grad else ())
 
 
 def kl_normal(mu, sigma2):
@@ -634,7 +708,8 @@ def kl_normal(mu, sigma2):
             gmu *= c
             _accum(mu, gmu, owned=True)
 
-    return _op("kl_normal", (mu, sigma2), value, bw)
+    return _op("kl_normal", (mu, sigma2), value, bw,
+               reads=(p for p in (sigma2, mu) if p.needs_grad))
 
 
 def infonce(a, b, tau):
@@ -691,10 +766,29 @@ def infonce(a, b, tau):
         if b.needs_grad:
             _accum(b, g_logits.T @ a.value, owned=True)
 
-    return _op("infonce", (a, b), value, bw)
+    return _op("infonce", (a, b), value, bw, reads=(a, b))
 
 
 # -------------------------------------------------------------- backward
+
+
+def release(nodes):
+    """Drop the value of each of ``nodes`` that no backward pass on its
+    tape reads, by the declarations of the nodes recorded so far; leaves
+    and constants keep theirs.  The caller names only nodes whose values
+    no later forward node reads."""
+    nodes = list(nodes)
+    if not nodes:
+        return
+    read = set()
+    for node in nodes[0].tape.nodes:
+        if node._backward is not None:
+            read.update(node.reads)
+            if node.reads_own:
+                read.add(node)
+    for node in nodes:
+        if node.op not in ("leaf", "constant") and node not in read:
+            node.value = None
 
 
 def backward(loss):

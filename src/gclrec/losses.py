@@ -106,17 +106,17 @@ def median_bandwidth(x_values, y_values):
 def _pairwise_sq_dists(a, b, sq_a, sq_b):
     # ||x - y||^2 = |x|^2 + |y|^2 - 2 x.y; the (1, B) row of squared norms
     # comes from a 1x1-times-transpose product, keeping gradients intact.
-    # No backward pass reads a B x B value here, so each is dropped once
+    # No backward pass reads a B x B value here, so each is released once
     # the node that reads it is built.
     tape = a.tape
     one = tape.constant(np.ones((1, 1)))
     dots = dc.matmul(a, b, trans_b=True)
     cross = dc.scale(dots, -2.0)
-    dots.value = None
+    dc.release((dots,))
     with_rows = dc.badd_col(cross, sq_a)
-    cross.value = None
+    dc.release((cross,))
     dists = dc.badd_row(with_rows, dc.matmul(one, sq_b, trans_b=True))
-    with_rows.value = None
+    dc.release((with_rows,))
     return dists
 
 
@@ -140,9 +140,9 @@ def mmd_loss(gen_samples, prior_samples, bandwidth):
         # of the kernel's B x B values, only exp's is read backward
         dists = _pairwise_sq_dists(a, b, sq_a, sq_b)
         scaled = dc.scale(dists, coeff)
-        dists.value = None
+        dc.release((dists,))
         kernel = dc.exp(scaled)
-        scaled.value = None
+        dc.release((scaled,))
         return dc.reduce_mean(kernel)
 
     k_xx = kernel_mean(x, x, sq_x, sq_x)

@@ -12,14 +12,24 @@ excluded.
 
 A noise block builds its sample from the generator output [mu |
 log-variance] out of generic nodes, mu + sigma^2 * epsilon with sigma^2 =
-exp(log-variance), and then drops every value no backward pass reads:
-the product sigma^2 * epsilon, the log-variance view and the generator
-output, and mu unless its sigma^2 is read.  Each layer adds the sample,
-row-normalized, to its input and propagates the sum as one
-:func:`diffcore.inject_spmm` node, which keeps no noisy input.  The
-first user-item block, when the KL term reads its sigma^2, keeps its mu
-and sigma^2 nodes for that term; it copies mu into an array of its own,
-so that the 2d-wide generator output can go.
+exp(log-variance), and then releases every value no backward pass reads
+(:func:`diffcore.release`): the product sigma^2 * epsilon, the
+log-variance view and the generator output, and mu unless its sigma^2
+is read.  Each layer adds the sample, row-normalized, to its input and
+propagates the sum as one :func:`diffcore.inject_spmm` node, which keeps
+no noisy input.  The first user-item block, when the KL term reads its
+sigma^2, keeps its mu and sigma^2 nodes for that term; it copies mu into
+an array of its own, so that the 2d-wide generator output can go.
+
+That block's (m+n) x d sample is rebuilt rather than kept when it is
+gaussian and its mu and sigma^2 are kept: once layer 1's product and the
+terms built beside it (``ui1_terms``, see below) have read it, its value
+is dropped, and layer 1's backward pass computes it again as mu +
+sigma^2 * epsilon from the nodes the KL term keeps, with the forward
+pass's operations in its order, so it has the same bits.  Where sigma^2
+is not kept (the MMD term), the sample is a GELU (the uniform
+distribution) or there is no generator (mode random), it keeps its
+value.
 
 A training step builds the two terms that read the first user-item
 block, the reconstruction term and the KL term, through :func:`encode`'s
@@ -229,12 +239,11 @@ def generate_noise(tape, z_prev, leaves, eps, settings, sigma2=True):
         if sigma2:
             # mu gets a buffer of its own, so the 2d-wide output can go
             mu.value = mu.value.copy()
-        else:
-            mu.value = None
+        # no backward pass reads the output, the log-variance, the product
+        # or, unless its sigma^2 is read, mu
+        dc.release((out, logvar, spread) + (() if sigma2 else (mu,)))
+        if not sigma2:
             mu = var = None
-        # no backward pass reads these: mul's reads sigma^2 and epsilon,
-        # add's and the slices' only shapes
-        spread.value = logvar.value = out.value = None
     else:  # random: zero mean, fixed sigma^2, nothing to learn
         mu = var = None
         sample = dc.scale(tape.constant(eps), _RANDOM_VARIANCE)
@@ -347,7 +356,8 @@ def encode(tape, leaves, ui_op, comp_op, num_users, num_items, num_layers,
     keeps its mu and sigma^2 nodes (see :func:`generate_noise`).
     ``ui1_terms``, when given, builds the terms that read that block: it
     is called with the block right after layer 1's product, before any
-    layer-2 node.
+    layer-2 node, and is the last forward reader of the block's sample,
+    which it may drop (see the module docstring).
 
     Each (channel, layer) draws its epsilon from ``rng`` at full height,
     m+n rows for "ui" and n for "comp", user-item layers first, whether
@@ -373,14 +383,13 @@ def encode(tape, leaves, ui_op, comp_op, num_users, num_items, num_layers,
         # node of its own, sharing one value, and the rows read of each
         # layer are gathered after the loop: the backward sweep then adds
         # a row's gradients in the order the full-height encoder does
-        layers, generator_inputs = [], set()
+        layers = []
         for k, (op, reads, take, _) in enumerate(plan, start=1):
             block = source = None
             if settings.mode != "none":
                 eps = draw(height) if reads is None else draw(height)[reads]
                 if settings.mode == "generative":
                     source = taken(z, take)
-                    generator_inputs.add(source)
                 block = generate_noise(
                     tape, source, leaves, eps, settings,
                     sigma2=sigma2 and (channel, k) == ("ui", 1))
@@ -388,14 +397,17 @@ def encode(tape, leaves, ui_op, comp_op, num_users, num_items, num_layers,
             z = propagate(op, taken(z, take, share=source), block)
             if (channel, k) == ("ui", 1) and ui1_terms is not None:
                 ui1_terms(block)
+                if (block.sigma2 is not None
+                        and settings.distribution == "gaussian"):
+                    # no forward node reads the sample from here on, and
+                    # layer 1's backward pass rebuilds it from mu, sigma^2
+                    # and epsilon, which the KL term keeps
+                    block.sample.value = None
             layers.append(z)
         kept = [taken(z, keep) for z, (*_, keep) in zip(layers, plan)]
-        for z, out in zip(layers, kept):
-            # once its rows are copied out, a layer is read again only by
-            # a generator that takes it whole: mlp3's backward reads its
-            # input
-            if out is not z and z not in generator_inputs:
-                z.value = None
+        # once its rows are copied out, a layer is read again only by a
+        # generator that takes it whole: mlp3's backward reads its input
+        dc.release(z for z, out in zip(layers, kept) if out is not z)
         return kept
 
     ui_layers = run_channel(

@@ -305,6 +305,18 @@ def _batch_loss(params, ctx, cfg, rng, users, pos_items, neg_items):
     reconstruction's gathers, then the MMD gather.  The MMD term and its
     prior draw stay after the encoder, so the random stream does not
     move.
+
+    Right before the contrastive term is built, every value that no
+    backward pass reads is released (:func:`diffcore.release`), apart
+    from the contrastive views and the (1, 1) terms that
+    :func:`losses.joint_loss` reads: the partial sums of the layer
+    averages, the kept layers and the averages once they are gathered,
+    and the products read only by a reduction.  InfoNCE's forward
+    transients then sit on a smaller heap.  Under the KL term with the
+    gaussian sample (the default), the first user-item block's sample is
+    dropped after the reconstruction's gathers and rebuilt by layer 1's
+    backward pass from mu, sigma^2 and epsilon (see :mod:`model`); under
+    the MMD term, the uniform sample or mode random it keeps its value.
     """
     m, n = ctx.num_users, ctx.num_items
     u_idx = np.asarray(users, dtype=np.int64)
@@ -362,7 +374,7 @@ def _batch_loss(params, ctx, cfg, rng, users, pos_items, neg_items):
                         cfg.reg_coeff)
 
         # built last, so the sweep meets it first
-        cl = None
+        cl, cl_views = None, ()
         if cfg.lambda_ > 0:
             uu = np.unique(u_idx)
             ii = np.unique(p_idx)
@@ -372,10 +384,16 @@ def _batch_loss(params, ctx, cfg, rng, users, pos_items, neg_items):
                 return tuple(dc.gather(out.view(sel, cls), idx)
                              for sel in views_read)
 
-            comp_views = (views("comp", ii) if ctx.comp_op is not None
-                          else None)
-            cl = ls.multi_pair_cl(views("user", uu), views("item", ii),
-                                  comp_views, cfg.tau)
+            cl_views = (views("user", uu), views("item", ii),
+                        views("comp", ii) if ctx.comp_op is not None
+                        else None)
+        # the contrastive term's forward transients sit on top of what the
+        # tape holds here, so what no backward pass reads goes first
+        keep = {rec, terms["recon"], terms["ddl"], reg}.union(
+            *(pair for pair in cl_views if pair is not None))
+        dc.release(n for n in tape.nodes if n not in keep)
+        if cl_views:
+            cl = ls.multi_pair_cl(*cl_views, cfg.tau)
 
         report, total = ls.joint_loss(rec, cl, terms["recon"], terms["ddl"],
                                       reg, cfg.lambda_)

@@ -180,7 +180,26 @@ def log(x):
     def bw(g):
         dc._accum(x, g / x.value, owned=True)
 
-    return dc._op("log", (x,), np.log(x.value), bw)
+    return dc._op("log", (x,), np.log(x.value), bw, reads=(x,))
+
+
+def gather_zeros_and_add(x, indices):
+    """:func:`diffcore.gather` with the backward pass it replaced: the
+    rows' gradient placed in a full-height array of zeros (summed there
+    with np.add.at where an index repeats), which is then accumulated
+    into the parent's gradient."""
+    idx = np.asarray(indices, dtype=np.int64)
+    distinct = bool(np.all(idx[1:] > idx[:-1]))
+
+    def bw(g):
+        gx = np.zeros(x.shape)
+        if distinct:
+            gx[idx] = g
+        else:
+            np.add.at(gx, idx, g)
+        dc._accum(x, gx, owned=True)
+
+    return dc._op("gather", (x,), x.value[idx], bw)
 
 
 def infonce_composite(view_a, view_b, tau):

@@ -13,9 +13,11 @@ from gclrec.diffcore import (
     check_gradients,
 )
 from gclrec.graphs import build_complement, build_interaction_matrix
+from gclrec.trainer import AdamState, adam_step
 
 from conftest import random_interactions
 from oracles import (
+    gather_zeros_and_add,
     infonce_composite,
     inject_spmm_composite,
     kl_normal_composite,
@@ -489,6 +491,55 @@ class TestSlicesAndScatter:
         np.add.at(want, np.asarray(idx, dtype=np.int64), g)
         assert np.array_equal(grads["x"], want)
 
+    @pytest.mark.parametrize("before", ["none", "owned", "pass-through"])
+    @pytest.mark.parametrize("idx", [[0, 2, 3, 5], [5, 2, 0],
+                                     [3, 1, 3, 0, 1]],
+                             ids=["increasing", "decreasing", "repeats"])
+    def test_gather_backward_equals_zeros_and_add(self, idx, before):
+        # the parent holds no gradient, an owned one or a pass-through one
+        # when the gather's backward pass adds its rows; that gradient is
+        # -0.0 in two entries of row 4, which no index names
+        w = rand((6, 3), 67)
+        w[4, 0] = w[4, 2] = -0.0
+        w[2, 1] = 0.0
+
+        def grads(gather):
+            t = Tape()
+            x = t.leaf(rand((6, 3), 65), name="x")
+            term = dc.reduce_sum(dc.mul(gather(x, idx), t.constant(
+                zero_signed(rand((len(idx), 3), 66)))))
+            if before == "owned":
+                later = dc.mul(x, t.constant(w))
+            elif before == "pass-through":
+                later = dc.mul(dc.add(x, t.constant(w)), t.constant(w))
+            else:
+                return backward(term)["x"]
+            return backward(dc.add(term, dc.reduce_sum(later)))["x"]
+
+        got, want = grads(dc.gather), grads(gather_zeros_and_add)
+        assert np.array_equal(got, want)
+        # adding a row of zeros turned a -0.0 into +0.0; the scatter
+        # leaves the rows no index names as they were
+        flipped = np.signbit(got) != np.signbit(want)
+        if before == "none":
+            assert not flipped.any()
+        else:
+            assert sorted(zip(*np.nonzero(flipped))) == [(4, 0), (4, 2)]
+            assert np.signbit(got[flipped]).all()
+
+            # a zero's sign reaches neither a parameter nor Adam's moments:
+            # m starts at +0.0, +0.0 + -0.0 is +0.0, and v adds g * g
+            def adam(g, steps):
+                p, state = {"x": rand((6, 3), 68)}, AdamState()
+                for grad in steps:
+                    adam_step(p, {"x": grad}, state)
+                adam_step(p, {"x": g}, state)
+                return p["x"], state.m["x"], state.v["x"]
+
+            for steps in ([], [rand((6, 3), 69)]):
+                for a, b in zip(adam(got, steps), adam(want, steps)):
+                    assert a.tobytes() == b.tobytes()
+
     def test_backward_empties_the_tape(self):
         t = Tape()
         x = t.leaf(rand((2, 2), 63), name="x")
@@ -529,6 +580,196 @@ class TestDroppedValues:
             return backward(loss)["x"]
 
         assert np.array_equal(run(drop=True), run(drop=False))
+
+
+def declared(tape):
+    """The nodes whose values some backward pass on ``tape`` reads, by
+    the nodes' declarations."""
+    read = set()
+    for node in tape.nodes:
+        if node._backward is not None:
+            read.update(node.reads)
+            if node.reads_own:
+                read.add(node)
+    return read
+
+
+POSITIVE = np.exp(rand((5, 3), 140))
+
+# primitive case -> (leaf arrays, build(tape, leaves)); a constant input
+# needs no gradient, which changes what a product reads
+DECLARED_CASES = {
+    "matmul": ({"a": rand((3, 4), 141), "b": rand((4, 2), 142)},
+               lambda t, lv: dc.matmul(lv["a"], lv["b"])),
+    "matmul trans_b": ({"a": rand((3, 4), 143), "b": rand((2, 4), 144)},
+                       lambda t, lv: dc.matmul(lv["a"], lv["b"],
+                                               trans_b=True)),
+    "matmul constant": ({"b": rand((4, 2), 145)},
+                        lambda t, lv: dc.matmul(t.constant(rand((3, 4), 146)),
+                                                lv["b"])),
+    "spmm": ({"x": rand((5, 4), 147)}, lambda t, lv: dc.spmm(OP, lv["x"])),
+    "add": ({"a": rand((3, 2), 148), "b": rand((3, 2), 149)},
+            lambda t, lv: dc.add(lv["a"], lv["b"])),
+    "sub": ({"a": rand((3, 2), 150), "b": rand((3, 2), 151)},
+            lambda t, lv: dc.sub(lv["a"], lv["b"])),
+    "mul": ({"a": rand((3, 2), 152), "b": rand((3, 2), 153)},
+            lambda t, lv: dc.mul(lv["a"], lv["b"])),
+    "mul constant": ({"a": rand((3, 2), 154)},
+                     lambda t, lv: dc.mul(lv["a"], t.constant(
+                         rand((3, 2), 155)))),
+    "scale": ({"x": rand((3, 2), 156)}, lambda t, lv: dc.scale(lv["x"], -3.0)),
+    "mean_of": ({"a": rand((3, 2), 157), "b": rand((3, 2), 158)},
+                lambda t, lv: dc.mean_of([lv["a"], lv["b"], lv["a"]])),
+    "square": ({"x": rand((3, 2), 159)}, lambda t, lv: dc.square(lv["x"])),
+    "exp": ({"x": rand((3, 2), 160)}, lambda t, lv: dc.exp(lv["x"])),
+    "softplus": ({"x": rand((3, 2), 161)},
+                 lambda t, lv: dc.softplus(lv["x"])),
+    "gelu": ({"x": rand((3, 2), 162)}, lambda t, lv: dc.gelu(lv["x"])),
+    "mlp3": (mlp_arrays(163),
+             lambda t, lv: dc.mlp3(*(lv[k] for k in MLP_NAMES))),
+    "mlp3 constant input": (
+        {k: v for k, v in mlp_arrays(164).items() if k != "x"},
+        lambda t, lv: dc.mlp3(t.constant(rand((6, 3), 165)),
+                              *(lv[k] for k in MLP_NAMES[1:]))),
+    "rownorm": ({"x": with_zero_row(rand((4, 3), 166))},
+                lambda t, lv: dc.rownorm(lv["x"])),
+    "gather": ({"x": rand((5, 2), 167)},
+               lambda t, lv: dc.gather(lv["x"], [0, 3, 4])),
+    "gather repeats": ({"x": rand((5, 2), 168)},
+                       lambda t, lv: dc.gather(lv["x"], [3, 0, 3])),
+    "row_slice": ({"x": rand((5, 2), 169)},
+                  lambda t, lv: dc.row_slice(lv["x"], 1, 4)),
+    "col_slice": ({"x": rand((2, 5), 170)},
+                  lambda t, lv: dc.col_slice(lv["x"], 1, 4)),
+    "reduce_sum": ({"x": rand((3, 2), 171)},
+                   lambda t, lv: dc.reduce_sum(lv["x"])),
+    "reduce_mean 0": ({"x": rand((3, 2), 172)},
+                      lambda t, lv: dc.reduce_mean(lv["x"], axis=0)),
+    "reduce_sum 1": ({"x": rand((3, 2), 173)},
+                     lambda t, lv: dc.reduce_sum(lv["x"], axis=1)),
+    "badd_row": ({"x": rand((3, 2), 174), "r": rand((1, 2), 175)},
+                 lambda t, lv: dc.badd_row(lv["x"], lv["r"])),
+    "badd_col": ({"x": rand((3, 2), 176), "c": rand((3, 1), 177)},
+                 lambda t, lv: dc.badd_col(lv["x"], lv["c"])),
+    "inject_spmm": ({"z": rand((5, 4), 178), "x": rand((5, 4), 179)},
+                    lambda t, lv: dc.inject_spmm(OP, lv["z"], lv["x"])),
+    "inject_spmm constant noise": (
+        {"z": rand((5, 4), 180)},
+        lambda t, lv: dc.inject_spmm(OP, lv["z"], t.constant(
+            rand((5, 4), 181)))),
+    "kl_normal": ({"mu": rand((5, 3), 182), "s": POSITIVE},
+                  lambda t, lv: dc.kl_normal(lv["mu"], lv["s"])),
+    "kl_normal constant mu": (
+        {"s": POSITIVE},
+        lambda t, lv: dc.kl_normal(t.constant(rand((5, 3), 183)), lv["s"])),
+    "infonce": ({"a": rand((5, 3), 184), "b": rand((5, 3), 185)},
+                lambda t, lv: dc.infonce(lv["a"], lv["b"], 0.2)),
+}
+
+
+class TestDeclaredReads:
+    """Each primitive declares the values its backward pass reads: the
+    release drops every other value, and no declared value is spare."""
+
+    @staticmethod
+    def grads(case, drop):
+        """The case's gradients, with the values of the nodes ``drop(tape,
+        loss)`` lists dropped before the backward pass."""
+        arrays, build = DECLARED_CASES[case]
+        t = Tape()
+        lv = {k: t.leaf(v, name=k) for k, v in arrays.items()}
+        out = build(t, lv)
+        loss = dc.reduce_sum(dc.mul(out, t.constant(
+            zero_signed(rand(out.shape, 186)))))
+        for node in drop(t, loss):
+            node.value = None
+        return backward(loss)
+
+    @pytest.mark.parametrize("case", DECLARED_CASES)
+    def test_gradients_read_only_declared_values(self, case):
+        want = self.grads(case, lambda t, loss: [])
+        # leaves and constants too; backward itself reads the loss's
+        got = self.grads(case, lambda t, loss: [
+            n for n in t.nodes if n not in declared(t) | {loss}])
+        assert sorted(got) == sorted(want)
+        for name in want:
+            assert_same_bits(got[name], want[name])
+
+    @pytest.mark.parametrize("case", DECLARED_CASES)
+    def test_every_declared_parent_value_is_read(self, case):
+        # exp's own value, the one value read that is no parent's, is
+        # also held by its backward closure
+        positions = []
+
+        def record(t, loss):
+            positions.extend(k for k, n in enumerate(t.nodes)
+                             if any(n in m.reads for m in t.nodes))
+            return []
+
+        self.grads(case, record)
+        for k in positions:
+            with pytest.raises((TypeError, AttributeError, ValueError)):
+                self.grads(case, lambda t, loss: [t.nodes[k]])
+
+    def test_release_drops_what_no_backward_pass_reads(self):
+        t = Tape()
+        x = t.leaf(rand((3, 2), 187), name="x")
+        c = t.constant(rand((3, 2), 188))
+        doubled = dc.scale(x, 2.0)
+        squared = dc.square(doubled)  # reads doubled
+        weighted = dc.mul(squared, c)  # reads c, not squared
+        kernel = dc.exp(weighted)  # reads its own value
+        fixed = dc.exp(dc.scale(c, 2.0))  # no backward pass
+        total = dc.reduce_sum(dc.add(kernel, fixed))
+        dc.release(t.nodes[:-1])
+        held = [n.op for n in t.nodes if n.value is not None]
+        assert held == ["leaf", "constant", "scale", "exp", "reduce_sum"]
+        assert kernel.value is not None and fixed.value is None
+        grads = backward(total)["x"]
+        want = 8.0 * x.value * c.value * np.exp(4.0 * x.value ** 2 * c.value)
+        np.testing.assert_allclose(grads, want, rtol=1e-14)
+
+    def test_a_dropped_sample_is_rebuilt_with_its_bits(self):
+        # the noise sample mu + sigma^2 * eps of a layer's inject_spmm;
+        # dropped with its product, the backward pass rebuilds it from mu,
+        # sigma^2 and eps
+        def run(drop):
+            t = Tape()
+            z = t.leaf(rand((5, 4), 189), name="z")
+            mu = t.leaf(rand((5, 4), 190), name="mu")
+            sigma2 = dc.exp(t.leaf(rand((5, 4), 191), name="ls"))
+            sample = sample_composite(mu, sigma2, zero_signed(rand((5, 4),
+                                                                   192)))
+            value = sample.value
+            out = dc.inject_spmm(OP, z, sample)
+            if drop:
+                sample.value = sample.parents[1].value = None
+                assert dc._value(sample).tobytes() == value.tobytes()
+            return backward(dc.reduce_sum(dc.mul(out, t.constant(
+                zero_signed(rand(out.shape, 193))))))
+
+        got, want = run(drop=True), run(drop=False)
+        for name in want:
+            assert_same_bits(got[name], want[name])
+        t = Tape()
+        node = dc.exp(t.leaf(rand((2, 2), 194)))
+        node.value = None
+        with pytest.raises(ValueError, match="exp node was dropped"):
+            dc._value(node)
+
+    T = dc.MLP_TILE_ROWS
+
+    @pytest.mark.parametrize("rows", [0, 1, 3, T - 1, T + 1, 2 * T + 7])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_rownorm_gradient_tiles_round_as_one_block(self, rows, order):
+        g = np.asarray(rand((rows, 64), 195), order=order)
+        x = rand((rows, 64), 196)
+        if rows > 2:
+            x[2] = 0.0  # a guarded row
+        inv = dc._inv_norms(x)
+        dot = np.sum(g * x, axis=1, keepdims=True)
+        want = g * inv - x * (dot * inv ** 3)
+        assert_same_bits(dc._rownorm_grad(g, x, inv), want)
 
 
 class TestSpmmBackward:

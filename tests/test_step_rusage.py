@@ -73,7 +73,9 @@ def test_two_steps_and_an_evaluation(capsys, script, toy, outer_profiler):
     assert sys.getprofile() is outer_profiler
 
     step_keys = {"step", *USAGE, "heap_at_backward_mb", "heap_peak_mb",
-                 "heap_peak_at"}
+                 "heap_peak_at", "heap_forward_peak_mb",
+                 "heap_forward_peak_at", "heap_backward_peak_mb",
+                 "heap_backward_peak_at"}
     assert [set(row) for row in steps[:-1]] == [step_keys] * 2
     assert [row["step"] for row in steps[:-1]] == [0, 1]
     eval_keys = {"evaluation", *USAGE,
@@ -91,6 +93,11 @@ def test_two_steps_and_an_evaluation(capsys, script, toy, outer_profiler):
                                              "backward)"),
                                 row["heap_peak_at"]), row["heap_peak_at"]
             assert row["heap_at_backward_mb"] > 0
+            for phase in ("forward", "backward"):
+                assert re.fullmatch(label.format(phase),
+                                    row[f"heap_{phase}_peak_at"])
+            assert row["heap_peak_mb"] >= max(row["heap_forward_peak_mb"],
+                                              row["heap_backward_peak_mb"])
         for name in script.EVAL_STAGES:
             assert re.fullmatch(label.format(name),
                                 evaluations[0][f"{name}_heap_peak_at"])

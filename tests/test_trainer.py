@@ -358,7 +358,10 @@ class TestTapeComposition:
     """A default step's forward tape holds only values its backward
     pass reads."""
 
-    def tape(self, monkeypatch, overrides=None):
+    @staticmethod
+    def run(overrides=None):
+        """The step's (report, total, gradients) and its user-item
+        height."""
         fold = toy_fold()
         cfg = tiny_config().apply_strings(overrides or {})
         ctx = build_context(fold.train, cfg)
@@ -367,6 +370,10 @@ class TestTapeComposition:
         # three pairs touch fewer rows than the user-item channel holds
         users, pos = fold.train.pairs[:3, 0], fold.train.pairs[:3, 1]
         neg = sample_negatives(ctx.R, users, 1, rng)
+        return (tr._batch_loss(params, ctx, cfg, rng, users, pos, neg),
+                ctx.num_users + ctx.num_items)
+
+    def tape(self, monkeypatch, overrides=None):
         seen, swept, original = [], [], dc.backward
 
         def record(node, fn):
@@ -385,8 +392,72 @@ class TestTapeComposition:
             return original(loss)
 
         monkeypatch.setattr(dc, "backward", spy)
-        tr._batch_loss(params, ctx, cfg, rng, users, pos, neg)
-        return seen, ctx.num_users + ctx.num_items, swept
+        _, height = self.run(overrides)
+        return seen, height, swept
+
+    def encoded(self, monkeypatch):
+        """The values the tape holds as the ranking term is built, after
+        the encoder and before the release that precedes the contrastive
+        term, and those it holds as the sweep starts."""
+        held, original = {}, tr.ls.bpr_loss
+
+        def spy(pos_scores, neg_scores):
+            held.update((n, n.value) for n in pos_scores.tape.nodes)
+            return original(pos_scores, neg_scores)
+
+        monkeypatch.setattr(tr.ls, "bpr_loss", spy)
+        seen, _, _ = self.tape(monkeypatch)
+        return held, dict(seen)
+
+    @pytest.mark.parametrize("overrides", [{}, {"ddl": "mmd"},
+                                           {"noise.mode": "random"}],
+                             ids=["default", "mmd", "random"])
+    def test_sweep_starts_with_only_values_backward_reads(self, monkeypatch,
+                                                          overrides):
+        seen, _, _ = self.tape(monkeypatch, overrides)
+        # what the nodes' backward passes read, by their declarations
+        read = set()
+        for node, _ in seen:
+            read.update(node.reads)
+            if node.reads_own:
+                read.add(node)
+        held = [node.op for node, value in seen
+                if value is not None and node.shape != (1, 1)
+                and node.op not in ("leaf", "constant") and node not in read]
+        assert held == []
+
+    @pytest.mark.parametrize("overrides, rebuilt", [
+        ({}, True), ({"ddl": "mmd"}, False),
+        ({"noise.distribution": "uniform"}, False)],
+        ids=["default", "mmd", "uniform"])
+    def test_layer1_sample_is_rebuilt_with_its_gradients(self, monkeypatch,
+                                                         overrides, rebuilt):
+        # the first user-item block's sample goes after the reconstruction
+        # gathers where the KL term keeps mu and sigma^2 and the sample is
+        # gaussian; given its value back, the sweep gives the same bits
+        samples, held, restore = [], [], False
+        recon, sweep = tr.reconstruct, dc.backward
+
+        def spy_recon(sample, *args):
+            samples.append((sample, sample.value.copy()))
+            return recon(sample, *args)
+
+        def spy_sweep(loss):
+            sample, value = samples[-1]
+            held.append(sample.value is not None)
+            if restore:
+                sample.value = value
+            return sweep(loss)
+
+        monkeypatch.setattr(tr, "reconstruct", spy_recon)
+        monkeypatch.setattr(dc, "backward", spy_sweep)
+        (*_, got), _ = self.run(overrides)
+        restore = True
+        (*_, want), _ = self.run(overrides)
+        assert held == [not rebuilt] * 2
+        assert sorted(got) == sorted(want)
+        for name in want:
+            assert got[name].tobytes() == want[name].tobytes(), name
 
     def test_no_full_height_elementwise_or_injection_nodes(self, monkeypatch):
         seen, height, _ = self.tape(monkeypatch)
@@ -417,18 +488,20 @@ class TestTapeComposition:
 
     def test_demand_step_drops_the_layers_it_gathered_from(self,
                                                            monkeypatch):
-        seen, _, _ = self.tape(monkeypatch)
-        values = dict(seen)
-        layers = [n for n, _ in seen if n.op == "inject_spmm"]
-        sources = {n.parents[0] for n, _ in seen if n.op == "gather"}
+        values, at_sweep = self.encoded(monkeypatch)
+        layers = [n for n in values if n.op == "inject_spmm"]
+        sources = {n.parents[0] for n in values if n.op == "gather"}
         gathered = [z for z in layers if z in sources]
         # layer 1 of each channel is copied out, to layer 2's gathers and
         # its kept rows, and dropped; layer 2 computes only the rows read
-        # and is itself the output
+        # and is itself the output, which the averages read
         assert len(layers) == 4 and len(gathered) == 2
         assert all(values[z] is None for z in gathered)
         assert all(values[z] is not None for z in layers
                    if z not in sources)
+        # no backward pass reads a product: the outputs go with the
+        # release before the contrastive term
+        assert all(at_sweep[z] is None for z in layers)
 
     def test_first_blocks_mu_owns_its_data(self, monkeypatch):
         seen, height, _ = self.tape(monkeypatch)
@@ -453,9 +526,12 @@ class TestTapeComposition:
         (shape,) = {n.shape for n in kernels}
         square = [(n.op, value is not None) for n, value in seen
                   if n.shape == shape and n.op != "leaf"]
-        # per kernel a matmul, a scale, badd_col, badd_row, a scale and exp
+        # per kernel a matmul, a scale, badd_col, badd_row, a scale and exp;
+        # the prior's y-y kernel has no backward pass, so its exp goes
+        # with the release before the contrastive term
         assert len(square) == 18
-        assert [op for op, held in square if held] == ["exp"] * 3
+        assert [op for op, held in square if held] == ["exp"] * 2
+        assert [n.needs_grad for n in kernels] == [True, False, True]
 
     def test_contrastive_term_is_swept_first(self, monkeypatch):
         _, _, swept = self.tape(monkeypatch)
@@ -484,11 +560,10 @@ class TestTapeComposition:
                    for n in [kl] + gathers)
 
     def test_a_layers_two_gathers_share_one_value(self, monkeypatch):
-        seen, _, _ = self.tape(monkeypatch)
-        values = dict(seen)
-        generator_inputs = [n.parents[0] for n, _ in seen if n.op == "mlp3"
+        values, _ = self.encoded(monkeypatch)
+        generator_inputs = [n.parents[0] for n in values if n.op == "mlp3"
                             and n.parents[1].name == "gen.w1"]
-        layer_inputs = [n.parents[0] for n, _ in seen
+        layer_inputs = [n.parents[0] for n in values
                         if n.op == "inject_spmm"]
         pairs = [(g, z) for g, z in zip(generator_inputs, layer_inputs)
                  if z.op == "gather"]
