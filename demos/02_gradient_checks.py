@@ -43,7 +43,7 @@ ctx = build_context(data, cfg)
 params = init_params(5, 6, cfg.d, cfg.h, seed=3)
 
 users, pos = pairs[:, 0].copy(), pairs[:, 1].copy()
-neg = ((pos + 1) % 6).reshape(-1, 1)
+neg = (pos + 1) % 6
 
 # a fresh rng per evaluation draws the same epsilon every time; otherwise
 # finite differences compare different samples

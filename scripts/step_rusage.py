@@ -4,8 +4,7 @@
     python3 scripts/step_rusage.py --seed 1 --steps 8
     python3 scripts/step_rusage.py --workload eval-full --seed 1 --steps 5
     python3 scripts/step_rusage.py --workload setup --seed 1 --steps 11
-    python3 scripts/step_rusage.py --set ddl=mmd \
-        --set noise.distribution=uniform --steps 3
+    python3 scripts/step_rusage.py --set noise.distribution=uniform --steps 3
 
 Runs the operations of one of the benchmark's workloads with the code
 of ``benchmarks/run.py``, imported (which pins one BLAS thread): its
@@ -240,8 +239,7 @@ def setups(log, cfg, count):
         stage("adjacency", lambda: graphs.sym_normalize(
             graphs.build_adjacency(R)))
         if cfg.complement_enabled:
-            stage("build_complement", graphs.build_complement, R, cfg.gamma,
-                  apply_filter=cfg.filter_enabled)
+            stage("build_complement", graphs.build_complement, R, cfg.gamma)
         stage("init_params", model.init_params, data.num_users,
               data.num_items, cfg.d, cfg.h, seed=cfg.seed + fold.fold_index)
         after = resource.getrusage(resource.RUSAGE_SELF)

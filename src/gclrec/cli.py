@@ -24,9 +24,9 @@ ABLATION_VARIANTS = {
     "full": {},
     "w/o-cm": {"complement.enabled": "false"},
     "w/o-g": {"noise.mode": "none"},
-    "w/o-f": {"filter.enabled": "false"},
+    "w/o-f": {"gamma": "0"},
     "w/-rand": {"noise.mode": "random"},
-    "w/-un": {"noise.distribution": "uniform", "ddl": "mmd"},
+    "w/-un": {"noise.distribution": "uniform"},
 }
 
 DIAGNOSE_MODES = ("layers", "trajectory", "gamma")
@@ -109,12 +109,16 @@ class _Run:
                 raise ConfigError(f"--set expects key=value, got {pair!r}")
             key, _, value = pair.partition("=")
             table[key.strip()] = value.strip()
-        self.cfg = TrainConfig.from_strings(table)
         if args.seed is not None:
-            self.cfg.seed = args.seed
+            table["seed"] = str(args.seed)
+        self.cfg = TrainConfig.from_strings(table)
         self.args = args
         self.out_dir = Path(args.out or os.environ.get("GDA_REC_OUT", "runs"))
-        self.out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            self.out_dir.mkdir(parents=True, exist_ok=True)
+        except (FileExistsError, NotADirectoryError) as exc:
+            raise ConfigError(f"--out {self.out_dir}: not a directory "
+                              f"({exc.strerror})") from exc
         self.outputs = []
 
     def write_text(self, name, text):

@@ -188,28 +188,26 @@ def make_folds(data, k, seed):
     return folds
 
 
-def sample_negatives(R, users, count, rng):
-    """Draw ``count`` items per user that the user has no entry for in the
+def sample_negatives(R, users, rng):
+    """Draw one item per user that the user has no entry for in the
     binary train matrix ``R`` (canonical CSR, users x items).
 
-    Returns a (len(users), count) array.  Each draw is uniform over the
-    complement of the user's train items: rejected draws are redrawn, all
-    at once, until none falls on a train item.  Raises :class:`DataError`
-    when a user has interacted with every item.
+    Returns a 1-D array aligned with ``users``.  Each draw is uniform over
+    the complement of the user's train items: rejected draws are redrawn,
+    all at once, until none falls on a train item.  Raises
+    :class:`DataError` when a user has interacted with every item.
     """
     users = np.asarray(users, dtype=np.int64)
     num_items = R.shape[1]
     if np.any(np.diff(R.indptr)[users] >= num_items):
         raise DataError(f"a user has interacted with all {num_items} items; "
                         "no negatives exist")
-    out = rng.integers(0, num_items, size=(len(users), count))
-    flat = out.reshape(-1)
-    rows = np.repeat(users, count)
-    todo = np.arange(flat.size)
+    out = rng.integers(0, num_items, size=len(users))
+    todo = np.arange(len(users))
     while todo.size:
-        held = np.asarray(R[rows[todo], flat[todo]]).ravel() != 0
+        held = np.asarray(R[users[todo], out[todo]]).ravel() != 0
         todo = todo[held]
-        flat[todo] = rng.integers(0, num_items, size=todo.size)
+        out[todo] = rng.integers(0, num_items, size=todo.size)
     return out
 
 

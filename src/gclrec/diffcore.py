@@ -803,9 +803,6 @@ def backward(loss):
     if loss.value.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
     tape = loss.tape
-    for node in tape.nodes:
-        node.grad = None
-        node._grad_owned = False
     loss.grad = np.ones_like(loss.value)
     loss._grad_owned = True
     for node in reversed(tape.nodes):

@@ -64,14 +64,14 @@ def build_adjacency(R):
     return _canonical(sp.bmat([[None, R], [R.T, None]], format="csr"))
 
 
-def build_complement(R, gamma, apply_filter=True):
+def build_complement(R, gamma):
     """Item complement matrix: co-consumption counts, thresholded and normalized.
 
     Computes R^T R, removes the diagonal, zeroes entries strictly below
-    ``gamma`` (kept when ``apply_filter`` is False), then applies symmetric
-    degree normalization.  If every entry is filtered out the result is an
-    empty matrix and a warning is emitted; the channel then propagates
-    nothing.
+    ``gamma``, then applies symmetric degree normalization.  The filter
+    runs when ``gamma`` > 0; ``gamma`` = 0 keeps every entry.  If every
+    entry is filtered out the result is an empty matrix and a warning is
+    emitted; the channel then propagates nothing.
 
     R is binary, so no count of an item exceeds its number of users: the
     filter deletes every entry of an item bought by fewer than ``gamma``
@@ -84,7 +84,7 @@ def build_complement(R, gamma, apply_filter=True):
         raise ValueError(f"gamma must be >= 0, got {gamma}")
     n = R.shape[1]
     kept = None
-    if apply_filter and gamma > 0:
+    if gamma > 0:
         kept = np.flatnonzero(np.asarray(R.sum(axis=0)).ravel() >= gamma)
         R = R[:, kept]
     C = (R.T @ R).tocsr()
@@ -125,11 +125,9 @@ def sym_normalize(M):
     return _canonical(out)
 
 
-def build_graph(train, gamma, complement_enabled=True, apply_filter=True):
+def build_graph(train, gamma, complement_enabled=True):
     """Assemble the :class:`NormalizedGraph` for one train fold."""
     R = build_interaction_matrix(train)
     A = sym_normalize(build_adjacency(R))
-    comp = None
-    if complement_enabled:
-        comp = build_complement(R, gamma, apply_filter=apply_filter)
+    comp = build_complement(R, gamma) if complement_enabled else None
     return NormalizedGraph(R=R, ui=A, comp=comp)

@@ -17,18 +17,16 @@ exp(log-variance), and then releases every value no backward pass reads
 log-variance view and the generator output, and mu unless its sigma^2
 is read.  Each layer adds the sample, row-normalized, to its input and
 propagates the sum as one :func:`diffcore.inject_spmm` node, which keeps
-no noisy input.  The first user-item block, when the KL term reads its
-sigma^2, keeps its mu and sigma^2 nodes for that term; it copies mu into
-an array of its own, so that the 2d-wide generator output can go.
+no noisy input.  The first user-item block, when it is gaussian, keeps
+its mu and sigma^2 nodes for the KL term; it copies mu into an array of
+its own, so that the 2d-wide generator output can go.
 
-That block's (m+n) x d sample is rebuilt rather than kept when it is
-gaussian and its mu and sigma^2 are kept: once layer 1's product and the
-terms built beside it (``ui1_terms``, see below) have read it, its value
-is dropped, and layer 1's backward pass computes it again as mu +
-sigma^2 * epsilon from the nodes the KL term keeps, with the forward
-pass's operations in its order, so it has the same bits.  Where sigma^2
-is not kept (the MMD term), the sample is a GELU (the uniform
-distribution) or there is no generator (mode random), it keeps its
+That block's (m+n) x d sample is then rebuilt rather than kept: once
+layer 1's product and the terms built beside it (``ui1_terms``, see
+below) have read it, its value is dropped, and layer 1's backward pass
+computes it again as mu + sigma^2 * epsilon from the nodes the KL term
+keeps, with the forward pass's operations in its order, so it has the
+same bits.  A uniform sample (a GELU) and mode random's keep their
 value.
 
 A training step builds the two terms that read the first user-item
@@ -47,16 +45,16 @@ generator reads whole, with no gather between them, keeps it, because
 the generator's backward pass reads its input.
 
 The encoder computes only what its caller reads, the demand: the
-user-item rows whose final representations are read, the complement
-views read, and whether the first user-item block's sigma^2 is read.  A
-training step reads the rows of its batch.  Layer L then computes only
-those rows, and layer k < L only those rows and the neighbours layer
-k+1 reads, so a layer k >= 2 runs its generator and its product over
-that neighbourhood only.  The complement channel walks back the same
-way from the demanded items, or from every item.  Only the user-item
-layer-1 generator runs over every row, because the KL term averages
-over all of its rows.  ``rows=None`` computes every user-item row, the
-full-height reference that tests compare a demanded run against.
+user-item rows whose final representations are read and the complement
+views read.  A training step reads the rows of its batch.  Layer L then
+computes only those rows, and layer k < L only those rows and the
+neighbours layer k+1 reads, so a layer k >= 2 runs its generator and
+its product over that neighbourhood only.  The complement channel walks
+back the same way from the demanded items, or from every item.  Only
+the user-item layer-1 generator runs over every row, because the KL
+term averages over all of its rows.  ``rows=None`` computes every
+user-item row, the full-height reference that tests compare a demanded
+run against.
 
 Epsilon is drawn in :func:`encode` and nowhere else: one full-height
 standard normal draw per (channel, layer), user-item layers first, also
@@ -180,8 +178,12 @@ class NoiseSettings:
     Every sample is mu + sigma^2 * epsilon, so its spread is sigma^2.
     mode: generative (mu and sigma^2 learned per row), random (mu = 0,
     sigma^2 = 0.1), or none.  distribution gaussian keeps the raw
-    reparameterized sample; uniform passes it through GELU and pairs with
-    a uniform prior.
+    reparameterized sample; uniform passes it through GELU.
+
+    In mode generative the distribution also picks the term that pulls
+    the first user-item block towards its prior: gaussian the analytic KL
+    of N(mu, sigma^2) from N(0, 1), uniform a sample-based MMD against
+    U[0, 1) draws.
     """
 
     mode: str = "generative"
@@ -338,8 +340,7 @@ def _walk_back(op, rows, num_layers, full_first=True):
 
 
 def encode(tape, leaves, ui_op, comp_op, num_users, num_items, num_layers,
-           rng, settings, rows=None, comp_views=("avg",), sigma2=True,
-           ui1_terms=None):
+           rng, settings, rows=None, comp_views=("avg",), ui1_terms=None):
     """Run both channels over the CSR matrices ``ui_op`` and ``comp_op``
     (None skips the complement channel) and average layers 1..L.
 
@@ -352,8 +353,8 @@ def encode(tape, leaves, ui_op, comp_op, num_users, num_items, num_layers,
     ``comp_views`` are the complement view selectors read: "avg" needs
     every layer and the average, layer selectors need the layers up to
     the highest, none skips the channel.
-    ``sigma2`` True reads sigma^2 of the first user-item block, which then
-    keeps its mu and sigma^2 nodes (see :func:`generate_noise`).
+    A gaussian first user-item block keeps its mu and sigma^2 nodes (see
+    :func:`generate_noise`).
     ``ui1_terms``, when given, builds the terms that read that block: it
     is called with the block right after layer 1's product, before any
     layer-2 node, and is the last forward reader of the block's sample,
@@ -392,13 +393,13 @@ def encode(tape, leaves, ui_op, comp_op, num_users, num_items, num_layers,
                     source = taken(z, take)
                 block = generate_noise(
                     tape, source, leaves, eps, settings,
-                    sigma2=sigma2 and (channel, k) == ("ui", 1))
+                    sigma2=(channel, k) == ("ui", 1)
+                    and settings.distribution == "gaussian")
                 blocks[(channel, k)] = block
             z = propagate(op, taken(z, take, share=source), block)
             if (channel, k) == ("ui", 1) and ui1_terms is not None:
                 ui1_terms(block)
-                if (block.sigma2 is not None
-                        and settings.distribution == "gaussian"):
+                if block.sigma2 is not None:
                     # no forward node reads the sample from here on, and
                     # layer 1's backward pass rebuilds it from mu, sigma^2
                     # and epsilon, which the KL term keeps

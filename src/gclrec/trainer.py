@@ -68,9 +68,7 @@ class TrainConfig:
     data_path: str = ""
     noise_mode: str = "generative"
     noise_distribution: str = "gaussian"
-    ddl: str = "kl"
     complement_enabled: bool = True
-    filter_enabled: bool = True
     cl_view_a: str = "avg"
     cl_view_b: str = "1"
 
@@ -93,9 +91,7 @@ class TrainConfig:
         "data.path": ("data_path", str),
         "noise.mode": ("noise_mode", str),
         "noise.distribution": ("noise_distribution", str),
-        "ddl": ("ddl", str),
         "complement.enabled": ("complement_enabled", _parse_bool),
-        "filter.enabled": ("filter_enabled", _parse_bool),
         "cl.view_a": ("cl_view_a", str),
         "cl.view_b": ("cl_view_b", str),
     }
@@ -151,12 +147,12 @@ class TrainConfig:
             (self.epochs_max >= 1, "epochs_max must be >= 1"),
             (self.patience >= 1, "patience must be >= 1"),
             (self.eval_interval >= 1, "eval_interval must be >= 1"),
+            (self.seed >= 0, f"seed must be >= 0, got {self.seed}"),
             (self.folds >= 2, "folds must be >= 2"),
             (self.noise_mode in ("generative", "random", "none"),
              f"unknown noise.mode: {self.noise_mode}"),
             (self.noise_distribution in ("gaussian", "uniform"),
              f"unknown noise.distribution: {self.noise_distribution}"),
-            (self.ddl in ("kl", "mmd"), f"unknown ddl: {self.ddl}"),
         ]
         for ok, message in checks:
             if not ok:
@@ -273,8 +269,7 @@ class TrainContext:
 
 def build_context(train, cfg):
     graph = build_graph(train, gamma=cfg.gamma,
-                        complement_enabled=cfg.complement_enabled,
-                        apply_filter=cfg.filter_enabled)
+                        complement_enabled=cfg.complement_enabled)
     return TrainContext(
         train=train,
         ui_op=graph.ui,
@@ -312,20 +307,22 @@ def _batch_loss(params, ctx, cfg, rng, users, pos_items, neg_items):
     :func:`losses.joint_loss` reads: the partial sums of the layer
     averages, the kept layers and the averages once they are gathered,
     and the products read only by a reduction.  InfoNCE's forward
-    transients then sit on a smaller heap.  Under the KL term with the
-    gaussian sample (the default), the first user-item block's sample is
-    dropped after the reconstruction's gathers and rebuilt by layer 1's
-    backward pass from mu, sigma^2 and epsilon (see :mod:`model`); under
-    the MMD term, the uniform sample or mode random it keeps its value.
+    transients then sit on a smaller heap.  The discrepancy term is the
+    one :class:`model.NoiseSettings` pairs with the noise distribution.
+    A gaussian first user-item block's sample is dropped after the
+    reconstruction's gathers and rebuilt by layer 1's backward pass from
+    mu, sigma^2 and epsilon (see :mod:`model`); a uniform sample, and
+    mode random's, keeps its value.
     """
     m, n = ctx.num_users, ctx.num_items
     u_idx = np.asarray(users, dtype=np.int64)
     p_idx = np.asarray(pos_items, dtype=np.int64)
-    n_idx = np.asarray(neg_items, dtype=np.int64).reshape(len(u_idx))
+    n_idx = np.asarray(neg_items, dtype=np.int64)
     # the rows whose representations the loss reads
     touched = np.unique(np.concatenate([u_idx, m + p_idx, m + n_idx]))
     views_read = (cfg.cl_view_a, cfg.cl_view_b) if cfg.lambda_ > 0 else ()
     generative = cfg.noise_mode == "generative"
+    gaussian = cfg.noise_distribution == "gaussian"
 
     # a term or gradient that overflows is reported, naming where, by
     # joint_loss, kl_loss or adam_step, with no numpy warning before it
@@ -344,12 +341,11 @@ def _batch_loss(params, ctx, cfg, rng, users, pos_items, neg_items):
         with quiet():
             terms["recon"] = ls.recon_loss(
                 reconstruct(block.sample, leaves, pairs, m), targets)
-            if cfg.ddl == "kl":
+            if gaussian:
                 terms["ddl"] = ls.kl_loss(block.mu, block.sigma2)
 
     out = encode(tape, leaves, ctx.ui_op, ctx.comp_op, m, n, cfg.L, rng,
                  cfg.noise_settings(), rows=touched, comp_views=views_read,
-                 sigma2=cfg.ddl == "kl",
                  ui1_terms=ui1_terms if generative else None)
 
     with quiet():
@@ -360,13 +356,9 @@ def _batch_loss(params, ctx, cfg, rng, users, pos_items, neg_items):
             zu_b, dc.gather(out.z_i, out.locate("item", n_idx))), axis=1)
         rec = ls.bpr_loss(pos_scores, neg_scores)
 
-        if generative and cfg.ddl == "mmd":
-            block = out.noise_blocks[("ui", 1)]
-            gen = dc.gather(block.sample, touched)
-            if cfg.noise_distribution == "uniform":
-                prior = rng.random((len(touched), cfg.d))
-            else:
-                prior = rng.standard_normal((len(touched), cfg.d))
+        if generative and not gaussian:
+            gen = dc.gather(out.noise_blocks[("ui", 1)].sample, touched)
+            prior = rng.random((len(touched), cfg.d))
             terms["ddl"] = ls.mmd_loss(gen, tape.constant(prior),
                                        ls.median_bandwidth(gen.value, prior))
 
@@ -453,7 +445,7 @@ def train_epoch(params, ctx, cfg, rng, state):
     for lo in range(0, len(order), cfg.batch_size):
         batch = pairs[order[lo:lo + cfg.batch_size]]
         users, pos = batch[:, 0], batch[:, 1]
-        neg = sample_negatives(ctx.R, users, 1, rng)
+        neg = sample_negatives(ctx.R, users, rng)
         report, _, grads = _batch_loss(params, ctx, cfg, rng, users, pos, neg)
         adam_step(params.param_arrays(), grads, state, lr=cfg.learning_rate)
         sums += [report.rec, report.cl, report.recon, report.ddl,

@@ -29,12 +29,11 @@ def sym_normalize_dense(M):
     return (s[:, None] * M) * s[None, :]
 
 
-def complement_dense(R, gamma, apply_filter=True):
+def complement_dense(R, gamma):
     """Thresholded, normalized item co-occurrence matrix, densely."""
     C = R.T @ R
     np.fill_diagonal(C, 0.0)
-    if apply_filter:
-        C = np.where(C < gamma, 0.0, C)
+    C = np.where(C < gamma, 0.0, C)
     return sym_normalize_dense(C)
 
 
@@ -49,14 +48,14 @@ def sym_normalize_reference(M):
     return _canonical(D @ M @ D)
 
 
-def complement_reference(R, gamma, apply_filter=True):
+def complement_reference(R, gamma):
     """:func:`graphs.build_complement` in its plain order: drop the
     diagonal of the whole R^T R, then filter at ``gamma``, then normalize
     as D M D."""
     C = (R.T @ R).tocsr()
     C.setdiag(0.0)
     C.eliminate_zeros()
-    if apply_filter and gamma > 0:
+    if gamma > 0:
         C.data[C.data < gamma] = 0.0
         C.eliminate_zeros()
     if C.nnz == 0:

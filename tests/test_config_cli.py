@@ -98,7 +98,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("pair", ["neg_per_pos=3", "noise.s_fixed=0.2",
                                       "cl.normalize=false",
                                       "eval.noise=mean", "noise.scale=stddev",
-                                      "kl.formula=paper", "mmd.bandwidth=1.3"])
+                                      "kl.formula=paper", "mmd.bandwidth=1.3",
+                                      "ddl=kl", "filter.enabled=false"])
     def test_retired_key_is_unknown(self, config_file, tmp_path, capsys, pair):
         code = run_cli("train", "--config", str(config_file), "--set", pair,
                        "--out", str(tmp_path / "out"))
@@ -108,7 +109,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("line", ["noise.scale = variance",
                                       "kl.formula = standard",
-                                      "mmd.bandwidth = 0.0"])
+                                      "mmd.bandwidth = 0.0", "ddl = kl",
+                                      "filter.enabled = false"])
     def test_retired_key_in_config_file_is_unknown(self, config_file,
                                                    tmp_path, capsys, line):
         config_file.write_text(config_file.read_text() + line + "\n")
@@ -134,6 +136,24 @@ class TestExitCodes:
         setattr(cfg, TrainConfig.KEYS[key][0], float(value))
         with pytest.raises(ConfigError, match=f"{key} must be finite"):
             cfg.validate()
+
+    @pytest.mark.parametrize("args, fragment", [
+        (("--seed", "-1"), "seed must be >= 0, got -1"),
+        (("--set", "seed=-3"), "seed must be >= 0, got -3"),
+        (("--out", "{file}"), "--out {file}: not a directory"),
+    ], ids=["seed-flag", "seed-key", "out-is-a-file"])
+    def test_rejected_setting_names_it(self, config_file, tmp_path, capsys,
+                                       args, fragment):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        args = [arg.format(file=taken) for arg in args]
+        if "--out" not in args:
+            args += ["--out", str(tmp_path / "out")]
+        code = run_cli("train", "--config", str(config_file), *args)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"config error: {fragment.format(file=taken)}" in err
+        assert "Traceback" not in err
 
     def test_bad_set_syntax(self, config_file, tmp_path, capsys):
         code = run_cli("train", "--config", str(config_file),
@@ -430,16 +450,15 @@ class TestAblate:
 
     def test_variant_overrides_are_well_formed(self):
         base = TrainConfig()
-        for name, overrides in ABLATION_VARIANTS.items():
-            cfg = base.copy()
-            cfg.apply_strings(overrides)  # must not raise
-        cfg = base.copy()
-        cfg.apply_strings(ABLATION_VARIANTS["w/-un"])
-        assert cfg.noise_distribution == "uniform"
-        assert cfg.ddl == "mmd"
-        cfg = base.copy()
-        cfg.apply_strings(ABLATION_VARIANTS["w/o-f"])
-        assert not cfg.filter_enabled
+        resolved = {name: base.copy().apply_strings(overrides)  # no raise
+                    for name, overrides in ABLATION_VARIANTS.items()}
+        assert resolved["w/-un"].noise_distribution == "uniform"
+        assert resolved["w/o-f"].gamma == 0.0
+        # an override that became a no-op would leave a variant equal to
+        # full or to another variant
+        tables = {name: tuple(cfg.to_strings().items())
+                  for name, cfg in resolved.items()}
+        assert len(set(tables.values())) == len(tables), tables
 
 
 class TestDiagnose:

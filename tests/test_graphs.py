@@ -192,10 +192,13 @@ class TestComplement:
         assert sizes == sorted(sizes, reverse=True)
 
     def test_filter_disabled_keeps_all_counts(self, toy_interactions):
-        R = build_interaction_matrix(toy_interactions)
-        C = build_complement(R, gamma=3.0, apply_filter=False)
-        expected = complement_dense(R.toarray(), gamma=3.0, apply_filter=False)
-        np.testing.assert_allclose(C.toarray(), expected, atol=1e-12)
+        # gamma 0 runs no filter: every off-diagonal co-occurrence stays
+        dense = build_interaction_matrix(toy_interactions).toarray()
+        counts = dense.T @ dense
+        np.fill_diagonal(counts, 0.0)
+        C = build_complement(sp.csr_matrix(dense), gamma=0.0)
+        np.testing.assert_allclose(C.toarray(), sym_normalize_dense(counts),
+                                   atol=1e-12)
 
     def test_everything_filtered_warns_and_flags(self):
         # disjoint item sets: all co-occurrence counts are zero
@@ -240,12 +243,11 @@ class TestComplementOrder:
 
     def check(self, R):
         for gamma in self.GAMMAS:
-            for apply_filter in (True, False):
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
-                    want = complement_reference(R, gamma, apply_filter)
-                    got = build_complement(R, gamma, apply_filter)
-                assert_same_csr(got, want)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                want = complement_reference(R, gamma)
+                got = build_complement(R, gamma)
+            assert_same_csr(got, want)
 
     def test_random_matrices(self):
         rng = np.random.default_rng(29)

@@ -325,14 +325,19 @@ class TestEncode:
         # the unbuilt layers still drew their epsilon
         assert np.array_equal(*next_draws)
 
-    @pytest.mark.parametrize("sigma2", [True, False])
-    def test_keeps_sigma2_only_where_read(self, sigma2):
+    @pytest.mark.parametrize("gaussian", [True, False])
+    def test_keeps_sigma2_only_where_read(self, gaussian):
+        # the KL term reads the gaussian first user-item block's sigma^2;
+        # uniform noise brings the MMD term, which reads only the sample
         ui_op, comp_op, _ = build_ops(self.data)
         t = Tape()
+        settings = NoiseSettings(
+            distribution="gaussian" if gaussian else "uniform")
         out = encode(t, self.params.leaves(t), ui_op, comp_op, 6, 8, 3,
-                     np.random.default_rng(6), NoiseSettings(), sigma2=sigma2)
+                     np.random.default_rng(6), settings)
         assert [key for key, block in out.noise_blocks.items()
-                if block.sigma2 is not None] == ([("ui", 1)] if sigma2 else [])
+                if block.sigma2 is not None] == ([("ui", 1)] if gaussian
+                                                 else [])
 
     def test_zero_layers_rejected(self):
         ui_op, comp_op, _ = build_ops(self.data)

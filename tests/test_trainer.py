@@ -94,7 +94,8 @@ class TestTrainConfig:
 
     def test_range_checks(self):
         for table in ({"tau": "0"}, {"folds": "1"}, {"d": "0"},
-                      {"noise.mode": "white"}, {"ddl": "wasserstein"}):
+                      {"noise.mode": "white"},
+                      {"noise.distribution": "laplace"}, {"seed": "-1"}):
             with pytest.raises(ConfigError):
                 TrainConfig.from_strings(table)
 
@@ -271,11 +272,10 @@ class TestTrainEpoch:
         ctx = build_context(fold.train, cfg)
         rng = np.random.default_rng(5)
         users = fold.train.pairs[:, 0]
-        neg = sample_negatives(ctx.R, users, 2, rng)
-        assert neg.shape == (len(users), 2)
-        for row, u in enumerate(users):
-            held = set(ctx.R[int(u)].indices.tolist())
-            assert not held & set(neg[row].tolist())
+        neg = sample_negatives(ctx.R, users, rng)
+        assert neg.shape == (len(users),)
+        for u, item in zip(users, neg):
+            assert item not in ctx.R[int(u)].indices
 
 
 class TestBatchLoss:
@@ -287,7 +287,7 @@ class TestBatchLoss:
         params = init_params(6, 8, cfg.d, cfg.h, seed=8)
         rng = np.random.default_rng(9)
         users, pos = fold.train.pairs[:, 0], fold.train.pairs[:, 1]
-        neg = sample_negatives(ctx.R, users, 1, rng)[:, 0]
+        neg = sample_negatives(ctx.R, users, rng)
         report, _, _ = tr._batch_loss(params, ctx, cfg, rng, users, pos, neg)
         z_u, z_i = tr.eval_embeddings(params, ctx, cfg)
         pos_scores = np.sum(z_u[users] * z_i[pos], axis=1)
@@ -297,13 +297,13 @@ class TestBatchLoss:
 
     def test_mmd_prior_is_drawn_after_the_encoder(self, monkeypatch):
         # one full-height epsilon per (channel, layer), user-item layers
-        # first, then the MMD term's prior over the touched rows
+        # first, then the MMD term's uniform prior over the touched rows
         fold = toy_fold()
-        cfg = tiny_config(ddl="mmd")
+        cfg = tiny_config(noise_distribution="uniform")
         ctx = build_context(fold.train, cfg)
         params = init_params(6, 8, cfg.d, cfg.h, seed=2)
         users, pos = fold.train.pairs[:, 0], fold.train.pairs[:, 1]
-        neg = sample_negatives(ctx.R, users, 1, np.random.default_rng(4))
+        neg = sample_negatives(ctx.R, users, np.random.default_rng(4))
         priors, original = [], tr.ls.mmd_loss
 
         def spy(gen, prior, bandwidth):
@@ -316,19 +316,18 @@ class TestBatchLoss:
         replay = np.random.default_rng(3)
         for height in [6 + 8] * cfg.L + [8] * cfg.L:
             replay.standard_normal((height, cfg.d))
-        touched = np.unique(np.concatenate([users, 6 + pos, 6 + neg.ravel()]))
-        assert np.array_equal(priors[0], replay.standard_normal(
-            (len(touched), cfg.d)))
+        touched = np.unique(np.concatenate([users, 6 + pos, 6 + neg]))
+        assert np.array_equal(priors[0], replay.random((len(touched), cfg.d)))
         assert np.array_equal(rng.standard_normal(8),
                               replay.standard_normal(8))
 
     @pytest.mark.parametrize(
         "overrides",
         list(ABLATION_VARIANTS.values()) + [
-            {"ddl": "mmd"}, {"lambda": "0"},
+            {"lambda": "0"},
             {"cl.view_a": "1", "cl.view_b": "2"},
             {"L": "3", "cl.view_a": "1", "cl.view_b": "2"}],
-        ids=list(ABLATION_VARIANTS) + ["mmd", "lambda-0", "views-1-2",
+        ids=list(ABLATION_VARIANTS) + ["lambda-0", "views-1-2",
                                        "views-1-2-L3"])
     def test_backward_reaches_every_differentiable_node(self, monkeypatch,
                                                         overrides):
@@ -338,7 +337,7 @@ class TestBatchLoss:
         params = init_params(6, 8, cfg.d, cfg.h, seed=2)
         rng = np.random.default_rng(3)
         users, pos = fold.train.pairs[:, 0], fold.train.pairs[:, 1]
-        neg = sample_negatives(ctx.R, users, 1, rng)
+        neg = sample_negatives(ctx.R, users, rng)
         swept, original = [], dc.backward
 
         def spy(loss):
@@ -369,7 +368,7 @@ class TestTapeComposition:
         rng = np.random.default_rng(3)
         # three pairs touch fewer rows than the user-item channel holds
         users, pos = fold.train.pairs[:3, 0], fold.train.pairs[:3, 1]
-        neg = sample_negatives(ctx.R, users, 1, rng)
+        neg = sample_negatives(ctx.R, users, rng)
         return (tr._batch_loss(params, ctx, cfg, rng, users, pos, neg),
                 ctx.num_users + ctx.num_items)
 
@@ -409,7 +408,8 @@ class TestTapeComposition:
         seen, _, _ = self.tape(monkeypatch)
         return held, dict(seen)
 
-    @pytest.mark.parametrize("overrides", [{}, {"ddl": "mmd"},
+    @pytest.mark.parametrize("overrides", [{},
+                                           {"noise.distribution": "uniform"},
                                            {"noise.mode": "random"}],
                              ids=["default", "mmd", "random"])
     def test_sweep_starts_with_only_values_backward_reads(self, monkeypatch,
@@ -427,14 +427,13 @@ class TestTapeComposition:
         assert held == []
 
     @pytest.mark.parametrize("overrides, rebuilt", [
-        ({}, True), ({"ddl": "mmd"}, False),
-        ({"noise.distribution": "uniform"}, False)],
-        ids=["default", "mmd", "uniform"])
+        ({}, True), ({"noise.distribution": "uniform"}, False)],
+        ids=["default", "uniform"])
     def test_layer1_sample_is_rebuilt_with_its_gradients(self, monkeypatch,
                                                          overrides, rebuilt):
         # the first user-item block's sample goes after the reconstruction
-        # gathers where the KL term keeps mu and sigma^2 and the sample is
-        # gaussian; given its value back, the sweep gives the same bits
+        # gathers where it is gaussian, so the KL term keeps mu and
+        # sigma^2; given its value back, the sweep gives the same bits
         samples, held, restore = [], [], False
         recon, sweep = tr.reconstruct, dc.backward
 
@@ -517,7 +516,7 @@ class TestTapeComposition:
         assert values[out] is None and values[logvar] is None
 
     def test_mmd_keeps_only_each_kernels_exp(self, monkeypatch):
-        seen, _, _ = self.tape(monkeypatch, {"ddl": "mmd"})
+        seen, _, _ = self.tape(monkeypatch, {"noise.distribution": "uniform"})
         kernels = [n for n, _ in seen if n.op == "exp"
                    and n.parents[0].op == "scale"
                    and n.parents[0].parents[0].op == "badd_row"]
@@ -949,12 +948,12 @@ class TestAblationConfigurations:
     @pytest.mark.parametrize("overrides", [
         {"complement_enabled": False},                          # w/o-cm
         {"noise_mode": "none"},                                 # w/o-g
-        {"filter_enabled": False, "gamma": 0.0},                # w/o-f
+        {"gamma": 0.0},                                         # w/o-f
         {"noise_mode": "random"},                               # w/-rand
-        {"noise_distribution": "uniform", "ddl": "mmd"},        # w/-un
+        {"noise_distribution": "uniform"},                      # w/-un
         {"noise_mode": "none", "complement_enabled": False,
          "lambda_": 0.0},                                       # plain baseline
-        {"ddl": "mmd"},
+        {"noise_mode": "random", "noise_distribution": "uniform"},
     ])
     def test_variant_trains(self, overrides):
         cfg = tiny_config(epochs_max=2, **overrides)
