@@ -24,9 +24,11 @@ A train step or an evaluation runs under one profile hook (see
 :class:`Sampler`), set only while it runs, which reads the live heap
 (glibc ``mallinfo2``: bytes in use in the arenas plus mmapped blocks;
 None without it) as each Python function returns and keeps the highest
-reading with where it was taken: the phase, the function that returned
-and its caller, as in ``backward: _accum from infonce.<locals>.bw``.
-An array allocated and freed between two returns is missed.  A train
+reading with where it was taken: the phase, the function that returned,
+its caller and the innermost frame in the gclrec package, as in
+``backward: _wrapreduction from sum in _rownorm_grad`` (no ``in`` part
+when no gclrec code is running).  An array allocated and freed between
+two returns is missed.  A train
 step's phases are ``forward``, ``backward`` from the call of
 ``diffcore.backward`` and ``after backward`` from its return; it adds
 the live heap as its backward sweep starts, its highest value over the
@@ -74,6 +76,7 @@ import workload  # noqa: E402
 from gclrec import dataset, diffcore, graphs, model, trainer  # noqa: E402
 
 PAGE_MB = os.sysconf("SC_PAGE_SIZE") / 2 ** 20
+GCLREC_DIR = os.path.dirname(trainer.__file__) + os.sep
 
 
 def rss_mb():
@@ -133,7 +136,7 @@ class Sampler:
     :meth:`run`: ``before[name]`` holds the RSS and live heap at the
     stage's first call, ``seconds[name]`` the CPU seconds between its
     calls and returns, and ``peak[phase]`` the phase's highest live heap
-    with where it was read.
+    with where it was read (see :meth:`where`).
     """
 
     def __init__(self, stages, start):
@@ -166,13 +169,22 @@ class Sampler:
             heap = heap_mb()
             if heap is not None and heap > self.peak.get(self.phase,
                                                           (-1.0,))[0]:
-                self.peak[self.phase] = (
-                    heap, f"{self.phase}: {frame.f_code.co_qualname} from "
-                          f"{frame.f_back.f_code.co_qualname}")
+                self.peak[self.phase] = (heap, self.where(frame))
             name = self.stages.get(frame.f_code)
             if name is not None:
                 self.seconds[name] += time.process_time() - self.entered
                 self.phase = f"after {name}"
+
+    def where(self, frame):
+        """The label of a reading taken as ``frame`` returns: the phase,
+        the function, its caller and the innermost gclrec function."""
+        label = (f"{self.phase}: {frame.f_code.co_qualname} from "
+                 f"{frame.f_back.f_code.co_qualname}")
+        while frame is not None:
+            if frame.f_code.co_filename.startswith(GCLREC_DIR):
+                return f"{label} in {frame.f_code.co_qualname}"
+            frame = frame.f_back
+        return label
 
 
 def sampled(runner, count, sampler):

@@ -34,18 +34,28 @@ def _canonical(mat):
 
 @dataclass
 class NormalizedGraph:
-    """The binary train matrix and the two normalized propagation
-    operators used by the encoder.
+    """One train fold's graphs: the fold-level state a training step and
+    an evaluation read.
 
-    ``R`` is the m x n binary train matrix; ``ui`` is the (m+n)x(m+n)
-    symmetric-normalized user-item adjacency; ``comp`` is the nxn
-    normalized item complement matrix, or None when the complement channel
-    is disabled.
+    ``train`` is the fold's train split, whose pairs an epoch iterates;
+    ``R`` is the m x n binary train matrix, used for negative sampling
+    and masking; ``ui`` is the (m+n)x(m+n) symmetric-normalized user-item
+    adjacency; ``comp`` is the nxn normalized item complement matrix, or
+    None when the complement channel is disabled.  All are canonical CSR.
     """
 
+    train: object
     R: sp.csr_matrix
     ui: sp.csr_matrix
     comp: sp.csr_matrix | None
+
+    @property
+    def num_users(self):
+        return self.R.shape[0]
+
+    @property
+    def num_items(self):
+        return self.R.shape[1]
 
 
 def build_interaction_matrix(split):
@@ -130,4 +140,4 @@ def build_graph(train, gamma, complement_enabled=True):
     R = build_interaction_matrix(train)
     A = sym_normalize(build_adjacency(R))
     comp = build_complement(R, gamma) if complement_enabled else None
-    return NormalizedGraph(R=R, ui=A, comp=comp)
+    return NormalizedGraph(train=train, R=R, ui=A, comp=comp)

@@ -84,7 +84,6 @@ from .diffcore import DiffError
 
 __all__ = [
     "ModelParams",
-    "NoiseSettings",
     "NoiseBlock",
     "EncoderOutput",
     "init_params",
@@ -171,31 +170,6 @@ def mlp_forward(x, leaves, prefix):
 _RANDOM_VARIANCE = 0.1
 
 
-@dataclass(frozen=True)
-class NoiseSettings:
-    """How noise samples are produced.
-
-    Every sample is mu + sigma^2 * epsilon, so its spread is sigma^2.
-    mode: generative (mu and sigma^2 learned per row), random (mu = 0,
-    sigma^2 = 0.1), or none.  distribution gaussian keeps the raw
-    reparameterized sample; uniform passes it through GELU.
-
-    In mode generative the distribution also picks the term that pulls
-    the first user-item block towards its prior: gaussian the analytic KL
-    of N(mu, sigma^2) from N(0, 1), uniform a sample-based MMD against
-    U[0, 1) draws.
-    """
-
-    mode: str = "generative"
-    distribution: str = "gaussian"
-
-    def __post_init__(self):
-        if self.mode not in ("generative", "random", "none"):
-            raise ValueError(f"unknown noise mode {self.mode!r}")
-        if self.distribution not in ("gaussian", "uniform"):
-            raise ValueError(f"unknown noise distribution {self.distribution!r}")
-
-
 @dataclass
 class NoiseBlock:
     """One layer's noise: the sample mu + sigma^2 * epsilon, with mu and
@@ -206,10 +180,13 @@ class NoiseBlock:
     sample: object
 
 
-def generate_noise(tape, z_prev, leaves, eps, settings, sigma2=True):
+def generate_noise(tape, z_prev, leaves, eps, cfg, sigma2=True):
     """Produce a :class:`NoiseBlock` for one layer from its input
     embeddings and its epsilon draw ``eps`` (an array shaped like
-    ``z_prev``), in mode generative or random (mode none draws no noise).
+    ``z_prev``), in ``cfg.noise_mode`` generative or random, drawn from
+    ``cfg.noise_distribution`` (see :class:`trainer.TrainConfig`).  Mode
+    none draws no noise; it and any value of either setting beyond those
+    raise ValueError before a node is built.
 
     Only the generator reads ``z_prev``; mode random may pass None.
     ``sigma2`` says whether sigma^2 is read beyond scaling the noise:
@@ -218,10 +195,10 @@ def generate_noise(tape, z_prev, leaves, eps, settings, sigma2=True):
     way; the gradient of sigma^2 then sums every use before the exp
     backward.
     """
-    if settings.mode == "none":
-        raise ValueError("generate_noise: noise mode 'none' draws no noise")
-
-    if settings.mode == "generative":
+    if cfg.noise_distribution not in ("gaussian", "uniform"):
+        raise ValueError(
+            f"unknown noise distribution {cfg.noise_distribution!r}")
+    if cfg.noise_mode == "generative":
         d = z_prev.shape[1]
         # an overflow is reported below, naming where it happened
         with np.errstate(over="ignore", invalid="ignore"):
@@ -246,11 +223,15 @@ def generate_noise(tape, z_prev, leaves, eps, settings, sigma2=True):
         dc.release((out, logvar, spread) + (() if sigma2 else (mu,)))
         if not sigma2:
             mu = var = None
-    else:  # random: zero mean, fixed sigma^2, nothing to learn
+    elif cfg.noise_mode == "random":  # zero mean, fixed sigma^2
         mu = var = None
         sample = dc.scale(tape.constant(eps), _RANDOM_VARIANCE)
+    elif cfg.noise_mode == "none":
+        raise ValueError("generate_noise: noise mode 'none' draws no noise")
+    else:
+        raise ValueError(f"unknown noise mode {cfg.noise_mode!r}")
 
-    if settings.distribution == "uniform":
+    if cfg.noise_distribution == "uniform":
         sample = dc.gelu(sample)
     return NoiseBlock(mu=mu, sigma2=var, sample=sample)
 
@@ -339,10 +320,13 @@ def _walk_back(op, rows, num_layers, full_first=True):
     return plan[::-1]
 
 
-def encode(tape, leaves, ui_op, comp_op, num_users, num_items, num_layers,
-           rng, settings, rows=None, comp_views=("avg",), ui1_terms=None):
-    """Run both channels over the CSR matrices ``ui_op`` and ``comp_op``
-    (None skips the complement channel) and average layers 1..L.
+def encode(tape, leaves, ctx, cfg, rng, rows=None, comp_views=("avg",),
+           ui1_terms=None):
+    """Run both channels of ``cfg.L`` layers over the fold's graphs
+    ``ctx.ui`` and ``ctx.comp`` (a :class:`graphs.NormalizedGraph`; comp
+    None skips the complement channel) and average layers 1..L.  Noise
+    follows ``cfg.noise_mode`` and ``cfg.noise_distribution`` (see
+    :func:`generate_noise`).
 
     The demand says what the caller reads of the output; the defaults
     read all of it.  ``rows`` are the sorted, distinct user-item rows
@@ -366,9 +350,9 @@ def encode(tape, leaves, ui_op, comp_op, num_users, num_items, num_layers,
     generator reads.  ``rng`` may be None in mode none, which draws
     nothing.
     """
-    if num_layers < 1:
-        raise ValueError(f"number of layers must be >= 1, got {num_layers}")
-    m, n = num_users, num_items
+    if cfg.L < 1:
+        raise ValueError(f"number of layers must be >= 1, got {cfg.L}")
+    m, n = ctx.num_users, ctx.num_items
     e_all = leaves["base_embedding"]
     d = e_all.shape[1]
     blocks = {}  # (channel, layer) -> NoiseBlock, of both channels
@@ -387,14 +371,14 @@ def encode(tape, leaves, ui_op, comp_op, num_users, num_items, num_layers,
         layers = []
         for k, (op, reads, take, _) in enumerate(plan, start=1):
             block = source = None
-            if settings.mode != "none":
+            if cfg.noise_mode != "none":
                 eps = draw(height) if reads is None else draw(height)[reads]
-                if settings.mode == "generative":
+                if cfg.noise_mode == "generative":
                     source = taken(z, take)
                 block = generate_noise(
-                    tape, source, leaves, eps, settings,
+                    tape, source, leaves, eps, cfg,
                     sigma2=(channel, k) == ("ui", 1)
-                    and settings.distribution == "gaussian")
+                    and cfg.noise_distribution == "gaussian")
                 blocks[(channel, k)] = block
             z = propagate(op, taken(z, take, share=source), block)
             if (channel, k) == ("ui", 1) and ui1_terms is not None:
@@ -412,7 +396,7 @@ def encode(tape, leaves, ui_op, comp_op, num_users, num_items, num_layers,
         return kept
 
     ui_layers = run_channel(
-        "ui", _walk_back(ui_op, rows, num_layers), e_all, m + n)
+        "ui", _walk_back(ctx.ui, rows, cfg.L), e_all, m + n)
     ui_avg = dc.mean_of(ui_layers)
     held = m if rows is None else int(np.searchsorted(rows, m))
 
@@ -427,18 +411,18 @@ def encode(tape, leaves, ui_op, comp_op, num_users, num_items, num_layers,
         items=None if rows is None else rows[held:] - m,
     )
 
-    if comp_op is not None:
+    if ctx.comp is not None:
         average = "avg" in comp_views
-        top = num_layers if average else max(map(int, comp_views), default=0)
+        top = cfg.L if average else max(map(int, comp_views), default=0)
         out.comp_layers = []
         if top:
-            plan = _walk_back(comp_op, out.items, top, full_first=False)
+            plan = _walk_back(ctx.comp, out.items, top, full_first=False)
             out.comp_layers = run_channel(
                 "comp", plan, dc.row_slice(e_all, m, m + n), n)
             if average:
                 out.z_c = dc.mean_of(out.comp_layers)
-        if settings.mode != "none":
-            for _ in range(top, num_layers):
+        if cfg.noise_mode != "none":
+            for _ in range(top, cfg.L):
                 draw(n)  # an unread layer keeps its place in the stream
     return out
 

@@ -4,7 +4,7 @@ stopping on Recall@20."""
 
 import ctypes
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -14,14 +14,13 @@ from .dataset import sample_negatives
 from .diffcore import DiffError, Tape
 from .graphs import build_graph, build_interaction_matrix
 from .metrics import rank_topk, topk_metrics
-from .model import NoiseSettings, encode, init_params, reconstruct
+from .model import encode, init_params, reconstruct
 
 __all__ = [
     "ConfigError",
     "TrainConfig",
     "AdamState",
     "adam_step",
-    "TrainContext",
     "build_context",
     "train_epoch",
     "evaluate_model",
@@ -30,8 +29,8 @@ __all__ = [
     "HISTORY_CSV_HEADER",
 ]
 
-HISTORY_CSV_HEADER = ("epoch,rec,cl,recon,ddl,reg,total,"
-                      "recall20,ndcg20")
+HISTORY_CSV_HEADER = ",".join(
+    ["epoch", *(f.name for f in fields(ls.LossReport)), "recall20", "ndcg20"])
 
 
 class ConfigError(ValueError):
@@ -49,7 +48,17 @@ def _parse_bool(text):
 @dataclass(slots=True)
 class TrainConfig:
     """Every tunable of a run, addressable by dotted config keys.  Its
-    slots make assigning a field it does not have an error."""
+    slots make assigning a field it does not have an error.
+
+    Every noise sample is mu + sigma^2 * epsilon, so its spread is
+    sigma^2.  ``noise_mode`` is generative (mu and sigma^2 learned per
+    row), random (mu = 0, sigma^2 = 0.1) or none.  ``noise_distribution``
+    gaussian keeps the raw reparameterized sample; uniform passes it
+    through GELU.  In mode generative the distribution also picks the
+    term that pulls the first user-item block towards its prior:
+    gaussian the analytic KL of N(mu, sigma^2) from N(0, 1), uniform a
+    sample-based MMD against U[0, 1) draws.
+    """
 
     d: int = 64
     h: int = 64
@@ -169,10 +178,6 @@ class TrainConfig:
                     raise ConfigError(
                         f"{key}={sel} outside layers 1..{self.L}")
 
-    def noise_settings(self):
-        return NoiseSettings(mode=self.noise_mode,
-                             distribution=self.noise_distribution)
-
     def copy(self):
         return replace(self)
 
@@ -198,8 +203,7 @@ def adam_step(param_table, grads, state, lr=0.001):
 
     All or nothing: a non-finite gradient anywhere, or a second moment
     that would overflow, raises DiffError before any parameter, moment or
-    the step count changes.  Every temporary is written into one of two
-    scratch buffers sized for the largest parameter."""
+    the step count changes."""
     t = state.t + 1
 
     def v_hat(v, g):  # the update's operations, in its order
@@ -221,63 +225,27 @@ def adam_step(param_table, grads, state, lr=0.001):
                                 f"overflows at |gradient| {g_max:.3g}; "
                                 f"training diverged")
     state.t = t
-    size = max((p.size for p in param_table.values()), default=0)
-    scratch_a, scratch_b = np.empty(size), np.empty(size)
     for name, p in param_table.items():
         g = grads[name]
         if name not in state.m:
             state.m[name] = np.zeros_like(p)
             state.v[name] = np.zeros_like(p)
         m, v = state.m[name], state.v[name]
-        a = scratch_a[:p.size].reshape(p.shape)
-        b = scratch_b[:p.size].reshape(p.shape)
-        # m = BETA1 m + (1 - BETA1) g and v = BETA2 v + (1 - BETA2) g g
         m *= BETA1
-        np.multiply(1.0 - BETA1, g, out=a)
-        m += a
+        m += (1.0 - BETA1) * g
         v *= BETA2
-        np.multiply(1.0 - BETA2, g, out=a)
-        a *= g
-        v += a
-        # p -= lr m_hat / (sqrt(v_hat) + EPS)
-        np.divide(m, 1.0 - BETA1 ** t, out=b)
-        np.multiply(lr, b, out=b)
-        np.divide(v, 1.0 - BETA2 ** t, out=a)
-        np.sqrt(a, out=a)
-        a += EPS
-        b /= a
-        p -= b
+        v += (1.0 - BETA2) * g * g
+        p -= lr * (m / (1.0 - BETA1 ** t)) / (np.sqrt(v / (1.0 - BETA2 ** t))
+                                               + EPS)
 
 
 # ------------------------------------------------------------- context
 
 
-@dataclass
-class TrainContext:
-    """Fold-level immutable training state: the normalized graph matrices
-    the encoder propagates over (``comp_op`` None when the complement
-    channel is off) and the binary train matrix ``R`` used for negative
-    sampling and masking, all canonical CSR."""
-
-    train: object
-    ui_op: object
-    comp_op: object
-    R: object
-    num_users: int
-    num_items: int
-
-
 def build_context(train, cfg):
-    graph = build_graph(train, gamma=cfg.gamma,
-                        complement_enabled=cfg.complement_enabled)
-    return TrainContext(
-        train=train,
-        ui_op=graph.ui,
-        comp_op=graph.comp,
-        R=graph.R,
-        num_users=train.num_users,
-        num_items=train.num_items,
-    )
+    """The fold's :class:`graphs.NormalizedGraph` under ``cfg``."""
+    return build_graph(train, gamma=cfg.gamma,
+                       complement_enabled=cfg.complement_enabled)
 
 
 def _batch_loss(params, ctx, cfg, rng, users, pos_items, neg_items):
@@ -308,13 +276,13 @@ def _batch_loss(params, ctx, cfg, rng, users, pos_items, neg_items):
     averages, the kept layers and the averages once they are gathered,
     and the products read only by a reduction.  InfoNCE's forward
     transients then sit on a smaller heap.  The discrepancy term is the
-    one :class:`model.NoiseSettings` pairs with the noise distribution.
+    one :class:`TrainConfig` pairs with the noise distribution.
     A gaussian first user-item block's sample is dropped after the
     reconstruction's gathers and rebuilt by layer 1's backward pass from
     mu, sigma^2 and epsilon (see :mod:`model`); a uniform sample, and
     mode random's, keeps its value.
     """
-    m, n = ctx.num_users, ctx.num_items
+    m = ctx.num_users
     u_idx = np.asarray(users, dtype=np.int64)
     p_idx = np.asarray(pos_items, dtype=np.int64)
     n_idx = np.asarray(neg_items, dtype=np.int64)
@@ -344,8 +312,8 @@ def _batch_loss(params, ctx, cfg, rng, users, pos_items, neg_items):
             if gaussian:
                 terms["ddl"] = ls.kl_loss(block.mu, block.sigma2)
 
-    out = encode(tape, leaves, ctx.ui_op, ctx.comp_op, m, n, cfg.L, rng,
-                 cfg.noise_settings(), rows=touched, comp_views=views_read,
+    out = encode(tape, leaves, ctx, cfg, rng, rows=touched,
+                 comp_views=views_read,
                  ui1_terms=ui1_terms if generative else None)
 
     with quiet():
@@ -377,7 +345,7 @@ def _batch_loss(params, ctx, cfg, rng, users, pos_items, neg_items):
                              for sel in views_read)
 
             cl_views = (views("user", uu), views("item", ii),
-                        views("comp", ii) if ctx.comp_op is not None
+                        views("comp", ii) if ctx.comp is not None
                         else None)
         # the contrastive term's forward transients sit on top of what the
         # tape holds here, so what no backward pass reads goes first
@@ -440,7 +408,7 @@ def train_epoch(params, ctx, cfg, rng, state):
     _keep_freed_memory()
     pairs = ctx.train.pairs
     order = rng.permutation(len(pairs))
-    sums = np.zeros(6)
+    sums = np.zeros(len(fields(ls.LossReport)))
     batches = 0
     for lo in range(0, len(order), cfg.batch_size):
         batch = pairs[order[lo:lo + cfg.batch_size]]
@@ -448,12 +416,9 @@ def train_epoch(params, ctx, cfg, rng, state):
         neg = sample_negatives(ctx.R, users, rng)
         report, _, grads = _batch_loss(params, ctx, cfg, rng, users, pos, neg)
         adam_step(params.param_arrays(), grads, state, lr=cfg.learning_rate)
-        sums += [report.rec, report.cl, report.recon, report.ddl,
-                 report.reg, report.total]
+        sums += astuple(report)
         batches += 1
-    mean = (sums / batches).tolist()
-    return ls.LossReport(rec=mean[0], cl=mean[1], recon=mean[2],
-                         ddl=mean[3], reg=mean[4], total=mean[5])
+    return ls.LossReport(*(sums / batches).tolist())
 
 
 def eval_embeddings(params, ctx, cfg):
@@ -468,23 +433,23 @@ def eval_embeddings(params, ctx, cfg):
     ((z1 + z2) + z3) (1/L).  The sum starts as layer 1 itself.  The graph
     is bipartite: a layer's user rows read only the previous layer's item
     rows, and its item rows only its user rows.  So every later layer is
-    made as two halves, ``ui_op[:m, m:]`` @ the previous item half and
-    ``ui_op[m:, :m]`` @ the previous user half, and a half is dropped as
+    made as two halves, ``ctx.ui[:m, m:]`` @ the previous item half and
+    ``ctx.ui[m:, :m]`` @ the previous user half, and a half is dropped as
     soon as the half it feeds is made.  The smaller half is made first,
     while the whole previous layer is alive, so at most two (m+n) x d
     arrays and the smaller half are alive at once: the sum, the layer
     read and the first half made.  Slicing keeps each row's entries in
-    order, so the halves are the rows of ``ui_op`` @ the layer bit for
+    order, so the halves are the rows of ``ctx.ui`` @ the layer bit for
     bit, and in-place ``+=`` and ``*=`` round as the tape's adds and
     scale do.  Returns the user and item row views of the mean."""
     m, n = ctx.num_users, ctx.num_items
     # an overflow shows as a non-finite embedding, reported below
     with np.errstate(over="ignore", invalid="ignore"):
-        total = ctx.ui_op @ params.base_embedding
+        total = ctx.ui @ params.base_embedding
         if cfg.L > 1:
             rows = (np.s_[:m], np.s_[m:])
             # blocks[s] makes half s from the other half of the layer before
-            blocks = (ctx.ui_op[:m, m:], ctx.ui_op[m:, :m])
+            blocks = (ctx.ui[:m, m:], ctx.ui[m:, :m])
             # layer 1's halves are the sum's rows, read before the first +=
             layer = [total[rows[0]], total[rows[1]]]
             for _ in range(1, cfg.L):
@@ -563,7 +528,6 @@ def fit(cfg, fold, on_epoch=None):
     state = AdamState()
     history, eval_log = [], []
     best = None
-    best_params = params.copy()
     best_epoch = 0
     stale = 0
     epochs_run = 0
@@ -583,9 +547,8 @@ def fit(cfg, fold, on_epoch=None):
                 stale = 0
             else:
                 stale += 1
-        history.append(f"{epoch},{report.rec!r},{report.cl!r},"
-                       f"{report.recon!r},{report.ddl!r},{report.reg!r},"
-                       f"{report.total!r},{eval_cols}")
+        history.append(",".join([str(epoch), *map(repr, astuple(report)),
+                                 eval_cols]))
         if on_epoch is not None:
             on_epoch(epoch, report, metrics, history[-1], params, ctx)
         if stale >= cfg.patience:

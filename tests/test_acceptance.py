@@ -9,6 +9,7 @@ fetch it.  Everything else runs on synthetic instances.
 
 import os
 import time
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -22,7 +23,7 @@ import gclrec.losses as ls
 from gclrec.cli import main as cli_main
 from gclrec.dataset import InteractionSet, load_interactions, make_folds
 from gclrec.graphs import build_complement, build_graph
-from gclrec.model import NoiseSettings, encode, init_params
+from gclrec.model import encode, init_params
 from gclrec.metrics import rank_topk, topk_metrics
 from gclrec.trainer import TrainConfig, _batch_loss, build_context, fit
 
@@ -285,9 +286,9 @@ def test_criterion_08_plain_propagation_reduction():
             graph = build_graph(data, gamma=1.0)
             params = init_params(m, n, 4, 4, seed=int(rng.integers(1 << 30)))
             tape = dc.Tape()
+            cfg = TrainConfig(L=L, noise_mode="none")
             out = encode(tape, params.leaves(tape),
-                         graph.ui, None, m, n, L, None,
-                         NoiseSettings(mode="none"))
+                         replace(graph, comp=None), cfg, None)
             a_dense = graph.ui.toarray()
             zero_noise = [np.zeros((m + n, 4))] * L
             want, _ = propagate_dense(a_dense, params.base_embedding,

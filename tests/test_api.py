@@ -184,8 +184,11 @@ def test_benchmark_calls_run(tmp_path):
                                seed=cfg.seed + fold.fold_index)
     initial = params.base_embedding.copy()
     view = fold.train.view(np.arange(cfg.batch_size))
+    batch_ctx = dataclasses.replace(ctx, train=view)
+    assert (batch_ctx.num_users, batch_ctx.num_items) == (
+        fold.train.num_users, fold.train.num_items)
     report = trainer.train_epoch(
-        params, dataclasses.replace(ctx, train=view), cfg,
+        params, batch_ctx, cfg,
         np.random.default_rng([1, 2, 0]), trainer.AdamState())
     assert all(np.isfinite(v) for v in dataclasses.astuple(report))
     arrays = params.param_arrays()

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -8,7 +10,6 @@ from gclrec.diffcore import Tape
 from gclrec.graphs import build_graph
 from gclrec.model import (
     NoiseBlock,
-    NoiseSettings,
     encode,
     generate_noise,
     init_params,
@@ -18,11 +19,18 @@ from gclrec.model import (
     reconstruct,
     save_checkpoint,
 )
+from gclrec.trainer import TrainConfig
 
 from conftest import make_interactions, random_interactions
 from oracles import propagate_dense, sym_normalize_dense, adjacency_dense
 
-NO_NOISE = NoiseSettings(mode="none")
+
+def noise_cfg(mode="generative", distribution="gaussian"):
+    """An unvalidated config that sets only the encoder's noise, L = 3."""
+    return TrainConfig(noise_mode=mode, noise_distribution=distribution)
+
+
+NO_NOISE = noise_cfg("none")
 
 
 def zero_generator(params):
@@ -70,7 +78,7 @@ class TestGenerateNoise:
         leaves = self.params.leaves(t)
         z = t.constant(np.random.default_rng(1).normal(size=(6, 4)))
         eps = np.random.default_rng(2).standard_normal((6, 4))
-        block = generate_noise(t, z, leaves, eps, NoiseSettings())
+        block = generate_noise(t, z, leaves, eps, noise_cfg())
         np.testing.assert_array_equal(block.mu.value, 0.0)
         np.testing.assert_array_equal(block.sigma2.value, 1.0)
         np.testing.assert_array_equal(block.sample.value, eps)
@@ -87,7 +95,7 @@ class TestGenerateNoise:
         z = t.constant(np.random.default_rng(3).normal(size=(6, 4)) * 10)
         block = generate_noise(t, z, leaves,
                                np.random.default_rng(4).normal(size=(6, 4)),
-                               NoiseSettings())
+                               noise_cfg())
         assert np.all(block.sigma2.value > 0)
 
     def test_sample_scales_epsilon_by_sigma2(self):
@@ -99,7 +107,7 @@ class TestGenerateNoise:
         t = Tape()
         leaves = self.params.leaves(t)
         z = t.constant(np.zeros((6, 4)))
-        block = generate_noise(t, z, leaves, eps, NoiseSettings())
+        block = generate_noise(t, z, leaves, eps, noise_cfg())
         np.testing.assert_allclose(block.sample.value, np.exp(2.0) * eps)
 
     def test_uniform_distribution_applies_gelu(self):
@@ -110,7 +118,7 @@ class TestGenerateNoise:
         leaves = self.params.leaves(t)
         z = t.constant(np.zeros((6, 4)))
         block = generate_noise(t, z, leaves, eps,
-                               NoiseSettings(distribution="uniform"))
+                               noise_cfg(distribution="uniform"))
         gaussian = eps  # zero generator: mu=0, sigma2=1
         expected = 0.5 * gaussian * (1.0 + erf(gaussian / np.sqrt(2.0)))
         np.testing.assert_allclose(block.sample.value, expected, atol=1e-14)
@@ -119,7 +127,7 @@ class TestGenerateNoise:
         eps = np.random.default_rng(7).normal(size=(6, 4))
         t = Tape()
         z = t.constant(np.zeros((6, 4)))
-        block = generate_noise(t, z, {}, eps, NoiseSettings(mode="random"))
+        block = generate_noise(t, z, {}, eps, noise_cfg("random"))
         np.testing.assert_array_equal(block.sample.value, 0.1 * eps)
         # nothing is learned, so no mean or variance node is built
         assert block.mu is None and block.sigma2 is None
@@ -130,13 +138,23 @@ class TestGenerateNoise:
         leaves = self.params.leaves(t)
         z = t.constant(np.ones((2, 4)))
         with pytest.raises(dc.DiffError, match="non-finite"):
-            generate_noise(t, z, leaves, np.zeros((2, 4)), NoiseSettings())
+            generate_noise(t, z, leaves, np.zeros((2, 4)), noise_cfg())
 
     def test_bad_settings_rejected(self):
-        with pytest.raises(ValueError):
-            NoiseSettings(mode="gaussian")
-        with pytest.raises(ValueError):
-            NoiseSettings(distribution="laplace")
+        # a config built without validate() falls into no branch, random
+        # noise included, and builds no node
+        t = Tape()
+        leaves = self.params.leaves(t)
+        z = t.constant(np.ones((6, 4)))
+        built = len(t.nodes)
+        for cfg, match in ((TrainConfig(noise_mode="white"), "mode 'white'"),
+                           (TrainConfig(noise_distribution="laplace"),
+                            "distribution 'laplace'"),
+                           (noise_cfg("random", "laplace"),
+                            "distribution 'laplace'")):
+            with pytest.raises(ValueError, match=match):
+                generate_noise(t, z, leaves, np.zeros((6, 4)), cfg)
+        assert len(t.nodes) == built
 
 
 class TestPropagate:
@@ -202,26 +220,19 @@ def mean_and_variance(block, outputs):
     return out[:, :d], np.exp(out[:, d:])
 
 
-def build_ops(data, gamma=1.0, complement=True):
-    g = build_graph(data, gamma=gamma, complement_enabled=complement)
-    return g.ui, g.comp, g
-
-
 class TestEncode:
     def setup_method(self):
         self.data = random_interactions(6, 8, density=0.3, seed=9)
         self.params = init_params(6, 8, 4, 4, seed=10)
 
-    def run_encode(self, settings, seed=0, layers=3, complement=True):
-        ui_op, comp_op, _ = build_ops(self.data, complement=complement)
+    def run_encode(self, cfg, seed=0, complement=True):
+        g = build_graph(self.data, 1.0, complement_enabled=complement)
         t = Tape()
         leaves = self.params.leaves(t)
-        out = encode(t, leaves, ui_op, comp_op, 6, 8, layers,
-                     np.random.default_rng(seed), settings)
-        return out
+        return encode(t, leaves, g, cfg, np.random.default_rng(seed))
 
     def test_reduces_to_plain_propagation_without_noise(self):
-        ui_op, comp_op, g = build_ops(self.data)
+        g = build_graph(self.data, 1.0)
         out = self.run_encode(NO_NOISE)
         A = g.ui.toarray()
         zeros = [np.zeros((14, 4))] * 3
@@ -235,8 +246,8 @@ class TestEncode:
 
     def test_matches_dense_reference_with_noise(self):
         # replay the generated noise through the dense reference
-        out = self.run_encode(NoiseSettings(), seed=4)
-        ui_op, comp_op, g = build_ops(self.data)
+        out = self.run_encode(noise_cfg(), seed=4)
+        g = build_graph(self.data, 1.0)
         A = g.ui.toarray()
         noise = [normed(out.noise_blocks[("ui", k)].sample.value)
                  for k in (1, 2, 3)]
@@ -245,7 +256,7 @@ class TestEncode:
         np.testing.assert_allclose(out.z_u.value, expected_avg[:6], atol=1e-12)
 
     def test_layer_average_invariant(self):
-        out = self.run_encode(NoiseSettings(), seed=1)
+        out = self.run_encode(noise_cfg(), seed=1)
         stack = np.stack([z.value for z in out.ui_layers])
         avg = stack.mean(axis=0)
         np.testing.assert_allclose(out.z_u.value, avg[:6], atol=1e-14)
@@ -254,7 +265,7 @@ class TestEncode:
         np.testing.assert_allclose(out.z_c.value, comp_avg, atol=1e-14)
 
     def test_views_are_first_layer_and_average(self):
-        out = self.run_encode(NoiseSettings(), seed=2)
+        out = self.run_encode(noise_cfg(), seed=2)
         np.testing.assert_array_equal(out.view("1", "user").value,
                                       out.ui_layers[0].value[:6])
         np.testing.assert_array_equal(out.view("2", "item").value,
@@ -265,14 +276,14 @@ class TestEncode:
         assert out.view("avg", "comp") is out.z_c
 
     def test_deterministic_given_seed(self):
-        a = self.run_encode(NoiseSettings(), seed=7)
-        b = self.run_encode(NoiseSettings(), seed=7)
+        a = self.run_encode(noise_cfg(), seed=7)
+        b = self.run_encode(noise_cfg(), seed=7)
         assert np.array_equal(a.z_u.value, b.z_u.value)
-        c = self.run_encode(NoiseSettings(), seed=8)
+        c = self.run_encode(noise_cfg(), seed=8)
         assert not np.array_equal(a.z_u.value, c.z_u.value)
 
     def test_noise_rows_unit_after_normalization(self):
-        out = self.run_encode(NoiseSettings(), seed=3)
+        out = self.run_encode(noise_cfg(), seed=3)
         for block in out.noise_blocks.values():
             normed = block.sample.value / np.maximum(
                 np.linalg.norm(block.sample.value, axis=1, keepdims=True), 1e-12)
@@ -280,7 +291,7 @@ class TestEncode:
             assert np.all((np.abs(norms - 1.0) < 1e-9) | (norms == 0.0))
 
     def test_complement_channel_off(self):
-        out = self.run_encode(NoiseSettings(), complement=False)
+        out = self.run_encode(noise_cfg(), complement=False)
         assert out.comp_layers is None and out.z_c is None
 
     def test_empty_complement_gives_zero_z_c(self):
@@ -290,11 +301,11 @@ class TestEncode:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             empty = build_complement(R, gamma=1e9)
-        ui_op = build_graph(self.data, 1.0).ui
+        g = replace(build_graph(self.data, 1.0), comp=empty)
         t = Tape()
         leaves = self.params.leaves(t)
-        out = encode(t, leaves, ui_op, empty, 6, 8, 2,
-                     np.random.default_rng(0), NoiseSettings())
+        cfg = replace(noise_cfg(), L=2)
+        out = encode(t, leaves, g, cfg, np.random.default_rng(0))
         np.testing.assert_array_equal(out.z_c.value, 0.0)
         assert out.noise_blocks[("comp", 1)].sample.shape == (0, 4)
         # the generator and the gather run on zero rows in the backward
@@ -308,13 +319,12 @@ class TestEncode:
                                               (("2", "1"), 2),
                                               (("avg", "1"), 3)])
     def test_complement_builds_the_layers_its_views_read(self, views, built):
-        ui_op, comp_op, _ = build_ops(self.data)
+        g = build_graph(self.data, 1.0)
         outs, next_draws = [], []
         for comp_views in (("avg",), views):
             t = Tape()
             rng = np.random.default_rng(5)
-            outs.append(encode(t, self.params.leaves(t), ui_op, comp_op, 6,
-                               8, 3, rng, NoiseSettings(),
+            outs.append(encode(t, self.params.leaves(t), g, noise_cfg(), rng,
                                comp_views=comp_views))
             next_draws.append(rng.standard_normal(4))
         full, out = outs
@@ -329,23 +339,22 @@ class TestEncode:
     def test_keeps_sigma2_only_where_read(self, gaussian):
         # the KL term reads the gaussian first user-item block's sigma^2;
         # uniform noise brings the MMD term, which reads only the sample
-        ui_op, comp_op, _ = build_ops(self.data)
+        g = build_graph(self.data, 1.0)
         t = Tape()
-        settings = NoiseSettings(
-            distribution="gaussian" if gaussian else "uniform")
-        out = encode(t, self.params.leaves(t), ui_op, comp_op, 6, 8, 3,
-                     np.random.default_rng(6), settings)
+        cfg = noise_cfg(distribution="gaussian" if gaussian else "uniform")
+        out = encode(t, self.params.leaves(t), g, cfg,
+                     np.random.default_rng(6))
         assert [key for key, block in out.noise_blocks.items()
                 if block.sigma2 is not None] == ([("ui", 1)] if gaussian
                                                  else [])
 
     def test_zero_layers_rejected(self):
-        ui_op, comp_op, _ = build_ops(self.data)
+        g = build_graph(self.data, 1.0)
         t = Tape()
         leaves = self.params.leaves(t)
         with pytest.raises(ValueError, match="layers"):
-            encode(t, leaves, ui_op, comp_op, 6, 8, 0,
-                   np.random.default_rng(0), NO_NOISE)
+            encode(t, leaves, g, replace(NO_NOISE, L=0),
+                   np.random.default_rng(0))
 
 
 class TestLiveComplement:
@@ -364,14 +373,14 @@ class TestLiveComplement:
 
     def encode(self, data, gamma, seed):
         m, n = data.num_users, data.num_items
-        ui_op, comp_op, g = build_ops(data, gamma=gamma)
+        g = build_graph(data, gamma)
         params = init_params(m, n, 4, 4, seed=seed)
         t = Tape()
         leaves = params.leaves(t)
         rng = np.random.default_rng(seed)
-        out = encode(t, leaves, ui_op, comp_op, m, n, 3, rng, NoiseSettings())
+        out = encode(t, leaves, g, noise_cfg(), rng)
         # items whose complement row or column holds an entry
-        live = np.flatnonzero(comp_op.getnnz(axis=0) + comp_op.getnnz(axis=1))
+        live = np.flatnonzero(g.comp.getnnz(axis=0) + g.comp.getnnz(axis=1))
         return out, params, g, live, rng, t, leaves
 
     def test_matches_dense_replay_with_zero_noise_at_dead_items(self):
@@ -435,7 +444,7 @@ class TestLiveComplement:
         for k in (1, 2, 3):
             block = generate_noise(t, z, leaves,
                                    replay.standard_normal((4, 4)),
-                                   NoiseSettings())
+                                   noise_cfg())
             z = propagate(g.comp, z, block)
             layers.append(z)
         avg = dc.scale(dc.add(dc.add(layers[0], layers[1]), layers[2]),
@@ -464,12 +473,12 @@ class TestDemandedComplement:
         """Encode and back-propagate a weighted sum of every view the
         demand reads; returns the blocks' and views' values and the
         gradients."""
-        ui_op, comp_op, _ = build_ops(self.DATA, gamma=2.0)
+        g = build_graph(self.DATA, 2.0)
         params = init_params(self.M, self.N, 4, 4, seed=seed)
         t = Tape()
-        out = encode(t, params.leaves(t), ui_op, comp_op, self.M, self.N,
-                     3, np.random.default_rng(seed), NoiseSettings(),
-                     rows=rows, comp_views=("1", "avg"))
+        out = encode(t, params.leaves(t), g, noise_cfg(),
+                     np.random.default_rng(seed), rows=rows,
+                     comp_views=("1", "avg"))
         blocks = {k: (*mean_and_variance(b, outputs), b.sample.value)
                   for k, b in out.noise_blocks.items() if k[0] == "comp"}
         weights = np.random.default_rng(seed + 1)

@@ -594,9 +594,9 @@ class TestDemand:
     def test_generator_runs_on_the_neighbourhood_only(self, monkeypatch):
         seen, original = [], model.generate_noise
 
-        def spy(tape, z_prev, leaves, eps, settings, **kwargs):
+        def spy(tape, z_prev, leaves, eps, cfg, **kwargs):
             seen.append((z_prev.shape[0], eps.shape[0]))
-            return original(tape, z_prev, leaves, eps, settings, **kwargs)
+            return original(tape, z_prev, leaves, eps, cfg, **kwargs)
 
         monkeypatch.setattr(model, "generate_noise", spy)
         self.step(init_params(7, 7, 4, 4, seed=5), tiny_config(L=3))
@@ -709,7 +709,7 @@ class TestEvaluateModel:
         fold = toy_fold()
         cfg = tiny_config()
         ctx = build_context(fold.train, cfg)
-        assert ctx.comp_op.nnz > 0
+        assert ctx.comp.nnz > 0
         params = init_params(6, 8, 4, 4, seed=7)
         passed = []
         monkeypatch.setattr(tr, "encode", lambda *args: passed.append(args))
@@ -718,8 +718,8 @@ class TestEvaluateModel:
 
         # the earlier evaluation pass: both channels on a tape
         tape = Tape()
-        out = encode(tape, params.leaves(tape), ctx.ui_op, ctx.comp_op, 6, 8,
-                     cfg.L, None, model.NoiseSettings(mode="none"))
+        out = encode(tape, params.leaves(tape), ctx,
+                     replace(cfg, noise_mode="none"), None)
         monkeypatch.setattr(tr, "eval_embeddings",
                             lambda *_: (out.z_u.value, out.z_i.value))
         assert evaluate_model(params, ctx, fold.test, cfg) == got
@@ -735,8 +735,8 @@ class TestEvaluateModel:
         params = init_params(40, 30, cfg.d, cfg.h, seed=L)
         z_u, z_i = tr.eval_embeddings(params, ctx, cfg)
         tape = Tape()
-        out = encode(tape, params.leaves(tape), ctx.ui_op, None, 40, 30, L,
-                     None, model.NoiseSettings(mode="none"))
+        out = encode(tape, params.leaves(tape), replace(ctx, comp=None),
+                     replace(cfg, noise_mode="none"), None)
         assert not ctx.R[9].nnz
         for got, want in ((z_u, out.z_u.value), (z_i, out.z_i.value)):
             assert got.shape == want.shape
@@ -768,7 +768,7 @@ class TestEvaluateModel:
                                    min_per_user=2)
         cfg = tiny_config(d=64, L=L)
         ctx = build_context(data, cfg)
-        op = ctx.ui_op
+        op = ctx.ui
         layer = (2000 + 1500) * cfg.d * 8
         assert op.data.nbytes + op.indices.nbytes + op.indptr.nbytes \
             < 0.1 * layer
