@@ -25,10 +25,13 @@ A train step or an evaluation runs under one profile hook (see
 (glibc ``mallinfo2``: bytes in use in the arenas plus mmapped blocks;
 None without it) as each Python function returns and keeps the highest
 reading with where it was taken: the phase, the function that returned,
-its caller and the innermost frame in the gclrec package, as in
-``backward: _wrapreduction from sum in _rownorm_grad`` (no ``in`` part
-when no gclrec code is running).  An array allocated and freed between
-two returns is missed.  A train
+its caller, the innermost frame in the gclrec package and the node of
+the backward sweep or the encoder channel and layer it ran in, as in
+``backward: _wrapreduction from sum in _rownorm_grad at node
+inject_spmm (5112, 64)`` or ``forward: _all from generate_noise in
+generate_noise at ui layer 3`` (no ``in`` part when no gclrec code is
+running, no ``at`` part outside the sweep and the encoder's layer
+loop).  An array allocated and freed between two returns is missed.  A train
 step's phases are ``forward``, ``backward`` from the call of
 ``diffcore.backward`` and ``after backward`` from its return; it adds
 the live heap as its backward sweep starts, its highest value over the
@@ -77,6 +80,8 @@ from gclrec import dataset, diffcore, graphs, model, trainer  # noqa: E402
 
 PAGE_MB = os.sysconf("SC_PAGE_SIZE") / 2 ** 20
 GCLREC_DIR = os.path.dirname(trainer.__file__) + os.sep
+BACKWARD = diffcore.backward.__code__
+RUN_CHANNEL = "encode.<locals>.run_channel"
 
 
 def rss_mb():
@@ -177,14 +182,29 @@ class Sampler:
 
     def where(self, frame):
         """The label of a reading taken as ``frame`` returns: the phase,
-        the function, its caller and the innermost gclrec function."""
+        the function, its caller, the innermost gclrec function and where
+        in the step it ran, read from the locals of the innermost frame
+        that knows: the node whose backward pass ``diffcore.backward`` is
+        running, or the channel and layer that ``encode``'s loop has
+        reached."""
         label = (f"{self.phase}: {frame.f_code.co_qualname} from "
                  f"{frame.f_back.f_code.co_qualname}")
+        inner = at = ""
         while frame is not None:
-            if frame.f_code.co_filename.startswith(GCLREC_DIR):
-                return f"{label} in {frame.f_code.co_qualname}"
+            code = frame.f_code
+            if not inner and code.co_filename.startswith(GCLREC_DIR):
+                inner = f" in {code.co_qualname}"
+            if code is BACKWARD and "node" in frame.f_locals:
+                node = frame.f_locals["node"]
+                at = f" at node {node.op} ({node.shape[0]}, {node.shape[1]})"
+            elif code.co_qualname == RUN_CHANNEL:
+                local = frame.f_locals
+                at = f" at {local['channel']}" + (
+                    f" layer {local['k']}" if "k" in local else "")
+            if at:
+                break
             frame = frame.f_back
-        return label
+        return label + inner + at
 
 
 def sampled(runner, count, sampler):

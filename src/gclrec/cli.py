@@ -6,8 +6,10 @@ and diagnostic sweeps.  Every run writes a manifest.json that captures
 the resolved configuration, dataset checksum, seed, and output paths,
 which is enough to rerun the command.
 
-Heavy imports happen inside the dispatch path so that --threads can pin
-BLAS thread pools before numpy is loaded.
+A run uses one BLAS thread, the configuration every check and the
+benchmark measure, unless the caller's environment sets one of
+``THREAD_VARIABLES``; heavy imports happen inside the dispatch path so
+that the pin precedes the numpy import.
 """
 
 import argparse
@@ -29,6 +31,10 @@ ABLATION_VARIANTS = {
     "w/-un": {"noise.distribution": "uniform"},
 }
 
+THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                    "MKL_NUM_THREADS", "VECLIB_MAXIMUM_THREADS",
+                    "NUMEXPR_NUM_THREADS")
+
 DIAGNOSE_MODES = ("layers", "trajectory", "gamma")
 DEFAULT_GAMMA_SWEEP = (1.0, 2.0, 3.0, 4.0, 5.0)
 
@@ -46,11 +52,7 @@ def _build_parser():
                         default=[], metavar="KEY=VALUE",
                         help="override a config key (repeatable)")
         sp.add_argument("--out", metavar="DIR",
-                        help="output directory (default: $GDA_REC_OUT or runs)")
-        sp.add_argument("--threads", type=int, metavar="N",
-                        help="pin BLAS/OpenMP thread pools")
-        sp.add_argument("--seed", type=int, metavar="S",
-                        help="override the config seed")
+                        help="output directory (default: runs)")
         if fold:
             sp.add_argument("--fold", type=int, default=0, metavar="F")
 
@@ -70,12 +72,6 @@ def _build_parser():
                     help="gamma values to sweep (gamma mode only)")
     common(sp, fold=True)
     return parser
-
-
-def _pin_threads(n):
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        os.environ[var] = str(n)
 
 
 def _sha256(path):
@@ -109,11 +105,9 @@ class _Run:
                 raise ConfigError(f"--set expects key=value, got {pair!r}")
             key, _, value = pair.partition("=")
             table[key.strip()] = value.strip()
-        if args.seed is not None:
-            table["seed"] = str(args.seed)
         self.cfg = TrainConfig.from_strings(table)
         self.args = args
-        self.out_dir = Path(args.out or os.environ.get("GDA_REC_OUT", "runs"))
+        self.out_dir = Path(args.out or "runs")
         try:
             self.out_dir.mkdir(parents=True, exist_ok=True)
         except (FileExistsError, NotADirectoryError) as exc:
@@ -491,20 +485,23 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
-    if args.threads is not None:
-        if args.threads < 1:
-            print("--threads must be >= 1", file=sys.stderr)
-            return 2
-        _pin_threads(args.threads)
+    if not any(var in os.environ for var in THREAD_VARIABLES):
+        os.environ.update(dict.fromkeys(THREAD_VARIABLES, "1"))
 
-    # deferred so that thread pinning above precedes the numpy import
+    # deferred so that the pin above precedes the numpy import
     from .dataset import DataError
     from .diffcore import DiffError
     from .trainer import ConfigError
 
     try:
         run = _Run(args)
-        return COMMANDS[args.command](run)
+        try:
+            return COMMANDS[args.command](run)
+        except MemoryError:
+            cfg = run.cfg
+            raise ConfigError(
+                f"out of memory at d={cfg.d}, h={cfg.h}, "
+                f"batch_size={cfg.batch_size}; lower one of them") from None
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

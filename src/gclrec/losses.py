@@ -6,7 +6,7 @@ Every function takes tape nodes and returns a scalar node, so gradients of
 the joint objective flow through one backward sweep.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -181,20 +181,18 @@ def _component_value(node, name):
 
 def joint_loss(rec, cl, recon, ddl, reg, lambda_):
     """Compose total = rec + lambda*cl + (recon + ddl) + reg over the terms
-    present; absent terms contribute zero.  Returns (report, total node).
+    present, added in :class:`LossReport`'s order; absent terms contribute
+    zero.  Returns (report, total node).
     """
-    values = {
-        "rec": _component_value(rec, "rec"),
-        "cl": _component_value(cl, "cl"),
-        "recon": _component_value(recon, "recon"),
-        "ddl": _component_value(ddl, "ddl"),
-        "reg": _component_value(reg, "reg"),
-    }
+    terms = dict(zip((f.name for f in fields(LossReport) if f.name != "total"),
+                     (rec, cl, recon, ddl, reg), strict=True))
+    values = {name: _component_value(node, name)
+              for name, node in terms.items()}
     total = None
-    for node, weight in ((rec, 1.0), (cl, lambda_), (recon, 1.0),
-                         (ddl, 1.0), (reg, 1.0)):
+    for name, node in terms.items():
         if node is None:
             continue
+        weight = lambda_ if name == "cl" else 1.0
         term = node if weight == 1.0 else dc.scale(node, weight)
         total = term if total is None else dc.add(total, term)
     if total is None:

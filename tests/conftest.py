@@ -1,10 +1,17 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from gclrec.cli import THREAD_VARIABLES
 from gclrec.dataset import InteractionSet
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 # one line per acceptance criterion, shown in the terminal summary
 ACCEPTANCE_LINES = []
@@ -20,6 +27,28 @@ def pytest_terminal_summary(terminalreporter):
     terminalreporter.section("acceptance criteria")
     for line in sorted(ACCEPTANCE_LINES):
         terminalreporter.write_line(line)
+
+
+def process_env(threads):
+    """The environment of a fresh gclrec process: this process's, with
+    src/ first on PYTHONPATH and, of the BLAS thread variables, exactly
+    ``threads`` (name -> value)."""
+    env = {key: value for key, value in os.environ.items()
+           if key not in THREAD_VARIABLES}
+    env.update(threads)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return env
+
+
+def train_process(*args):
+    """``gclrec train *args`` in a fresh process with one BLAS thread,
+    whatever this process's environment sets; asserts that it exits 0."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "gclrec.cli", "train", *args],
+        env=process_env(dict.fromkeys(THREAD_VARIABLES, "1")),
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
 
 
 def make_interactions(num_users, num_items, pairs):

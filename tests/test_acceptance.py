@@ -20,14 +20,14 @@ import scipy.sparse as sp
 
 import gclrec.diffcore as dc
 import gclrec.losses as ls
-from gclrec.cli import main as cli_main
 from gclrec.dataset import InteractionSet, load_interactions, make_folds
 from gclrec.graphs import build_complement, build_graph
 from gclrec.model import encode, init_params
 from gclrec.metrics import rank_topk, topk_metrics
 from gclrec.trainer import TrainConfig, _batch_loss, build_context, fit
 
-from conftest import record_acceptance, random_interactions, train_matrix
+from conftest import (record_acceptance, random_interactions, train_matrix,
+                      train_process)
 from oracles import complement_dense, propagate_dense, ranking_metrics_dense
 
 DATASET_ENV = "GDA_REC_DATA"
@@ -307,15 +307,12 @@ def test_criterion_09_training_determinism(tmp_path):
     outputs = []
     for run in ("a", "b"):
         out = tmp_path / run
-        code = cli_main([
-            "train", "--threads", "1", "--out", str(out),
-            "--set", f"data.path={ratings}",
+        train_process(
+            "--out", str(out), "--set", f"data.path={ratings}",
             "--set", "d=8", "--set", "h=8", "--set", "L=2",
             "--set", "gamma=1.0", "--set", "batch_size=16",
             "--set", "epochs_max=4", "--set", "eval_interval=2",
-            "--set", "folds=3",
-        ])
-        assert code == 0
+            "--set", "folds=3")
         outputs.append(out)
     same = all(
         (outputs[0] / name).read_bytes() == (outputs[1] / name).read_bytes()

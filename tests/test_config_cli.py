@@ -1,13 +1,17 @@
 import json
 import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from gclrec.cli import (
     ABLATION_VARIANTS,
+    THREAD_VARIABLES,
     _format_table,
     _parse_config_file,
     main,
@@ -16,7 +20,7 @@ from gclrec.cli import (
 from gclrec.model import init_params
 from gclrec.trainer import ConfigError, TrainConfig
 
-from conftest import random_interactions
+from conftest import process_env, random_interactions
 
 
 @pytest.fixture
@@ -46,7 +50,10 @@ def config_file(tmp_path, dataset_file):
 
 
 def run_cli(*argv):
-    return main(list(argv))
+    # main pins the BLAS thread variables when none is set; keep that
+    # from leaking into the processes later tests start
+    with mock.patch.dict(os.environ):
+        return main(list(argv))
 
 
 class TestConfigFile:
@@ -138,10 +145,9 @@ class TestExitCodes:
             cfg.validate()
 
     @pytest.mark.parametrize("args, fragment", [
-        (("--seed", "-1"), "seed must be >= 0, got -1"),
         (("--set", "seed=-3"), "seed must be >= 0, got -3"),
         (("--out", "{file}"), "--out {file}: not a directory"),
-    ], ids=["seed-flag", "seed-key", "out-is-a-file"])
+    ], ids=["seed-key", "out-is-a-file"])
     def test_rejected_setting_names_it(self, config_file, tmp_path, capsys,
                                        args, fragment):
         taken = tmp_path / "taken"
@@ -154,6 +160,39 @@ class TestExitCodes:
         assert code == 2
         assert f"config error: {fragment.format(file=taken)}" in err
         assert "Traceback" not in err
+
+    def test_out_of_memory_names_the_sizes(self, config_file, tmp_path,
+                                           capsys, monkeypatch):
+        import gclrec.trainer as tr
+
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(tr, "init_params", out_of_memory)
+        code = run_cli("train", "--config", str(config_file),
+                       "--out", str(tmp_path / "out"))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert ("config error: out of memory at d=4, h=4, batch_size=16; "
+                "lower one of them") in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["prepare", "train", "evaluate",
+                                         "crossval", "ablate", "diagnose"])
+    def test_help_names_no_retired_option(self, capsys, command):
+        assert run_cli(command, "--help") == 0
+        usage = capsys.readouterr().out
+        assert "--threads" not in usage and "--seed" not in usage
+
+    @pytest.mark.parametrize("option", ["--threads", "--seed"])
+    def test_retired_option_is_unknown(self, config_file, tmp_path, capsys,
+                                       option):
+        code = run_cli("train", "--config", str(config_file), option, "1",
+                       "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert f"unrecognized arguments: {option} 1" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_bad_set_syntax(self, config_file, tmp_path, capsys):
         code = run_cli("train", "--config", str(config_file),
@@ -212,6 +251,35 @@ class TestExitCodes:
         assert run_cli("--help") == 0
 
 
+class TestThreads:
+    PROBE = """
+import json, os, sys
+import gclrec.cli
+assert "numpy" not in sys.modules
+assert gclrec.cli.main(sys.argv[1:]) == 0
+print(json.dumps({var: os.environ.get(var)
+                  for var in gclrec.cli.THREAD_VARIABLES}))
+"""
+
+    @pytest.mark.parametrize("given", [{}, {"OPENBLAS_NUM_THREADS": "2"}],
+                             ids=["none-set", "one-set"])
+    def test_one_blas_thread_unless_the_caller_sets_one(self, dataset_file,
+                                                        tmp_path, given):
+        """In a fresh process, main pins every thread variable to 1 before
+        numpy loads when none is set, and leaves the environment as
+        given when one is."""
+        proc = subprocess.run(
+            [sys.executable, "-c", self.PROBE, "prepare",
+             "--set", f"data.path={dataset_file}",
+             "--out", str(tmp_path / "out")],
+            env=process_env(given), capture_output=True, text=True,
+            timeout=120)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        seen = json.loads(proc.stdout.splitlines()[-1])
+        expected = given or dict.fromkeys(THREAD_VARIABLES, "1")
+        assert seen == {var: expected.get(var) for var in THREAD_VARIABLES}
+
+
 class TestPrepare:
     def test_writes_fold_summary(self, config_file, tmp_path, capsys):
         out = tmp_path / "out"
@@ -265,10 +333,10 @@ class TestTrain:
         assert manifest["version"]
         assert any(p.endswith("checkpoint.npz") for p in manifest["outputs"])
 
-    def test_seed_flag_overrides_config(self, config_file, tmp_path, capsys):
+    def test_set_seed_overrides_config(self, config_file, tmp_path, capsys):
         out = tmp_path / "out"
         assert run_cli("train", "--config", str(config_file),
-                       "--seed", "99", "--out", str(out)) == 0
+                       "--set", "seed=99", "--out", str(out)) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == 99
         assert manifest["config"]["seed"] == "99"
@@ -323,13 +391,11 @@ class TestTrain:
         assert code == 4
         assert "second moment for 'base_embedding'" in capsys.readouterr().err
 
-    def test_env_var_sets_out_dir(self, config_file, tmp_path, capsys,
+    def test_out_defaults_to_runs(self, config_file, tmp_path, capsys,
                                   monkeypatch):
-        out = tmp_path / "from_env"
-        monkeypatch.setenv("GDA_REC_OUT", str(out))
         monkeypatch.chdir(tmp_path)
         assert run_cli("train", "--config", str(config_file)) == 0
-        assert (out / "checkpoint.npz").exists()
+        assert (tmp_path / "runs" / "checkpoint.npz").exists()
 
 
 class TestEvaluate:

@@ -11,10 +11,7 @@ kernel and CPU in use and those the values were recorded with.
 
 import ctypes
 import hashlib
-import os
 import platform
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -22,9 +19,7 @@ import numpy as np
 from gclrec.cli import serialize_config
 from gclrec.trainer import TrainConfig
 
-from conftest import random_interactions
-
-ROOT = Path(__file__).resolve().parent.parent
+from conftest import random_interactions, train_process
 
 EXPECTED_HISTORY = """\
 epoch,rec,cl,recon,ddl,reg,total,recall20,ndcg20
@@ -95,14 +90,7 @@ def golden_run(tmp_path):
     cfg_path = tmp_path / "golden.cfg"
     cfg_path.write_text(serialize_config(cfg))
     out = tmp_path / "out"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "gclrec.cli", "train", "--threads", "1",
-         "--config", str(cfg_path), "--out", str(out)],
-        env=env, capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr[-2000:]
+    train_process("--config", str(cfg_path), "--out", str(out))
     return out
 
 

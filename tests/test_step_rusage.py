@@ -87,13 +87,17 @@ def test_two_steps_and_an_evaluation(capsys, script, toy, outer_profiler):
                for name in script.EVAL_STAGES)
     assert set(steps[-1]) == set(evaluations[-1]) == {"median_after_op_0"}
     if script.MALLINFO2 is not None:
-        label = r"{}: [\w.<>]+ from [\w.<>]+( in [\w.<>]+)?"
+        label = (r"{}: [\w.<>]+ from [\w.<>]+( in [\w.<>]+)?"
+                 r"( at (node \w+ \(\d+, \d+\)|(ui|comp) layer \d+))?")
         for row in steps[:-1]:
             assert re.fullmatch(label.format("(forward|backward|after "
                                              "backward)"),
                                 row["heap_peak_at"]), row["heap_peak_at"]
-            # the step's peak is reached inside gclrec code
+            # the step's peak is reached inside gclrec code, and the
+            # backward one at a node of the sweep
             assert " in " in row["heap_peak_at"], row["heap_peak_at"]
+            assert re.search(r" at node \w+ \(\d+, \d+\)$",
+                             row["heap_backward_peak_at"])
             assert row["heap_at_backward_mb"] > 0
             for phase in ("forward", "backward"):
                 assert re.fullmatch(label.format(phase),
@@ -105,6 +109,35 @@ def test_two_steps_and_an_evaluation(capsys, script, toy, outer_profiler):
                                 evaluations[0][f"{name}_heap_peak_at"])
             assert (evaluations[0][f"{name}_heap_peak_mb"]
                     >= evaluations[0][f"{name}_heap_before_mb"] > 0)
+
+
+def test_labels_place_every_encoder_layer_and_node(script, toy,
+                                                   monkeypatch):
+    """With the live heap rising at every return, each return is a new
+    peak, so every label of a step is read: the forward ones place each
+    layer of both channels, the backward ones the node of the sweep."""
+    cfg, size, (fold, ctx, params) = toy
+    heap = iter(range(10 ** 9))
+    monkeypatch.setattr(script, "heap_mb", lambda: next(heap))
+    labels = []
+
+    class Every(script.Sampler):
+        def where(self, frame):
+            labels.append(super().where(frame))
+            return labels[-1]
+
+    monkeypatch.setattr(script, "Sampler", Every)
+    next(script.train_steps(
+        script.run.Training(fold, ctx, params, cfg, 1, 0), 1))
+    places = {phase: {label.partition(" at ")[2] for label in labels
+                      if label.startswith(f"{phase}: ") and " at " in label}
+              for phase in ("forward", "backward")}
+    assert places["forward"] == {f"{channel} layer {k}"
+                                 for channel in ("ui", "comp")
+                                 for k in range(1, cfg.L + 1)}
+    assert places["backward"]
+    assert all(re.fullmatch(r"node \w+ \(\d+, \d+\)", place)
+               for place in places["backward"])
 
 
 def test_profiler_is_put_back(script, toy, outer_profiler):
