@@ -41,14 +41,15 @@ keeps for its final check, as the benchmark's process does.  An
 evaluation's phases are its stages ``eval_embeddings``, ``rank_topk``
 and ``topk_metrics``; it adds the
 CPU seconds spent in each and, for each, the RSS and the live heap
-before its first call and its highest live heap.  The hook adds about
-0.01 s to the 0.35-0.44 s of CPU an evaluation takes and 0.02-0.04 s
-to the 1.0 s a train step takes: the median difference over 12
-operations, each run with the sampler off and on back to back in one
-process, in each of two runs (seed-1 log, 2-core x86-64 VM).  Neither
-``ru_maxrss``, which keeps the first evaluation's peak, nor the RSS,
-which holds the kept heap's peak between evaluations, shows which stage
-sets a later evaluation's peak.  The hook cannot run beside a C-level
+before its first call and its highest live heap.  The hook adds
+0.05-0.09 s to the 0.42-0.59 s of CPU an evaluation takes and
+0.02-0.04 s to the 1.0 s a train step takes: the median difference
+over 12 operations, each run with the sampler off and on back to back
+in one process, in each of three runs for an evaluation and two for a
+step (seed-1 log, 2-core x86-64 VM).  Neither ``ru_maxrss``, which
+keeps the first evaluation's peak, nor the RSS, which holds the kept
+heap's peak between evaluations, shows which stage sets a later
+evaluation's peak.  The hook cannot run beside a C-level
 profiler such as cProfile, so under one a train step or an evaluation
 raises RuntimeError.  A set-up adds, for each of its stages
 (``load_interactions``, ``make_folds``, ``build_interaction_matrix``,
@@ -56,8 +57,11 @@ raises RuntimeError.  A set-up adds, for each of its stages
 ``build_complement`` and ``init_params``), the CPU seconds it took and
 the RSS before and after it; it runs without the hook, which would bill
 its calls on every line the log parser reads to the stage times.  A
-last line holds the medians over the operations after the first.
-Nothing here is timed by the benchmark.
+last line holds the medians over the operations after the first.  The
+first operation's line also holds ``import_rss_mb``, the RSS once this
+script's imports are done and before any set-up, so that a peak splits
+into what the imports hold, what the set-up adds and what the
+operations add.  Nothing here is timed by the benchmark.
 """
 
 import argparse
@@ -91,6 +95,10 @@ def rss_mb():
             return int(fh.read().split()[1]) * PAGE_MB
     except OSError:
         return None
+
+
+# the RSS that the imports above hold, read before any set-up
+IMPORT_RSS_MB = rss_mb()
 
 
 class _Mallinfo2(ctypes.Structure):
@@ -279,16 +287,19 @@ def setups(log, cfg, count):
 
 
 def report(ops):
-    """Print each operation's JSON line, then the medians after the
-    first."""
+    """Print each operation's JSON line, the first with
+    ``import_rss_mb``, then the medians after the first."""
     rows = []
     for row in ops:
+        if not rows:
+            row = {**row, "import_rss_mb": IMPORT_RSS_MB}
         rows.append(row)
         print(json.dumps(row), flush=True)
     warm = rows[1:] or rows
     keys = [key for key in rows[0] if key not in ("step", "evaluation",
                                                   "setup", "major_faults",
-                                                  "peak_rss_mb")]
+                                                  "peak_rss_mb",
+                                                  "import_rss_mb")]
     print(json.dumps({"median_after_op_0": {
         key: statistics.median(r[key] for r in warm)
         for key in keys if all(isinstance(r[key], (int, float))

@@ -57,10 +57,14 @@ adds g * g.
 when its last user lets go of them rather than at the next garbage
 collection.  Gradients are validated against central finite differences
 by :func:`check_gradients`.
+
+``scipy.special`` is imported where it is first used, in :func:`gelu`'s
+forward pass and :func:`softplus`'s backward pass: importing it costs a
+process about 5.5 MB of resident memory and 0.05 s of CPU, and a process
+that only prepares data or evaluates runs neither.
 """
 
 import numpy as np
-from scipy.special import erf, expit
 
 __all__ = [
     "Tape",
@@ -344,6 +348,8 @@ def softplus(x):
     value = np.logaddexp(0.0, x.value)
 
     def bw(g):
+        from scipy.special import expit
+
         _accum(x, g * expit(x.value), owned=True)
 
     return _op("softplus", (x,), value, bw, reads=(x,))
@@ -351,6 +357,8 @@ def softplus(x):
 
 def _gelu_cdf(a):
     """Phi(a) = 0.5 * (1 + erf(a / sqrt 2)), in one new array."""
+    from scipy.special import erf
+
     cdf = a * _INV_SQRT2
     erf(cdf, out=cdf)
     cdf += 1.0

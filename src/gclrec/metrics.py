@@ -115,11 +115,11 @@ def rank_topk(z_u, z_i, train_items, k, users=None):
     # is held whole.  It is stored transposed, d x width, so a chunk's
     # scores are a plain product of two row-major arrays.  Row norms do
     # not depend on the other rows, so the largest one is the same over
-    # blocks as over the whole array.
-    x = z_u[users]
-    a = np.frexp(np.abs(x).max(axis=1, initial=0.0))[1]
+    # blocks as over the whole array.  The ranked users' rows are scaled
+    # and cast a chunk at a time, as the chunk is scored: a row's a, norm
+    # and radius read only that row, so no copy of all the ranked rows,
+    # in float64 or in float32, is held.
     b = np.frexp(max(z_i.max(initial=0.0), -z_i.min(initial=0.0)))[1]
-    np.ldexp(x, -a[:, None], out=x)
     y = np.empty((d, width), np.float32)
     y[:, n:] = 0.0
     y_max = 0.0
@@ -129,14 +129,18 @@ def rank_topk(z_u, z_i, train_items, k, users=None):
         y_max = max(y_max, np.linalg.norm(scaled, axis=1).max())
         y[:, lo:hi] = scaled.T
     gamma = (d + 4) * 2.0 ** -24 / (1 - (d + 4) * 2.0 ** -24)
-    with np.errstate(over="ignore"):  # an infinite bound keeps every item
-        radius = 2 * (gamma * np.linalg.norm(x, axis=1) * y_max
-                      + d * 2.0 ** -147 + np.ldexp(d * 2.0 ** -1074, -(a + b)))
-    x = x.astype(np.float32)
     lowest = np.finfo(np.float32).min
     for lo in range(0, len(users), _CHUNK):
         batch = users[lo:lo + _CHUNK]
-        scores = np.matmul(x[lo:lo + _CHUNK], y, out=buffer[:len(batch)])
+        x = z_u[batch]
+        a = np.frexp(np.abs(x).max(axis=1, initial=0.0))[1]
+        np.ldexp(x, -a[:, None], out=x)
+        with np.errstate(over="ignore"):  # an infinite bound keeps every item
+            radius = 2 * (gamma * np.linalg.norm(x, axis=1) * y_max
+                          + d * 2.0 ** -147
+                          + np.ldexp(d * 2.0 ** -1074, -(a + b)))
+        scores = np.matmul(x.astype(np.float32), y,
+                           out=buffer[:len(batch)])
         scores[:, n:] = -np.inf
         # each held item's place in train_items.indices, row after row
         starts = train_items.indptr[batch]
@@ -149,7 +153,7 @@ def rank_topk(z_u, z_i, train_items, k, users=None):
         kth = np.partition(peak, w - k, axis=1)[:, w - k]
         # the floor is taken in float64 and rounded down to float32; a row
         # with fewer than k finite block maxima keeps every finite score
-        floor = np.maximum(kth - radius[lo:lo + _CHUNK], lowest)
+        floor = np.maximum(kth - radius, lowest)
         floor32 = floor.astype(np.float32)
         np.nextafter(floor32, lowest, out=floor32, where=floor32 > floor)
         rows, cols = np.nonzero(peak >= floor32[:, None])

@@ -366,6 +366,9 @@ _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 _MMAP_THRESHOLD = 1 << 30
 _TRIM_THRESHOLD = 2 ** 31 - 1
 _heap_kept = False
+# rows of the sum into which eval_embeddings adds its last layer at a
+# time: a block's product is a small fraction of a layer
+EVAL_BLOCK_ROWS = 512
 
 
 def _keep_freed_memory():
@@ -432,36 +435,56 @@ def eval_embeddings(params, ctx, cfg):
     layer is added into a running sum in ``dc.mean_of``'s order,
     ((z1 + z2) + z3) (1/L).  The sum starts as layer 1 itself.  The graph
     is bipartite: a layer's user rows read only the previous layer's item
-    rows, and its item rows only its user rows.  So every later layer is
-    made as two halves, ``ctx.ui[:m, m:]`` @ the previous item half and
-    ``ctx.ui[m:, :m]`` @ the previous user half, and a half is dropped as
-    soon as the half it feeds is made.  The smaller half is made first,
-    while the whole previous layer is alive, so at most two (m+n) x d
-    arrays and the smaller half are alive at once: the sum, the layer
-    read and the first half made.  Slicing keeps each row's entries in
-    order, so the halves are the rows of ``ctx.ui`` @ the layer bit for
-    bit, and in-place ``+=`` and ``*=`` round as the tape's adds and
-    scale do.  Returns the user and item row views of the mean."""
+    rows, and its item rows only its user rows.  So a later layer is made
+    as two halves, ``ctx.ui[:m, m:]`` @ the previous item half and
+    ``ctx.ui[m:, :m]`` @ the previous user half.  A layer before the
+    last is made whole, smaller half first, and a half is dropped as soon
+    as the half it feeds is made.  The last layer is added into the sum
+    :data:`EVAL_BLOCK_ROWS` rows at a time, each block's product straight
+    into the sum's rows; for L = 2 the layer it reads is the sum's own
+    rows, so its smaller half is made whole first, before any ``+=``
+    changes the rows the other half reads, and added last.  At the peak
+    the sum, the layer read (none for L = 2, which holds the smaller half
+    instead) and one block's product and operator rows are alive, and
+    for L > 3 the peak of a layer before the last: the sum, the layer
+    read and the smaller half made.  Slicing keeps each row's entries in
+    order, so halves and blocks are the rows of ``ctx.ui`` @ the layer
+    bit for bit, and in-place ``+=`` and ``*=`` round as the tape's adds
+    and scale do.  Returns the user and item row views of the mean."""
     m, n = ctx.num_users, ctx.num_items
+    # half s is the operator's rows [start[s], stop[s]) and columns
+    # cols[s] times the other half of the layer before
+    start, stop = (0, m), (m, m + n)
+    cols = (np.s_[m:], np.s_[:m])
+    small = 0 if m <= n else 1
     # an overflow shows as a non-finite embedding, reported below
     with np.errstate(over="ignore", invalid="ignore"):
         total = ctx.ui @ params.base_embedding
+        # layer 1's halves are the sum's rows, read before the first +=
+        layer = [total[:m], total[m:]]
+        for _ in range(2, cfg.L):
+            made = [None, None]
+            for side in (small, 1 - small):
+                made[side] = (ctx.ui[start[side]:stop[side], cols[side]]
+                              @ layer[1 - side])
+                layer[1 - side] = None
+            for side in (0, 1):
+                total[start[side]:stop[side]] += made[side]
+            layer = made
         if cfg.L > 1:
-            rows = (np.s_[:m], np.s_[m:])
-            # blocks[s] makes half s from the other half of the layer before
-            blocks = (ctx.ui[:m, m:], ctx.ui[m:, :m])
-            # layer 1's halves are the sum's rows, read before the first +=
-            layer = [total[rows[0]], total[rows[1]]]
-            for _ in range(1, cfg.L):
-                made = [None, None]
-                for side in (0, 1) if m <= n else (1, 0):
-                    made[side] = blocks[side] @ layer[1 - side]
-                    layer[1 - side] = None
-                for side in (0, 1):
-                    total[rows[side]] += made[side]
-                layer = made
+            # for L = 2 the layer read is the sum's rows: the smaller half
+            # is made before any += changes the rows it reads
+            held = (ctx.ui[start[small]:stop[small], cols[small]]
+                    @ layer[1 - small]) if cfg.L == 2 else None
+            for side in (1 - small,) if cfg.L == 2 else (1 - small, small):
+                for lo in range(start[side], stop[side], EVAL_BLOCK_ROWS):
+                    hi = min(lo + EVAL_BLOCK_ROWS, stop[side])
+                    total[lo:hi] += ctx.ui[lo:hi, cols[side]] @ layer[1 - side]
+                layer[1 - side] = None
+            if held is not None:
+                total[start[small]:stop[small]] += held
             # the last layer goes before the finiteness check's mask comes
-            del blocks, layer, made
+            del layer, held
         total *= 1.0 / cfg.L
     if not np.isfinite(total).all():
         raise DiffError("non-finite embeddings for evaluation")

@@ -162,6 +162,36 @@ assert (align.hex(), uniform.hex()) == ("0x1.00fe4226233e2p+1",
 """)
 
 
+def test_scipy_special_is_imported_on_first_use():
+    """The modules an evaluation imports, and the evaluation itself,
+    leave scipy.special, about 5.5 MB of resident memory, unloaded;
+    gelu's forward pass and softplus's backward pass load it and return
+    their recorded values."""
+    run_probe("""
+import sys
+import numpy as np
+import gclrec.cli, gclrec.trainer
+from conftest import random_interactions
+from gclrec import diffcore as dc, model, trainer
+cfg = trainer.TrainConfig(d=4, h=4, L=2, gamma=1.0, batch_size=16)
+data = random_interactions(8, 9, density=0.4, seed=1)
+ctx = trainer.build_context(data, cfg)
+params = model.init_params(8, 9, 4, 4, seed=1)
+trainer.evaluate_model(params, ctx, data, cfg, ks=(2,))
+assert "scipy.special" not in sys.modules
+v = np.random.default_rng(8).normal(scale=3.0, size=(5, 4))
+got = []
+for op in (dc.gelu, dc.softplus):
+    tape = dc.Tape()
+    y = op(tape.leaf(v, name="x"))
+    value = y.value[1, 2]
+    grad = dc.backward(dc.reduce_sum(dc.mul(y, y)))["x"][3, 1]
+    got += [value.hex(), grad.hex()]
+assert got == ["-0x1.8031f69e2fd04p-8", "0x1.2111e79499fe5p+3",
+               "0x1.c30bd0feddf92p-5", "0x1.1e9daa7232f21p+3"], got
+""")
+
+
 def test_benchmark_wrapped_attributes_exist():
     # run_path compiles the file without writing a bytecode cache beside it
     wrapped = runpy.run_path(str(BENCHMARKS / "spans.py"))["WRAPPED"]

@@ -111,6 +111,23 @@ class TestRankTopk:
             assert row.tolist() == topk_rank_dense(scores[u], train[u].indices,
                                                    20)
 
+    def test_no_copy_of_the_ranked_rows(self):
+        # the ranked users' rows are scaled and cast a chunk at a time: a
+        # float32 copy of all of them beside the ranking would take the
+        # peak past top + rows32, a float64 one past twice that
+        rng = np.random.default_rng(6)
+        z_u, z_i = rng.normal(size=(8000, 64)), rng.normal(size=(40, 64))
+        train = train_matrix([rng.choice(40, 3, replace=False)
+                              for _ in range(len(z_u))], len(z_i))
+        users = np.arange(len(z_u))
+        top, peak = traced_peak(rank_topk, z_u, z_i, train, k=5, users=users)
+        rows32 = len(users) * z_u.shape[1] * 4
+        assert peak <= top.nbytes + 0.75 * rows32
+        scores = z_u @ z_i.T
+        for u in range(0, len(z_u), 997):
+            assert top[u].tolist() == topk_rank_dense(
+                scores[u], train[u].indices, 5)
+
 
 def near_tie_instance(rng, users=20, ties=40, others=200, d=6):
     """Users whose top-10 boundary falls inside a cluster of item scores

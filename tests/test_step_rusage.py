@@ -76,13 +76,21 @@ def test_two_steps_and_an_evaluation(capsys, script, toy, outer_profiler):
                  "heap_peak_at", "heap_forward_peak_mb",
                  "heap_forward_peak_at", "heap_backward_peak_mb",
                  "heap_backward_peak_at"}
-    assert [set(row) for row in steps[:-1]] == [step_keys] * 2
+    # the first line also holds the RSS the script's imports left
+    assert [set(row) for row in steps[:-1]] == [
+        step_keys | {"import_rss_mb"}, step_keys]
     assert [row["step"] for row in steps[:-1]] == [0, 1]
     eval_keys = {"evaluation", *USAGE,
                  *(f"{name}_s" for name in script.EVAL_STAGES),
                  *(f"{name}_{key}" for name in script.EVAL_STAGES
                    for key in script.EVAL_MEMORY)}
-    assert len(evaluations) == 2 and set(evaluations[0]) == eval_keys
+    assert len(evaluations) == 2 and \
+        set(evaluations[0]) == eval_keys | {"import_rss_mb"}
+    assert steps[0]["import_rss_mb"] == evaluations[0]["import_rss_mb"] \
+        == script.IMPORT_RSS_MB
+    if script.IMPORT_RSS_MB is not None:
+        assert script.IMPORT_RSS_MB > 0
+    assert "import_rss_mb" not in steps[-1]["median_after_op_0"]
     assert all(evaluations[0][f"{name}_s"] > 0
                for name in script.EVAL_STAGES)
     assert set(steps[-1]) == set(evaluations[-1]) == {"median_after_op_0"}
