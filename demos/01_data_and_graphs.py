@@ -35,7 +35,8 @@ with tempfile.NamedTemporaryFile("w", suffix=".txt", delete=False) as fh:
 data = load_interactions(path)
 os.remove(path)
 print(f"{data.num_users} users x {data.num_items} items, {len(data)} pairs")
-print("item ids:", dict(sorted(data.item_map.items(), key=lambda kv: kv[1])))
+# tokens become indices in order of first appearance: alice 0, tea 0, ...
+print("first pairs (user, item):", data.pairs[:4].tolist())
 
 folds = make_folds(data, k=3, seed=0)
 for fold in folds:

@@ -33,8 +33,7 @@ for u in range(5):
     for i in rng.choice(6, size=3, replace=False):
         rows.append((u, int(i)))
 pairs = np.array(sorted(set(rows)), dtype=np.int64)
-data = InteractionSet(5, 6, pairs, {i: i for i in range(5)},
-                      {i: i for i in range(6)})
+data = InteractionSet(5, 6, pairs)
 
 cfg = TrainConfig()
 cfg.d, cfg.h, cfg.L, cfg.gamma, cfg.batch_size = 4, 4, 2, 1.0, 64

@@ -18,9 +18,7 @@ for u in range(num_users):
     picks = rng.choice(block, size=6, replace=False) + c * block
     rows.extend((u, int(i)) for i in picks)
 pairs = np.array(sorted(set(rows)), dtype=np.int64)
-data = InteractionSet(num_users, num_items, pairs,
-                      {i: i for i in range(num_users)},
-                      {i: i for i in range(num_items)})
+data = InteractionSet(num_users, num_items, pairs)
 print(f"{num_users} users in {clusters} clusters, {len(pairs)} interactions")
 
 cfg = TrainConfig()

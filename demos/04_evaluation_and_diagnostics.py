@@ -22,8 +22,7 @@ for u in range(30):
     for i in rng.choice(40, size=5, replace=False):
         rows.append((u, int(i)))
 pairs = np.array(sorted(set(rows)), dtype=np.int64)
-data = InteractionSet(30, 40, pairs, {i: i for i in range(30)},
-                      {i: i for i in range(40)})
+data = InteractionSet(30, 40, pairs)
 
 cfg = TrainConfig()
 cfg.d = 8

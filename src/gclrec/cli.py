@@ -189,12 +189,6 @@ def _parse_config_file(path):
     return table
 
 
-def serialize_config(cfg):
-    """Config file text; parsing it back yields an identical config."""
-    lines = [f"{key} = {value}" for key, value in cfg.to_strings().items()]
-    return "\n".join(lines) + "\n"
-
-
 def _print_progress(epoch, report, metrics):
     if metrics is not None:
         print(f"  epoch {epoch}: total {report.total:.6f} "

@@ -1,13 +1,15 @@
 """Interaction-log ingestion, k-fold splitting, and negative sampling.
 
-Raw logs are text files with one interaction per line: a user token, an
-item token, and optionally further columns (ratings, timestamps) which are
-ignored -- every logged interaction counts as positive implicit feedback.
+Raw logs are UTF-8 text files (a leading byte-order mark is dropped)
+with one interaction per line: a user token, an item token, and
+optionally further columns (ratings, timestamps) which are ignored --
+every logged interaction counts as positive implicit feedback.  Tokens
+become indices in first-appearance order; the tokens themselves are not
+kept.
 """
 
-import re
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,37 +34,26 @@ class ParseError(DataError):
     """A malformed line in an interaction file."""
 
 
-_FIELD_SEP = re.compile(r"[,\s]+")
-
-
 @dataclass
 class InteractionSet:
     """Deduplicated (user, item) pairs over contiguous index spaces.
 
-    ``pairs`` is an int64 array of shape (P, 2).  ``user_map`` and
-    ``item_map`` take raw tokens to indices in [0, num_users) and
-    [0, num_items); fold views share the maps of their parent set, so a
-    view may reference fewer distinct users/items than the maps cover.
+    ``pairs`` is an int64 array of shape (P, 2) of indices in
+    [0, num_users) and [0, num_items).  Fold views keep the index spaces
+    of their parent set, so a view may reference fewer distinct users or
+    items than it counts.
     """
 
     num_users: int
     num_items: int
     pairs: np.ndarray
-    user_map: dict = field(repr=False)
-    item_map: dict = field(repr=False)
 
     def __len__(self):
         return len(self.pairs)
 
     def view(self, mask):
-        """A subset sharing this set's index spaces and maps."""
-        return InteractionSet(
-            num_users=self.num_users,
-            num_items=self.num_items,
-            pairs=self.pairs[mask],
-            user_map=self.user_map,
-            item_map=self.item_map,
-        )
+        """A subset sharing this set's index spaces."""
+        return replace(self, pairs=self.pairs[mask])
 
 
 @dataclass
@@ -76,87 +67,62 @@ class FoldSplit:
 
 def text_lines(path):
     """Yield (line number, stripped line) for each line of a UTF-8 text
-    file, skipping blank lines and lines starting with ``#``.  Raises
+    file, skipping blank lines and lines starting with ``#``; a leading
+    byte-order mark is not part of the first line.  Raises
     :class:`DataError` naming the file when it is not UTF-8 text."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.strip()
-                if line and not line.startswith("#"):
+                if line and line[0] != "#":
                     yield lineno, line
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
 
-def _slow_fields(path, lineno, raw):
-    """The user and item fields of ``raw`` split on ``_FIELD_SEP``, or
-    None for a blank or ``#`` line; raises :class:`ParseError` for a
-    malformed line."""
-    line = raw.strip()
-    if not line or line.startswith("#"):
-        return None
-    fields = _FIELD_SEP.split(line)
-    if len(fields) < 2:
-        raise ParseError(f"{path}: line {lineno}: expected at least "
-                         f"2 fields, got {len(fields)}")
-    raw_u, raw_i = fields[0], fields[1]
-    if not (raw_u and raw_i):
-        raise ParseError(f"{path}: line {lineno}: empty "
-                         f"{'user' if not raw_u else 'item'} field")
-    return fields
-
-
 def load_interactions(path):
     """Read an interaction log into an :class:`InteractionSet`.
 
-    Lines are split on whitespace or commas; the first two fields are the
-    raw user and item tokens, anything after is ignored.  Blank lines and
-    lines starting with ``#`` are skipped.  Duplicate (user, item) pairs
-    collapse to one; indices are assigned in first-appearance order.
-
-    The file is read one line at a time and no per-line token list is
-    kept.  A line that starts with its first field and has a second is
-    split with ``str.split`` after turning commas into spaces (``\\s``
-    and ``str.isspace`` match the same characters); any other line goes
-    through ``_FIELD_SEP``, which skips it or raises the
-    :class:`ParseError` below.  Duplicates are dropped by one
-    ``np.unique`` over the keys ``user * num_items + item``, which needs
-    ``num_users * num_items < 2**63``; the first occurrence of each key
-    is kept, in file order.
+    Lines are read through :func:`text_lines` and split on whitespace or
+    commas; the first two fields are the raw user and item tokens,
+    anything after is ignored.  Duplicate (user, item) pairs collapse to
+    one; indices are assigned in first-appearance order.  Duplicates are
+    dropped by one ``np.unique`` over the keys ``user * num_items +
+    item``, which needs ``num_users * num_items < 2**63``; the first
+    occurrence of each key is kept, in file order.
 
     Raises :class:`ParseError` for a line with fewer than two fields or
     an empty user or item field (a leading separator would otherwise
     shift the columns), and :class:`DataError` when the file is not UTF-8
     text or no interactions remain.
     """
-    user_map, item_map = {}, {}
+    user_index, item_index = {}, {}
     users, items = array("q"), array("q")
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                fields = raw.replace(",", " ").split(None, 2)
-                if len(fields) < 2 or not raw.startswith(fields[0]):
-                    fields = _slow_fields(path, lineno, raw)
-                    if fields is None:
-                        continue
-                elif fields[0][0] == "#":
-                    continue
-                users.append(user_map.setdefault(fields[0], len(user_map)))
-                items.append(item_map.setdefault(fields[1], len(item_map)))
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    for lineno, line in text_lines(path):
+        fields = line.replace(",", " ").split(None, 2)
+        if len(fields) < 2 or line[0] == ",":
+            # a stripped line that does not start with a comma starts
+            # with its first field, so what follows a lone field is
+            # separators, which leave the item field empty
+            if line[0] == ",":
+                problem = "empty user field"
+            elif len(line) > len(fields[0]):
+                problem = "empty item field"
+            else:
+                problem = "expected at least 2 fields, got 1"
+            raise ParseError(f"{path}: line {lineno}: {problem}")
+        users.append(user_index.setdefault(fields[0], len(user_index)))
+        items.append(item_index.setdefault(fields[1], len(item_index)))
     if not users:
         raise DataError(f"{path}: no interactions found")
     u = np.frombuffer(users, dtype=np.int64)
     i = np.frombuffer(items, dtype=np.int64)
-    _, first = np.unique(u * len(item_map) + i, return_index=True)
+    _, first = np.unique(u * len(item_index) + i, return_index=True)
     first.sort()
     return InteractionSet(
-        num_users=len(user_map),
-        num_items=len(item_map),
+        num_users=len(user_index),
+        num_items=len(item_index),
         pairs=np.column_stack([u[first], i[first]]),
-        user_map=user_map,
-        item_map=item_map,
     )
 
 

@@ -39,9 +39,9 @@ class RankingMetrics:
                 f"{self.ndcg!r},{self.users_evaluated},{self.users_skipped}")
 
 
-def rank_topk(z_u, z_i, train_items, k, users=None):
+def rank_topk(z_u, z_i, train_items, k, users):
     """Top-k items per user from dot-product scores, as a users x k int64
-    array whose row j ranks ``users[j]`` (all users by default).
+    array whose row j ranks ``users[j]``.
 
     ``train_items`` is the binary users x items train matrix in CSR form;
     each user's stored items are removed from the candidate set.  Ties
@@ -55,7 +55,9 @@ def rank_topk(z_u, z_i, train_items, k, users=None):
     items whose float32 score lies within a proven rounding bound of a
     lower bound on their row's float32 k-th score; only these are scored
     again in float64 and ordered, so the rows are those of a float64
-    ranking of the whole catalog.
+    ranking of the whole catalog.  A row whose scores all tie, such as
+    that of a zero user embedding, keeps every item through the screen
+    and re-scores its whole catalog in float64.
     """
     z_u = np.asarray(z_u, dtype=np.float64)
     z_i = np.asarray(z_i, dtype=np.float64)
@@ -65,8 +67,6 @@ def rank_topk(z_u, z_i, train_items, k, users=None):
                          f"({n})")
     if not (np.isfinite(z_u).all() and np.isfinite(z_i).all()):
         raise ValueError("rank_topk needs finite embeddings")
-    if users is None:
-        users = np.arange(z_u.shape[0])
     users = np.asarray(users, dtype=np.int64)
     members = max(1, min(16, n // (8 * k)))
     w = -(-n // members)

@@ -521,8 +521,6 @@ def evaluate_model(params, ctx, test, cfg, ks=(5, 10, 20)):
 @dataclass
 class FitResult:
     params: object
-    history_rows: list
-    eval_log: list
     best_metrics: dict
     best_epoch: int
     epochs_run: int
@@ -549,7 +547,6 @@ def fit(cfg, fold, on_epoch=None):
     params = init_params(ctx.num_users, ctx.num_items, cfg.d, cfg.h,
                          seed=derived_seed)
     state = AdamState()
-    history, eval_log = [], []
     best = None
     best_epoch = 0
     stale = 0
@@ -561,7 +558,6 @@ def fit(cfg, fold, on_epoch=None):
         eval_cols, metrics = ",", None
         if epoch % cfg.eval_interval == 0 or epoch == cfg.epochs_max:
             metrics = evaluate_model(params, ctx, fold.test, cfg, ks=(20,))[20]
-            eval_log.append((epoch, metrics))
             eval_cols = f"{metrics.recall!r},{metrics.ndcg!r}"
             if best is None or metrics.recall > best:
                 best = metrics.recall
@@ -570,18 +566,15 @@ def fit(cfg, fold, on_epoch=None):
                 stale = 0
             else:
                 stale += 1
-        history.append(",".join([str(epoch), *map(repr, astuple(report)),
-                                 eval_cols]))
+        row = ",".join([str(epoch), *map(repr, astuple(report)), eval_cols])
         if on_epoch is not None:
-            on_epoch(epoch, report, metrics, history[-1], params, ctx)
+            on_epoch(epoch, report, metrics, row, params, ctx)
         if stale >= cfg.patience:
             break
 
     best_metrics = evaluate_model(best_params, ctx, fold.test, cfg)
     return FitResult(
         params=best_params,
-        history_rows=history,
-        eval_log=eval_log,
         best_metrics=best_metrics,
         best_epoch=best_epoch,
         epochs_run=epochs_run,

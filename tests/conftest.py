@@ -51,16 +51,17 @@ def train_process(*args):
     assert proc.returncode == 0, proc.stderr[-2000:]
 
 
+def write_config(path, cfg):
+    """Write ``cfg`` to ``path`` as the config file ``--config`` reads,
+    one ``key = value`` line per setting."""
+    path.write_text("".join(f"{key} = {value}\n"
+                            for key, value in cfg.to_strings().items()))
+
+
 def make_interactions(num_users, num_items, pairs):
     """Build an InteractionSet directly from index pairs."""
-    arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    return InteractionSet(
-        num_users=num_users,
-        num_items=num_items,
-        pairs=arr,
-        user_map={str(u): u for u in range(num_users)},
-        item_map={str(i): i for i in range(num_items)},
-    )
+    return InteractionSet(num_users, num_items,
+                          np.asarray(pairs, dtype=np.int64).reshape(-1, 2))
 
 
 def train_matrix(item_lists, num_items):

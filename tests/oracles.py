@@ -97,8 +97,6 @@ def load_interactions_reference(path):
         num_users=len(user_map),
         num_items=len(item_map),
         pairs=np.array(pairs, dtype=np.int64),
-        user_map=user_map,
-        item_map=item_map,
     )
 
 

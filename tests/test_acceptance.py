@@ -130,8 +130,7 @@ def _gradcheck_instance(distribution):
         for i in rng0.choice(6, size=3, replace=False):
             rows.append((u, int(i)))
     pairs = np.array(sorted(set(rows)), dtype=np.int64)
-    data = InteractionSet(5, 6, pairs, {i: i for i in range(5)},
-                          {i: i for i in range(6)})
+    data = InteractionSet(5, 6, pairs)
 
     cfg = TrainConfig()
     cfg.d, cfg.h, cfg.L, cfg.gamma, cfg.batch_size = 4, 4, 2, 1.0, 64
@@ -209,7 +208,8 @@ def test_criterion_06_ranking_metrics_oracle():
             rest = perm[len(held):]
             test_sets.append(rest[:int(rng.integers(0, 4))].tolist())
             train_items.append(held.astype(np.int64))
-        top = rank_topk(z_u, z_i, train_matrix(train_items, n), k)
+        top = rank_topk(z_u, z_i, train_matrix(train_items, n), k,
+                        np.arange(num_users))
         got = topk_metrics(top, train_matrix(test_sets, n), k)
         scores = z_u @ z_i.T
         sums = np.zeros(3)

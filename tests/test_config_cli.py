@@ -15,12 +15,11 @@ from gclrec.cli import (
     _format_table,
     _parse_config_file,
     main,
-    serialize_config,
 )
 from gclrec.model import init_params
 from gclrec.trainer import ConfigError, TrainConfig
 
-from conftest import process_env, random_interactions
+from conftest import process_env, random_interactions, write_config
 
 
 @pytest.fixture
@@ -45,7 +44,7 @@ def config_file(tmp_path, dataset_file):
     cfg.eval_interval = 2
     cfg.folds = 3
     path = tmp_path / "toy.cfg"
-    path.write_text(serialize_config(cfg))
+    write_config(path, cfg)
     return path
 
 
@@ -62,9 +61,15 @@ class TestConfigFile:
         cfg.gamma = 2.0
         cfg.noise_mode = "random"
         path = tmp_path / "a.cfg"
-        path.write_text(serialize_config(cfg))
+        write_config(path, cfg)
         reparsed = TrainConfig.from_strings(_parse_config_file(str(path)))
-        assert serialize_config(reparsed) == serialize_config(cfg)
+        assert reparsed.to_strings() == cfg.to_strings()
+
+    def test_byte_order_mark_is_not_part_of_a_key(self, tmp_path):
+        path = tmp_path / "a.cfg"
+        path.write_bytes("\ufeffd = 8\ntau = 0.5\n".encode("utf-8"))
+        table = _parse_config_file(str(path))
+        assert table == {"d": "8", "tau": "0.5"}
 
     def test_comments_and_blanks_skipped(self, tmp_path):
         path = tmp_path / "a.cfg"

@@ -16,10 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
-from gclrec.cli import serialize_config
 from gclrec.trainer import TrainConfig
 
-from conftest import random_interactions, train_process
+from conftest import random_interactions, train_process, write_config
 
 EXPECTED_HISTORY = """\
 epoch,rec,cl,recon,ddl,reg,total,recall20,ndcg20
@@ -88,7 +87,7 @@ def golden_run(tmp_path):
                       seed=5)
     cfg.validate()
     cfg_path = tmp_path / "golden.cfg"
-    cfg_path.write_text(serialize_config(cfg))
+    write_config(cfg_path, cfg)
     out = tmp_path / "out"
     train_process("--config", str(cfg_path), "--out", str(out))
     return out

@@ -223,7 +223,7 @@ def benchmark_matrix(seed):
                              / "benchmarks" / "workload.py"))
     size = gen["SIZES"]["full"]
     pairs = gen["generate_pairs"](size, seed)
-    data = InteractionSet(size.users, size.items, pairs, {}, {})
+    data = InteractionSet(size.users, size.items, pairs)
     return build_interaction_matrix(make_folds(data, 5, seed)[0].train)
 
 

@@ -35,26 +35,30 @@ class TestRankTopk:
     def test_masks_train_items(self):
         z_u = np.array([[1.0]])
         z_i = np.array([[3.0], [2.0], [1.0]])
-        top = rank_topk(z_u, z_i, train_matrix([[0]], 3), k=2)
+        top = rank_topk(z_u, z_i, train_matrix([[0]], 3), k=2,
+                        users=np.arange(len(z_u)))
         np.testing.assert_array_equal(top[0], [1, 2])
 
     def test_all_equal_scores_take_lowest_indices(self):
         z_u = np.array([[1.0]])
         z_i = np.ones((6, 1))
-        top = rank_topk(z_u, z_i, train_matrix([[]], len(z_i)), k=3)
+        top = rank_topk(z_u, z_i, train_matrix([[]], len(z_i)), k=3,
+                        users=np.arange(len(z_u)))
         np.testing.assert_array_equal(top[0], [0, 1, 2])
 
     def test_tie_at_boundary_prefers_lower_index(self):
         z_u = np.array([[1.0]])
         # items 1, 3, 4 tie at the k-th position boundary
         z_i = np.array([[5.0], [2.0], [9.0], [2.0], [2.0], [0.0]])
-        top = rank_topk(z_u, z_i, train_matrix([[]], len(z_i)), k=3)
+        top = rank_topk(z_u, z_i, train_matrix([[]], len(z_i)), k=3,
+                        users=np.arange(len(z_u)))
         np.testing.assert_array_equal(top[0], [2, 0, 1])
 
     def test_fewer_candidates_than_k(self):
         z_u = np.array([[1.0]])
         z_i = np.array([[1.0], [2.0], [3.0]])
-        top = rank_topk(z_u, z_i, train_matrix([[0, 2]], 3), k=3)
+        top = rank_topk(z_u, z_i, train_matrix([[0, 2]], 3), k=3,
+                        users=np.arange(len(z_u)))
         np.testing.assert_array_equal(top, [[1, -1, -1]])
 
     def test_matches_brute_force(self):
@@ -62,7 +66,8 @@ class TestRankTopk:
         for _ in range(50):
             z_u, z_i, train, _ = random_instance(rng)
             k = int(rng.integers(1, min(10, z_i.shape[0])))
-            top = rank_topk(z_u, z_i, train_matrix(train, len(z_i)), k)
+            top = rank_topk(z_u, z_i, train_matrix(train, len(z_i)), k,
+                            np.arange(len(z_u)))
             scores = z_u @ z_i.T
             expected = [topk_rank_dense(scores[u], train[u], k)
                         for u in range(len(z_u))]
@@ -72,8 +77,9 @@ class TestRankTopk:
         rng = np.random.default_rng(1)
         z_u, z_i, train, _ = random_instance(rng)
         R = train_matrix(train, len(z_i))
-        a = rank_topk(z_u, z_i, R, k=5)
-        b = rank_topk(4.0 * z_u, z_i, R, k=5)
+        users = np.arange(len(z_u))
+        a = rank_topk(z_u, z_i, R, k=5, users=users)
+        b = rank_topk(4.0 * z_u, z_i, R, k=5, users=users)
         np.testing.assert_array_equal(a, b)
 
     def test_user_subset_and_chunking(self, monkeypatch):
@@ -81,7 +87,7 @@ class TestRankTopk:
         z_u, z_i, train, _ = random_instance(rng)
         R = train_matrix(train, len(z_i))
         monkeypatch.setattr(metrics, "_CHUNK", 2)
-        full = rank_topk(z_u, z_i, R, k=4)
+        full = rank_topk(z_u, z_i, R, k=4, users=np.arange(len(z_u)))
         monkeypatch.setattr(metrics, "_CHUNK", 1)
         sub = rank_topk(z_u, z_i, R, k=4, users=[1, 0])
         np.testing.assert_array_equal(sub[0], full[1])
@@ -90,13 +96,14 @@ class TestRankTopk:
     def test_k_beyond_items_rejected(self):
         with pytest.raises(ValueError, match="k="):
             rank_topk(np.ones((1, 1)), np.ones((2, 1)), train_matrix([[]], 2),
-                      k=3)
+                      k=3, users=np.arange(1))
 
     def test_non_finite_embeddings_rejected(self):
         z_i = np.ones((3, 2))
         z_i[1, 0] = np.nan
         with pytest.raises(ValueError, match="finite"):
-            rank_topk(np.ones((1, 2)), z_i, train_matrix([[]], 3), k=2)
+            rank_topk(np.ones((1, 2)), z_i, train_matrix([[]], 3), k=2,
+                      users=np.arange(1))
 
     def test_no_float64_copy_of_the_catalog(self):
         # the float32 catalog the screen reads is half of z_i; a float64
@@ -104,7 +111,8 @@ class TestRankTopk:
         rng = np.random.default_rng(4)
         z_u, z_i = rng.normal(size=(3, 64)), rng.normal(size=(8000, 64))
         train = train_matrix([[0, 5], [], [7]], len(z_i))
-        top, peak = traced_peak(rank_topk, z_u, z_i, train, k=20)
+        top, peak = traced_peak(rank_topk, z_u, z_i, train, k=20,
+                                users=np.arange(len(z_u)))
         assert peak <= 0.75 * z_i.nbytes
         scores = z_u @ z_i.T
         for u, row in enumerate(top):
@@ -149,7 +157,8 @@ def near_tie_instance(rng, users=20, ties=40, others=200, d=6):
 
 
 def assert_matches_oracle(z_u, z_i, train, k):
-    top = rank_topk(z_u, z_i, train_matrix(train, len(z_i)), k)
+    top = rank_topk(z_u, z_i, train_matrix(train, len(z_i)), k,
+                    np.arange(len(z_u)))
     scores = z_u @ z_i.T
     assert top.dtype == np.int64
     expected = [topk_rank_dense(scores[u], train[u], k)
@@ -354,7 +363,8 @@ class TestTopkMetrics:
         for _ in range(50):
             z_u, z_i, train, test = random_instance(rng)
             k = int(rng.integers(1, min(10, z_i.shape[0])))
-            top = rank_topk(z_u, z_i, train_matrix(train, len(z_i)), k)
+            top = rank_topk(z_u, z_i, train_matrix(train, len(z_i)), k,
+                            np.arange(len(z_u)))
             got = topk_metrics(top, train_matrix(test, len(z_i)), k)
             scores = z_u @ z_i.T
             per_user = [ranking_metrics_dense(scores[u], train[u], test[u], k)
@@ -369,7 +379,8 @@ class TestTopkMetrics:
         z_u, z_i, train, test = random_instance(rng, max_items=25)
         prev_recall, prev_hits = -1.0, -1.0
         for k in (1, 3, 5, 10):
-            top = rank_topk(z_u, z_i, train_matrix(train, len(z_i)), k)
+            top = rank_topk(z_u, z_i, train_matrix(train, len(z_i)), k,
+                            np.arange(len(z_u)))
             m = topk_metrics(top, train_matrix(test, len(z_i)), k)
             hits = m.precision * k
             assert m.recall >= prev_recall - 1e-12

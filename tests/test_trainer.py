@@ -898,45 +898,59 @@ class TestAllocatorPolicy:
         assert self.epoch() == want
 
 
+def fit_and_collect(cfg, fold):
+    """``fit(cfg, fold)``, the history row of each epoch and the
+    (epoch, metrics) of each evaluation, as its on_epoch hook sees them."""
+    rows, evals = [], []
+
+    def on_epoch(epoch, report, metrics, row, params, ctx):
+        rows.append(row)
+        if metrics is not None:
+            evals.append((epoch, metrics))
+
+    return fit(cfg, fold, on_epoch=on_epoch), rows, evals
+
+
 class TestFit:
     def test_history_rows_match_epochs(self):
         cfg = tiny_config(epochs_max=4, eval_interval=2)
-        result = fit(cfg, toy_fold())
-        assert len(result.history_rows) == result.epochs_run == 4
-        for row in result.history_rows:
+        result, rows, _ = fit_and_collect(cfg, toy_fold())
+        assert len(rows) == result.epochs_run == 4
+        for row in rows:
             assert len(row.split(",")) == len(tr.HISTORY_CSV_HEADER.split(","))
 
     def test_best_checkpoint_dominates_eval_log(self):
         cfg = tiny_config(epochs_max=12, eval_interval=2, patience=10)
-        result = fit(cfg, toy_fold())
-        best_recall = max(m.recall for _, m in result.eval_log)
+        result, _, evals = fit_and_collect(cfg, toy_fold())
+        best_recall = max(m.recall for _, m in evals)
         assert result.best_metrics[20].recall == pytest.approx(best_recall)
 
     def test_early_stopping_respects_patience(self):
         cfg = tiny_config(epochs_max=200, eval_interval=1, patience=2)
-        result = fit(cfg, toy_fold())
+        result, _, evals = fit_and_collect(cfg, toy_fold())
         assert result.epochs_run < 200
-        stale_evals = [e for e, _ in result.eval_log if e > result.best_epoch]
+        stale_evals = [e for e, _ in evals if e > result.best_epoch]
         assert len(stale_evals) == 2
 
     def test_fit_reproducible(self):
         cfg = tiny_config(epochs_max=3)
-        a = fit(cfg, toy_fold())
-        b = fit(cfg, toy_fold())
-        assert a.history_rows == b.history_rows
+        a, a_rows, _ = fit_and_collect(cfg, toy_fold())
+        b, b_rows, _ = fit_and_collect(cfg, toy_fold())
+        assert a_rows == b_rows
         assert np.array_equal(a.params.base_embedding, b.params.base_embedding)
 
     def test_fold_seed_derivation_changes_stream(self):
         cfg = tiny_config(epochs_max=2)
         data = random_interactions(6, 8, density=0.35, seed=0, min_per_user=2)
         folds = make_folds(data, k=3, seed=0)
-        r0 = fit(cfg, folds[0])
-        r1 = fit(cfg, folds[1])
-        assert r0.history_rows != r1.history_rows
+        _, r0_rows, _ = fit_and_collect(cfg, folds[0])
+        _, r1_rows, _ = fit_and_collect(cfg, folds[1])
+        assert r0_rows != r1_rows
 
     def test_geometry_tracking(self):
         # on_epoch sees each epoch's row, its eval metrics when evaluated,
-        # and the live parameters a geometry hook reads
+        # and the live parameters a geometry hook reads; reading them
+        # leaves the run unchanged
         cfg = tiny_config(epochs_max=3, eval_interval=2)
         seen = []
 
@@ -946,11 +960,11 @@ class TestFit:
             assert np.isfinite([report.total, align, uniform]).all()
             seen.append((epoch, metrics, row))
 
-        result = fit(cfg, toy_fold(), on_epoch=on_epoch)
+        fit(cfg, toy_fold(), on_epoch=on_epoch)
+        _, rows, evals = fit_and_collect(cfg, toy_fold())
         assert [e for e, _, _ in seen] == [1, 2, 3]
-        assert [r for _, _, r in seen] == result.history_rows
-        assert [(e, m) for e, m, _ in seen if m is not None] == \
-            result.eval_log
+        assert [r for _, _, r in seen] == rows
+        assert [(e, m) for e, m, _ in seen if m is not None] == evals
 
 
 class TestAblationConfigurations:
