@@ -39,9 +39,11 @@ step and the highest values in the forward and the backward phase.  Both
 include the 16.5 MB copy of the initial embeddings that ``Training``
 keeps for its final check, as the benchmark's process does.  An
 evaluation's phases are its stages ``eval_embeddings``, ``rank_topk``
-and ``topk_metrics``; it adds the
-CPU seconds spent in each and, for each, the RSS and the live heap
-before its first call and its highest live heap.  The hook adds
+and ``topk_metrics``; it adds, for each, the RSS and the live heap
+before its first call and its highest live heap.  It prints no stage
+times, which the hook would inflate wherever a stage makes many Python
+calls; ``python3 benchmarks/run.py --workload eval-full --trace 1``
+reports them per layer.  The hook adds
 0.05-0.09 s to the 0.42-0.59 s of CPU an evaluation takes and
 0.02-0.04 s to the 1.0 s a train step takes: the median difference
 over 12 operations, each run with the sampler off and on back to back
@@ -147,8 +149,7 @@ class Sampler:
     ``stages`` (name -> function, matched by its code object) starts the
     phase of that name and its return the phase ``after <name>``.  After
     :meth:`run`: ``before[name]`` holds the RSS and live heap at the
-    stage's first call, ``seconds[name]`` the CPU seconds between its
-    calls and returns, and ``peak[phase]`` the phase's highest live heap
+    stage's first call and ``peak[phase]`` the phase's highest live heap
     with where it was read (see :meth:`where`).
     """
 
@@ -160,7 +161,6 @@ class Sampler:
         """Call ``op()`` under the hook; the previous profiler is put
         back however it ends."""
         self.phase = self.start
-        self.seconds = dict.fromkeys(self.stages.values(), 0.0)
         self.before, self.peak = {}, {}
         previous = sys.getprofile()
         if previous is not None and not callable(previous):
@@ -177,7 +177,7 @@ class Sampler:
             name = self.stages.get(frame.f_code)
             if name is not None:
                 self.before.setdefault(name, (rss_mb(), heap_mb()))
-                self.phase, self.entered = name, time.process_time()
+                self.phase = name
         elif event == "return":
             heap = heap_mb()
             if heap is not None and heap > self.peak.get(self.phase,
@@ -185,7 +185,6 @@ class Sampler:
                 self.peak[self.phase] = (heap, self.where(frame))
             name = self.stages.get(frame.f_code)
             if name is not None:
-                self.seconds[name] += time.process_time() - self.entered
                 self.phase = f"after {name}"
 
     def where(self, frame):
@@ -248,8 +247,6 @@ def evaluations(runner, count):
                       "evaluate_model")
     for j, row in sampled(runner, count, sampler):
         row = {"evaluation": j, **row}
-        for name in EVAL_STAGES:
-            row[f"{name}_s"] = sampler.seconds[name]
         for name in EVAL_STAGES:
             memory = (*sampler.before.get(name, (None, None)),
                       *sampler.peak.get(name, (None, None)))

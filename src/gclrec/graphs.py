@@ -1,10 +1,13 @@
 """Sparse operators for the encoder: interaction matrix, bipartite
 adjacency, and the thresholded item co-occurrence (complement) matrix.
 
-Every builder returns a ``scipy.sparse.csr_matrix`` in scipy's canonical
-format (duplicates summed, no explicit zeros, column indices sorted within
-each row), so ``indptr``/``indices`` can be read directly as per-row item
-lists."""
+Every builder returns a float64 ``scipy.sparse.csr_matrix`` in scipy's
+canonical format (duplicates summed, no explicit zeros, column indices
+sorted within each row), so ``indptr``/``indices`` can be read directly as
+per-row item lists.  scipy makes that form: a CSR built from COO
+coordinates, as R and the relabelled complement are, and ``bmat``'s CSR
+adjacency sum duplicates and sort columns; ``sym_normalize`` keeps its
+input's layout and drops the entries its scaling zeroes."""
 
 import warnings
 from dataclasses import dataclass
@@ -20,16 +23,6 @@ __all__ = [
     "sym_normalize",
     "build_graph",
 ]
-
-
-def _canonical(mat):
-    """``mat`` as float64 CSR in canonical format.  ``mat`` must be a
-    fresh matrix: a float64 CSR input is canonicalized in place."""
-    m = sp.csr_matrix(mat, dtype=np.float64)
-    m.sum_duplicates()
-    m.eliminate_zeros()
-    m.sort_indices()
-    return m
 
 
 @dataclass
@@ -65,23 +58,25 @@ def build_interaction_matrix(split):
     u = split.pairs[:, 0]
     i = split.pairs[:, 1]
     data = np.ones(len(u), dtype=np.float64)
-    return _canonical(sp.coo_matrix((data, (u, i)),
-                                    shape=(split.num_users, split.num_items)))
+    return sp.csr_matrix((data, (u, i)),
+                         shape=(split.num_users, split.num_items))
 
 
 def build_adjacency(R):
     """Bipartite block adjacency [[0, R], [R^T, 0]] of size (m+n)x(m+n)."""
-    return _canonical(sp.bmat([[None, R], [R.T, None]], format="csr"))
+    return sp.bmat([[None, R], [R.T, None]], format="csr")
 
 
 def build_complement(R, gamma):
     """Item complement matrix: co-consumption counts, thresholded and normalized.
 
     Computes R^T R, removes the diagonal, zeroes entries strictly below
-    ``gamma``, then applies symmetric degree normalization.  The filter
-    runs when ``gamma`` > 0; ``gamma`` = 0 keeps every entry.  If every
-    entry is filtered out the result is an empty matrix and a warning is
-    emitted; the channel then propagates nothing.
+    ``gamma``, then applies symmetric degree normalization; ``gamma`` = 0
+    keeps every entry.  If every entry is filtered out the result is an
+    empty matrix and a warning is emitted; the channel then propagates
+    nothing.  Every entry is relabelled to its item ids through COO
+    coordinates, which builds the result in canonical form whatever
+    column order the product leaves.
 
     R is binary, so no count of an item exceeds its number of users: the
     filter deletes every entry of an item bought by fewer than ``gamma``
@@ -93,23 +88,20 @@ def build_complement(R, gamma):
     if gamma < 0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
     n = R.shape[1]
-    kept = None
+    kept = np.arange(n)
     if gamma > 0:
         kept = np.flatnonzero(np.asarray(R.sum(axis=0)).ravel() >= gamma)
         R = R[:, kept]
     C = (R.T @ R).tocsr()
-    if kept is not None:
-        C.data[C.data < gamma] = 0.0
-        C.eliminate_zeros()
+    C.data[C.data < gamma] = 0.0
     C.setdiag(0.0)
     C.eliminate_zeros()
-    if kept is not None:  # back to item ids
-        C = C.tocoo()
-        C = sp.csr_matrix((C.data, (kept[C.row], kept[C.col])), shape=(n, n))
+    C = C.tocoo()  # back to item ids
+    C = sp.csr_matrix((C.data, (kept[C.row], kept[C.col])), shape=(n, n))
     if C.nnz == 0:
         warnings.warn("complement matrix is empty after filtering; the "
                       "complement channel will contribute nothing")
-        return _canonical(C)
+        return C
     return sym_normalize(C)
 
 
@@ -119,7 +111,9 @@ def sym_normalize(M):
     Degrees are row sums.  Rows (and columns) with zero degree stay empty;
     their scale is treated as zero so isolated nodes propagate nothing.
     Each stored entry is scaled as inv[a] * M[a][b] * inv[b], the order
-    the product D M D with D = diag(inv) applies.
+    the product D M D with D = diag(inv) applies.  The result is a
+    float64 copy of M in M's layout, less the entries the scaling zeroes
+    (those of a zero-degree column in a non-symmetric M).
     """
     if M.shape[0] != M.shape[1]:
         raise ValueError(f"matrix must be square, got {M.shape[0]}x{M.shape[1]}")
@@ -132,7 +126,8 @@ def sym_normalize(M):
     out = sp.csr_matrix(M, dtype=np.float64, copy=True)
     out.data *= np.repeat(inv_sqrt, np.diff(out.indptr))
     out.data *= inv_sqrt[out.indices]
-    return _canonical(out)
+    out.eliminate_zeros()
+    return out
 
 
 def build_graph(train, gamma, complement_enabled=True):

@@ -19,6 +19,8 @@ DIAG_CSV_HEADER = "epoch,align,uniform"
 _ROWS = 256
 # users rank_topk scores over the whole catalog at a time
 _CHUNK = 128
+# pair distances the uniformity term exponentiates at a time
+_PAIRS = 1 << 16
 
 
 @dataclass
@@ -74,10 +76,7 @@ def rank_topk(z_u, z_i, train_items, k, users):
     # the ranking and the score buffer, which every chunk reuses, are
     # allocated before any temporary: an array the caller keeps, placed
     # past freed temporaries in the heap, would hold their pages resident
-    # where an evaluation's next, larger arrays cannot reuse them.  The
-    # buffer holds _CHUNK users' rows over the padded catalog, row after
-    # row, so a (user, item) score sits at the flat place
-    # user * width + item, which the masking and the block reads use.
+    # where an evaluation's next, larger arrays cannot reuse them.
     top = np.full((len(users), k), -1, np.int64)
     buffer = np.empty((min(_CHUNK, len(users)), width), np.float32)
     # The bound.  Scaling by a power of two is exact: each user row
@@ -142,14 +141,12 @@ def rank_topk(z_u, z_i, train_items, k, users):
         scores = np.matmul(x.astype(np.float32), y,
                            out=buffer[:len(batch)])
         scores[:, n:] = -np.inf
-        # each held item's place in train_items.indices, row after row
-        starts = train_items.indptr[batch]
-        held = train_items.indptr[batch + 1] - starts
-        at = (np.repeat(starts - (np.cumsum(held) - held), held)
-              + np.arange(held.sum()))
-        np.put(scores, np.repeat(np.arange(len(batch)) * width, held)
-               + train_items.indices[at], -np.inf)
-        peak = scores.reshape(len(batch), members, w).max(axis=1)
+        held = train_items[batch]
+        scores[np.repeat(np.arange(len(batch)), np.diff(held.indptr)),
+               held.indices] = -np.inf
+        # blocks[r, m, c] is the score of item c + m * w
+        blocks = scores.reshape(len(batch), members, w)
+        peak = blocks.max(axis=1)
         kth = np.partition(peak, w - k, axis=1)[:, w - k]
         # the floor is taken in float64 and rounded down to float32; a row
         # with fewer than k finite block maxima keeps every finite score
@@ -157,9 +154,7 @@ def rank_topk(z_u, z_i, train_items, k, users):
         floor32 = floor.astype(np.float32)
         np.nextafter(floor32, lowest, out=floor32, where=floor32 > floor)
         rows, cols = np.nonzero(peak >= floor32[:, None])
-        # the flat places of each kept block's members
-        places = (rows * width + cols)[:, None] + w * np.arange(members)
-        picked, member = np.nonzero(np.take(scores, places)
+        picked, member = np.nonzero(blocks[rows, :, cols]
                                     >= floor32[rows, None])
         rows, items = rows[picked], cols[picked] + member * w
         exact = np.einsum("ij,ij->i", z_u[batch[rows]], z_i[items])
@@ -189,9 +184,8 @@ def topk_metrics(top, test, k):
         raise ValueError(f"top-k array has {width} columns, more than k={k}")
     if test.shape[0] != users:
         raise ValueError(f"test has {test.shape[0]} rows, top-k has {users}")
-    if not test.has_canonical_format:
-        test = test.copy()
-        test.sum_duplicates()
+    test = test.copy()
+    test.sum_duplicates()
     discounts = 1.0 / np.log2(np.arange(2, k + 2))
     ideal_prefix = np.concatenate([[0.0], np.cumsum(discounts)])
     test_len = np.diff(test.indptr)
@@ -243,13 +237,15 @@ def _log_mean_exp_neg2sq(points):
 
     if len(points) < 2:
         return 0.0
-    # exp(-2 d^2) with one pdist-sized temporary, rounded as (-2 d) d
+    # exp(-2 d^2), rounded as (-2 d) d, written back into pdist's array
+    # a block at a time, so no second array of its size is held
     d = pdist(points)
-    t = np.multiply(d, -2.0)
-    t *= d
-    del d
-    np.exp(t, out=t)
-    return float(np.log(np.mean(t)))
+    for lo in range(0, len(d), _PAIRS):
+        block = d[lo:lo + _PAIRS]
+        t = np.multiply(block, -2.0)
+        t *= block
+        np.exp(t, out=block)
+    return float(np.log(np.mean(d)))
 
 
 def alignment_uniformity(z_u, z_i, pairs):

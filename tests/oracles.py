@@ -1,7 +1,8 @@
 """Brute-force dense reference implementations the tests compare against,
-the compositions of tape primitives each fused primitive replaces, and
-the plain forms of the log loader, the complement build and the
-symmetric normalization.
+a dense full-height form of a training step's loss terms, the
+compositions of tape primitives each fused primitive replaces, and the
+plain forms of the log loader, the complement build and the symmetric
+normalization.
 
 Everything here favors clarity over speed and works on small instances
 only; the library must agree with the dense references to tight
@@ -17,7 +18,6 @@ import scipy.sparse as sp
 
 import gclrec.diffcore as dc
 from gclrec.dataset import DataError, InteractionSet, ParseError, text_lines
-from gclrec.graphs import _canonical
 
 
 def sym_normalize_dense(M):
@@ -37,6 +37,16 @@ def complement_dense(R, gamma):
     return sym_normalize_dense(C)
 
 
+def plain_csr(M):
+    """``M`` as float64 CSR in scipy's canonical format, each step asked
+    for by name."""
+    M = sp.csr_matrix(M, dtype=np.float64, copy=True)
+    M.sum_duplicates()
+    M.eliminate_zeros()
+    M.sort_indices()
+    return M
+
+
 def sym_normalize_reference(M):
     """:func:`graphs.sym_normalize` as the product D M D of sparse
     matrices, D = diag(1 / sqrt(row sums)) with zero-degree scales zero."""
@@ -45,7 +55,7 @@ def sym_normalize_reference(M):
         inv_sqrt = 1.0 / np.sqrt(deg)
     inv_sqrt[~np.isfinite(inv_sqrt)] = 0.0
     D = sp.diags(inv_sqrt)
-    return _canonical(D @ M @ D)
+    return plain_csr(D @ M @ D)
 
 
 def complement_reference(R, gamma):
@@ -61,7 +71,7 @@ def complement_reference(R, gamma):
     if C.nnz == 0:
         warnings.warn("complement matrix is empty after filtering; the "
                       "complement channel will contribute nothing")
-        return _canonical(C)
+        return plain_csr(C)
     return sym_normalize_reference(C)
 
 
@@ -166,6 +176,99 @@ def mmd_dense(x, y, bandwidth):
     yy = sum(k(y[i], y[j]) for i in range(ny) for j in range(ny)) / ny ** 2
     xy = sum(k(x[i], y[j]) for i in range(nx) for j in range(ny)) / (nx * ny)
     return xx + yy - 2.0 * xy
+
+
+def batch_loss_dense(table, R, cfg, rng, users, pos_items, neg_items):
+    """Every loss term of one generative, gaussian training step, as a
+    dict keyed like :class:`losses.LossReport`, computed densely at full
+    height from the model's description: no tape, no pruning.
+
+    ``table`` holds the parameter arrays by name and ``R`` is the dense
+    binary users x items train matrix.  Both channels propagate over
+    dense normalized graphs, the user-item adjacency and (unless
+    ``cfg.complement_enabled`` is off) the complement at ``cfg.gamma``.
+    At each layer the shared generator maps the layer's input to mu and
+    a log-variance; the sample mu + sigma^2 eps, with sigma^2 the
+    exponential of the log-variance and eps one full-height standard
+    normal draw per (channel, layer), user-item layers first, is
+    row-normalized and added to the input before the propagation.
+    """
+    from scipy.special import erf
+
+    m, n = R.shape
+    d = table["base_embedding"].shape[1]
+    E = table["base_embedding"]
+    users, pos_items, neg_items = (np.asarray(a, dtype=np.int64)
+                                   for a in (users, pos_items, neg_items))
+
+    def gelu(a):
+        return a * (0.5 * (1.0 + erf(a / np.sqrt(2.0))))
+
+    def mlp(x, prefix):
+        w = [table[f"{prefix}.{name}"] for name in
+             ("w1", "b1", "w2", "b2", "w3", "b3")]
+        hidden = gelu(gelu(x @ w[0] + w[1]) @ w[2] + w[3])
+        return hidden @ w[4] + w[5]
+
+    def rownorm(x):
+        norms = np.linalg.norm(x, axis=1, keepdims=True)
+        return np.divide(x, norms, out=np.zeros_like(x),
+                         where=norms > 1e-12)
+
+    def channel(G, z):
+        layers, first = [], None
+        for _ in range(cfg.L):
+            out = mlp(z, "gen")
+            mu, sigma2 = out[:, :d], np.exp(out[:, d:])
+            sample = mu + sigma2 * rng.standard_normal(z.shape)
+            if first is None:
+                first = (mu, sigma2, sample)
+            z = G @ (z + rownorm(sample))
+            layers.append(z)
+        return layers, first
+
+    def view(layers, selector):
+        if selector == "avg":
+            return sum(layers) / len(layers)
+        return layers[int(selector) - 1]
+
+    def infonce(a, b):
+        sims = rownorm(a) @ rownorm(b).T / cfg.tau
+        lse = np.log(np.exp(sims).sum(axis=1))
+        return float(np.mean(lse - np.diag(sims)))
+
+    ui, (mu, sigma2, sample) = channel(
+        sym_normalize_dense(adjacency_dense(R)), E)
+    comp = None
+    if cfg.complement_enabled:
+        comp, _ = channel(complement_dense(R, cfg.gamma), E[m:])
+
+    avg = view(ui, "avg")
+    pos = np.sum(avg[users] * avg[m + pos_items], axis=1)
+    neg = np.sum(avg[users] * avg[m + neg_items], axis=1)
+    rec = float(np.mean(np.logaddexp(0.0, neg - pos)))
+
+    ends = np.concatenate([pos_items, neg_items])
+    predicted = np.sum(mlp(sample[np.concatenate([users, users])], "rec")
+                       * mlp(sample[m + ends], "rec"), axis=1)
+    target = np.concatenate([np.ones(len(users)), np.zeros(len(users))])
+    recon = float(np.mean((predicted - target) ** 2))
+    ddl = float(0.5 * np.mean(mu ** 2 + sigma2 - np.log(sigma2) - 1.0))
+
+    touched = np.unique(np.concatenate([users, m + pos_items,
+                                        m + neg_items]))
+    reg = cfg.reg_coeff * float(np.sum(E[touched] ** 2))
+
+    selectors = (cfg.cl_view_a, cfg.cl_view_b)
+    uu, ii = np.unique(users), np.unique(pos_items)
+    per_class = [infonce(*(view(ui, s)[uu] for s in selectors)),
+                 infonce(*(view(ui, s)[m + ii] for s in selectors))]
+    if comp is not None:
+        per_class.append(infonce(*(view(comp, s)[ii] for s in selectors)))
+    cl = sum(per_class) / len(per_class)
+
+    return {"rec": rec, "cl": cl, "recon": recon, "ddl": ddl, "reg": reg,
+            "total": rec + cfg.lambda_ * cl + recon + ddl + reg}
 
 
 # ------------------------------------------- compositions of the fused nodes

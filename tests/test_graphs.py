@@ -8,7 +8,6 @@ import scipy.sparse as sp
 
 from gclrec.dataset import InteractionSet, make_folds
 from gclrec.graphs import (
-    _canonical,
     build_adjacency,
     build_complement,
     build_graph,
@@ -39,23 +38,27 @@ def assert_canonical_csr(M):
 
 
 class TestCanonicalCsr:
-    def test_canonicalizes(self):
-        # duplicate coordinates sum, explicit zeros vanish, columns sort
-        coo = sp.coo_matrix(
-            (np.array([1.0, 2.0, 0.0, 3.0]),
-             (np.array([0, 0, 1, 0]), np.array([2, 2, 1, 0]))),
-            shape=(2, 3),
-        )
-        M = _canonical(coo)
-        assert M.nnz == 2
-        np.testing.assert_array_equal(M.toarray(), [[3.0, 0.0, 3.0], [0.0, 0.0, 0.0]])
-        assert_canonical_csr(M)
-
     def test_builders_return_canonical_csr(self, small_random):
         R = build_interaction_matrix(small_random)
         g = build_graph(small_random, gamma=1.0)
+        # gamma 0 prunes no column and relabels every item to itself
+        g0 = build_graph(small_random, gamma=0.0)
+        # a gamma above every count leaves the complement empty
+        above = float(np.asarray(R.sum(axis=0)).max()) + 1.0
+        with pytest.warns(UserWarning, match="empty after filtering"):
+            empty = build_complement(R, above)
+        assert empty.nnz == 0 and empty.shape == (R.shape[1],) * 2
+        # a pair given twice is one entry, the sum of the two
+        twice = make_interactions(3, 4, [(0, 2), (2, 1), (0, 2), (0, 0)])
+        summed = build_interaction_matrix(twice)
+        np.testing.assert_array_equal(summed.toarray(),
+                                      [[1.0, 0.0, 2.0, 0.0],
+                                       [0.0, 0.0, 0.0, 0.0],
+                                       [0.0, 1.0, 0.0, 0.0]])
         for M in (R, build_adjacency(R), build_complement(R, 1.0),
-                  sym_normalize(build_adjacency(R)), g.R, g.ui, g.comp):
+                  sym_normalize(build_adjacency(R)), g.R, g.ui, g.comp,
+                  build_complement(R, 0.0), g0.ui, g0.comp, empty, summed,
+                  build_adjacency(summed)):
             assert_canonical_csr(M)
         np.testing.assert_array_equal(g.R.toarray(), R.toarray())
 

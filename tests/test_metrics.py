@@ -538,3 +538,15 @@ class TestAlignmentUniformity:
         # the distances and one array for exp(-2 d^2); the plain
         # expression holds three at once
         assert peak < 2.5 * size
+
+    def test_uniformity_term_holds_no_second_distance_array(self):
+        # at 2,000 points the distances are many blocks long: exp(-2 d^2)
+        # is written back into them, so a second array of their size
+        # would double the peak
+        points = np.random.default_rng(13).normal(size=(2000, 6))
+        size = pdist(points).nbytes
+        value, peak = traced_peak(metrics._log_mean_exp_neg2sq, points)
+        d = pdist(points)
+        want = float(np.log(np.mean(np.exp(-2.0 * d * d))))
+        assert repr(value) == repr(want)
+        assert peak <= 1.25 * size

@@ -1,6 +1,6 @@
 import gc
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,6 +12,7 @@ from gclrec.cli import ABLATION_VARIANTS
 from gclrec.dataset import FoldSplit, make_folds, sample_negatives
 from gclrec.diffcore import DiffError, Tape
 from gclrec.graphs import build_interaction_matrix
+from gclrec.losses import LossReport
 from gclrec.metrics import alignment_uniformity, rank_topk, topk_metrics
 import gclrec.model as model
 from gclrec.model import encode, init_params
@@ -27,6 +28,7 @@ from gclrec.trainer import (
 )
 
 from conftest import make_interactions, random_interactions, traced_peak
+from oracles import batch_loss_dense
 
 
 def tiny_config(**overrides):
@@ -351,6 +353,42 @@ class TestBatchLoss:
         # that keeps its backward closure was computed for nothing
         assert [n.op for n in swept
                 if n.needs_grad and n._backward is not None] == []
+
+
+class TestDenseStepOracle:
+    """Each term of a default step equals its dense, full-height form,
+    written from the model's description: no tape, no pruning."""
+
+    # users 0-4 share items 0-3, so at the default gamma of 3 those items
+    # have complement neighbours; items 5, 6 and 9 have none
+    ITEMS = ((0, 1, 2, 4), (0, 1, 3, 5), (0, 2, 3, 6), (1, 2, 3, 8),
+             (0, 1, 2), (0, 3, 5), (4, 5, 6), (6, 9))
+
+    @pytest.mark.parametrize("overrides", [
+        {"L": 1}, {"L": 2}, {"L": 3}, {"complement_enabled": False}])
+    def test_every_term_matches(self, overrides):
+        data = make_interactions(8, 10, [(u, i) for u, items in
+                                         enumerate(self.ITEMS)
+                                         for i in items])
+        cfg = replace(TrainConfig(), **overrides)
+        cfg.validate()
+        ctx = build_context(data, cfg)
+        params = init_params(8, 10, cfg.d, cfg.h, seed=4)
+        # user 0 is in the batch four times and user 5 three times; item
+        # 9 is a positive with no complement neighbour
+        batch = np.isin(data.pairs[:, 0], (0, 5, 7))
+        users, pos = data.pairs[batch, 0], data.pairs[batch, 1]
+        neg = sample_negatives(ctx.R, users, np.random.default_rng(2))
+        if ctx.comp is not None:
+            assert ctx.comp.nnz and ctx.comp[9].nnz == 0
+        report, _, _ = tr._batch_loss(params, ctx, cfg,
+                                      np.random.default_rng(3),
+                                      users, pos, neg)
+        want = batch_loss_dense(params.param_arrays(), ctx.R.toarray(), cfg,
+                                np.random.default_rng(3), users, pos, neg)
+        for field in fields(LossReport):
+            assert getattr(report, field.name) == pytest.approx(
+                want[field.name], rel=1e-10, abs=0), field.name
 
 
 class TestTapeComposition:
