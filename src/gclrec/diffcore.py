@@ -165,9 +165,9 @@ class Tape:
         """A differentiable input (parameter)."""
         return Node(self, _as_matrix(value), "leaf", (), True, name=name)
 
-    def constant(self, value, name=None):
+    def constant(self, value):
         """A non-differentiated input (data, frozen samples, masks)."""
-        return Node(self, _as_matrix(value), "constant", (), False, name=name)
+        return Node(self, _as_matrix(value), "constant", (), False)
 
 
 def _tape_of(*nodes):
@@ -731,10 +731,13 @@ def infonce(a, b, tau):
     matrix: no B x B array.  The backward pass recomputes the exp matrix
     with the forward's operations in the forward's order, so it has the
     forward's bits, turns it into the logits' gradient in place and runs
-    two GEMMs.
+    two GEMMs.  Views of different shapes raise ShapeError, and a
+    temperature that is not positive raises ValueError.
     """
     _require(a.shape == b.shape, "infonce",
              f"view shapes {a.shape} and {b.shape} differ")
+    if tau <= 0:
+        raise ValueError(f"temperature must be positive, got {tau}")
     inv_tau = 1.0 / tau
     count = a.shape[0]
 

@@ -16,7 +16,6 @@ from .diffcore import DiffError
 __all__ = [
     "LossReport",
     "bpr_loss",
-    "infonce",
     "multi_pair_cl",
     "recon_loss",
     "kl_loss",
@@ -38,35 +37,21 @@ def bpr_loss(pos_scores, neg_scores):
     return dc.reduce_mean(dc.softplus(dc.scale(margin, -1.0)))
 
 
-def infonce(view_a, view_b, tau):
-    """Mean contrastive loss with in-batch negatives.
-
-    Row x of view_a is positive with row x of view_b and contrasted
-    against every other row of view_b; similarities are raw dot products
-    scaled by 1/tau.  The log-sum-exp is max-shifted for stability.  The
-    loss is one tape node, :func:`diffcore.infonce`.
-    """
-    if view_a.shape != view_b.shape:
-        raise dc.ShapeError(
-            f"infonce: view shapes {view_a.shape} and {view_b.shape} differ")
-    if tau <= 0:
-        raise ValueError(f"temperature must be positive, got {tau}")
-    return dc.infonce(view_a, view_b, tau)
-
-
 def multi_pair_cl(user_views, item_views, comp_views, tau):
     """Mean of the per-class contrastive losses.
 
     Each views argument is a pair of view nodes with one row per entity;
     ``comp_views`` may be None when the complement channel is off.  The
-    views are row-normalized first, so the similarities are cosines.
+    views are row-normalized first, so the similarities are cosines, and
+    each pair is one :func:`diffcore.infonce` node, which checks the view
+    shapes and the temperature.
     """
     losses = []
     for views in (user_views, item_views, comp_views):
         if views is None:
             continue
         a, b = views
-        losses.append(infonce(dc.rownorm(a), dc.rownorm(b), tau))
+        losses.append(dc.infonce(dc.rownorm(a), dc.rownorm(b), tau))
     if not losses:
         raise ValueError("multi_pair_cl: no view pairs present")
     return dc.mean_of(losses)

@@ -15,12 +15,8 @@ __all__ = [
 
 DIAG_CSV_HEADER = "epoch,align,uniform"
 
-# catalog rows rank_topk scales and casts at a time
-_ROWS = 256
 # users rank_topk scores over the whole catalog at a time
 _CHUNK = 128
-# pair distances the uniformity term exponentiates at a time
-_PAIRS = 1 << 16
 
 
 @dataclass
@@ -90,11 +86,17 @@ def rank_topk(z_u, z_i, train_items, k, users):
     #   |f - x.y| <= gamma32_{d+2} |x| y_max.
     # - The float64 re-score s of u.i has |c s - x.y| <= gamma64_d |x|
     #   y_max, which is at most u32 |x| y_max while d < 2^28.
-    # So |f - c s| <= E = gamma32_{d+3} |x| y_max; gamma32_{d+4} leaves
-    # room for the rounding of the computed norms and of the floor below
-    # (float64, far under u32 relative).  Underflow adds at most
-    # half a subnormal step per rounding: d 2^-147 in float32 (entries
-    # below 1) and c d 2^-1074 in float64.
+    # So |f - c s| <= E = gamma32_{d+3} |x| y_max.  The y_max used is the
+    # largest norm of the float32 rows, summed in float64: the cast moves
+    # each entry by at most u32 relative, so each of those norms is within
+    # u32 of its scaled row's norm (an entry the cast flushes toward zero
+    # moves by at most 2^-150, far under u32 y_max, as the largest entry
+    # keeps y_max >= 1/2).  gamma32_{d+4} >= gamma32_{d+3} / (1 - u32)
+    # with room to spare, so it covers that and the rounding of the
+    # computed norms and of the floor below (float64, far under u32
+    # relative).  Underflow adds at most half a subnormal step per
+    # rounding: d 2^-147 in float32 (entries below 1) and c d 2^-1074 in
+    # float64.
     # Containment: if item j is in the float64 top k, then f_j >= v - 2E
     # for the row's float32 k-th score v.  Otherwise each of the k items
     # a with f_a >= v has c s_a >= f_a - E >= v - E > f_j + E >= c s_j,
@@ -109,24 +111,19 @@ def rank_topk(z_u, z_i, train_items, k, users):
     # in a block whose maximum is >= t - 2E, so reading the members of
     # those blocks alone finds them all.  A row with fewer than k finite
     # block maxima has t = -inf and keeps every finite score.
-    # The scaled catalog is made a block of rows at a time, straight into
-    # the padded float32 array the screen reads: no float64 copy of z_i
-    # is held whole.  It is stored transposed, d x width, so a chunk's
-    # scores are a plain product of two row-major arrays.  Row norms do
-    # not depend on the other rows, so the largest one is the same over
-    # blocks as over the whole array.  The ranked users' rows are scaled
-    # and cast a chunk at a time, as the chunk is scored: a row's a, norm
-    # and radius read only that row, so no copy of all the ranked rows,
-    # in float64 or in float32, is held.
+    # One ldexp call scales the catalog and casts it straight into the
+    # padded float32 array the screen reads; the ufunc casts its float64
+    # results a buffer at a time, so no float64 copy of z_i is held.  The
+    # array is stored transposed, d x width, so a chunk's scores are a
+    # plain product of two row-major arrays.  The ranked users' rows are
+    # scaled and cast a chunk at a time, as the chunk is scored: a row's
+    # a, norm and radius read only that row, so no copy of all the ranked
+    # rows, in float64 or in float32, is held.
     b = np.frexp(max(z_i.max(initial=0.0), -z_i.min(initial=0.0)))[1]
     y = np.empty((d, width), np.float32)
     y[:, n:] = 0.0
-    y_max = 0.0
-    for lo in range(0, n, _ROWS):
-        hi = min(lo + _ROWS, n)
-        scaled = np.ldexp(z_i[lo:hi], -b)
-        y_max = max(y_max, np.linalg.norm(scaled, axis=1).max())
-        y[:, lo:hi] = scaled.T
+    np.ldexp(z_i.T, -b, out=y[:, :n], casting="same_kind")
+    y_max = np.sqrt(np.einsum("ij,ij->j", y, y, dtype=np.float64).max())
     gamma = (d + 4) * 2.0 ** -24 / (1 - (d + 4) * 2.0 ** -24)
     lowest = np.finfo(np.float32).min
     for lo in range(0, len(users), _CHUNK):
@@ -172,7 +169,9 @@ def topk_metrics(top, test, k):
     """Aggregate precision, recall, and NDCG over users.
 
     ``top`` is a users x width int64 array of ranked items, width <= k,
-    as :func:`rank_topk` returns it: -1 pads a row and counts as no item.
+    as :func:`rank_topk` returns it.  Each entry is a catalog item, below
+    ``test.shape[1]``, or negative padding, which counts as no item; once
+    any user has test items, an item past the catalog raises IndexError.
     ``test`` is a users x items CSR matrix whose row u stores user u's
     test items; a duplicate counts once.  Users with no test items are
     skipped and tallied.  DCG uses binary relevance with 1/log2(rank+1)
@@ -189,15 +188,19 @@ def topk_metrics(top, test, k):
     discounts = 1.0 / np.log2(np.arange(2, k + 2))
     ideal_prefix = np.concatenate([[0.0], np.cumsum(discounts)])
     test_len = np.diff(test.indptr)
-    # (row, item) pairs as single keys, increasing in a canonical CSR; the
-    # last key, past every other, keeps each search inside the array
-    span = max(test.shape[1], 1 + top.max(initial=0))
-    test_keys = np.append(np.repeat(np.arange(users) * span, test_len)
-                          + test.indices, users * span)
-    top_keys = np.arange(users)[:, None] * span + top
+    kept = test_len > 0
+    evaluated = int(kept.sum())
+    skipped = users - evaluated
+    if evaluated == 0 or width == 0:
+        # nothing can hit, and scipy answers an empty lookup with a sparse
+        # matrix
+        return RankingMetrics(k=k, precision=0.0, recall=0.0, ndcg=0.0,
+                              users_evaluated=evaluated, users_skipped=skipped)
+    # scipy's element lookup; padding reads item 0 and is masked out
     ranked = top >= 0
-    found = test_keys[np.searchsorted(test_keys, top_keys)] == top_keys
-    hits = (found & ranked).astype(np.float64)
+    found = np.asarray(test[np.repeat(np.arange(users), width),
+                            np.maximum(top, 0).ravel()]).reshape(top.shape)
+    hits = ((found != 0) & ranked).astype(np.float64)
     hit_count = hits.sum(axis=1)
     # a row with at most one hit has DCG 0 or its hit's discount in any
     # summation order; a row with more is the dot product of its n items,
@@ -209,12 +212,6 @@ def topk_metrics(top, test, k):
     for u, n in zip(multi.tolist(), lengths.tolist()):
         dcg[u] = hits[u, :n] @ discounts[:n]
 
-    kept = test_len > 0
-    evaluated = int(kept.sum())
-    skipped = users - evaluated
-    if evaluated == 0:
-        return RankingMetrics(k=k, precision=0.0, recall=0.0, ndcg=0.0,
-                              users_evaluated=0, users_skipped=skipped)
     hit_count, test_len, dcg = hit_count[kept], test_len[kept], dcg[kept]
     per_user = (hit_count / k, hit_count / test_len,
                 dcg / ideal_prefix[np.minimum(test_len, k)])
@@ -237,14 +234,13 @@ def _log_mean_exp_neg2sq(points):
 
     if len(points) < 2:
         return 0.0
-    # exp(-2 d^2), rounded as (-2 d) d, written back into pdist's array
-    # a block at a time, so no second array of its size is held
+    # exp(-2 d^2) written in place over pdist's array, so no second array
+    # of its size is held; doubling is exact, so -2 (d d) has the bits of
+    # (-2 d) d wherever d d is normal, and below that exp gives 1 for both
     d = pdist(points)
-    for lo in range(0, len(d), _PAIRS):
-        block = d[lo:lo + _PAIRS]
-        t = np.multiply(block, -2.0)
-        t *= block
-        np.exp(t, out=block)
+    np.multiply(d, d, out=d)
+    d *= -2.0
+    np.exp(d, out=d)
     return float(np.log(np.mean(d)))
 
 

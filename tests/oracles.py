@@ -179,19 +179,29 @@ def mmd_dense(x, y, bandwidth):
 
 
 def batch_loss_dense(table, R, cfg, rng, users, pos_items, neg_items):
-    """Every loss term of one generative, gaussian training step, as a
-    dict keyed like :class:`losses.LossReport`, computed densely at full
-    height from the model's description: no tape, no pruning.
+    """Every loss term of one training step with noise, as a dict keyed
+    like :class:`losses.LossReport`, computed densely at full height from
+    the model's description: no tape, no pruning.  An absent term is 0.
 
     ``table`` holds the parameter arrays by name and ``R`` is the dense
     binary users x items train matrix.  Both channels propagate over
     dense normalized graphs, the user-item adjacency and (unless
     ``cfg.complement_enabled`` is off) the complement at ``cfg.gamma``.
-    At each layer the shared generator maps the layer's input to mu and
-    a log-variance; the sample mu + sigma^2 eps, with sigma^2 the
-    exponential of the log-variance and eps one full-height standard
-    normal draw per (channel, layer), user-item layers first, is
+    Each (channel, layer) draws one full-height standard normal eps,
+    user-item layers first, whether or not a loss term reads the layer.
+    In mode generative the shared generator maps the layer's input to mu
+    and a log-variance, and the sample is mu + sigma^2 eps, with sigma^2
+    the exponential of the log-variance; in mode random it is 0.1 eps.
+    Uniform noise passes the sample through GELU.  The sample is
     row-normalized and added to the input before the propagation.
+
+    In mode generative, the reconstruction reads the first user-item
+    layer's sample, and so does the discrepancy term: gaussian noise
+    the KL of N(mu, sigma^2) from N(0, 1), uniform noise the MMD of the
+    sample's rows at the batch's users and items against as many U[0, 1)
+    rows, drawn after every eps, at the median pairwise distance of the
+    pooled rows.  The contrastive term is there only when ``cfg.lambda_``
+    is positive.
     """
     from scipy.special import erf
 
@@ -200,6 +210,7 @@ def batch_loss_dense(table, R, cfg, rng, users, pos_items, neg_items):
     E = table["base_embedding"]
     users, pos_items, neg_items = (np.asarray(a, dtype=np.int64)
                                    for a in (users, pos_items, neg_items))
+    generative = cfg.noise_mode == "generative"
 
     def gelu(a):
         return a * (0.5 * (1.0 + erf(a / np.sqrt(2.0))))
@@ -218,9 +229,16 @@ def batch_loss_dense(table, R, cfg, rng, users, pos_items, neg_items):
     def channel(G, z):
         layers, first = [], None
         for _ in range(cfg.L):
-            out = mlp(z, "gen")
-            mu, sigma2 = out[:, :d], np.exp(out[:, d:])
-            sample = mu + sigma2 * rng.standard_normal(z.shape)
+            eps = rng.standard_normal(z.shape)
+            mu = sigma2 = None
+            if generative:
+                out = mlp(z, "gen")
+                mu, sigma2 = out[:, :d], np.exp(out[:, d:])
+                sample = mu + sigma2 * eps
+            else:
+                sample = 0.1 * eps
+            if cfg.noise_distribution == "uniform":
+                sample = gelu(sample)
             if first is None:
                 first = (mu, sigma2, sample)
             z = G @ (z + rownorm(sample))
@@ -248,24 +266,38 @@ def batch_loss_dense(table, R, cfg, rng, users, pos_items, neg_items):
     neg = np.sum(avg[users] * avg[m + neg_items], axis=1)
     rec = float(np.mean(np.logaddexp(0.0, neg - pos)))
 
-    ends = np.concatenate([pos_items, neg_items])
-    predicted = np.sum(mlp(sample[np.concatenate([users, users])], "rec")
-                       * mlp(sample[m + ends], "rec"), axis=1)
-    target = np.concatenate([np.ones(len(users)), np.zeros(len(users))])
-    recon = float(np.mean((predicted - target) ** 2))
-    ddl = float(0.5 * np.mean(mu ** 2 + sigma2 - np.log(sigma2) - 1.0))
-
     touched = np.unique(np.concatenate([users, m + pos_items,
                                         m + neg_items]))
+    recon = ddl = 0.0
+    if generative:
+        ends = np.concatenate([pos_items, neg_items])
+        predicted = np.sum(mlp(sample[np.concatenate([users, users])], "rec")
+                           * mlp(sample[m + ends], "rec"), axis=1)
+        target = np.concatenate([np.ones(len(users)), np.zeros(len(users))])
+        recon = float(np.mean((predicted - target) ** 2))
+        if cfg.noise_distribution == "gaussian":
+            ddl = float(0.5 * np.mean(mu ** 2 + sigma2 - np.log(sigma2)
+                                      - 1.0))
+        else:
+            gen = sample[touched]
+            prior = rng.random(gen.shape)
+            pooled = np.vstack([gen, prior])
+            dists = np.linalg.norm(pooled[:, None] - pooled[None], axis=2)
+            bandwidth = np.median(dists[np.triu_indices(len(pooled), 1)])
+            ddl = float(mmd_dense(gen, prior, bandwidth))
+
     reg = cfg.reg_coeff * float(np.sum(E[touched] ** 2))
 
-    selectors = (cfg.cl_view_a, cfg.cl_view_b)
-    uu, ii = np.unique(users), np.unique(pos_items)
-    per_class = [infonce(*(view(ui, s)[uu] for s in selectors)),
-                 infonce(*(view(ui, s)[m + ii] for s in selectors))]
-    if comp is not None:
-        per_class.append(infonce(*(view(comp, s)[ii] for s in selectors)))
-    cl = sum(per_class) / len(per_class)
+    cl = 0.0
+    if cfg.lambda_ > 0:
+        selectors = (cfg.cl_view_a, cfg.cl_view_b)
+        uu, ii = np.unique(users), np.unique(pos_items)
+        per_class = [infonce(*(view(ui, s)[uu] for s in selectors)),
+                     infonce(*(view(ui, s)[m + ii] for s in selectors))]
+        if comp is not None:
+            per_class.append(infonce(*(view(comp, s)[ii]
+                                       for s in selectors)))
+        cl = sum(per_class) / len(per_class)
 
     return {"rec": rec, "cl": cl, "recon": recon, "ddl": ddl, "reg": reg,
             "total": rec + cfg.lambda_ * cl + recon + ddl + reg}

@@ -478,6 +478,22 @@ class TestTopkMetrics:
             m = topk_metrics(padded([items], 6), test, k=6)
             assert m == topk_metrics(items[None, :], test, k=6)
 
+    def test_item_past_the_catalog_raises(self):
+        # an entry is a catalog item or negative padding; one past the
+        # catalog is a caller's mistake, not a miss
+        test = train_matrix([[1], [2]], 4)
+        with pytest.raises(IndexError):
+            topk_metrics(np.array([[1, 4], [2, 0]]), test, k=2)
+
+    def test_any_negative_entry_is_padding(self):
+        # -1 and -2 both count as no item, though each reads item 0, a
+        # test item of every row here
+        test = train_matrix([[0, 3], [0, 1]], 4)
+        m = topk_metrics(np.array([[3, -1, -2], [-2, -1, 1]]), test, k=3)
+        assert m == topk_metrics(np.array([[3, -1, -1], [-1, -1, 1]]),
+                                 test, k=3)
+        assert (m.precision, m.recall) == (1.0 / 3.0, 0.5)
+
     def test_csv_row(self):
         m = RankingMetrics(k=20, precision=0.1, recall=0.2, ndcg=0.3,
                            users_evaluated=10, users_skipped=2)

@@ -365,7 +365,16 @@ class TestDenseStepOracle:
              (0, 1, 2), (0, 3, 5), (4, 5, 6), (6, 9))
 
     @pytest.mark.parametrize("overrides", [
-        {"L": 1}, {"L": 2}, {"L": 3}, {"complement_enabled": False}])
+        {"L": 1}, {"L": 2}, {"L": 3}, {"complement_enabled": False},
+        {"noise_distribution": "uniform"},
+        {"noise_distribution": "uniform", "L": 1},
+        {"noise_mode": "random"},
+        {"noise_mode": "random", "noise_distribution": "uniform"},
+        {"lambda_": 0.0},
+        {"lambda_": 0.0, "noise_distribution": "uniform"},
+        {"cl_view_a": "1", "cl_view_b": "avg"},
+        {"cl_view_a": "2", "cl_view_b": "3"},
+        {"cl_view_a": "avg", "cl_view_b": "avg"}])
     def test_every_term_matches(self, overrides):
         data = make_interactions(8, 10, [(u, i) for u, items in
                                          enumerate(self.ITEMS)
