@@ -4,7 +4,7 @@ fixed scipy CSR matrices.
 Every value on the tape is a 2-D float64 array; scalars are (1, 1)
 matrices produced by the reductions.  The primitive set is closed and
 small: enough to express the encoder, the losses, and nothing else.
-Four fused nodes stand for compositions a training step runs, each
+Five fused nodes stand for compositions a training step runs, each
 with the composition's values and gradients bit for bit and only the
 buffers its backward pass reads: :func:`mlp3` is a whole 3-layer
 perceptron, so the generator and reconstructor keep two hidden
@@ -13,12 +13,12 @@ intermediate nodes, and runs its forward pass in row tiles;
 :func:`inject_spmm` is one encoder layer, the row-normalized noise added
 to the layer input and propagated, without keeping the noisy input;
 :func:`kl_normal` is the KL term, which keeps nothing of its own; and
-:func:`infonce` is the contrastive loss of one view pair, which keeps no
-B x B matrix where the composition keeps four: its backward pass
-recomputes the one it reads.  A composition
-is fused only where it must keep more or compute more than the fused
-node: one whose generic nodes can drop every value no backward pass
-reads once it is built, as the reparameterized noise sample's can,
+:func:`infonce` (one view pair's contrastive loss) and :func:`rbf_mmd`
+(the MMD term) keep no B x B matrix where their compositions keep
+several: their backward passes recompute the ones they read.  A
+composition is fused only where it must keep more or compute more than
+the fused node: one whose generic nodes can drop every value no backward
+pass reads once it is built, as the reparameterized noise sample's can,
 stays generic.  :func:`spmm` takes a scipy CSR matrix as it is and
 multiplies by its transpose view in the backward pass.  Row and column
 slices are views of their parent's value, and :func:`gather` can lend
@@ -27,7 +27,8 @@ one gather's value to a second gather of the same rows.
 What a node keeps: its value, its shape, and what its backward closure
 holds (``exp`` its output, ``gelu`` its cdf, ``rownorm`` and
 ``inject_spmm`` their inverse norms, ``mlp3`` its hidden activations and
-slopes, ``infonce`` its row shifts and sums).  Each primitive declares
+slopes, ``infonce`` its row shifts and sums, ``rbf_mmd`` its squared
+row norms).  Each primitive declares
 which values its backward pass reads: ``Node.reads`` names the parents
 whose values it reads, and ``Node.reads_own`` says whether it reads its
 own, as ``exp`` does; a product reads an operand's value only where the
@@ -71,7 +72,6 @@ __all__ = [
     "Node",
     "ShapeError",
     "DiffError",
-    "matmul",
     "spmm",
     "add",
     "sub",
@@ -86,14 +86,13 @@ __all__ = [
     "inject_spmm",
     "kl_normal",
     "infonce",
+    "rbf_mmd",
     "gather",
     "row_slice",
     "col_slice",
     "reduce_sum",
     "reduce_mean",
     "square",
-    "badd_row",
-    "badd_col",
     "release",
     "backward",
     "check_gradients",
@@ -230,6 +229,7 @@ def _require(cond, op, detail):
 # ---------------------------------------------------------------- linear
 
 
+# read only by benchmarks/spans.py's WRAPPED and tests; ROADMAP item 4 drops it
 def matmul(a, b, trans_b=False):
     """Dense product a @ b, or a @ b.T when trans_b is set."""
     if trans_b:
@@ -404,7 +404,7 @@ def mlp3(x, w1, b1, w2, b2, w3, b3):
     """3-layer perceptron gelu(x w1 + b1) -> gelu(. w2 + b2) -> . w3 + b3
     as one node; the biases are (1, n) rows.
 
-    Values and gradients equal the matmul/badd_row/gelu composition bit
+    Values and gradients equal the product/bias-row/gelu composition bit
     for bit on inputs of two or more rows.  numpy multiplies a single row
     through a matrix-vector routine, which rounds differently from the
     same row inside a larger block, so the products of a one-row input
@@ -628,34 +628,6 @@ def reduce_mean(x, axis=None):
     return _reduce(x, axis, mean=True, opname="reduce_mean")
 
 
-def badd_row(x, r):
-    """Add a (1, n) row vector to every row of an (m, n) matrix."""
-    _require(r.shape == (1, x.shape[1]), "badd_row",
-             f"expected (1, {x.shape[1]}) row, got {r.shape} for matrix {x.shape}")
-
-    def bw(g):
-        if x.needs_grad:
-            _accum(x, g, owned=False)
-        if r.needs_grad:
-            _accum(r, g.sum(axis=0, keepdims=True), owned=True)
-
-    return _op("badd_row", (x, r), x.value + r.value, bw)
-
-
-def badd_col(x, c):
-    """Add an (m, 1) column vector to every column of an (m, n) matrix."""
-    _require(c.shape == (x.shape[0], 1), "badd_col",
-             f"expected ({x.shape[0]}, 1) column, got {c.shape} for matrix {x.shape}")
-
-    def bw(g):
-        if x.needs_grad:
-            _accum(x, g, owned=False)
-        if c.needs_grad:
-            _accum(c, g.sum(axis=1, keepdims=True), owned=True)
-
-    return _op("badd_col", (x, c), x.value + c.value, bw)
-
-
 # ----------------------------------------------------------------- fused
 #
 # Each fused node runs the operations of the composition it replaces, in
@@ -778,6 +750,66 @@ def infonce(a, b, tau):
             _accum(b, g_logits.T @ a.value, owned=True)
 
     return _op("infonce", (a, b), value, bw, reads=(a, b))
+
+
+def rbf_mmd(x, y, bandwidth):
+    """MMD^2 V-statistic mean k(x, x) + mean k(y, y) - 2 mean k(x, y) of
+    the rows of ``x`` and ``y``, k(a, b) = exp(-|a - b|^2 / (2 bandwidth^2)),
+    as one (1, 1) node.  Each kernel block is built in one buffer with
+    the composition's operations in its order (a @ b.T, times -2, plus
+    a's squared norms as a column and b's as a row, times the
+    coefficient, exp), and only its sum is kept.  The backward pass
+    builds again, one at a time, each block a parent needs, and adds the
+    pieces in the composition's sweep order: blocks x-y, y-y, x-x, each
+    giving column sums to b's squared norms, row sums to a's, products
+    to a and b; the squared norms' gradients go to y, then x.
+    """
+    _require(x.shape[1] == y.shape[1], "rbf_mmd",
+             f"sample dimensions {x.shape[1]} and {y.shape[1]} differ")
+    coeff = -1.0 / (2.0 * bandwidth * bandwidth)
+    pair = (x, y)
+    sq = [np.sum(p.value * p.value, axis=1, keepdims=True) for p in pair]
+
+    def kernel(i, j):
+        k = pair[i].value @ pair[j].value.T
+        k *= -2.0
+        k += sq[i]
+        k += sq[j].T
+        k *= coeff
+        return np.exp(k, out=k)
+
+    def mean(i, j):
+        return np.array([[kernel(i, j).sum()]]) / (len(sq[i]) * len(sq[j]))
+
+    value = (mean(0, 0) + mean(1, 1)) + -2.0 * mean(0, 1)
+
+    def bw(g):
+        needs = (x.needs_grad, y.needs_grad)
+        # each squared-norm column's gradient pieces, in arrival order
+        sq_pieces = ([], [])
+        for i, j, g_mean in ((0, 1, -2.0 * g), (1, 1, g), (0, 0, g)):
+            if not (needs[i] or needs[j]):
+                continue
+            # the gradient of the block's squared distances, in its buffer
+            k = kernel(i, j)
+            k *= g_mean / k.size
+            k *= coeff
+            if needs[j]:
+                sq_pieces[j].append(k.sum(axis=0, keepdims=True).T)
+            if needs[i]:
+                sq_pieces[i].append(k.sum(axis=1, keepdims=True))
+            k *= -2.0
+            if needs[i]:
+                _accum(pair[i], k @ pair[j].value, owned=True)
+            if needs[j]:
+                _accum(pair[j], k.T @ pair[i].value, owned=True)
+            del k
+        for p, pieces in ((y, sq_pieces[1]), (x, sq_pieces[0])):
+            if pieces:
+                sq_grad = sum(pieces[1:], pieces[0])
+                _accum(p, sq_grad * (2.0 * p.value), owned=True)
+
+    return _op("rbf_mmd", pair, value, bw, reads=pair)
 
 
 # -------------------------------------------------------------- backward

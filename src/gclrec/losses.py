@@ -88,52 +88,15 @@ def median_bandwidth(x_values, y_values):
     return med if med > 0 else 1.0
 
 
-def _pairwise_sq_dists(a, b, sq_a, sq_b):
-    # ||x - y||^2 = |x|^2 + |y|^2 - 2 x.y; the (1, B) row of squared norms
-    # comes from a 1x1-times-transpose product, keeping gradients intact.
-    # No backward pass reads a B x B value here, so each is released once
-    # the node that reads it is built.
-    tape = a.tape
-    one = tape.constant(np.ones((1, 1)))
-    dots = dc.matmul(a, b, trans_b=True)
-    cross = dc.scale(dots, -2.0)
-    dc.release((dots,))
-    with_rows = dc.badd_col(cross, sq_a)
-    dc.release((cross,))
-    dists = dc.badd_row(with_rows, dc.matmul(one, sq_b, trans_b=True))
-    dc.release((with_rows,))
-    return dists
-
-
 def mmd_loss(gen_samples, prior_samples, bandwidth):
     """Biased V-statistic maximum mean discrepancy with an RBF kernel
-    k(a,b) = exp(-|a-b|^2 / (2 bandwidth^2))."""
+    k(a,b) = exp(-|a-b|^2 / (2 bandwidth^2)), as one
+    :func:`diffcore.rbf_mmd` node, which checks the sample widths."""
     if bandwidth <= 0:
         raise ValueError(f"bandwidth must be positive, got {bandwidth}")
-    if gen_samples.shape[1] != prior_samples.shape[1]:
-        raise dc.ShapeError(
-            f"mmd_loss: sample dimensions {gen_samples.shape[1]} and "
-            f"{prior_samples.shape[1]} differ")
     if gen_samples.shape[0] == 0 or prior_samples.shape[0] == 0:
         raise ValueError("mmd_loss requires non-empty sample sets")
-    coeff = -1.0 / (2.0 * bandwidth * bandwidth)
-    x, y = gen_samples, prior_samples
-    sq_x = dc.reduce_sum(dc.square(x), axis=1)
-    sq_y = dc.reduce_sum(dc.square(y), axis=1)
-
-    def kernel_mean(a, b, sq_a, sq_b):
-        # of the kernel's B x B values, only exp's is read backward
-        dists = _pairwise_sq_dists(a, b, sq_a, sq_b)
-        scaled = dc.scale(dists, coeff)
-        dc.release((dists,))
-        kernel = dc.exp(scaled)
-        dc.release((scaled,))
-        return dc.reduce_mean(kernel)
-
-    k_xx = kernel_mean(x, x, sq_x, sq_x)
-    k_yy = kernel_mean(y, y, sq_y, sq_y)
-    k_xy = kernel_mean(x, y, sq_x, sq_y)
-    return dc.add(dc.add(k_xx, k_yy), dc.scale(k_xy, -2.0))
+    return dc.rbf_mmd(gen_samples, prior_samples, bandwidth)
 
 
 def l2_reg(rows, coeff):

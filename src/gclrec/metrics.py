@@ -170,8 +170,8 @@ def topk_metrics(top, test, k):
 
     ``top`` is a users x width int64 array of ranked items, width <= k,
     as :func:`rank_topk` returns it.  Each entry is a catalog item, below
-    ``test.shape[1]``, or negative padding, which counts as no item; once
-    any user has test items, an item past the catalog raises IndexError.
+    ``test.shape[1]``, or negative padding, which counts as no item; an
+    item past the catalog raises IndexError.
     ``test`` is a users x items CSR matrix whose row u stores user u's
     test items; a duplicate counts once.  Users with no test items are
     skipped and tallied.  DCG uses binary relevance with 1/log2(rank+1)
@@ -183,6 +183,8 @@ def topk_metrics(top, test, k):
         raise ValueError(f"top-k array has {width} columns, more than k={k}")
     if test.shape[0] != users:
         raise ValueError(f"test has {test.shape[0]} rows, top-k has {users}")
+    if top.size and top.max() >= test.shape[1]:
+        raise IndexError(f"top-k item past the catalog of {test.shape[1]} items")
     test = test.copy()
     test.sum_duplicates()
     discounts = 1.0 / np.log2(np.arange(2, k + 2))

@@ -165,8 +165,9 @@ def mlp_forward(x, leaves, prefix):
     return dc.mlp3(x, *(leaves[f"{prefix}.{w}"] for w in _MLP_WEIGHTS))
 
 
-# sigma^2 of mode random's zero-mean sample sigma^2 * epsilon, the fixed
-# magnitude of the w/-rand ablation; the sample's variance is its square
+# sigma^2 of mode random's zero-mean sample sigma^2 * epsilon (w/-rand).
+# inject_spmm adds the sample row-normalized, so with gaussian noise 0.1
+# and 1 inject the same rows; the factor acts only through uniform's GELU
 _RANDOM_VARIANCE = 0.1
 
 

@@ -54,10 +54,12 @@ class TrainConfig:
     sigma^2.  ``noise_mode`` is generative (mu and sigma^2 learned per
     row), random (mu = 0, sigma^2 = 0.1) or none.  ``noise_distribution``
     gaussian keeps the raw reparameterized sample; uniform passes it
-    through GELU.  In mode generative the distribution also picks the
-    term that pulls the first user-item block towards its prior:
-    gaussian the analytic KL of N(mu, sigma^2) from N(0, 1), uniform a
-    sample-based MMD against U[0, 1) draws.
+    through GELU.  A layer adds the sample row-normalized, so random's
+    0.1 acts only through uniform's GELU: gaussian 0.1 * epsilon and
+    epsilon inject the same rows.  In mode generative the distribution
+    also picks the term that pulls the first user-item block towards its
+    prior: gaussian the analytic KL of N(mu, sigma^2) from N(0, 1),
+    uniform a sample-based MMD against U[0, 1) draws.
     """
 
     d: int = 64

@@ -315,6 +315,19 @@ def log(x):
     return dc._op("log", (x,), np.log(x.value), bw, reads=(x,))
 
 
+def broadcast_add(x, v, axis):
+    """x + v, where v is a row (``axis`` 0) or a column (``axis`` 1)
+    repeated along ``axis``, as a tape node.  Only the compositions below
+    broadcast on the tape; the fused nodes broadcast inside."""
+    def bw(g):
+        if x.needs_grad:
+            dc._accum(x, g, owned=False)
+        if v.needs_grad:
+            dc._accum(v, g.sum(axis=axis, keepdims=True), owned=True)
+
+    return dc._op("broadcast_add", (x, v), x.value + v.value, bw)
+
+
 def gather_zeros_and_add(x, indices):
     """:func:`diffcore.gather` with the backward pass it replaced: the
     rows' gradient placed in a full-height array of zeros (summed there
@@ -343,7 +356,7 @@ def infonce_composite(view_a, view_b, tau):
     pos = dc.scale(dc.reduce_sum(dc.mul(view_a, view_b), axis=1), inv_tau)
     # the shift is a detached constant; the gradient of lse is exact anyway
     shift = sims.value.max(axis=1, keepdims=True)
-    shifted = dc.badd_col(sims, tape.constant(-shift))
+    shifted = dc.add(sims, tape.constant(np.broadcast_to(-shift, sims.shape)))
     lse = dc.add(log(dc.reduce_sum(dc.exp(shifted), axis=1)),
                  tape.constant(shift))
     return dc.reduce_mean(dc.sub(lse, pos))
@@ -372,10 +385,32 @@ def kl_normal_composite(mu, sigma2):
     tape = mu.tape
 
     def minus(x, c):
-        # x + (-c) rounds exactly as x - c, and a (1, d) row is all the
-        # constant the broadcast needs
-        return dc.badd_row(x, tape.constant(np.full((1, mu.shape[1]), -c)))
+        # x + (-c) rounds exactly as x - c
+        return dc.add(x, tape.constant(np.full(x.shape, -c)))
 
     inner = minus(dc.sub(dc.add(dc.square(mu), sigma2),
                          log(sigma2)), 1.0)
     return dc.scale(dc.reduce_mean(inner), 0.5)
+
+
+def mmd_composite(x, y, bandwidth):
+    """:func:`diffcore.rbf_mmd` from primitives: per kernel a product, a
+    scale by -2, the squared norms added as a column and as a row, a
+    scale by the coefficient, exp and the mean."""
+    tape = x.tape
+    coeff = -1.0 / (2.0 * bandwidth * bandwidth)
+    sq_x = dc.reduce_sum(dc.square(x), axis=1)
+    sq_y = dc.reduce_sum(dc.square(y), axis=1)
+
+    def kernel_mean(a, b, sq_a, sq_b):
+        # the row of b's squared norms is a 1x1-times-transpose product
+        one = tape.constant(np.ones((1, 1)))
+        cross = dc.scale(dc.matmul(a, b, trans_b=True), -2.0)
+        dists = broadcast_add(broadcast_add(cross, sq_a, axis=1),
+                              dc.matmul(one, sq_b, trans_b=True), axis=0)
+        return dc.reduce_mean(dc.exp(dc.scale(dists, coeff)))
+
+    k_xx = kernel_mean(x, x, sq_x, sq_x)
+    k_yy = kernel_mean(y, y, sq_y, sq_y)
+    k_xy = kernel_mean(x, y, sq_x, sq_y)
+    return dc.add(dc.add(k_xx, k_yy), dc.scale(k_xy, -2.0))

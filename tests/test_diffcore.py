@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -17,11 +18,13 @@ from gclrec.trainer import AdamState, adam_step
 
 from conftest import random_interactions
 from oracles import (
+    broadcast_add,
     gather_zeros_and_add,
     infonce_composite,
     inject_spmm_composite,
     kl_normal_composite,
     log,
+    mmd_composite,
     sample_composite,
 )
 
@@ -148,9 +151,9 @@ class TestBackwardBasics:
 
 
 def unfused_mlp(x, w1, b1, w2, b2, w3, b3):
-    h1 = dc.gelu(dc.badd_row(dc.matmul(x, w1), b1))
-    h2 = dc.gelu(dc.badd_row(dc.matmul(h1, w2), b2))
-    return dc.badd_row(dc.matmul(h2, w3), b3)
+    h1 = dc.gelu(broadcast_add(dc.matmul(x, w1), b1, axis=0))
+    h2 = dc.gelu(broadcast_add(dc.matmul(h1, w2), b2, axis=0))
+    return broadcast_add(dc.matmul(h2, w3), b3, axis=0)
 
 
 MLP_NAMES = ("x", "w1", "b1", "w2", "b2", "w3", "b3")
@@ -288,6 +291,7 @@ def ui1_block(kl_fn, out, eps, weights):
 FUSED = {"infonce": (dc.infonce, infonce_composite),
          "inject_spmm": (dc.inject_spmm, inject_spmm_composite),
          "kl_normal": (dc.kl_normal, kl_normal_composite),
+         "rbf_mmd": (dc.rbf_mmd, mmd_composite),
          "ui1 block": (
              lambda *a: ui1_block(dc.kl_normal, *a),
              lambda *a: ui1_block(kl_normal_composite, *a))}
@@ -365,6 +369,27 @@ FUSED_CASES = {
         {"mu": rand((5, 3), 118), "ls": rand((5, 3), 119)},
         lambda f, lv: dc.add(dc.reduce_sum(dc.square(lv["mu"])),
                              f(lv["mu"], dc.exp(lv["ls"])))),
+    ("rbf_mmd", "y constant"): (
+        {"x": rand((6, 3), 126)},
+        lambda f, lv: f(lv["x"], lv["x"].tape.constant(rand((6, 3), 127)),
+                        1.3)),
+    ("rbf_mmd", "y leaf"): (
+        {"x": rand((5, 3), 128), "y": rand((5, 3), 129, loc=0.5)},
+        lambda f, lv: f(lv["x"], lv["y"], 0.9)),
+    # x reaches the loss on its own, before the term
+    ("rbf_mmd", "x read before"): (
+        {"x": rand((5, 3), 130), "y": rand((5, 3), 131)},
+        lambda f, lv: dc.add(dc.reduce_sum(dc.square(lv["x"])),
+                             f(lv["x"], lv["y"], 1.1))),
+    ("rbf_mmd", "one row"): (
+        {"x": rand((1, 4), 132), "y": rand((3, 4), 133)},
+        lambda f, lv: f(lv["x"], lv["y"], 1.7)),
+    ("rbf_mmd", "unequal rows"): (
+        {"x": rand((4, 2), 134), "y": rand((9, 2), 135)},
+        lambda f, lv: f(lv["x"], lv["y"], 0.6)),
+    # every block's pieces add into the one gradient
+    ("rbf_mmd", "x is y"): (
+        {"x": rand((5, 3), 136)}, lambda f, lv: f(lv["x"], lv["x"], 1.2)),
     ("ui1 block", "sigma2 sample"): (
         {"out": rand((5, 6), 120, scl=0.5)},
         lambda f, lv: f(lv["out"], rand((5, 3), 121),
@@ -432,10 +457,33 @@ class TestFusedNodes:
                     held.append(item.shape)
         assert held and all(shape[0] * shape[1] <= 7 for shape in held)
 
+    def test_rbf_mmd_holds_one_kernel_block_at_a_time(self):
+        # both passes build the three blocks, each freed before the next
+        rows = 600
+        block = rows * rows * 8
+        t = Tape()
+        x, y = t.leaf(rand((rows, 8), 93)), t.leaf(rand((rows, 8), 94))
+
+        def peak(run):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            out = run()
+            return out, tracemalloc.get_traced_memory()[1] - base
+
+        tracemalloc.start()
+        try:
+            mmd, forward = peak(lambda: dc.rbf_mmd(x, y, 1.0))
+            _, sweep = peak(lambda: backward(mmd))
+        finally:
+            tracemalloc.stop()
+        assert block <= forward < 1.5 * block
+        assert block <= sweep < 1.5 * block
+
     @pytest.mark.parametrize("fn, arity, op", [
         (lambda a, b: dc.infonce(a, b, 0.2), 2, "infonce"),
         (lambda a, b: dc.inject_spmm(OP[:, :4], a, b), 2, "inject_spmm"),
-        (dc.kl_normal, 2, "kl_normal")])
+        (dc.kl_normal, 2, "kl_normal"),
+        (lambda a, b: dc.rbf_mmd(a, b, 1.0), 2, "rbf_mmd")])
     def test_one_node_on_the_tape(self, fn, arity, op):
         t = Tape()
         # positive inputs, which kl_normal's sigma^2 needs
@@ -647,10 +695,6 @@ DECLARED_CASES = {
                       lambda t, lv: dc.reduce_mean(lv["x"], axis=0)),
     "reduce_sum 1": ({"x": rand((3, 2), 173)},
                      lambda t, lv: dc.reduce_sum(lv["x"], axis=1)),
-    "badd_row": ({"x": rand((3, 2), 174), "r": rand((1, 2), 175)},
-                 lambda t, lv: dc.badd_row(lv["x"], lv["r"])),
-    "badd_col": ({"x": rand((3, 2), 176), "c": rand((3, 1), 177)},
-                 lambda t, lv: dc.badd_col(lv["x"], lv["c"])),
     "inject_spmm": ({"z": rand((5, 4), 178), "x": rand((5, 4), 179)},
                     lambda t, lv: dc.inject_spmm(OP, lv["z"], lv["x"])),
     "inject_spmm constant noise": (
@@ -664,6 +708,12 @@ DECLARED_CASES = {
         lambda t, lv: dc.kl_normal(t.constant(rand((5, 3), 183)), lv["s"])),
     "infonce": ({"a": rand((5, 3), 184), "b": rand((5, 3), 185)},
                 lambda t, lv: dc.infonce(lv["a"], lv["b"], 0.2)),
+    "rbf_mmd": ({"x": rand((5, 3), 174), "y": rand((4, 3), 175)},
+                lambda t, lv: dc.rbf_mmd(lv["x"], lv["y"], 1.1)),
+    "rbf_mmd constant y": (
+        {"x": rand((5, 3), 176)},
+        lambda t, lv: dc.rbf_mmd(lv["x"], t.constant(rand((4, 3), 177)),
+                                 1.1)),
 }
 
 
@@ -800,11 +850,6 @@ class TestShapeErrors:
         with pytest.raises(ShapeError, match="add"):
             dc.add(t.leaf(np.ones((2, 3))), t.leaf(np.ones((3, 2))))
 
-    def test_badd_row_mismatch(self):
-        t = Tape()
-        with pytest.raises(ShapeError, match="badd_row"):
-            dc.badd_row(t.leaf(np.ones((2, 3))), t.leaf(np.ones((1, 2))))
-
     def test_spmm_mismatch(self):
         t = Tape()
         S = sp.eye(3, format="csr")
@@ -822,6 +867,8 @@ class TestShapeErrors:
             dc.inject_spmm(sp.identity(3, format="csr"), a, a)
         with pytest.raises(ShapeError, match="kl_normal"):
             dc.kl_normal(a, b)
+        with pytest.raises(ShapeError, match="rbf_mmd"):
+            dc.rbf_mmd(a, t.leaf(np.ones((2, 3))), 1.0)
 
     def test_mixed_tapes_rejected(self):
         t1, t2 = Tape(), Tape()
@@ -921,17 +968,6 @@ class TestPerPrimitiveGradcheck:
 
         assert fd_check(build, arrays) < TOL
 
-    def test_badd_row_col(self):
-        arrays = {"x": rand((3, 4), 16), "r": rand((1, 4), 17),
-                  "c": rand((3, 1), 18)}
-
-        def build(t, lv):
-            y = dc.badd_row(lv["x"], lv["r"])
-            z = dc.badd_col(y, lv["c"])
-            return dc.reduce_sum(dc.square(z))
-
-        assert fd_check(build, arrays) < TOL
-
 
     def test_infonce(self):
         arrays = {"a": rand((4, 3), 19), "b": rand((4, 3), 20)}
@@ -952,6 +988,12 @@ class TestPerPrimitiveGradcheck:
         arrays = {"mu": rand((4, 3), 31), "ls": rand((4, 3), 32, scl=0.5)}
         err = fd_check(lambda t, lv: dc.scale(dc.kl_normal(
             lv["mu"], dc.exp(lv["ls"])), 1.7), arrays)
+        assert err < TOL
+
+    def test_rbf_mmd(self):
+        arrays = {"x": rand((4, 3), 33), "y": rand((5, 3), 34, loc=0.3)}
+        err = fd_check(lambda t, lv: dc.scale(dc.rbf_mmd(
+            lv["x"], lv["y"], 0.8), 1.7), arrays)
         assert err < TOL
 
 

@@ -480,10 +480,13 @@ class TestTopkMetrics:
 
     def test_item_past_the_catalog_raises(self):
         # an entry is a catalog item or negative padding; one past the
-        # catalog is a caller's mistake, not a miss
+        # catalog is a caller's mistake, not a miss, also where no user
+        # has a test item to look up
         test = train_matrix([[1], [2]], 4)
-        with pytest.raises(IndexError):
+        with pytest.raises(IndexError, match="catalog"):
             topk_metrics(np.array([[1, 4], [2, 0]]), test, k=2)
+        with pytest.raises(IndexError, match="catalog"):
+            topk_metrics(np.array([[9]]), sp.csr_matrix((1, 4)), 1)
 
     def test_any_negative_entry_is_padding(self):
         # -1 and -2 both count as no item, though each reads item 0, a

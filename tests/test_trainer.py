@@ -563,21 +563,16 @@ class TestTapeComposition:
         assert values[out] is None and values[logvar] is None
 
     def test_mmd_keeps_only_each_kernels_exp(self, monkeypatch):
+        # the kernels are built and recomputed inside one rbf_mmd node, so
+        # no node of the step, held or dropped, is touched x touched
         seen, _, _ = self.tape(monkeypatch, {"noise.distribution": "uniform"})
-        kernels = [n for n, _ in seen if n.op == "exp"
-                   and n.parents[0].op == "scale"
-                   and n.parents[0].parents[0].op == "badd_row"]
-        # the x-x, y-y and x-y kernels, each over the touched rows
-        assert len(kernels) == 3
-        (shape,) = {n.shape for n in kernels}
-        square = [(n.op, value is not None) for n, value in seen
-                  if n.shape == shape and n.op != "leaf"]
-        # per kernel a matmul, a scale, badd_col, badd_row, a scale and exp;
-        # the prior's y-y kernel has no backward pass, so its exp goes
-        # with the release before the contrastive term
-        assert len(square) == 18
-        assert [op for op, held in square if held] == ["exp"] * 2
-        assert [n.needs_grad for n in kernels] == [True, False, True]
+        (mmd,) = [n for n, _ in seen if n.op == "rbf_mmd"]
+        gen, prior = mmd.parents
+        assert (gen.op, prior.op) == ("gather", "constant")
+        touched = gen.shape[0]
+        assert prior.shape[0] == touched
+        assert [n.op for n, _ in seen
+                if n.shape == (touched, touched)] == []
 
     def test_contrastive_term_is_swept_first(self, monkeypatch):
         _, _, swept = self.tape(monkeypatch)
