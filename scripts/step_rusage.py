@@ -314,17 +314,11 @@ def main(argv=None):
                    metavar="KEY=VALUE",
                    help="override a config key (repeatable)")
     args = p.parse_args(argv)
-    table = {}
-    for pair in args.overrides:
-        key, sep, value = pair.partition("=")
-        if not sep:
-            p.error(f"--set expects KEY=VALUE, got {pair!r}")
-        table[key.strip()] = value.strip()
-
     size = workload.SIZES["full"]
     cfg = run.make_config(args.workload, size, args.seed)
     try:
-        cfg.apply_strings(table)
+        cfg.apply_strings(trainer.read_settings(
+            ("--set", pair) for pair in args.overrides))
     except trainer.ConfigError as exc:
         p.error(str(exc))
     with tempfile.TemporaryDirectory() as tmp:

@@ -95,16 +95,10 @@ class _Run:
     """One command invocation: resolved config, output dir, manifest."""
 
     def __init__(self, args):
-        from .trainer import ConfigError, TrainConfig
+        from .trainer import ConfigError, TrainConfig, read_settings
 
-        table = {}
-        if args.config:
-            table.update(_parse_config_file(args.config))
-        for pair in args.overrides:
-            if "=" not in pair:
-                raise ConfigError(f"--set expects key=value, got {pair!r}")
-            key, _, value = pair.partition("=")
-            table[key.strip()] = value.strip()
+        table = _parse_config_file(args.config) if args.config else {}
+        table.update(read_settings(("--set", p) for p in args.overrides))
         self.cfg = TrainConfig.from_strings(table)
         self.args = args
         self.out_dir = Path(args.out or "runs")
@@ -175,18 +169,12 @@ class _Run:
 
 def _parse_config_file(path):
     from .dataset import DataError, text_lines
-    from .trainer import ConfigError
+    from .trainer import read_settings
 
     if not os.path.exists(path):
         raise DataError(f"config file not found: {path}")
-    table = {}
-    for lineno, line in text_lines(path):
-        if "=" not in line:
-            raise ConfigError(
-                f"{path}:{lineno}: expected key = value, got {line!r}")
-        key, _, value = line.partition("=")
-        table[key.strip()] = value.strip()
-    return table
+    return read_settings((f"{path}:{lineno}", line)
+                         for lineno, line in text_lines(path))
 
 
 def _print_progress(epoch, report, metrics):

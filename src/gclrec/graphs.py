@@ -5,9 +5,10 @@ Every builder returns a float64 ``scipy.sparse.csr_matrix`` in scipy's
 canonical format (duplicates summed, no explicit zeros, column indices
 sorted within each row), so ``indptr``/``indices`` can be read directly as
 per-row item lists.  scipy makes that form: a CSR built from COO
-coordinates, as R and the relabelled complement are, and ``bmat``'s CSR
-adjacency sum duplicates and sort columns; ``sym_normalize`` keeps its
-input's layout and drops the entries its scaling zeroes."""
+coordinates, as R is, and ``bmat``'s CSR adjacency sum duplicates and
+sort columns; the complement calls ``sum_duplicates`` on its product,
+and ``sym_normalize`` keeps its input's layout and drops the entries its
+scaling zeroes."""
 
 import warnings
 from dataclasses import dataclass
@@ -70,34 +71,32 @@ def build_adjacency(R):
 def build_complement(R, gamma):
     """Item complement matrix: co-consumption counts, thresholded and normalized.
 
-    Computes R^T R, removes the diagonal, zeroes entries strictly below
-    ``gamma``, then applies symmetric degree normalization; ``gamma`` = 0
-    keeps every entry.  If every entry is filtered out the result is an
-    empty matrix and a warning is emitted; the channel then propagates
-    nothing.  Every entry is relabelled to its item ids through COO
-    coordinates, which builds the result in canonical form whatever
-    column order the product leaves.
+    Computes R^T R, zeroes its diagonal and its entries strictly below
+    ``gamma`` in one pass, then applies symmetric degree normalization;
+    ``gamma`` = 0 keeps every off-diagonal entry.  If every entry is
+    filtered out the result is an empty matrix and a warning is emitted;
+    the channel then propagates nothing.  The product is taken in item
+    ids and ``sum_duplicates`` makes its canonical form explicit.
 
     R is binary, so no count of an item exceeds its number of users: the
     filter deletes every entry of an item bought by fewer than ``gamma``
-    users, and those columns of R are dropped before the product.  The
-    filter then runs before the diagonal is removed.  Each step only
-    deletes entries, and whether it deletes one depends on that entry
-    alone, so the order leaves the same entries with the same counts.
+    users, and those items' entries leave a copy of R before the
+    product.  Each step only deletes entries, and whether it deletes one
+    depends on that entry alone, so the order leaves the same entries
+    with the same counts.
     """
     if gamma < 0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
     n = R.shape[1]
-    kept = np.arange(n)
-    if gamma > 0:
-        kept = np.flatnonzero(np.asarray(R.sum(axis=0)).ravel() >= gamma)
-        R = R[:, kept]
+    if gamma > 0:  # R is shared, so the pruned items leave a copy
+        R = R.copy()
+        R.data[np.asarray(R.sum(axis=0)).ravel()[R.indices] < gamma] = 0.0
+        R.eliminate_zeros()
     C = (R.T @ R).tocsr()
-    C.data[C.data < gamma] = 0.0
-    C.setdiag(0.0)
+    rows = np.repeat(np.arange(n), np.diff(C.indptr))
+    C.data[(C.data < gamma) | (rows == C.indices)] = 0.0
     C.eliminate_zeros()
-    C = C.tocoo()  # back to item ids
-    C = sp.csr_matrix((C.data, (kept[C.row], kept[C.col])), shape=(n, n))
+    C.sum_duplicates()
     if C.nnz == 0:
         warnings.warn("complement matrix is empty after filtering; the "
                       "complement channel will contribute nothing")

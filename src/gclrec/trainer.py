@@ -19,6 +19,7 @@ from .model import encode, init_params, reconstruct
 __all__ = [
     "ConfigError",
     "TrainConfig",
+    "read_settings",
     "AdamState",
     "adam_step",
     "build_context",
@@ -45,10 +46,23 @@ def _parse_bool(text):
     raise ValueError(f"expected true or false, got {text!r}")
 
 
+def _setting(default, op=None, bound=None, key=None, choices=None):
+    """A :class:`TrainConfig` field: its default, its check (``op``, ">="
+    or ">", against ``bound``, or one of ``choices``) and its dotted
+    config key where that is not the field name."""
+    return field(default=default, metadata={
+        "op": op, "bound": bound, "key": key, "choices": choices})
+
+
 @dataclass(slots=True)
 class TrainConfig:
     """Every tunable of a run, addressable by dotted config keys.  Its
     slots make assigning a field it does not have an error.
+
+    A field is the whole declaration of its setting: its type picks the
+    parser of ``KEYS`` (:func:`_parse_bool` for bool) and
+    :func:`_setting` gives its key and its check, so adding a setting is
+    one field line.
 
     Every noise sample is mu + sigma^2 * epsilon, so its spread is
     sigma^2.  ``noise_mode`` is generative (mu and sigma^2 learned per
@@ -62,50 +76,28 @@ class TrainConfig:
     uniform a sample-based MMD against U[0, 1) draws.
     """
 
-    d: int = 64
-    h: int = 64
-    L: int = 3
-    gamma: float = 3.0
-    tau: float = 0.2
-    lambda_: float = 1.0
-    learning_rate: float = 0.001
-    batch_size: int = 2048
-    reg_coeff: float = 0.0001
-    epochs_max: int = 500
-    patience: int = 10
-    eval_interval: int = 5
-    seed: int = 42
-    folds: int = 5
-    data_path: str = ""
-    noise_mode: str = "generative"
-    noise_distribution: str = "gaussian"
-    complement_enabled: bool = True
-    cl_view_a: str = "avg"
-    cl_view_b: str = "1"
-
-    # dotted config key -> (field name, parser)
-    KEYS = {
-        "d": ("d", int),
-        "h": ("h", int),
-        "L": ("L", int),
-        "gamma": ("gamma", float),
-        "tau": ("tau", float),
-        "lambda": ("lambda_", float),
-        "learning_rate": ("learning_rate", float),
-        "batch_size": ("batch_size", int),
-        "reg_coeff": ("reg_coeff", float),
-        "epochs_max": ("epochs_max", int),
-        "patience": ("patience", int),
-        "eval_interval": ("eval_interval", int),
-        "seed": ("seed", int),
-        "folds": ("folds", int),
-        "data.path": ("data_path", str),
-        "noise.mode": ("noise_mode", str),
-        "noise.distribution": ("noise_distribution", str),
-        "complement.enabled": ("complement_enabled", _parse_bool),
-        "cl.view_a": ("cl_view_a", str),
-        "cl.view_b": ("cl_view_b", str),
-    }
+    d: int = _setting(64, ">=", 1)
+    h: int = _setting(64, ">=", 1)
+    L: int = _setting(3, ">=", 1)
+    gamma: float = _setting(3.0, ">=", 0)
+    tau: float = _setting(0.2, ">", 0)
+    lambda_: float = _setting(1.0, ">=", 0, key="lambda")
+    learning_rate: float = _setting(0.001, ">", 0)
+    batch_size: int = _setting(2048, ">=", 1)
+    reg_coeff: float = _setting(0.0001, ">=", 0)
+    epochs_max: int = _setting(500, ">=", 1)
+    patience: int = _setting(10, ">=", 1)
+    eval_interval: int = _setting(5, ">=", 1)
+    seed: int = _setting(42, ">=", 0)
+    folds: int = _setting(5, ">=", 2)
+    data_path: str = _setting("", key="data.path")
+    noise_mode: str = _setting("generative", key="noise.mode",
+                               choices=("generative", "random", "none"))
+    noise_distribution: str = _setting("gaussian", key="noise.distribution",
+                                       choices=("gaussian", "uniform"))
+    complement_enabled: bool = _setting(True, key="complement.enabled")
+    cl_view_a: str = _setting("avg", key="cl.view_a")
+    cl_view_b: str = _setting("1", key="cl.view_b")
 
     @classmethod
     def from_strings(cls, table):
@@ -141,33 +133,17 @@ class TrainConfig:
         return out
 
     def validate(self):
-        for key, (name, parse) in self.KEYS.items():
-            if parse is float and not math.isfinite(getattr(self, name)):
-                raise ConfigError(
-                    f"{key} must be finite, got {getattr(self, name)}")
-        checks = [
-            (self.d >= 1, "d must be >= 1"),
-            (self.h >= 1, "h must be >= 1"),
-            (self.L >= 1, "L must be >= 1"),
-            (self.gamma >= 0, "gamma must be >= 0"),
-            (self.tau > 0, "tau must be positive"),
-            (self.lambda_ >= 0, "lambda must be >= 0"),
-            (self.learning_rate > 0, "learning_rate must be positive"),
-            (self.batch_size >= 1, "batch_size must be >= 1"),
-            (self.reg_coeff >= 0, "reg_coeff must be >= 0"),
-            (self.epochs_max >= 1, "epochs_max must be >= 1"),
-            (self.patience >= 1, "patience must be >= 1"),
-            (self.eval_interval >= 1, "eval_interval must be >= 1"),
-            (self.seed >= 0, f"seed must be >= 0, got {self.seed}"),
-            (self.folds >= 2, "folds must be >= 2"),
-            (self.noise_mode in ("generative", "random", "none"),
-             f"unknown noise.mode: {self.noise_mode}"),
-            (self.noise_distribution in ("gaussian", "uniform"),
-             f"unknown noise.distribution: {self.noise_distribution}"),
-        ]
-        for ok, message in checks:
-            if not ok:
-                raise ConfigError(message)
+        """Check every field, in field order, then the view selectors
+        against ``L``; the first failure raises."""
+        for f in fields(self):
+            m, value = f.metadata, getattr(self, f.name)
+            key, op, bound = m["key"] or f.name, m["op"], m["bound"]
+            if f.type is float and not math.isfinite(value):
+                raise ConfigError(f"{key} must be finite, got {value}")
+            if op and not (value >= bound if op == ">=" else value > bound):
+                raise ConfigError(f"{key} must be {op} {bound}, got {value}")
+            if m["choices"] and value not in m["choices"]:
+                raise ConfigError(f"unknown {key}: {value}")
         for key, sel in (("cl.view_a", self.cl_view_a),
                          ("cl.view_b", self.cl_view_b)):
             if sel != "avg":
@@ -182,6 +158,26 @@ class TrainConfig:
 
     def copy(self):
         return replace(self)
+
+
+# dotted config key -> (field name, parser)
+TrainConfig.KEYS = {
+    f.metadata["key"] or f.name:
+        (f.name, _parse_bool if f.type is bool else f.type)
+    for f in fields(TrainConfig)}
+
+
+def read_settings(items):
+    """Dotted-key -> string-value table of ``(where, "key = value")``
+    items, a later key winning; an item without ``=`` names ``where``."""
+    table = {}
+    for where, text in items:
+        key, sep, value = text.partition("=")
+        if not sep:
+            raise ConfigError(
+                f"{where}: expected key = value, got {text!r}")
+        table[key.strip()] = value.strip()
+    return table
 
 
 # ------------------------------------------------------------------ Adam

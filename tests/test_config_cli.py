@@ -151,8 +151,10 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("args, fragment", [
         (("--set", "seed=-3"), "seed must be >= 0, got -3"),
+        (("--set", "tau=0"), "tau must be > 0, got 0.0"),
+        (("--set", "nonsense"), "--set: expected key = value, got 'nonsense'"),
         (("--out", "{file}"), "--out {file}: not a directory"),
-    ], ids=["seed-key", "out-is-a-file"])
+    ], ids=["seed-key", "tau-key", "set-without-equals", "out-is-a-file"])
     def test_rejected_setting_names_it(self, config_file, tmp_path, capsys,
                                        args, fragment):
         taken = tmp_path / "taken"

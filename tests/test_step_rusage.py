@@ -242,3 +242,16 @@ def test_gclrec_patches_are_found(tmp_path):
                          ids=lambda path: path.name)
 def test_scripts_patch_nothing_in_gclrec(path):
     assert gclrec_patches(path) == []
+
+
+def test_set_without_equals_exits_2_before_any_setup(script, capsys,
+                                                      monkeypatch):
+    def no_setup(*args, **kwargs):
+        raise AssertionError("set-up ran")
+
+    monkeypatch.setattr(script.workload, "generate_pairs", no_setup)
+    with pytest.raises(SystemExit) as exc:
+        script.main(["--set", "nonsense"])
+    assert exc.value.code == 2
+    assert "--set: expected key = value, got 'nonsense'" in \
+        capsys.readouterr().err

@@ -94,6 +94,13 @@ class TestTrainConfig:
             TrainConfig.from_strings({"cl.view_b": "first"})
         TrainConfig.from_strings({"cl.view_a": "3"})  # valid for L=3
 
+    def test_keys_name_every_field_once_with_its_types_parser(self):
+        rows = list(TrainConfig.KEYS.values())
+        assert [name for name, _ in rows] == [
+            f.name for f in fields(TrainConfig)]
+        for f, (_, parse) in zip(fields(TrainConfig), rows):
+            assert parse is (tr._parse_bool if f.type is bool else f.type)
+
     def test_range_checks(self):
         for table in ({"tau": "0"}, {"folds": "1"}, {"d": "0"},
                       {"noise.mode": "white"},
@@ -562,7 +569,8 @@ class TestTapeComposition:
         # the 2d-wide generator output and its log-variance view are gone
         assert values[out] is None and values[logvar] is None
 
-    def test_mmd_keeps_only_each_kernels_exp(self, monkeypatch):
+    def test_mmd_is_one_node_and_no_node_is_touched_square(self,
+                                                          monkeypatch):
         # the kernels are built and recomputed inside one rbf_mmd node, so
         # no node of the step, held or dropped, is touched x touched
         seen, _, _ = self.tape(monkeypatch, {"noise.distribution": "uniform"})
