@@ -33,8 +33,7 @@ def bpr_loss(pos_scores, neg_scores):
         raise dc.ShapeError(
             f"bpr_loss: positive scores {pos_scores.shape} and negative "
             f"scores {neg_scores.shape} differ")
-    margin = dc.sub(pos_scores, neg_scores)
-    return dc.reduce_mean(dc.softplus(dc.scale(margin, -1.0)))
+    return dc.reduce_mean(dc.softplus(dc.sub(neg_scores, pos_scores)))
 
 
 def multi_pair_cl(user_views, item_views, comp_views, tau):

@@ -8,7 +8,8 @@ co-occurrence matrix.  At every layer a generator MLP maps that layer's
 input embeddings to a Gaussian (mu, log variance) pair, a noise sample is
 drawn by reparameterization, row-normalized, and added before the sparse
 product.  Final representations average layers 1..L; the input layer is
-excluded.
+excluded.  The output keeps the table's layout: one row per user, then
+one per item, and in the complement channel one per item.
 
 A noise block builds its sample from the generator output [mu |
 log-variance] out of generic nodes, mu + sigma^2 * epsilon with sigma^2 =
@@ -246,39 +247,28 @@ def propagate(a_norm, z_prev, noise):
 
 @dataclass
 class EncoderOutput:
-    """Per-layer embeddings, noise blocks and averaged representations.
+    """Per-layer embeddings, their averages and the noise blocks.
 
-    ``users`` and ``items`` are the sorted ids whose rows the user and
-    the item and complement views hold, in that order, or None when the
-    views hold every row."""
+    Each channel is one table in the embedding table's layout: the
+    user-item layers and average hold the rows :func:`encode` was asked
+    for, users before items, and the complement layers and average the
+    items among them.  ``comp_layers`` is None without a complement
+    channel, ``comp_avg`` None where no view reads it."""
 
     ui_layers: list
+    ui_avg: object
     comp_layers: list | None
+    comp_avg: object
     noise_blocks: dict
-    z_u: object
-    z_i: object
-    z_c: object
-    users: object = None
-    items: object = None
 
-    def view(self, selector, cls):
-        """Contrastive view of one entity class ("user", "item" or
-        "comp"): layer ``selector`` (counted from 1) or the layer average
-        when ``selector`` is "avg"."""
+    def view(self, selector, channel):
+        """Contrastive view of one channel ("ui" or "comp"): layer
+        ``selector`` (counted from 1) or the layer average when
+        ``selector`` is "avg"."""
         if selector == "avg":
-            return {"user": self.z_u, "item": self.z_i, "comp": self.z_c}[cls]
-        layer = int(selector) - 1
-        if cls == "comp":
-            return self.comp_layers[layer]
-        full, m = self.ui_layers[layer], self.z_u.shape[0]
-        return (dc.row_slice(full, 0, m) if cls == "user"
-                else dc.row_slice(full, m, full.shape[0]))
-
-    def locate(self, cls, ids):
-        """Row positions of the given ids in the views of class ``cls``;
-        every id must be among the rows those views hold."""
-        held = self.users if cls == "user" else self.items
-        return ids if held is None else np.searchsorted(held, ids)
+            return self.ui_avg if channel == "ui" else self.comp_avg
+        layers = self.ui_layers if channel == "ui" else self.comp_layers
+        return layers[int(selector) - 1]
 
 
 def _positions(sub, sup):
@@ -332,9 +322,9 @@ def encode(tape, leaves, ctx, cfg, rng, rows=None, comp_views=("avg",),
     The demand says what the caller reads of the output; the defaults
     read all of it.  ``rows`` are the sorted, distinct user-item rows
     (users 0..m-1, items m..m+n-1) whose layers and averages are read:
-    the user, item and complement views then hold those rows only (see
-    :meth:`EncoderOutput.locate`), and each layer of either channel
-    computes only what they need (see :func:`_walk_back`).
+    the user-item output then holds those rows only, in their order, and
+    the complement output the items among them, and each layer of either
+    channel computes only what they need (see :func:`_walk_back`).
     ``comp_views`` are the complement view selectors read: "avg" needs
     every layer and the average, layer selectors need the layers up to
     the highest, none skips the channel.
@@ -398,30 +388,20 @@ def encode(tape, leaves, ctx, cfg, rng, rows=None, comp_views=("avg",),
 
     ui_layers = run_channel(
         "ui", _walk_back(ctx.ui, rows, cfg.L), e_all, m + n)
-    ui_avg = dc.mean_of(ui_layers)
-    held = m if rows is None else int(np.searchsorted(rows, m))
-
-    out = EncoderOutput(
-        ui_layers=ui_layers,
-        comp_layers=None,
-        noise_blocks=blocks,
-        z_u=dc.row_slice(ui_avg, 0, held),
-        z_i=dc.row_slice(ui_avg, held, ui_avg.shape[0]),
-        z_c=None,
-        users=None if rows is None else rows[:held],
-        items=None if rows is None else rows[held:] - m,
-    )
+    out = EncoderOutput(ui_layers=ui_layers, ui_avg=dc.mean_of(ui_layers),
+                        comp_layers=None, comp_avg=None, noise_blocks=blocks)
 
     if ctx.comp is not None:
         average = "avg" in comp_views
         top = cfg.L if average else max(map(int, comp_views), default=0)
         out.comp_layers = []
         if top:
-            plan = _walk_back(ctx.comp, out.items, top, full_first=False)
+            items = None if rows is None else rows[rows >= m] - m
+            plan = _walk_back(ctx.comp, items, top, full_first=False)
             out.comp_layers = run_channel(
                 "comp", plan, dc.row_slice(e_all, m, m + n), n)
             if average:
-                out.z_c = dc.mean_of(out.comp_layers)
+                out.comp_avg = dc.mean_of(out.comp_layers)
         if cfg.noise_mode != "none":
             for _ in range(top, cfg.L):
                 draw(n)  # an unread layer keeps its place in the stream

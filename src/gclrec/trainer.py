@@ -314,12 +314,14 @@ def _batch_loss(params, ctx, cfg, rng, users, pos_items, neg_items):
                  comp_views=views_read,
                  ui1_terms=ui1_terms if generative else None)
 
+    # the user-item output holds the touched rows, and the complement
+    # output the touched items
     with quiet():
-        zu_b = dc.gather(out.z_u, out.locate("user", u_idx))
-        pos_scores = dc.reduce_sum(dc.mul(
-            zu_b, dc.gather(out.z_i, out.locate("item", p_idx))), axis=1)
-        neg_scores = dc.reduce_sum(dc.mul(
-            zu_b, dc.gather(out.z_i, out.locate("item", n_idx))), axis=1)
+        zu_b = dc.gather(out.ui_avg, np.searchsorted(touched, u_idx))
+        pos_scores = dc.reduce_sum(dc.mul(zu_b, dc.gather(
+            out.ui_avg, np.searchsorted(touched, m + p_idx))), axis=1)
+        neg_scores = dc.reduce_sum(dc.mul(zu_b, dc.gather(
+            out.ui_avg, np.searchsorted(touched, m + n_idx))), axis=1)
         rec = ls.bpr_loss(pos_scores, neg_scores)
 
         if generative and not gaussian:
@@ -334,17 +336,16 @@ def _batch_loss(params, ctx, cfg, rng, users, pos_items, neg_items):
         # built last, so the sweep meets it first
         cl, cl_views = None, ()
         if cfg.lambda_ > 0:
-            uu = np.unique(u_idx)
-            ii = np.unique(p_idx)
+            uu, ii = np.unique(u_idx), m + np.unique(p_idx)
 
-            def views(cls, ids):
-                idx = out.locate(cls, ids)
-                return tuple(dc.gather(out.view(sel, cls), idx)
+            def views(channel, rows, ids):
+                idx = np.searchsorted(rows, ids)
+                return tuple(dc.gather(out.view(sel, channel), idx)
                              for sel in views_read)
 
-            cl_views = (views("user", uu), views("item", ii),
-                        views("comp", ii) if ctx.comp is not None
-                        else None)
+            cl_views = (views("ui", touched, uu), views("ui", touched, ii),
+                        views("comp", touched[touched >= m], ii)
+                        if ctx.comp is not None else None)
         # the contrastive term's forward transients sit on top of what the
         # tape holds here, so what no backward pass reads goes first
         keep = {rec, terms["recon"], terms["ddl"], reg}.union(

@@ -211,6 +211,22 @@ class TestExitCodes:
                        "--out", str(tmp_path / "out"))
         assert code == 3
 
+    @pytest.mark.parametrize("args", [
+        ("train", "--set", "data.path={folder}"),
+        ("train", "--config", "{folder}"),
+        ("evaluate", "{folder}", "--config", "{config}"),
+    ], ids=["data-path", "config", "checkpoint"])
+    def test_directory_for_a_file_is_data_error(self, config_file, tmp_path,
+                                                capsys, args):
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        args = [arg.format(folder=folder, config=config_file) for arg in args]
+        code = run_cli(*args, "--out", str(tmp_path / "out"))
+        err = capsys.readouterr().err
+        assert code == 3
+        assert str(folder) in err
+        assert "Traceback" not in err
+
     def test_unset_data_path_is_config_error(self, tmp_path, capsys):
         code = run_cli("train", "--out", str(tmp_path / "out"))
         assert code == 2

@@ -56,6 +56,17 @@ class TestBPR:
         expected = (np.log1p(np.exp(-1.0)) + np.log(2.0)) / 2.0
         assert scalar(bpr_loss(pos, neg)) == pytest.approx(expected, abs=TOL)
 
+    def test_is_softplus_of_the_reversed_margin(self):
+        # the margin's sign is taken in the subtraction, which is exact:
+        # fl(b - a) = -fl(a - b)
+        t = Tape()
+        pos = node_of([[1.0], [2.0]], t)
+        neg = node_of([[0.5], [3.0]], t)
+        loss = bpr_loss(pos, neg)
+        assert [n.op for n in t.nodes[2:]] == ["sub", "softplus",
+                                               "reduce_mean"]
+        assert loss.parents[0].parents[0].parents == (neg, pos)
+
     def test_length_mismatch(self):
         t = Tape()
         with pytest.raises(dc.ShapeError, match="bpr"):

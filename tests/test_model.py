@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -241,8 +241,10 @@ class TestEncode:
         for k in range(3):
             np.testing.assert_allclose(out.ui_layers[k].value,
                                        expected_layers[k + 1], atol=1e-12)
-        np.testing.assert_allclose(out.z_u.value, expected_avg[:6], atol=1e-12)
-        np.testing.assert_allclose(out.z_i.value, expected_avg[6:], atol=1e-12)
+        np.testing.assert_allclose(out.ui_avg.value[:6], expected_avg[:6],
+                                   atol=1e-12)
+        np.testing.assert_allclose(out.ui_avg.value[6:], expected_avg[6:],
+                                   atol=1e-12)
 
     def test_matches_dense_reference_with_noise(self):
         # replay the generated noise through the dense reference
@@ -253,34 +255,40 @@ class TestEncode:
                  for k in (1, 2, 3)]
         expected_avg, _ = propagate_dense(A, self.params.base_embedding,
                                           noise, 3)
-        np.testing.assert_allclose(out.z_u.value, expected_avg[:6], atol=1e-12)
+        np.testing.assert_allclose(out.ui_avg.value[:6], expected_avg[:6],
+                                   atol=1e-12)
 
     def test_layer_average_invariant(self):
         out = self.run_encode(noise_cfg(), seed=1)
         stack = np.stack([z.value for z in out.ui_layers])
         avg = stack.mean(axis=0)
-        np.testing.assert_allclose(out.z_u.value, avg[:6], atol=1e-14)
-        np.testing.assert_allclose(out.z_i.value, avg[6:], atol=1e-14)
+        np.testing.assert_allclose(out.ui_avg.value[:6], avg[:6], atol=1e-14)
+        np.testing.assert_allclose(out.ui_avg.value[6:], avg[6:], atol=1e-14)
         comp_avg = np.stack([z.value for z in out.comp_layers]).mean(axis=0)
-        np.testing.assert_allclose(out.z_c.value, comp_avg, atol=1e-14)
+        np.testing.assert_allclose(out.comp_avg.value, comp_avg, atol=1e-14)
 
     def test_views_are_first_layer_and_average(self):
         out = self.run_encode(noise_cfg(), seed=2)
-        np.testing.assert_array_equal(out.view("1", "user").value,
-                                      out.ui_layers[0].value[:6])
-        np.testing.assert_array_equal(out.view("2", "item").value,
-                                      out.ui_layers[1].value[6:])
-        assert out.view("avg", "user") is out.z_u
-        assert out.view("avg", "item") is out.z_i
+        assert out.view("1", "ui") is out.ui_layers[0]
+        assert out.view("2", "ui") is out.ui_layers[1]
+        assert out.view("avg", "ui") is out.ui_avg
         assert out.view("3", "comp") is out.comp_layers[2]
-        assert out.view("avg", "comp") is out.z_c
+        assert out.view("avg", "comp") is out.comp_avg
+
+    def test_output_keeps_the_tables_layout(self):
+        out = self.run_encode(noise_cfg(), seed=2)
+        assert [f.name for f in fields(out)] == [
+            "ui_layers", "ui_avg", "comp_layers", "comp_avg", "noise_blocks"]
+        # one row per user, then one per item; the complement one per item
+        assert {z.shape for z in out.ui_layers + [out.ui_avg]} == {(14, 4)}
+        assert {z.shape for z in out.comp_layers + [out.comp_avg]} == {(8, 4)}
 
     def test_deterministic_given_seed(self):
         a = self.run_encode(noise_cfg(), seed=7)
         b = self.run_encode(noise_cfg(), seed=7)
-        assert np.array_equal(a.z_u.value, b.z_u.value)
+        assert np.array_equal(a.ui_avg.value[:6], b.ui_avg.value[:6])
         c = self.run_encode(noise_cfg(), seed=8)
-        assert not np.array_equal(a.z_u.value, c.z_u.value)
+        assert not np.array_equal(a.ui_avg.value[:6], c.ui_avg.value[:6])
 
     def test_noise_rows_unit_after_normalization(self):
         out = self.run_encode(noise_cfg(), seed=3)
@@ -292,7 +300,7 @@ class TestEncode:
 
     def test_complement_channel_off(self):
         out = self.run_encode(noise_cfg(), complement=False)
-        assert out.comp_layers is None and out.z_c is None
+        assert out.comp_layers is None and out.comp_avg is None
 
     def test_empty_complement_gives_zero_z_c(self):
         import warnings
@@ -306,12 +314,12 @@ class TestEncode:
         leaves = self.params.leaves(t)
         cfg = replace(noise_cfg(), L=2)
         out = encode(t, leaves, g, cfg, np.random.default_rng(0))
-        np.testing.assert_array_equal(out.z_c.value, 0.0)
+        np.testing.assert_array_equal(out.comp_avg.value, 0.0)
         assert out.noise_blocks[("comp", 1)].sample.shape == (0, 4)
         # the generator and the gather run on zero rows in the backward
         # sweep too, and contribute nothing
         grads = dc.backward(dc.reduce_sum(dc.mul(
-            out.z_c, t.constant(np.ones((8, 4))))))
+            out.comp_avg, t.constant(np.ones((8, 4))))))
         for name in ("gen.w1", "gen.b3", "base_embedding"):
             np.testing.assert_array_equal(grads[name], 0.0)
 
@@ -329,7 +337,7 @@ class TestEncode:
             next_draws.append(rng.standard_normal(4))
         full, out = outs
         assert len(out.comp_layers) == built
-        assert (out.z_c is None) == ("avg" not in views)
+        assert (out.comp_avg is None) == ("avg" not in views)
         for got, want in zip(out.comp_layers, full.comp_layers):
             assert np.array_equal(got.value, want.value)
         # the unbuilt layers still drew their epsilon
@@ -399,8 +407,9 @@ class TestLiveComplement:
             np.testing.assert_allclose(got, want_layers[k + 1], rtol=0,
                                        atol=1e-12)
             np.testing.assert_array_equal(got[4:], 0.0)
-        np.testing.assert_allclose(out.z_c.value, want_avg, rtol=0, atol=1e-12)
-        np.testing.assert_array_equal(out.z_c.value[4:], 0.0)
+        np.testing.assert_allclose(out.comp_avg.value, want_avg, rtol=0,
+                                   atol=1e-12)
+        np.testing.assert_array_equal(out.comp_avg.value[4:], 0.0)
 
     def test_noise_blocks_hold_live_rows_of_full_draws(self,
                                                        generator_outputs):
@@ -428,10 +437,10 @@ class TestLiveComplement:
         out, params, g, live, _, t, leaves = self.encode(
             self.ALL_LIVE, 1.0, 24)
         assert len(live) == 4
-        values = [z.value for z in out.comp_layers + [out.z_c]]
+        values = [z.value for z in out.comp_layers + [out.comp_avg]]
         weights = np.random.default_rng(25).normal(size=(4, 4))
         grads = dc.backward(dc.reduce_sum(dc.mul(
-            out.z_c, t.constant(weights))))
+            out.comp_avg, t.constant(weights))))
 
         t = Tape()
         leaves = params.leaves(t)
@@ -482,11 +491,16 @@ class TestDemandedComplement:
         blocks = {k: (*mean_and_variance(b, outputs), b.sample.value)
                   for k, b in out.noise_blocks.items() if k[0] == "comp"}
         weights = np.random.default_rng(seed + 1)
+        # the rows each channel holds: the demand's, or every one
+        held = {"ui": np.arange(self.M + self.N) if rows is None else rows}
+        held["comp"] = held["ui"][held["ui"] >= self.M] - self.M
         views, terms = {}, []
-        for cls, ids in (("user", self.USERS), ("item", self.ITEMS),
-                         ("comp", self.ITEMS)):
+        for cls, channel, ids in (("user", "ui", self.USERS),
+                                  ("item", "ui", self.M + self.ITEMS),
+                                  ("comp", "comp", self.ITEMS)):
             for sel in ("1", "avg"):
-                view = dc.gather(out.view(sel, cls), out.locate(cls, ids))
+                view = dc.gather(out.view(sel, channel),
+                                 np.searchsorted(held[channel], ids))
                 views[cls, sel] = view.value
                 terms.append(dc.reduce_sum(dc.mul(view, t.constant(
                     weights.normal(size=view.shape)))))

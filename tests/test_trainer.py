@@ -556,6 +556,14 @@ class TestTapeComposition:
         # release before the contrastive term
         assert all(at_sweep[z] is None for z in layers)
 
+    def test_only_row_slice_is_the_complement_input(self, monkeypatch):
+        # the step reads the encoder's output at the touched rows, in the
+        # embedding table's layout, with no user or item slice between
+        seen, _, _ = self.tape(monkeypatch)
+        (cut,) = [n for n, _ in seen if n.op == "row_slice"]
+        (table,) = cut.parents
+        assert (table.op, table.name) == ("leaf", "base_embedding")
+
     def test_first_blocks_mu_owns_its_data(self, monkeypatch):
         seen, height, _ = self.tape(monkeypatch)
         values = dict(seen)
@@ -663,8 +671,15 @@ class TestDemand:
         params = init_params(7, 7, 4, 4, seed=5)
         report, _, grads = self.step(params, cfg)
 
-        def every_row(*args, **kwargs):
-            return encode(*args, **{**kwargs, "rows": None})
+        def every_row(*args, rows, **kwargs):
+            # the full-height output, cut to the rows the step reads
+            out = encode(*args, **kwargs)
+            items = rows[rows >= 7] - 7
+            return replace(
+                out, ui_layers=[dc.gather(z, rows) for z in out.ui_layers],
+                ui_avg=dc.gather(out.ui_avg, rows),
+                comp_layers=[dc.gather(z, items) for z in out.comp_layers],
+                comp_avg=dc.gather(out.comp_avg, items))
 
         monkeypatch.setattr(tr, "encode", every_row)
         want_report, _, want = self.step(params, cfg)
@@ -771,7 +786,8 @@ class TestEvaluateModel:
         out = encode(tape, params.leaves(tape), ctx,
                      replace(cfg, noise_mode="none"), None)
         monkeypatch.setattr(tr, "eval_embeddings",
-                            lambda *_: (out.z_u.value, out.z_i.value))
+                            lambda *_: (out.ui_avg.value[:6],
+                                        out.ui_avg.value[6:]))
         assert evaluate_model(params, ctx, fold.test, cfg) == got
 
     @pytest.mark.parametrize("m, n, L", [
@@ -794,7 +810,8 @@ class TestEvaluateModel:
         out = encode(tape, params.leaves(tape), replace(ctx, comp=None),
                      replace(cfg, noise_mode="none"), None)
         assert not ctx.R[9].nnz
-        for got, want in ((z_u, out.z_u.value), (z_i, out.z_i.value)):
+        for got, want in ((z_u, out.ui_avg.value[:m]),
+                          (z_i, out.ui_avg.value[m:])):
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
 
