@@ -25,23 +25,21 @@ slices are views of their parent's value, and :func:`gather` can lend
 one gather's value to a second gather of the same rows.
 
 What a node keeps: its value, its shape, and what its backward closure
-holds (``exp`` its output, ``gelu`` its cdf, ``rownorm`` and
-``inject_spmm`` their inverse norms, ``mlp3`` its hidden activations and
-slopes, ``infonce`` its row shifts and sums, ``rbf_mmd`` its squared
-row norms).  Each primitive declares
-which values its backward pass reads: ``Node.reads`` names the parents
-whose values it reads, and ``Node.reads_own`` says whether it reads its
-own, as ``exp`` does; a product reads an operand's value only where the
-other operand needs a gradient.  :func:`release` drops the value (value
-None) of each node it is given that no declaration of a node recorded so
-far names, apart from leaves and constants; the caller gives only nodes
-whose values no later forward node reads.  A node records its shape when
-it is built, so the backward passes that read only a parent's shape,
-those of :func:`gather`, the slices and the reductions, work on a
-dropped value.  A dropped ``add`` or ``mul`` value that a backward pass
-reads is computed again from its parents' values with the forward
-operation (:func:`_value`), which :func:`inject_spmm` does for a noise
-sample its caller dropped.
+holds.  Each primitive's closure takes the arrays its backward pass
+reads when the node is built, and no backward pass reads a node's
+``value``: ``exp`` holds its output, ``gelu`` its input and cdf,
+``rownorm`` and ``inject_spmm`` their input and inverse norms, ``mlp3``
+its hidden activations and slopes, ``infonce`` its views, row shifts
+and sums, ``rbf_mmd`` its samples and squared row norms, and a product
+an operand only where the other operand needs a gradient.  A node with
+no backward pass holds nothing.  :func:`release` drops the value (value
+None) of each node it is given, apart from leaves and constants; the
+caller gives only nodes whose values no later forward node reads, and
+an array stays alive exactly as long as a node or a closure holds it.
+A node records its shape when it is built, so the backward passes that
+read only a parent's shape, those of :func:`gather`, the slices and the
+reductions, hold no array of it.  :func:`inject_spmm` can take, in
+place of its noise input's array, a function that computes it again.
 
 :func:`gather`'s backward pass adds its rows' gradient into the
 parent's own gradient buffer in place (a first gradient is a zero array
@@ -124,11 +122,10 @@ class Node:
     """One value in the recorded computation, with its gradient slot."""
 
     __slots__ = ("tape", "value", "shape", "grad", "op", "parents",
-                 "needs_grad", "name", "reads", "reads_own", "_backward",
-                 "_grad_owned")
+                 "needs_grad", "name", "_backward", "_grad_owned")
 
     def __init__(self, tape, value, op, parents, needs_grad,
-                 backward_fn=None, name=None, reads=(), reads_own=False):
+                 backward_fn=None, name=None):
         self.tape = tape
         self.value = value
         # kept apart from the value, which a node may drop once built
@@ -138,10 +135,6 @@ class Node:
         self.parents = parents
         self.needs_grad = needs_grad
         self.name = name
-        # the parents whose values the backward pass reads, and whether
-        # it reads the node's own
-        self.reads = reads
-        self.reads_own = reads_own
         self._backward = backward_fn
         self._grad_owned = False
         tape.nodes.append(self)
@@ -202,23 +195,14 @@ def _owned_grad(node):
     return node.grad
 
 
-def _op(op, parents, value, backward_fn, reads=(), reads_own=False):
-    """A new node.  ``reads`` and ``reads_own`` declare the values its
-    backward pass reads: those of the parents in ``reads``, and its own
-    when ``reads_own`` is set.  A node without a backward pass reads
-    none."""
+def _op(op, parents, value, backward_fn):
+    """A new node.  ``backward_fn`` holds the arrays its backward pass
+    reads; a node no parent of which needs a gradient drops it, and with
+    it what it holds."""
     tape = _tape_of(*parents)
     needs = any(p.needs_grad for p in parents)
-    if not needs:
-        backward_fn, reads, reads_own = None, (), False
-    return Node(tape, value, op, tuple(parents), needs, backward_fn,
-                reads=tuple(reads), reads_own=reads_own)
-
-
-def _crossed(a, b):
-    """The values a product of ``a`` and ``b`` reads backward: each
-    operand's where the other needs a gradient."""
-    return tuple(p for p, q in ((a, b), (b, a)) if q.needs_grad)
+    return Node(tape, value, op, tuple(parents), needs,
+                backward_fn if needs else None)
 
 
 def _require(cond, op, detail):
@@ -240,20 +224,22 @@ def matmul(a, b, trans_b=False):
         _require(a.shape[1] == b.shape[0], "matmul",
                  f"shapes {a.shape} x {b.shape} incompatible")
         value = a.value @ b.value
+    av = a.value if b.needs_grad else None
+    bv = b.value if a.needs_grad else None
 
     def bw(g):
         if trans_b:
             if a.needs_grad:
-                _accum(a, g @ b.value, owned=True)
+                _accum(a, g @ bv, owned=True)
             if b.needs_grad:
-                _accum(b, g.T @ a.value, owned=True)
+                _accum(b, g.T @ av, owned=True)
         else:
             if a.needs_grad:
-                _accum(a, g @ b.value.T, owned=True)
+                _accum(a, g @ bv.T, owned=True)
             if b.needs_grad:
-                _accum(b, a.value.T @ g, owned=True)
+                _accum(b, av.T @ g, owned=True)
 
-    return _op("matmul", (a, b), value, bw, reads=_crossed(a, b))
+    return _op("matmul", (a, b), value, bw)
 
 
 def spmm(op, x):
@@ -300,14 +286,17 @@ def sub(a, b):
 
 def mul(a, b):
     _require(a.shape == b.shape, "mul", f"shapes {a.shape} and {b.shape} differ")
+    value = a.value * b.value
+    av = a.value if b.needs_grad else None
+    bv = b.value if a.needs_grad else None
 
     def bw(g):
         if a.needs_grad:
-            _accum(a, g * b.value, owned=True)
+            _accum(a, g * bv, owned=True)
         if b.needs_grad:
-            _accum(b, g * a.value, owned=True)
+            _accum(b, g * av, owned=True)
 
-    return _op("mul", (a, b), a.value * b.value, bw, reads=_crossed(a, b))
+    return _op("mul", (a, b), value, bw)
 
 
 def scale(x, c):
@@ -329,10 +318,12 @@ def mean_of(nodes):
 
 
 def square(x):
-    def bw(g):
-        _accum(x, g * (2.0 * x.value), owned=True)
+    xv = x.value
 
-    return _op("square", (x,), x.value * x.value, bw, reads=(x,))
+    def bw(g):
+        _accum(x, g * (2.0 * xv), owned=True)
+
+    return _op("square", (x,), xv * xv, bw)
 
 
 def exp(x):
@@ -341,18 +332,18 @@ def exp(x):
     def bw(g):
         _accum(x, g * value, owned=True)
 
-    return _op("exp", (x,), value, bw, reads_own=True)
+    return _op("exp", (x,), value, bw)
 
 
 def softplus(x):
-    value = np.logaddexp(0.0, x.value)
+    xv = x.value
 
     def bw(g):
         from scipy.special import expit
 
-        _accum(x, g * expit(x.value), owned=True)
+        _accum(x, g * expit(xv), owned=True)
 
-    return _op("softplus", (x,), value, bw, reads=(x,))
+    return _op("softplus", (x,), np.logaddexp(0.0, xv), bw)
 
 
 def _gelu_cdf(a):
@@ -382,12 +373,13 @@ def _gelu_slope(a, cdf, out=None):
 
 def gelu(x):
     """Exact GELU x * Phi(x) via the error function."""
-    cdf = _gelu_cdf(x.value)
+    xv = x.value
+    cdf = _gelu_cdf(xv)
 
     def bw(g):
-        _accum(x, g * _gelu_slope(x.value, cdf), owned=True)
+        _accum(x, g * _gelu_slope(xv, cdf), owned=True)
 
-    return _op("gelu", (x,), x.value * cdf, bw, reads=(x,))
+    return _op("gelu", (x,), xv * cdf, bw)
 
 
 def _row_tiles(rows):
@@ -468,23 +460,26 @@ def mlp3(x, w1, b1, w2, b2, w3, b3):
             a *= cdf
         dense(h2[rows], w3, b3, value[rows])
 
+    # per layer: its input, for its weight's gradient, its weight, for the
+    # product with the weight's transpose, and the GELU slope before it
+    layers = ((h2, w3, b3, w3.value, d2), (h1, w2, b2, w2.value, d1),
+              (x.value if w1.needs_grad else None, w1, b1,
+               w1.value if x.needs_grad else None, None))
+
     def bw(g):
-        for h, w, b, slope in ((h2, w3, b3, d2), (h1, w2, b2, d1),
-                               (x.value, w1, b1, None)):
+        for h, w, b, wv, slope in layers:
             if b.needs_grad:
                 _accum(b, g.sum(axis=0, keepdims=True), owned=True)
             if w.needs_grad:
                 _accum(w, h.T @ g, owned=True)
+            if wv is not None:
+                g = rows_times(g, wv.T)
             if slope is not None:
-                g = rows_times(g, w.value.T)
                 g *= slope
         if x.needs_grad:
-            _accum(x, rows_times(g, w1.value.T), owned=True)
+            _accum(x, g, owned=True)
 
-    # the weights every product with a transposed weight reads, and the
-    # input that w1's gradient reads
-    reads = (w2, w3) + (w1,) * x.needs_grad + (x,) * w1.needs_grad
-    return _op("mlp3", (x, w1, b1, w2, b2, w3, b3), value, bw, reads=reads)
+    return _op("mlp3", (x, w1, b1, w2, b2, w3, b3), value, bw)
 
 
 # ----------------------------------------------------- rows and columns
@@ -512,24 +507,13 @@ def _rownorm_grad(g, x, inv):
 def rownorm(x):
     """Row-wise L2 normalization; rows with norm <= 1e-12 map to zero
     rows and receive zero gradient."""
-    inv = _inv_norms(x.value)
+    xv = x.value
+    inv = _inv_norms(xv)
 
     def bw(g):
-        _accum(x, _rownorm_grad(g, x.value, inv), owned=True)
+        _accum(x, _rownorm_grad(g, xv, inv), owned=True)
 
-    return _op("rownorm", (x,), x.value * inv, bw, reads=(x,))
-
-
-def _value(node):
-    """The node's value; a dropped ``add`` or ``mul`` value is computed
-    again from its parents' with the forward pass's operation, so it has
-    the same bits."""
-    if node.value is not None:
-        return node.value
-    forward = {"add": np.add, "mul": np.multiply}.get(node.op)
-    if forward is None:
-        raise ValueError(f"the value of a {node.op} node was dropped")
-    return forward(*(_value(p) for p in node.parents))
+    return _op("rownorm", (x,), xv * inv, bw)
 
 
 def gather(x, indices, share=None):
@@ -635,11 +619,12 @@ def reduce_mean(x, axis=None):
 # bit; it keeps only what its backward pass reads.
 
 
-def inject_spmm(op, z, x):
+def inject_spmm(op, z, x, rebuild=None):
     """op @ (z + rownorm(x)) with a constant scipy CSR matrix ``op``, one
-    noisy encoder layer, as one node.  Only the (m, 1) column of inverse
-    norms is kept; the noisy input z + rownorm(x) is freed once the
-    product is taken."""
+    noisy encoder layer, as one node.  It keeps x and the (m, 1) column of
+    inverse norms, or in place of x ``rebuild``, a function that returns
+    x's value with its bits; the noisy input z + rownorm(x) is freed once
+    the product is taken."""
     _require(z.shape == x.shape, "inject_spmm",
              f"shapes {z.shape} and {x.shape} differ")
     _require(op.shape[1] == z.shape[0], "inject_spmm",
@@ -648,24 +633,25 @@ def inject_spmm(op, z, x):
     noisy = x.value * inv
     noisy += z.value
     value = op @ noisy
+    xv = x.value if x.needs_grad and rebuild is None else None
 
     def bw(g):
         g = op.T @ g
         if z.needs_grad:
             _accum(z, g, owned=False)
         if x.needs_grad:
-            _accum(x, _rownorm_grad(g, _value(x), inv), owned=True)
+            _accum(x, _rownorm_grad(g, xv if rebuild is None else rebuild(),
+                                    inv), owned=True)
 
-    return _op("inject_spmm", (z, x), value, bw,
-               reads=(x,) if x.needs_grad else ())
+    return _op("inject_spmm", (z, x), value, bw)
 
 
 def kl_normal(mu, sigma2):
     """Mean over every entry of the KL divergence of N(mu, sigma2) from
     the unit Gaussian, 0.5 * mean(mu^2 + sigma2 - log sigma2 - 1), as one
-    (1, 1) node; sigma2 must be positive.  The node keeps nothing: its
-    backward pass reads the values of mu and sigma2 and adds each
-    gradient piece in the composition's order.
+    (1, 1) node; sigma2 must be positive.  The node keeps nothing of its
+    own: its closure holds mu and sigma2 where each needs a gradient, and
+    its backward pass adds each gradient piece in the composition's order.
     """
     _require(mu.shape == sigma2.shape, "kl_normal",
              f"shapes {mu.shape} and {sigma2.shape} differ")
@@ -675,21 +661,22 @@ def kl_normal(mu, sigma2):
     inner -= np.log(sigma2.value)
     inner += -1.0
     value = 0.5 * (np.array([[inner.sum()]]) / count)
+    mu_v = mu.value if mu.needs_grad else None
+    sigma2_v = sigma2.value if sigma2.needs_grad else None
 
     def bw(g):
         c = (0.5 * float(g[0, 0])) / count
         if sigma2.needs_grad:
-            _accum(sigma2, (-c) / sigma2.value, owned=True)
+            _accum(sigma2, (-c) / sigma2_v, owned=True)
             # sigma2 owns its gradient now, so the constant is added
             # in place as the composition's full array of c would be
             _accum(sigma2, c, owned=False)
         if mu.needs_grad:
-            gmu = 2.0 * mu.value
+            gmu = 2.0 * mu_v
             gmu *= c
             _accum(mu, gmu, owned=True)
 
-    return _op("kl_normal", (mu, sigma2), value, bw,
-               reads=(p for p in (sigma2, mu) if p.needs_grad))
+    return _op("kl_normal", (mu, sigma2), value, bw)
 
 
 def infonce(a, b, tau):
@@ -712,9 +699,10 @@ def infonce(a, b, tau):
         raise ValueError(f"temperature must be positive, got {tau}")
     inv_tau = 1.0 / tau
     count = a.shape[0]
+    av, bv = a.value, b.value
 
     def scaled_logits():
-        logits = a.value @ b.value.T
+        logits = av @ bv.T
         logits *= inv_tau
         return logits
 
@@ -729,27 +717,27 @@ def infonce(a, b, tau):
     del e
     lse = np.log(sums)
     lse += shift
-    pos = (a.value * b.value).sum(axis=1, keepdims=True)
+    pos = (av * bv).sum(axis=1, keepdims=True)
     value = np.array([[(lse - inv_tau * pos).sum()]]) / count
 
     def bw(g):
         g = g / count
         g_pos = inv_tau * -g
         if a.needs_grad:
-            _accum(a, b.value * g_pos, owned=True)
+            _accum(a, bv * g_pos, owned=True)
         if b.needs_grad:
-            _accum(b, a.value * g_pos, owned=True)
+            _accum(b, av * g_pos, owned=True)
         # the gradient of the scaled logits, in the recomputed exp
         # matrix's buffer
         g_logits = exp_shifted(scaled_logits())
         g_logits *= g / sums
         g_logits *= inv_tau
         if a.needs_grad:
-            _accum(a, g_logits @ b.value, owned=True)
+            _accum(a, g_logits @ bv, owned=True)
         if b.needs_grad:
-            _accum(b, g_logits.T @ a.value, owned=True)
+            _accum(b, g_logits.T @ av, owned=True)
 
-    return _op("infonce", (a, b), value, bw, reads=(a, b))
+    return _op("infonce", (a, b), value, bw)
 
 
 def rbf_mmd(x, y, bandwidth):
@@ -767,11 +755,11 @@ def rbf_mmd(x, y, bandwidth):
     _require(x.shape[1] == y.shape[1], "rbf_mmd",
              f"sample dimensions {x.shape[1]} and {y.shape[1]} differ")
     coeff = -1.0 / (2.0 * bandwidth * bandwidth)
-    pair = (x, y)
-    sq = [np.sum(p.value * p.value, axis=1, keepdims=True) for p in pair]
+    pair, values = (x, y), (x.value, y.value)
+    sq = [np.sum(v * v, axis=1, keepdims=True) for v in values]
 
     def kernel(i, j):
-        k = pair[i].value @ pair[j].value.T
+        k = values[i] @ values[j].T
         k *= -2.0
         k += sq[i]
         k += sq[j].T
@@ -800,37 +788,27 @@ def rbf_mmd(x, y, bandwidth):
                 sq_pieces[i].append(k.sum(axis=1, keepdims=True))
             k *= -2.0
             if needs[i]:
-                _accum(pair[i], k @ pair[j].value, owned=True)
+                _accum(pair[i], k @ values[j], owned=True)
             if needs[j]:
-                _accum(pair[j], k.T @ pair[i].value, owned=True)
+                _accum(pair[j], k.T @ values[i], owned=True)
             del k
-        for p, pieces in ((y, sq_pieces[1]), (x, sq_pieces[0])):
-            if pieces:
-                sq_grad = sum(pieces[1:], pieces[0])
-                _accum(p, sq_grad * (2.0 * p.value), owned=True)
+        for i in (1, 0):
+            if sq_pieces[i]:
+                sq_grad = sum(sq_pieces[i][1:], sq_pieces[i][0])
+                _accum(pair[i], sq_grad * (2.0 * values[i]), owned=True)
 
-    return _op("rbf_mmd", pair, value, bw, reads=pair)
+    return _op("rbf_mmd", pair, value, bw)
 
 
 # -------------------------------------------------------------- backward
 
 
 def release(nodes):
-    """Drop the value of each of ``nodes`` that no backward pass on its
-    tape reads, by the declarations of the nodes recorded so far; leaves
-    and constants keep theirs.  The caller names only nodes whose values
-    no later forward node reads."""
-    nodes = list(nodes)
-    if not nodes:
-        return
-    read = set()
-    for node in nodes[0].tape.nodes:
-        if node._backward is not None:
-            read.update(node.reads)
-            if node.reads_own:
-                read.add(node)
+    """Drop the value of each of ``nodes`` but the leaves and constants.
+    The caller names only nodes whose values no later forward node
+    reads; a backward closure still holds the arrays it reads."""
     for node in nodes:
-        if node.op not in ("leaf", "constant") and node not in read:
+        if node.op not in ("leaf", "constant"):
             node.value = None
 
 

@@ -13,22 +13,23 @@ one per item, and in the complement channel one per item.
 
 A noise block builds its sample from the generator output [mu |
 log-variance] out of generic nodes, mu + sigma^2 * epsilon with sigma^2 =
-exp(log-variance), and then releases every value no backward pass reads
+exp(log-variance), and then releases the values no later node reads
 (:func:`diffcore.release`): the product sigma^2 * epsilon, the
 log-variance view and the generator output, and mu unless its sigma^2
-is read.  Each layer adds the sample, row-normalized, to its input and
-propagates the sum as one :func:`diffcore.inject_spmm` node, which keeps
-no noisy input.  The first user-item block, when it is gaussian, keeps
-its mu and sigma^2 nodes for the KL term; it copies mu into an array of
-its own, so that the 2d-wide generator output can go.
+is read; no backward closure holds an array of the generator output.
+Each layer adds the sample, row-normalized, to its input and propagates
+the sum as one :func:`diffcore.inject_spmm` node, which keeps no noisy
+input.  The first user-item block, when it is gaussian, keeps its mu
+and sigma^2 nodes for the KL term; it copies mu into an array of its
+own before any closure takes it, so that the 2d-wide output can go.
 
-That block's (m+n) x d sample is then rebuilt rather than kept: once
+That block's (m+n) x d sample is then rebuilt rather than kept: layer
+1's node holds the block's ``rebuild``, which computes mu + sigma^2 *
+epsilon from the arrays the KL, exp and product closures hold, with the
+forward pass's operations in its order, so it has the same bits.  Once
 layer 1's product and the terms built beside it (``ui1_terms``, see
-below) have read it, its value is dropped, and layer 1's backward pass
-computes it again as mu + sigma^2 * epsilon from the nodes the KL term
-keeps, with the forward pass's operations in its order, so it has the
-same bits.  A uniform sample (a GELU) and mode random's keep their
-value.
+below) have read the sample, its value is dropped and nothing holds it.
+Layer 1's node holds a uniform sample (a GELU), and mode random's.
 
 A training step builds the two terms that read the first user-item
 block, the reconstruction term and the KL term, through :func:`encode`'s
@@ -42,8 +43,8 @@ readers, so each receives its gradient pieces in the same order.
 A training step keeps of each propagated layer only the rows it reads:
 once a layer's rows are gathered, for the next layer and for the kept
 rows, the layer drops its value.  A layer that the next layer's
-generator reads whole, with no gather between them, keeps it, because
-the generator's backward pass reads its input.
+generator reads whole, with no gather between them, stays alive in
+that generator's backward closure, which reads its input.
 
 The encoder computes only what its caller reads, the demand: the
 user-item rows whose final representations are read and the complement
@@ -175,11 +176,13 @@ _RANDOM_VARIANCE = 0.1
 @dataclass
 class NoiseBlock:
     """One layer's noise: the sample mu + sigma^2 * epsilon, with mu and
-    sigma^2 as tape nodes where sigma^2 is read, None elsewhere."""
+    sigma^2 as tape nodes where sigma^2 is read, None elsewhere.  Where
+    they are nodes, ``rebuild`` computes a gaussian sample again."""
 
     mu: object
     sigma2: object
     sample: object
+    rebuild: object = None
 
 
 def generate_noise(tape, z_prev, leaves, eps, cfg, sigma2=True):
@@ -193,9 +196,9 @@ def generate_noise(tape, z_prev, leaves, eps, cfg, sigma2=True):
     Only the generator reads ``z_prev``; mode random may pass None.
     ``sigma2`` says whether sigma^2 is read beyond scaling the noise:
     True keeps mu, with a buffer of its own, and sigma^2 as the block's
-    nodes.  The sample is mu + sigma^2 * epsilon on generic nodes either
-    way; the gradient of sigma^2 then sums every use before the exp
-    backward.
+    nodes, and gives a gaussian block its ``rebuild``.  The sample is
+    mu + sigma^2 * epsilon on generic nodes either way; the gradient of
+    sigma^2 then sums every use before the exp backward.
     """
     if cfg.noise_distribution not in ("gaussian", "uniform"):
         raise ValueError(
@@ -208,7 +211,8 @@ def generate_noise(tape, z_prev, leaves, eps, cfg, sigma2=True):
             mu = dc.col_slice(out, 0, d)
             logvar = dc.col_slice(out, d, 2 * d)
             var = dc.exp(logvar)
-            spread = dc.mul(var, tape.constant(eps))
+            noise = tape.constant(eps)
+            spread = dc.mul(var, noise)
             sample = dc.add(mu, spread)
         if not np.isfinite(sample.value).all():
             halves = (("mu", out.value[:, :d]),
@@ -218,15 +222,21 @@ def generate_noise(tape, z_prev, leaves, eps, cfg, sigma2=True):
                         "sigma^2 = exp(log-variance)")
             raise DiffError(f"non-finite noise: {part} is not finite")
         if sigma2:
-            # mu gets a buffer of its own, so the 2d-wide output can go
+            # mu gets a buffer of its own, so the 2d-wide output can go, and
+            # rebuild reads only arrays the KL, exp and mul closures hold
             mu.value = mu.value.copy()
-        # no backward pass reads the output, the log-variance, the product
+            mu_v, var_v, eps_v = mu.value, var.value, noise.value
+
+            def rebuild():
+                return mu_v + var_v * eps_v
+
+        # no later node reads the output, the log-variance, the product
         # or, unless its sigma^2 is read, mu
         dc.release((out, logvar, spread) + (() if sigma2 else (mu,)))
         if not sigma2:
-            mu = var = None
+            mu = var = rebuild = None
     elif cfg.noise_mode == "random":  # zero mean, fixed sigma^2
-        mu = var = None
+        mu = var = rebuild = None
         sample = dc.scale(tape.constant(eps), _RANDOM_VARIANCE)
     elif cfg.noise_mode == "none":
         raise ValueError("generate_noise: noise mode 'none' draws no noise")
@@ -234,15 +244,16 @@ def generate_noise(tape, z_prev, leaves, eps, cfg, sigma2=True):
         raise ValueError(f"unknown noise mode {cfg.noise_mode!r}")
 
     if cfg.noise_distribution == "uniform":
-        sample = dc.gelu(sample)
-    return NoiseBlock(mu=mu, sigma2=var, sample=sample)
+        sample, rebuild = dc.gelu(sample), None
+    return NoiseBlock(mu=mu, sigma2=var, sample=sample, rebuild=rebuild)
 
 
 def propagate(a_norm, z_prev, noise):
     """One layer: a_norm @ (z_prev + row-normalized noise sample)."""
     if noise is None:
         return dc.spmm(a_norm, z_prev)
-    return dc.inject_spmm(a_norm, z_prev, noise.sample)
+    return dc.inject_spmm(a_norm, z_prev, noise.sample,
+                          rebuild=noise.rebuild)
 
 
 @dataclass
@@ -374,10 +385,9 @@ def encode(tape, leaves, ctx, cfg, rng, rows=None, comp_views=("avg",),
             z = propagate(op, taken(z, take, share=source), block)
             if (channel, k) == ("ui", 1) and ui1_terms is not None:
                 ui1_terms(block)
-                if block.sigma2 is not None:
+                if block.rebuild is not None:
                     # no forward node reads the sample from here on, and
-                    # layer 1's backward pass rebuilds it from mu, sigma^2
-                    # and epsilon, which the KL term keeps
+                    # no backward pass holds it: layer 1's rebuilds it
                     block.sample.value = None
             layers.append(z)
         kept = [taken(z, keep) for z, (*_, keep) in zip(layers, plan)]

@@ -267,18 +267,18 @@ def _batch_loss(params, ctx, cfg, rng, users, pos_items, neg_items):
     prior draw stay after the encoder, so the random stream does not
     move.
 
-    Right before the contrastive term is built, every value that no
-    backward pass reads is released (:func:`diffcore.release`), apart
-    from the contrastive views and the (1, 1) terms that
-    :func:`losses.joint_loss` reads: the partial sums of the layer
-    averages, the kept layers and the averages once they are gathered,
-    and the products read only by a reduction.  InfoNCE's forward
-    transients then sit on a smaller heap.  The discrepancy term is the
-    one :class:`TrainConfig` pairs with the noise distribution.
-    A gaussian first user-item block's sample is dropped after the
-    reconstruction's gathers and rebuilt by layer 1's backward pass from
-    mu, sigma^2 and epsilon (see :mod:`model`); a uniform sample, and
-    mode random's, keeps its value.
+    Right before the contrastive term is built, every value is released
+    (:func:`diffcore.release`) apart from the contrastive views and the
+    (1, 1) terms that :func:`losses.joint_loss` reads.  The backward
+    closures hold what they read, so this frees the arrays no closure
+    holds: the partial sums of the layer averages, the kept layers and
+    the averages once they are gathered, and the products read only by a
+    reduction.  InfoNCE's forward transients then sit on a smaller heap.
+    The discrepancy term is the one :class:`TrainConfig` pairs with the
+    noise distribution.  A gaussian first user-item block's sample is
+    dropped after the reconstruction's gathers and rebuilt by layer 1's
+    backward pass from mu, sigma^2 and epsilon (see :mod:`model`); layer
+    1's node holds a uniform sample, and mode random's.
     """
     m = ctx.num_users
     u_idx = np.asarray(users, dtype=np.int64)

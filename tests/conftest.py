@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
@@ -93,6 +94,26 @@ def traced_peak(fn, *args, **kwargs):
         return result, tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
+
+
+def held(tape):
+    """The base numpy arrays ``tape`` keeps alive, by id, each once: the
+    bases of its nodes' values and of the arrays their backward closures
+    hold, following the functions, tuples and lists a closure holds."""
+    found, seen = {}, set()
+    todo = [n.value for n in tape.nodes] + [n._backward for n in tape.nodes]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, np.ndarray):
+            while isinstance(item.base, np.ndarray):
+                item = item.base
+            found[id(item)] = item
+        elif isinstance(item, (tuple, list)):
+            todo.extend(item)
+        elif isinstance(item, types.FunctionType) and id(item) not in seen:
+            seen.add(id(item))
+            todo.extend(cell.cell_contents for cell in item.__closure__ or ())
+    return found
 
 
 def random_interactions(num_users, num_items, density, seed, min_per_user=1):

@@ -309,10 +309,12 @@ def batch_loss_dense(table, R, cfg, rng, users, pos_items, neg_items):
 def log(x):
     """Natural log as a tape node.  Only the compositions below take a
     log on the tape; the fused nodes take theirs inside."""
-    def bw(g):
-        dc._accum(x, g / x.value, owned=True)
+    xv = x.value
 
-    return dc._op("log", (x,), np.log(x.value), bw, reads=(x,))
+    def bw(g):
+        dc._accum(x, g / xv, owned=True)
+
+    return dc._op("log", (x,), np.log(xv), bw)
 
 
 def broadcast_add(x, v, axis):

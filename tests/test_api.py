@@ -1,8 +1,8 @@
 """Every exported name resolves, every differentiation primitive has a
-caller in the package, importing the package leaves the process alone,
-and every gclrec name and call the benchmark harness in ``benchmarks/``
-relies on resolves.  The harness is only
-read, so a deletion that would break it fails here first."""
+caller in the package, no backward pass reads a node's value, importing
+the package leaves the process alone, and every gclrec name and call the
+benchmark harness in ``benchmarks/`` relies on resolves.  The harness is
+only read, so a deletion that would break it fails here first."""
 
 import ast
 import dataclasses
@@ -68,6 +68,18 @@ def test_every_primitive_is_called_from_the_package():
             elif isinstance(func, ast.Name) and func.id in names:
                 called.add(func.id)
     assert sorted(set(diffcore.__all__) - DIFFCORE_TOOLING - called) == []
+
+
+def test_no_backward_pass_reads_a_node_value():
+    """Each primitive's backward closure takes the arrays it reads when
+    the node is built: no ``bw`` function in diffcore reads a node's
+    ``value``, which a release may have dropped."""
+    tree = ast.parse(Path(diffcore.__file__).read_text())
+    passes = [fn for fn in ast.walk(tree)
+              if isinstance(fn, ast.FunctionDef) and fn.name == "bw"]
+    reads = [node.lineno for fn in passes for node in ast.walk(fn)
+             if isinstance(node, ast.Attribute) and node.attr == "value"]
+    assert len(passes) > 10 and reads == []
 
 
 # records the mallopt calls made through ctypes, then imports every

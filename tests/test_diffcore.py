@@ -16,7 +16,7 @@ from gclrec.diffcore import (
 from gclrec.graphs import build_complement, build_interaction_matrix
 from gclrec.trainer import AdamState, adam_step
 
-from conftest import random_interactions
+from conftest import held, random_interactions
 from oracles import (
     broadcast_add,
     gather_zeros_and_add,
@@ -442,20 +442,13 @@ class TestFusedNodes:
         assert all(np.isfinite(g).all() for g in grads.values())
 
     def test_infonce_keeps_no_square_array(self):
-        # the backward pass recomputes the B x B exp matrix; the node's
-        # closure, and the closures it calls, hold nothing that size
+        # the backward pass recomputes the B x B exp matrix; nothing the
+        # tape holds, through a value or a closure, is that size
         t = Tape()
         a, b = t.leaf(rand((7, 3), 95)), t.leaf(rand((7, 3), 96))
-        node = dc.infonce(a, b, 0.2)
-        held, todo = [], [node._backward]
-        while todo:
-            for cell in todo.pop().__closure__ or ():
-                item = cell.cell_contents
-                if callable(item) and hasattr(item, "__closure__"):
-                    todo.append(item)
-                elif isinstance(item, np.ndarray):
-                    held.append(item.shape)
-        assert held and all(shape[0] * shape[1] <= 7 for shape in held)
+        dc.infonce(a, b, 0.2)
+        shapes = [arr.shape for arr in held(t).values()]
+        assert (7, 1) in shapes and (7, 7) not in shapes
 
     def test_rbf_mmd_holds_one_kernel_block_at_a_time(self):
         # both passes build the three blocks, each freed before the next
@@ -630,23 +623,11 @@ class TestDroppedValues:
         assert np.array_equal(run(drop=True), run(drop=False))
 
 
-def declared(tape):
-    """The nodes whose values some backward pass on ``tape`` reads, by
-    the nodes' declarations."""
-    read = set()
-    for node in tape.nodes:
-        if node._backward is not None:
-            read.update(node.reads)
-            if node.reads_own:
-                read.add(node)
-    return read
-
-
 POSITIVE = np.exp(rand((5, 3), 140))
 
 # primitive case -> (leaf arrays, build(tape, leaves)); a constant input
 # needs no gradient, which changes what a product reads
-DECLARED_CASES = {
+PRIMITIVE_CASES = {
     "matmul": ({"a": rand((3, 4), 141), "b": rand((4, 2), 142)},
                lambda t, lv: dc.matmul(lv["a"], lv["b"])),
     "matmul trans_b": ({"a": rand((3, 4), 143), "b": rand((2, 4), 144)},
@@ -717,49 +698,72 @@ DECLARED_CASES = {
 }
 
 
+# primitive case -> the values its backward closures hold: the leaves'
+# by name, a constant's, and "own" for a built node's own value.  A
+# product holds an operand only where the other needs a gradient
+HOLDS = {
+    "matmul": {"a", "b"}, "matmul trans_b": {"a", "b"},
+    "matmul constant": {"constant"}, "spmm": set(), "add": set(),
+    "sub": set(), "mul": {"a", "b"}, "mul constant": {"constant"},
+    "scale": set(), "mean_of": set(), "square": {"x"}, "exp": {"own"},
+    "softplus": {"x"}, "gelu": {"x"}, "mlp3": {"x", "w1", "w2", "w3"},
+    # no input gradient reads w1; w1's gradient reads the input
+    "mlp3 constant input": {"constant", "w2", "w3"}, "rownorm": {"x"},
+    "gather": set(), "gather repeats": set(), "row_slice": set(),
+    "col_slice": set(), "reduce_sum": set(), "reduce_mean 0": set(),
+    "reduce_sum 1": set(), "inject_spmm": {"x"},
+    "inject_spmm constant noise": set(), "kl_normal": {"mu", "s"},
+    "kl_normal constant mu": {"s"}, "infonce": {"a", "b"},
+    "rbf_mmd": {"x", "y"}, "rbf_mmd constant y": {"x", "constant"},
+}
+
+
 class TestDeclaredReads:
-    """Each primitive declares the values its backward pass reads: the
-    release drops every other value, and no declared value is spare."""
+    """Each primitive declares what its backward pass reads by holding
+    it: its closure takes those arrays when the node is built, and no
+    backward pass reads a node's value.  A release drops values, and an
+    array stays alive as long as a closure holds it."""
 
     @staticmethod
     def grads(case, drop):
-        """The case's gradients, with the values of the nodes ``drop(tape,
-        loss)`` lists dropped before the backward pass."""
-        arrays, build = DECLARED_CASES[case]
+        """The case's gradients; with ``drop``, every value but the
+        loss's, leaves and constants too, is dropped before the backward
+        pass."""
+        arrays, build = PRIMITIVE_CASES[case]
         t = Tape()
         lv = {k: t.leaf(v, name=k) for k, v in arrays.items()}
         out = build(t, lv)
         loss = dc.reduce_sum(dc.mul(out, t.constant(
             zero_signed(rand(out.shape, 186)))))
-        for node in drop(t, loss):
-            node.value = None
+        if drop:
+            for node in t.nodes[:-1]:
+                node.value = None
         return backward(loss)
 
-    @pytest.mark.parametrize("case", DECLARED_CASES)
+    @pytest.mark.parametrize("case", PRIMITIVE_CASES)
     def test_gradients_read_only_declared_values(self, case):
-        want = self.grads(case, lambda t, loss: [])
-        # leaves and constants too; backward itself reads the loss's
-        got = self.grads(case, lambda t, loss: [
-            n for n in t.nodes if n not in declared(t) | {loss}])
+        want = self.grads(case, drop=False)
+        got = self.grads(case, drop=True)
         assert sorted(got) == sorted(want)
         for name in want:
             assert_same_bits(got[name], want[name])
 
-    @pytest.mark.parametrize("case", DECLARED_CASES)
+    @pytest.mark.parametrize("case", PRIMITIVE_CASES)
     def test_every_declared_parent_value_is_read(self, case):
-        # exp's own value, the one value read that is no parent's, is
-        # also held by its backward closure
-        positions = []
-
-        def record(t, loss):
-            positions.extend(k for k, n in enumerate(t.nodes)
-                             if any(n in m.reads for m in t.nodes))
-            return []
-
-        self.grads(case, record)
-        for k in positions:
-            with pytest.raises((TypeError, AttributeError, ValueError)):
-                self.grads(case, lambda t, loss: [t.nodes[k]])
+        # with every value dropped, the tape holds only what its closures
+        # hold; their own arrays (inverse norms, slopes, indices) are no
+        # node's value
+        arrays, build = PRIMITIVE_CASES[case]
+        t = Tape()
+        build(t, {k: t.leaf(v, name=k) for k, v in arrays.items()})
+        values = [({"leaf": n.name, "constant": "constant"}.get(n.op, "own"),
+                   n.value) for n in t.nodes]
+        for node in t.nodes:
+            node.value = None
+        alive = held(t).values()
+        assert {label for label, value in values
+                if any(np.shares_memory(value, a) for a in alive)} \
+            == HOLDS[case]
 
     def test_release_drops_what_no_backward_pass_reads(self):
         t = Tape()
@@ -771,41 +775,51 @@ class TestDeclaredReads:
         kernel = dc.exp(weighted)  # reads its own value
         fixed = dc.exp(dc.scale(c, 2.0))  # no backward pass
         total = dc.reduce_sum(dc.add(kernel, fixed))
+        arrays = {n: n.value for n in t.nodes}
         dc.release(t.nodes[:-1])
-        held = [n.op for n in t.nodes if n.value is not None]
-        assert held == ["leaf", "constant", "scale", "exp", "reduce_sum"]
-        assert kernel.value is not None and fixed.value is None
+        assert [n.op for n in t.nodes if n.value is not None] == [
+            "leaf", "constant", "reduce_sum"]
+        # what a backward pass reads stays alive in its closure
+        alive = held(t)
+        assert [n.op for n, value in arrays.items() if id(value) in alive] \
+            == ["leaf", "constant", "scale", "exp", "reduce_sum"]
+        assert id(arrays[kernel]) in alive and id(arrays[fixed]) not in alive
         grads = backward(total)["x"]
         want = 8.0 * x.value * c.value * np.exp(4.0 * x.value ** 2 * c.value)
         np.testing.assert_allclose(grads, want, rtol=1e-14)
 
     def test_a_dropped_sample_is_rebuilt_with_its_bits(self):
-        # the noise sample mu + sigma^2 * eps of a layer's inject_spmm;
-        # dropped with its product, the backward pass rebuilds it from mu,
-        # sigma^2 and eps
-        def run(drop):
+        # the noise sample mu + sigma^2 * eps of a layer's inject_spmm,
+        # with a rebuild as model.generate_noise makes it: dropped with
+        # its product, nothing holds it, and the backward pass computes
+        # it again from the arrays of mu, sigma^2 and eps
+        def run(rebuilt):
             t = Tape()
             z = t.leaf(rand((5, 4), 189), name="z")
             mu = t.leaf(rand((5, 4), 190), name="mu")
             sigma2 = dc.exp(t.leaf(rand((5, 4), 191), name="ls"))
             sample = sample_composite(mu, sigma2, zero_signed(rand((5, 4),
                                                                    192)))
+            spread = sample.parents[1]
+            mu_v, var_v = mu.value, sigma2.value
+            eps_v = spread.parents[1].value
+
+            def rebuild():
+                return mu_v + var_v * eps_v
+
             value = sample.value
-            out = dc.inject_spmm(OP, z, sample)
-            if drop:
-                sample.value = sample.parents[1].value = None
-                assert dc._value(sample).tobytes() == value.tobytes()
+            assert rebuild().tobytes() == value.tobytes()
+            out = dc.inject_spmm(OP, z, sample,
+                                 rebuild=rebuild if rebuilt else None)
+            dc.release((sample, spread))
+            assert (id(value) in held(t)) is not rebuilt
             return backward(dc.reduce_sum(dc.mul(out, t.constant(
                 zero_signed(rand(out.shape, 193))))))
 
-        got, want = run(drop=True), run(drop=False)
+        got, want = run(rebuilt=True), run(rebuilt=False)
+        assert sorted(got) == sorted(want)
         for name in want:
             assert_same_bits(got[name], want[name])
-        t = Tape()
-        node = dc.exp(t.leaf(rand((2, 2), 194)))
-        node.value = None
-        with pytest.raises(ValueError, match="exp node was dropped"):
-            dc._value(node)
 
     T = dc.MLP_TILE_ROWS
 

@@ -27,7 +27,8 @@ from gclrec.trainer import (
     train_epoch,
 )
 
-from conftest import make_interactions, random_interactions, traced_peak
+from conftest import (held, make_interactions, random_interactions,
+                      traced_peak)
 from oracles import batch_loss_dense
 
 
@@ -407,6 +408,27 @@ class TestDenseStepOracle:
                 want[field.name], rel=1e-10, abs=0), field.name
 
 
+def last_arrays(monkeypatch):
+    """node -> the last array it held, as built or as a release dropped
+    it, for every node built through ``dc._op``, filled as a step runs."""
+    last, op, release = {}, dc._op, dc.release
+
+    def spy_op(*args):
+        node = op(*args)
+        last[node] = node.value
+        return node
+
+    def spy_release(nodes):
+        nodes = list(nodes)
+        last.update((n, n.value) for n in nodes
+                    if n in last and n.value is not None)
+        release(nodes)
+
+    monkeypatch.setattr(dc, "_op", spy_op)
+    monkeypatch.setattr(dc, "release", spy_release)
+    return last
+
+
 class TestTapeComposition:
     """A default step's forward tape holds only values its backward
     pass reads."""
@@ -445,8 +467,8 @@ class TestTapeComposition:
             return original(loss)
 
         monkeypatch.setattr(dc, "backward", spy)
-        _, height = self.run(overrides)
-        return seen, height, swept
+        self.run(overrides)
+        return seen, swept
 
     def encoded(self, monkeypatch):
         """The values the tape holds as the ranking term is built, after
@@ -459,8 +481,22 @@ class TestTapeComposition:
             return original(pos_scores, neg_scores)
 
         monkeypatch.setattr(tr.ls, "bpr_loss", spy)
-        seen, _, _ = self.tape(monkeypatch)
+        seen, _ = self.tape(monkeypatch)
         return held, dict(seen)
+
+    def at_sweep(self, monkeypatch, overrides=None):
+        """Each node of a step with the last array it held (see
+        :func:`last_arrays`), the arrays the tape holds as the sweep starts
+        (see :func:`conftest.held`) and the user-item height."""
+        last, alive, sweep = last_arrays(monkeypatch), {}, dc.backward
+
+        def spy(loss):
+            alive.update(held(loss.tape))
+            return sweep(loss)
+
+        monkeypatch.setattr(dc, "backward", spy)
+        _, height = self.run(overrides)
+        return last, alive, height
 
     @pytest.mark.parametrize("overrides", [{},
                                            {"noise.distribution": "uniform"},
@@ -468,17 +504,26 @@ class TestTapeComposition:
                              ids=["default", "mmd", "random"])
     def test_sweep_starts_with_only_values_backward_reads(self, monkeypatch,
                                                           overrides):
-        seen, _, _ = self.tape(monkeypatch, overrides)
-        # what the nodes' backward passes read, by their declarations
-        read = set()
-        for node, _ in seen:
-            read.update(node.reads)
-            if node.reads_own:
-                read.add(node)
-        held = [node.op for node, value in seen
-                if value is not None and node.shape != (1, 1)
-                and node.op not in ("leaf", "constant") and node not in read]
-        assert held == []
+        # dropping the value of every node but the leaves, the constants
+        # and the (1, 1) terms frees nothing: a backward closure holds
+        # every other array the tape holds
+        freed, sweep = [], dc.backward
+
+        def spy(loss):
+            nodes = [n for n in loss.tape.nodes if n.shape != (1, 1)
+                     and n.op not in ("leaf", "constant")]
+            values = [n.value for n in nodes]
+            alive = held(loss.tape)
+            for node in nodes:
+                node.value = None
+            freed.extend(alive.keys() - held(loss.tape).keys())
+            for node, value in zip(nodes, values):
+                node.value = value
+            return sweep(loss)
+
+        monkeypatch.setattr(dc, "backward", spy)
+        self.run(overrides)
+        assert freed == []
 
     @pytest.mark.parametrize("overrides, rebuilt", [
         ({}, True), ({"noise.distribution": "uniform"}, False)],
@@ -486,57 +531,58 @@ class TestTapeComposition:
     def test_layer1_sample_is_rebuilt_with_its_gradients(self, monkeypatch,
                                                          overrides, rebuilt):
         # the first user-item block's sample goes after the reconstruction
-        # gathers where it is gaussian, so the KL term keeps mu and
-        # sigma^2; given its value back, the sweep gives the same bits
-        samples, held, restore = [], [], False
-        recon, sweep = tr.reconstruct, dc.backward
+        # gathers where it is gaussian, and nothing holds it as the sweep
+        # starts; layer 1's node holding it instead gives the same bits
+        samples, kept = [], []
+        recon, sweep, propagate = tr.reconstruct, dc.backward, model.propagate
 
         def spy_recon(sample, *args):
-            samples.append((sample, sample.value.copy()))
+            samples.append(sample.value)
             return recon(sample, *args)
 
         def spy_sweep(loss):
-            sample, value = samples[-1]
-            held.append(sample.value is not None)
-            if restore:
-                sample.value = value
+            kept.append(id(samples[-1]) in held(loss.tape))
             return sweep(loss)
 
         monkeypatch.setattr(tr, "reconstruct", spy_recon)
         monkeypatch.setattr(dc, "backward", spy_sweep)
         (*_, got), _ = self.run(overrides)
-        restore = True
+        monkeypatch.setattr(model, "propagate", lambda op, z, noise:
+                            propagate(op, z, noise
+                                      and replace(noise, rebuild=None)))
         (*_, want), _ = self.run(overrides)
-        assert held == [not rebuilt] * 2
+        assert kept == [not rebuilt, True]
         assert sorted(got) == sorted(want)
         for name in want:
             assert got[name].tobytes() == want[name].tobytes(), name
 
     def test_no_full_height_elementwise_or_injection_nodes(self, monkeypatch):
-        seen, height, _ = self.tape(monkeypatch)
-        ops = {n.op for n, _ in seen}
+        last, alive, height = self.at_sweep(monkeypatch)
+        ops = {n.op for n in last}
         assert {"kl_normal", "inject_spmm"} <= ops
         assert "add_rownorm" not in ops
-        full = [n.op for n, value in seen
-                if value is not None and value.shape[0] == height]
+        # the built nodes whose full-height arrays the sweep starts with
+        full = [n.op for n, value in last.items()
+                if id(value) in alive and value.shape[0] == height]
         assert full
         assert not set(full) & {"mul", "square", "log", "sub", "badd_row"}
 
     def test_noise_blocks_keep_only_what_backward_reads(self, monkeypatch):
-        seen, _, _ = self.tape(monkeypatch)
-        values = dict(seen)
-        outputs = [n for n, _ in seen if n.op == "mlp3"
+        last, alive, _ = self.at_sweep(monkeypatch)
+        outputs = [n for n in last if n.op == "mlp3"
                    and n.parents[1].name == "gen.w1"]
-        samples = [n for n, _ in seen if n.op == "add"
+        samples = [n for n in last if n.op == "add"
                    and [p.op for p in n.parents] == ["col_slice", "mul"]]
         # user-item layers 1 and 2 and complement layers 1 and 2
         assert len(outputs) == len(samples) == 4
-        assert all(values[out] is None for out in outputs)
-        assert all(values[sample.parents[1]] is None for sample in samples)
+        # nothing holds a generator output, so no view of it either, or a
+        # product sigma^2 * epsilon
+        spreads = [sample.parents[1] for sample in samples]
+        assert not any(id(last[n]) in alive for n in outputs + spreads)
         # only the block whose sigma^2 the KL term reads keeps mu
-        (kl,) = [n for n, _ in seen if n.op == "kl_normal"]
+        (kl,) = [n for n in last if n.op == "kl_normal"]
         kept = [sample.parents[0] for sample in samples
-                if values[sample.parents[0]] is not None]
+                if id(last[sample.parents[0]]) in alive]
         assert kept == [kl.parents[0]]
 
     def test_demand_step_drops_the_layers_it_gathered_from(self,
@@ -559,29 +605,29 @@ class TestTapeComposition:
     def test_only_row_slice_is_the_complement_input(self, monkeypatch):
         # the step reads the encoder's output at the touched rows, in the
         # embedding table's layout, with no user or item slice between
-        seen, _, _ = self.tape(monkeypatch)
+        seen, _ = self.tape(monkeypatch)
         (cut,) = [n for n, _ in seen if n.op == "row_slice"]
         (table,) = cut.parents
         assert (table.op, table.name) == ("leaf", "base_embedding")
 
     def test_first_blocks_mu_owns_its_data(self, monkeypatch):
-        seen, height, _ = self.tape(monkeypatch)
-        values = dict(seen)
-        (kl,) = [n for n, _ in seen if n.op == "kl_normal"]
+        last, alive, height = self.at_sweep(monkeypatch)
+        (kl,) = [n for n in last if n.op == "kl_normal"]
         mu, sigma2 = kl.parents
         out = mu.parents[0]
         logvar = sigma2.parents[0]
         assert (mu.op, out.op, logvar.op) == ("col_slice", "mlp3",
                                               "col_slice")
-        assert values[mu].flags.owndata and values[mu].shape == (height, 4)
+        assert last[mu].flags.owndata and last[mu].shape == (height, 4)
+        assert id(last[mu]) in alive
         # the 2d-wide generator output and its log-variance view are gone
-        assert values[out] is None and values[logvar] is None
+        assert last[logvar].base is last[out] and id(last[out]) not in alive
 
     def test_mmd_is_one_node_and_no_node_is_touched_square(self,
                                                           monkeypatch):
         # the kernels are built and recomputed inside one rbf_mmd node, so
         # no node of the step, held or dropped, is touched x touched
-        seen, _, _ = self.tape(monkeypatch, {"noise.distribution": "uniform"})
+        seen, _ = self.tape(monkeypatch, {"noise.distribution": "uniform"})
         (mmd,) = [n for n, _ in seen if n.op == "rbf_mmd"]
         gen, prior = mmd.parents
         assert (gen.op, prior.op) == ("gather", "constant")
@@ -591,7 +637,7 @@ class TestTapeComposition:
                 if n.shape == (touched, touched)] == []
 
     def test_contrastive_term_is_swept_first(self, monkeypatch):
-        _, _, swept = self.tape(monkeypatch)
+        _, swept = self.tape(monkeypatch)
         order = {node: k for k, node in enumerate(swept)}
         contrastive = [k for node, k in order.items()
                        if node.op == "infonce"]
@@ -603,7 +649,7 @@ class TestTapeComposition:
     def test_layer1_terms_are_built_beside_layer_1(self, monkeypatch):
         # so the sweep allocates their full-height gradients only as it
         # reaches layer 1
-        seen, _, _ = self.tape(monkeypatch)
+        seen, _ = self.tape(monkeypatch)
         order = {n: k for k, (n, _) in enumerate(seen)}
         layer1 = next(n for n in order if n.op == "inject_spmm")
         sample = layer1.parents[1]
@@ -726,22 +772,26 @@ class TestLayerReadWhole:
                               self.USERS, self.POS, self.NEG)
 
     def test_keeps_its_value(self, monkeypatch):
-        seen, original = [], dc.backward
+        # each layer read whole is held by its generator's closure, and
+        # by nothing else, as the sweep starts
+        last, holders, sweep = last_arrays(monkeypatch), [], dc.backward
 
         def spy(loss):
-            seen.extend((n, n.value) for n in loss.tape.nodes)
-            return original(loss)
+            for gen in loss.tape.nodes:
+                if (gen.op == "mlp3" and gen.parents[1].name == "gen.w1"
+                        and gen.parents[0].op == "inject_spmm"):
+                    layer, bw = id(last[gen.parents[0]]), gen._backward
+                    alive = layer in held(loss.tape)
+                    gen._backward = None
+                    holders.append((alive, layer in held(loss.tape)))
+                    gen._backward = bw
+            return sweep(loss)
 
         monkeypatch.setattr(dc, "backward", spy)
         self.step(init_params(3, 3, 4, 4, seed=5), tiny_config(L=3))
-        values = dict(seen)
-        read_whole = [n.parents[0] for n in values if n.op == "mlp3"
-                      and n.parents[1].name == "gen.w1"
-                      and n.parents[0].op == "inject_spmm"]
         # layers 1 and 2 of both channels; the user-item ones are also
         # copied out to their kept rows
-        assert len(read_whole) == 4
-        assert all(values[z] is not None for z in read_whole)
+        assert holders == [(True, False)] * 4
 
     def test_gradient_check(self):
         cfg = tiny_config(L=3)
